@@ -19,7 +19,7 @@ use std::hint::black_box;
 
 use ffmr_bench::harness::{criterion_group, criterion_main, Criterion};
 use ffmr_bench::{FbFamily, Scale};
-use maxflow::parallel_push_relabel::{max_flow_with, PrConfig};
+use maxflow::{parallel_push_relabel, Cancel};
 
 fn bench(c: &mut Criterion) {
     let scale = std::env::var("FFMR_BENCH_SCALE")
@@ -41,19 +41,15 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_pr");
     group.sample_size(10);
 
-    let reference = maxflow::dinic::max_flow(&st.network, st.source, st.sink);
+    let reference = maxflow::Algorithm::Dinic.run(&st.network, st.source, st.sink);
     group.bench_function("dinic", |b| {
         b.iter(|| {
-            black_box(maxflow::dinic::max_flow(
-                black_box(&st.network),
-                st.source,
-                st.sink,
-            ))
+            black_box(maxflow::Algorithm::Dinic.run(black_box(&st.network), st.source, st.sink))
         })
     });
     group.bench_function("sequential-pr", |b| {
         b.iter(|| {
-            black_box(maxflow::push_relabel::max_flow(
+            black_box(maxflow::Algorithm::PushRelabel.run(
                 black_box(&st.network),
                 st.source,
                 st.sink,
@@ -71,44 +67,40 @@ fn bench(c: &mut Criterion) {
     threads.dedup();
     let mut baseline = None;
     for &t in &threads {
-        let config = PrConfig {
-            threads: t,
-            ..PrConfig::default()
+        let solve = || {
+            parallel_push_relabel::solve(
+                black_box(&st.network),
+                st.source,
+                st.sink,
+                t,
+                &Cancel::never(),
+            )
+            .expect("never-cancel solve cannot fail")
         };
-        let run = max_flow_with(&st.network, st.source, st.sink, &config);
-        assert_eq!(run.result.value, reference.value, "parallel-pr disagrees");
+        let (flow, report) = solve();
+        assert_eq!(flow.value, reference.value, "parallel-pr disagrees");
         match &baseline {
             None => {
                 println!(
                     "  parallel_pr: flow={} passes={} global_relabels={} pushes={} relabels={}",
-                    run.result.value,
-                    run.stats.passes,
-                    run.stats.global_relabels,
-                    run.stats.pushes,
-                    run.stats.relabels
+                    flow.value,
+                    report.phases,
+                    report.global_relabels,
+                    report.pushes,
+                    report.relabels
                 );
-                baseline = Some(run);
+                baseline = Some((flow, report));
             }
-            Some(single) => {
+            Some((single, single_report)) => {
+                assert_eq!(&flow, single, "flow assignment diverged at {t} threads");
                 assert_eq!(
-                    run.result, single.result,
-                    "flow assignment diverged at {t} threads"
-                );
-                assert_eq!(
-                    run.stats.passes, single.stats.passes,
+                    report.phases, single_report.phases,
                     "pulse schedule diverged"
                 );
             }
         }
         group.bench_function(format!("parallel-pr-{t}-threads"), |b| {
-            b.iter(|| {
-                black_box(max_flow_with(
-                    black_box(&st.network),
-                    st.source,
-                    st.sink,
-                    &config,
-                ))
-            })
+            b.iter(|| black_box(solve()))
         });
     }
     group.finish();

@@ -17,6 +17,18 @@ use swgraph::super_st::SuperStNetwork;
 
 use crate::profiles::Scale;
 
+/// The scaled paper cluster on one worker thread — the documented
+/// bit-reproducibility setting: threaded `aug_proc` acceptance order
+/// otherwise moves shuffle bytes ~1 % from run to run.
+fn runtime(nodes: usize, scale: &Scale) -> MrRuntime {
+    let mut rt = MrRuntime::new(ClusterConfig::scaled_paper_cluster(
+        nodes,
+        scale.sim_slowdown,
+    ));
+    rt.set_worker_threads(Some(1));
+    rt
+}
+
 /// Runs one FFMR variant on a terminal-augmented network over a simulated
 /// cluster of `nodes` slave nodes, returning the run and the runtime (for
 /// DFS inspection).
@@ -30,10 +42,7 @@ pub fn run_variant(
     nodes: usize,
     scale: &Scale,
 ) -> (FfRun, MrRuntime) {
-    let mut rt = MrRuntime::new(ClusterConfig::scaled_paper_cluster(
-        nodes,
-        scale.sim_slowdown,
-    ));
+    let mut rt = runtime(nodes, scale);
     let config = FfConfig::new(st.source, st.sink)
         .variant(variant)
         .reducers(scale.reducers)
@@ -53,10 +62,7 @@ pub fn run_bfs_baseline(
     nodes: usize,
     scale: &Scale,
 ) -> ffmr_core::mr_bfs::BfsRun {
-    let mut rt = MrRuntime::new(ClusterConfig::scaled_paper_cluster(
-        nodes,
-        scale.sim_slowdown,
-    ));
+    let mut rt = runtime(nodes, scale);
     ffmr_core::mr_bfs::run_bfs(&mut rt, &st.network, st.source, "bfs", scale.reducers)
         .expect("bfs run")
 }

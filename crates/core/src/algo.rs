@@ -97,7 +97,7 @@ impl FfVariant {
         }
     }
 
-    /// All five variants in ladder order, with names.
+    /// All five variants in ladder order, with their display labels.
     #[must_use]
     pub fn ladder() -> [(&'static str, FfVariant); 5] {
         [
@@ -108,7 +108,51 @@ impl FfVariant {
             ("FF5", Self::ff5()),
         ]
     }
+
+    /// The name this variant parses from (`--algorithm`, the daemon's
+    /// `algorithm`/`solver` fields): `ff1`…`ff5` in ladder order, or
+    /// `custom` for a flag combination off the ladder.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        Self::ladder()
+            .iter()
+            .position(|&(_, v)| v == self)
+            .map_or("custom", |i| Self::NAMES[i])
+    }
+
+    /// [`FfVariant::name`] of every [`FfVariant::ladder`] entry, in order.
+    pub const NAMES: [&'static str; 5] = ["ff1", "ff2", "ff3", "ff4", "ff5"];
 }
+
+impl std::str::FromStr for FfVariant {
+    type Err = UnknownVariant;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Self::ladder()
+            .into_iter()
+            .map(|(_, v)| v)
+            .find(|v| v.name() == name)
+            .ok_or_else(|| UnknownVariant(name.to_string()))
+    }
+}
+
+/// The error parsing an [`FfVariant`] name returns; its message lists the
+/// names that would have parsed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownVariant(pub String);
+
+impl std::fmt::Display for UnknownVariant {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown FF variant '{}' (expected one of: {})",
+            self.0,
+            FfVariant::NAMES.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownVariant {}
 
 /// How many excess paths a vertex may store (paper Sec. III-B3 / IV-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -882,6 +926,23 @@ mod tests {
         assert!(FfVariant::ff4().pooled_objects && !FfVariant::ff4().remember_sent);
         let ff5 = FfVariant::ff5();
         assert!(ff5.stateful_aug && ff5.schimmy && ff5.pooled_objects && ff5.remember_sent);
+    }
+
+    #[test]
+    fn every_ladder_name_round_trips_through_from_str() {
+        for (label, variant) in FfVariant::ladder() {
+            assert_eq!(variant.name().parse(), Ok(variant));
+            assert_eq!(variant.name(), label.to_lowercase());
+        }
+        let err = "ff6".parse::<FfVariant>().unwrap_err().to_string();
+        for name in FfVariant::NAMES {
+            assert!(err.contains(name), "{err} should name {name}");
+        }
+        let off_ladder = FfVariant {
+            schimmy: true,
+            ..FfVariant::ff1()
+        };
+        assert_eq!(off_ladder.name(), "custom");
     }
 
     #[test]

@@ -48,10 +48,7 @@ pub mod checkpoint;
 pub mod error;
 pub mod map_reduce_fns;
 pub mod mr_bfs;
-pub mod mr_components;
-pub mod mr_hadi;
 pub mod mr_min_cut;
-pub mod mr_mst;
 pub mod mr_push_relabel;
 pub mod path;
 pub mod pregel_ff;
@@ -63,7 +60,7 @@ pub mod wire;
 pub use accumulator::Accumulator;
 pub use algo::{
     history_path, resume_max_flow, run_max_flow, CrashPoint, FfConfig, FfHooks, FfRun, FfVariant,
-    KPolicy, RoundStats,
+    KPolicy, RoundStats, UnknownVariant,
 };
 pub use aug_service::AugProc;
 pub use augmented::AugmentedEdges;

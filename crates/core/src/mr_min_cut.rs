@@ -294,7 +294,7 @@ mod tests {
             assert_eq!(cut.value, flow, "seed {seed}: max-flow = min-cut");
             // Agrees with the in-memory extraction.
             let oracle_flow =
-                maxflow::dinic::max_flow(&net, VertexId::new(0), VertexId::new(n - 1));
+                maxflow::Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(n - 1));
             let oracle_cut =
                 maxflow::min_cut::extract_min_cut(&net, VertexId::new(0), &oracle_flow);
             assert_eq!(cut.value, oracle_cut.value, "seed {seed}");

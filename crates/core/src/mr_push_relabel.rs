@@ -535,7 +535,7 @@ mod tests {
             let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
             let mut rt = runtime();
             let run = run_push_relabel(&mut rt, &net, s, t, "pr", 2, 2000).unwrap();
-            let oracle = maxflow::dinic::max_flow(&net, s, t);
+            let oracle = maxflow::Algorithm::Dinic.run(&net, s, t);
             assert_eq!(run.max_flow_value, oracle.value, "seed {seed}");
         }
     }

@@ -393,7 +393,7 @@ mod tests {
         let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 5));
         let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
         let run = run_max_flow_pregel(&net, s, t, 200).unwrap();
-        let oracle = maxflow::dinic::max_flow(&net, s, t);
+        let oracle = maxflow::Algorithm::Dinic.run(&net, s, t);
         assert_eq!(run.max_flow_value, oracle.value);
     }
 
@@ -405,7 +405,7 @@ mod tests {
             let net = FlowNetwork::from_undirected_unit(n, &edges);
             let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
             let run = run_max_flow_pregel(&net, s, t, 500).unwrap();
-            let oracle = maxflow::dinic::max_flow(&net, s, t);
+            let oracle = maxflow::Algorithm::Dinic.run(&net, s, t);
             assert_eq!(run.max_flow_value, oracle.value, "seed {seed}");
         }
     }

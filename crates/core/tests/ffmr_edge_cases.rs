@@ -176,7 +176,7 @@ fn ffmr_survives_injected_task_failures() {
     let n = 150;
     let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 13));
     let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
-    let oracle = maxflow::dinic::max_flow(&net, s, t).value;
+    let oracle = maxflow::Algorithm::Dinic.run(&net, s, t).value;
 
     for variant in [FfVariant::ff1(), FfVariant::ff5()] {
         let mut rt = runtime();
@@ -214,7 +214,7 @@ fn unidirectional_and_extend_all_reach_the_same_max_flow() {
     let n = 120;
     let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 19));
     let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
-    let oracle = maxflow::dinic::max_flow(&net, s, t).value;
+    let oracle = maxflow::Algorithm::Dinic.run(&net, s, t).value;
 
     let run_with = |bidir: bool, all: bool| {
         let mut rt = runtime();

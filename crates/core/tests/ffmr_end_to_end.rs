@@ -20,7 +20,7 @@ fn check_variant(
     let run =
         run_max_flow(&mut rt, net, &config).unwrap_or_else(|e| panic!("{label}: ffmr failed: {e}"));
 
-    let oracle = maxflow::dinic::max_flow(net, s, t);
+    let oracle = maxflow::Algorithm::Dinic.run(net, s, t);
     assert_eq!(
         run.max_flow_value, oracle.value,
         "{label}: ffmr disagrees with dinic"

@@ -47,7 +47,7 @@ fn ff5_matches_oracle_on_unit_graphs() {
         let net = FlowNetwork::from_undirected_unit(n, &random_unit_edges(&mut rng, n, count));
         let s = VertexId::new(0);
         let t = VertexId::new(n - 1);
-        let oracle = maxflow::dinic::max_flow(&net, s, t).value;
+        let oracle = maxflow::Algorithm::Dinic.run(&net, s, t).value;
         assert_eq!(
             ffmr_value(&net, s, t, FfVariant::ff5()),
             oracle,
@@ -75,7 +75,7 @@ fn ff1_matches_oracle_on_directed_graphs() {
         let net = b.build();
         let s = VertexId::new(0);
         let t = VertexId::new(n - 1);
-        let oracle = maxflow::dinic::max_flow(&net, s, t).value;
+        let oracle = maxflow::Algorithm::Dinic.run(&net, s, t).value;
         assert_eq!(
             ffmr_value(&net, s, t, FfVariant::ff1()),
             oracle,
@@ -101,7 +101,7 @@ fn k_equals_one_still_reaches_max_flow() {
             .k_policy(KPolicy::Fixed(1))
             .reducers(2);
         let run = run_max_flow(&mut rt, &net, &config).expect("ffmr run");
-        let oracle = maxflow::dinic::max_flow(&net, s, t).value;
+        let oracle = maxflow::Algorithm::Dinic.run(&net, s, t).value;
         assert_eq!(run.max_flow_value, oracle, "case {case}");
     }
 }

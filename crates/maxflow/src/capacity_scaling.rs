@@ -12,37 +12,10 @@ use crate::cancel::{Cancel, Cancelled};
 use crate::report::SolveReport;
 use crate::residual::{FlowResult, Residual};
 
-/// Computes the maximum `s`–`t` flow with capacity scaling.
-///
-/// # Example
-/// ```
-/// use swgraph::{FlowNetworkBuilder, VertexId};
-/// let mut b = FlowNetworkBuilder::new(3);
-/// b.add_edge(0, 1, 1_000_000);
-/// b.add_edge(1, 2, 999_999);
-/// let net = b.build();
-/// let f = maxflow::capacity_scaling::max_flow(&net, VertexId::new(0), VertexId::new(2));
-/// assert_eq!(f.value, 999_999);
-/// ```
-#[must_use]
-pub fn max_flow(net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-    max_flow_cancellable(net, s, t, &Cancel::never()).expect("never-cancel solve cannot fail")
-}
-
-/// [`max_flow`] with a cooperative [`Cancel`] token, polled once per
-/// augmenting path.
-pub fn max_flow_cancellable(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    cancel: &Cancel,
-) -> Result<FlowResult, Cancelled> {
-    max_flow_with_report(net, s, t, cancel).map(|(r, _)| r)
-}
-
-/// [`max_flow_cancellable`] returning the [`SolveReport`] counters (Δ
-/// scaling phases, augmenting paths, cancel polls) alongside the flow.
-pub fn max_flow_with_report(
+/// Computes the maximum `s`–`t` flow with capacity scaling. `cancel` is
+/// polled once per augmenting path; the report counts Δ scaling phases,
+/// augmenting paths and cancel polls.
+pub(crate) fn solve(
     net: &FlowNetwork,
     s: VertexId,
     t: VertexId,
@@ -127,6 +100,7 @@ fn find_wide_path(
 mod tests {
     use super::*;
     use crate::validate::check_flow;
+    use crate::Algorithm;
     use swgraph::gen;
     use swgraph::FlowNetworkBuilder;
 
@@ -144,7 +118,7 @@ mod tests {
         b.add_edge(3, 5, 20);
         b.add_edge(4, 5, 4);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(5));
+        let f = Algorithm::CapacityScaling.run(&net, VertexId::new(0), VertexId::new(5));
         assert_eq!(f.value, 23);
         check_flow(&net, VertexId::new(0), VertexId::new(5), &f).unwrap();
     }
@@ -161,7 +135,7 @@ mod tests {
         b.add_edge(1, 3, big);
         b.add_edge(2, 3, big);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(3));
+        let f = Algorithm::CapacityScaling.run(&net, VertexId::new(0), VertexId::new(3));
         assert_eq!(f.value, 2 * big);
     }
 
@@ -176,10 +150,10 @@ mod tests {
             }
             let net = b.build();
             let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
-            let f = max_flow(&net, s, t);
+            let f = Algorithm::CapacityScaling.run(&net, s, t);
             assert_eq!(
                 f.value,
-                crate::dinic::max_flow(&net, s, t).value,
+                Algorithm::Dinic.run(&net, s, t).value,
                 "seed {seed}"
             );
             check_flow(&net, s, t, &f).unwrap();
@@ -189,9 +163,24 @@ mod tests {
     #[test]
     fn degenerate_cases() {
         let net = FlowNetworkBuilder::new(0).build();
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(1)).value, 0);
+        assert_eq!(
+            Algorithm::CapacityScaling
+                .run(&net, VertexId::new(0), VertexId::new(1))
+                .value,
+            0
+        );
         let net = swgraph::FlowNetwork::from_undirected_unit(2, &[(0, 1)]);
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(0)).value, 0);
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(1)).value, 1);
+        assert_eq!(
+            Algorithm::CapacityScaling
+                .run(&net, VertexId::new(0), VertexId::new(0))
+                .value,
+            0
+        );
+        assert_eq!(
+            Algorithm::CapacityScaling
+                .run(&net, VertexId::new(0), VertexId::new(1))
+                .value,
+            1
+        );
     }
 }

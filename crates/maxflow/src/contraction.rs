@@ -347,7 +347,11 @@ mod tests {
                 sink,
                 limit,
                 ..
-            } => limit.min(crate::dinic::max_flow(idx.core_net(), source, sink).value),
+            } => limit.min(
+                crate::Algorithm::Dinic
+                    .run(idx.core_net(), source, sink)
+                    .value,
+            ),
         }
     }
 
@@ -403,7 +407,7 @@ mod tests {
         // 5 → 0: chain bottleneck 1, core flow 2 → min is 1.
         assert_eq!(answer(&idx, v(5), v(0)), 1);
         assert_eq!(
-            crate::dinic::max_flow(&net, v(5), v(0)).value,
+            crate::Algorithm::Dinic.run(&net, v(5), v(0)).value,
             answer(&idx, v(5), v(0))
         );
         // Same-anchor shortcut: 5 → 2 never touches the core solver.
@@ -433,8 +437,8 @@ mod tests {
         assert_eq!(answer(&idx, v(4), v(1)), 2);
         // Into the tree: min(1, 1) = 1.
         assert_eq!(answer(&idx, v(1), v(4)), 1);
-        assert_eq!(crate::dinic::max_flow(&net, v(4), v(1)).value, 2);
-        assert_eq!(crate::dinic::max_flow(&net, v(1), v(4)).value, 1);
+        assert_eq!(crate::Algorithm::Dinic.run(&net, v(4), v(1)).value, 2);
+        assert_eq!(crate::Algorithm::Dinic.run(&net, v(1), v(4)).value, 1);
     }
 
     #[test]
@@ -463,7 +467,7 @@ mod tests {
         for (s, t) in [(0u64, 63u64), (5, 40), (12, 13)] {
             assert_eq!(
                 answer(&idx, v(s), v(t)),
-                crate::dinic::max_flow(&net, v(s), v(t)).value,
+                crate::Algorithm::Dinic.run(&net, v(s), v(t)).value,
                 "terminals ({s},{t})"
             );
         }
@@ -478,7 +482,7 @@ mod tests {
         assert_eq!(idx.periphery_vertex_count(), 0);
         assert_eq!(idx.core_edge_pairs(), net.num_edge_pairs());
         assert_eq!(answer(&idx, v(0), v(99)), {
-            crate::dinic::max_flow(&net, v(0), v(99)).value
+            crate::Algorithm::Dinic.run(&net, v(0), v(99)).value
         });
     }
 }

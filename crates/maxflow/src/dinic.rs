@@ -10,34 +10,10 @@ use crate::cancel::{Cancel, Cancelled};
 use crate::report::SolveReport;
 use crate::residual::{FlowResult, Residual};
 
-/// Computes the maximum `s`–`t` flow with Dinic's algorithm.
-///
-/// # Example
-/// ```
-/// use swgraph::{FlowNetwork, VertexId};
-/// let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-/// let f = maxflow::dinic::max_flow(&net, VertexId::new(0), VertexId::new(3));
-/// assert_eq!(f.value, 2);
-/// ```
-#[must_use]
-pub fn max_flow(net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-    max_flow_cancellable(net, s, t, &Cancel::never()).expect("never-cancel solve cannot fail")
-}
-
-/// [`max_flow`] with a cooperative [`Cancel`] token, polled once per BFS
-/// phase and once per blocking-flow augmentation.
-pub fn max_flow_cancellable(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    cancel: &Cancel,
-) -> Result<FlowResult, Cancelled> {
-    max_flow_with_report(net, s, t, cancel).map(|(r, _)| r)
-}
-
-/// [`max_flow_cancellable`] returning the [`SolveReport`] counters (BFS
-/// phases, augmenting paths, cancel polls) alongside the flow.
-pub fn max_flow_with_report(
+/// Computes the maximum `s`–`t` flow with Dinic's algorithm. `cancel` is
+/// polled once per BFS phase and once per blocking-flow augmentation; the
+/// report counts BFS phases, augmenting paths and cancel polls.
+pub(crate) fn solve(
     net: &FlowNetwork,
     s: VertexId,
     t: VertexId,
@@ -150,6 +126,7 @@ fn dfs_push(
 mod tests {
     use super::*;
     use crate::validate::check_flow;
+    use crate::Algorithm;
     use swgraph::gen;
     use swgraph::FlowNetworkBuilder;
 
@@ -167,7 +144,7 @@ mod tests {
         b.add_edge(3, 5, 20);
         b.add_edge(4, 5, 4);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(5));
+        let f = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(5));
         assert_eq!(f.value, 23);
         check_flow(&net, VertexId::new(0), VertexId::new(5), &f).unwrap();
     }
@@ -179,8 +156,8 @@ mod tests {
             let net = FlowNetwork::from_undirected_unit(40, &edges);
             let s = VertexId::new(0);
             let t = VertexId::new(39);
-            let d = max_flow(&net, s, t);
-            let ek = crate::edmonds_karp::max_flow(&net, s, t);
+            let d = Algorithm::Dinic.run(&net, s, t);
+            let ek = Algorithm::EdmondsKarp.run(&net, s, t);
             assert_eq!(d.value, ek.value, "seed {seed}");
             check_flow(&net, s, t, &d).unwrap();
         }
@@ -195,14 +172,14 @@ mod tests {
             b.add_edge(m, 11, 1);
         }
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(11));
+        let f = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(11));
         assert_eq!(f.value, 10);
     }
 
     #[test]
     fn handles_out_of_range_source() {
         let net = FlowNetwork::from_undirected_unit(2, &[(0, 1)]);
-        let f = max_flow(&net, VertexId::new(5), VertexId::new(1));
+        let f = Algorithm::Dinic.run(&net, VertexId::new(5), VertexId::new(1));
         assert_eq!(f.value, 0);
     }
 }

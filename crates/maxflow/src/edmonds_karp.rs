@@ -11,33 +11,9 @@ use crate::report::SolveReport;
 use crate::residual::{FlowResult, Residual};
 
 /// Computes the maximum `s`–`t` flow with BFS shortest augmenting paths.
-///
-/// # Example
-/// ```
-/// use swgraph::{FlowNetwork, VertexId};
-/// let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-/// let f = maxflow::edmonds_karp::max_flow(&net, VertexId::new(0), VertexId::new(3));
-/// assert_eq!(f.value, 2);
-/// ```
-#[must_use]
-pub fn max_flow(net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-    max_flow_cancellable(net, s, t, &Cancel::never()).expect("never-cancel solve cannot fail")
-}
-
-/// [`max_flow`] with a cooperative [`Cancel`] token, polled once per
-/// augmenting path.
-pub fn max_flow_cancellable(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    cancel: &Cancel,
-) -> Result<FlowResult, Cancelled> {
-    max_flow_with_report(net, s, t, cancel).map(|(r, _)| r)
-}
-
-/// [`max_flow_cancellable`] returning the [`SolveReport`] counters
-/// (augmenting paths, cancel polls) alongside the flow.
-pub fn max_flow_with_report(
+/// `cancel` is polled once per augmenting path; the report counts
+/// augmenting paths and cancel polls.
+pub(crate) fn solve(
     net: &FlowNetwork,
     s: VertexId,
     t: VertexId,
@@ -104,6 +80,7 @@ pub fn max_flow_with_report(
 mod tests {
     use super::*;
     use crate::validate::check_flow;
+    use crate::Algorithm;
     use swgraph::FlowNetworkBuilder;
 
     #[test]
@@ -115,7 +92,7 @@ mod tests {
         b.add_edge(1, 3, 2);
         b.add_edge(2, 3, 3);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(3));
+        let f = Algorithm::EdmondsKarp.run(&net, VertexId::new(0), VertexId::new(3));
         assert_eq!(f.value, 5);
         check_flow(&net, VertexId::new(0), VertexId::new(3), &f).unwrap();
     }
@@ -132,19 +109,29 @@ mod tests {
         b.add_edge(1, 3, big);
         b.add_edge(2, 3, big);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(3));
+        let f = Algorithm::EdmondsKarp.run(&net, VertexId::new(0), VertexId::new(3));
         assert_eq!(f.value, 2 * big);
     }
 
     #[test]
     fn unreachable_sink() {
         let net = FlowNetwork::from_undirected_unit(3, &[(0, 1)]);
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(2)).value, 0);
+        assert_eq!(
+            Algorithm::EdmondsKarp
+                .run(&net, VertexId::new(0), VertexId::new(2))
+                .value,
+            0
+        );
     }
 
     #[test]
     fn empty_network_is_zero() {
         let net = FlowNetworkBuilder::new(0).build();
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(0)).value, 0);
+        assert_eq!(
+            Algorithm::EdmondsKarp
+                .run(&net, VertexId::new(0), VertexId::new(0))
+                .value,
+            0
+        );
     }
 }

@@ -12,34 +12,9 @@ use crate::residual::{FlowResult, Residual};
 ///
 /// Runtime is `O(E * |f*|)` for integer capacities — fine for the
 /// unit-capacity small-world graphs this workspace targets, and the
-/// honest baseline for the paper's schema.
-///
-/// # Example
-/// ```
-/// use swgraph::{FlowNetwork, VertexId};
-/// let net = FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2)]);
-/// let f = maxflow::ford_fulkerson::max_flow(&net, VertexId::new(0), VertexId::new(2));
-/// assert_eq!(f.value, 1);
-/// ```
-#[must_use]
-pub fn max_flow(net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-    max_flow_cancellable(net, s, t, &Cancel::never()).expect("never-cancel solve cannot fail")
-}
-
-/// [`max_flow`] with a cooperative [`Cancel`] token, polled once per
-/// augmenting path.
-pub fn max_flow_cancellable(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    cancel: &Cancel,
-) -> Result<FlowResult, Cancelled> {
-    max_flow_with_report(net, s, t, cancel).map(|(r, _)| r)
-}
-
-/// [`max_flow_cancellable`] returning the [`SolveReport`] counters
-/// (augmenting paths, cancel polls) alongside the flow.
-pub fn max_flow_with_report(
+/// honest baseline for the paper's schema. `cancel` is polled once per
+/// augmenting path; the report counts augmenting paths and cancel polls.
+pub(crate) fn solve(
     net: &FlowNetwork,
     s: VertexId,
     t: VertexId,
@@ -109,6 +84,7 @@ fn find_path_dfs(
 mod tests {
     use super::*;
     use crate::validate::check_flow;
+    use crate::Algorithm;
     use swgraph::FlowNetworkBuilder;
 
     #[test]
@@ -126,7 +102,7 @@ mod tests {
         b.add_edge(3, 5, 20);
         b.add_edge(4, 5, 4);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(5));
+        let f = Algorithm::FordFulkerson.run(&net, VertexId::new(0), VertexId::new(5));
         assert_eq!(f.value, 23);
         check_flow(&net, VertexId::new(0), VertexId::new(5), &f).unwrap();
     }
@@ -134,14 +110,14 @@ mod tests {
     #[test]
     fn disconnected_sink_gives_zero() {
         let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (2, 3)]);
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(3));
+        let f = Algorithm::FordFulkerson.run(&net, VertexId::new(0), VertexId::new(3));
         assert_eq!(f.value, 0);
     }
 
     #[test]
     fn source_equals_sink_is_zero() {
         let net = FlowNetwork::from_undirected_unit(2, &[(0, 1)]);
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(0));
+        let f = Algorithm::FordFulkerson.run(&net, VertexId::new(0), VertexId::new(0));
         assert_eq!(f.value, 0);
     }
 
@@ -156,7 +132,7 @@ mod tests {
         b.add_edge(1, 3, 1);
         b.add_edge(2, 3, 1);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(3));
+        let f = Algorithm::FordFulkerson.run(&net, VertexId::new(0), VertexId::new(3));
         assert_eq!(f.value, 2);
         check_flow(&net, VertexId::new(0), VertexId::new(3), &f).unwrap();
     }

@@ -10,31 +10,43 @@
 //! [`swgraph::FlowNetwork`]'s paired edges and are cross-validated against
 //! each other in the test suite.
 //!
+//! There is one way to call a solver: pick an [`Algorithm`] and
+//! [`run`](Algorithm::run) it (or [`run_with_report`](Algorithm::run_with_report)
+//! for a [`Cancel`] token and the [`SolveReport`] counters). The solver
+//! modules are private; [`parallel_push_relabel`] alone stays public for
+//! its explicit thread count and the persistent
+//! [`SolverPool`](parallel_push_relabel::SolverPool). `Algorithm`'s
+//! `Display`/`FromStr` pair is the one table of solver names.
+//!
 //! # Example
 //!
 //! ```
 //! use swgraph::{FlowNetwork, VertexId};
-//! use maxflow::dinic;
+//! use maxflow::Algorithm;
 //!
 //! // Two disjoint unit paths from 0 to 3.
 //! let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-//! let result = dinic::max_flow(&net, VertexId::new(0), VertexId::new(3));
-//! assert_eq!(result.value, 2);
-//! maxflow::validate::check_flow(&net, VertexId::new(0), VertexId::new(3), &result).unwrap();
+//! let (s, t) = (VertexId::new(0), VertexId::new(3));
+//! for algorithm in Algorithm::ALL {
+//!     let result = algorithm.run(&net, s, t);
+//!     assert_eq!(result.value, 2, "{algorithm}");
+//!     maxflow::validate::check_flow(&net, s, t, &result).unwrap();
+//! }
+//! assert_eq!("dinic".parse(), Ok(Algorithm::Dinic));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cancel;
-pub mod capacity_scaling;
+mod capacity_scaling;
 pub mod contraction;
-pub mod dinic;
-pub mod edmonds_karp;
-pub mod ford_fulkerson;
+mod dinic;
+mod edmonds_karp;
+mod ford_fulkerson;
 pub mod min_cut;
 pub mod parallel_push_relabel;
-pub mod push_relabel;
+mod push_relabel;
 pub mod report;
 pub mod residual;
 pub mod validate;
@@ -45,8 +57,8 @@ pub use residual::{FlowResult, Residual};
 
 use swgraph::{FlowNetwork, VertexId};
 
-/// Which sequential algorithm to run (handy for parameterized tests and
-/// benches).
+/// Which in-memory algorithm to run — the solver API and, through
+/// `Display`/`FromStr`, the one table of solver names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Algorithm {
@@ -79,25 +91,17 @@ impl Algorithm {
     /// Runs this algorithm on `net` from `s` to `t`.
     #[must_use]
     pub fn run(self, net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-        self.run_cancellable(net, s, t, &Cancel::never())
-            .expect("never-cancel solve cannot fail")
+        let (result, _) = self
+            .run_with_report(net, s, t, &Cancel::never())
+            .expect("never-cancel solve cannot fail");
+        result
     }
 
     /// Like [`Algorithm::run`] but polls `cancel` at the algorithm's
-    /// natural progress boundary (augmenting path, discharge, pulse) and
-    /// returns [`Cancelled`] when the token fires.
-    pub fn run_cancellable(
-        self,
-        net: &FlowNetwork,
-        s: VertexId,
-        t: VertexId,
-        cancel: &Cancel,
-    ) -> Result<FlowResult, Cancelled> {
-        self.run_with_report(net, s, t, cancel).map(|(r, _)| r)
-    }
-
-    /// Like [`Algorithm::run_cancellable`] but also returns the solver's
-    /// [`SolveReport`] execution counters.
+    /// natural progress boundary (augmenting path, discharge, pulse),
+    /// returning [`Cancelled`] when the token fires, and also returns the
+    /// solver's [`SolveReport`] execution counters.
+    /// [`Algorithm::ParallelPushRelabel`] runs on every available core.
     pub fn run_with_report(
         self,
         net: &FlowNetwork,
@@ -106,33 +110,90 @@ impl Algorithm {
         cancel: &Cancel,
     ) -> Result<(FlowResult, SolveReport), Cancelled> {
         match self {
-            Algorithm::FordFulkerson => ford_fulkerson::max_flow_with_report(net, s, t, cancel),
-            Algorithm::EdmondsKarp => edmonds_karp::max_flow_with_report(net, s, t, cancel),
-            Algorithm::Dinic => dinic::max_flow_with_report(net, s, t, cancel),
-            Algorithm::PushRelabel => push_relabel::max_flow_with_report(net, s, t, cancel),
-            Algorithm::CapacityScaling => capacity_scaling::max_flow_with_report(net, s, t, cancel),
-            Algorithm::ParallelPushRelabel => parallel_push_relabel::max_flow_with_cancel(
-                net,
-                s,
-                t,
-                &parallel_push_relabel::PrConfig::default(),
-                cancel,
-            )
-            .map(|run| (run.result, run.stats.report())),
+            Algorithm::FordFulkerson => ford_fulkerson::solve(net, s, t, cancel),
+            Algorithm::EdmondsKarp => edmonds_karp::solve(net, s, t, cancel),
+            Algorithm::Dinic => dinic::solve(net, s, t, cancel),
+            Algorithm::PushRelabel => push_relabel::solve(net, s, t, cancel),
+            Algorithm::CapacityScaling => capacity_scaling::solve(net, s, t, cancel),
+            Algorithm::ParallelPushRelabel => {
+                let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+                parallel_push_relabel::solve(net, s, t, threads, cancel)
+            }
         }
     }
-}
 
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
+    /// [`Algorithm::name`] of every algorithm, in [`Algorithm::ALL`] order.
+    pub fn names() -> impl Iterator<Item = &'static str> {
+        Self::ALL.into_iter().map(Self::name)
+    }
+
+    /// The name this algorithm prints as and parses from.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
             Algorithm::FordFulkerson => "ford-fulkerson",
             Algorithm::EdmondsKarp => "edmonds-karp",
             Algorithm::Dinic => "dinic",
             Algorithm::PushRelabel => "push-relabel",
             Algorithm::CapacityScaling => "capacity-scaling",
             Algorithm::ParallelPushRelabel => "parallel-pr",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = UnknownAlgorithm;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Self::ALL
+            .into_iter()
+            .find(|a| a.name() == name)
+            .ok_or_else(|| UnknownAlgorithm(name.to_string()))
+    }
+}
+
+/// The error parsing an [`Algorithm`] name returns; its message lists the
+/// names that would have parsed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownAlgorithm(pub String);
+
+impl std::fmt::Display for UnknownAlgorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<&str> = Algorithm::names().collect();
+        write!(
+            f,
+            "unknown algorithm '{}' (expected one of: {})",
+            self.0,
+            names.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownAlgorithm {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_name_round_trips_through_display_and_from_str() {
+        for a in Algorithm::ALL {
+            assert_eq!(a.to_string().parse(), Ok(a));
+        }
+    }
+
+    #[test]
+    fn unknown_name_error_lists_the_valid_ones() {
+        let err = "bogus".parse::<Algorithm>().unwrap_err().to_string();
+        assert!(err.contains("'bogus'"), "{err}");
+        for name in Algorithm::names() {
+            assert!(err.contains(name), "{err} should name {name}");
+        }
     }
 }

@@ -32,7 +32,7 @@ pub struct MinCut {
 /// use swgraph::{FlowNetwork, VertexId};
 /// let net = FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2)]);
 /// let (s, t) = (VertexId::new(0), VertexId::new(2));
-/// let f = maxflow::dinic::max_flow(&net, s, t);
+/// let f = maxflow::Algorithm::Dinic.run(&net, s, t);
 /// let cut = maxflow::min_cut::extract_min_cut(&net, s, &f);
 /// assert_eq!(cut.value, f.value);
 /// ```
@@ -81,7 +81,7 @@ pub fn extract_min_cut(net: &FlowNetwork, s: VertexId, flow: &FlowResult) -> Min
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dinic;
+    use crate::Algorithm;
     use swgraph::gen;
     use swgraph::FlowNetworkBuilder;
 
@@ -91,7 +91,7 @@ mod tests {
             let edges = gen::erdos_renyi(30, 70, seed);
             let net = FlowNetwork::from_undirected_unit(30, &edges);
             let (s, t) = (VertexId::new(0), VertexId::new(29));
-            let f = dinic::max_flow(&net, s, t);
+            let f = Algorithm::Dinic.run(&net, s, t);
             let cut = extract_min_cut(&net, s, &f);
             assert_eq!(cut.value, f.value, "seed {seed}");
             assert!(cut.source_side.contains(&s));
@@ -108,7 +108,7 @@ mod tests {
         b.add_edge(2, 3, 10);
         let net = b.build();
         let (s, t) = (VertexId::new(0), VertexId::new(3));
-        let f = dinic::max_flow(&net, s, t);
+        let f = Algorithm::Dinic.run(&net, s, t);
         let cut = extract_min_cut(&net, s, &f);
         assert_eq!(cut.value, 1);
         assert_eq!(cut.cut_edges.len(), 1);
@@ -121,7 +121,7 @@ mod tests {
     fn disconnected_cut_is_empty() {
         let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (2, 3)]);
         let (s, t) = (VertexId::new(0), VertexId::new(3));
-        let f = dinic::max_flow(&net, s, t);
+        let f = Algorithm::Dinic.run(&net, s, t);
         let cut = extract_min_cut(&net, s, &f);
         assert_eq!(cut.value, 0);
         assert!(cut.cut_edges.is_empty());

@@ -7,7 +7,8 @@
 //! tier adopt it as the default in-memory solver without giving up
 //! reproducible answers.
 //!
-//! Heuristics match the sequential [`crate::push_relabel`] twin: exact
+//! Heuristics match the sequential twin
+//! ([`Algorithm::PushRelabel`](crate::Algorithm::PushRelabel)): exact
 //! heights from a periodic global relabeling (reverse BFS from the sink,
 //! then from the source for the excess-return phase — itself run as a
 //! chunked parallel BFS) plus gap relabeling between pulses, so the two
@@ -17,14 +18,22 @@
 //! planned only by its unique tail, chunk outputs are private, and the
 //! apply phase is sequential — lock-free by construction, with the
 //! [`ffmr_sync`] primitives (one `RwLock` over the solver state, a
-//! `Mutex`+`Condvar` job board) coordinating the persistent worker pool.
+//! `Mutex`+`Condvar` chunk board) coordinating the workers.
+//!
+//! Two entries drive the one schedule and return the same
+//! `(FlowResult, SolveReport)` shape as every other solver: the one-shot
+//! [`solve`], which borrows the network and spawns scoped workers for the
+//! call, and [`SolverPool::solve`], which reuses persistent workers.
 //!
 //! # Example
 //! ```
+//! use maxflow::{parallel_push_relabel, Cancel};
 //! use swgraph::{FlowNetwork, VertexId};
 //! let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-//! let f = maxflow::parallel_push_relabel::max_flow(&net, VertexId::new(0), VertexId::new(3));
-//! assert_eq!(f.value, 2);
+//! let (s, t) = (VertexId::new(0), VertexId::new(3));
+//! let (flow, report) = parallel_push_relabel::solve(&net, s, t, 2, &Cancel::never()).unwrap();
+//! assert_eq!(flow.value, 2);
+//! assert!(report.global_relabels >= 1);
 //! ```
 
 use std::sync::Arc;
@@ -36,163 +45,9 @@ use crate::cancel::{Cancel, Cancelled};
 use crate::report::SolveReport;
 use crate::residual::FlowResult;
 
-/// Tuning knobs for the parallel solver.
-#[derive(Debug, Clone)]
-pub struct PrConfig {
-    /// Worker threads for the discharge and BFS phases. `1` runs the
-    /// identical pulse schedule inline without spawning a pool; any
-    /// value produces the same flow (see the module docs).
-    pub threads: usize,
-    /// Global relabeling runs whenever the work counter (edges scanned
-    /// plus relabels) exceeds `factor * (n + m)` since the last one.
-    pub global_relabel_factor: f64,
-}
-
-impl Default for PrConfig {
-    fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
-            global_relabel_factor: 3.0,
-        }
-    }
-}
-
-/// Counters describing one solved instance.
-#[derive(Debug, Clone, Default)]
-pub struct PrStats {
-    /// Bulk-synchronous discharge pulses executed.
-    pub passes: usize,
-    /// Global relabelings (including the initial one).
-    pub global_relabels: usize,
-    /// Individual push operations applied.
-    pub pushes: usize,
-    /// Individual relabel operations applied (gap lifts not counted).
-    pub relabels: usize,
-    /// Largest active frontier seen at a pulse boundary.
-    pub max_frontier: usize,
-    /// Worker threads the run was configured with.
-    pub threads: usize,
-    /// Times the coordinator polled its [`Cancel`] token (solve entry,
-    /// each pulse, each BFS wave) — deterministic for any thread count.
-    pub cancel_polls: usize,
-}
-
-impl PrStats {
-    /// These counters as the cross-solver [`SolveReport`] shape
-    /// (pulses map to phases).
-    #[must_use]
-    pub fn report(&self) -> SolveReport {
-        SolveReport {
-            phases: self.passes as u64,
-            augmenting_paths: 0,
-            pushes: self.pushes as u64,
-            relabels: self.relabels as u64,
-            global_relabels: self.global_relabels as u64,
-            cancel_polls: self.cancel_polls as u64,
-        }
-    }
-}
-
-/// A parallel push-relabel run: the flow plus its execution counters.
-#[derive(Debug, Clone)]
-pub struct PrRun {
-    /// The computed maximum flow.
-    pub result: FlowResult,
-    /// Execution counters (pulses, global relabels, frontier sizes).
-    pub stats: PrStats,
-}
-
-/// Computes the maximum `s`–`t` flow with the default configuration
-/// (all available cores).
-#[must_use]
-pub fn max_flow(net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-    max_flow_with(net, s, t, &PrConfig::default()).result
-}
-
-/// Like [`max_flow`] but with explicit tuning, returning the execution
-/// counters alongside the flow. The flow (value *and* per-edge
-/// assignment) is independent of `threads`.
-#[must_use]
-pub fn max_flow_with(net: &FlowNetwork, s: VertexId, t: VertexId, config: &PrConfig) -> PrRun {
-    max_flow_with_cancel(net, s, t, config, &Cancel::never())
-        .expect("never-cancel solve cannot fail")
-}
-
-/// [`max_flow_with`] plus a cooperative [`Cancel`] token, polled before
-/// every pulse and every global-relabel BFS level. Spawns a scoped
-/// worker pool per call; the serving tier uses [`max_flow_pooled`] to
-/// amortize the spawns away.
-pub fn max_flow_with_cancel(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    config: &PrConfig,
-    cancel: &Cancel,
-) -> Result<PrRun, Cancelled> {
-    let n = net.num_vertices();
-    if s == t || n == 0 || s.index() >= n || t.index() >= n {
-        return Ok(trivial_run(net));
-    }
-    let threads = config.threads.max(1);
-    let state = RwLock::new(State::new(net, s, t));
-    let run = if threads == 1 {
-        let mut solver = Solver::new(net, s, t, config, threads, &state);
-        solver.solve(&mut |state, job| run_job_inline(net, state, job), cancel)
-    } else {
-        let board = JobBoard::new();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| worker_loop(net, &state, &board));
-            }
-            let mut solver = Solver::new(net, s, t, config, threads, &state);
-            let run = solver.solve(&mut |_, job| board.execute(job), cancel);
-            board.shutdown();
-            run
-        })
-    }?;
-    record_metrics(&run.stats);
-    Ok(run)
-}
-
-/// Runs the identical pulse schedule against a persistent [`SolverPool`]
-/// instead of spawning scoped workers: the network and solver state are
-/// shared with the pool via `Arc`, so concurrent serving-tier queries
-/// reuse one set of threads with no per-query spawn cost. The flow is
-/// byte-identical to [`max_flow_with`] for any pool size (the chunk
-/// decomposition and apply order do not depend on who computes a chunk).
-pub fn max_flow_pooled(
-    net: &Arc<FlowNetwork>,
-    s: VertexId,
-    t: VertexId,
-    config: &PrConfig,
-    pool: &SolverPool,
-    cancel: &Cancel,
-) -> Result<PrRun, Cancelled> {
-    let n = net.num_vertices();
-    if s == t || n == 0 || s.index() >= n || t.index() >= n {
-        return Ok(trivial_run(net));
-    }
-    let state = Arc::new(RwLock::new(State::new(net, s, t)));
-    let threads = pool.threads().max(1);
-    let mut solver = Solver::new(net, s, t, config, threads, &state);
-    let run = if pool.threads() <= 1 {
-        solver.solve(&mut |state, job| run_job_inline(net, state, job), cancel)
-    } else {
-        solver.solve(&mut |_, job| pool.execute(net, &state, job), cancel)
-    }?;
-    record_metrics(&run.stats);
-    Ok(run)
-}
-
-fn trivial_run(net: &FlowNetwork) -> PrRun {
-    PrRun {
-        result: FlowResult {
-            value: 0,
-            flows: vec![0; net.num_directed_edges()],
-        },
-        stats: PrStats::default(),
-    }
-}
+/// Work (edges scanned + weighted relabels) between global relabelings,
+/// as a multiple of `n + m` — the same budget the sequential twin uses.
+const GLOBAL_RELABEL_FACTOR: u64 = 3;
 
 /// Frontier slice each discharge/BFS chunk covers. Fixed (and in
 /// particular independent of the thread count) so the chunk decomposition
@@ -201,6 +56,62 @@ const CHUNK: usize = 128;
 
 /// Work-counter charge for one relabel (edges scanned charge 1 each).
 const RELABEL_WORK: u64 = 12;
+
+/// Computes the maximum `s`–`t` flow on `threads` scoped workers spawned
+/// for this call (`threads <= 1` runs the identical pulse schedule
+/// inline). The flow — value *and* per-edge assignment — and the report
+/// are independent of `threads`. `cancel` is polled before every pulse
+/// and every global-relabel BFS level, by the coordinator only.
+pub fn solve(
+    net: &FlowNetwork,
+    s: VertexId,
+    t: VertexId,
+    threads: usize,
+    cancel: &Cancel,
+) -> Result<(FlowResult, SolveReport), Cancelled> {
+    if is_degenerate(net, s, t) {
+        return Ok(zero_flow(net));
+    }
+    let state = RwLock::new(State::new(net, s, t));
+    if threads <= 1 {
+        return run(net, s, t, &state, &mut inline_executor(net, &state), cancel);
+    }
+    let board = Board::new();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| board.work(|(), job, i| compute_chunk(net, &state.read(), job, i)));
+        }
+        let out = run(net, s, t, &state, &mut |job| board.execute((), job), cancel);
+        board.shutdown();
+        out
+    })
+}
+
+/// Drives the pulse schedule through `exec` and folds the finished run
+/// into the process-wide metrics.
+fn run(
+    net: &FlowNetwork,
+    s: VertexId,
+    t: VertexId,
+    state: &RwLock<State>,
+    exec: &mut Executor<'_>,
+    cancel: &Cancel,
+) -> Result<(FlowResult, SolveReport), Cancelled> {
+    let out = Solver::new(net, s, t, state).solve(exec, cancel)?;
+    record_metrics(&out.1);
+    Ok(out)
+}
+
+/// No flow can exist: identical or out-of-range terminals.
+fn is_degenerate(net: &FlowNetwork, s: VertexId, t: VertexId) -> bool {
+    let n = net.num_vertices();
+    s == t || s.index() >= n || t.index() >= n
+}
+
+fn zero_flow(net: &FlowNetwork) -> (FlowResult, SolveReport) {
+    let flows = vec![0; net.num_directed_edges()];
+    (FlowResult { value: 0, flows }, SolveReport::default())
+}
 
 /// Solver state shared read-only with workers during a job and mutated
 /// exclusively by the coordinator between jobs.
@@ -250,7 +161,7 @@ impl State {
     }
 }
 
-/// What one dispatched job asks the pool to compute.
+/// What one dispatched job asks the workers to compute.
 #[derive(Debug, Clone, Copy)]
 enum JobKind {
     /// Plan pushes/relabels for `state.frontier` chunks.
@@ -280,54 +191,82 @@ struct ChunkOut {
     candidates: Vec<u32>,
 }
 
-/// Shared job board coordinating the persistent worker pool: the
-/// coordinator posts a [`Job`], workers claim chunk indices until they
-/// run out, and the last finished chunk wakes the coordinator.
-struct JobBoard {
-    slot: Mutex<BoardSlot>,
+/// The chunk board: a coordinator posts a [`Job`], workers claim chunk
+/// indices until they run out, and the last finished chunk wakes the
+/// coordinator. `C` is what a posted job carries for the workers — `()`
+/// for scoped workers, which borrow the network and state from the
+/// coordinator's stack, and `Arc` handles to both for the persistent
+/// [`SolverPool`], whose threads outlive any one solve.
+///
+/// One job occupies the board at a time; concurrent coordinators queue on
+/// `slot_free`, which serializes the *compute* phases of concurrent
+/// solves while letting their setup/apply phases overlap — the right
+/// trade on the bulk-synchronous schedule, where a pulse wants every core
+/// anyway.
+struct Board<C> {
+    slot: Mutex<BoardSlot<C>>,
     /// Workers wait here for a new job (or shutdown).
     work_ready: Condvar,
-    /// The coordinator waits here for the last chunk of the job.
+    /// The owning coordinator waits here for its last chunk.
     job_done: Condvar,
+    /// Other coordinators wait here for the board to free up.
+    slot_free: Condvar,
 }
 
-#[derive(Default)]
-struct BoardSlot {
-    job: Option<Job>,
-    next_chunk: usize,
-    remaining: usize,
-    outputs: Vec<Option<ChunkOut>>,
+struct BoardSlot<C> {
+    posted: Option<Posted<C>>,
     shutdown: bool,
 }
 
-impl JobBoard {
+/// A posted job plus what the workers need to compute it.
+struct Posted<C> {
+    carried: C,
+    job: Job,
+    next_chunk: usize,
+    remaining: usize,
+    outputs: Vec<Option<ChunkOut>>,
+}
+
+impl<C: Clone> Board<C> {
     fn new() -> Self {
         Self {
-            slot: Mutex::new(BoardSlot::default()),
+            slot: Mutex::new(BoardSlot {
+                posted: None,
+                shutdown: false,
+            }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
+            slot_free: Condvar::new(),
         }
     }
 
     /// Posts `job`, blocks until every chunk is computed, and returns
-    /// the outputs in chunk order.
-    fn execute(&self, job: Job) -> Vec<ChunkOut> {
+    /// the outputs in chunk order. Waits for the board first when
+    /// another coordinator's job is in flight.
+    fn execute(&self, carried: C, job: Job) -> Vec<ChunkOut> {
         if job.chunks == 0 {
             return Vec::new();
         }
         let mut slot = self.slot.lock();
-        debug_assert!(slot.job.is_none(), "one job in flight at a time");
-        slot.job = Some(job);
-        slot.next_chunk = 0;
-        slot.remaining = job.chunks;
-        slot.outputs = (0..job.chunks).map(|_| None).collect();
+        while slot.posted.is_some() {
+            self.slot_free.wait(&mut slot);
+        }
+        slot.posted = Some(Posted {
+            carried,
+            job,
+            next_chunk: 0,
+            remaining: job.chunks,
+            outputs: (0..job.chunks).map(|_| None).collect(),
+        });
         self.work_ready.notify_all();
-        while slot.remaining > 0 {
+        // Only this coordinator can clear the slot, so the job observed
+        // here is always ours.
+        while slot.posted.as_ref().is_some_and(|p| p.remaining > 0) {
             self.job_done.wait(&mut slot);
         }
-        slot.job = None;
-        let outputs = std::mem::take(&mut slot.outputs);
-        outputs
+        let done = slot.posted.take().expect("slot owned by this coordinator");
+        self.slot_free.notify_one();
+        done.outputs
             .into_iter()
             .map(|o| o.expect("every chunk produced output"))
             .collect()
@@ -337,126 +276,116 @@ impl JobBoard {
         self.slot.lock().shutdown = true;
         self.work_ready.notify_all();
     }
+
+    /// Body of one worker: claim a chunk, `compute` it from what the job
+    /// carries, deposit the output, repeat; park between jobs and return
+    /// on shutdown. A claimed chunk pins its job on the board (the
+    /// coordinator cannot observe `remaining == 0` until every claim is
+    /// deposited), so the deposit always finds the job it claimed from.
+    fn work(&self, compute: impl Fn(&C, Job, usize) -> ChunkOut) {
+        loop {
+            let (carried, job, index) = {
+                let mut slot = self.slot.lock();
+                loop {
+                    if slot.shutdown {
+                        return;
+                    }
+                    if let Some(p) = slot.posted.as_mut() {
+                        if p.next_chunk < p.job.chunks {
+                            let index = p.next_chunk;
+                            p.next_chunk += 1;
+                            break (p.carried.clone(), p.job, index);
+                        }
+                    }
+                    self.work_ready.wait(&mut slot);
+                }
+            };
+            let out = compute(&carried, job, index);
+            let mut slot = self.slot.lock();
+            let p = slot.posted.as_mut().expect("claimed chunk pins its job");
+            p.outputs[index] = Some(out);
+            p.remaining -= 1;
+            if p.remaining == 0 {
+                self.job_done.notify_all();
+            }
+        }
+    }
 }
 
-/// A persistent worker pool for [`max_flow_pooled`]: threads are spawned
-/// once and shared across every query the serving tier admits, instead
-/// of the spawn-per-solve model of [`max_flow_with`].
-///
-/// One job occupies the board at a time; concurrent coordinators queue on
-/// an internal condvar, which serializes the *compute* phases of
-/// concurrent solves while letting their setup/apply phases overlap —
-/// the right trade on the bulk-synchronous schedule, where a pulse wants
-/// every core anyway. Jobs carry `Arc` handles to their network and
-/// state, so the pool never borrows from a coordinator's stack and the
-/// crate stays `forbid(unsafe_code)`.
+/// What a [`SolverPool`] job carries: owned handles to the network and
+/// solver state, so the pool never borrows from a coordinator's stack and
+/// the crate stays `forbid(unsafe_code)`.
+type Handles = (Arc<FlowNetwork>, Arc<RwLock<State>>);
+
+/// A persistent worker pool: threads are spawned once and shared across
+/// every query the serving tier admits, instead of the spawn-per-call
+/// model of the one-shot [`solve`].
 pub struct SolverPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct PoolShared {
-    slot: Mutex<PoolSlot>,
-    /// Workers wait here for a new job (or shutdown).
-    work_ready: Condvar,
-    /// The owning coordinator waits here for its last chunk.
-    job_done: Condvar,
-    /// Other coordinators wait here for the board to free up.
-    slot_free: Condvar,
-}
-
-#[derive(Default)]
-struct PoolSlot {
-    job: Option<PoolJob>,
-    shutdown: bool,
-}
-
-/// A posted job plus the owned handles workers need to compute it.
-struct PoolJob {
-    net: Arc<FlowNetwork>,
-    state: Arc<RwLock<State>>,
-    job: Job,
-    next_chunk: usize,
-    remaining: usize,
-    outputs: Vec<Option<ChunkOut>>,
+    board: Arc<Board<Handles>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl SolverPool {
     /// Spawns a pool of `threads` workers. With `threads <= 1` no
-    /// threads are spawned and [`max_flow_pooled`] runs chunks inline.
+    /// threads are spawned and [`SolverPool::solve`] runs chunks inline.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            slot: Mutex::new(PoolSlot::default()),
-            work_ready: Condvar::new(),
-            job_done: Condvar::new(),
-            slot_free: Condvar::new(),
-        });
-        let handles = if threads <= 1 {
+        let board = Arc::new(Board::new());
+        let workers = if threads <= 1 {
             Vec::new()
         } else {
             (0..threads)
                 .map(|_| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || pool_worker(&shared))
+                    let board = Arc::clone(&board);
+                    std::thread::spawn(move || {
+                        board.work(|(net, state): &Handles, job, i| {
+                            compute_chunk(net, &state.read(), job, i)
+                        });
+                    })
                 })
                 .collect()
         };
-        Self { shared, handles }
+        Self { board, workers }
     }
 
-    /// The worker count the pool was built with (0 or 1 means inline).
+    /// The worker count the pool was built with (1 means inline).
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.handles.len().max(1)
+        self.workers.len().max(1)
     }
 
-    /// Posts `job`, blocks until every chunk is computed, and returns
-    /// the outputs in chunk order. Waits for the board first when
-    /// another coordinator's job is in flight.
-    fn execute(
+    /// Runs the same pulse schedule as the one-shot [`solve`] on this
+    /// pool's workers: concurrent queries reuse one set of threads with
+    /// no per-query spawn cost. Flow and report are byte-identical to
+    /// [`solve`] for any pool size (the chunk decomposition and apply
+    /// order do not depend on who computes a chunk).
+    pub fn solve(
         &self,
         net: &Arc<FlowNetwork>,
-        state: &Arc<RwLock<State>>,
-        job: Job,
-    ) -> Vec<ChunkOut> {
-        if job.chunks == 0 {
-            return Vec::new();
+        s: VertexId,
+        t: VertexId,
+        cancel: &Cancel,
+    ) -> Result<(FlowResult, SolveReport), Cancelled> {
+        if is_degenerate(net, s, t) {
+            return Ok(zero_flow(net));
         }
-        let shared = &*self.shared;
-        let mut slot = shared.slot.lock();
-        while slot.job.is_some() {
-            shared.slot_free.wait(&mut slot);
+        let state = Arc::new(RwLock::new(State::new(net, s, t)));
+        if self.workers.is_empty() {
+            return run(net, s, t, &state, &mut inline_executor(net, &state), cancel);
         }
-        slot.job = Some(PoolJob {
-            net: Arc::clone(net),
-            state: Arc::clone(state),
-            job,
-            next_chunk: 0,
-            remaining: job.chunks,
-            outputs: (0..job.chunks).map(|_| None).collect(),
-        });
-        shared.work_ready.notify_all();
-        // Only this coordinator can clear the slot, so the job observed
-        // here is always ours.
-        while slot.job.as_ref().is_some_and(|pj| pj.remaining > 0) {
-            shared.job_done.wait(&mut slot);
-        }
-        let done = slot.job.take().expect("job slot owned by this coordinator");
-        shared.slot_free.notify_one();
-        done.outputs
-            .into_iter()
-            .map(|o| o.expect("every chunk produced output"))
-            .collect()
+        let mut exec = |job| {
+            self.board
+                .execute((Arc::clone(net), Arc::clone(&state)), job)
+        };
+        run(net, s, t, &state, &mut exec, cancel)
     }
 }
 
 impl Drop for SolverPool {
     fn drop(&mut self) {
-        self.shared.slot.lock().shutdown = true;
-        self.shared.work_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        self.board.shutdown();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -469,82 +398,17 @@ impl std::fmt::Debug for SolverPool {
     }
 }
 
-/// Body of one persistent pool worker: like [`worker_loop`] but claims
-/// the job's `Arc` handles instead of borrowing a coordinator's stack.
-/// A claimed chunk pins its job on the board (the coordinator cannot
-/// observe `remaining == 0` until every claim is deposited), so the
-/// deposit below always finds the job it claimed from.
-fn pool_worker(shared: &PoolShared) {
-    loop {
-        let (net, state, job, index) = {
-            let mut slot = shared.slot.lock();
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                if let Some(pj) = slot.job.as_mut() {
-                    if pj.next_chunk < pj.job.chunks {
-                        let index = pj.next_chunk;
-                        pj.next_chunk += 1;
-                        break (Arc::clone(&pj.net), Arc::clone(&pj.state), pj.job, index);
-                    }
-                }
-                shared.work_ready.wait(&mut slot);
-            }
-        };
-        let out = {
-            let st = state.read();
-            compute_chunk(&net, &st, job, index)
-        };
-        let mut slot = shared.slot.lock();
-        let pj = slot.job.as_mut().expect("claimed chunk pins its job");
-        pj.outputs[index] = Some(out);
-        pj.remaining -= 1;
-        if pj.remaining == 0 {
-            shared.job_done.notify_all();
-        }
-    }
-}
-
-/// Body of one pool worker: claim a chunk, compute it against a read
-/// lock on the state, deposit the output, repeat; park between jobs.
-fn worker_loop(net: &FlowNetwork, state: &RwLock<State>, board: &JobBoard) {
-    loop {
-        let (job, index) = {
-            let mut slot = board.slot.lock();
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                if let Some(job) = slot.job {
-                    if slot.next_chunk < job.chunks {
-                        let index = slot.next_chunk;
-                        slot.next_chunk += 1;
-                        break (job, index);
-                    }
-                }
-                board.work_ready.wait(&mut slot);
-            }
-        };
-        let out = {
-            let st = state.read();
-            compute_chunk(net, &st, job, index)
-        };
-        let mut slot = board.slot.lock();
-        slot.outputs[index] = Some(out);
-        slot.remaining -= 1;
-        if slot.remaining == 0 {
-            board.job_done.notify_all();
-        }
-    }
-}
-
 /// Single-threaded executor: computes every chunk inline, in order.
-fn run_job_inline(net: &FlowNetwork, state: &RwLock<State>, job: Job) -> Vec<ChunkOut> {
-    let st = state.read();
-    (0..job.chunks)
-        .map(|i| compute_chunk(net, &st, job, i))
-        .collect()
+fn inline_executor<'a>(
+    net: &'a FlowNetwork,
+    state: &'a RwLock<State>,
+) -> impl FnMut(Job) -> Vec<ChunkOut> + 'a {
+    move |job| {
+        let st = state.read();
+        (0..job.chunks)
+            .map(|i| compute_chunk(net, &st, job, i))
+            .collect()
+    }
 }
 
 fn compute_chunk(net: &FlowNetwork, st: &State, job: Job, index: usize) -> ChunkOut {
@@ -638,23 +502,15 @@ struct Solver<'a> {
     work_since_relabel: u64,
     /// Work threshold that triggers the next global relabeling.
     relabel_threshold: u64,
-    stats: PrStats,
+    report: SolveReport,
 }
 
-type Executor<'e> = dyn FnMut(&RwLock<State>, Job) -> Vec<ChunkOut> + 'e;
+type Executor<'e> = dyn FnMut(Job) -> Vec<ChunkOut> + 'e;
 
 impl<'a> Solver<'a> {
-    fn new(
-        net: &'a FlowNetwork,
-        s: VertexId,
-        t: VertexId,
-        config: &PrConfig,
-        threads: usize,
-        state: &'a RwLock<State>,
-    ) -> Self {
+    fn new(net: &'a FlowNetwork, s: VertexId, t: VertexId, state: &'a RwLock<State>) -> Self {
         let n = net.num_vertices();
         let m = net.num_directed_edges();
-        let budget = (config.global_relabel_factor * (n + m) as f64).max(1.0);
         Self {
             net,
             s,
@@ -665,27 +521,27 @@ impl<'a> Solver<'a> {
             received: vec![false; n],
             queued: vec![false; n],
             work_since_relabel: 0,
-            relabel_threshold: budget as u64,
-            stats: PrStats {
-                threads,
-                ..PrStats::default()
-            },
+            relabel_threshold: GLOBAL_RELABEL_FACTOR * (n + m) as u64,
+            report: SolveReport::default(),
         }
     }
 
-    fn solve(&mut self, run: &mut Executor<'_>, cancel: &Cancel) -> Result<PrRun, Cancelled> {
-        self.stats.cancel_polls += 1;
+    fn solve(
+        mut self,
+        run: &mut Executor<'_>,
+        cancel: &Cancel,
+    ) -> Result<(FlowResult, SolveReport), Cancelled> {
+        self.report.cancel_polls += 1;
         cancel.check()?;
         self.global_relabel(run, cancel)?;
         self.rebuild_frontier();
         loop {
-            self.stats.cancel_polls += 1;
+            self.report.cancel_polls += 1;
             cancel.check()?;
             let frontier_len = self.state.read().frontier.len();
             if frontier_len == 0 {
                 break;
             }
-            self.stats.max_frontier = self.stats.max_frontier.max(frontier_len);
             ffmr_obs::global()
                 .histogram("ffmr_pr_frontier_size", &[])
                 .record(frontier_len as u64);
@@ -697,17 +553,12 @@ impl<'a> Solver<'a> {
                 }
             }
             self.pulse(run);
-            self.stats.passes += 1;
+            self.report.phases += 1;
         }
         let st = self.state.read();
         let value = self.net.out_edges(self.s).map(|e| st.flow[e.index()]).sum();
-        Ok(PrRun {
-            result: FlowResult {
-                value,
-                flows: st.flow.clone(),
-            },
-            stats: self.stats.clone(),
-        })
+        let flows = st.flow.clone();
+        Ok((FlowResult { value, flows }, self.report))
     }
 
     /// One bulk-synchronous pulse: parallel planning over the frontier,
@@ -719,13 +570,10 @@ impl<'a> Solver<'a> {
             let st = self.state.read();
             st.frontier.len().div_ceil(CHUNK)
         };
-        let outputs = run(
-            self.state,
-            Job {
-                kind: JobKind::Discharge,
-                chunks,
-            },
-        );
+        let outputs = run(Job {
+            kind: JobKind::Discharge,
+            chunks,
+        });
         self.apply(&outputs);
         ffmr_obs::global()
             .histogram("ffmr_pr_pass_wall_us", &[])
@@ -760,7 +608,7 @@ impl<'a> Solver<'a> {
                         receivers.push(v as u32);
                     }
                 }
-                self.stats.pushes += 1;
+                self.report.pushes += 1;
             }
         }
         let cap = (2 * self.n) as u32;
@@ -782,7 +630,7 @@ impl<'a> Solver<'a> {
                 self.height_count[old as usize] -= 1;
                 self.height_count[new as usize] += 1;
                 st.height[ui] = new;
-                self.stats.relabels += 1;
+                self.report.relabels += 1;
                 self.work_since_relabel += RELABEL_WORK;
                 if self.height_count[old as usize] == 0 && (old as usize) < self.n {
                     gap_lift(st, &mut self.height_count, self.n, old, si);
@@ -840,7 +688,7 @@ impl<'a> Solver<'a> {
             self.height_count[h as usize] += 1;
         }
         self.work_since_relabel = 0;
-        self.stats.global_relabels += 1;
+        self.report.global_relabels += 1;
         ffmr_obs::global()
             .counter("ffmr_pr_global_relabels_total", &[])
             .inc();
@@ -867,7 +715,7 @@ impl<'a> Solver<'a> {
         }
         let mut level = 0u32;
         loop {
-            self.stats.cancel_polls += 1;
+            self.report.cancel_polls += 1;
             cancel.check()?;
             let chunks = {
                 let st = self.state.read();
@@ -876,13 +724,10 @@ impl<'a> Solver<'a> {
             if chunks == 0 {
                 break;
             }
-            let outputs = run(
-                self.state,
-                Job {
-                    kind: JobKind::BfsExpand,
-                    chunks,
-                },
-            );
+            let outputs = run(Job {
+                kind: JobKind::BfsExpand,
+                chunks,
+            });
             level += 1;
             let mut st = self.state.write();
             st.bfs_frontier.clear();
@@ -941,28 +786,30 @@ fn gap_lift(st: &mut State, height_count: &mut [usize], n: usize, old: u32, s_in
 
 /// Folds one run into the process-wide registry (`ffmr stats` /
 /// `ffmr report` surface these).
-fn record_metrics(stats: &PrStats) {
+fn record_metrics(report: &SolveReport) {
     let m = ffmr_obs::global();
     m.counter("ffmr_pr_discharge_passes_total", &[])
-        .add(stats.passes as u64);
-    m.counter("ffmr_pr_pushes_total", &[])
-        .add(stats.pushes as u64);
+        .add(report.phases);
+    m.counter("ffmr_pr_pushes_total", &[]).add(report.pushes);
     m.counter("ffmr_pr_relabels_total", &[])
-        .add(stats.relabels as u64);
+        .add(report.relabels);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validate::check_flow;
+    use crate::Algorithm;
     use swgraph::gen;
     use swgraph::FlowNetworkBuilder;
 
-    fn config(threads: usize) -> PrConfig {
-        PrConfig {
-            threads,
-            ..PrConfig::default()
-        }
+    fn solve_on(
+        net: &FlowNetwork,
+        s: VertexId,
+        t: VertexId,
+        threads: usize,
+    ) -> (FlowResult, SolveReport) {
+        solve(net, s, t, threads, &Cancel::never()).expect("never-cancel solve cannot fail")
     }
 
     #[test]
@@ -980,9 +827,9 @@ mod tests {
         b.add_edge(4, 5, 4);
         let net = b.build();
         for threads in [1, 2, 8] {
-            let run = max_flow_with(&net, VertexId::new(0), VertexId::new(5), &config(threads));
-            assert_eq!(run.result.value, 23, "threads={threads}");
-            check_flow(&net, VertexId::new(0), VertexId::new(5), &run.result).unwrap();
+            let (flow, _) = solve_on(&net, VertexId::new(0), VertexId::new(5), threads);
+            assert_eq!(flow.value, 23, "threads={threads}");
+            check_flow(&net, VertexId::new(0), VertexId::new(5), &flow).unwrap();
         }
     }
 
@@ -993,8 +840,8 @@ mod tests {
             let net = FlowNetwork::from_undirected_unit(30, &edges);
             let s = VertexId::new(0);
             let t = VertexId::new(29);
-            let f = max_flow(&net, s, t);
-            let d = crate::dinic::max_flow(&net, s, t);
+            let f = Algorithm::ParallelPushRelabel.run(&net, s, t);
+            let d = Algorithm::Dinic.run(&net, s, t);
             assert_eq!(f.value, d.value, "seed {seed}");
             check_flow(&net, s, t, &f).unwrap();
         }
@@ -1006,46 +853,49 @@ mod tests {
         let net = FlowNetwork::from_undirected_unit(300, &edges);
         let s = VertexId::new(0);
         let t = VertexId::new(299);
-        let reference = max_flow_with(&net, s, t, &config(1));
-        check_flow(&net, s, t, &reference.result).unwrap();
+        let (reference, reference_report) = solve_on(&net, s, t, 1);
+        check_flow(&net, s, t, &reference).unwrap();
         for threads in [2, 3, 8] {
-            let run = max_flow_with(&net, s, t, &config(threads));
+            let (flow, report) = solve_on(&net, s, t, threads);
             assert_eq!(
-                run.result, reference.result,
+                flow, reference,
                 "threads={threads}: full per-edge assignment must match"
             );
-            assert_eq!(run.stats.passes, reference.stats.passes);
-            assert_eq!(run.stats.global_relabels, reference.stats.global_relabels);
+            assert_eq!(report, reference_report, "threads={threads}");
         }
     }
 
     #[test]
-    fn stats_reflect_the_run() {
+    fn report_reflects_the_run() {
         let edges = gen::watts_strogatz(200, 4, 0.2, 3);
         let net = FlowNetwork::from_undirected_unit(200, &edges);
-        let run = max_flow_with(&net, VertexId::new(0), VertexId::new(199), &config(2));
-        assert!(run.result.value > 0);
-        assert!(run.stats.passes > 0);
-        assert!(run.stats.global_relabels >= 1, "initial relabel counted");
-        assert!(run.stats.max_frontier >= 1);
-        assert_eq!(run.stats.threads, 2);
+        let (flow, report) = solve_on(&net, VertexId::new(0), VertexId::new(199), 2);
+        assert!(flow.value > 0);
+        assert!(report.phases > 0);
+        assert!(report.pushes > 0);
+        assert!(report.global_relabels >= 1, "initial relabel counted");
     }
 
     #[test]
     fn degenerate_cases() {
         let net = FlowNetwork::from_undirected_unit(2, &[(0, 1)]);
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(0)).value, 0);
-        assert_eq!(max_flow(&net, VertexId::new(7), VertexId::new(1)).value, 0);
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(9)).value, 0);
+        let value = |s, t| {
+            solve_on(&net, VertexId::new(s), VertexId::new(t), 2)
+                .0
+                .value
+        };
+        assert_eq!(value(0, 0), 0);
+        assert_eq!(value(7, 1), 0);
+        assert_eq!(value(0, 9), 0);
     }
 
     #[test]
     fn disconnected_terminals_yield_zero() {
         // Two components: s in one, t in the other.
         let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (2, 3)]);
-        let run = max_flow_with(&net, VertexId::new(0), VertexId::new(3), &config(2));
-        assert_eq!(run.result.value, 0);
-        check_flow(&net, VertexId::new(0), VertexId::new(3), &run.result).unwrap();
+        let (flow, _) = solve_on(&net, VertexId::new(0), VertexId::new(3), 2);
+        assert_eq!(flow.value, 0);
+        check_flow(&net, VertexId::new(0), VertexId::new(3), &flow).unwrap();
     }
 
     #[test]
@@ -1054,16 +904,17 @@ mod tests {
         let net = Arc::new(FlowNetwork::from_undirected_unit(300, &edges));
         let s = VertexId::new(0);
         let t = VertexId::new(299);
-        let reference = max_flow_with(&net, s, t, &config(1));
+        let inline = solve_on(&net, s, t, 1);
+        assert_eq!(solve_on(&net, s, t, 4), inline, "scoped workers");
         for pool_threads in [1, 2, 4] {
             let pool = SolverPool::new(pool_threads);
-            let run = max_flow_pooled(&net, s, t, &config(pool_threads), &pool, &Cancel::never())
+            let pooled = pool
+                .solve(&net, s, t, &Cancel::never())
                 .expect("never-cancel solve cannot fail");
             assert_eq!(
-                run.result, reference.result,
-                "pool_threads={pool_threads}: per-edge assignment must match scoped/inline"
+                pooled, inline,
+                "pool_threads={pool_threads}: per-edge assignment and report must match scoped/inline"
             );
-            assert_eq!(run.stats.passes, reference.stats.passes);
         }
     }
 
@@ -1075,10 +926,10 @@ mod tests {
             let net = Arc::new(FlowNetwork::from_undirected_unit(40, &edges));
             let s = VertexId::new(0);
             let t = VertexId::new(39);
-            let pooled = max_flow_pooled(&net, s, t, &config(2), &pool, &Cancel::never()).unwrap();
-            let d = crate::dinic::max_flow(&net, s, t);
-            assert_eq!(pooled.result.value, d.value, "seed {seed}");
-            check_flow(&net, s, t, &pooled.result).unwrap();
+            let (pooled, _) = pool.solve(&net, s, t, &Cancel::never()).unwrap();
+            let d = Algorithm::Dinic.run(&net, s, t);
+            assert_eq!(pooled.value, d.value, "seed {seed}");
+            check_flow(&net, s, t, &pooled).unwrap();
         }
     }
 
@@ -1089,15 +940,9 @@ mod tests {
         let s = VertexId::new(0);
         let t = VertexId::new(199);
         let expired = Cancel::after(std::time::Duration::from_secs(0));
-        assert!(matches!(
-            max_flow_with_cancel(&net, s, t, &config(2), &expired),
-            Err(Cancelled)
-        ));
+        assert_eq!(solve(&net, s, t, 2, &expired), Err(Cancelled));
         let pool = SolverPool::new(2);
-        assert!(matches!(
-            max_flow_pooled(&net, s, t, &config(2), &pool, &expired),
-            Err(Cancelled)
-        ));
+        assert_eq!(pool.solve(&net, s, t, &expired), Err(Cancelled));
     }
 
     #[test]
@@ -1108,7 +953,7 @@ mod tests {
         b.add_edge(1, 3, 5);
         b.add_edge(2, 3, 9);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(3));
+        let (f, _) = solve_on(&net, VertexId::new(0), VertexId::new(3), 2);
         assert_eq!(f.value, 7);
         check_flow(&net, VertexId::new(0), VertexId::new(3), &f).unwrap();
     }

@@ -24,85 +24,24 @@ const GLOBAL_RELABEL_FACTOR: u64 = 3;
 /// Work-counter charge for one relabel (edge scans charge 1 each).
 const RELABEL_WORK: u64 = 12;
 
-/// Computes the maximum `s`–`t` flow with FIFO Push–Relabel.
-///
-/// Also exposed through [`max_flow_instrumented`], which reports the
-/// active-vertex trace used by the paper-motivated parallelism ablation.
-///
-/// # Example
-/// ```
-/// use swgraph::{FlowNetwork, VertexId};
-/// let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-/// let f = maxflow::push_relabel::max_flow(&net, VertexId::new(0), VertexId::new(3));
-/// assert_eq!(f.value, 2);
-/// ```
-#[must_use]
-pub fn max_flow(net: &FlowNetwork, s: VertexId, t: VertexId) -> FlowResult {
-    max_flow_instrumented(net, s, t).result
-}
-
-/// [`max_flow`] with a cooperative [`Cancel`] token, polled every
-/// `CANCEL_POLL_INTERVAL` discharges.
-pub fn max_flow_cancellable(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    cancel: &Cancel,
-) -> Result<FlowResult, Cancelled> {
-    run_instrumented(net, s, t, cancel).map(|run| run.result)
-}
-
-/// [`max_flow_cancellable`] returning the [`SolveReport`] counters
-/// (sweeps, pushes, relabels, global relabels, cancel polls) alongside
-/// the flow.
-pub fn max_flow_with_report(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    cancel: &Cancel,
-) -> Result<(FlowResult, SolveReport), Cancelled> {
-    run_instrumented(net, s, t, cancel).map(|run| (run.result, run.report))
-}
-
 /// How many FIFO discharges happen between [`Cancel`] polls: frequent
 /// enough that a deadline lands within microseconds, rare enough that
 /// the `Instant::now()` call is invisible in profiles.
 const CANCEL_POLL_INTERVAL: u64 = 64;
 
-/// A push-relabel run plus the per-sweep count of active vertices.
-#[derive(Debug, Clone)]
-pub struct InstrumentedRun {
-    /// The computed maximum flow.
-    pub result: FlowResult,
-    /// Number of active (positive-excess, non-terminal) vertices sampled
-    /// at the start of each FIFO sweep — the paper's "available
-    /// parallelism" measure for push-relabel.
-    pub active_trace: Vec<usize>,
-    /// Deterministic execution counters (sweeps as phases, pushes,
-    /// relabels, global relabels, cancel polls).
-    pub report: SolveReport,
-}
-
-/// Like [`max_flow`] but records how many vertices were active over time.
-#[must_use]
-pub fn max_flow_instrumented(net: &FlowNetwork, s: VertexId, t: VertexId) -> InstrumentedRun {
-    run_instrumented(net, s, t, &Cancel::never()).expect("never-cancel solve cannot fail")
-}
-
-fn run_instrumented(
+/// Computes the maximum `s`–`t` flow with FIFO Push–Relabel. `cancel` is
+/// polled every `CANCEL_POLL_INTERVAL` discharges; the report counts FIFO
+/// sweeps (as phases), pushes, relabels, global relabels and cancel polls.
+pub(crate) fn solve(
     net: &FlowNetwork,
     s: VertexId,
     t: VertexId,
     cancel: &Cancel,
-) -> Result<InstrumentedRun, Cancelled> {
+) -> Result<(FlowResult, SolveReport), Cancelled> {
     let n = net.num_vertices();
     let mut residual = Residual::new(net);
     if s == t || n == 0 || s.index() >= n || t.index() >= n {
-        return Ok(InstrumentedRun {
-            result: residual.into_result(s),
-            active_trace: Vec::new(),
-            report: SolveReport::default(),
-        });
+        return Ok((residual.into_result(s), SolveReport::default()));
     }
     let mut report = SolveReport::default();
 
@@ -113,7 +52,6 @@ fn run_instrumented(
 
     let mut queue: VecDeque<VertexId> = VecDeque::new();
     let mut in_queue = vec![false; n];
-    let mut active_trace = Vec::new();
 
     // Saturate every source edge.
     for e in net.out_edges(s) {
@@ -136,14 +74,13 @@ fn run_instrumented(
 
     // Exact initial heights, then the FIFO discharge loop with periodic
     // re-relabeling once enough work (edge scans + relabels) piles up.
-    // Sample the active set once per sweep boundary.
+    // A sweep ends when the vertices queued at its start are discharged.
     let m = net.num_directed_edges();
     let relabel_threshold = GLOBAL_RELABEL_FACTOR * (n + m) as u64;
     let mut work: u64 = 0;
     global_relabel(net, &residual, s, t, &mut height, &mut height_count);
     report.global_relabels += 1;
     let mut sweep_budget = queue.len();
-    active_trace.push(queue.len());
     report.phases += 1;
     let mut discharges: u64 = 0;
     while let Some(u) = queue.pop_front() {
@@ -177,7 +114,6 @@ fn run_instrumented(
         if sweep_budget <= 1 {
             sweep_budget = queue.len();
             if !queue.is_empty() {
-                active_trace.push(queue.len());
                 report.phases += 1;
             }
         } else {
@@ -185,11 +121,7 @@ fn run_instrumented(
         }
     }
 
-    Ok(InstrumentedRun {
-        result: residual.into_result(s),
-        active_trace,
-        report,
-    })
+    Ok((residual.into_result(s), report))
 }
 
 /// Recomputes every height as its exact residual distance: `dist(v, t)`
@@ -341,6 +273,7 @@ fn discharge(
 mod tests {
     use super::*;
     use crate::validate::check_flow;
+    use crate::Algorithm;
     use swgraph::gen;
     use swgraph::FlowNetworkBuilder;
 
@@ -358,7 +291,7 @@ mod tests {
         b.add_edge(3, 5, 20);
         b.add_edge(4, 5, 4);
         let net = b.build();
-        let f = max_flow(&net, VertexId::new(0), VertexId::new(5));
+        let f = Algorithm::PushRelabel.run(&net, VertexId::new(0), VertexId::new(5));
         assert_eq!(f.value, 23);
     }
 
@@ -369,8 +302,8 @@ mod tests {
             let net = FlowNetwork::from_undirected_unit(30, &edges);
             let s = VertexId::new(0);
             let t = VertexId::new(29);
-            let pr = max_flow(&net, s, t);
-            let d = crate::dinic::max_flow(&net, s, t);
+            let pr = Algorithm::PushRelabel.run(&net, s, t);
+            let d = Algorithm::Dinic.run(&net, s, t);
             assert_eq!(pr.value, d.value, "seed {seed}");
         }
     }
@@ -381,25 +314,24 @@ mod tests {
         let net = FlowNetwork::from_undirected_unit(100, &edges);
         let s = VertexId::new(0);
         let t = VertexId::new(99);
-        let f = max_flow(&net, s, t);
+        let f = Algorithm::PushRelabel.run(&net, s, t);
         check_flow(&net, s, t, &f).unwrap();
-    }
-
-    #[test]
-    fn active_trace_is_recorded_and_bounded() {
-        let edges = gen::barabasi_albert(200, 3, 1);
-        let net = FlowNetwork::from_undirected_unit(200, &edges);
-        let run = max_flow_instrumented(&net, VertexId::new(0), VertexId::new(199));
-        assert!(!run.active_trace.is_empty());
-        for &a in &run.active_trace {
-            assert!(a <= 200);
-        }
     }
 
     #[test]
     fn degenerate_cases() {
         let net = FlowNetwork::from_undirected_unit(2, &[(0, 1)]);
-        assert_eq!(max_flow(&net, VertexId::new(0), VertexId::new(0)).value, 0);
-        assert_eq!(max_flow(&net, VertexId::new(7), VertexId::new(1)).value, 0);
+        assert_eq!(
+            Algorithm::PushRelabel
+                .run(&net, VertexId::new(0), VertexId::new(0))
+                .value,
+            0
+        );
+        assert_eq!(
+            Algorithm::PushRelabel
+                .run(&net, VertexId::new(7), VertexId::new(1))
+                .value,
+            0
+        );
     }
 }

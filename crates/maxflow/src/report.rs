@@ -1,7 +1,7 @@
 //! Per-solve execution counters, returned alongside [`FlowResult`].
 //!
-//! Every solver exposes a `max_flow_with_report` entry point that
-//! returns a [`SolveReport`] next to the flow: the serving tier
+//! Every solver returns a [`SolveReport`] next to the flow (see
+//! [`Algorithm::run_with_report`](crate::Algorithm::run_with_report)): the serving tier
 //! (`ffmrd`) threads it into the per-query profile so `ffmr query
 //! --explain` can name *where the work went* — BFS phases for Dinic,
 //! pulses/pushes/relabels for push-relabel — without any solver-side

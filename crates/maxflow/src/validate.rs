@@ -150,7 +150,7 @@ pub fn check_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dinic;
+    use crate::Algorithm;
 
     fn path_net() -> FlowNetwork {
         FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2)])
@@ -159,14 +159,14 @@ mod tests {
     #[test]
     fn valid_flow_passes() {
         let net = path_net();
-        let f = dinic::max_flow(&net, VertexId::new(0), VertexId::new(2));
+        let f = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(2));
         check_flow(&net, VertexId::new(0), VertexId::new(2), &f).unwrap();
     }
 
     #[test]
     fn catches_capacity_violation() {
         let net = path_net();
-        let mut f = dinic::max_flow(&net, VertexId::new(0), VertexId::new(2));
+        let mut f = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(2));
         f.flows[0] = 99;
         f.flows[1] = -99;
         let err = check_flow(&net, VertexId::new(0), VertexId::new(2), &f).unwrap_err();
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn catches_skew_violation() {
         let net = path_net();
-        let mut f = dinic::max_flow(&net, VertexId::new(0), VertexId::new(2));
+        let mut f = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(2));
         f.flows[1] = f.flows[0]; // should be the negation
         let err = check_flow(&net, VertexId::new(0), VertexId::new(2), &f).unwrap_err();
         assert!(matches!(err, FlowViolation::SkewSymmetry { .. }));
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn catches_value_mismatch() {
         let net = path_net();
-        let mut f = dinic::max_flow(&net, VertexId::new(0), VertexId::new(2));
+        let mut f = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(2));
         f.value += 5;
         let err = check_flow(&net, VertexId::new(0), VertexId::new(2), &f).unwrap_err();
         assert!(matches!(err, FlowViolation::Value { .. }));

@@ -17,7 +17,11 @@ fn planned_value(idx: &CoreIndex, s: VertexId, t: VertexId) -> Capacity {
             sink,
             limit,
             ..
-        } => limit.min(maxflow::dinic::max_flow(idx.core_net(), source, sink).value),
+        } => limit.min(
+            maxflow::Algorithm::Dinic
+                .run(idx.core_net(), source, sink)
+                .value,
+        ),
     }
 }
 
@@ -42,7 +46,7 @@ fn assert_agreement(net: &FlowNetwork, label: &str) {
     ];
     for &(s, t) in &pairs {
         let (s, t) = (VertexId::new(s), VertexId::new(t));
-        let full = maxflow::dinic::max_flow(net, s, t).value;
+        let full = maxflow::Algorithm::Dinic.run(net, s, t).value;
         let planned = planned_value(&idx, s, t);
         assert_eq!(
             planned,
@@ -156,7 +160,7 @@ fn hybrid_core_with_attached_trees_agrees() {
                     continue;
                 }
                 let (sv, tv) = (VertexId::new(s), VertexId::new(t));
-                let full = maxflow::dinic::max_flow(&net, sv, tv).value;
+                let full = maxflow::Algorithm::Dinic.run(&net, sv, tv).value;
                 assert_eq!(
                     planned_value(&idx, sv, tv),
                     full,

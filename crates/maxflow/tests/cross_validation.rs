@@ -112,7 +112,10 @@ fn solvers_agree_on_random_directed_networks() {
 /// matter how many worker threads execute the pulses.
 #[test]
 fn parallel_pr_is_thread_count_invariant_on_random_networks() {
-    use maxflow::parallel_push_relabel::{max_flow_with, PrConfig};
+    let solve = |net: &FlowNetwork, s, t, threads| {
+        maxflow::parallel_push_relabel::solve(net, s, t, threads, &maxflow::Cancel::never())
+            .expect("never-cancel solve cannot fail")
+    };
     for case in 0..24u64 {
         let mut rng = SplitMix64::seed_from_u64(0x9A11 + case);
         let n = rng.gen_range(2u64..40);
@@ -128,24 +131,21 @@ fn parallel_pr_is_thread_count_invariant_on_random_networks() {
         let net = b.build();
         let s = VertexId::new(0);
         let t = VertexId::new(n - 1);
-        let config = |threads| PrConfig {
-            threads,
-            ..PrConfig::default()
-        };
-        let single = max_flow_with(&net, s, t, &config(1));
-        validate::check_flow(&net, s, t, &single.result).expect("valid flow");
+        let (single, single_report) = solve(&net, s, t, 1);
+        validate::check_flow(&net, s, t, &single).expect("valid flow");
         for threads in [2, 3, 8] {
-            let multi = max_flow_with(&net, s, t, &config(threads));
+            let (multi, multi_report) = solve(&net, s, t, threads);
+            assert_eq!(multi, single, "case {case}, {threads} threads");
             assert_eq!(
-                multi.result, single.result,
-                "case {case}, {threads} threads"
-            );
-            assert_eq!(
-                (multi.stats.passes, multi.stats.relabels, multi.stats.pushes),
                 (
-                    single.stats.passes,
-                    single.stats.relabels,
-                    single.stats.pushes
+                    multi_report.phases,
+                    multi_report.relabels,
+                    multi_report.pushes
+                ),
+                (
+                    single_report.phases,
+                    single_report.relabels,
+                    single_report.pushes
                 ),
                 "case {case}: schedule diverged at {threads} threads"
             );

@@ -40,6 +40,29 @@ pub enum QueryKind {
     MinCut,
 }
 
+/// How the planner routed a query — the `plan` response field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Plan {
+    /// Answered from the periphery trees alone; no solver ran.
+    Direct,
+    /// Solved between the anchors on the contracted 2-core.
+    Core,
+    /// Solved on the whole graph.
+    Full,
+}
+
+impl Plan {
+    /// The value the `plan` response field and metric label carry.
+    #[must_use]
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Plan::Direct => "direct",
+            Plan::Core => "core",
+            Plan::Full => "full",
+        }
+    }
+}
+
 /// A fully canonicalized query identity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -85,10 +108,10 @@ impl CacheKey {
 pub struct CachedAnswer {
     /// The max-flow value.
     pub flow: Capacity,
-    /// Which solver produced it (`dinic`, `ff5`, …).
-    pub solver: String,
-    /// How the planner routed it (`full`, `core`, or `direct`).
-    pub plan: String,
+    /// Which solver produced it (`dinic`, `ff5`, `periphery`, …).
+    pub solver: &'static str,
+    /// How the planner routed it.
+    pub plan: Plan,
     /// MapReduce rounds consumed (0 for sequential solvers).
     pub rounds: usize,
     /// Total shuffle bytes across rounds (0 for sequential solvers).
@@ -370,8 +393,8 @@ mod tests {
     fn answer(flow: Capacity) -> CachedAnswer {
         CachedAnswer {
             flow,
-            solver: "dinic".into(),
-            plan: "full".into(),
+            solver: "dinic",
+            plan: Plan::Full,
             rounds: 0,
             shuffle_bytes: 0,
             sim_seconds_milli: 0,

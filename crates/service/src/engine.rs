@@ -26,11 +26,11 @@ use ffmr_core::{FfConfig, FfError, FfRun, FfVariant};
 use ffmr_obs::{QueryProfile, SlowLog};
 use mapreduce::{ClusterConfig, MrRuntime};
 use maxflow::contraction::CorePlan;
-use maxflow::parallel_push_relabel::{max_flow_pooled, PrConfig, SolverPool};
-use maxflow::{Algorithm, Cancel, FlowResult, SolveReport};
+use maxflow::parallel_push_relabel::SolverPool;
+use maxflow::{Algorithm, Cancel, FlowResult};
 use swgraph::{FlowNetwork, VertexId};
 
-use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, QueryKind};
+use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
 use crate::protocol::{error_response, status, Message};
 use crate::store::GraphStore;
 
@@ -132,7 +132,7 @@ enum InflightRole {
 #[derive(Debug)]
 struct StashedRun {
     key: CacheKey,
-    solver: String,
+    variant: FfVariant,
     rt: MrRuntime,
 }
 
@@ -142,19 +142,73 @@ const STASH_CAPACITY: usize = 4;
 /// How many round profiles the engine keeps for the `history` verb.
 const HISTORY_CAPACITY: usize = 64;
 
-/// Which solver a query resolved to.
+/// The `solver` label of answers read straight off the periphery trees.
+const PERIPHERY: &str = "periphery";
+
+/// Which solver a query resolved to. Names come from the two name tables
+/// ([`Algorithm`]'s and [`FfVariant`]'s `FromStr`/`name`), nowhere else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Solver {
     Sequential(Algorithm),
-    MapReduce(&'static str, FfVariant),
+    MapReduce(FfVariant),
 }
 
 impl Solver {
-    fn name(self) -> String {
+    fn name(self) -> &'static str {
         match self {
-            Solver::Sequential(a) => a.to_string(),
-            Solver::MapReduce(name, _) => name.to_string(),
+            Solver::Sequential(a) => a.name(),
+            Solver::MapReduce(v) => v.name(),
         }
+    }
+
+    /// Parses a request's `algorithm` field; `None` is `auto` (the
+    /// default), which leaves the choice to the vertex-count threshold.
+    fn parse_requested(name: Option<&str>) -> Result<Option<Self>, String> {
+        let Some(name) = name.filter(|&n| n != "auto") else {
+            return Ok(None);
+        };
+        if let Ok(algorithm) = name.parse() {
+            Ok(Some(Solver::Sequential(algorithm)))
+        } else if let Ok(variant) = name.parse() {
+            Ok(Some(Solver::MapReduce(variant)))
+        } else {
+            let accepted: Vec<&str> = std::iter::once("auto")
+                .chain(Algorithm::names())
+                .chain(FfVariant::NAMES)
+                .collect();
+            Err(format!(
+                "unknown algorithm '{name}' (expected one of: {})",
+                accepted.join(", ")
+            ))
+        }
+    }
+}
+
+/// The per-request options of a flow query, parsed once.
+struct QueryOptions {
+    kind: QueryKind,
+    /// The pinned solver, or `None` for `algorithm auto`.
+    requested: Option<Solver>,
+    use_cache: bool,
+    no_core: bool,
+    timeout: Duration,
+    /// Diagnostic: cooperatively cancel the MR driver once it has
+    /// completed this many rounds — exercises the cancel/checkpoint/
+    /// resume path without tuning a wall-clock deadline.
+    cancel_after_rounds: Option<usize>,
+}
+
+impl QueryOptions {
+    fn parse(request: &Message, kind: QueryKind, config: &EngineConfig) -> Result<Self, String> {
+        let timeout_ms: Option<u64> = request.get_parsed("timeout-ms")?;
+        Ok(Self {
+            kind,
+            requested: Solver::parse_requested(request.get("algorithm"))?,
+            use_cache: request.get("no-cache").is_none(),
+            no_core: request.get("no-core").is_some(),
+            timeout: timeout_ms.map_or(config.default_timeout, Duration::from_millis),
+            cancel_after_rounds: request.get_parsed("cancel-after-rounds")?,
+        })
     }
 }
 
@@ -493,8 +547,8 @@ impl QueryEngine {
         let resolve_started = Instant::now();
         let resolved = self.resolve_terminals(request, &snap.network)?;
         prof.resolve_us = elapsed_us(resolve_started);
-        let requested = request.get("algorithm");
-        let solver = self.pick_solver(requested, &resolved.net)?;
+        let opts = QueryOptions::parse(request, kind, &self.config)?;
+        let solver = self.pick_solver(opts.requested, &resolved.net);
         let key = CacheKey::new(
             dataset,
             snap.epoch,
@@ -503,42 +557,32 @@ impl QueryEngine {
             resolved.sink_terminals.clone(),
         );
 
-        let use_cache = request.get("no-cache").is_none();
+        let use_cache = opts.use_cache;
         prof.cache = if use_cache { "miss" } else { "bypass" }.to_string();
         if use_cache {
             if let Some(hit) = self.cache.get(&key) {
                 prof.cache = "hit".to_string();
-                prof.plan = hit.plan.clone();
+                prof.plan = hit.plan.as_str().to_string();
                 prof.plan_reason = "cache-hit".to_string();
-                prof.solver = hit.solver.clone();
+                prof.solver = hit.solver.to_string();
                 let mut response = render_answer(&hit, kind, &resolved, dataset, snap.epoch, true);
                 push_serving_fields(&mut response, false, false, prof.queue_wait_us);
                 return Ok(response);
             }
         }
-
-        let timeout_ms: u64 = request
-            .get_parsed("timeout-ms")?
-            .unwrap_or(self.config.default_timeout.as_millis() as u64);
-        prof.deadline_ms = timeout_ms;
-        let timeout = Duration::from_millis(timeout_ms);
-        // Diagnostic: cooperatively cancel the MR driver once it has
-        // completed this many rounds — exercises the cancel/checkpoint/
-        // resume path without tuning a wall-clock deadline.
-        let cancel_after_rounds: Option<usize> = request.get_parsed("cancel-after-rounds")?;
+        prof.deadline_ms = u64::try_from(opts.timeout.as_millis()).unwrap_or(u64::MAX);
 
         // The core planner applies to plain s→t max-flow queries only:
         // min-cut needs the full graph for its certificate, `--w`
         // queries solve an augmented graph the core was not built for,
         // and an explicit MapReduce algorithm request pins the solver to
         // the full graph (`no-core` opts a single request out).
-        let mr_requested = matches!(requested, Some("ff1" | "ff2" | "ff3" | "ff4" | "ff5"));
-        let no_core = request.get("no-core").is_some();
+        let mr_requested = matches!(opts.requested, Some(Solver::MapReduce(_)));
         let planner_applies = self.config.core_planner
             && !resolved.super_st
             && kind == QueryKind::MaxFlow
             && !mr_requested
-            && !no_core;
+            && !opts.no_core;
         let plan_started = Instant::now();
         let plan = if planner_applies {
             Some(snap.core.plan(resolved.source, resolved.sink))
@@ -554,27 +598,14 @@ impl QueryEngine {
             "mincut-needs-full-graph".to_string()
         } else if mr_requested {
             "mapreduce-pinned".to_string()
-        } else if no_core {
+        } else if opts.no_core {
             "no-core-requested".to_string()
         } else {
             "planner-disabled".to_string()
         };
 
         let compute = |prof: &mut QueryProfile| -> Result<(CachedAnswer, bool), String> {
-            self.execute_plan(
-                &plan,
-                &snap,
-                &resolved,
-                requested,
-                solver,
-                kind,
-                timeout,
-                dataset,
-                &key,
-                use_cache,
-                cancel_after_rounds,
-                prof,
-            )
+            self.execute_plan(&plan, &snap, &resolved, &opts, &key, prof)
         };
 
         // Single-flight: an identical cacheable in-memory query arriving
@@ -603,8 +634,8 @@ impl QueryEngine {
                     prof.coalesced = true;
                     prof.plan_reason = "coalesced-follower".to_string();
                     let (answer, resumed) = done.clone().expect("leader published")?;
-                    prof.plan = answer.plan.clone();
-                    prof.solver = answer.solver.clone();
+                    prof.plan = answer.plan.as_str().to_string();
+                    prof.solver = answer.solver.to_string();
                     (answer, resumed, true)
                 }
             }
@@ -642,20 +673,13 @@ impl QueryEngine {
 
     /// Executes a planned query: direct periphery answers, core solves
     /// (with anchor-pair caching), or the full-graph fallback.
-    #[allow(clippy::too_many_arguments)]
     fn execute_plan(
         &self,
         plan: &Option<CorePlan>,
         snap: &crate::store::Snapshot,
         resolved: &ResolvedQuery,
-        requested: Option<&str>,
-        solver: Solver,
-        kind: QueryKind,
-        timeout: Duration,
-        dataset: &str,
+        opts: &QueryOptions,
         key: &CacheKey,
-        use_cache: bool,
-        cancel_after_rounds: Option<usize>,
         prof: &mut QueryProfile,
     ) -> Result<(CachedAnswer, bool), String> {
         let metrics = ffmr_obs::global();
@@ -663,13 +687,13 @@ impl QueryEngine {
             // The periphery trees fully determine the value: no solver.
             Some(CorePlan::Direct(flow)) => {
                 metrics.counter("ffmr_core_answered_total", &[]).inc();
-                prof.plan = "direct".to_string();
+                prof.plan = Plan::Direct.as_str().to_string();
                 prof.plan_reason = "periphery-direct".to_string();
-                prof.solver = "periphery".to_string();
+                prof.solver = PERIPHERY.to_string();
                 let answer = CachedAnswer {
                     flow,
-                    solver: "periphery".to_string(),
-                    plan: "direct".to_string(),
+                    solver: PERIPHERY,
+                    plan: Plan::Direct,
                     rounds: 0,
                     shuffle_bytes: 0,
                     sim_seconds_milli: 0,
@@ -690,11 +714,10 @@ impl QueryEngine {
                 sink_anchor,
             }) => {
                 metrics.counter("ffmr_core_answered_total", &[]).inc();
-                prof.plan = "core".to_string();
+                prof.plan = Plan::Core.as_str().to_string();
                 let core_net = snap.core.core_net();
-                let core_solver = self.pick_solver(requested, core_net)?;
                 let core_key = CacheKey::new(
-                    dataset,
+                    &snap.name,
                     snap.epoch,
                     QueryKind::MaxFlow,
                     vec![source_anchor],
@@ -702,7 +725,8 @@ impl QueryEngine {
                 );
                 // When both terminals are core vertices the core key IS
                 // the query key, and that lookup already missed.
-                let core_hit = if use_cache && core_key != *key {
+                let shared_key = opts.use_cache && core_key != *key;
+                let core_hit = if shared_key {
                     self.cache.get(&core_key)
                 } else {
                     None
@@ -710,7 +734,7 @@ impl QueryEngine {
                 let (mut core_answer, resumed) = match core_hit {
                     Some(hit) => {
                         prof.plan_reason = "anchor-cache-hit".to_string();
-                        prof.solver = hit.solver.clone();
+                        prof.solver = hit.solver.to_string();
                         (hit, false)
                     }
                     None => {
@@ -723,17 +747,9 @@ impl QueryEngine {
                             sink_terminals: vec![sink_anchor],
                             super_st: false,
                         };
-                        let (mut answer, resumed) = self.solve(
-                            &core_q,
-                            core_solver,
-                            QueryKind::MaxFlow,
-                            timeout,
-                            &core_key,
-                            cancel_after_rounds,
-                            prof,
-                        )?;
-                        answer.plan = "core".to_string();
-                        if use_cache && core_key != *key {
+                        let (mut answer, resumed) = self.solve(&core_q, opts, &core_key, prof)?;
+                        answer.plan = Plan::Core;
+                        if shared_key {
                             // The unclamped anchor-pair value is what
                             // other queries sharing these anchors need.
                             let put_started = Instant::now();
@@ -747,19 +763,11 @@ impl QueryEngine {
                 Ok((core_answer, resumed))
             }
             None => {
-                if !resolved.super_st && kind == QueryKind::MaxFlow {
+                if !resolved.super_st && opts.kind == QueryKind::MaxFlow {
                     metrics.counter("ffmr_core_fallback_total", &[]).inc();
                 }
-                prof.plan = "full".to_string();
-                self.solve(
-                    resolved,
-                    solver,
-                    kind,
-                    timeout,
-                    key,
-                    cancel_after_rounds,
-                    prof,
-                )
+                prof.plan = Plan::Full.as_str().to_string();
+                self.solve(resolved, opts, key, prof)
             }
         }
     }
@@ -813,44 +821,41 @@ impl QueryEngine {
         })
     }
 
-    fn pick_solver(&self, requested: Option<&str>, net: &FlowNetwork) -> Result<Solver, String> {
-        let auto = || {
+    /// The solver for `net`: the pinned one, or under `auto` the
+    /// in-memory parallel push-relabel up to the vertex threshold and the
+    /// FF5 MapReduce driver past it.
+    fn pick_solver(&self, requested: Option<Solver>, net: &FlowNetwork) -> Solver {
+        requested.unwrap_or_else(|| {
             if net.num_vertices() <= self.config.mr_threshold_vertices {
                 Solver::Sequential(Algorithm::ParallelPushRelabel)
             } else {
-                Solver::MapReduce("ff5", FfVariant::ff5())
+                Solver::MapReduce(FfVariant::ff5())
             }
-        };
-        Ok(match requested.unwrap_or("auto") {
-            "auto" => auto(),
-            "parallel-pr" => Solver::Sequential(Algorithm::ParallelPushRelabel),
-            "dinic" => Solver::Sequential(Algorithm::Dinic),
-            "edmonds-karp" => Solver::Sequential(Algorithm::EdmondsKarp),
-            "ford-fulkerson" => Solver::Sequential(Algorithm::FordFulkerson),
-            "push-relabel" => Solver::Sequential(Algorithm::PushRelabel),
-            "capacity-scaling" => Solver::Sequential(Algorithm::CapacityScaling),
-            "ff1" => Solver::MapReduce("ff1", FfVariant::ff1()),
-            "ff2" => Solver::MapReduce("ff2", FfVariant::ff2()),
-            "ff3" => Solver::MapReduce("ff3", FfVariant::ff3()),
-            "ff4" => Solver::MapReduce("ff4", FfVariant::ff4()),
-            "ff5" => Solver::MapReduce("ff5", FfVariant::ff5()),
-            other => return Err(format!("unknown algorithm '{other}'")),
         })
     }
 
-    /// Solves the query; the second result element reports whether a
-    /// MapReduce run was resumed from a stashed checkpoint.
-    #[allow(clippy::too_many_arguments)]
+    /// Solves `q` with the solver `opts` pins or the threshold picks for
+    /// `q.net`; the second result element reports whether a MapReduce run
+    /// was resumed from a stashed checkpoint.
     fn solve(
         &self,
         q: &ResolvedQuery,
-        solver: Solver,
-        kind: QueryKind,
-        timeout: Duration,
+        opts: &QueryOptions,
         key: &CacheKey,
-        cancel_after_rounds: Option<usize>,
         prof: &mut QueryProfile,
     ) -> Result<(CachedAnswer, bool), String> {
+        let solver = self.pick_solver(opts.requested, &q.net);
+        prof.solver = solver.name().to_string();
+        let mut answer = CachedAnswer {
+            flow: 0,
+            solver: solver.name(),
+            plan: Plan::Full,
+            rounds: 0,
+            shuffle_bytes: 0,
+            sim_seconds_milli: 0,
+            cut_edges: None,
+            cut_source_side: None,
+        };
         match solver {
             Solver::Sequential(algo) => {
                 // Every in-memory solver polls a deadline at its natural
@@ -859,78 +864,47 @@ impl QueryEngine {
                 // connection hostage. The parallel push-relabel route
                 // runs on the engine's persistent worker pool (no
                 // per-query thread spawn) and is thread-count invariant.
-                let cancel = Cancel::after(timeout);
-                prof.solver = solver.name();
+                let cancel = Cancel::after(opts.timeout);
                 let solve_started = Instant::now();
-                let mut report = SolveReport::default();
                 let solved = if algo == Algorithm::ParallelPushRelabel {
-                    let config = PrConfig {
-                        threads: self.pool.threads(),
-                        ..PrConfig::default()
-                    };
-                    max_flow_pooled(&q.net, q.source, q.sink, &config, &self.pool, &cancel).map(
-                        |run| {
-                            report = run.stats.report();
-                            run.result
-                        },
-                    )
+                    self.pool.solve(&q.net, q.source, q.sink, &cancel)
                 } else {
                     algo.run_with_report(&q.net, q.source, q.sink, &cancel)
-                        .map(|(result, r)| {
-                            report = r;
-                            result
-                        })
                 };
                 prof.solve_us += elapsed_us(solve_started);
+                let (flow, report) = solved.map_err(|_| {
+                    format!(
+                        "timeout after {}ms (in-memory solve cancelled at the deadline)",
+                        opts.timeout.as_millis()
+                    )
+                })?;
                 prof.phases += report.phases;
                 prof.augmenting_paths += report.augmenting_paths;
                 prof.pushes += report.pushes;
                 prof.relabels += report.relabels;
                 prof.global_relabels += report.global_relabels;
                 prof.cancel_polls += report.cancel_polls;
-                let flow = solved.map_err(|_| {
-                    format!(
-                        "timeout after {}ms (in-memory solve cancelled at the deadline)",
-                        timeout.as_millis()
-                    )
-                })?;
-                let mut answer = CachedAnswer {
-                    flow: flow.value,
-                    solver: solver.name(),
-                    plan: "full".to_string(),
-                    rounds: 0,
-                    shuffle_bytes: 0,
-                    sim_seconds_milli: 0,
-                    cut_edges: None,
-                    cut_source_side: None,
-                };
-                if kind == QueryKind::MinCut {
+                answer.flow = flow.value;
+                if opts.kind == QueryKind::MinCut {
                     let cut = maxflow::min_cut::extract_min_cut(&q.net, q.source, &flow);
                     answer.cut_edges = Some(cut.cut_edges.len());
                     answer.cut_source_side = Some(cut.source_side.len());
                 }
                 Ok((answer, false))
             }
-            Solver::MapReduce(name, variant) => {
-                prof.solver = name.to_string();
+            Solver::MapReduce(variant) => {
                 let solve_started = Instant::now();
-                let mr = self.run_mapreduce(q, name, variant, timeout, key, cancel_after_rounds);
+                let mr = self.run_mapreduce(q, variant, opts, key);
                 prof.solve_us += elapsed_us(solve_started);
                 let (run, rt, resumed) = mr?;
                 // Each MR flow round is the distributed analogue of a
                 // solver phase.
                 prof.phases += run.num_flow_rounds() as u64;
-                let mut answer = CachedAnswer {
-                    flow: run.max_flow_value,
-                    solver: name.to_string(),
-                    plan: "full".to_string(),
-                    rounds: run.num_flow_rounds(),
-                    shuffle_bytes: run.rounds.iter().map(|r| r.shuffle_bytes).sum(),
-                    sim_seconds_milli: (run.total_sim_seconds * 1_000.0) as u64,
-                    cut_edges: None,
-                    cut_source_side: None,
-                };
-                if kind == QueryKind::MinCut {
+                answer.flow = run.max_flow_value;
+                answer.rounds = run.num_flow_rounds();
+                answer.shuffle_bytes = run.rounds.iter().map(|r| r.shuffle_bytes).sum();
+                answer.sim_seconds_milli = (run.total_sim_seconds * 1_000.0) as u64;
+                if opts.kind == QueryKind::MinCut {
                     let extracted = ffmr_core::verify::extract_flow(
                         rt.dfs(),
                         &run.final_graph_path,
@@ -952,23 +926,23 @@ impl QueryEngine {
     }
 
     /// Pops a stashed runtime matching this query, if any.
-    fn take_stashed(&self, key: &CacheKey, solver: &str) -> Option<MrRuntime> {
+    fn take_stashed(&self, key: &CacheKey, variant: FfVariant) -> Option<MrRuntime> {
         let mut stash = self.stash.lock().expect("stash lock");
         let pos = stash
             .iter()
-            .position(|s| s.key == *key && s.solver == solver)?;
+            .position(|s| s.key == *key && s.variant == variant)?;
         stash.remove(pos).map(|s| s.rt)
     }
 
     /// Stashes a cancelled-but-checkpointed runtime for later resumption.
-    fn stash_runtime(&self, key: CacheKey, solver: String, rt: MrRuntime) {
+    fn stash_runtime(&self, key: CacheKey, variant: FfVariant, rt: MrRuntime) {
         let mut stash = self.stash.lock().expect("stash lock");
         // A retry of the same query must find the *newest* progress.
-        stash.retain(|s| !(s.key == key && s.solver == solver));
+        stash.retain(|s| !(s.key == key && s.variant == variant));
         if stash.len() >= STASH_CAPACITY {
             stash.pop_front();
         }
-        stash.push_back(StashedRun { key, solver, rt });
+        stash.push_back(StashedRun { key, variant, rt });
     }
 
     /// Runs the FF driver with a watchdog thread that raises the
@@ -979,12 +953,11 @@ impl QueryEngine {
     fn run_mapreduce(
         &self,
         q: &ResolvedQuery,
-        solver_name: &str,
         variant: FfVariant,
-        timeout: Duration,
+        opts: &QueryOptions,
         key: &CacheKey,
-        cancel_after_rounds: Option<usize>,
     ) -> Result<(FfRun, MrRuntime, bool), String> {
+        let (timeout, cancel_after_rounds) = (opts.timeout, opts.cancel_after_rounds);
         let cancel = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicBool::new(false));
         let watchdog = {
@@ -1032,7 +1005,7 @@ impl QueryEngine {
             let result = ffmr_core::run_max_flow(&mut rt, &q.net, config);
             (rt, result, false)
         };
-        let (rt, result, resumed) = match self.take_stashed(key, solver_name) {
+        let (rt, result, resumed) = match self.take_stashed(key, variant) {
             Some(mut rt) => match ffmr_core::resume_max_flow(&mut rt, &config) {
                 // An unusable checkpoint (e.g. clobbered DFS) falls back
                 // to a full recomputation rather than failing the query.
@@ -1059,7 +1032,7 @@ impl QueryEngine {
                     timeout.as_millis()
                 );
                 if rt.dfs().blob_bytes("ffmr/checkpoint") > 0 {
-                    self.stash_runtime(key.clone(), solver_name.to_string(), rt);
+                    self.stash_runtime(key.clone(), variant, rt);
                     Err(format!("{base}; progress checkpointed, retry to resume)"))
                 } else {
                     Err(format!("{base})"))
@@ -1120,8 +1093,8 @@ fn render_answer(
         .field("dataset", dataset)
         .field("epoch", epoch)
         .field("flow", answer.flow)
-        .field("solver", &answer.solver)
-        .field("plan", &answer.plan)
+        .field("solver", answer.solver)
+        .field("plan", answer.plan.as_str())
         .field("cached", u8::from(cached))
         .field("rounds", answer.rounds)
         .field("shuffle-bytes", answer.shuffle_bytes)
@@ -1205,23 +1178,33 @@ mod tests {
     #[test]
     fn explicit_algorithms_agree() {
         let engine = engine_with(two_paths(), EngineConfig::default());
-        for algo in [
-            "parallel-pr",
-            "dinic",
-            "edmonds-karp",
-            "ford-fulkerson",
-            "push-relabel",
-            "capacity-scaling",
-            "ff1",
-            "ff5",
-        ] {
+        // Every name in the two name tables, through the wire field.
+        let in_memory = Algorithm::ALL.into_iter().map(Solver::Sequential);
+        let mapreduce = FfVariant::ladder()
+            .into_iter()
+            .map(|(_, v)| Solver::MapReduce(v));
+        for solver in in_memory.chain(mapreduce) {
+            let algo = solver.name();
+            assert_eq!(Solver::parse_requested(Some(algo)), Ok(Some(solver)));
             let mut q = query("maxflow").field("algorithm", algo);
             // Bypass the cache so every solver actually runs.
             q.push("no-cache", 1);
             let r = engine.execute(&q);
             assert_eq!(r.head, status::OK, "{algo}: {r:?}");
             assert_eq!(r.get("flow"), Some("2"), "{algo} disagrees");
-            assert_eq!(r.get("solver"), Some(algo));
+            assert_eq!(r.get("solver"), Some(algo), "solver echoes the parsed name");
+        }
+    }
+
+    #[test]
+    fn unknown_algorithm_error_names_the_accepted_values() {
+        let engine = engine_with(two_paths(), EngineConfig::default());
+        let r = engine.execute(&query("maxflow").field("algorithm", "bogus"));
+        assert_eq!(r.head, status::ERROR, "{r:?}");
+        let message = r.get("message").unwrap();
+        assert!(message.contains("unknown algorithm 'bogus'"), "{message}");
+        for name in Algorithm::names().chain(FfVariant::NAMES).chain(["auto"]) {
+            assert!(message.contains(name), "{message} should name {name}");
         }
     }
 

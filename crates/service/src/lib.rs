@@ -31,7 +31,7 @@ pub mod protocol;
 pub mod server;
 pub mod store;
 
-pub use cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, QueryKind};
+pub use cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
 pub use client::Client;
 pub use engine::{EngineConfig, QueryEngine};
 pub use protocol::{

@@ -59,7 +59,9 @@ fn concurrent_mixed_queries_against_live_daemon() {
 
     // Oracles computed locally, once.
     let dinic = |net: &FlowNetwork, s: u64, t: u64| {
-        maxflow::dinic::max_flow(net, VertexId::new(s), VertexId::new(t)).value
+        maxflow::Algorithm::Dinic
+            .run(net, VertexId::new(s), VertexId::new(t))
+            .value
     };
     let small_pairs: Vec<(u64, u64)> = vec![(0, 499), (1, 498), (2, 497)];
     let large_pairs: Vec<(u64, u64)> = vec![(0, 699), (1, 698)];
@@ -79,7 +81,9 @@ fn concurrent_mixed_queries_against_live_daemon() {
                     Some("parallel-pr"),
                     "small graph routes to the parallel push-relabel"
                 );
-                r.get("cached").unwrap() == "1"
+                // A duplicate racing the first solve is coalesced onto
+                // it rather than served from the cache.
+                r.get("cached") == Some("1") || r.get("coalesced") == Some("1")
             }));
         }
     }
@@ -118,8 +122,9 @@ fn concurrent_mixed_queries_against_live_daemon() {
         .map(|t| t.join().expect("client thread must not panic"))
         .filter(|&hit| hit)
         .count();
-    // The (0, 499) pair ran three times; at least one of the repeats (or
-    // a racing duplicate) must have been answered from the cache.
+    // The (0, 499) pair ran three times; at least one of the repeats
+    // must have reused the first solve: from the cache, or coalesced
+    // onto it while it was still in flight.
     assert!(cache_hits >= 1, "repeated terminal set never hit the cache");
 
     // Re-asking a settled query is a guaranteed hit.

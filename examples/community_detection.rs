@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let community: HashSet<u64> = mr_cut.source_side.iter().copied().collect();
 
     // Cross-check against the in-memory oracle's cut.
-    let flow = maxflow::dinic::max_flow(&net, seed, probe);
+    let flow = maxflow::Algorithm::Dinic.run(&net, seed, probe);
     assert_eq!(flow.value, run.max_flow_value);
     let cut = maxflow::min_cut::extract_min_cut(&net, seed, &flow);
     assert_eq!(community.len(), cut.source_side.len());

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .variant(FfVariant::ff5())
         .max_rounds(400);
     let run = ffmr::ffmr_core::run_max_flow(&mut rt, &net, &config)?;
-    let oracle = maxflow::dinic::max_flow(&net, VertexId::new(source), VertexId::new(sink));
+    let oracle = maxflow::Algorithm::Dinic.run(&net, VertexId::new(source), VertexId::new(sink));
     assert_eq!(run.max_flow_value, oracle.value);
 
     println!(

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Oracle.
-    let oracle = maxflow::dinic::max_flow(&st.network, st.source, st.sink);
+    let oracle = maxflow::Algorithm::Dinic.run(&st.network, st.source, st.sink);
     assert_eq!(mr.max_flow_value, oracle.value);
     assert_eq!(pregel.max_flow_value, oracle.value);
     println!("dinic oracle agrees: {}", oracle.value);

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Cross-check against the sequential oracle.
-    let oracle = maxflow::dinic::max_flow(&st.network, st.source, st.sink);
+    let oracle = maxflow::Algorithm::Dinic.run(&st.network, st.source, st.sink);
     assert_eq!(run.max_flow_value, oracle.value);
     println!("dinic oracle agrees: {}", oracle.value);
     Ok(())

@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The min cut labels the farm.
-    let flow = maxflow::dinic::max_flow(&net, seed, target);
+    let flow = maxflow::Algorithm::Dinic.run(&net, seed, target);
     assert_eq!(flow.value, run.max_flow_value);
     let cut = maxflow::min_cut::extract_min_cut(&net, seed, &flow);
     let honest_side: HashSet<u64> = cut.source_side.iter().map(|v| v.raw()).collect();

@@ -39,28 +39,40 @@ use std::process::ExitCode;
 use ffmr::prelude::*;
 use ffmr::{ffmr_core, maxflow, swgraph};
 
+/// A subcommand: takes the arguments after its name.
+type Command = fn(&[String]) -> Result<(), String>;
+
+/// The dispatch table — also the source of the usage line.
+const COMMANDS: &[(&str, Command)] = &[
+    ("generate", generate),
+    ("info", info),
+    ("maxflow", run_maxflow),
+    ("serve", serve),
+    ("worker", worker),
+    ("query", query),
+    ("slowlog", slowlog),
+    ("stats", stats),
+    ("top", top),
+    ("report", report),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("usage: ffmr <generate|info|maxflow> [options]  (--help for details)");
+        let names: Vec<&str> = COMMANDS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "usage: ffmr <{}> [options]  (--help for details)",
+            names.join("|")
+        );
         return ExitCode::from(2);
     };
-    let result = match command.as_str() {
-        "generate" => generate(&args[1..]),
-        "info" => info(&args[1..]),
-        "maxflow" => run_maxflow(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "worker" => worker(&args[1..]),
-        "query" => query(&args[1..]),
-        "slowlog" => slowlog(&args[1..]),
-        "stats" => stats(&args[1..]),
-        "top" => top(&args[1..]),
-        "report" => report(&args[1..]),
-        "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|(name, _)| name == command) {
+        Some((_, run)) => run(&args[1..]),
+        None if command == "--help" || command == "-h" => {
             print_help();
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        None => Err(format!("unknown command '{command}'")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -328,15 +340,7 @@ fn run_maxflow(args: &[String]) -> Result<(), String> {
         (base, s, t)
     };
 
-    let variant = match algorithm.as_str() {
-        "ff1" => Some(FfVariant::ff1()),
-        "ff2" => Some(FfVariant::ff2()),
-        "ff3" => Some(FfVariant::ff3()),
-        "ff4" => Some(FfVariant::ff4()),
-        "ff5" => Some(FfVariant::ff5()),
-        _ => None,
-    };
-    if let Some(variant) = variant {
+    if let Ok(variant) = algorithm.parse::<FfVariant>() {
         // Record one flight-recorder event per task attempt so the
         // per-round history (readable with `ffmr report --state FILE`)
         // carries full task timelines.
@@ -461,36 +465,39 @@ fn run_maxflow(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    if algorithm == "parallel-pr" {
-        // The shared-memory parallel solver; --threads caps the pool
-        // (default: every core) without changing the answer.
-        let threads: usize = opts.parsed("threads", 0)?;
-        let mut config = maxflow::parallel_push_relabel::PrConfig::default();
-        if threads > 0 {
-            config.threads = threads;
+    let algo: Algorithm = algorithm.parse().map_err(|_| {
+        let accepted: Vec<&str> = FfVariant::NAMES
+            .into_iter()
+            .chain(Algorithm::names())
+            .chain(["pregel"])
+            .collect();
+        format!(
+            "unknown algorithm '{algorithm}' (expected one of: {})",
+            accepted.join(", ")
+        )
+    })?;
+    if algo == Algorithm::ParallelPushRelabel {
+        // The shared-memory parallel solver; --threads caps the worker
+        // count (default: every core) without changing the answer.
+        let mut threads: usize = opts.parsed("threads", 0)?;
+        if threads == 0 {
+            threads = std::thread::available_parallelism().map_or(1, |p| p.get());
         }
-        let run = maxflow::parallel_push_relabel::max_flow_with(&net, s, t, &config);
-        let cut = maxflow::min_cut::extract_min_cut(&net, s, &run.result);
+        let (flow, report) =
+            maxflow::parallel_push_relabel::solve(&net, s, t, threads, &maxflow::Cancel::never())
+                .expect("never-cancel solve cannot fail");
+        let cut = maxflow::min_cut::extract_min_cut(&net, s, &flow);
         println!(
-            "max flow = {} (parallel-pr, {} threads, {} passes, {} global relabels); \
+            "max flow = {} ({algo}, {threads} threads, {} passes, {} global relabels); \
              min cut crosses {} edges, source side has {} vertices",
-            run.result.value,
-            run.stats.threads,
-            run.stats.passes,
-            run.stats.global_relabels,
+            flow.value,
+            report.phases,
+            report.global_relabels,
             cut.cut_edges.len(),
             cut.source_side.len()
         );
         return Ok(());
     }
-    let algo = match algorithm.as_str() {
-        "dinic" => Algorithm::Dinic,
-        "edmonds-karp" => Algorithm::EdmondsKarp,
-        "ford-fulkerson" => Algorithm::FordFulkerson,
-        "push-relabel" => Algorithm::PushRelabel,
-        "capacity-scaling" => Algorithm::CapacityScaling,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
     let flow = algo.run(&net, s, t);
     let cut = maxflow::min_cut::extract_min_cut(&net, s, &flow);
     println!(

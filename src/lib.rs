@@ -35,7 +35,7 @@
 //! let run = ffmr_core::run_max_flow(&mut rt, &st.network, &config)?;
 //!
 //! // Cross-check against the in-memory oracle.
-//! let oracle = maxflow::dinic::max_flow(&st.network, st.source, st.sink);
+//! let oracle = maxflow::Algorithm::Dinic.run(&st.network, st.source, st.sink);
 //! assert_eq!(run.max_flow_value, oracle.value);
 //! println!("max flow {} in {} rounds", run.max_flow_value, run.num_flow_rounds());
 //! # Ok(())

@@ -129,7 +129,7 @@ fn two_worker_processes_match_the_inprocess_fingerprint() {
     );
 
     // And the flow itself must be the true maximum.
-    let oracle = maxflow::dinic::max_flow(&net, s, t);
+    let oracle = maxflow::Algorithm::Dinic.run(&net, s, t);
     assert_eq!(run_dist.max_flow_value, oracle.value);
 }
 
@@ -302,7 +302,7 @@ fn kill_nine_mid_job_is_recovered_by_retry() {
     );
     assert_eq!(fleet.coordinator().live_workers(), 1);
 
-    let oracle = maxflow::dinic::max_flow(&net, s, t);
+    let oracle = maxflow::Algorithm::Dinic.run(&net, s, t);
     assert_eq!(
         run.max_flow_value, oracle.value,
         "flow wrong after recovery"

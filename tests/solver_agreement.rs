@@ -36,7 +36,7 @@ fn mr_flow_checked(net: &FlowNetwork, s: VertexId, t: VertexId, variant: FfVaria
 /// Runs every sequential algorithm plus FF1 and FF5 on `net` and asserts
 /// they agree; each flow assignment is validated for feasibility.
 fn assert_all_solvers_agree(net: &FlowNetwork, s: VertexId, t: VertexId) {
-    let reference = maxflow::dinic::max_flow(net, s, t);
+    let reference = maxflow::Algorithm::Dinic.run(net, s, t);
     maxflow::validate::check_flow(net, s, t, &reference).expect("dinic flow must be feasible");
 
     for algo in Algorithm::ALL {
@@ -59,16 +59,17 @@ fn assert_all_solvers_agree(net: &FlowNetwork, s: VertexId, t: VertexId) {
 
     // The parallel solver must be deterministic across thread counts:
     // not just the value but the full per-edge flow assignment.
-    let pr_config = |threads| maxflow::parallel_push_relabel::PrConfig {
-        threads,
-        ..maxflow::parallel_push_relabel::PrConfig::default()
+    let parallel_pr = |threads| {
+        maxflow::parallel_push_relabel::solve(net, s, t, threads, &maxflow::Cancel::never())
+            .expect("never-cancel solve cannot fail")
+            .0
     };
-    let single = maxflow::parallel_push_relabel::max_flow_with(net, s, t, &pr_config(1));
-    assert_eq!(single.result.value, reference.value);
+    let single = parallel_pr(1);
+    assert_eq!(single.value, reference.value);
     for threads in [2, 8] {
-        let run = maxflow::parallel_push_relabel::max_flow_with(net, s, t, &pr_config(threads));
         assert_eq!(
-            run.result, single.result,
+            parallel_pr(threads),
+            single,
             "parallel-pr with {threads} threads diverged from 1 thread"
         );
     }

@@ -30,7 +30,7 @@ fn full_pipeline_generation_to_validated_flow() {
     };
     maxflow::validate::check_flow(&st.network, st.source, st.sink, &result).unwrap();
 
-    let oracle = maxflow::dinic::max_flow(&st.network, st.source, st.sink);
+    let oracle = maxflow::Algorithm::Dinic.run(&st.network, st.source, st.sink);
     assert_eq!(run.max_flow_value, oracle.value);
 
     let cut = maxflow::min_cut::extract_min_cut(&st.network, st.source, &oracle);
@@ -50,8 +50,8 @@ fn edge_list_io_round_trips_through_ffmr() {
         .build();
 
     let (s, t) = (VertexId::new(0), VertexId::new(60));
-    let before = maxflow::dinic::max_flow(&net, s, t).value;
-    let after = maxflow::dinic::max_flow(&reparsed, s, t).value;
+    let before = maxflow::Algorithm::Dinic.run(&net, s, t).value;
+    let after = maxflow::Algorithm::Dinic.run(&reparsed, s, t).value;
     assert_eq!(before, after);
 
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(2));
@@ -99,7 +99,7 @@ fn mr_push_relabel_matches_oracle_through_facade() {
         ffmr_core::mr_push_relabel::run_push_relabel(&mut rt, &net, s, t, "pr", 2, 10_000).unwrap();
     assert_eq!(
         run.max_flow_value,
-        maxflow::dinic::max_flow(&net, s, t).value
+        maxflow::Algorithm::Dinic.run(&net, s, t).value
     );
 }
 
@@ -120,11 +120,15 @@ fn chained_flows_on_one_runtime_share_the_dfs() {
         .max_flow_value;
     assert_eq!(
         v1,
-        maxflow::dinic::max_flow(&net, VertexId::new(0), VertexId::new(100)).value
+        maxflow::Algorithm::Dinic
+            .run(&net, VertexId::new(0), VertexId::new(100))
+            .value
     );
     assert_eq!(
         v2,
-        maxflow::dinic::max_flow(&net, VertexId::new(5), VertexId::new(90)).value
+        maxflow::Algorithm::Dinic
+            .run(&net, VertexId::new(5), VertexId::new(90))
+            .value
     );
     // Both chains' final outputs coexist.
     assert!(rt.dfs().list().iter().any(|p| p.starts_with("run-a/")));
@@ -140,39 +144,4 @@ fn simulated_time_accumulates_across_jobs() {
     let config = FfConfig::new(VertexId::new(0), VertexId::new(99));
     let run = ffmr_core::run_max_flow(&mut rt, &net, &config).unwrap();
     assert!(rt.total_sim_seconds() >= run.total_sim_seconds * 0.99);
-}
-
-#[test]
-fn mr_algorithm_suite_through_facade() {
-    // The full substrate family on one graph: components, HADI diameter,
-    // Boruvka MST — each validated against its in-memory oracle.
-    let n = 250u64;
-    let edges = swgraph::gen::rmat(8, 900, 0.57, 0.19, 0.19, 0.05, 12);
-    let edges: Vec<(u64, u64)> = edges.into_iter().filter(|&(u, v)| u < n && v < n).collect();
-    let net = FlowNetwork::from_undirected_unit(n, &edges);
-
-    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(2));
-    let cc = ffmr_core::mr_components::run_components(&mut rt, &net, "cc", 4).unwrap();
-    let isolated = (0..n)
-        .filter(|&v| net.degree(VertexId::new(v)) == 0)
-        .count();
-    assert_eq!(
-        cc.component_count + isolated,
-        swgraph::props::component_sizes(&net).len()
-    );
-
-    let hadi = ffmr_core::mr_hadi::run_hadi(&mut rt, &net, "hadi", 4).unwrap();
-    assert!(hadi.effective_diameter >= 1);
-
-    let weights: Vec<i64> = (0..net.num_edge_pairs() as i64)
-        .map(|i| 1 + i * 31 % 997)
-        .collect();
-    let mst = ffmr_core::mr_mst::run_mst(&mut rt, &net, &weights, "mst", 4).unwrap();
-    let oracle_edges: Vec<(u64, u64, i64)> = (0..net.num_edge_pairs())
-        .map(|p| {
-            let e = EdgeId::new(2 * p as u64);
-            (net.tail(e).raw(), net.head(e).raw(), weights[p])
-        })
-        .collect();
-    assert_eq!(mst.forest, swgraph::mst::kruskal(n, &oracle_edges));
 }
