@@ -105,7 +105,7 @@ fn str_field(line: &str, key: &str) -> Option<String> {
 fn trace_spans_cover_every_round_with_nested_phases() {
     let _g = guard();
     let sink = Arc::new(ffmr_obs::VecSink::new());
-    ffmr_obs::set_sink(Some(Arc::clone(&sink) as Arc<dyn ffmr_obs::SpanSink>));
+    ffmr_obs::set_sink(Some(Arc::clone(&sink) as Arc<dyn ffmr_obs::LineSink>));
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(3));
     let config = FfConfig::new(VertexId::new(0), VertexId::new(3))
         .variant(FfVariant::ff5())

@@ -23,7 +23,6 @@
 
 use std::sync::Arc;
 
-use crate::counters::Counters;
 use crate::encode::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::error::{DecodeError, MrError};
 use crate::job::{CombinerFn, MapContext, Mapper, ReduceContext, Reducer};
@@ -169,7 +168,6 @@ where
     combiner: Option<CombinerFn<KM, VM>>,
     reducer: Arc<dyn Reducer<KM, VM, KO, VO>>,
     services: ServiceHandle,
-    counters: Counters,
 }
 
 impl<KI, VI, KM, VM, KO, VO> JobTaskRunner<KI, VI, KM, VM, KO, VO>
@@ -193,7 +191,6 @@ where
             combiner: None,
             reducer: Arc::new(reducer),
             services,
-            counters: Counters::new(),
         }
     }
 
@@ -208,7 +205,6 @@ where
             combiner,
             reducer,
             services,
-            counters: Counters::new(),
         }
     }
 
@@ -242,7 +238,7 @@ where
             records.push(decode_record(&mut rest)?);
         }
         let input_records = records.len() as u64;
-        let mut ctx = MapContext::new(&self.counters, &self.services, task);
+        let mut ctx = MapContext::new(&self.services, task);
         for (k, v) in &records {
             self.mapper.map(k, v, &mut ctx);
         }
@@ -260,7 +256,7 @@ where
 
         // Optional combiner, fed key groups off the sorted run.
         if let Some(comb) = &self.combiner {
-            let mut cctx = MapContext::new(&self.counters, &self.services, task);
+            let mut cctx = MapContext::new(&self.services, task);
             let mut group: Vec<VM> = Vec::new(); // reused across groups
             let mut it = out.into_iter().peekable();
             while let Some((key, first)) = it.next() {
@@ -337,7 +333,7 @@ where
             None => None,
         };
 
-        let mut ctx = ReduceContext::new(&self.counters, &self.services, task);
+        let mut ctx = ReduceContext::new(&self.services, task);
         let merge_fanin = merge_sorted_runs(schimmy_run, spills, |key, values| {
             self.reducer.reduce(key, values, &mut ctx);
         })?;

@@ -89,23 +89,30 @@ where
     }
 }
 
-/// Emission context handed to mappers (and combiners).
+/// Emission context handed to mappers and combiners ([`MapContext`])
+/// and to reducers ([`ReduceContext`]).
 ///
 /// Counter increments are buffered locally and merged into the job's
 /// counters only when the task attempt *succeeds* — so retried task
 /// attempts (see [`FailurePolicy`](crate::runtime::FailurePolicy)) never
 /// double-count, matching Hadoop's exclusion of failed-attempt counters.
 #[derive(Debug)]
-pub struct MapContext<'a, KM, VM> {
-    pub(crate) out: Vec<(KM, VM)>,
+pub struct TaskContext<'a, K, V> {
+    pub(crate) out: Vec<(K, V)>,
     pub(crate) local_counters: Vec<(String, u64)>,
     services: &'a ServiceHandle,
     allocs: u64,
     task: usize,
 }
 
-impl<'a, KM: KeyDatum, VM: Datum> MapContext<'a, KM, VM> {
-    pub(crate) fn new(_counters: &'a Counters, services: &'a ServiceHandle, task: usize) -> Self {
+/// The context a mapper or combiner emits intermediate records into.
+pub type MapContext<'a, KM, VM> = TaskContext<'a, KM, VM>;
+
+/// The context a reducer emits output records into.
+pub type ReduceContext<'a, KO, VO> = TaskContext<'a, KO, VO>;
+
+impl<'a, K, V> TaskContext<'a, K, V> {
+    pub(crate) fn new(services: &'a ServiceHandle, task: usize) -> Self {
         Self {
             out: Vec::new(),
             local_counters: Vec::new(),
@@ -117,27 +124,29 @@ impl<'a, KM: KeyDatum, VM: Datum> MapContext<'a, KM, VM> {
 
     /// Flushes this attempt's buffered counter increments into `counters`
     /// (the runtime calls this when the attempt succeeds; tests of
-    /// mapper logic may call it manually).
+    /// mapper or reducer logic may call it manually).
     pub fn merge_counters_into(&self, counters: &Counters) {
         for (name, delta) in &self.local_counters {
             counters.incr(name, *delta);
         }
     }
 
-    /// A standalone context for unit-testing mappers outside a job run.
+    /// A standalone context for unit-testing mappers and reducers
+    /// outside a job run. Increments stay buffered in the context;
+    /// flush them with [`TaskContext::merge_counters_into`].
     #[must_use]
-    pub fn for_testing(counters: &'a Counters, services: &'a ServiceHandle) -> Self {
-        Self::new(counters, services, 0)
+    pub fn for_testing(_counters: &Counters, services: &'a ServiceHandle) -> Self {
+        Self::new(services, 0)
     }
 
-    /// Records emitted so far (primarily for tests of mapper logic).
+    /// Records emitted so far (primarily for tests of user functions).
     #[must_use]
-    pub fn emitted(&self) -> &[(KM, VM)] {
+    pub fn emitted(&self) -> &[(K, V)] {
         &self.out
     }
 
-    /// Emits one intermediate record.
-    pub fn emit(&mut self, key: KM, value: VM) {
+    /// Emits one record.
+    pub fn emit(&mut self, key: K, value: V) {
         self.allocs += 1;
         self.out.push((key, value));
     }
@@ -166,92 +175,7 @@ impl<'a, KM: KeyDatum, VM: Datum> MapContext<'a, KM, VM> {
         self.allocs += n;
     }
 
-    /// Index of the map task this context belongs to.
-    #[must_use]
-    pub fn task(&self) -> usize {
-        self.task
-    }
-
-    pub(crate) fn allocs(&self) -> u64 {
-        self.allocs
-    }
-}
-
-/// Emission context handed to reducers.
-///
-/// Counter increments are buffered locally and merged only when the
-/// task attempt succeeds (see [`MapContext`]).
-#[derive(Debug)]
-pub struct ReduceContext<'a, KO, VO> {
-    pub(crate) out: Vec<(KO, VO)>,
-    pub(crate) local_counters: Vec<(String, u64)>,
-    services: &'a ServiceHandle,
-    allocs: u64,
-    task: usize,
-}
-
-impl<'a, KO: Datum, VO: Datum> ReduceContext<'a, KO, VO> {
-    pub(crate) fn new(_counters: &'a Counters, services: &'a ServiceHandle, task: usize) -> Self {
-        Self {
-            out: Vec::new(),
-            local_counters: Vec::new(),
-            services,
-            allocs: 0,
-            task,
-        }
-    }
-
-    /// Flushes this attempt's buffered counter increments into `counters`
-    /// (the runtime calls this when the attempt succeeds; tests of
-    /// reducer logic may call it manually).
-    pub fn merge_counters_into(&self, counters: &Counters) {
-        for (name, delta) in &self.local_counters {
-            counters.incr(name, *delta);
-        }
-    }
-
-    /// A standalone context for unit-testing reducers outside a job run.
-    #[must_use]
-    pub fn for_testing(counters: &'a Counters, services: &'a ServiceHandle) -> Self {
-        Self::new(counters, services, 0)
-    }
-
-    /// Records emitted so far (primarily for tests of reducer logic).
-    #[must_use]
-    pub fn emitted(&self) -> &[(KO, VO)] {
-        &self.out
-    }
-
-    /// Emits one output record.
-    pub fn emit(&mut self, key: KO, value: VO) {
-        self.allocs += 1;
-        self.out.push((key, value));
-    }
-
-    /// Increments a named job counter (applied only if this task attempt
-    /// succeeds).
-    pub fn incr(&mut self, name: &str, delta: u64) {
-        if let Some(entry) = self.local_counters.iter_mut().find(|(n, _)| n == name) {
-            entry.1 += delta;
-        } else {
-            self.local_counters.push((name.to_owned(), delta));
-        }
-    }
-
-    /// Typed access to an attached stateful service.
-    ///
-    /// # Errors
-    /// [`MrError::ServiceMissing`] if not attached under `name`.
-    pub fn service<T: Service>(&self, name: &str) -> Result<&T, MrError> {
-        self.services.get(name)
-    }
-
-    /// Records `n` short-lived allocations (see [`MapContext::charge_allocs`]).
-    pub fn charge_allocs(&mut self, n: u64) {
-        self.allocs += n;
-    }
-
-    /// Index of the reduce partition this context belongs to.
+    /// Index of the map task or reduce partition this context belongs to.
     #[must_use]
     pub fn task(&self) -> usize {
         self.task
@@ -531,7 +455,7 @@ mod tests {
     fn contexts_collect_emissions_and_allocs() {
         let counters = Counters::new();
         let services = ServiceHandle::new();
-        let mut ctx: MapContext<'_, u64, u64> = MapContext::new(&counters, &services, 3);
+        let mut ctx: MapContext<'_, u64, u64> = MapContext::new(&services, 3);
         ctx.emit(1, 2);
         ctx.emit(3, 4);
         ctx.charge_allocs(10);
@@ -558,9 +482,8 @@ mod tests {
                 ctx.emit(99, 99);
             }
         }
-        let counters = Counters::new();
         let services = ServiceHandle::new();
-        let mut ctx = MapContext::new(&counters, &services, 0);
+        let mut ctx = MapContext::new(&services, 0);
         Flusher.map(&1, &1, &mut ctx);
         Flusher.finish_split(&mut ctx);
         assert_eq!(ctx.out, vec![(99, 99)]);

@@ -106,7 +106,7 @@ pub use exec::{
     JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskResult, ReduceTaskSpec, TaskExecutor,
     TaskRunner,
 };
-pub use job::{JobBuilder, MapContext, Mapper, ReduceContext, Reducer, WireSpec};
+pub use job::{JobBuilder, MapContext, Mapper, ReduceContext, Reducer, TaskContext, WireSpec};
 pub use record::{Datum, KeyDatum, SpillRun};
 pub use runtime::{partition_of, FailurePolicy, MrRuntime, SpeculationPolicy};
 pub use service::{Service, ServiceHandle};

@@ -743,9 +743,6 @@ impl MrRuntime {
                 }
                 attach_worker_attribution(&mut task_events, &dispatch_notes);
             }
-            for event in &task_events {
-                recorder.record(event.clone());
-            }
         }
 
         let stats = JobStats {

@@ -609,7 +609,4 @@ fn flight_recorder_captures_task_timeline() {
         .map(|e| e.bytes_in)
         .sum();
     assert!(fetched >= stats.shuffle_bytes);
-
-    // The same events were pushed into the global ring.
-    assert!(ffmr_obs::events::recorder().recorded() >= events.len() as u64);
 }

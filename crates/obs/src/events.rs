@@ -1,35 +1,24 @@
 //! Flight recorder: structured per-task-attempt events.
 //!
-//! The MapReduce runtime records one [`TaskEvent`] per task attempt
+//! The MapReduce runtime assembles one [`TaskEvent`] per task attempt
 //! (map, reduce, speculative duplicates, failed retries) plus one
 //! synthetic event for the shuffle barrier of each job. Events carry
 //! both simulated-cluster timings (the paper's cost model) and host
 //! wall-clock timings, so a job history can answer "which attempt
 //! bounded this round" after the fact.
 //!
-//! Events flow through a global [`EventRecorder`]:
-//!
-//! * a bounded ring buffer keeps the most recent events in memory for
-//!   live inspection (oldest entries are overwritten; a drop counter
-//!   says how many were lost), and
-//! * an optional [`EventSink`] receives every event as one JSON line,
-//!   which is how `ffmr --events FILE` persists a JSONL trace.
+//! Events travel with the job that produced them: the runtime returns
+//! them in `JobStats.task_events`, the FF driver folds each round's
+//! events into a [`RoundProfile`](crate::RoundProfile) and persists
+//! that as one JSONL line. Nothing is buffered here; the global
+//! [`EventRecorder`] is only the switch that turns assembly on.
 //!
 //! Recording is off by default; when disabled the runtime skips event
 //! assembly entirely, so the recorder costs one atomic load per job.
 
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::json::Value;
-
-/// Default capacity of the global event ring. Overridable at process
-/// start with the `FFMR_EVENT_RING_CAP` environment variable.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Environment variable overriding the global ring's capacity.
-pub const RING_CAP_ENV: &str = "FFMR_EVENT_RING_CAP";
+use crate::json::{self, ObjectWriter, Value};
 
 /// How a task attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,81 +119,53 @@ impl TaskEvent {
     /// Encodes the event as one single-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"job\":\"");
-        push_escaped(&mut out, &self.job);
-        out.push_str("\",\"phase\":\"");
-        push_escaped(&mut out, &self.phase);
-        out.push_str("\",\"task\":");
-        out.push_str(&self.task.to_string());
-        out.push_str(",\"attempt\":");
-        out.push_str(&self.attempt.to_string());
-        out.push_str(",\"node\":");
-        out.push_str(&self.node.to_string());
-        if let Some(w) = self.worker {
-            out.push_str(",\"worker\":");
-            out.push_str(&w.to_string());
+        json::object(256, |w| self.write_members(w))
+    }
+
+    pub(crate) fn write_members(&self, w: &mut ObjectWriter) {
+        w.str("job", &self.job);
+        w.str("phase", &self.phase);
+        w.uint("task", self.task as u64);
+        w.uint("attempt", u64::from(self.attempt));
+        w.uint("node", self.node as u64);
+        if let Some(worker) = self.worker {
+            w.uint("worker", worker);
         }
-        if let Some(p) = self.partition {
-            out.push_str(",\"partition\":");
-            out.push_str(&p.to_string());
+        if let Some(partition) = self.partition {
+            w.uint("partition", partition as u64);
         }
-        out.push_str(",\"sim_start\":");
-        push_f64(&mut out, self.sim_start);
-        out.push_str(",\"sim_end\":");
-        push_f64(&mut out, self.sim_end);
-        out.push_str(",\"wall_start_us\":");
-        out.push_str(&self.wall_start_us.to_string());
-        out.push_str(",\"wall_end_us\":");
-        out.push_str(&self.wall_end_us.to_string());
-        out.push_str(",\"bytes_in\":");
-        out.push_str(&self.bytes_in.to_string());
-        out.push_str(",\"bytes_out\":");
-        out.push_str(&self.bytes_out.to_string());
-        out.push_str(",\"outcome\":\"");
-        out.push_str(self.outcome.as_str());
-        out.push_str("\"}");
-        out
+        w.float("sim_start", self.sim_start);
+        w.float("sim_end", self.sim_end);
+        w.uint("wall_start_us", self.wall_start_us);
+        w.uint("wall_end_us", self.wall_end_us);
+        w.uint("bytes_in", self.bytes_in);
+        w.uint("bytes_out", self.bytes_out);
+        w.str("outcome", self.outcome.as_str());
     }
 
     /// Decodes an event from a parsed JSON object.
     ///
     /// # Errors
     /// Names the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<TaskEvent, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("event missing string field '{k}'"))
-        };
-        let num_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("event missing numeric field '{k}'"))
-        };
-        let int_field = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("event missing integer field '{k}'"))
-        };
-        let outcome_text = str_field("outcome")?;
+    pub(crate) fn from_value(v: &Value) -> Result<TaskEvent, String> {
+        let f = v.fields("event");
+        let outcome = f.req_str("outcome")?;
         Ok(TaskEvent {
-            job: str_field("job")?,
-            phase: str_field("phase")?,
-            task: usize::try_from(int_field("task")?).map_err(|_| "task overflows usize")?,
-            attempt: u32::try_from(int_field("attempt")?).map_err(|_| "attempt overflows u32")?,
-            node: usize::try_from(int_field("node")?).map_err(|_| "node overflows usize")?,
-            worker: v.get("worker").and_then(Value::as_u64),
-            partition: v.get("partition").and_then(Value::as_usize),
-            sim_start: num_field("sim_start")?,
-            sim_end: num_field("sim_end")?,
-            wall_start_us: int_field("wall_start_us")?,
-            wall_end_us: int_field("wall_end_us")?,
-            bytes_in: int_field("bytes_in")?,
-            bytes_out: int_field("bytes_out")?,
-            outcome: TaskOutcome::parse(&outcome_text)
-                .ok_or_else(|| format!("unknown outcome '{outcome_text}'"))?,
+            job: f.req_str("job")?,
+            phase: f.req_str("phase")?,
+            task: f.req_int("task")?,
+            attempt: f.req_int("attempt")?,
+            node: f.req_int("node")?,
+            worker: f.opt_int("worker"),
+            partition: f.opt_int("partition"),
+            sim_start: f.req_f64("sim_start")?,
+            sim_end: f.req_f64("sim_end")?,
+            wall_start_us: f.req_int("wall_start_us")?,
+            wall_end_us: f.req_int("wall_end_us")?,
+            bytes_in: f.req_int("bytes_in")?,
+            bytes_out: f.req_int("bytes_out")?,
+            outcome: TaskOutcome::parse(&outcome)
+                .ok_or_else(|| format!("unknown outcome '{outcome}'"))?,
         })
     }
 
@@ -217,210 +178,14 @@ impl TaskEvent {
     }
 }
 
-/// Appends `value` to `out` with JSON string escaping.
-pub(crate) fn push_escaped(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Appends a finite decimal rendering of `v` (JSON has no NaN/inf).
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&v.to_string());
-    } else {
-        out.push('0');
-    }
-}
-
-/// Receives each recorded event as one JSON line.
-pub trait EventSink: Send + Sync {
-    /// Called once per event with a single-line JSON object.
-    fn emit(&self, json_line: &str);
-}
-
-/// An [`EventSink`] that appends JSON lines to a file, optionally
-/// size-capped: see [`JsonlSink::with_max_bytes`].
-pub struct JsonlSink {
-    file: Mutex<crate::rotate::RotatingFile>,
-}
-
-impl JsonlSink {
-    /// Creates (or truncates) `path` for writing, with no size cap.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            file: Mutex::new(crate::rotate::RotatingFile::create(path, None)?),
-        })
-    }
-
-    /// Creates (or truncates) `path` for writing; when an append would
-    /// push the file past `max_bytes` it is rotated to `<path>.1`
-    /// (replacing the previous rotation), so long-lived sessions keep
-    /// at most two generations.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn with_max_bytes(path: &Path, max_bytes: u64) -> std::io::Result<JsonlSink> {
-        Ok(JsonlSink {
-            file: Mutex::new(crate::rotate::RotatingFile::create(path, Some(max_bytes))?),
-        })
-    }
-}
-
-impl EventSink for JsonlSink {
-    fn emit(&self, json_line: &str) {
-        if let Ok(mut file) = self.file.lock() {
-            // Flushed per line: traces should survive a crash.
-            file.write_line(json_line);
-        }
-    }
-}
-
-/// An [`EventSink`] that collects lines in memory, for tests.
-#[derive(Default)]
-pub struct VecEventSink {
-    lines: Mutex<Vec<String>>,
-}
-
-impl VecEventSink {
-    /// Creates an empty sink.
-    #[must_use]
-    pub fn new() -> VecEventSink {
-        VecEventSink::default()
-    }
-
-    /// A snapshot of the collected lines.
-    ///
-    /// # Panics
-    /// Panics if the interior mutex is poisoned.
-    #[must_use]
-    pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().unwrap().clone()
-    }
-}
-
-impl EventSink for VecEventSink {
-    fn emit(&self, json_line: &str) {
-        if let Ok(mut lines) = self.lines.lock() {
-            lines.push(json_line.to_owned());
-        }
-    }
-}
-
-/// A bounded ring of the most recent events.
-///
-/// Writers claim a monotonically increasing sequence number with one
-/// atomic add, then store the event in `slots[seq % capacity]`; the
-/// slot lock covers only the single clone in or out. When the ring
-/// wraps, the oldest event is overwritten and counted as dropped.
-pub struct EventRing {
-    slots: Vec<RwLock<Option<TaskEvent>>>,
-    head: AtomicU64,
-}
-
-impl EventRing {
-    /// Creates a ring holding at most `capacity` events.
-    #[must_use]
-    pub fn new(capacity: usize) -> EventRing {
-        let capacity = capacity.max(1);
-        EventRing {
-            slots: (0..capacity).map(|_| RwLock::new(None)).collect(),
-            head: AtomicU64::new(0),
-        }
-    }
-
-    /// Maximum number of retained events.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Appends an event, overwriting the oldest once full. Returns the
-    /// event's sequence number (sequence ≥ capacity means an older
-    /// event was just overwritten).
-    pub fn push(&self, event: TaskEvent) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let idx = usize::try_from(seq % self.slots.len() as u64).unwrap_or(0);
-        if let Ok(mut slot) = self.slots[idx].write() {
-            *slot = Some(event);
-        }
-        seq
-    }
-
-    /// Total number of events ever pushed.
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Number of events lost to wraparound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
-    }
-
-    /// Number of events currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::try_from(self.recorded().min(self.slots.len() as u64)).unwrap_or(usize::MAX)
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.recorded() == 0
-    }
-
-    /// The retained events, oldest first. A best-effort snapshot:
-    /// pushes racing the scan may shift the window.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TaskEvent> {
-        let head = self.recorded();
-        let start = head.saturating_sub(self.slots.len() as u64);
-        let mut out = Vec::with_capacity(usize::try_from(head - start).unwrap_or(0));
-        for seq in start..head {
-            let idx = usize::try_from(seq % self.slots.len() as u64).unwrap_or(0);
-            if let Ok(slot) = self.slots[idx].read() {
-                if let Some(event) = slot.as_ref() {
-                    out.push(event.clone());
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The global flight recorder: an enable flag, a bounded ring, and an
-/// optional JSONL sink.
+/// The global flight-recorder switch: whether the MapReduce runtime
+/// (and the coordinator, for dispatch notes) should assemble events.
 pub struct EventRecorder {
     enabled: AtomicBool,
-    ring: EventRing,
-    sink: RwLock<Option<Arc<dyn EventSink>>>,
 }
 
 impl EventRecorder {
-    fn new(capacity: usize) -> EventRecorder {
-        EventRecorder {
-            enabled: AtomicBool::new(false),
-            ring: EventRing::new(capacity),
-            sink: RwLock::new(None),
-        }
-    }
-
-    /// Whether the runtime should assemble and record events.
+    /// Whether the runtime should assemble events.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
@@ -430,72 +195,14 @@ impl EventRecorder {
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
-
-    /// Installs (or clears) the JSONL sink and enables recording when
-    /// a sink is provided.
-    pub fn set_sink(&self, sink: Option<Arc<dyn EventSink>>) {
-        if let Ok(mut slot) = self.sink.write() {
-            if sink.is_some() {
-                self.enabled.store(true, Ordering::Relaxed);
-            }
-            *slot = sink;
-        }
-    }
-
-    /// Records one event: the ring always takes it, the sink (if any)
-    /// gets its JSON line. No-op while disabled. Ring overwrites bump
-    /// the `ffmr_obs_events_dropped_total` counter so silent profile
-    /// truncation on large jobs is visible.
-    pub fn record(&self, event: TaskEvent) {
-        if !self.enabled() {
-            return;
-        }
-        if let Ok(slot) = self.sink.read() {
-            if let Some(sink) = slot.as_ref() {
-                sink.emit(&event.to_json());
-            }
-        }
-        let seq = self.ring.push(event);
-        if seq >= self.ring.capacity() as u64 {
-            crate::global()
-                .counter("ffmr_obs_events_dropped_total", &[])
-                .inc();
-        }
-    }
-
-    /// The retained events, oldest first.
-    #[must_use]
-    pub fn recent(&self) -> Vec<TaskEvent> {
-        self.ring.snapshot()
-    }
-
-    /// Number of events lost to ring wraparound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Total number of events recorded since startup.
-    #[must_use]
-    pub fn recorded(&self) -> u64 {
-        self.ring.recorded()
-    }
 }
 
-/// The process-wide recorder used by the MapReduce runtime. Ring
-/// capacity defaults to [`DEFAULT_RING_CAPACITY`] and can be raised or
-/// lowered with the `FFMR_EVENT_RING_CAP` environment variable (read
-/// once, at first use).
+/// The process-wide recorder switch read by the MapReduce runtime.
 pub fn recorder() -> &'static EventRecorder {
-    static RECORDER: OnceLock<EventRecorder> = OnceLock::new();
-    RECORDER.get_or_init(|| {
-        let capacity = std::env::var(RING_CAP_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&cap| cap > 0)
-            .unwrap_or(DEFAULT_RING_CAPACITY);
-        EventRecorder::new(capacity)
-    })
+    static RECORDER: EventRecorder = EventRecorder {
+        enabled: AtomicBool::new(false),
+    };
+    &RECORDER
 }
 
 #[cfg(test)]
@@ -553,19 +260,16 @@ mod tests {
     }
 
     #[test]
-    fn ring_overflow_is_counted_in_the_global_registry() {
-        let rec = EventRecorder::new(2);
+    fn recorder_is_off_until_enabled() {
+        // Private instance: the global one is shared across tests.
+        let rec = EventRecorder {
+            enabled: AtomicBool::new(false),
+        };
+        assert!(!rec.enabled());
         rec.set_enabled(true);
-        let before = crate::global()
-            .counter("ffmr_obs_events_dropped_total", &[])
-            .get();
-        for i in 0..5 {
-            rec.record(event(i, 0));
-        }
-        let after = crate::global()
-            .counter("ffmr_obs_events_dropped_total", &[])
-            .get();
-        assert!(after >= before + 3, "3 of 5 events overwrote older ones");
+        assert!(rec.enabled());
+        rec.set_enabled(false);
+        assert!(!rec.enabled());
     }
 
     #[test]
@@ -579,57 +283,5 @@ mod tests {
             assert_eq!(TaskOutcome::parse(outcome.as_str()), Some(outcome));
         }
         assert_eq!(TaskOutcome::parse("bogus"), None);
-    }
-
-    #[test]
-    fn ring_wraparound_drops_oldest_and_counts_drops() {
-        let ring = EventRing::new(8);
-        for i in 0..11 {
-            ring.push(event(i, 0));
-        }
-        assert_eq!(ring.capacity(), 8);
-        assert_eq!(ring.len(), 8);
-        assert_eq!(ring.recorded(), 11);
-        assert_eq!(ring.dropped(), 3, "three oldest events were overwritten");
-        let kept = ring.snapshot();
-        assert_eq!(kept.len(), 8);
-        // The three oldest (tasks 0..2) are gone; 3..10 remain in order.
-        assert_eq!(
-            kept.iter().map(|e| e.task).collect::<Vec<_>>(),
-            (3..11).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn ring_under_capacity_keeps_everything() {
-        let ring = EventRing::new(16);
-        assert!(ring.is_empty());
-        for i in 0..5 {
-            ring.push(event(i, 0));
-        }
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.snapshot().len(), 5);
-    }
-
-    #[test]
-    fn recorder_respects_enable_flag_and_feeds_sink() {
-        // Private recorder instance: the global one is shared across
-        // tests in this binary.
-        let rec = EventRecorder::new(4);
-        rec.record(event(0, 0));
-        assert!(rec.recent().is_empty(), "disabled recorder drops events");
-
-        let sink = Arc::new(VecEventSink::new());
-        rec.set_sink(Some(sink.clone()));
-        assert!(rec.enabled(), "installing a sink enables recording");
-        rec.record(event(1, 0));
-        assert_eq!(rec.recent().len(), 1);
-        assert_eq!(sink.lines().len(), 1);
-        assert!(sink.lines()[0].contains("\"task\":1"));
-
-        rec.set_sink(None);
-        rec.set_enabled(false);
-        rec.record(event(2, 0));
-        assert_eq!(rec.recent().len(), 1);
     }
 }

@@ -1,11 +1,128 @@
-//! A minimal JSON reader for loading flight-recorder JSONL lines back
-//! into memory (`ffmr report`, the daemon's `history` verb).
+//! The one JSON writer and reader behind every JSONL surface of this
+//! crate: round profiles (`ffmr report`, the `history` verb), query
+//! profiles (`--explain`, the `slowlog` verb, `--slowlog-file`) and
+//! spans (`--trace-file`).
 //!
-//! Only what the recorder's own writer emits is supported: objects,
+//! Writing is append-only into one `String`: [`object`] opens an
+//! object, an [`ObjectWriter`] appends one `"key":value` member per
+//! call, nested objects and arrays go into the same buffer. Reading
+//! parses a line into a [`Value`] and pulls typed members out of it
+//! through [`Fields`], whose errors name the record and the member.
+//!
+//! Only what the writer emits is supported by the reader: objects,
 //! arrays, double-quoted strings with the standard escapes, numbers,
 //! booleans and null. The writer never produces exotic forms (no
 //! exponents with signs in keys, no lone surrogates), so this stays a
-//! couple hundred lines instead of a dependency.
+//! few hundred lines instead of a dependency.
+
+use std::fmt::Write;
+
+/// Appends `value` to `out` with JSON string escaping.
+fn push_escaped(out: &mut String, value: &str) {
+    for c in value.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => push_display(out, format_args!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Appends `v`'s `Display` rendering without an intermediate `String`.
+fn push_display(out: &mut String, v: impl std::fmt::Display) {
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
+/// Builds one single-line JSON object: `fill` appends the members.
+pub(crate) fn object(capacity: usize, fill: impl FnOnce(&mut ObjectWriter)) -> String {
+    let mut out = String::with_capacity(capacity);
+    write_object(&mut out, fill);
+    out
+}
+
+fn write_object(out: &mut String, fill: impl FnOnce(&mut ObjectWriter)) {
+    out.push('{');
+    fill(&mut ObjectWriter { out, empty: true });
+    out.push('}');
+}
+
+/// Appends the members of one JSON object, in call order.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Appends the separator and `"key":`.
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        push_escaped(self.out, key);
+        self.out.push_str("\":");
+    }
+
+    /// A string member.
+    pub(crate) fn str(&mut self, key: &str, value: &str) {
+        self.key(key);
+        self.out.push('"');
+        push_escaped(self.out, value);
+        self.out.push('"');
+    }
+
+    /// An unsigned integer member.
+    pub(crate) fn uint(&mut self, key: &str, value: u64) {
+        self.key(key);
+        push_display(self.out, value);
+    }
+
+    /// A number member; non-finite values are written as `0` (JSON has
+    /// no NaN/inf).
+    pub(crate) fn float(&mut self, key: &str, value: f64) {
+        self.key(key);
+        if value.is_finite() {
+            push_display(self.out, value);
+        } else {
+            self.out.push('0');
+        }
+    }
+
+    /// A `true`/`false` member.
+    pub(crate) fn flag(&mut self, key: &str, value: bool) {
+        self.key(key);
+        self.out.push_str(if value { "true" } else { "false" });
+    }
+
+    /// A nested object member.
+    pub(crate) fn object(&mut self, key: &str, fill: impl FnOnce(&mut ObjectWriter)) {
+        self.key(key);
+        write_object(self.out, fill);
+    }
+
+    /// An array-of-objects member: `fill` appends one item's members.
+    pub(crate) fn array<T>(
+        &mut self,
+        key: &str,
+        items: &[T],
+        fill: impl Fn(&T, &mut ObjectWriter),
+    ) {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            write_object(self.out, |w| fill(item, w));
+        }
+        self.out.push(']');
+    }
+}
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,12 +189,6 @@ impl Value {
         }
     }
 
-    /// The number as `usize`.
-    #[must_use]
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
     /// The string, if this is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -94,6 +205,78 @@ impl Value {
             Value::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// Typed access to this object's members; `what` names the record
+    /// in errors ("event missing integer field 'task'").
+    pub(crate) fn fields<'a>(&'a self, what: &'a str) -> Fields<'a> {
+        Fields { obj: self, what }
+    }
+}
+
+/// Typed member readers over one parsed object. `req_*` fail with the
+/// record and member named; `opt_*` read an absent or ill-typed member
+/// as `None`.
+pub(crate) struct Fields<'a> {
+    obj: &'a Value,
+    what: &'a str,
+}
+
+impl Fields<'_> {
+    fn missing(&self, kind: &str, key: &str) -> String {
+        format!("{} missing {kind} field '{key}'", self.what)
+    }
+
+    pub(crate) fn opt_str(&self, key: &str) -> Option<String> {
+        self.obj.get(key).and_then(Value::as_str).map(str::to_owned)
+    }
+
+    pub(crate) fn req_str(&self, key: &str) -> Result<String, String> {
+        self.opt_str(key).ok_or_else(|| self.missing("string", key))
+    }
+
+    /// An unsigned integer member that fits `T` (`u64`, `usize`, `u32`).
+    pub(crate) fn opt_int<T: TryFrom<u64>>(&self, key: &str) -> Option<T> {
+        let n = self.obj.get(key).and_then(Value::as_u64)?;
+        T::try_from(n).ok()
+    }
+
+    pub(crate) fn req_int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.opt_int(key)
+            .ok_or_else(|| self.missing("integer", key))
+    }
+
+    pub(crate) fn opt_f64(&self, key: &str) -> Option<f64> {
+        self.obj.get(key).and_then(Value::as_f64)
+    }
+
+    pub(crate) fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.opt_f64(key)
+            .ok_or_else(|| self.missing("numeric", key))
+    }
+
+    /// Whether the member is present and `true`.
+    pub(crate) fn flag(&self, key: &str) -> bool {
+        matches!(self.obj.get(key), Some(Value::Bool(true)))
+    }
+
+    /// A nested record, when the member is present.
+    pub(crate) fn opt_object<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.obj.get(key).map(decode).transpose()
+    }
+
+    /// An array of nested records; an absent member is an empty array.
+    pub(crate) fn array<T>(
+        &self,
+        key: &str,
+        decode: impl Fn(&Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.obj.get(key).and_then(Value::as_array);
+        items.unwrap_or_default().iter().map(decode).collect()
     }
 }
 
@@ -292,6 +475,45 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{} extra").is_err());
         assert!(Value::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn written_objects_read_back_and_errors_name_record_and_member() {
+        let line = object(64, |w| {
+            w.str("s", "q\"\u{1}");
+            w.uint("n", 70_000);
+            w.float("x", f64::NAN);
+            w.flag("b", true);
+            w.object("o", |w| w.uint("k", 1));
+            w.array("a", &[1u64, 2], |item, w| w.uint("v", *item));
+        });
+        assert_eq!(
+            line,
+            r#"{"s":"q\"\u0001","n":70000,"x":0,"b":true,"o":{"k":1},"a":[{"v":1},{"v":2}]}"#
+        );
+        let v = Value::parse(&line).unwrap();
+        let f = v.fields("rec");
+        assert_eq!(f.req_str("s").unwrap(), "q\"\u{1}");
+        assert_eq!(f.req_int::<u32>("n").unwrap(), 70_000);
+        assert_eq!(f.opt_int::<u16>("n"), None, "does not fit");
+        assert!(f.flag("b") && !f.flag("n") && !f.flag("absent"));
+        let item = |i: &Value| i.fields("item").req_int::<u64>("v");
+        assert_eq!(f.array("a", item).unwrap(), vec![1, 2]);
+        assert_eq!(f.array("absent", item).unwrap(), Vec::<u64>::new());
+        assert_eq!(
+            f.opt_object("o", item).unwrap_err(),
+            "item missing integer field 'v'"
+        );
+        assert_eq!(f.opt_object("absent", item).unwrap(), None);
+        assert_eq!(
+            f.req_int::<u64>("s").unwrap_err(),
+            "rec missing integer field 's'"
+        );
+        assert_eq!(
+            f.req_f64("nope").unwrap_err(),
+            "rec missing numeric field 'nope'"
+        );
+        assert_eq!(f.req_str("n").unwrap_err(), "rec missing string field 'n'");
     }
 
     #[test]

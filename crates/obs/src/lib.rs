@@ -14,18 +14,25 @@
 //!   on hot paths may additionally cache the returned `Arc` handle to
 //!   skip even the registration lookup.
 //! * [`span()`] — lightweight wall-clock tracing: named scopes with
-//!   parent/child nesting per thread, emitted as one JSON line each to a
-//!   pluggable [`span::SpanSink`] (the `--trace-file` flag installs a
-//!   file sink). When no sink is installed a span is a single relaxed
-//!   atomic load.
+//!   parent/child nesting per thread, emitted as one JSON line each to
+//!   the installed [`LineSink`] (the `--trace-file` flag installs a
+//!   [`FileSink`]). When no sink is installed a span is a single
+//!   relaxed atomic load.
 //! * Prometheus text exposition ([`Registry::render_prometheus`]) and a
 //!   flat key/value rendering ([`Registry::render_fields`]) for the
 //!   `ffmrd` `stats` protocol verb.
 //! * [`events`] — the job-history flight recorder: one structured
-//!   [`events::TaskEvent`] per task attempt, kept in a bounded ring and
-//!   optionally streamed to a JSONL [`events::EventSink`], aggregated
-//!   per round into a [`RoundProfile`] (phase breakdown, partition
-//!   skew, stragglers, critical path, speculation ROI).
+//!   [`events::TaskEvent`] per task attempt, returned by the runtime in
+//!   `JobStats.task_events` while [`events::recorder()`] is enabled and
+//!   aggregated per round into a [`RoundProfile`] (phase breakdown,
+//!   partition skew, stragglers, critical path, speculation ROI).
+//! * [`query_profile`] — one [`QueryProfile`] per served query, with
+//!   the over-threshold ones kept in the [`SlowLog`] ring.
+//!
+//! There is one of each mechanism: every JSONL record (round profile,
+//! query profile, span) is written and read back by the private `json`
+//! module, every line leaves through a [`LineSink`] ([`FileSink`] on
+//! disk, [`VecSink`] in memory), and [`SlowLog`] is the only ring.
 //!
 //! # Example
 //!
@@ -57,7 +64,7 @@ pub mod query_profile;
 mod rotate;
 pub mod span;
 
-pub use events::{EventRecorder, EventRing, EventSink, JsonlSink, TaskEvent, TaskOutcome};
+pub use events::{EventRecorder, TaskEvent, TaskOutcome};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, MetricValue, Registry, HISTOGRAM_BUCKETS,
 };
@@ -65,7 +72,7 @@ pub use profile::{
     DispatchNote, DistBlame, DistPathStep, PathStep, RoundProfile, SkewReport, Straggler,
 };
 pub use query_profile::{QueryProfile, SlowLog, DEFAULT_SLOWLOG_CAPACITY, SLOWLOG_CAP_ENV};
-pub use span::{set_sink, set_trace_id, span, span_child_of, FileSink, Span, SpanSink, VecSink};
+pub use span::{set_sink, set_trace_id, span, span_child_of, FileSink, LineSink, Span, VecSink};
 
 use std::sync::OnceLock;
 

@@ -8,8 +8,8 @@
 //! persisted as JSONL (one line per round) in the FF driver's job
 //! history and rendered by `ffmr report`.
 
-use crate::events::{push_escaped, push_f64, TaskEvent, TaskOutcome};
-use crate::json::Value;
+use crate::events::{TaskEvent, TaskOutcome};
+use crate::json::{self, ObjectWriter, Value};
 
 /// Stragglers are attempts slower than `p75 × STRAGGLER_SLACK` of the
 /// winning attempts in their phase — the same shape as the runtime's
@@ -59,6 +59,67 @@ pub struct PathStep {
     pub sim_start: f64,
     /// Simulated end, seconds from round start.
     pub sim_end: f64,
+}
+
+impl SkewReport {
+    fn write_members(&self, w: &mut ObjectWriter) {
+        w.uint("partition", self.partition as u64);
+        w.uint("max_bytes", self.max_bytes);
+        w.float("mean_bytes", self.mean_bytes);
+        w.float("ratio", self.ratio);
+    }
+
+    fn from_value(v: &Value) -> Result<SkewReport, String> {
+        let f = v.fields("skew");
+        Ok(SkewReport {
+            partition: f.req_int("partition")?,
+            max_bytes: f.req_int("max_bytes")?,
+            mean_bytes: f.opt_f64("mean_bytes").unwrap_or(0.0),
+            ratio: f.opt_f64("ratio").unwrap_or(1.0),
+        })
+    }
+}
+
+impl Straggler {
+    fn write_members(&self, w: &mut ObjectWriter) {
+        w.str("phase", &self.phase);
+        w.uint("task", self.task as u64);
+        w.uint("attempt", u64::from(self.attempt));
+        w.float("seconds", self.seconds);
+        w.float("threshold_seconds", self.threshold_seconds);
+    }
+
+    fn from_value(v: &Value) -> Result<Straggler, String> {
+        let f = v.fields("straggler");
+        Ok(Straggler {
+            phase: f.req_str("phase")?,
+            task: f.req_int("task")?,
+            attempt: f.opt_int("attempt").unwrap_or(0),
+            seconds: f.opt_f64("seconds").unwrap_or(0.0),
+            threshold_seconds: f.opt_f64("threshold_seconds").unwrap_or(0.0),
+        })
+    }
+}
+
+impl PathStep {
+    fn write_members(&self, w: &mut ObjectWriter) {
+        w.str("phase", &self.phase);
+        w.uint("task", self.task as u64);
+        w.uint("attempt", u64::from(self.attempt));
+        w.float("sim_start", self.sim_start);
+        w.float("sim_end", self.sim_end);
+    }
+
+    fn from_value(v: &Value) -> Result<PathStep, String> {
+        let f = v.fields("path step");
+        Ok(PathStep {
+            phase: f.req_str("phase")?,
+            task: f.req_int("task")?,
+            attempt: f.opt_int("attempt").unwrap_or(0),
+            sim_start: f.opt_f64("sim_start").unwrap_or(0.0),
+            sim_end: f.opt_f64("sim_end").unwrap_or(0.0),
+        })
+    }
 }
 
 /// What one completed remote dispatch cost, as observed by the
@@ -130,66 +191,41 @@ impl DispatchNote {
     /// Encodes the note as one single-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(192);
-        out.push_str("{\"phase\":\"");
-        push_escaped(&mut out, &self.phase);
-        out.push_str("\",\"task\":");
-        out.push_str(&self.task.to_string());
-        out.push_str(",\"worker\":");
-        out.push_str(&self.worker.to_string());
-        out.push_str(",\"ok\":");
-        out.push_str(if self.ok { "true" } else { "false" });
-        for (key, value) in [
-            ("queued_us", self.queued_us),
-            ("done_us", self.done_us),
-            ("started_us", self.started_us),
-            ("finished_us", self.finished_us),
-            ("fetch_us", self.fetch_us),
-            ("push_us", self.push_us),
-            ("ser_us", self.ser_us),
-            ("bytes_in", self.bytes_in),
-            ("bytes_out", self.bytes_out),
-        ] {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-            out.push_str(&value.to_string());
-        }
-        out.push('}');
-        out
+        json::object(192, |w| self.write_members(w))
     }
 
-    /// Decodes a note from a parsed JSON object.
-    ///
-    /// # Errors
-    /// Names the first missing or ill-typed field.
-    pub fn from_value(v: &Value) -> Result<DispatchNote, String> {
-        let int = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("dispatch note missing integer field '{k}'"))
-        };
+    fn write_members(&self, w: &mut ObjectWriter) {
+        w.str("phase", &self.phase);
+        w.uint("task", self.task as u64);
+        w.uint("worker", self.worker);
+        w.flag("ok", self.ok);
+        w.uint("queued_us", self.queued_us);
+        w.uint("done_us", self.done_us);
+        w.uint("started_us", self.started_us);
+        w.uint("finished_us", self.finished_us);
+        w.uint("fetch_us", self.fetch_us);
+        w.uint("push_us", self.push_us);
+        w.uint("ser_us", self.ser_us);
+        w.uint("bytes_in", self.bytes_in);
+        w.uint("bytes_out", self.bytes_out);
+    }
+
+    fn from_value(v: &Value) -> Result<DispatchNote, String> {
+        let f = v.fields("dispatch note");
         Ok(DispatchNote {
-            phase: v
-                .get("phase")
-                .and_then(Value::as_str)
-                .ok_or("dispatch note missing 'phase'")?
-                .to_owned(),
-            task: v
-                .get("task")
-                .and_then(Value::as_usize)
-                .ok_or("dispatch note missing 'task'")?,
-            worker: int("worker")?,
-            ok: matches!(v.get("ok"), Some(Value::Bool(true))),
-            queued_us: int("queued_us")?,
-            done_us: int("done_us")?,
-            started_us: int("started_us")?,
-            finished_us: int("finished_us")?,
-            fetch_us: int("fetch_us").unwrap_or(0),
-            push_us: int("push_us").unwrap_or(0),
-            ser_us: int("ser_us").unwrap_or(0),
-            bytes_in: int("bytes_in").unwrap_or(0),
-            bytes_out: int("bytes_out").unwrap_or(0),
+            phase: f.req_str("phase")?,
+            task: f.req_int("task")?,
+            worker: f.req_int("worker")?,
+            ok: f.flag("ok"),
+            queued_us: f.req_int("queued_us")?,
+            done_us: f.req_int("done_us")?,
+            started_us: f.req_int("started_us")?,
+            finished_us: f.req_int("finished_us")?,
+            fetch_us: f.opt_int("fetch_us").unwrap_or(0),
+            push_us: f.opt_int("push_us").unwrap_or(0),
+            ser_us: f.opt_int("ser_us").unwrap_or(0),
+            bytes_in: f.opt_int("bytes_in").unwrap_or(0),
+            bytes_out: f.opt_int("bytes_out").unwrap_or(0),
         })
     }
 }
@@ -218,6 +254,23 @@ impl DistBlame {
             + self.dispatch_wait_seconds
             + self.compute_seconds
     }
+
+    fn write_members(&self, w: &mut ObjectWriter) {
+        w.float("serialization_seconds", self.serialization_seconds);
+        w.float("transfer_seconds", self.transfer_seconds);
+        w.float("dispatch_wait_seconds", self.dispatch_wait_seconds);
+        w.float("compute_seconds", self.compute_seconds);
+    }
+
+    fn from_value(v: &Value) -> Result<DistBlame, String> {
+        let f = v.fields("dist blame");
+        Ok(DistBlame {
+            serialization_seconds: f.opt_f64("serialization_seconds").unwrap_or(0.0),
+            transfer_seconds: f.opt_f64("transfer_seconds").unwrap_or(0.0),
+            dispatch_wait_seconds: f.opt_f64("dispatch_wait_seconds").unwrap_or(0.0),
+            compute_seconds: f.opt_f64("compute_seconds").unwrap_or(0.0),
+        })
+    }
 }
 
 /// One wall-clock segment of a critical-path dispatch: how the step's
@@ -235,6 +288,27 @@ pub struct DistPathStep {
     pub start_us: u64,
     /// Segment end, microseconds on the job clock.
     pub end_us: u64,
+}
+
+impl DistPathStep {
+    fn write_members(&self, w: &mut ObjectWriter) {
+        w.str("phase", &self.phase);
+        w.uint("task", self.task as u64);
+        w.uint("worker", self.worker);
+        w.uint("start_us", self.start_us);
+        w.uint("end_us", self.end_us);
+    }
+
+    fn from_value(v: &Value) -> Result<DistPathStep, String> {
+        let f = v.fields("dist path step");
+        Ok(DistPathStep {
+            phase: f.req_str("phase")?,
+            task: f.req_int("task")?,
+            worker: f.req_int("worker")?,
+            start_us: f.req_int("start_us")?,
+            end_us: f.req_int("end_us")?,
+        })
+    }
 }
 
 /// The aggregated profile of one FF round (one MapReduce job).
@@ -537,122 +611,44 @@ impl RoundProfile {
     /// Encodes the profile as one single-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.events.len() * 256);
-        out.push_str("{\"round\":");
-        out.push_str(&self.round.to_string());
-        out.push_str(",\"job\":\"");
-        push_escaped(&mut out, &self.job);
-        out.push_str("\",\"sim_seconds\":");
-        push_f64(&mut out, self.sim_seconds);
-        out.push_str(",\"wall_seconds\":");
-        push_f64(&mut out, self.wall_seconds);
-        out.push_str(",\"map_seconds\":");
-        push_f64(&mut out, self.map_seconds);
-        out.push_str(",\"shuffle_seconds\":");
-        push_f64(&mut out, self.shuffle_seconds);
-        out.push_str(",\"reduce_seconds\":");
-        push_f64(&mut out, self.reduce_seconds);
-        if let Some(skew) = &self.skew {
-            out.push_str(",\"skew\":{\"partition\":");
-            out.push_str(&skew.partition.to_string());
-            out.push_str(",\"max_bytes\":");
-            out.push_str(&skew.max_bytes.to_string());
-            out.push_str(",\"mean_bytes\":");
-            push_f64(&mut out, skew.mean_bytes);
-            out.push_str(",\"ratio\":");
-            push_f64(&mut out, skew.ratio);
-            out.push('}');
-        }
-        out.push_str(",\"stragglers\":[");
-        for (i, s) in self.stragglers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(512 + self.events.len() * 256, |w| {
+            w.uint("round", self.round as u64);
+            w.str("job", &self.job);
+            w.float("sim_seconds", self.sim_seconds);
+            w.float("wall_seconds", self.wall_seconds);
+            w.float("map_seconds", self.map_seconds);
+            w.float("shuffle_seconds", self.shuffle_seconds);
+            w.float("reduce_seconds", self.reduce_seconds);
+            if let Some(skew) = &self.skew {
+                w.object("skew", |w| skew.write_members(w));
             }
-            out.push_str("{\"phase\":\"");
-            push_escaped(&mut out, &s.phase);
-            out.push_str("\",\"task\":");
-            out.push_str(&s.task.to_string());
-            out.push_str(",\"attempt\":");
-            out.push_str(&s.attempt.to_string());
-            out.push_str(",\"seconds\":");
-            push_f64(&mut out, s.seconds);
-            out.push_str(",\"threshold_seconds\":");
-            push_f64(&mut out, s.threshold_seconds);
-            out.push('}');
-        }
-        out.push_str("],\"critical_path\":[");
-        for (i, step) in self.critical_path.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            w.array("stragglers", &self.stragglers, Straggler::write_members);
+            w.array(
+                "critical_path",
+                &self.critical_path,
+                PathStep::write_members,
+            );
+            w.uint("speculative_launched", self.speculative_launched);
+            w.uint("speculative_won", self.speculative_won);
+            w.float("speculation_saved_seconds", self.speculation_saved_seconds);
+            // The three distributed members are written only when a
+            // `--workers` run recorded dispatches; in-process history
+            // lines carry none of them.
+            if !self.dispatches.is_empty() {
+                w.array("dispatches", &self.dispatches, DispatchNote::write_members);
             }
-            out.push_str("{\"phase\":\"");
-            push_escaped(&mut out, &step.phase);
-            out.push_str("\",\"task\":");
-            out.push_str(&step.task.to_string());
-            out.push_str(",\"attempt\":");
-            out.push_str(&step.attempt.to_string());
-            out.push_str(",\"sim_start\":");
-            push_f64(&mut out, step.sim_start);
-            out.push_str(",\"sim_end\":");
-            push_f64(&mut out, step.sim_end);
-            out.push('}');
-        }
-        out.push_str("],\"speculative_launched\":");
-        out.push_str(&self.speculative_launched.to_string());
-        out.push_str(",\"speculative_won\":");
-        out.push_str(&self.speculative_won.to_string());
-        out.push_str(",\"speculation_saved_seconds\":");
-        push_f64(&mut out, self.speculation_saved_seconds);
-        if !self.dispatches.is_empty() {
-            out.push_str(",\"dispatches\":[");
-            for (i, note) in self.dispatches.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&note.to_json());
+            if let Some(blame) = &self.dist_blame {
+                w.object("dist_blame", |w| blame.write_members(w));
             }
-            out.push(']');
-        }
-        if let Some(blame) = &self.dist_blame {
-            out.push_str(",\"dist_blame\":{\"serialization_seconds\":");
-            push_f64(&mut out, blame.serialization_seconds);
-            out.push_str(",\"transfer_seconds\":");
-            push_f64(&mut out, blame.transfer_seconds);
-            out.push_str(",\"dispatch_wait_seconds\":");
-            push_f64(&mut out, blame.dispatch_wait_seconds);
-            out.push_str(",\"compute_seconds\":");
-            push_f64(&mut out, blame.compute_seconds);
-            out.push('}');
-        }
-        if !self.critical_path_dist.is_empty() {
-            out.push_str(",\"critical_path_dist\":[");
-            for (i, seg) in self.critical_path_dist.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"phase\":\"");
-                push_escaped(&mut out, &seg.phase);
-                out.push_str("\",\"task\":");
-                out.push_str(&seg.task.to_string());
-                out.push_str(",\"worker\":");
-                out.push_str(&seg.worker.to_string());
-                out.push_str(",\"start_us\":");
-                out.push_str(&seg.start_us.to_string());
-                out.push_str(",\"end_us\":");
-                out.push_str(&seg.end_us.to_string());
-                out.push('}');
+            if !self.critical_path_dist.is_empty() {
+                w.array(
+                    "critical_path_dist",
+                    &self.critical_path_dist,
+                    DistPathStep::write_members,
+                );
             }
-            out.push(']');
-        }
-        out.push_str(",\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push_str("]}");
-        out
+            w.array("events", &self.events, TaskEvent::write_members);
+        })
     }
 
     /// Decodes a profile from one JSON line.
@@ -661,157 +657,26 @@ impl RoundProfile {
     /// Names the first missing or ill-typed field.
     pub fn from_json(line: &str) -> Result<RoundProfile, String> {
         let v = Value::parse(line)?;
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("profile missing numeric field '{k}'"))
-        };
-        let mut profile = RoundProfile {
-            round: v
-                .get("round")
-                .and_then(Value::as_usize)
-                .ok_or("profile missing 'round'")?,
-            job: v
-                .get("job")
-                .and_then(Value::as_str)
-                .ok_or("profile missing 'job'")?
-                .to_owned(),
-            sim_seconds: num("sim_seconds")?,
-            wall_seconds: num("wall_seconds")?,
-            map_seconds: num("map_seconds")?,
-            shuffle_seconds: num("shuffle_seconds")?,
-            reduce_seconds: num("reduce_seconds")?,
-            speculative_launched: v
-                .get("speculative_launched")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            speculative_won: v
-                .get("speculative_won")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            speculation_saved_seconds: v
-                .get("speculation_saved_seconds")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            ..RoundProfile::default()
-        };
-        if let Some(skew) = v.get("skew") {
-            profile.skew = Some(SkewReport {
-                partition: skew
-                    .get("partition")
-                    .and_then(Value::as_usize)
-                    .ok_or("skew missing 'partition'")?,
-                max_bytes: skew
-                    .get("max_bytes")
-                    .and_then(Value::as_u64)
-                    .ok_or("skew missing 'max_bytes'")?,
-                mean_bytes: skew
-                    .get("mean_bytes")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0),
-                ratio: skew.get("ratio").and_then(Value::as_f64).unwrap_or(1.0),
-            });
-        }
-        for s in v
-            .get("stragglers")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            profile.stragglers.push(Straggler {
-                phase: s
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or("straggler missing 'phase'")?
-                    .to_owned(),
-                task: s
-                    .get("task")
-                    .and_then(Value::as_usize)
-                    .ok_or("straggler missing 'task'")?,
-                attempt: s
-                    .get("attempt")
-                    .and_then(Value::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .unwrap_or(0),
-                seconds: s.get("seconds").and_then(Value::as_f64).unwrap_or(0.0),
-                threshold_seconds: s
-                    .get("threshold_seconds")
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0),
-            });
-        }
-        for step in v
-            .get("critical_path")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            profile.critical_path.push(PathStep {
-                phase: step
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or("path step missing 'phase'")?
-                    .to_owned(),
-                task: step
-                    .get("task")
-                    .and_then(Value::as_usize)
-                    .ok_or("path step missing 'task'")?,
-                attempt: step
-                    .get("attempt")
-                    .and_then(Value::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .unwrap_or(0),
-                sim_start: step.get("sim_start").and_then(Value::as_f64).unwrap_or(0.0),
-                sim_end: step.get("sim_end").and_then(Value::as_f64).unwrap_or(0.0),
-            });
-        }
-        for note in v
-            .get("dispatches")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            profile.dispatches.push(DispatchNote::from_value(note)?);
-        }
-        if let Some(blame) = v.get("dist_blame") {
-            let field = |k: &str| blame.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-            profile.dist_blame = Some(DistBlame {
-                serialization_seconds: field("serialization_seconds"),
-                transfer_seconds: field("transfer_seconds"),
-                dispatch_wait_seconds: field("dispatch_wait_seconds"),
-                compute_seconds: field("compute_seconds"),
-            });
-        }
-        for seg in v
-            .get("critical_path_dist")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            let int = |k: &str| {
-                seg.get(k)
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("dist path step missing '{k}'"))
-            };
-            profile.critical_path_dist.push(DistPathStep {
-                phase: seg
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or("dist path step missing 'phase'")?
-                    .to_owned(),
-                task: seg
-                    .get("task")
-                    .and_then(Value::as_usize)
-                    .ok_or("dist path step missing 'task'")?,
-                worker: int("worker")?,
-                start_us: int("start_us")?,
-                end_us: int("end_us")?,
-            });
-        }
-        for e in v
-            .get("events")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            profile.events.push(TaskEvent::from_value(e)?);
-        }
-        Ok(profile)
+        let f = v.fields("profile");
+        Ok(RoundProfile {
+            round: f.req_int("round")?,
+            job: f.req_str("job")?,
+            sim_seconds: f.req_f64("sim_seconds")?,
+            wall_seconds: f.req_f64("wall_seconds")?,
+            map_seconds: f.req_f64("map_seconds")?,
+            shuffle_seconds: f.req_f64("shuffle_seconds")?,
+            reduce_seconds: f.req_f64("reduce_seconds")?,
+            skew: f.opt_object("skew", SkewReport::from_value)?,
+            stragglers: f.array("stragglers", Straggler::from_value)?,
+            critical_path: f.array("critical_path", PathStep::from_value)?,
+            speculative_launched: f.opt_int("speculative_launched").unwrap_or(0),
+            speculative_won: f.opt_int("speculative_won").unwrap_or(0),
+            speculation_saved_seconds: f.opt_f64("speculation_saved_seconds").unwrap_or(0.0),
+            dispatches: f.array("dispatches", DispatchNote::from_value)?,
+            dist_blame: f.opt_object("dist_blame", DistBlame::from_value)?,
+            critical_path_dist: f.array("critical_path_dist", DistPathStep::from_value)?,
+            events: f.array("events", TaskEvent::from_value)?,
+        })
     }
 }
 

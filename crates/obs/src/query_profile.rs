@@ -11,20 +11,19 @@
 //!   (`ffmr query --explain` renders it as a stage-timing tree);
 //! * every profile over the daemon's slow-query threshold lands in a
 //!   bounded [`SlowLog`] ring served by the `slowlog` verb, optionally
-//!   persisted as JSONL through the same [`EventSink`] machinery the
-//!   job recorder uses;
+//!   persisted as JSONL through the same [`LineSink`] that carries
+//!   spans;
 //! * stage durations feed the `ffmr_query_stage_us{stage}` histograms.
 //!
 //! The ring is bounded by [`DEFAULT_SLOWLOG_CAPACITY`], overridable via
-//! the [`SLOWLOG_CAP_ENV`] environment variable (the
-//! `FFMR_EVENT_RING_CAP` precedent); overwrites of unread entries bump
-//! the `ffmr_query_slowlog_dropped_total` counter.
+//! the [`SLOWLOG_CAP_ENV`] environment variable; overwrites of unread
+//! entries bump the `ffmr_query_slowlog_dropped_total` counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::events::{push_escaped, EventSink};
-use crate::json::Value;
+use crate::json::{self, Value};
+use crate::span::LineSink;
 
 /// Default number of profiles the slow-query ring retains.
 pub const DEFAULT_SLOWLOG_CAPACITY: usize = 256;
@@ -41,23 +40,6 @@ pub fn slowlog_capacity_from_env() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&c| c > 0)
         .unwrap_or(DEFAULT_SLOWLOG_CAPACITY)
-}
-
-/// Appends `v` in decimal without the intermediate `String` that
-/// `u64::to_string` allocates — [`QueryProfile::to_json`] writes ~10
-/// integers per call on the explain hot path.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Everything the serving tier learned about one query: the route it
@@ -165,74 +147,45 @@ impl QueryProfile {
         // 384 covers a typical line (~300 bytes with the 13-digit
         // unix_ms and a few solver counters) without a mid-build
         // realloc — this runs on the explain/slowlog hot path.
-        let mut out = String::with_capacity(384);
-        out.push_str("{\"verb\":\"");
-        push_escaped(&mut out, &self.verb);
-        out.push_str("\",\"dataset\":\"");
-        push_escaped(&mut out, &self.dataset);
-        out.push_str("\",\"epoch\":");
-        push_u64(&mut out, self.epoch);
-        out.push_str(",\"plan\":\"");
-        push_escaped(&mut out, &self.plan);
-        out.push_str("\",\"plan_reason\":\"");
-        push_escaped(&mut out, &self.plan_reason);
-        out.push_str("\",\"solver\":\"");
-        push_escaped(&mut out, &self.solver);
-        out.push_str("\",\"cache\":\"");
-        push_escaped(&mut out, &self.cache);
-        out.push_str("\",\"coalesced\":");
-        out.push_str(if self.coalesced { "true" } else { "false" });
-        out.push_str(",\"resumed\":");
-        out.push_str(if self.resumed { "true" } else { "false" });
-        out.push_str(",\"outcome\":\"");
-        push_escaped(&mut out, &self.outcome);
-        out.push('"');
-        if let Some(error) = &self.error {
-            out.push_str(",\"error\":\"");
-            push_escaped(&mut out, error);
-            out.push('"');
-        }
-        for (key, v) in [
-            ("unix_ms", self.unix_ms),
-            ("queue_wait_us", self.queue_wait_us),
-            ("resolve_us", self.resolve_us),
-            ("plan_us", self.plan_us),
-            ("solve_us", self.solve_us),
-            ("cache_update_us", self.cache_update_us),
-            ("total_us", self.total_us),
-            ("deadline_ms", self.deadline_ms),
-        ] {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-            push_u64(&mut out, v);
-        }
-        for (key, v) in self.solver_counters() {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-            push_u64(&mut out, v);
-        }
-        out.push('}');
-        out
+        json::object(384, |w| {
+            w.str("verb", &self.verb);
+            w.str("dataset", &self.dataset);
+            w.uint("epoch", self.epoch);
+            w.str("plan", &self.plan);
+            w.str("plan_reason", &self.plan_reason);
+            w.str("solver", &self.solver);
+            w.str("cache", &self.cache);
+            w.flag("coalesced", self.coalesced);
+            w.flag("resumed", self.resumed);
+            w.str("outcome", &self.outcome);
+            if let Some(error) = &self.error {
+                w.str("error", error);
+            }
+            w.uint("unix_ms", self.unix_ms);
+            w.uint("queue_wait_us", self.queue_wait_us);
+            w.uint("resolve_us", self.resolve_us);
+            w.uint("plan_us", self.plan_us);
+            w.uint("solve_us", self.solve_us);
+            w.uint("cache_update_us", self.cache_update_us);
+            w.uint("total_us", self.total_us);
+            w.uint("deadline_ms", self.deadline_ms);
+            for (key, count) in self.solver_counters() {
+                w.uint(key, count);
+            }
+        })
     }
 
     /// Decodes a profile from one JSON line produced by [`to_json`].
     ///
     /// # Errors
-    /// Propagates parse errors; missing numeric fields default to 0.
+    /// Propagates parse errors; missing fields read as empty or 0.
     ///
     /// [`to_json`]: QueryProfile::to_json
     pub fn from_json(line: &str) -> Result<QueryProfile, String> {
         let v = Value::parse(line)?;
-        let text = |key: &str| -> String {
-            v.get(key)
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string()
-        };
-        let int = |key: &str| -> u64 { v.get(key).and_then(Value::as_u64).unwrap_or(0) };
-        let flag = |key: &str| -> bool { matches!(v.get(key), Some(Value::Bool(true))) };
+        let f = v.fields("query profile");
+        let text = |key: &str| f.opt_str(key).unwrap_or_default();
+        let int = |key: &str| f.opt_int(key).unwrap_or(0);
         Ok(QueryProfile {
             verb: text("verb"),
             dataset: text("dataset"),
@@ -241,13 +194,10 @@ impl QueryProfile {
             plan_reason: text("plan_reason"),
             solver: text("solver"),
             cache: text("cache"),
-            coalesced: flag("coalesced"),
-            resumed: flag("resumed"),
+            coalesced: f.flag("coalesced"),
+            resumed: f.flag("resumed"),
             outcome: text("outcome"),
-            error: v
-                .get("error")
-                .and_then(Value::as_str)
-                .map(ToString::to_string),
+            error: f.opt_str("error"),
             unix_ms: int("unix_ms"),
             queue_wait_us: int("queue_wait_us"),
             resolve_us: int("resolve_us"),
@@ -269,14 +219,15 @@ impl QueryProfile {
 /// The always-on bounded slow-query ring: profiles whose total wall
 /// time crossed the daemon's threshold, oldest overwritten first.
 ///
-/// Same design as [`crate::EventRing`]: lock-free sequencing via an
-/// atomic head, per-slot `RwLock`s so a racing snapshot never blocks
-/// recording, and an optional [`EventSink`] that receives each entry
-/// as one JSON line for persistence.
+/// The crate's only ring. Writers claim a monotonically increasing
+/// sequence number with one atomic add, then store the profile in
+/// `slots[seq % capacity]`; the slot lock covers only the single clone
+/// in or out, so a racing snapshot never blocks recording. An optional
+/// [`LineSink`] receives each entry as one JSON line for persistence.
 pub struct SlowLog {
     slots: Vec<RwLock<Option<QueryProfile>>>,
     head: AtomicU64,
-    sink: RwLock<Option<Arc<dyn EventSink>>>,
+    sink: RwLock<Option<Arc<dyn LineSink>>>,
 }
 
 impl SlowLog {
@@ -307,10 +258,8 @@ impl SlowLog {
     }
 
     /// Installs (or clears) the JSONL persistence sink.
-    pub fn set_sink(&self, sink: Option<Arc<dyn EventSink>>) {
-        if let Ok(mut slot) = self.sink.write() {
-            *slot = sink;
-        }
+    pub fn set_sink(&self, sink: Option<Arc<dyn LineSink>>) {
+        *self.sink.write().unwrap_or_else(PoisonError::into_inner) = sink;
     }
 
     /// Records one over-threshold profile: streams it to the sink (if
@@ -318,10 +267,13 @@ impl SlowLog {
     /// `ffmr_query_slowlog_dropped_total` counter when the append
     /// overwrites an older entry. Returns the sequence number.
     pub fn record(&self, profile: QueryProfile) -> u64 {
-        if let Ok(sink) = self.sink.read() {
-            if let Some(sink) = sink.as_ref() {
-                sink.emit(&profile.to_json());
-            }
+        let sink = self
+            .sink
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        if let Some(sink) = sink {
+            sink.emit(&profile.to_json());
         }
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let idx = usize::try_from(seq % self.slots.len() as u64).unwrap_or(0);
@@ -398,7 +350,7 @@ impl Default for SlowLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::VecEventSink;
+    use crate::span::VecSink;
 
     fn sample(total_us: u64) -> QueryProfile {
         QueryProfile {
@@ -489,9 +441,20 @@ mod tests {
     }
 
     #[test]
+    fn ring_under_capacity_keeps_everything() {
+        let log = SlowLog::new(16);
+        assert!(log.is_empty());
+        for i in 0..5 {
+            log.record(sample(i));
+        }
+        assert_eq!(log.dropped(), 0);
+        assert_eq!(log.snapshot().len(), 5);
+    }
+
+    #[test]
     fn sink_receives_every_record_as_jsonl() {
         let log = SlowLog::new(8);
-        let sink = Arc::new(VecEventSink::new());
+        let sink = Arc::new(VecSink::new());
         log.set_sink(Some(sink.clone()));
         log.record(sample(400));
         log.record(sample(900));

@@ -1,6 +1,5 @@
-//! Size-capped line-oriented file writing shared by the span
-//! [`FileSink`](crate::span::FileSink) and the flight recorder's
-//! [`JsonlSink`](crate::events::JsonlSink).
+//! Size-capped line-oriented file writing behind
+//! [`FileSink`](crate::span::FileSink).
 //!
 //! When an append would push the file past its cap, the current file is
 //! renamed to `<path>.1` (replacing any previous rotation) and a fresh

@@ -1,7 +1,7 @@
 //! Span tracing: named wall-clock scopes emitted as JSON lines.
 //!
 //! A [`Span`] measures one scope (an FF round, one MapReduce phase, one
-//! query) and, when a [`SpanSink`] is installed, emits a single JSON
+//! query) and, when a [`LineSink`] is installed, emits a single JSON
 //! object on drop:
 //!
 //! ```json
@@ -43,13 +43,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-/// Receives one completed span as a JSON line (no trailing newline).
-pub trait SpanSink: Send + Sync {
-    /// Consumes one JSON-encoded span.
+use crate::json;
+
+/// Receives JSONL records one line at a time (no trailing newline).
+/// The crate's only sink trait: spans (`--trace-file`, worker span
+/// shipping) and slow-query profiles (`--slowlog-file`) both go
+/// through it.
+pub trait LineSink: Send + Sync {
+    /// Consumes one single-line JSON object.
     fn emit(&self, json_line: &str);
 }
 
-/// A sink appending JSON lines to a file, flushed per span so a killed
+/// A sink appending JSON lines to a file, flushed per line so a killed
 /// daemon loses at most the spans still open.
 ///
 /// With [`FileSink::with_max_bytes`] the file is size-capped: when an
@@ -84,8 +89,10 @@ impl FileSink {
     }
 }
 
-impl SpanSink for FileSink {
+impl LineSink for FileSink {
     fn emit(&self, json_line: &str) {
+        // A poisoned lock only means another emitter panicked between
+        // two whole lines; the writer itself is still consistent.
         let mut state = self
             .state
             .lock()
@@ -94,7 +101,8 @@ impl SpanSink for FileSink {
     }
 }
 
-/// A sink collecting spans in memory (tests, programmatic inspection).
+/// A sink collecting lines in memory: tests, and a standalone worker
+/// buffering its spans until the next `task-done` ships them.
 #[derive(Debug, Default)]
 pub struct VecSink {
     lines: Mutex<Vec<String>>,
@@ -115,9 +123,20 @@ impl VecSink {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone()
     }
+
+    /// Removes and returns the lines captured so far.
+    #[must_use]
+    pub fn take(&self) -> Vec<String> {
+        std::mem::take(
+            &mut self
+                .lines
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
+    }
 }
 
-impl SpanSink for VecSink {
+impl LineSink for VecSink {
     fn emit(&self, json_line: &str) {
         self.lines
             .lock()
@@ -130,8 +149,8 @@ static TRACING: AtomicBool = AtomicBool::new(false);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static TRACE_ID: AtomicU64 = AtomicU64::new(0);
 
-fn sink_slot() -> &'static RwLock<Option<Arc<dyn SpanSink>>> {
-    static SINK: OnceLock<RwLock<Option<Arc<dyn SpanSink>>>> = OnceLock::new();
+fn sink_slot() -> &'static RwLock<Option<Arc<dyn LineSink>>> {
+    static SINK: OnceLock<RwLock<Option<Arc<dyn LineSink>>>> = OnceLock::new();
     SINK.get_or_init(|| RwLock::new(None))
 }
 
@@ -187,7 +206,7 @@ thread_local! {
 }
 
 /// Installs (or with `None` removes) the process-wide span sink.
-pub fn set_sink(sink: Option<Arc<dyn SpanSink>>) {
+pub fn set_sink(sink: Option<Arc<dyn LineSink>>) {
     TRACING.store(sink.is_some(), Ordering::Relaxed);
     *sink_slot()
         .write()
@@ -288,49 +307,23 @@ impl Drop for Span {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone();
         let Some(sink) = sink else { return };
-        let mut line = String::with_capacity(128);
-        line.push_str("{\"name\":\"");
-        push_escaped(&mut line, &inner.name);
-        line.push_str(&format!("\",\"id\":{}", inner.id));
-        if let Some(parent) = inner.parent {
-            line.push_str(&format!(",\"parent\":{parent}"));
-        }
-        if inner.trace != 0 {
-            line.push_str(&format!(",\"trace\":{}", inner.trace));
-        }
-        line.push_str(",\"thread\":\"");
-        push_escaped(
-            &mut line,
-            std::thread::current().name().unwrap_or("unnamed"),
-        );
-        line.push_str(&format!(
-            "\",\"start_us\":{},\"dur_us\":{dur_us}",
-            inner.start_us
-        ));
-        for (k, v) in &inner.fields {
-            line.push_str(",\"");
-            push_escaped(&mut line, k);
-            line.push_str("\":\"");
-            push_escaped(&mut line, v);
-            line.push('"');
-        }
-        line.push('}');
+        let line = json::object(128, |w| {
+            w.str("name", &inner.name);
+            w.uint("id", inner.id);
+            if let Some(parent) = inner.parent {
+                w.uint("parent", parent);
+            }
+            if inner.trace != 0 {
+                w.uint("trace", inner.trace);
+            }
+            w.str("thread", std::thread::current().name().unwrap_or("unnamed"));
+            w.uint("start_us", inner.start_us);
+            w.uint("dur_us", dur_us);
+            for (key, value) in &inner.fields {
+                w.str(key, value);
+            }
+        });
         sink.emit(&line);
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -360,7 +353,7 @@ mod tests {
     fn nesting_and_fields_are_emitted() {
         let _g = sink_guard();
         let sink = Arc::new(VecSink::new());
-        set_sink(Some(Arc::clone(&sink) as Arc<dyn SpanSink>));
+        set_sink(Some(Arc::clone(&sink) as Arc<dyn LineSink>));
         {
             let mut outer = span("outer");
             outer.field("round", 3);
@@ -403,7 +396,7 @@ mod tests {
     fn escaping_keeps_lines_valid() {
         let _g = sink_guard();
         let sink = Arc::new(VecSink::new());
-        set_sink(Some(Arc::clone(&sink) as Arc<dyn SpanSink>));
+        set_sink(Some(Arc::clone(&sink) as Arc<dyn LineSink>));
         {
             let mut s = span("weird \"name\"\n");
             s.field("path", "a\\b\tc");
@@ -420,7 +413,7 @@ mod tests {
     fn concurrent_threads_preserve_nesting_and_do_not_tear_lines() {
         let _g = sink_guard();
         let sink = Arc::new(VecSink::new());
-        set_sink(Some(Arc::clone(&sink) as Arc<dyn SpanSink>));
+        set_sink(Some(Arc::clone(&sink) as Arc<dyn LineSink>));
         const THREADS: usize = 8;
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -478,7 +471,7 @@ mod tests {
     fn trace_id_and_explicit_parent_are_emitted() {
         let _g = sink_guard();
         let sink = Arc::new(VecSink::new());
-        set_sink(Some(Arc::clone(&sink) as Arc<dyn SpanSink>));
+        set_sink(Some(Arc::clone(&sink) as Arc<dyn LineSink>));
         set_trace_id(77);
         {
             let remote_parent = 1u64 << 40;
@@ -511,11 +504,15 @@ mod tests {
     fn emit_raw_forwards_to_the_sink() {
         let _g = sink_guard();
         let sink = Arc::new(VecSink::new());
-        set_sink(Some(Arc::clone(&sink) as Arc<dyn SpanSink>));
+        set_sink(Some(Arc::clone(&sink) as Arc<dyn LineSink>));
         emit_raw("{\"name\":\"shipped\"}");
         set_sink(None);
         emit_raw("{\"name\":\"dropped\"}");
         assert_eq!(sink.lines(), vec!["{\"name\":\"shipped\"}".to_string()]);
+        // `take` hands the lines over and leaves the sink empty (how a
+        // worker ships each batch exactly once).
+        assert_eq!(sink.take(), vec!["{\"name\":\"shipped\"}".to_string()]);
+        assert!(sink.lines().is_empty());
     }
 
     #[test]
@@ -547,7 +544,7 @@ mod tests {
     fn threads_get_independent_parent_stacks() {
         let _g = sink_guard();
         let sink = Arc::new(VecSink::new());
-        set_sink(Some(Arc::clone(&sink) as Arc<dyn SpanSink>));
+        set_sink(Some(Arc::clone(&sink) as Arc<dyn LineSink>));
         {
             let _outer = span("outer");
             std::thread::spawn(|| {

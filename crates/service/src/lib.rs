@@ -35,7 +35,8 @@ pub use cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
 pub use client::Client;
 pub use engine::{EngineConfig, QueryEngine};
 pub use protocol::{
-    error_response, read_frame, status, write_frame, Message, WireError, MAX_FRAME_BYTES,
+    error_response, read_frame, read_frame_polled, status, write_frame, Message, WireError,
+    MAX_FRAME_BYTES,
 };
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use store::{GraphStore, Snapshot, StoreError};

@@ -41,7 +41,7 @@
 //! `ffmr_obs::QueryProfile` as one JSON line (plan reason, per-stage
 //! wall windows, solver internals).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Hard cap on a single frame (1 MiB) — a malformed or hostile length
 /// prefix must not trigger an unbounded allocation.
@@ -87,24 +87,63 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
-/// boundary (the peer closed the connection).
+/// boundary (the peer closed the connection). A read timeout on the
+/// underlying stream fails the read.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, WireError> {
+    read_frame_polled(r, || true)
+}
+
+/// [`read_frame`] for a server loop that polls a stop condition through
+/// the stream's read timeout: each time a read times out `give_up` is
+/// asked, and the read carries on from the bytes it already holds
+/// unless it says so — a frame whose bytes straddle a timeout is still
+/// one frame. Giving up returns the timeout as [`WireError::Io`].
+pub fn read_frame_polled(
+    r: &mut impl Read,
+    mut give_up: impl FnMut() -> bool,
+) -> Result<Option<String>, WireError> {
     let mut len_buf = [0u8; 4];
     // A clean close before any length byte is a normal end of session.
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(WireError::Io(e)),
+    if !fill(r, &mut len_buf, &mut give_up)? {
+        return Ok(None);
     }
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME_BYTES {
         return Err(WireError::FrameTooLarge(len));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    if !fill(r, &mut payload, &mut give_up)? {
+        return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
+    }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| WireError::NotUtf8)
+}
+
+/// Fills `buf`, riding out read timeouts until `give_up` says
+/// otherwise. `Ok(false)` when the stream ended before the first byte;
+/// an end after it is `UnexpectedEof`.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    give_up: &mut impl FnMut() -> bool,
+) -> std::io::Result<bool> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if give_up() {
+                    return Err(e);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
 }
 
 /// A decoded message: a verb/status line plus ordered `key value` fields.

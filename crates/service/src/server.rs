@@ -36,7 +36,7 @@ use std::time::Duration;
 use ffmr_sync::Mutex;
 
 use crate::engine::QueryEngine;
-use crate::protocol::{busy_response, error_response, read_frame, write_frame, Message, WireError};
+use crate::protocol::{busy_response, error_response, read_frame_polled, write_frame, Message};
 
 /// How often blocked threads re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
@@ -218,19 +218,13 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        let payload = match read_frame(&mut reader) {
+        // A frame may arrive across several poll ticks; only shutdown
+        // abandons one half-read.
+        let stop = || shared.shutdown.load(Ordering::Relaxed);
+        let payload = match read_frame_polled(&mut reader, stop) {
             Ok(Some(payload)) => payload,
-            Ok(None) => return, // peer closed cleanly
-            Err(WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle poll tick. (A peer that stalls mid-frame longer
-                // than the timeout also lands here and is dropped —
-                // frames are tiny, so that only happens to a broken
-                // peer, and dropping beats serving desynced garbage.)
-                continue;
-            }
-            Err(_) => return,
+            // Peer closed, shutdown was requested, or the stream broke.
+            Ok(None) | Err(_) => return,
         };
         let response = match Message::decode(&payload) {
             Ok(request) => dispatch(&request, shared),
@@ -365,6 +359,29 @@ mod tests {
         let mut client = Client::connect(server.local_addr()).unwrap();
         let r = client.request(&Message::new("maxflow")).unwrap();
         assert_eq!(r.head, "error");
+        server.shutdown();
+    }
+
+    #[test]
+    fn split_frame_across_a_poll_tick_still_gets_its_reply() {
+        use std::io::Write;
+        let server = start(1, 2);
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Message::new("ping").encode()).unwrap();
+        // Two bytes of the length prefix, then silence for longer than
+        // the connection loop's read timeout, then the rest: a sleep
+        // that comes out too short only makes the test easier to pass.
+        stream.write_all(&frame[..2]).unwrap();
+        std::thread::sleep(3 * POLL_INTERVAL);
+        stream.write_all(&frame[2..]).unwrap();
+        let reply = crate::protocol::read_frame(&mut stream)
+            .expect("the half-read prefix must not be lost")
+            .expect("a reply, not EOF");
+        assert_eq!(Message::decode(&reply).unwrap().head, "ok");
         server.shutdown();
     }
 

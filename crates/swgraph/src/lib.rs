@@ -38,7 +38,6 @@ pub mod bfs;
 pub mod gen;
 pub mod ids;
 pub mod io;
-pub mod mst;
 pub mod network;
 pub mod props;
 pub mod super_st;

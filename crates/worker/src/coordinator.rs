@@ -22,7 +22,6 @@
 //! instead of hanging forever.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ffmr_obs::DispatchNote;
-use ffmr_service::{error_response, status, write_frame, Message, MAX_FRAME_BYTES};
+use ffmr_service::{error_response, read_frame_polled, status, write_frame, Message};
 use ffmr_sync::{Condvar, Mutex};
 use mapreduce::{
     MapTaskResult, MapTaskSpec, MrError, ReduceTaskResult, ReduceTaskSpec, TaskExecutor, WireSpec,
@@ -373,65 +372,20 @@ fn monitor_loop(shared: &Arc<Shared>) {
     }
 }
 
-enum Close {
-    Eof,
-    Shutdown,
-    Error,
-}
-
-/// Fills `buf` from `stream`, polling the shutdown flag on read
-/// timeouts. Once shutdown is requested the read keeps serving for
-/// [`SHUTDOWN_GRACE`] so in-flight workers can drain, then closes.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    grace: &mut Option<Instant>,
-) -> Result<(), Close> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(Close::Eof),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    let started = *grace.get_or_insert_with(Instant::now);
-                    if started.elapsed() > SHUTDOWN_GRACE {
-                        return Err(Close::Shutdown);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(Close::Error),
-        }
-    }
-    Ok(())
-}
-
 fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     let mut registered: Option<u64> = None;
+    // Once shutdown is requested the connection keeps serving for
+    // [`SHUTDOWN_GRACE`] so in-flight workers can drain, then closes.
     let mut grace: Option<Instant> = None;
-    loop {
-        let mut header = [0u8; 4];
-        if read_full(&mut stream, &mut header, shared, &mut grace).is_err() {
-            break;
-        }
-        let len = u32::from_be_bytes(header);
-        if len > MAX_FRAME_BYTES {
-            break; // protocol violation: drop the connection
-        }
-        let mut body = vec![0u8; len as usize];
-        if read_full(&mut stream, &mut body, shared, &mut grace).is_err() {
-            break;
-        }
-        let Ok(payload) = String::from_utf8(body) else {
-            break;
-        };
+    let mut give_up = || {
+        shared.shutdown.load(Ordering::SeqCst)
+            && grace.get_or_insert_with(Instant::now).elapsed() > SHUTDOWN_GRACE
+    };
+    // Anything but a whole frame — EOF, grace expired, a protocol
+    // violation — drops the connection.
+    while let Ok(Some(payload)) = read_frame_polled(&mut stream, &mut give_up) {
         let response = match Message::decode(&payload) {
             Ok(request) => handle_request(shared, &request, &mut registered),
             Err(e) => error_response(format!("bad request: {e}")),
@@ -980,5 +934,35 @@ impl TaskExecutor for RemoteExecutor {
         let mut st = self.shared.state.lock();
         st.note_index.clear();
         std::mem::take(&mut st.notes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use super::*;
+
+    #[test]
+    fn split_frame_across_a_poll_tick_still_gets_its_reply() {
+        let coordinator = Coordinator::start(CoordinatorConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(coordinator.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &Message::new(verb::WORKERS).encode()).unwrap();
+        // Same shape as the `ffmrd` test: the frame straddles at least
+        // one read-timeout tick of the connection loop.
+        stream.write_all(&frame[..2]).unwrap();
+        std::thread::sleep(3 * POLL);
+        stream.write_all(&frame[2..]).unwrap();
+        let reply = ffmr_service::read_frame(&mut stream)
+            .expect("the half-read prefix must not be lost")
+            .expect("a reply, not EOF");
+        assert_eq!(Message::decode(&reply).unwrap().head, status::OK);
+        // Closed first, or shutdown would sit out the drain grace.
+        drop(stream);
+        coordinator.shutdown();
     }
 }

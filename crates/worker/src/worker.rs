@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ffmr_service::{status, Client, Message};
@@ -55,34 +55,6 @@ impl WorkerConfig {
             heartbeat_interval: Duration::from_millis(300),
             telemetry: true,
         }
-    }
-}
-
-/// Span sink buffering lines for shipment to the coordinator. Installed
-/// lazily, only in a standalone worker process (never when the worker
-/// shares its process — and span sink — with the driver).
-#[derive(Debug, Default)]
-struct CaptureSink {
-    lines: Mutex<Vec<String>>,
-}
-
-impl CaptureSink {
-    fn drain(&self) -> Vec<String> {
-        std::mem::take(
-            &mut self
-                .lines
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
-    }
-}
-
-impl ffmr_obs::SpanSink for CaptureSink {
-    fn emit(&self, json_line: &str) {
-        self.lines
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(json_line.to_string());
     }
 }
 
@@ -297,7 +269,10 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
     };
 
     let mut cache: RunnerCache = HashMap::new();
-    let mut span_capture: Option<Arc<CaptureSink>> = None;
+    // Buffers this process's spans for shipment to the coordinator.
+    // Installed lazily, only in a standalone worker process (never when
+    // the worker shares its process — and span sink — with the driver).
+    let mut span_capture: Option<Arc<ffmr_obs::VecSink>> = None;
     let mut last_metrics_ship: Option<Instant> = None;
     let result = loop {
         if signals::requested() {
@@ -333,8 +308,8 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
         let trace = resp.get_parsed::<u64>("trace").ok().flatten();
         let parent_span = resp.get_parsed::<u64>("span").ok().flatten();
         if trace.is_some() && span_capture.is_none() && !ffmr_obs::span::tracing_enabled() {
-            let sink = Arc::new(CaptureSink::default());
-            ffmr_obs::set_sink(Some(Arc::clone(&sink) as Arc<dyn ffmr_obs::SpanSink>));
+            let sink = Arc::new(ffmr_obs::VecSink::new());
+            ffmr_obs::set_sink(Some(Arc::clone(&sink) as Arc<dyn ffmr_obs::LineSink>));
             span_capture = Some(sink);
         }
         if let Some(t) = trace {
@@ -420,7 +395,7 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
             done.push("metrics", b64::encode(snapshot.as_bytes()));
         }
         if let Some(capture) = &span_capture {
-            let lines = capture.drain();
+            let lines = capture.take();
             if !lines.is_empty() {
                 done.push("spans", b64::encode(lines.join("\n").as_bytes()));
             }
@@ -437,7 +412,7 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
         let snapshot = ffmr_obs::global().encode_snapshot_prefixed("ffmr_worker_");
         flush.push("metrics", b64::encode(snapshot.as_bytes()));
         if let Some(capture) = &span_capture {
-            let lines = capture.drain();
+            let lines = capture.take();
             if !lines.is_empty() {
                 flush.push("spans", b64::encode(lines.join("\n").as_bytes()));
             }

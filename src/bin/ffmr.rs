@@ -620,7 +620,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     };
     let engine = std::sync::Arc::new(QueryEngine::new(store, engine_config));
     if let Some(path) = opts.get("slowlog-file") {
-        let sink = ffmr::ffmr_obs::JsonlSink::create(std::path::Path::new(path))
+        let sink = ffmr::ffmr_obs::FileSink::create(path)
             .map_err(|e| format!("cannot create slowlog file {path}: {e}"))?;
         engine.slowlog().set_sink(Some(std::sync::Arc::new(sink)));
         println!(
