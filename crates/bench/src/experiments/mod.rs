@@ -17,16 +17,13 @@ use swgraph::super_st::SuperStNetwork;
 
 use crate::profiles::Scale;
 
-/// The scaled paper cluster on one worker thread — the documented
-/// bit-reproducibility setting: threaded `aug_proc` acceptance order
-/// otherwise moves shuffle bytes ~1 % from run to run.
+/// The scaled paper cluster on every host core (results are the same at
+/// any thread count).
 fn runtime(nodes: usize, scale: &Scale) -> MrRuntime {
-    let mut rt = MrRuntime::new(ClusterConfig::scaled_paper_cluster(
+    MrRuntime::new(ClusterConfig::scaled_paper_cluster(
         nodes,
         scale.sim_slowdown,
-    ));
-    rt.set_worker_threads(Some(1));
-    rt
+    ))
 }
 
 /// Runs one FFMR variant on a terminal-augmented network over a simulated

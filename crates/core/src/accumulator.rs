@@ -6,11 +6,9 @@
 //! granted flow per edge and accepts a path iff it still has positive
 //! residual after all prior grants.
 
-use std::collections::HashMap;
+use swgraph::{Capacity, EdgeId, IdMap};
 
-use swgraph::{Capacity, EdgeId};
-
-use crate::path::ExcessPath;
+use crate::path::{ExcessPath, PathEdge};
 
 /// Tracks tentative flow grants and accepts conflict-free paths greedily.
 ///
@@ -25,9 +23,9 @@ use crate::path::ExcessPath;
 /// assert_eq!(acc.try_accept(&path), Some(1));
 /// assert_eq!(acc.try_accept(&path), None, "the unit edge is now spoken for");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Accumulator {
-    granted: HashMap<EdgeId, Capacity>,
+    granted: IdMap<EdgeId, Capacity>,
     accepted: usize,
 }
 
@@ -42,11 +40,20 @@ impl Accumulator {
     /// (without accepting it).
     #[must_use]
     pub fn available(&self, path: &ExcessPath) -> Capacity {
-        path.edges()
-            .iter()
+        self.available_over(path.edges())
+    }
+
+    fn available_over(&self, hops: &[PathEdge]) -> Capacity {
+        hops.iter()
             .map(|hop| hop.residual() - self.granted.get(&hop.eid).copied().unwrap_or(0))
             .min()
             .unwrap_or(Capacity::MAX)
+    }
+
+    fn grant(&mut self, hops: &[PathEdge], delta: Capacity) {
+        for hop in hops {
+            *self.granted.entry(hop.eid).or_insert(0) += delta;
+        }
     }
 
     /// Accepts `path` if it is conflict-free, granting and returning its
@@ -61,12 +68,57 @@ impl Accumulator {
             return None;
         }
         if !path.edges().is_empty() && delta < Capacity::MAX {
-            for hop in path.edges() {
-                *self.granted.entry(hop.eid).or_insert(0) += delta;
-            }
+            self.grant(path.edges(), delta);
         }
         self.accepted += 1;
         Some(delta)
+    }
+
+    /// Offers every augmenting-path candidate `se|te` (source path × sink
+    /// path, source-major, empty concatenations skipped) in turn and calls
+    /// `accept(se, te)` for each one granted. Grants, the accepted count
+    /// and the order of `accept` calls equal those of calling
+    /// [`Accumulator::try_accept`] on each `ExcessPath::concat(se, te)`,
+    /// but no candidate is built: a pair is judged on its two halves, and
+    /// since grants only grow, a half found exhausted is never offered
+    /// again — a source path ends its row, a sink path is skipped for the
+    /// rest of the call.
+    pub fn accept_pairs(
+        &mut self,
+        sources: &[ExcessPath],
+        sinks: &[ExcessPath],
+        mut accept: impl FnMut(&ExcessPath, &ExcessPath),
+    ) {
+        if sources.is_empty() || sinks.is_empty() {
+            return;
+        }
+        let mut sink_exhausted = vec![false; sinks.len()];
+        for se in sources {
+            // Grants change only on acceptance, so this stays current
+            // until then.
+            let mut source_left = self.available_over(se.edges());
+            for (te, exhausted) in sinks.iter().zip(&mut sink_exhausted) {
+                if source_left <= 0 {
+                    break;
+                }
+                if *exhausted || (se.is_empty() && te.is_empty()) {
+                    continue;
+                }
+                let sink_left = self.available_over(te.edges());
+                if sink_left <= 0 {
+                    *exhausted = true;
+                    continue;
+                }
+                let delta = source_left.min(sink_left);
+                if delta < Capacity::MAX {
+                    self.grant(se.edges(), delta);
+                    self.grant(te.edges(), delta);
+                    source_left = self.available_over(se.edges());
+                }
+                self.accepted += 1;
+                accept(se, te);
+            }
+        }
     }
 
     /// Number of paths accepted so far.

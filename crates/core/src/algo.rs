@@ -9,7 +9,7 @@ use mapreduce::driver::{collect_garbage, round_path, side_path};
 use mapreduce::{JobBuilder, MrRuntime, Service};
 use swgraph::{Capacity, FlowNetwork, VertexId};
 
-use crate::aug_service::AugProc;
+use crate::aug_service::{AugProc, AUG_PROC};
 use crate::augmented::AugmentedEdges;
 use crate::checkpoint::{self, CheckpointManifest, ConfigTag};
 use crate::error::FfError;
@@ -384,7 +384,9 @@ pub struct RoundStats {
     pub a_paths: u64,
     /// Flow value gained this round.
     pub value_gained: Capacity,
-    /// Maximum `aug_proc` queue depth ("MaxQ").
+    /// Largest number of candidates one reduce task handed to `aug_proc`
+    /// this round ("MaxQ"; the paper's RMI queue depth, made
+    /// deterministic by task-order replay).
     pub max_queue: usize,
     /// Intermediate records emitted by mappers ("Map Out").
     pub map_out_records: u64,
@@ -478,7 +480,7 @@ pub fn run_max_flow_from_input(
     config: &FfConfig,
 ) -> Result<FfRun, FfError> {
     let shared = make_shared(config);
-    let aug = make_aug(config);
+    let aug = Arc::new(AugProc::default());
 
     let mut run_span = ffmr_obs::span("ff.run");
     run_span.field("source", config.source);
@@ -625,7 +627,7 @@ pub fn resume_max_flow(rt: &mut MrRuntime, config: &FfConfig) -> Result<FfRun, F
         return Ok(finish(config, &mut state, run_span));
     }
     let shared = make_shared(config);
-    let aug = make_aug(config);
+    let aug = Arc::new(AugProc::default());
     run_rounds(rt, config, &shared, &aug, &mut state, run_span)
 }
 
@@ -638,14 +640,6 @@ fn make_shared(config: &FfConfig) -> Arc<FfShared> {
         bidirectional: config.bidirectional,
         extend_all_paths: config.extend_all_paths,
     })
-}
-
-fn make_aug(config: &FfConfig) -> Arc<AugProc> {
-    if config.variant.stateful_aug {
-        AugProc::threaded()
-    } else {
-        AugProc::synchronous()
-    }
 }
 
 /// The state of Fig. 2's main loop between rounds — exactly what a
@@ -777,7 +771,7 @@ fn run_rounds(
             .output(&output)
             .reducers(config.reducers)
             .side_blob(&delta_blob_path)
-            .attach_service("aug_proc", Arc::clone(aug) as Arc<dyn Service>);
+            .attach_service(AUG_PROC, Arc::clone(aug) as Arc<dyn Service>);
         if config.variant.schimmy {
             builder = builder.schimmy_input(&input);
         }
@@ -795,9 +789,7 @@ fn run_rounds(
 
         if config.crash_point == Some(CrashPoint::MidRound(round)) {
             // The driver "dies" after the MR job but before recording
-            // acceptance: shut the consumer down cleanly and discard its
-            // results — nothing of round `round` reaches a checkpoint.
-            let _ = aug.close_round();
+            // acceptance: nothing of round `round` reaches a checkpoint.
             return Err(FfError::CrashInjected { round });
         }
 

@@ -1,26 +1,34 @@
 //! `aug_proc`: the stateful augmenting-path acceptor (paper Sec. IV-A).
 //!
-//! In FF2 onward, reducers submit augmenting-path candidates directly to
-//! this service instead of shuffling them to the sink's reducer. Submitted
-//! paths land in a queue that a consumer thread drains through the shared
-//! [`Accumulator`], so acceptance overlaps the reduce phase and "aug_proc
-//! finishes immediately after the last reducer". The maximum queue depth
-//! per round is recorded — the paper's `MaxQ` column (Table I).
+//! In FF2 onward, reducers submit augmenting-path candidates to this
+//! service instead of shuffling them to the sink's reducer; FF1 submits
+//! from the sink's (and source's) reducer, standing in for the paper's
+//! sequential accumulator at `t`. A submission is a task-context call
+//! ([`mapreduce::TaskContext::submit`]): the runtime applies each reduce
+//! task's batch at the barrier, in task-index order, as soon as every
+//! lower-indexed task has completed. Greedy first-come-first-served
+//! acceptance therefore runs over a sequence fixed by the input alone —
+//! the same at any thread count, in process or in remote workers — while
+//! still overlapping the reduce tasks that have not finished, which is
+//! how `aug_proc` "finishes immediately after the last reducer".
 //!
-//! FF1 uses the same object but in *synchronous* mode, standing in for the
-//! sequential accumulator run inside the sink's reducer.
+//! The paper's `MaxQ` column (Table I) was the depth of the RMI queue. A
+//! queue drained by a consumer thread made that depth a race; here it is
+//! the largest number of candidates one reduce task handed over in the
+//! round, which is deterministic.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::thread::JoinHandle;
 
-use ffmr_sync::{Condvar, Mutex};
+use ffmr_sync::Mutex;
 use mapreduce::{Datum, Service};
-use swgraph::{Capacity, EdgeId};
+use swgraph::{Capacity, EdgeId, IdMap};
 
 use crate::accumulator::Accumulator;
 use crate::augmented::AugmentedEdges;
 use crate::path::ExcessPath;
+
+/// The name the FF driver attaches [`AugProc`] under, and reducers submit to.
+pub(crate) const AUG_PROC: &str = "aug_proc";
 
 /// What one round of acceptance produced.
 #[derive(Debug, Clone, Default)]
@@ -31,145 +39,68 @@ pub struct RoundAcceptance {
     pub accepted_paths: u64,
     /// Number of candidates rejected by the accumulator.
     pub rejected_paths: u64,
-    /// Maximum queue depth observed ("MaxQ"); 0 in synchronous mode.
+    /// Largest number of candidates one task submitted this round
+    /// ("MaxQ").
     pub max_queue: usize,
     /// Total flow value gained this round.
     pub value_gained: Capacity,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Inner {
-    queue: VecDeque<ExcessPath>,
     accumulator: Accumulator,
     deltas: AugmentedEdges,
-    // Routes submitted this round, bucketed by route hash: retried
-    // reduce-task attempts (and speculative duplicates) re-submit the same
-    // candidates, and an at-most-once accept per route per round keeps
-    // acceptance idempotent under MR task retries (the classic
-    // external-side-effect caveat of calling out of REDUCE). The full
-    // edge-id sequence is kept and compared on hash collision — two
-    // *distinct* paths that happen to share a hash are both legitimate
-    // candidates, not duplicates.
-    submitted: HashMap<u64, Vec<Box<[EdgeId]>>>,
-    // Capture mode only: the encoded submissions, in call order, for the
-    // driver to replay via `Service::apply_remote`.
-    captured: Vec<Vec<u8>>,
+    // Routes submitted this round, bucketed by route hash: a path can be
+    // offered twice (FF1 meets the same route at two of its vertices),
+    // and an at-most-once accept per route per round keeps acceptance
+    // idempotent. The full edge-id sequence is kept and compared on hash
+    // collision — two *distinct* paths that happen to share a hash are
+    // both legitimate candidates, not duplicates.
+    submitted: IdMap<u64, Vec<Box<[EdgeId]>>>,
     accepted: u64,
     rejected: u64,
     max_queue: usize,
     value_gained: Capacity,
-    round_open: bool,
-    consumer: Option<JoinHandle<()>>,
 }
 
-/// The stateful augmenting-path acceptance service.
-pub struct AugProc {
-    inner: Mutex<Inner>,
-    work: Condvar,
-    threaded: bool,
-    capturing: bool,
-}
-
-impl std::fmt::Debug for AugProc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("AugProc")
-            .field("threaded", &self.threaded)
-            .field("accepted", &inner.accepted)
-            .field("queued", &inner.queue.len())
-            .finish()
-    }
-}
-
-impl AugProc {
-    /// A threaded acceptor (FF2+): submissions enqueue and return
-    /// immediately; a consumer thread drains the queue.
-    #[must_use]
-    pub fn threaded() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(Self {
-            inner: Mutex::new(Inner::default()),
-            work: Condvar::new(),
-            threaded: true,
-            capturing: false,
-        })
-    }
-
-    /// A synchronous acceptor (FF1): acceptance happens inline in the
-    /// caller (the sink's reducer).
-    #[must_use]
-    pub fn synchronous() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(Self {
-            inner: Mutex::new(Inner::default()),
-            work: Condvar::new(),
-            threaded: false,
-            capturing: false,
-        })
-    }
-
-    /// A capture-mode stand-in for remote worker processes: [`Self::submit`]
-    /// records the encoded path instead of accepting it, and the driver
-    /// replays the recording against its real acceptor through
-    /// [`Service::apply_remote`] — in task order, reproducing the call
-    /// sequence of a single-threaded in-process run.
-    #[must_use]
-    pub fn capturing() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(Self {
-            inner: Mutex::new(Inner::default()),
-            work: Condvar::new(),
-            threaded: false,
-            capturing: true,
-        })
-    }
-
-    /// Submits one augmenting-path candidate. Threaded mode enqueues and
-    /// returns "immediately to avoid delaying the reducer"; synchronous
-    /// mode accepts inline.
-    pub fn submit(&self, path: ExcessPath) {
-        let mut inner = self.inner.lock();
-        if self.capturing {
-            let mut buf = Vec::new();
-            Datum::encode(&path, &mut buf);
-            inner.captured.push(buf);
-            return;
+impl Inner {
+    fn submit(&mut self, path: &ExcessPath) {
+        let bucket = self.submitted.entry(path.route_hash()).or_default();
+        let route = path.edges().iter().map(|hop| hop.eid);
+        if bucket
+            .iter()
+            .any(|seen| seen.iter().copied().eq(route.clone()))
+        {
+            return; // duplicate submission
         }
-        let route: Box<[EdgeId]> = path.edges().iter().map(|hop| hop.eid).collect();
-        let bucket = inner.submitted.entry(path.route_hash()).or_default();
-        if bucket.iter().any(|seen| **seen == *route) {
-            return; // duplicate submission (e.g. a retried task attempt)
-        }
-        bucket.push(route);
-        if self.threaded && inner.round_open {
-            inner.queue.push_back(path);
-            let depth = inner.queue.len();
-            inner.max_queue = inner.max_queue.max(depth);
-            drop(inner);
-            self.work.notify_one();
-        } else {
-            Self::accept_now(&mut inner, &path);
-        }
-    }
-
-    fn accept_now(inner: &mut Inner, path: &ExcessPath) {
+        bucket.push(route.collect());
         if path.is_empty() {
             return;
         }
-        match inner.accumulator.try_accept(path) {
+        match self.accumulator.try_accept(path) {
             Some(delta) => {
                 for hop in path.edges() {
-                    inner.deltas.add(hop.eid, delta);
+                    self.deltas.add(hop.eid, delta);
                 }
-                inner.accepted += 1;
-                inner.value_gained += delta;
+                self.accepted += 1;
+                self.value_gained += delta;
             }
-            None => inner.rejected += 1,
+            None => self.rejected += 1,
         }
     }
+}
 
-    /// Starts a new round: resets state and (in threaded mode) spawns the
-    /// consumer. Called by the MR runtime via [`Service::begin_round`].
-    pub fn open_round(self: &std::sync::Arc<Self>, round: usize) {
+/// The stateful augmenting-path acceptance service.
+#[derive(Debug, Default)]
+pub struct AugProc {
+    inner: Mutex<Inner>,
+}
+
+impl AugProc {
+    /// Starts round `round`: forgets the previous round's grants,
+    /// submissions and counts.
+    pub fn open_round(&self, round: usize) {
         let mut inner = self.inner.lock();
-        inner.queue.clear();
         inner.submitted.clear();
         inner.accumulator.reset();
         inner.deltas = AugmentedEdges::new(round);
@@ -177,45 +108,11 @@ impl AugProc {
         inner.rejected = 0;
         inner.max_queue = 0;
         inner.value_gained = 0;
-        inner.round_open = true;
-        if self.threaded {
-            let me = std::sync::Arc::clone(self);
-            inner.consumer = Some(std::thread::spawn(move || me.consume()));
-        }
     }
 
-    fn consume(&self) {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(path) = inner.queue.pop_front() {
-                Self::accept_now(&mut inner, &path);
-                // Re-check the queue without sleeping.
-                continue;
-            }
-            if !inner.round_open {
-                return;
-            }
-            self.work.wait(&mut inner);
-        }
-    }
-
-    /// Closes the round, draining the queue, and returns its results.
+    /// Closes the round and returns its results.
     pub fn close_round(&self) -> RoundAcceptance {
-        let consumer = {
-            let mut inner = self.inner.lock();
-            inner.round_open = false;
-            inner.consumer.take()
-        };
-        self.work.notify_all();
-        if let Some(handle) = consumer {
-            let _ = handle.join();
-        }
         let mut inner = self.inner.lock();
-        // Drain anything submitted after the consumer exited (none in
-        // practice: reducers are done before close_round).
-        while let Some(path) = inner.queue.pop_front() {
-            Self::accept_now(&mut inner, &path);
-        }
         RoundAcceptance {
             deltas: std::mem::take(&mut inner.deltas),
             accepted_paths: inner.accepted,
@@ -234,18 +131,20 @@ impl Service for AugProc {
         self
     }
 
-    fn apply_remote(&self, payload: &[u8]) -> Result<(), String> {
-        let mut input = payload;
-        let path = ExcessPath::decode(&mut input).map_err(|e| e.to_string())?;
-        if !input.is_empty() {
-            return Err("trailing bytes after excess path".into());
+    /// Accepts or rejects one task's candidates (each an encoded
+    /// [`ExcessPath`]) in submission order.
+    fn apply_calls(&self, calls: &[Vec<u8>]) -> Result<(), String> {
+        let mut inner = self.inner.lock();
+        inner.max_queue = inner.max_queue.max(calls.len());
+        for payload in calls {
+            let mut input = payload.as_slice();
+            let path = ExcessPath::decode(&mut input).map_err(|e| e.to_string())?;
+            if !input.is_empty() {
+                return Err("trailing bytes after excess path".into());
+            }
+            inner.submit(&path);
         }
-        self.submit(path);
         Ok(())
-    }
-
-    fn drain_captured(&self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.inner.lock().captured)
     }
 }
 
@@ -253,8 +152,6 @@ impl Service for AugProc {
 mod tests {
     use super::*;
     use crate::path::PathEdge;
-    use std::sync::Arc;
-    use swgraph::EdgeId;
 
     fn unit_path(eids: &[u64]) -> ExcessPath {
         ExcessPath::from_edges(
@@ -271,64 +168,83 @@ mod tests {
         )
     }
 
+    /// One task's batch of candidates, as the runtime hands it over.
+    fn batch(paths: &[ExcessPath]) -> Vec<Vec<u8>> {
+        paths
+            .iter()
+            .map(|p| {
+                let mut buf = Vec::new();
+                p.encode(&mut buf);
+                buf
+            })
+            .collect()
+    }
+
+    fn apply(aug: &AugProc, paths: &[ExcessPath]) {
+        aug.apply_calls(&batch(paths)).unwrap();
+    }
+
     #[test]
-    fn synchronous_accepts_and_reports() {
-        let aug = AugProc::synchronous();
+    fn accepts_and_reports() {
+        let aug = AugProc::default();
         aug.open_round(3);
-        aug.submit(unit_path(&[0, 2]));
-        aug.submit(unit_path(&[0, 4])); // conflicts on edge 0
-        aug.submit(unit_path(&[6]));
+        apply(
+            &aug,
+            &[unit_path(&[0, 2]), unit_path(&[0, 4]), unit_path(&[6])],
+        );
         let r = aug.close_round();
-        assert_eq!(r.accepted_paths, 2);
+        assert_eq!(r.accepted_paths, 2, "[0, 4] conflicts on edge 0");
         assert_eq!(r.rejected_paths, 1);
         assert_eq!(r.value_gained, 2);
-        assert_eq!(r.max_queue, 0, "no queue in synchronous mode");
+        assert_eq!(r.max_queue, 3);
         assert_eq!(r.deltas.get(EdgeId::new(0)), 1);
         assert_eq!(r.deltas.round(), 3);
     }
 
     #[test]
-    fn threaded_drains_concurrent_submissions() {
-        let aug = AugProc::threaded();
-        aug.open_round(1);
-        let threads: Vec<_> = (0..4)
-            .map(|worker| {
-                let aug = Arc::clone(&aug);
-                std::thread::spawn(move || {
-                    for i in 0..50u64 {
-                        aug.submit(unit_path(&[(worker * 50 + i) * 2]));
-                    }
-                })
-            })
+    fn max_queue_is_the_largest_batch_and_batching_keeps_acceptance() {
+        let paths: Vec<ExcessPath> = [[0, 2], [0, 4], [6, 8], [8, 10], [12, 14]]
+            .iter()
+            .map(|eids| unit_path(eids))
             .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let r = aug.close_round();
-        assert_eq!(r.accepted_paths, 200, "disjoint paths all accepted");
-        assert_eq!(r.value_gained, 200);
+        let one = AugProc::default();
+        one.open_round(1);
+        apply(&one, &paths);
+        let one = one.close_round();
+
+        let split = AugProc::default();
+        split.open_round(1);
+        apply(&split, &paths[..2]);
+        apply(&split, &paths[2..]);
+        let split = split.close_round();
+
+        assert_eq!((one.max_queue, split.max_queue), (5, 3));
+        assert_eq!(one.accepted_paths, split.accepted_paths);
+        assert_eq!(one.rejected_paths, split.rejected_paths);
+        assert_eq!(one.deltas.to_blob(), split.deltas.to_blob());
     }
 
     #[test]
     fn rounds_are_independent() {
-        let aug = AugProc::threaded();
+        let aug = AugProc::default();
         aug.open_round(1);
-        aug.submit(unit_path(&[0]));
+        apply(&aug, &[unit_path(&[0])]);
         let r1 = aug.close_round();
         assert_eq!(r1.accepted_paths, 1);
 
         aug.open_round(2);
-        aug.submit(unit_path(&[0])); // same edge, fresh accumulator
+        apply(&aug, &[unit_path(&[0])]); // same edge, fresh accumulator
         let r2 = aug.close_round();
         assert_eq!(r2.accepted_paths, 1);
+        assert_eq!(r2.max_queue, 1);
         assert_eq!(r2.deltas.round(), 2);
     }
 
     #[test]
     fn empty_paths_ignored() {
-        let aug = AugProc::synchronous();
+        let aug = AugProc::default();
         aug.open_round(0);
-        aug.submit(ExcessPath::empty());
+        apply(&aug, &[ExcessPath::empty()]);
         let r = aug.close_round();
         assert_eq!(r.accepted_paths, 0);
         assert_eq!(r.rejected_paths, 0);
@@ -336,10 +252,10 @@ mod tests {
 
     #[test]
     fn duplicate_submissions_are_idempotent() {
-        let aug = AugProc::synchronous();
+        let aug = AugProc::default();
         aug.open_round(1);
-        aug.submit(unit_path(&[0]));
-        aug.submit(unit_path(&[0])); // a retried task re-submits
+        apply(&aug, &[unit_path(&[0])]);
+        apply(&aug, &[unit_path(&[0])]); // the same route offered again
         let r = aug.close_round();
         assert_eq!(r.accepted_paths, 1);
         assert_eq!(r.rejected_paths, 0, "duplicates are dropped, not rejected");
@@ -364,10 +280,9 @@ mod tests {
         eids.sort_unstable();
         assert!(eids.windows(2).all(|w| w[0] != w[1]));
 
-        let aug = AugProc::synchronous();
+        let aug = AugProc::default();
         aug.open_round(1);
-        aug.submit(p1);
-        aug.submit(p2);
+        apply(&aug, &[p1, p2]);
         let r = aug.close_round();
         assert_eq!(
             r.accepted_paths, 2,
@@ -377,49 +292,17 @@ mod tests {
     }
 
     #[test]
-    fn capture_and_replay_reproduce_direct_submissions() {
-        // A capture-mode stand-in records; replaying its recording into a
-        // real acceptor yields the same round results as direct submits.
-        let stand_in = AugProc::capturing();
-        stand_in.submit(unit_path(&[0, 2]));
-        stand_in.submit(unit_path(&[0, 4]));
-        stand_in.submit(unit_path(&[6]));
-        let captured = Service::drain_captured(&*stand_in);
-        assert_eq!(captured.len(), 3);
-        assert!(
-            Service::drain_captured(&*stand_in).is_empty(),
-            "drain empties the buffer"
-        );
-
-        let replayed = AugProc::synchronous();
-        replayed.open_round(1);
-        for payload in &captured {
-            Service::apply_remote(&*replayed, payload).unwrap();
-        }
-        let r = replayed.close_round();
-
-        let direct = AugProc::synchronous();
-        direct.open_round(1);
-        direct.submit(unit_path(&[0, 2]));
-        direct.submit(unit_path(&[0, 4]));
-        direct.submit(unit_path(&[6]));
-        let d = direct.close_round();
-
-        assert_eq!(r.accepted_paths, d.accepted_paths);
-        assert_eq!(r.rejected_paths, d.rejected_paths);
-        assert_eq!(r.value_gained, d.value_gained);
-        assert_eq!(r.deltas.to_blob(), d.deltas.to_blob());
-    }
-
-    #[test]
-    fn apply_remote_rejects_garbage() {
-        let aug = AugProc::synchronous();
-        assert!(Service::apply_remote(&*aug, &[0xff, 0xff, 0xff]).is_err());
+    fn apply_calls_rejects_garbage() {
+        let aug = AugProc::default();
+        assert!(aug.apply_calls(&[vec![0xff, 0xff, 0xff]]).is_err());
+        let mut trailing = batch(&[unit_path(&[0])]);
+        trailing[0].push(0);
+        assert!(aug.apply_calls(&trailing).is_err());
     }
 
     #[test]
     fn close_without_open_is_empty() {
-        let aug = AugProc::threaded();
+        let aug = AugProc::default();
         let r = aug.close_round();
         assert_eq!(r.accepted_paths, 0);
         assert_eq!(r.max_queue, 0);

@@ -7,18 +7,17 @@
 //! the list is proportional to the flow changes and is expected to be much
 //! smaller than the size of the graph."
 
-use std::collections::HashMap;
-
 use mapreduce::encode::{get_varint, put_varint};
 use mapreduce::error::DecodeError;
 use mapreduce::Datum;
-use swgraph::{Capacity, EdgeId};
+use swgraph::{Capacity, EdgeId, IdMap};
 
 /// Flow deltas per *directed* edge for one round.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AugmentedEdges {
     round: usize,
-    deltas: HashMap<EdgeId, Capacity>,
+    // Never iterated in an order that reaches output: `to_blob` sorts.
+    deltas: IdMap<EdgeId, Capacity>,
 }
 
 impl AugmentedEdges {
@@ -27,7 +26,7 @@ impl AugmentedEdges {
     pub fn new(round: usize) -> Self {
         Self {
             round,
-            deltas: HashMap::new(),
+            deltas: IdMap::default(),
         }
     }
 
@@ -93,7 +92,7 @@ impl AugmentedEdges {
     pub fn from_blob(mut input: &[u8]) -> Result<Self, DecodeError> {
         let round = get_varint(&mut input)? as usize;
         let n = get_varint(&mut input)? as usize;
-        let mut deltas = HashMap::with_capacity(n.min(input.len())); // hostile-length guard
+        let mut deltas = IdMap::with_capacity_and_hasher(n.min(input.len()), Default::default()); // hostile-length guard
         for _ in 0..n {
             let e = EdgeId::new(get_varint(&mut input)?);
             let d = Capacity::decode(&mut input)?;

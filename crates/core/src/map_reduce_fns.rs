@@ -16,7 +16,7 @@ use mapreduce::{MapContext, Mapper, ReduceContext, Reducer};
 
 use crate::accumulator::Accumulator;
 use crate::algo::{FfVariant, KPolicy};
-use crate::aug_service::AugProc;
+use crate::aug_service::AUG_PROC;
 use crate::augmented::AugmentedEdges;
 use crate::path::ExcessPath;
 use crate::vertex::VertexValue;
@@ -83,47 +83,39 @@ impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
         // augmenting-path candidates and shuffle them to the sink. FF2+
         // moves this into the reduce phase (straight to aug_proc).
         if !self.shared.variant.stateful_aug {
-            let mut acc = Accumulator::new();
-            for se in &v.source_paths {
-                for te in &v.sink_paths {
-                    let cand = ExcessPath::concat(se, te);
-                    if cand.is_empty() {
-                        continue;
-                    }
-                    if acc.try_accept(&cand).is_some() {
-                        self.charge_path(ctx, cand.len());
-                        ctx.emit(self.shared.sink, VertexValue::source_fragment(cand));
-                    }
-                }
-            }
+            Accumulator::new().accept_pairs(&v.source_paths, &v.sink_paths, |se, te| {
+                self.charge_path(ctx, se.len() + te.len());
+                let cand = ExcessPath::concat(se, te);
+                ctx.emit(self.shared.sink, VertexValue::source_fragment(cand));
+            });
         }
 
-        // MAP lines 9-16: speculatively extend excess paths to neighbors.
+        // MAP lines 9-16: speculatively extend excess paths to neighbors —
+        // normally one per edge and direction ("extending more than one
+        // excess path incurs overhead without much benefit", Sec. III-B3),
+        // all of them under the extend-all ablation.
         let remember = self.shared.variant.remember_sent;
+        let per_edge = if self.shared.extend_all_paths {
+            usize::MAX
+        } else {
+            1
+        };
         let VertexValue {
             source_paths,
             sink_paths,
             edges,
         } = &mut v;
-        let extend_all = self.shared.extend_all_paths;
-        let mut emitted: Vec<(u64, VertexValue)> = Vec::new();
         for e in edges.iter_mut() {
-            // Forward residual: extend source excess path(s) over e —
-            // normally one ("extending more than one excess path incurs
-            // overhead without much benefit", Sec. III-B3), all of them
-            // under the extend-all ablation.
+            // Forward residual: extend source excess path(s) over e.
             if e.residual() > 0 && !(remember && e.sent_source.is_some()) {
-                let mut eligible = source_paths
+                for se in source_paths
                     .iter()
-                    .filter(|p| !p.is_saturated() && !p.contains_vertex(e.to));
-                let chosen: Vec<&ExcessPath> = if extend_all {
-                    eligible.collect()
-                } else {
-                    eligible.next().into_iter().collect()
-                };
-                for se in chosen {
+                    .filter(|p| !p.is_saturated() && !p.contains_vertex(e.to))
+                    .take(per_edge)
+                {
                     let ext = se.extended(e.forward_hop(u));
-                    emitted.push((e.to, VertexValue::source_fragment(ext)));
+                    self.charge_path(ctx, ext.len());
+                    ctx.emit(e.to, VertexValue::source_fragment(ext));
                     if remember {
                         e.sent_source = Some(se.route_hash());
                     }
@@ -131,31 +123,19 @@ impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
             }
             // Reverse residual: extend sink excess path(s) backward.
             if e.rev_residual() > 0 && !(remember && e.sent_sink.is_some()) {
-                let mut eligible = sink_paths
+                for te in sink_paths
                     .iter()
-                    .filter(|p| !p.is_saturated() && !p.contains_vertex(e.to));
-                let chosen: Vec<&ExcessPath> = if extend_all {
-                    eligible.collect()
-                } else {
-                    eligible.next().into_iter().collect()
-                };
-                for te in chosen {
+                    .filter(|p| !p.is_saturated() && !p.contains_vertex(e.to))
+                    .take(per_edge)
+                {
                     let ext = te.prepended(e.backward_hop(u));
-                    emitted.push((e.to, VertexValue::sink_fragment(ext)));
+                    self.charge_path(ctx, ext.len());
+                    ctx.emit(e.to, VertexValue::sink_fragment(ext));
                     if remember {
                         e.sent_sink = Some(te.route_hash());
                     }
                 }
             }
-        }
-        for (to, frag) in emitted {
-            let hops = frag
-                .source_paths
-                .first()
-                .or_else(|| frag.sink_paths.first())
-                .map_or(0, ExcessPath::len);
-            self.charge_path(ctx, hops);
-            ctx.emit(to, frag);
         }
 
         // MAP line 17: emit the master vertex — unless schimmy (FF3+)
@@ -235,11 +215,8 @@ impl Reducer<u64, VertexValue, u64, VertexValue> for FfReducer {
             // Every source path reaching t IS an augmenting path: in FF1
             // this reducer is the paper's sequential accumulator at t; in
             // FF2+ candidates also stream in here from extensions.
-            let aug: &AugProc = ctx
-                .service("aug_proc")
-                .expect("aug_proc service is always attached");
-            for p in frag_source.drain(..) {
-                aug.submit(p);
+            for p in &frag_source {
+                ctx.submit(AUG_PROC, p);
             }
         } else {
             let mut acc = Accumulator::new();
@@ -256,11 +233,8 @@ impl Reducer<u64, VertexValue, u64, VertexValue> for FfReducer {
 
         // ---- Merge sink excess paths (REDUCE lines 8-9), symmetric.
         if is_source {
-            let aug: &AugProc = ctx
-                .service("aug_proc")
-                .expect("aug_proc service is always attached");
-            for p in frag_sink.drain(..) {
-                aug.submit(p);
+            for p in &frag_sink {
+                ctx.submit(AUG_PROC, p);
             }
         } else {
             let mut acc = Accumulator::new();
@@ -284,22 +258,10 @@ impl Reducer<u64, VertexValue, u64, VertexValue> for FfReducer {
         // ---- FF2+: generate candidates right here, straight to aug_proc
         // (paper Sec. IV-A: "rather than generating it in the MAP function
         // as in FF1, FF2 generates it in the previous round's REDUCE").
-        if self.shared.variant.stateful_aug
-            && !master.source_paths.is_empty()
-            && !master.sink_paths.is_empty()
-        {
-            let aug: &AugProc = ctx
-                .service("aug_proc")
-                .expect("aug_proc service is always attached");
-            let mut acc = Accumulator::new();
-            for se in &master.source_paths {
-                for te in &master.sink_paths {
-                    let cand = ExcessPath::concat(se, te);
-                    if !cand.is_empty() && acc.try_accept(&cand).is_some() {
-                        aug.submit(cand);
-                    }
-                }
-            }
+        if self.shared.variant.stateful_aug {
+            Accumulator::new().accept_pairs(&master.source_paths, &master.sink_paths, |se, te| {
+                ctx.submit(AUG_PROC, &ExcessPath::concat(se, te));
+            });
         }
 
         ctx.emit(u, master);
@@ -583,10 +545,7 @@ mod tests {
             deltas: Arc::new(AugmentedEdges::new(0)),
         };
         let counters = Counters::new();
-        let mut services = ServiceHandle::new();
-        let aug = AugProc::synchronous();
-        aug.open_round(1);
-        services.attach("aug_proc", aug.clone() as Arc<dyn mapreduce::Service>);
+        let services = ServiceHandle::new();
         let mut ctx = ReduceContext::for_testing(&counters, &services);
         let master = VertexValue {
             sink_paths: vec![ExcessPath::empty()],
@@ -596,6 +555,13 @@ mod tests {
         let cand =
             VertexValue::source_fragment(ExcessPath::from_edges(vec![hop(0, 0, 5), hop(2, 5, 9)]));
         reducer.reduce(&9, &mut vec![master, cand].into_iter(), &mut ctx);
+        let [(service, calls)] = ctx.submitted() else {
+            panic!("one service called");
+        };
+        assert_eq!(service, AUG_PROC);
+        let aug = crate::AugProc::default();
+        aug.open_round(1);
+        mapreduce::Service::apply_calls(&aug, calls).unwrap();
         let r = aug.close_round();
         assert_eq!(r.accepted_paths, 1);
         assert_eq!(r.value_gained, 1);

@@ -7,7 +7,7 @@
 //! refreshed, so residual capacity — and therefore saturation — is
 //! decidable locally.
 
-use mapreduce::encode::{get_varint, put_varint};
+use mapreduce::encode::{get_varint, put_varint, varint_len};
 use mapreduce::error::DecodeError;
 use mapreduce::Datum;
 use swgraph::{Capacity, EdgeId};
@@ -53,6 +53,13 @@ impl Datum for PathEdge {
             cap: Capacity::decode(input)?,
             flow: Capacity::decode(input)?,
         })
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.eid.raw())
+            + varint_len(self.from)
+            + varint_len(self.to)
+            + self.cap.encoded_len()
+            + self.flow.encoded_len()
     }
 }
 
@@ -212,6 +219,9 @@ impl Datum for ExcessPath {
         Ok(Self {
             edges: Vec::<PathEdge>::decode(input)?,
         })
+    }
+    fn encoded_len(&self) -> usize {
+        self.edges.encoded_len()
     }
 }
 

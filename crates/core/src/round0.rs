@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mapreduce::encode::{get_varint, put_varint};
+use mapreduce::encode::{get_varint, put_varint, varint_len};
 use mapreduce::error::DecodeError;
 use mapreduce::{Datum, JobBuilder, JobStats, MapContext, MrError, MrRuntime, ReduceContext};
 use swgraph::{Capacity, EdgeId, FlowNetwork};
@@ -46,6 +46,12 @@ impl Datum for RawEdge {
             cap: Capacity::decode(input)?,
             rev_cap: Capacity::decode(input)?,
         })
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.to)
+            + varint_len(self.eid.raw())
+            + self.cap.encoded_len()
+            + self.rev_cap.encoded_len()
     }
 }
 

@@ -6,7 +6,7 @@
 //! carries no edges. "The master vertex is differentiated from a vertex
 //! fragment as it has at least one edge."
 
-use mapreduce::encode::{get_varint, put_varint};
+use mapreduce::encode::{get_varint, put_varint, varint_len};
 use mapreduce::error::DecodeError;
 use mapreduce::Datum;
 use swgraph::{Capacity, EdgeId};
@@ -95,6 +95,15 @@ impl Datum for VertexEdge {
             sent_sink: Option::<u64>::decode(input)?,
         })
     }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.to)
+            + varint_len(self.eid.raw())
+            + self.flow.encoded_len()
+            + self.cap.encoded_len()
+            + self.rev_cap.encoded_len()
+            + self.sent_source.encoded_len()
+            + self.sent_sink.encoded_len()
+    }
 }
 
 /// The value of one MR record: ⟨Su, Tu, Eu⟩.
@@ -155,6 +164,13 @@ impl VertexValue {
     /// FF5: forget `sent` markers whose remembered path no longer exists
     /// or is saturated, so the edge becomes eligible for a re-send.
     pub fn refresh_sent_markers(&mut self) {
+        if self
+            .edges
+            .iter()
+            .all(|e| e.sent_source.is_none() && e.sent_sink.is_none())
+        {
+            return;
+        }
         let live_source: Vec<u64> = self
             .source_paths
             .iter()
@@ -190,6 +206,9 @@ impl Datum for VertexValue {
             sink_paths: Vec::decode(input)?,
             edges: Vec::decode(input)?,
         })
+    }
+    fn encoded_len(&self) -> usize {
+        self.source_paths.encoded_len() + self.sink_paths.encoded_len() + self.edges.encoded_len()
     }
 }
 

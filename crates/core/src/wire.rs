@@ -8,20 +8,19 @@
 //! [`ff_wire_params`] (the [`FfShared`] run configuration plus the
 //! previous round's [`AugmentedEdges`]), and the factory is
 //! [`ff_task_runner`]: it rebuilds the exact `FfMapper`/`FfReducer` the
-//! driver would run in process, wired to a *capture-mode*
-//! [`AugProc`] stand-in whose recorded submissions the
-//! driver replays into its real acceptor. Both sides therefore execute
-//! identical user code over identical bytes — the basis of the
+//! driver would run in process. Their `aug_proc` submissions ride home in
+//! the task result, as they do in process, and the driver applies them to
+//! its [`AugProc`](crate::AugProc) in task order. Both sides therefore
+//! execute identical user code over identical bytes — the basis of the
 //! distributed-equals-in-process byte-determinism cross-check.
 
 use std::sync::Arc;
 
 use mapreduce::encode::{get_bytes, get_varint, put_bytes, put_varint};
 use mapreduce::error::DecodeError;
-use mapreduce::{JobTaskRunner, MrError, Service, ServiceHandle, TaskRunner};
+use mapreduce::{JobTaskRunner, MrError, ServiceHandle, TaskRunner};
 
 use crate::algo::{FfVariant, KPolicy};
-use crate::aug_service::AugProc;
 use crate::augmented::AugmentedEdges;
 use crate::map_reduce_fns::{FfMapper, FfReducer, FfShared};
 use crate::vertex::VertexValue;
@@ -113,9 +112,7 @@ fn decode_params(mut input: &[u8]) -> Result<(FfShared, AugmentedEdges), DecodeE
 }
 
 /// Reconstructs the FF round's task runner from [`ff_wire_params`] bytes:
-/// the same `FfMapper`/`FfReducer` the driver runs in process, with a
-/// capture-mode `aug_proc` stand-in recording submissions for driver-side
-/// replay.
+/// the same `FfMapper`/`FfReducer` the driver runs in process.
 ///
 /// # Errors
 /// [`MrError::Wire`] on malformed parameter bytes.
@@ -124,8 +121,6 @@ pub fn ff_task_runner(params: &[u8]) -> Result<Box<dyn TaskRunner>, MrError> {
         decode_params(params).map_err(|e| MrError::Wire(format!("ff wire params: {e}")))?;
     let shared = Arc::new(shared);
     let deltas = Arc::new(deltas);
-    let mut services = ServiceHandle::new();
-    services.attach("aug_proc", AugProc::capturing() as Arc<dyn Service>);
     let runner: JobTaskRunner<u64, VertexValue, u64, VertexValue, u64, VertexValue> =
         JobTaskRunner::new(
             FfMapper {
@@ -133,7 +128,7 @@ pub fn ff_task_runner(params: &[u8]) -> Result<Box<dyn TaskRunner>, MrError> {
                 deltas: Arc::clone(&deltas),
             },
             FfReducer { shared, deltas },
-            services,
+            ServiceHandle::new(),
         );
     Ok(Box::new(runner))
 }

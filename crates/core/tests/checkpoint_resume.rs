@@ -9,11 +9,8 @@
 //! runtime deserializes it (nothing survives in memory), and
 //! [`resume_max_flow`] continues from there.
 //!
-//! Wall-clock fields (`wall_seconds`) and the threaded acceptor's queue
-//! high-water mark (`max_queue`) are timing-dependent and excluded from
-//! the comparison; everything else must match exactly. Runs are pinned
-//! to one worker thread so service-call ordering (and hence the
-//! accept/reject pattern) is deterministic.
+//! Wall-clock fields (`wall_seconds`) are timing-dependent and excluded
+//! from the comparison; everything else must match exactly.
 
 use ffmr_core::{resume_max_flow, run_max_flow, CrashPoint, FfConfig, FfError, FfRun, FfVariant};
 use mapreduce::{ClusterConfig, Dfs, FailurePolicy, MrRuntime, SlowTask, SpeculationPolicy};
@@ -79,6 +76,10 @@ fn assert_same_run(resumed: &FfRun, clean: &FfRun, context: &str) {
         let round = c.round;
         assert_eq!(r.round, c.round, "{context}: round number");
         assert_eq!(r.a_paths, c.a_paths, "{context}: round {round} a_paths");
+        assert_eq!(
+            r.max_queue, c.max_queue,
+            "{context}: round {round} max queue"
+        );
         assert_eq!(
             r.value_gained, c.value_gained,
             "{context}: round {round} value"

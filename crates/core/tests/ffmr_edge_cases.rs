@@ -170,9 +170,9 @@ fn all_variants_emit_identical_flow_functions_when_deterministic() {
 
 #[test]
 fn ffmr_survives_injected_task_failures() {
-    // Hadoop-style retries + aug_proc's idempotent submission: a run with
-    // every task's first attempt crashing still computes the exact
-    // max-flow value.
+    // Hadoop-style retries drop a failed attempt's aug_proc submissions
+    // with its output: a run with every task's first attempt crashing
+    // still computes the exact max-flow value.
     let n = 150;
     let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 13));
     let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
@@ -237,5 +237,39 @@ fn unidirectional_and_extend_all_reach_the_same_max_flow() {
         "bi-directional cannot be slower in rounds ({} vs {})",
         bidir.num_flow_rounds(),
         uni.num_flow_rounds()
+    );
+}
+
+/// The paper's FF5 (Sec. IV-D): a vertex remembers which neighbor it
+/// already sent an excess path to, and does not send it again next round.
+/// Here `FfMapper` sets the marker on its private copy of the master, and
+/// under schimmy (FF3+) that copy is never emitted — the reducer's master
+/// comes from the previous round's file and only ever has markers
+/// cleared. So no marker reaches round r + 1 and FF5 is FF4 plus
+/// `k = in-degree`. Fixing it changes FF5's shuffle; until then this test
+/// states the intended behaviour.
+#[test]
+#[ignore = "FF5 finding: sent markers never persist past the mapper (FF5 = FF4 + k = in-degree)"]
+fn ff5_sent_markers_survive_into_the_next_rounds_master() {
+    let n = 60;
+    let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 5));
+    let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
+    let mut rt = runtime();
+    let config = FfConfig::new(s, t)
+        .variant(FfVariant::ff5())
+        .crash_point(ffmr_core::CrashPoint::AfterRound(1));
+    assert!(matches!(
+        run_max_flow(&mut rt, &net, &config),
+        Err(FfError::CrashInjected { round: 1 })
+    ));
+    // Round 1's mapper extended s's empty path to every neighbor.
+    let masters: Vec<(u64, ffmr_core::VertexValue)> = rt
+        .dfs()
+        .read_records(&mapreduce::driver::round_path(&config.base_path, 1))
+        .unwrap();
+    let source = &masters.iter().find(|(v, _)| *v == s.raw()).unwrap().1;
+    assert!(
+        source.edges.iter().any(|e| e.sent_source.is_some()),
+        "round 1's sent markers are gone from the source's master"
     );
 }

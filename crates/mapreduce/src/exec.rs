@@ -14,12 +14,11 @@
 //! the simulated cost model from the returned record/byte/alloc numbers
 //! exactly as before.
 //!
-//! Stateful services are the one side channel: a worker cannot call the
-//! driver's live service objects, so its stand-in services *capture*
-//! their calls (see [`Service::drain_captured`](crate::Service)); the
-//! captured payloads ride home in the task result and the driver replays
-//! them in task-index order, reproducing a single-threaded in-process
-//! run's call sequence.
+//! Stateful services are the one side channel, and it is the same in
+//! both modes: a task never calls a live service object, it
+//! [`submit`](crate::TaskContext::submit)s encoded calls into its context;
+//! they ride home in the task result, and the runtime applies them in
+//! task-index order (see [`Service::apply_calls`](crate::Service)).
 
 use std::sync::Arc;
 
@@ -43,9 +42,10 @@ pub struct MapTaskSpec {
     pub input: Vec<u8>,
 }
 
-/// Captured service calls: per service name, the submitted payloads in
-/// call order — replayed driver-side so retried/speculative attempts
-/// stay exactly-once.
+/// One task attempt's service calls: per service name (in first-call
+/// order), the submitted payloads in call order — applied driver-side
+/// only for the attempt that counts, so retried/speculative attempts stay
+/// exactly-once.
 pub type CapturedCalls = Vec<(String, Vec<Vec<u8>>)>;
 
 /// What a map task produced, with the numbers the driver's cost model
@@ -180,7 +180,7 @@ where
     VO: Datum,
 {
     /// Builds a runner from user functions and the services their
-    /// contexts should see (worker-side: capture-mode stand-ins).
+    /// contexts give typed access to (worker-side: usually none).
     pub fn new<M, R>(mapper: M, reducer: R, services: ServiceHandle) -> Self
     where
         M: Mapper<KI, VI, KM, VM> + 'static,
@@ -246,6 +246,7 @@ where
         let output_records = ctx.out.len() as u64;
         let mut allocs = ctx.allocs() + input_records;
         let mut counters = std::mem::take(&mut ctx.local_counters);
+        let mut captured = std::mem::take(&mut ctx.calls);
         let mut out = ctx.out;
 
         // Map-side sort (Hadoop's sort-at-map): the run is ordered here,
@@ -257,6 +258,8 @@ where
         // Optional combiner, fed key groups off the sorted run.
         if let Some(comb) = &self.combiner {
             let mut cctx = MapContext::new(&self.services, task);
+            // The combiner's calls follow the mapper's in one sequence.
+            cctx.calls = captured;
             let mut group: Vec<VM> = Vec::new(); // reused across groups
             let mut it = out.into_iter().peekable();
             while let Some((key, first)) = it.next() {
@@ -270,6 +273,7 @@ where
             }
             allocs += cctx.allocs();
             merge_counter_deltas(&mut counters, cctx.local_counters.drain(..));
+            captured = cctx.calls;
             out = cctx.out;
             // Combiners normally emit per visited group, i.e. already in
             // key order; re-establish the invariant only when one emitted
@@ -293,7 +297,7 @@ where
             output_records,
             allocs,
             counters,
-            captured: self.services.drain_captured(),
+            captured,
         })
     }
 
@@ -350,7 +354,7 @@ where
             allocs,
             merge_fanin,
             counters: std::mem::take(&mut ctx.local_counters),
-            captured: self.services.drain_captured(),
+            captured: std::mem::take(&mut ctx.calls),
         })
     }
 }

@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use crate::counters::Counters;
 use crate::error::MrError;
+use crate::exec::CapturedCalls;
 use crate::record::{Datum, KeyDatum};
 use crate::service::{Service, ServiceHandle};
 
@@ -92,14 +93,16 @@ where
 /// Emission context handed to mappers and combiners ([`MapContext`])
 /// and to reducers ([`ReduceContext`]).
 ///
-/// Counter increments are buffered locally and merged into the job's
-/// counters only when the task attempt *succeeds* — so retried task
-/// attempts (see [`FailurePolicy`](crate::runtime::FailurePolicy)) never
-/// double-count, matching Hadoop's exclusion of failed-attempt counters.
+/// Counter increments and service calls are buffered locally and take
+/// effect only when the task attempt *succeeds* — so retried task
+/// attempts (see [`FailurePolicy`](crate::runtime::FailurePolicy)) and
+/// speculative duplicates never double-count, matching Hadoop's exclusion
+/// of failed-attempt counters.
 #[derive(Debug)]
 pub struct TaskContext<'a, K, V> {
     pub(crate) out: Vec<(K, V)>,
     pub(crate) local_counters: Vec<(String, u64)>,
+    pub(crate) calls: CapturedCalls,
     services: &'a ServiceHandle,
     allocs: u64,
     task: usize,
@@ -116,6 +119,7 @@ impl<'a, K, V> TaskContext<'a, K, V> {
         Self {
             out: Vec::new(),
             local_counters: Vec::new(),
+            calls: Vec::new(),
             services,
             allocs: 0,
             task,
@@ -161,12 +165,35 @@ impl<'a, K, V> TaskContext<'a, K, V> {
         }
     }
 
-    /// Typed access to an attached stateful service (FF2's `aug_proc`).
+    /// Typed access to an attached stateful service.
     ///
     /// # Errors
     /// [`MrError::ServiceMissing`] if not attached under `name`.
     pub fn service<T: Service>(&self, name: &str) -> Result<&T, MrError> {
         self.services.get(name)
+    }
+
+    /// Hands `call` to the service attached under `service` (FF2's
+    /// `aug_proc`). The call is recorded in this attempt, encoded, and
+    /// applied by the runtime through [`Service::apply_calls`] once the
+    /// attempt has succeeded and every lower-indexed task of the phase has
+    /// been applied — in task-index order, whatever the thread count or
+    /// process the task ran in. A failed or speculative attempt's calls
+    /// are dropped with its output.
+    pub fn submit<T: Datum>(&mut self, service: &str, call: &T) {
+        let mut payload = Vec::with_capacity(call.encoded_len());
+        call.encode(&mut payload);
+        match self.calls.iter_mut().find(|(name, _)| name == service) {
+            Some((_, calls)) => calls.push(payload),
+            None => self.calls.push((service.to_owned(), vec![payload])),
+        }
+    }
+
+    /// Service calls [`TaskContext::submit`]ted so far, per service in
+    /// first-call order (primarily for tests of user functions).
+    #[must_use]
+    pub fn submitted(&self) -> &[(String, Vec<Vec<u8>>)] {
+        &self.calls
     }
 
     /// Records `n` short-lived allocations performed by the user function,

@@ -66,21 +66,19 @@
 //! Results are deterministic regardless of thread count: partitioning is
 //! by key hash, map tasks emit key-sorted spill runs, and reducers k-way
 //! merge those runs in map-task order (schimmy side input first), so the
-//! same job on the same input produces byte-identical output. *Side effects* outside
-//! the dataflow — the invocation order of stateful [`Service`] calls
-//! (e.g. FF2's `aug_proc`) and the interleaving of counter updates — do
-//! depend on scheduling. For fully deterministic service-call ordering
-//! (reproducing a failure, diffing two runs record-for-record), pin the
-//! host thread pool to a single worker:
+//! same job on the same input produces byte-identical output. Calls into
+//! stateful [`Service`]s (e.g. FF2's `aug_proc`) go through
+//! [`TaskContext::submit`]: each task's calls are buffered with its
+//! output and applied in task-index order at the barrier, so the service
+//! sees one call sequence at any thread count, in process or in remote
+//! workers. The thread count changes wall-clock speed only — never
+//! simulated time or results:
 //!
 //! ```
 //! # use mapreduce::{ClusterConfig, MrRuntime};
 //! let mut rt = MrRuntime::new(ClusterConfig::small_cluster(2));
-//! rt.set_worker_threads(Some(1)); // sequential execution, stable ordering
+//! rt.set_worker_threads(Some(2)); // `None` (default): available parallelism
 //! ```
-//!
-//! `None` (the default) uses the host's available parallelism. The knob
-//! changes wall-clock speed only — never simulated time or results.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -37,8 +37,10 @@ pub trait Datum: Sized + Send + Clone + 'static {
 
     /// Number of bytes [`Datum::encode`] would append.
     ///
-    /// The default implementation encodes into a scratch buffer; override
-    /// for hot types where the size is cheap to compute directly.
+    /// The default encodes the whole value into a throw-away buffer, so a
+    /// record using it is encoded twice on every write: it is for cold
+    /// types only. Any type that flows through a job's records computes
+    /// its length directly (and a test holds it equal to `encode`'s).
     fn encoded_len(&self) -> usize {
         let mut buf = Vec::new();
         self.encode(&mut buf);
@@ -192,7 +194,9 @@ impl<T: Datum> Datum for Option<T> {
 }
 
 /// Encodes one `(key, value)` record with a length-prefixed key so records
-/// can be scanned without knowing the value type.
+/// can be scanned without knowing the value type. Each of the two is
+/// encoded exactly once: the length prefixes come from
+/// [`Datum::encoded_len`].
 pub(crate) fn encode_record<K: Datum, V: Datum>(key: &K, value: &V, buf: &mut Vec<u8>) {
     put_varint(key.encoded_len() as u64, buf);
     key.encode(buf);

@@ -24,9 +24,12 @@ use crate::cluster::{ClusterConfig, PhaseCost, TaskCost};
 use crate::counters::Counters;
 use crate::dfs::{Dfs, DfsFile, InputSplit, Partition};
 use crate::error::{DecodeError, MrError};
-use crate::exec::{JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskSpec, TaskExecutor};
+use crate::exec::{
+    CapturedCalls, JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskSpec, TaskExecutor,
+};
 use crate::job::{Job, WireSpec};
 use crate::record::{decode_exact, split_record, Datum, KeyDatum, SpillRun};
+use crate::service::ServiceHandle;
 use crate::stats::JobStats;
 
 /// An environment-fault injector: `(phase, task, attempt) -> crash?`.
@@ -104,9 +107,8 @@ impl FailurePolicy {
 
 /// When and how the runtime launches speculative duplicate attempts for
 /// straggling tasks — Hadoop's speculative execution, priced in the
-/// simulated cost model and really re-executed on the host (outputs and
-/// counters of the losing attempt are discarded; attached services see
-/// the duplicate calls a real cluster would produce).
+/// simulated cost model and really re-executed on the host (the
+/// duplicate's outputs, counters and service calls are discarded).
 ///
 /// A task speculates when its simulated duration exceeds the phase's
 /// `percentile` duration by more than `slack`x. The duplicate starts at
@@ -232,8 +234,9 @@ impl MrRuntime {
         self.cluster = cluster;
     }
 
-    /// Limits host worker threads (`Some(1)` gives fully deterministic
-    /// service-call ordering; default uses available parallelism).
+    /// Limits host worker threads (default: available parallelism).
+    /// Changes wall-clock speed only: output, service-call order and
+    /// simulated time are the same at any count.
     pub fn set_worker_threads(&mut self, n: Option<usize>) {
         self.worker_threads = n;
     }
@@ -371,12 +374,15 @@ impl MrRuntime {
             Ok(MapResult { inner, cost })
         };
 
+        // Each map task's service calls are applied as soon as it and
+        // every lower-indexed task have completed (see `run_parallel`).
         let map_results: Vec<(MapResult, u32, Vec<WallWindow>)> = run_parallel(
             "map",
             self.worker_threads,
             &self.failure_policy,
             splits,
             map_fn,
+            |r: &mut MapResult| apply_calls(&job.services, &mut r.inner.captured),
             wall_start,
         )?;
 
@@ -424,17 +430,6 @@ impl MrRuntime {
             map_phase.push_task(occupancy);
         }
         let map_tasks = map_results.len();
-        // Remote map tasks couldn't reach the driver's live services;
-        // replay what their capture-mode stand-ins recorded, in task
-        // order — the sequence a single-threaded in-process run makes.
-        // (In-process results carry no captures; this loop is a no-op.)
-        for (r, _, _) in &map_results {
-            for (name, payloads) in &r.inner.captured {
-                for payload in payloads {
-                    job.services.apply_remote(name, payload)?;
-                }
-            }
-        }
         drop(map_span);
 
         // ------------------------------------------------- shuffle
@@ -490,7 +485,7 @@ impl MrRuntime {
             cross_node_bytes: u64,
             spill_runs: u64,
             merge_fanin: u64,
-            captured: Vec<(String, Vec<Vec<u8>>)>,
+            captured: CapturedCalls,
         }
 
         // Reduce tasks are dispatched by partition index and borrow their
@@ -566,6 +561,7 @@ impl MrRuntime {
             &self.failure_policy,
             (0..reducers).collect(),
             reduce_fn,
+            |r: &mut ReduceResult| apply_calls(&job.services, &mut r.captured),
             wall_start,
         )?;
 
@@ -577,9 +573,8 @@ impl MrRuntime {
             })
             .collect();
         let reduce_attempts: Vec<u32> = reduce_results.iter().map(|(_, a, _)| *a).collect();
-        // Duplicates run before `end_round` so stateful services (e.g. the
-        // FF driver's aug_proc) see their submissions within the round,
-        // exactly as a real speculative reducer's would arrive.
+        // A duplicate's service calls are discarded with its output: the
+        // original's were applied already, and they are the same calls.
         let reduce_spec = run_speculation(
             "reduce",
             &self.speculation,
@@ -593,18 +588,6 @@ impl MrRuntime {
             wall_start,
         );
 
-        // Replay the reduce tasks' captured service calls in task order
-        // (speculative duplicates were discarded with their results, so
-        // no duplicate replays), then close the round: services see the
-        // same call sequence, in the same order, as an in-process
-        // single-threaded run.
-        for (r, _, _) in &reduce_results {
-            for (name, payloads) in &r.captured {
-                for payload in payloads {
-                    job.services.apply_remote(name, payload)?;
-                }
-            }
-        }
         job.services.end_round();
 
         let metrics = ffmr_obs::global();
@@ -860,10 +843,9 @@ struct SpecOutcome {
 /// Whichever attempt finishes first wins; the loser occupies a slot until
 /// it is killed and that occupancy is charged.
 ///
-/// Host side: the duplicate genuinely re-executes the task closure — so
-/// attached services observe duplicate calls, which must be idempotent —
-/// but its output is dropped and counter increments are rolled back, as
-/// only one attempt's results may count. The duplicate's attempt index
+/// Host side: the duplicate genuinely re-executes the task closure, but
+/// its output (service calls included) is dropped and counter increments
+/// are rolled back, as only one attempt's results may count. The duplicate's attempt index
 /// continues the retry numbering so fault injectors can target it; an
 /// injected or panicking duplicate simply never wins.
 #[allow(
@@ -1274,22 +1256,55 @@ pub(crate) fn merge_sorted_runs<K: KeyDatum, V: Datum>(
     Ok(fanin)
 }
 
+/// Applies one task's buffered service calls, service by service, and
+/// leaves the buffer empty.
+fn apply_calls(services: &ServiceHandle, captured: &mut CapturedCalls) -> Result<(), MrError> {
+    for (name, calls) in std::mem::take(captured) {
+        services.apply_calls(&name, &calls)?;
+    }
+    Ok(())
+}
+
+/// Commits the longest run of successful results starting at `*next`
+/// (every slot below it is committed); stops at a missing or failed one.
+/// A failed commit becomes that task's result, so it stops the run too.
+fn commit_ready<R>(
+    slots: &mut [TaskSlot<R>],
+    next: &mut usize,
+    commit: &mut impl FnMut(&mut R) -> Result<(), MrError>,
+) {
+    while let Some(Some(Ok((result, ..)))) = slots.get_mut(*next) {
+        if let Err(e) = commit(result) {
+            slots[*next] = Some(Err(e));
+            return;
+        }
+        *next += 1;
+    }
+}
+
 /// Runs `f` over `items` on a small thread pool, preserving result order,
 /// converting panics into [`MrError::TaskFailed`], and retrying failed
 /// tasks per the [`FailurePolicy`]. Returns each result with the number
 /// of attempts it took and each attempt's wall-clock window on `epoch`.
-fn run_parallel<T, R, F>(
+///
+/// `commit` runs on each successful result in task-index order, as soon
+/// as that task and every lower-indexed one have completed — the barrier
+/// discipline that makes service calls independent of the thread count.
+/// With one worker nothing beyond the running task waits for it.
+fn run_parallel<T, R, F, C>(
     phase: &'static str,
     worker_threads: Option<usize>,
     policy: &FailurePolicy,
     items: Vec<T>,
     f: F,
+    mut commit: C,
     epoch: Instant,
 ) -> Result<Vec<(R, u32, Vec<WallWindow>)>, MrError>
 where
     T: Send + Clone,
     R: Send,
     F: Fn(usize, T) -> Result<R, MrError> + Sync,
+    C: FnMut(&mut R) -> Result<(), MrError> + Send,
 {
     let n = items.len();
     if n == 0 {
@@ -1302,16 +1317,19 @@ where
         .clamp(1, n);
 
     if workers == 1 {
-        // Fast path, also the deterministic mode.
         let mut out = Vec::with_capacity(n);
         for (i, item) in items.into_iter().enumerate() {
-            out.push(run_task_with_retry(phase, policy, i, item, &f, epoch)?);
+            let mut done = run_task_with_retry(phase, policy, i, item, &f, epoch)?;
+            commit(&mut done.0)?;
+            out.push(done);
         }
         return Ok(out);
     }
 
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let results: Mutex<Vec<TaskSlot<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    // Result slots, the first uncommitted index, and the commit itself.
+    let results: Mutex<(Vec<TaskSlot<R>>, usize, C)> =
+        Mutex::new(((0..n).map(|_| None).collect(), 0, commit));
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -1319,13 +1337,17 @@ where
                 let next = queue.lock().pop_front();
                 let Some((i, item)) = next else { break };
                 let result = run_task_with_retry(phase, policy, i, item, &f, epoch);
-                results.lock()[i] = Some(result);
+                let mut guard = results.lock();
+                let (slots, committed, commit) = &mut *guard;
+                slots[i] = Some(result);
+                commit_ready(slots, committed, commit);
             });
         }
     });
 
     results
         .into_inner()
+        .0
         .into_iter()
         .enumerate()
         .map(|(i, slot)| {
@@ -1539,11 +1561,46 @@ mod tests {
             &policy,
             (0..100).collect(),
             |i, x: i32| Ok(i as i32 * 2 + x - x),
+            |_| Ok(()),
             Instant::now(),
         )
         .unwrap();
         let values: Vec<i32> = out.into_iter().map(|(v, ..)| v).collect();
         assert_eq!(values, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_parallel_commits_in_task_order_as_prefixes_complete() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Task 0 cannot finish before task 5 has: tasks 1..=5 complete
+        // first, and their commits must wait for task 0's.
+        let five_done = AtomicBool::new(false);
+        let mut committed = Vec::new();
+        let out = run_parallel(
+            "reduce",
+            Some(4),
+            &FailurePolicy::default(),
+            (0..12).collect(),
+            |i, x: usize| {
+                if i == 0 {
+                    while !five_done.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+                if i == 5 {
+                    five_done.store(true, Ordering::SeqCst);
+                }
+                Ok(x)
+            },
+            |x: &mut usize| {
+                committed.push(*x);
+                Ok(())
+            },
+            Instant::now(),
+        )
+        .unwrap();
+        assert_eq!(out.len(), 12);
+        assert_eq!(committed, (0..12).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1558,6 +1615,7 @@ mod tests {
                 assert!(x != 2, "boom on two");
                 Ok(x)
             },
+            |_| Ok(()),
             Instant::now(),
         )
         .unwrap_err();
@@ -1579,6 +1637,7 @@ mod tests {
             &policy,
             Vec::<i32>::new(),
             |_, x| Ok(x),
+            |_| Ok(()),
             Instant::now(),
         )
         .unwrap();
@@ -1595,6 +1654,7 @@ mod tests {
             &policy,
             vec![10, 20, 30],
             |_, x: i32| Ok(x),
+            |_| Ok(()),
             Instant::now(),
         )
         .unwrap();
@@ -1614,6 +1674,7 @@ mod tests {
             &policy,
             vec![1, 2, 3],
             |_, x: i32| Ok(x),
+            |_| Ok(()),
             Instant::now(),
         )
         .unwrap_err();
@@ -1636,6 +1697,7 @@ mod tests {
                 }
                 Ok(x)
             },
+            |_| Ok(()),
             Instant::now(),
         )
         .unwrap();

@@ -3,11 +3,14 @@
 //! `MAP` and `REDUCE` are stateless in the MR model, but the paper's FF2
 //! variant attaches an *external stateful process* (`aug_proc`, contacted
 //! over Java RMI) that reducers call as they find augmenting paths. Here a
-//! [`Service`] is an `Arc`-shared object attached to a job; tasks reach it
-//! through their context. The runtime invokes the round lifecycle hooks so
-//! a service can finalize after the last reducer — matching the paper's
-//! observation that `aug_proc` "finishes immediately after the last
-//! reducer".
+//! [`Service`] is an `Arc`-shared object attached to a job. Tasks hand it
+//! calls through [`TaskContext::submit`](crate::TaskContext::submit); the
+//! runtime applies each task's calls at the barrier, in task-index order,
+//! as soon as every lower-indexed task has completed — one path for
+//! in-process and remote tasks, and the same call sequence at any thread
+//! count. The runtime also invokes the round lifecycle hooks so a service
+//! can finalize after the last reducer — matching the paper's observation
+//! that `aug_proc` "finishes immediately after the last reducer".
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -17,36 +20,29 @@ use crate::error::MrError;
 
 /// A stateful object reachable from `MAP`/`REDUCE` functions.
 ///
-/// Implementations must be thread-safe: mappers and reducers call them
-/// concurrently, exactly like remote calls into the paper's `aug_proc`.
+/// Implementations must be thread-safe: typed access through
+/// [`ServiceHandle::get`] reaches them from concurrent tasks.
 pub trait Service: Send + Sync + 'static {
     /// Called once before the map phase of each job the service is
     /// attached to.
     fn begin_round(&self) {}
 
-    /// Called once after the last reducer of each job finishes. Drain
-    /// queues and finalize round state here.
+    /// Called once after the last reducer of each job finishes. Finalize
+    /// round state here.
     fn end_round(&self) {}
 
-    /// Applies one call that a *remote* task recorded against its
-    /// worker-side stand-in of this service (see
-    /// [`Service::drain_captured`]). The driver replays captured calls in
-    /// task-index order, reproducing the call sequence of a
-    /// single-threaded in-process run.
+    /// Applies the calls one task attempt
+    /// [`submit`](crate::TaskContext::submit)ted to this service, in the
+    /// order it made them. The runtime calls this once per task that made
+    /// any, in task-index order, and only for the attempt whose output
+    /// counts.
     ///
     /// # Errors
-    /// A human-readable reason when the payload does not decode; the
-    /// runtime fails the job with [`MrError::Wire`].
-    fn apply_remote(&self, _payload: &[u8]) -> Result<(), String> {
-        Ok(())
-    }
-
-    /// Drains the calls buffered by a capture-mode instance (the
-    /// worker-side stand-in): each payload is one encoded call for
-    /// [`Service::apply_remote`] on the driver's real instance, in the
-    /// order the task made them. Non-capturing instances return nothing.
-    fn drain_captured(&self) -> Vec<Vec<u8>> {
-        Vec::new()
+    /// A human-readable reason when a payload does not decode (or the
+    /// service takes no calls, the default); the runtime fails the job
+    /// with [`MrError::Wire`].
+    fn apply_calls(&self, _calls: &[Vec<u8>]) -> Result<(), String> {
+        Err("this service takes no submitted calls".into())
     }
 
     /// Upcast for typed access via [`ServiceHandle::get`].
@@ -113,34 +109,19 @@ impl ServiceHandle {
         }
     }
 
-    /// Replays one captured remote call against the service bound under
-    /// `name`.
+    /// Applies one task's calls to the service bound under `name`.
     ///
     /// # Errors
     /// [`MrError::ServiceMissing`] if nothing is bound under `name`;
-    /// [`MrError::Wire`] if the service rejects the payload.
-    pub fn apply_remote(&self, name: &str, payload: &[u8]) -> Result<(), MrError> {
+    /// [`MrError::Wire`] if the service rejects a payload.
+    pub fn apply_calls(&self, name: &str, calls: &[Vec<u8>]) -> Result<(), MrError> {
         let service = self
             .services
             .get(name)
             .ok_or_else(|| MrError::ServiceMissing(name.to_owned()))?;
         service
-            .apply_remote(payload)
-            .map_err(|m| MrError::Wire(format!("service {name} rejected remote call: {m}")))
-    }
-
-    /// Drains every attached service's captured calls, name-sorted so the
-    /// result is deterministic regardless of `HashMap` iteration order.
-    #[must_use]
-    pub fn drain_captured(&self) -> Vec<(String, Vec<Vec<u8>>)> {
-        let mut out: Vec<(String, Vec<Vec<u8>>)> = self
-            .services
-            .iter()
-            .map(|(name, s)| (name.clone(), s.drain_captured()))
-            .filter(|(_, calls)| !calls.is_empty())
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .apply_calls(calls)
+            .map_err(|m| MrError::Wire(format!("service {name} rejected a call: {m}")))
     }
 }
 

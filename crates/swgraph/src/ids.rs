@@ -5,7 +5,9 @@
 //! flip direction with one XOR — the convention every max-flow module in
 //! this workspace relies on.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies a vertex (dense index into a [`FlowNetwork`](crate::FlowNetwork)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -117,9 +119,62 @@ impl fmt::Display for EdgeId {
     }
 }
 
+/// A multiplicative hasher for integer ids ([`EdgeId`]s, route hashes) —
+/// one rotate, xor and multiply per `u64`, where the standard SipHash
+/// spends tens of cycles on every lookup.
+///
+/// Odd-constant multiplication permutes the low bits of a dense id range,
+/// so consecutive ids fill consecutive buckets. It offers no protection
+/// against crafted collisions: key only maps whose ids the program
+/// assigned, and only where iteration order does not reach any output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A `HashMap` keyed by integer ids through [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
+
+    #[test]
+    fn id_hasher_spreads_dense_ids_and_keeps_map_semantics() {
+        let hash = |raw: u64| {
+            let mut h = IdHasher::default();
+            EdgeId::new(raw).hash(&mut h);
+            h.finish()
+        };
+        // Low bits are a permutation of a dense range: 1024 ids land in
+        // 1024 distinct buckets of a 1024-slot table.
+        let mut buckets: Vec<u64> = (0..1024).map(|raw| hash(raw) & 1023).collect();
+        buckets.sort_unstable();
+        buckets.dedup();
+        assert_eq!(buckets.len(), 1024);
+
+        let mut map: IdMap<EdgeId, i64> = IdMap::default();
+        for raw in 0..1000 {
+            *map.entry(EdgeId::new(raw % 100)).or_insert(0) += 1;
+        }
+        assert_eq!(map.len(), 100);
+        assert!(map.values().all(|&n| n == 10));
+    }
 
     #[test]
     fn reverse_is_involutive_and_adjacent() {

@@ -42,5 +42,5 @@ pub mod network;
 pub mod props;
 pub mod super_st;
 
-pub use ids::{EdgeId, VertexId};
+pub use ids::{EdgeId, IdHasher, IdMap, VertexId};
 pub use network::{Capacity, FlowNetwork, FlowNetworkBuilder, INFINITE_CAPACITY};

@@ -2,11 +2,13 @@
 //! executing every map/reduce task over localhost TCP.
 //!
 //! The headline cross-check: a distributed run must be *byte-identical*
-//! to the deterministic in-process run (`worker_threads = Some(1)`) —
-//! same flow value, same per-round path counts, same final vertex-record
-//! bytes — even though tasks execute in other processes in whatever
-//! order the workers get to them. The driver replays worker-captured
-//! service calls in task order, which pins the remaining nondeterminism.
+//! to the in-process run — same flow value, same per-round statistics,
+//! same final vertex-record bytes — even though tasks execute in other
+//! processes in whatever order the workers get to them. The driver
+//! applies every task's `aug_proc` submissions in task order, in process
+//! and remote alike, which also makes the in-process run the same at any
+//! thread count (checked here too, with a golden digest of the one-thread
+//! ladder).
 //!
 //! Plus the failure drill from the issue: `kill -9` one worker mid-job
 //! and the run must still complete correctly via the retry path.
@@ -24,16 +26,33 @@ fn test_network(n: u64, w: usize, seed: u64) -> (FlowNetwork, VertexId, VertexId
     (st.network, st.source, st.sink)
 }
 
-/// A run's determinism fingerprint: flow value, per-round progress, the
-/// final vertex-record bytes, and the still-pending deltas.
+/// A run's determinism fingerprint: flow value, every `RoundStats` field
+/// but the host wall clock, the final vertex-record bytes, and the
+/// still-pending deltas.
 fn fingerprint(rt: &MrRuntime, run: &ffmr_core::FfRun) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(format!("value={}\n", run.max_flow_value).as_bytes());
     for r in &run.rounds {
+        // Destructured without `..`, so a new field fails to compile here
+        // until the fingerprint covers it.
+        let ffmr_core::RoundStats {
+            round,
+            a_paths,
+            value_gained,
+            max_queue,
+            map_out_records,
+            shuffle_bytes,
+            sim_seconds,
+            wall_seconds: _,
+            source_move,
+            sink_move,
+            graph_bytes,
+        } = r;
         out.extend_from_slice(
             format!(
-                "round={} a_paths={} gained={} map_out={} shuffle={}\n",
-                r.round, r.a_paths, r.value_gained, r.map_out_records, r.shuffle_bytes
+                "round={round} a_paths={a_paths} gained={value_gained} max_queue={max_queue} \
+                 map_out={map_out_records} shuffle={shuffle_bytes} sim={sim_seconds:?} \
+                 source_move={source_move} sink_move={sink_move} graph={graph_bytes}\n"
             )
             .as_bytes(),
         );
@@ -44,6 +63,75 @@ fn fingerprint(rt: &MrRuntime, run: &ffmr_core::FfRun) -> Vec<u8> {
     }
     out.extend_from_slice(&run.pending_deltas.to_blob());
     out
+}
+
+/// FNV-1a over a fingerprint: a stable digest to pin in source.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One in-process run of `variant` at `threads` MR worker threads.
+fn inprocess_run(
+    net: &FlowNetwork,
+    config: &FfConfig,
+    threads: usize,
+) -> (MrRuntime, ffmr_core::FfRun) {
+    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
+    rt.set_worker_threads(Some(threads));
+    let run = ffmr_core::run_max_flow(&mut rt, net, config).expect("in-process run");
+    (rt, run)
+}
+
+/// `aug_proc` accepts candidates in reduce-task order at the barrier, so
+/// the whole run — `max_queue` included — is a function of the input
+/// alone, whatever the number of threads.
+#[test]
+fn inprocess_fingerprint_is_thread_count_invariant_for_every_variant() {
+    let (net, s, t) = test_network(250, 2, 11);
+    for (label, variant) in FfVariant::ladder() {
+        let config = FfConfig::new(s, t).variant(variant).reducers(6);
+        let (rt, run) = inprocess_run(&net, &config, 1);
+        let serial = fingerprint(&rt, &run);
+        for threads in [2, 4] {
+            let (rt, run) = inprocess_run(&net, &config, threads);
+            assert!(
+                fingerprint(&rt, &run) == serial,
+                "{label}: {threads} threads diverged from the serial run"
+            );
+        }
+    }
+}
+
+/// The one-thread ladder is byte-identical to the commit before acceptance
+/// moved to task-order replay: these digests were captured there. Only
+/// `max_queue` changed meaning (largest number of candidates one reduce
+/// task handed to `aug_proc`, formerly the consumer queue's high-water
+/// mark), so it is zeroed before hashing.
+#[test]
+fn one_thread_ladder_matches_the_golden_digests() {
+    const GOLDEN: [(&str, u64); 5] = [
+        ("FF1", 10_465_262_570_109_802_515),
+        ("FF2", 17_161_071_213_741_991_246),
+        ("FF3", 14_882_213_021_261_882_659),
+        ("FF4", 13_728_798_245_494_529_003),
+        ("FF5", 14_831_152_186_963_953_082),
+    ];
+    let (net, s, t) = test_network(250, 2, 11);
+    let mut seen = Vec::new();
+    for (label, variant) in FfVariant::ladder() {
+        let config = FfConfig::new(s, t).variant(variant).reducers(6);
+        let (rt, mut run) = inprocess_run(&net, &config, 1);
+        for r in &mut run.rounds {
+            r.max_queue = 0;
+        }
+        seen.push((label, digest(&fingerprint(&rt, &run))));
+    }
+    assert_eq!(
+        seen, GOLDEN,
+        "one-thread FF ladder drifted from the golden run"
+    );
 }
 
 fn spawn_worker_process(addr: &str) -> Child {
@@ -309,10 +397,12 @@ fn kill_nine_mid_job_is_recovered_by_retry() {
     );
 
     // The fingerprint must still match a clean serial run: retries and
-    // the lost worker must leave no trace in the output.
-    let print_dist = fingerprint(&rt, &run);
-    let mut rt_base = MrRuntime::new(ClusterConfig::small_cluster(4));
-    rt_base.set_worker_threads(Some(1));
-    let run_base = ffmr_core::run_max_flow(&mut rt_base, &net, &config).expect("baseline");
-    assert_eq!(print_dist, fingerprint(&rt_base, &run_base));
+    // the lost worker must leave no trace in the output. Only the
+    // simulated clock may differ — it charges the killed attempt's slot.
+    let mut run = run;
+    let (rt_base, mut run_base) = inprocess_run(&net, &config, 1);
+    for r in run.rounds.iter_mut().chain(&mut run_base.rounds) {
+        r.sim_seconds = 0.0;
+    }
+    assert_eq!(fingerprint(&rt, &run), fingerprint(&rt_base, &run_base));
 }
