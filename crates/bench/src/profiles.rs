@@ -1,7 +1,7 @@
 //! Workload profiles: the FB1'..FB6' graph family and scale presets.
 
 use swgraph::gen::{induced_prefix, social_crawl, FB_CHECKPOINTS};
-use swgraph::{FlowNetwork, VertexId};
+use swgraph::FlowNetwork;
 
 /// How far below the paper's sizes to run. `FB_CHECKPOINTS` is already
 /// the paper divided by 1000; `denominator` divides again.
@@ -25,7 +25,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Tiny graphs for CI and Criterion benches (seconds per experiment).
+    /// Tiny graphs for CI and tests (seconds per experiment).
     #[must_use]
     pub fn smoke() -> Self {
         Self {
@@ -152,20 +152,6 @@ impl FbFamily {
     pub fn name(&self, i: usize) -> &'static str {
         self.checkpoints[i].0
     }
-}
-
-/// Convenience: a fresh deterministic MR runtime on a paper-like cluster.
-#[must_use]
-pub fn runtime(nodes: usize) -> mapreduce::MrRuntime {
-    mapreduce::MrRuntime::new(mapreduce::ClusterConfig::paper_cluster(nodes))
-}
-
-/// The highest-degree vertex pair, far apart — a generic (s, t) choice
-/// for experiments without super terminals.
-#[must_use]
-pub fn default_terminals(net: &FlowNetwork) -> (VertexId, VertexId) {
-    let n = net.num_vertices() as u64;
-    (VertexId::new(0), VertexId::new(n.saturating_sub(1)))
 }
 
 #[cfg(test)]

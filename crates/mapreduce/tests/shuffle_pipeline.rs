@@ -218,3 +218,52 @@ fn schimmy_merge_matches_reference_with_side_input_first() {
         }
     }
 }
+
+/// The spill and merge instrumentation reaches the process registry.
+/// The registry is process-global and tests run in parallel, so this
+/// checks deltas, bounded below by this job's own statistics.
+#[test]
+fn spill_and_merge_metrics_reach_the_registry() {
+    let m = ffmr_obs::global();
+    let spill_bytes = m.counter("ffmr_mr_spill_bytes_total", &[]);
+    let spill_runs = m.counter("ffmr_mr_spill_runs_total", &[]);
+    let merge_fanin = m.histogram("ffmr_mr_merge_fanin", &[]);
+    let before = (spill_bytes.get(), spill_runs.get(), merge_fanin.count());
+
+    let case = Case {
+        records: (0..200u64).map(|i| (i % 37, format!("v{i}"))).collect(),
+        input_partitions: 3,
+        reducers: 4,
+    };
+    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(3));
+    rt.dfs_mut()
+        .write_records("in", case.input_partitions, case.records.iter().cloned())
+        .unwrap();
+    let job = JobBuilder::new("metrics")
+        .input("in")
+        .output("out")
+        .reducers(case.reducers)
+        .map(|k: &u64, v: &String, ctx: &mut MapContext<u64, String>| ctx.emit(*k, v.clone()))
+        .reduce(
+            |k: &u64,
+             vs: &mut dyn Iterator<Item = String>,
+             ctx: &mut ReduceContext<u64, String>| {
+                ctx.emit(*k, vs.count().to_string());
+            },
+        );
+    let stats = rt.run(job).unwrap();
+    assert!(stats.map_tasks >= 2 && stats.reduce_tasks >= 2, "{stats:?}");
+
+    let bytes = spill_bytes.get() - before.0;
+    let runs = spill_runs.get() - before.1;
+    let merges = merge_fanin.count() - before.2;
+    assert!(
+        bytes > 0 && bytes >= stats.spilled_bytes,
+        "spill bytes +{bytes}"
+    );
+    assert!(runs > 0 && runs >= stats.spill_runs, "spill runs +{runs}");
+    assert!(
+        merges >= case.reducers as u64,
+        "merge fan-in records +{merges}"
+    );
+}

@@ -49,9 +49,7 @@
 //! ```
 //!
 //! The process-wide registry lives behind [`global()`]; library code
-//! records into it unconditionally (the overhead is atomic increments),
-//! and [`Registry::set_enabled`] can still turn recording into a no-op
-//! for overhead A/B measurements.
+//! records into it unconditionally (the overhead is atomic increments).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 //! included, which is the usual (and harmless) scrape semantics.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Number of log₂ buckets a [`Histogram`] maintains: bucket 0 holds the
@@ -16,20 +16,12 @@ use std::sync::{Arc, RwLock};
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonically increasing counter.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     value: AtomicU64,
 }
 
 impl Counter {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        Self {
-            enabled,
-            value: AtomicU64::new(0),
-        }
-    }
-
     /// Adds 1.
     pub fn inc(&self) {
         self.add(1);
@@ -37,9 +29,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -50,32 +40,20 @@ impl Counter {
 }
 
 /// A settable instantaneous value (queue depths, pool sizes, ages).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Gauge {
-    enabled: Arc<AtomicBool>,
     value: AtomicI64,
 }
 
 impl Gauge {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
-        Self {
-            enabled,
-            value: AtomicI64::new(0),
-        }
-    }
-
     /// Sets the gauge.
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adds `n` (may be negative via [`Gauge::sub`]).
     pub fn add(&self, n: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtracts `n`.
@@ -99,7 +77,6 @@ impl Gauge {
 /// latency dashboards and far cheaper than exact reservoirs.
 #[derive(Debug)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -127,9 +104,8 @@ pub struct HistogramSummary {
 }
 
 impl Histogram {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
+    fn new() -> Self {
         Self {
-            enabled,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -158,9 +134,6 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&self, v: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -188,8 +161,7 @@ impl Histogram {
     }
 
     /// Folds pre-aggregated deltas from another histogram (a worker's
-    /// shipped snapshot) into this one. Bypasses the enable flag — the
-    /// caller gates on the destination registry.
+    /// shipped snapshot) into this one.
     fn merge_raw(&self, count: u64, sum: u64, min: u64, max: u64, buckets: &[(usize, u64)]) {
         if count == 0 {
             return;
@@ -356,62 +328,42 @@ pub enum MetricValue {
 /// [`global()`](crate::global) instance).
 #[derive(Debug, Default)]
 pub struct Registry {
-    enabled: Arc<AtomicBool>,
     counters: RwLock<BTreeMap<MetricId, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<MetricId, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<MetricId, Arc<Histogram>>>,
 }
 
 impl Registry {
-    /// An empty, enabled registry.
+    /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            enabled: Arc::new(AtomicBool::new(true)),
-            counters: RwLock::new(BTreeMap::new()),
-            gauges: RwLock::new(BTreeMap::new()),
-            histograms: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// Turns recording on or off globally. Registered handles observe
-    /// the switch immediately; a disabled record is one relaxed atomic
-    /// load. Used for overhead A/B measurements.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is enabled.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        Self::default()
     }
 
     /// Gets or registers a counter.
     #[must_use]
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let enabled = Arc::clone(&self.enabled);
-        get_or_insert(&self.counters, MetricId::new(name, labels), || {
-            Counter::new(enabled)
-        })
+        get_or_insert(
+            &self.counters,
+            MetricId::new(name, labels),
+            Counter::default,
+        )
     }
 
     /// Gets or registers a gauge.
     #[must_use]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let enabled = Arc::clone(&self.enabled);
-        get_or_insert(&self.gauges, MetricId::new(name, labels), || {
-            Gauge::new(enabled)
-        })
+        get_or_insert(&self.gauges, MetricId::new(name, labels), Gauge::default)
     }
 
     /// Gets or registers a histogram.
     #[must_use]
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let enabled = Arc::clone(&self.enabled);
-        get_or_insert(&self.histograms, MetricId::new(name, labels), || {
-            Histogram::new(enabled)
-        })
+        get_or_insert(
+            &self.histograms,
+            MetricId::new(name, labels),
+            Histogram::new,
+        )
     }
 
     /// Value of a counter series by its rendered id (`name` or
@@ -548,7 +500,7 @@ impl Registry {
     /// Like [`Registry::encode_snapshot`] but restricted to series whose
     /// name starts with `prefix`. A worker ships its own plane
     /// (`ffmr_worker_*`) without dragging along driver-side series when
-    /// it shares the process registry (in-thread bench fleets).
+    /// it shares the process registry (in-thread fleets).
     #[must_use]
     pub fn encode_snapshot_prefixed(&self, prefix: &str) -> String {
         let mut out = String::new();
@@ -610,11 +562,8 @@ impl Registry {
     /// each `(series, extra-label)` pair, the delta against the current
     /// local value is applied, so repeated snapshots never double-count.
     /// Gauges are set to the shipped value. Malformed lines are skipped
-    /// — telemetry must never take a job down. No-op while disabled.
+    /// — telemetry must never take a job down.
     pub fn merge_snapshot(&self, encoded: &str, extra: (&str, &str)) {
-        if !self.enabled() {
-            return;
-        }
         for line in encoded.lines() {
             let mut parts = line.split('\t');
             let Some(kind) = parts.next() else { continue };
@@ -773,21 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_stops_recording() {
-        let reg = Registry::new();
-        let c = reg.counter("c_total", &[]);
-        let h = reg.histogram("h_us", &[]);
-        reg.set_enabled(false);
-        c.inc();
-        h.record(10);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        reg.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
     fn label_order_is_canonical_and_values_sanitized() {
         let reg = Registry::new();
         let a = reg.counter("t_total", &[("b", "2"), ("a", "1")]);
@@ -935,16 +869,6 @@ mod tests {
             ("worker", "2"),
         );
         assert_eq!(driver.counter_value("z_total{worker=\"2\"}"), None);
-    }
-
-    #[test]
-    fn merge_snapshot_is_a_noop_while_disabled() {
-        let worker = Registry::new();
-        worker.counter("w_total", &[]).add(4);
-        let driver = Registry::new();
-        driver.set_enabled(false);
-        driver.merge_snapshot(&worker.encode_snapshot(), ("worker", "1"));
-        assert_eq!(driver.counter_value("w_total{worker=\"1\"}"), None);
     }
 
     #[test]

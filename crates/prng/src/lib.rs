@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline, so instead of the `rand` registry
 //! crate everything that needs randomness — the small-world generators,
-//! the bench harness and the randomized test suites — uses this tiny
+//! the experiment harness and the randomized test suites — uses this tiny
 //! [SplitMix64](https://prng.di.unimi.it/splitmix64.c) implementation.
 //! SplitMix64 passes BigCrush, seeds in O(1), and its whole state is one
 //! `u64`, which makes every generated graph reproducible from a single

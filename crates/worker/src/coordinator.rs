@@ -121,6 +121,30 @@ struct WorkerEntry {
     bytes_out: u64,
 }
 
+/// A flight-recorder note whose window is still on the worker's clock.
+/// The raw `t-start-us`/`t-end-us` are aligned only when the notes are
+/// drained, so every note of one worker gets the same offset: a new
+/// lowest-RTT heartbeat between two dispatches cannot make that
+/// worker's sequential windows overlap on the driver clock.
+#[derive(Debug)]
+struct PendingNote {
+    note: DispatchNote,
+    worker_start_us: Option<u64>,
+    worker_end_us: Option<u64>,
+}
+
+impl PendingNote {
+    fn aligned(mut self, offset_us: i64) -> DispatchNote {
+        if let Some(t) = self.worker_start_us {
+            self.note.started_us = align_to_driver(t, offset_us);
+        }
+        if let Some(t) = self.worker_end_us {
+            self.note.finished_us = align_to_driver(t, offset_us);
+        }
+        self.note
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
     blobs: HashMap<String, Vec<u8>>,
@@ -134,7 +158,7 @@ struct State {
     /// drained by the runtime through
     /// [`TaskExecutor::drain_dispatch_notes`]. Only populated while the
     /// global event recorder is enabled.
-    notes: Vec<DispatchNote>,
+    notes: Vec<PendingNote>,
     /// Dispatch id → index into `notes`, so the executor can attach
     /// driver-side serialization time after the fact.
     note_index: HashMap<u64, usize>,
@@ -670,21 +694,17 @@ fn handle_request(
             let (fetch_us, push_us) = (t("t-fetch-us"), t("t-push-us"));
             let (bytes_in, bytes_out) = (t("t-bytes-in"), t("t-bytes-out"));
             let mut st = shared.state.lock();
-            let offset_us = match st.workers.get_mut(&worker) {
-                Some(entry) => {
-                    entry.last_seen = Instant::now();
-                    entry.running.retain(|&r| r != d);
-                    if ok {
-                        entry.tasks_ok += 1;
-                    } else {
-                        entry.tasks_failed += 1;
-                    }
-                    entry.bytes_in += bytes_in.unwrap_or(0);
-                    entry.bytes_out += bytes_out.unwrap_or(0);
-                    entry.offset_us
+            if let Some(entry) = st.workers.get_mut(&worker) {
+                entry.last_seen = Instant::now();
+                entry.running.retain(|&r| r != d);
+                if ok {
+                    entry.tasks_ok += 1;
+                } else {
+                    entry.tasks_failed += 1;
                 }
-                None => 0,
-            };
+                entry.bytes_in += bytes_in.unwrap_or(0);
+                entry.bytes_out += bytes_out.unwrap_or(0);
+            }
             // A dispatch the coordinator no longer tracks (or that was
             // reassigned after this worker was declared dead) is a stale
             // attempt: acknowledge and discard so retries stay
@@ -697,20 +717,24 @@ fn handle_request(
                 if ffmr_obs::events::recorder().enabled() && st.notes.len() < NOTES_CAP {
                     let disp = st.dispatches.get(&d).expect("checked above");
                     let queued_us = disp.queued_us;
-                    let note = DispatchNote {
-                        phase: disp.phase.as_str().to_string(),
-                        task: disp.task,
-                        worker,
-                        ok,
-                        queued_us,
-                        done_us,
-                        started_us: t_start.map_or(queued_us, |t| align_to_driver(t, offset_us)),
-                        finished_us: t_end.map_or(done_us, |t| align_to_driver(t, offset_us)),
-                        fetch_us: fetch_us.unwrap_or(0),
-                        push_us: push_us.unwrap_or(0),
-                        ser_us: 0,
-                        bytes_in: bytes_in.unwrap_or(0),
-                        bytes_out: bytes_out.unwrap_or(0),
+                    let note = PendingNote {
+                        note: DispatchNote {
+                            phase: disp.phase.as_str().to_string(),
+                            task: disp.task,
+                            worker,
+                            ok,
+                            queued_us,
+                            done_us,
+                            started_us: queued_us,
+                            finished_us: done_us,
+                            fetch_us: fetch_us.unwrap_or(0),
+                            push_us: push_us.unwrap_or(0),
+                            ser_us: 0,
+                            bytes_in: bytes_in.unwrap_or(0),
+                            bytes_out: bytes_out.unwrap_or(0),
+                        },
+                        worker_start_us: t_start,
+                        worker_end_us: t_end,
                     };
                     let idx = st.notes.len();
                     st.notes.push(note);
@@ -882,8 +906,8 @@ impl RemoteExecutor {
     fn record_ser_us(&self, dispatch: u64, ser_us: u64) {
         let mut st = self.shared.state.lock();
         if let Some(&idx) = st.note_index.get(&dispatch) {
-            if let Some(note) = st.notes.get_mut(idx) {
-                note.ser_us = ser_us;
+            if let Some(pending) = st.notes.get_mut(idx) {
+                pending.note.ser_us = ser_us;
             }
         }
     }
@@ -930,10 +954,19 @@ impl TaskExecutor for RemoteExecutor {
         result
     }
 
+    /// Aligns each note with its worker's offset as of now, the
+    /// lowest-RTT estimate seen so far.
     fn drain_dispatch_notes(&self) -> Vec<ffmr_obs::DispatchNote> {
         let mut st = self.shared.state.lock();
         st.note_index.clear();
-        std::mem::take(&mut st.notes)
+        let pending = std::mem::take(&mut st.notes);
+        pending
+            .into_iter()
+            .map(|p| {
+                let offset_us = st.workers.get(&p.note.worker).map_or(0, |w| w.offset_us);
+                p.aligned(offset_us)
+            })
+            .collect()
     }
 }
 
@@ -964,5 +997,89 @@ mod tests {
         // Closed first, or shutdown would sit out the drain grace.
         drop(stream);
         coordinator.shutdown();
+    }
+
+    /// A fake worker whose clock runs `SHIFT_US` ahead of the driver's:
+    /// a heartbeat whose RTT was spent on one leg skews the offset by
+    /// half that RTT, and a later, tighter beat must win for every note
+    /// drained after it, including notes whose `task-done` came first.
+    #[test]
+    fn notes_align_with_the_lowest_rtt_offset_at_drain_time() {
+        const SHIFT_US: u64 = 10_000_000;
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State::default()),
+            changed: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            heartbeat_timeout: Duration::from_secs(3),
+            dead_cluster_timeout: Duration::from_secs(30),
+        });
+        let executor = RemoteExecutor {
+            shared: Arc::clone(&shared),
+        };
+        let worker_now = || ffmr_obs::span::epoch_us() + SHIFT_US;
+        let call = |request: Message| {
+            let response = handle_request(&shared, &request, &mut None);
+            assert_eq!(response.head, status::OK, "{request:?}");
+        };
+        // The worker stamps `now-us` `delay_us` before the driver reads
+        // it, and reports a round trip of `rtt_us`.
+        let heartbeat = |rtt_us: u64, delay_us: u64| {
+            let mut beat = Message::new(verb::HEARTBEAT);
+            beat.push("worker", 0);
+            beat.push("now-us", worker_now() - delay_us);
+            beat.push("rtt-us", rtt_us);
+            call(beat);
+        };
+
+        let mut registered = None;
+        let mut register = Message::new(verb::REGISTER);
+        register.push("now-us", worker_now());
+        handle_request(&shared, &register, &mut registered);
+        assert_eq!(registered, Some(0));
+        ffmr_obs::events::recorder().set_enabled(true);
+
+        // 100 ms round trip, all of it on the way in: offset off by 50 ms.
+        heartbeat(100_000, 100_000);
+        {
+            let mut st = shared.state.lock();
+            st.dispatches.insert(
+                7,
+                Dispatch {
+                    phase: Phase::Map,
+                    task: 3,
+                    running_on: Some(0),
+                    outcome: None,
+                    queued_us: ffmr_obs::span::epoch_us(),
+                    trace: 0,
+                    span: 0,
+                },
+            );
+            st.workers.get_mut(&0).unwrap().running.push(7);
+        }
+        let (start, end) = (worker_now(), worker_now() + 1_000);
+        let mut done = Message::new(verb::TASK_DONE);
+        done.push("worker", 0);
+        done.push("dispatch", 7);
+        done.push("status", "err");
+        done.push("t-start-us", start);
+        done.push("t-end-us", end);
+        call(done);
+        // A tight, symmetric 4 ms beat after the task finished.
+        heartbeat(4_000, 2_000);
+
+        let min_rtt = shared.state.lock().workers[&0].min_rtt_us;
+        assert_eq!(min_rtt, 4_000);
+        let notes = executor.drain_dispatch_notes();
+        assert_eq!(notes.len(), 1);
+        let note = &notes[0];
+        assert_eq!((note.phase.as_str(), note.task, note.ok), ("map", 3, false));
+        for (aligned, truth) in [(note.started_us, start), (note.finished_us, end)] {
+            let truth = truth - SHIFT_US;
+            assert!(
+                aligned.abs_diff(truth) <= min_rtt,
+                "aligned {aligned}us vs truth {truth}us, min RTT {min_rtt}us"
+            );
+        }
+        assert_eq!(note.finished_us - note.started_us, 1_000);
     }
 }

@@ -29,7 +29,9 @@ use crate::proto::{self, verb, RAW_CHUNK_BYTES};
 use crate::registry::JobKindRegistry;
 use crate::signals;
 
-/// Tuning knobs for [`run_worker`].
+/// Where a worker connects and how often it polls and heartbeats.
+/// Telemetry (metrics snapshots and captured spans) always rides on
+/// `task-done` and a final flush.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// Coordinator address (`host:port`).
@@ -39,10 +41,6 @@ pub struct WorkerConfig {
     /// Interval between heartbeats (keep well under the coordinator's
     /// heartbeat timeout).
     pub heartbeat_interval: Duration,
-    /// Ship this process's metrics registry and captured spans to the
-    /// coordinator (piggybacked on `task-done`, flushed on shutdown).
-    /// On by default; benches toggle it for overhead A/B runs.
-    pub telemetry: bool,
 }
 
 impl WorkerConfig {
@@ -53,7 +51,6 @@ impl WorkerConfig {
             addr: addr.into(),
             poll_interval: Duration::from_millis(20),
             heartbeat_interval: Duration::from_millis(300),
-            telemetry: true,
         }
     }
 }
@@ -384,12 +381,9 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
         // nothing: throttle to one per 100 ms so busy fleets don't pay
         // an encode+merge per task (the shutdown flush below delivers
         // whatever the throttle held back). Only the worker plane
-        // ships: in-thread fleets (benches) share the driver's
-        // registry, and its other series must not ride along with a
-        // worker label.
-        if config.telemetry
-            && last_metrics_ship.is_none_or(|t| t.elapsed() >= Duration::from_millis(100))
-        {
+        // ships: in-thread fleets share the driver's registry, and its
+        // other series must not ride along with a worker label.
+        if last_metrics_ship.is_none_or(|t| t.elapsed() >= Duration::from_millis(100)) {
             last_metrics_ship = Some(Instant::now());
             let snapshot = reg.encode_snapshot_prefixed("ffmr_worker_");
             done.push("metrics", b64::encode(snapshot.as_bytes()));
@@ -406,19 +400,17 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
     };
     // Final telemetry flush so short-lived workers' last metric deltas
     // and spans reach the coordinator even with no task in flight.
-    if config.telemetry {
-        let mut flush = Message::new(verb::TELEMETRY);
-        flush.push("worker", worker_id);
-        let snapshot = ffmr_obs::global().encode_snapshot_prefixed("ffmr_worker_");
-        flush.push("metrics", b64::encode(snapshot.as_bytes()));
-        if let Some(capture) = &span_capture {
-            let lines = capture.take();
-            if !lines.is_empty() {
-                flush.push("spans", b64::encode(lines.join("\n").as_bytes()));
-            }
+    let mut flush = Message::new(verb::TELEMETRY);
+    flush.push("worker", worker_id);
+    let snapshot = ffmr_obs::global().encode_snapshot_prefixed("ffmr_worker_");
+    flush.push("metrics", b64::encode(snapshot.as_bytes()));
+    if let Some(capture) = &span_capture {
+        let lines = capture.take();
+        if !lines.is_empty() {
+            flush.push("spans", b64::encode(lines.join("\n").as_bytes()));
         }
-        let _ = client.request(&flush);
     }
+    let _ = client.request(&flush);
     stop.store(true, Ordering::SeqCst);
     let _ = heartbeat.join();
     result

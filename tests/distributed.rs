@@ -323,8 +323,8 @@ fn merged_flight_recorder_is_complete_and_does_not_perturb_the_run() {
         );
 
         // Per-worker windows: well-formed, and consistent with a
-        // worker executing one dispatch at a time once clock-aligned
-        // (a small slack absorbs offset refinement between beats).
+        // worker executing one dispatch at a time. All of one worker's
+        // notes share one clock offset, so the check is exact.
         let mut per_worker: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
         for n in &p.dispatches {
             assert!(
@@ -341,8 +341,8 @@ fn merged_flight_recorder_is_complete_and_does_not_perturb_the_run() {
             windows.sort_unstable();
             for pair in windows.windows(2) {
                 let overlap = pair[0].1.saturating_sub(pair[1].0);
-                assert!(
-                    overlap <= 5_000,
+                assert_eq!(
+                    overlap, 0,
                     "round {}: worker {worker} windows overlap by {overlap}us",
                     p.round
                 );
