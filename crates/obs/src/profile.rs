@@ -122,11 +122,9 @@ impl PathStep {
     }
 }
 
-/// What one completed remote dispatch cost, as observed by the
-/// coordinator and the worker that ran it. All `_us` values are
-/// microseconds on the driver's job clock: driver-side stamps are taken
-/// there directly, worker-side window stamps are aligned with the
-/// worker's heartbeat-RTT-midpoint clock offset.
+/// What one completed remote dispatch cost, as the coordinator measured
+/// it on the socket of the worker that ran it. All `_us` values are
+/// microseconds on the driver's clock.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DispatchNote {
     /// `"map"` or `"reduce"`.
@@ -141,19 +139,19 @@ pub struct DispatchNote {
     pub queued_us: u64,
     /// Driver clock when the outcome was accepted.
     pub done_us: u64,
-    /// Clock-aligned worker window start (first blob fetch).
+    /// Window start: the reply handing the task out began to be written.
     pub started_us: u64,
-    /// Clock-aligned worker window end (`task-done` sent).
+    /// Window end: the `task-done` body had been read.
     pub finished_us: u64,
-    /// Time the worker spent downloading job + spec blobs.
+    /// Time writing that reply (job, params and spec) took.
     pub fetch_us: u64,
-    /// Time the worker spent uploading the result blob.
+    /// Time from the `task-done`'s first byte to its last (the result).
     pub push_us: u64,
     /// Driver-side spec encode + result decode time.
     pub ser_us: u64,
-    /// Bytes the worker downloaded for this dispatch.
+    /// Task-body bytes sent to the worker for this dispatch.
     pub bytes_in: u64,
-    /// Bytes the worker uploaded for this dispatch.
+    /// Result-body bytes the worker sent back.
     pub bytes_out: u64,
 }
 
@@ -164,13 +162,14 @@ impl DispatchNote {
         self.started_us.saturating_sub(self.queued_us)
     }
 
-    /// Blob movement (fetch + push) inside the worker window.
+    /// Body movement (fetch + push) inside the window.
     #[must_use]
     pub fn transfer_us(&self) -> u64 {
         self.fetch_us + self.push_us
     }
 
-    /// Worker window minus blob movement: decode + user code + encode.
+    /// Window minus body movement: the worker's decode, user code and
+    /// encode, plus the small frames' latency.
     #[must_use]
     pub fn compute_us(&self) -> u64 {
         self.finished_us
@@ -237,11 +236,12 @@ impl DispatchNote {
 pub struct DistBlame {
     /// Driver-side spec encode + result decode, seconds.
     pub serialization_seconds: f64,
-    /// Worker-side blob fetch + push, seconds.
+    /// Task and result body transfer (fetch + push), seconds.
     pub transfer_seconds: f64,
     /// Queue time between enqueue and worker pickup, seconds.
     pub dispatch_wait_seconds: f64,
-    /// Worker-side decode + user code + encode, seconds.
+    /// The rest of each dispatch window (worker decode + user code +
+    /// encode), seconds.
     pub compute_seconds: f64,
 }
 
@@ -274,7 +274,7 @@ impl DistBlame {
 }
 
 /// One wall-clock segment of a critical-path dispatch: how the step's
-/// round trip split into queue wait, blob movement and compute.
+/// round trip split into queue wait, body movement and compute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistPathStep {
     /// `"<phase>/dispatch-wait"`, `"<phase>/fetch"`,

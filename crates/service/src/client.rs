@@ -1,9 +1,10 @@
-//! A minimal blocking client for the `ffmrd` protocol.
+//! A minimal blocking client for the `ffmrd` protocol (and the dispatch
+//! plane built on it).
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::protocol::{read_frame, write_frame, Message, WireError};
+use crate::protocol::{read_message, write_message, Message, WireError};
 
 /// One connection to an `ffmrd` daemon, used strictly
 /// request-by-request.
@@ -31,20 +32,18 @@ impl Client {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// Sends one request and blocks for its response.
+    /// Sends one request, body included, and blocks for its response.
     ///
     /// # Errors
     /// [`WireError`] on socket failure, on a response that is not a
-    /// valid frame, or if the server closes without replying.
+    /// valid message, or if the server closes without replying.
     pub fn request(&mut self, request: &Message) -> Result<Message, WireError> {
-        write_frame(&mut self.stream, &request.encode())?;
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
+        write_message(&mut self.stream, request)?;
+        read_message(&mut self.stream)?.ok_or_else(|| {
             WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed before replying",
             ))
-        })?;
-        Message::decode(&payload)
-            .map_err(|e| WireError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))
+        })
     }
 }

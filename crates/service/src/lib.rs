@@ -10,7 +10,8 @@
 //! Layering, bottom to top:
 //!
 //! * [`protocol`] — length-prefixed, line-oriented wire format
-//!   (std-only; debuggable with a hex dump);
+//!   (std-only; debuggable with a hex dump), with an optional raw body
+//!   the distributed dispatch plane uses;
 //! * [`store`] — named immutable graph snapshots behind `Arc`, swapped
 //!   atomically on `load`/`reload` with a monotonically bumped epoch;
 //! * [`cache`] — LRU memoization of answers keyed by dataset, epoch,
@@ -35,8 +36,8 @@ pub use cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
 pub use client::Client;
 pub use engine::{EngineConfig, QueryEngine};
 pub use protocol::{
-    error_response, read_frame, read_frame_polled, status, write_frame, Message, WireError,
-    MAX_FRAME_BYTES,
+    error_response, read_frame, read_frame_polled, read_message, read_message_polled, status,
+    write_frame, write_message, Message, WireError, MAX_FRAME_BYTES,
 };
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use store::{GraphStore, Snapshot, StoreError};

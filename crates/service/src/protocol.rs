@@ -1,6 +1,7 @@
-//! The `ffmrd` wire protocol: length-prefixed UTF-8 frames over TCP.
+//! The wire protocol of `ffmrd` and of the distributed dispatch plane:
+//! length-prefixed frames over TCP.
 //!
-//! Every message is one frame: a 4-byte big-endian payload length
+//! A message's header is one frame: a 4-byte big-endian payload length
 //! followed by that many bytes of UTF-8 text. The payload's first line
 //! is the request verb (or response status); each following line is one
 //! `key value` field, where the key runs to the first space and the
@@ -15,6 +16,19 @@
 //!
 //! The format is deliberately line-oriented and std-only: it can be
 //! debugged with a hex dump and needs no serialization dependency.
+//!
+//! # Bodies
+//!
+//! A [`Message`] may also carry a raw byte body (the dispatch plane's
+//! task specs and results). The top bit of a length prefix says "another
+//! frame of this message follows": it is set on the header frame of a
+//! message with a body and on every body frame but the last, and the
+//! body's bytes are the concatenation of those frames, each at most
+//! [`MAX_FRAME_BYTES`]. No reply travels between the frames. A message
+//! without a body is exactly one text frame with the bit clear, so the
+//! text-only messages `ffmrd` sends and accepts are unchanged;
+//! [`read_frame`] refuses a header announcing a body as an oversized
+//! frame, so `ffmrd` never buffers one.
 //!
 //! # Query-response field set
 //!
@@ -47,6 +61,9 @@ use std::io::{ErrorKind, Read, Write};
 /// prefix must not trigger an unbounded allocation.
 pub const MAX_FRAME_BYTES: u32 = 1 << 20;
 
+/// Length-prefix bit: another frame of the same message follows.
+const MORE: u32 = 1 << 31;
+
 /// Wire-level failure while reading or writing a frame.
 #[derive(Debug)]
 pub enum WireError {
@@ -56,6 +73,9 @@ pub enum WireError {
     FrameTooLarge(u32),
     /// Frame payload was not valid UTF-8.
     NotUtf8,
+    /// A whole message arrived but its header is not a valid
+    /// [`Message`]; the stream is still in step.
+    BadMessage(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -64,6 +84,7 @@ impl std::fmt::Display for WireError {
             WireError::Io(e) => write!(f, "socket error: {e}"),
             WireError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds cap"),
             WireError::NotUtf8 => write!(f, "frame payload is not UTF-8"),
+            WireError::BadMessage(e) => write!(f, "bad message: {e}"),
         }
     }
 }
@@ -76,19 +97,40 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed text frame.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
-    let bytes = payload.as_bytes();
-    assert!(bytes.len() <= MAX_FRAME_BYTES as usize, "oversized frame");
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    write_prefixed(w, payload.as_bytes(), false)?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
-/// boundary (the peer closed the connection). A read timeout on the
-/// underlying stream fails the read.
+/// Writes `message`: its header frame, then its body (if any) as
+/// back-to-back frames. A message without a body is written exactly as
+/// [`write_frame`] writes its encoding.
+pub fn write_message(w: &mut impl Write, message: &Message) -> Result<(), WireError> {
+    let header = message.encode();
+    let mut frames = std::iter::once(header.as_bytes())
+        .chain(message.body.chunks(MAX_FRAME_BYTES as usize))
+        .peekable();
+    while let Some(frame) = frames.next() {
+        write_prefixed(w, frame, frames.peek().is_some())?;
+    }
+    w.flush()?;
+    Ok(())
+}
+
+/// Writes one frame's length prefix and bytes: two writes.
+fn write_prefixed(w: &mut impl Write, bytes: &[u8], more: bool) -> Result<(), WireError> {
+    assert!(bytes.len() <= MAX_FRAME_BYTES as usize, "oversized frame");
+    let prefix = bytes.len() as u32 | if more { MORE } else { 0 };
+    w.write_all(&prefix.to_be_bytes())?;
+    w.write_all(bytes)?;
+    Ok(())
+}
+
+/// Reads one length-prefixed text frame; `Ok(None)` on clean EOF at a
+/// frame boundary (the peer closed the connection). A read timeout on
+/// the underlying stream fails the read.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, WireError> {
     read_frame_polled(r, || true)
 }
@@ -102,22 +144,72 @@ pub fn read_frame_polled(
     r: &mut impl Read,
     mut give_up: impl FnMut() -> bool,
 ) -> Result<Option<String>, WireError> {
-    let mut len_buf = [0u8; 4];
-    // A clean close before any length byte is a normal end of session.
-    if !fill(r, &mut len_buf, &mut give_up)? {
+    let mut payload = Vec::new();
+    if read_into(r, &mut payload, false, &mut give_up)?.is_none() {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::FrameTooLarge(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    if !fill(r, &mut payload, &mut give_up)? {
-        return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
     }
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| WireError::NotUtf8)
+}
+
+/// Reads one message, body included; `Ok(None)` on clean EOF at a
+/// message boundary. A read timeout fails the read.
+pub fn read_message(r: &mut impl Read) -> Result<Option<Message>, WireError> {
+    read_message_polled(r, || true)
+}
+
+/// [`read_message`] with [`read_frame_polled`]'s timeout handling. The
+/// whole message is consumed before its header is decoded, so a
+/// [`WireError::BadMessage`] leaves the stream at the next message.
+pub fn read_message_polled(
+    r: &mut impl Read,
+    mut give_up: impl FnMut() -> bool,
+) -> Result<Option<Message>, WireError> {
+    let mut header = Vec::new();
+    let Some(mut more) = read_into(r, &mut header, true, &mut give_up)? else {
+        return Ok(None);
+    };
+    let mut body = Vec::new();
+    while more {
+        more = read_into(r, &mut body, true, &mut give_up)?
+            .ok_or_else(|| std::io::Error::from(ErrorKind::UnexpectedEof))?;
+    }
+    let text = String::from_utf8(header).map_err(|_| WireError::NotUtf8)?;
+    let mut message = Message::decode(&text).map_err(WireError::BadMessage)?;
+    message.body = body;
+    Ok(Some(message))
+}
+
+/// Reads one frame and appends its bytes to `buf`, allocating no more
+/// than its prefix announced (at most [`MAX_FRAME_BYTES`]). `Ok(None)`
+/// when the stream ended before the prefix; otherwise whether another
+/// frame of the message follows. Unless `more_allowed`, a set
+/// [`MORE`] bit counts toward the length, so the frame is too large.
+fn read_into(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+    more_allowed: bool,
+    give_up: &mut impl FnMut() -> bool,
+) -> Result<Option<bool>, WireError> {
+    let mut prefix = [0u8; 4];
+    // A clean close before any length byte is a normal end of session.
+    if !fill(r, &mut prefix, give_up)? {
+        return Ok(None);
+    }
+    let word = u32::from_be_bytes(prefix);
+    let more = more_allowed && word & MORE != 0;
+    let len = if more { word & !MORE } else { word };
+    if len > MAX_FRAME_BYTES {
+        return Err(WireError::FrameTooLarge(word));
+    }
+    let start = buf.len();
+    buf.reserve_exact(len as usize);
+    buf.resize(start + len as usize, 0);
+    if !fill(r, &mut buf[start..], give_up)? {
+        return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into());
+    }
+    Ok(Some(more))
 }
 
 /// Fills `buf`, riding out read timeouts until `give_up` says
@@ -146,7 +238,8 @@ fn fill(
     Ok(true)
 }
 
-/// A decoded message: a verb/status line plus ordered `key value` fields.
+/// A decoded message: a verb/status line plus ordered `key value`
+/// fields, and an optional raw byte body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Request verb (`maxflow`, `stats`, …) or response status (`ok`,
@@ -154,6 +247,10 @@ pub struct Message {
     pub head: String,
     /// Ordered fields; duplicate keys are allowed and preserved.
     pub fields: Vec<(String, String)>,
+    /// Raw bytes sent after the header by [`write_message`]; empty
+    /// means no body. [`Message::encode`] and [`Message::decode`] cover
+    /// the header only.
+    pub body: Vec<u8>,
 }
 
 impl Message {
@@ -163,6 +260,7 @@ impl Message {
         Self {
             head: head.into(),
             fields: Vec::new(),
+            body: Vec::new(),
         }
     }
 
@@ -266,6 +364,7 @@ impl Message {
         Ok(Self {
             head: head.to_string(),
             fields,
+            body: Vec::new(),
         })
     }
 }
@@ -419,5 +518,58 @@ mod tests {
         buf.extend_from_slice(b"abc"); // promised 8, delivered 3
         let mut r = buf.as_slice();
         assert!(matches!(read_frame(&mut r), Err(WireError::Io(_))));
+    }
+
+    /// The 4-byte prefixes of `bytes`' frames, walking the lengths.
+    fn prefixes(mut bytes: &[u8]) -> Vec<u32> {
+        let mut out = Vec::new();
+        while !bytes.is_empty() {
+            let word = u32::from_be_bytes(bytes[..4].try_into().unwrap());
+            out.push(word);
+            bytes = &bytes[4 + (word & !MORE) as usize..];
+        }
+        out
+    }
+
+    #[test]
+    fn a_body_follows_its_header_in_frames_flagged_until_the_last() {
+        let cap = MAX_FRAME_BYTES;
+        let mut m = Message::new("task-done").field("dispatch", 3);
+        m.body = vec![7; cap as usize + 1];
+        let mut buf = Vec::new();
+        write_message(&mut buf, &m).unwrap();
+        let header = m.encode().len() as u32;
+        assert_eq!(prefixes(&buf), vec![header | MORE, cap | MORE, 1]);
+        let back = read_message(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn read_frame_refuses_a_message_with_a_body() {
+        let mut m = Message::new("maxflow");
+        m.body = vec![1, 2, 3];
+        let mut buf = Vec::new();
+        write_message(&mut buf, &m).unwrap();
+        let word = 7 | MORE;
+        assert!(matches!(
+            read_frame(&mut buf.as_slice()),
+            Err(WireError::FrameTooLarge(n)) if n == word
+        ));
+    }
+
+    #[test]
+    fn a_bad_header_consumes_its_body_and_keeps_the_stream_in_step() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(1 | MORE).to_be_bytes());
+        buf.push(b'\n');
+        buf.extend_from_slice(&2u32.to_be_bytes());
+        buf.extend_from_slice(&[0xff, 0xfe]);
+        write_frame(&mut buf, "ping").unwrap();
+        let mut r = buf.as_slice();
+        assert!(matches!(
+            read_message(&mut r),
+            Err(WireError::BadMessage(_))
+        ));
+        assert_eq!(read_message(&mut r).unwrap().unwrap().head, "ping");
     }
 }

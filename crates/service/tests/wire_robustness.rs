@@ -1,14 +1,18 @@
 //! Wire-robustness property tests: the frame reader and message parser
 //! must survive anything a hostile or broken peer can put on the socket
-//! — truncated frames, oversized length prefixes, binary garbage,
-//! malformed text — returning *typed* errors, never panicking.
+//! — truncated frames and bodies, oversized length prefixes, binary
+//! garbage, malformed text — returning *typed* errors, never panicking;
+//! and text-only messages keep their bytes.
 //!
 //! The corpora are seeded, so a failure reproduces by seed.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read, Write};
 
 use ffmr_prng::SplitMix64;
-use ffmr_service::{read_frame, write_frame, Message, WireError, MAX_FRAME_BYTES};
+use ffmr_service::{
+    read_frame, read_message, write_frame, write_message, Client, Message, WireError,
+    MAX_FRAME_BYTES,
+};
 
 /// Builds a raw frame by hand (length prefix + body) without the
 /// `write_frame` assertions, so tests can lie about the length.
@@ -161,4 +165,166 @@ fn frame_at_exactly_the_cap_round_trips() {
     write_frame(&mut buf, &payload).unwrap();
     let back = read_frame(&mut Cursor::new(buf)).unwrap().unwrap();
     assert_eq!(back.len(), payload.len());
+}
+
+/// A `maxflow` request and its `ok` reply as the text-only encoder wrote
+/// them before messages could carry a body: the daemon's bytes must not
+/// move.
+const GOLDEN_REQUEST: &[u8] = b"\x00\x00\x00\x26maxflow\ndataset fb1\nsource 0\nsink 4038";
+const GOLDEN_REPLY: &[u8] = b"\x00\x00\x00\x6dok\ndataset fb1\nepoch 1\nflow 318\nsolver ff5\n\
+plan full\ncached 0\nresumed 0\ncoalesced 0\nqueue_wait_us 12\nrounds 9";
+
+fn golden_messages() -> (Message, Message) {
+    let request = Message::new("maxflow")
+        .field("dataset", "fb1")
+        .field("source", 0)
+        .field("sink", 4038);
+    let reply = Message::new("ok")
+        .field("dataset", "fb1")
+        .field("epoch", 1)
+        .field("flow", 318)
+        .field("solver", "ff5")
+        .field("plan", "full")
+        .field("cached", 0)
+        .field("resumed", 0)
+        .field("coalesced", 0)
+        .field("queue_wait_us", 12)
+        .field("rounds", 9);
+    (request, reply)
+}
+
+#[test]
+fn text_messages_keep_their_golden_bytes() {
+    let (request, reply) = golden_messages();
+    for (message, golden) in [(&request, GOLDEN_REQUEST), (&reply, GOLDEN_REPLY)] {
+        let (mut framed, mut written) = (Vec::new(), Vec::new());
+        write_frame(&mut framed, &message.encode()).unwrap();
+        write_message(&mut written, message).unwrap();
+        assert_eq!(framed, golden, "{}", message.head);
+        assert_eq!(written, golden, "{}", message.head);
+        assert_eq!(
+            read_message(&mut Cursor::new(golden)).unwrap().as_ref(),
+            Some(message)
+        );
+    }
+
+    // And on a real socket, through the client the CLI and workers use.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut received = vec![0; GOLDEN_REQUEST.len()];
+        stream.read_exact(&mut received).unwrap();
+        stream.write_all(GOLDEN_REPLY).unwrap();
+        received
+    });
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.request(&request).unwrap(), reply);
+    assert_eq!(server.join().unwrap(), GOLDEN_REQUEST);
+}
+
+/// The length prefix of every frame in written message bytes.
+fn frame_prefixes(mut bytes: &[u8]) -> Vec<u32> {
+    let mut out = Vec::new();
+    while !bytes.is_empty() {
+        let word = u32::from_be_bytes(bytes[..4].try_into().unwrap());
+        out.push(word);
+        bytes = &bytes[4 + (word & !(1 << 31)) as usize..];
+    }
+    out
+}
+
+#[test]
+fn bodies_round_trip_across_frame_boundaries() {
+    let cap = MAX_FRAME_BYTES as usize;
+    let mut rng = SplitMix64::seed_from_u64(0xb0d7);
+    for len in [0, 1, cap - 1, cap, cap + 1, 3 << 20] {
+        let mut message = Message::new("task-done").field("dispatch", len);
+        message.body = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut buf = Vec::new();
+        write_message(&mut buf, &message).unwrap();
+        assert_eq!(
+            frame_prefixes(&buf).len(),
+            1 + len.div_ceil(cap),
+            "len {len}: header plus one frame per started MiB"
+        );
+        let mut r = Cursor::new(buf);
+        assert_eq!(read_message(&mut r).unwrap(), Some(message), "len {len}");
+        assert_eq!(read_message(&mut r).unwrap(), None, "len {len}: clean end");
+    }
+}
+
+/// A reader that hands out at most `step` bytes per call and remembers
+/// the largest buffer it was asked to fill: the reader allocates each
+/// frame's buffer before the bytes arrive, so that is the allocation to
+/// bound.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+    largest_ask: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest_ask = self.largest_ask.max(buf.len());
+        let n = buf.len().min(self.step).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn every_truncation_inside_a_multi_frame_body_is_unexpected_eof() {
+    let mut message = Message::new("task-done").field("dispatch", 1);
+    message.body = vec![0x5a; 3 << 20];
+    let mut bytes = Vec::new();
+    write_message(&mut bytes, &message).unwrap();
+
+    // Every byte of every frame's prefix and the bytes around it, the
+    // first and last payload bytes, plus a seeded sample in between.
+    let mut cuts: Vec<usize> = Vec::new();
+    let mut at = 0usize;
+    for prefix in frame_prefixes(&bytes) {
+        let len = (prefix & !(1 << 31)) as usize;
+        cuts.extend(at.saturating_sub(2)..at + 7);
+        cuts.extend([at + 4 + len - 1, at + 4 + len / 2]);
+        at += 4 + len;
+    }
+    let mut rng = SplitMix64::seed_from_u64(0x7a11);
+    cuts.extend((0..48).map(|_| (rng.next_u64() % bytes.len() as u64) as usize));
+    cuts.retain(|&cut| cut > 0 && cut < bytes.len());
+
+    for cut in cuts {
+        let mut r = Trickle {
+            bytes: &bytes[..cut],
+            step: 64 << 10,
+            largest_ask: 0,
+        };
+        match read_message(&mut r) {
+            Err(WireError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
+            }
+            other => panic!("cut {cut}: expected Io(UnexpectedEof), got {other:?}"),
+        }
+        assert!(
+            r.largest_ask <= MAX_FRAME_BYTES as usize,
+            "cut {cut}: asked for {} bytes at once",
+            r.largest_ask
+        );
+    }
+}
+
+#[test]
+fn non_utf8_header_is_a_typed_error_with_or_without_a_body() {
+    let header = [0xff, 0xfe, 0x80];
+    let plain = raw_frame(3, &header);
+    let mut with_body = raw_frame(3 | 1 << 31, &header);
+    with_body.extend_from_slice(&raw_frame(2, &[1, 2]));
+    for bytes in [plain, with_body] {
+        match read_message(&mut Cursor::new(bytes)) {
+            Err(WireError::NotUtf8) => {}
+            other => panic!("expected NotUtf8, got {other:?}"),
+        }
+    }
 }

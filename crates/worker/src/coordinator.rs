@@ -20,8 +20,15 @@
 //! is discarded — recovery is exactly-once. If every worker is gone for
 //! [`CoordinatorConfig::dead_cluster_timeout`], pending dispatches fail
 //! instead of hanging forever.
+//!
+//! Each dispatch's [`DispatchNote`] is measured here, on the driver clock
+//! and the worker's own socket: the window opens when the reply handing
+//! the task out starts to be written and closes when the `task-done`
+//! body has been read; `fetch_us` is the time writing that reply took
+//! and `push_us` the time from the `task-done`'s first byte to its last.
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,19 +36,26 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ffmr_obs::DispatchNote;
-use ffmr_service::{error_response, read_frame_polled, status, write_frame, Message};
+use ffmr_service::{
+    error_response, read_message_polled, status, write_message, Message, WireError,
+};
 use ffmr_sync::{Condvar, Mutex};
+use mapreduce::error::DecodeError;
 use mapreduce::{
     MapTaskResult, MapTaskSpec, MrError, ReduceTaskResult, ReduceTaskSpec, TaskExecutor, WireSpec,
 };
 
-use crate::b64;
-use crate::proto::{self, verb, RAW_CHUNK_BYTES};
+use crate::proto::{self, verb};
 
 /// How long a connection lingers after shutdown to let workers drain.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
 /// Socket read timeout; doubles as the shutdown poll interval.
 const POLL: Duration = Duration::from_millis(50);
+/// Longest a `task-request` waits for work before answering `none 1`.
+/// Bounds how long an idle worker takes to notice a signal, and stays
+/// well under any heartbeat timeout, since a polling worker's
+/// `last_seen` is refreshed per request.
+const LONG_POLL: Duration = Duration::from_millis(100);
 /// Heartbeat-monitor scan interval.
 const MONITOR_INTERVAL: Duration = Duration::from_millis(100);
 /// Dispatch-note backstop: a runtime that never drains (recorder turned
@@ -99,6 +113,10 @@ struct Dispatch {
     /// the driver is not tracing).
     trace: u64,
     span: u64,
+    /// The [`proto::encode_task_body`] bytes, moved into the reply that
+    /// hands the dispatch out (a dispatch is handed out once; a retry
+    /// is a new dispatch).
+    body: Vec<u8>,
 }
 
 #[derive(Debug)]
@@ -121,33 +139,8 @@ struct WorkerEntry {
     bytes_out: u64,
 }
 
-/// A flight-recorder note whose window is still on the worker's clock.
-/// The raw `t-start-us`/`t-end-us` are aligned only when the notes are
-/// drained, so every note of one worker gets the same offset: a new
-/// lowest-RTT heartbeat between two dispatches cannot make that
-/// worker's sequential windows overlap on the driver clock.
-#[derive(Debug)]
-struct PendingNote {
-    note: DispatchNote,
-    worker_start_us: Option<u64>,
-    worker_end_us: Option<u64>,
-}
-
-impl PendingNote {
-    fn aligned(mut self, offset_us: i64) -> DispatchNote {
-        if let Some(t) = self.worker_start_us {
-            self.note.started_us = align_to_driver(t, offset_us);
-        }
-        if let Some(t) = self.worker_end_us {
-            self.note.finished_us = align_to_driver(t, offset_us);
-        }
-        self.note
-    }
-}
-
 #[derive(Debug, Default)]
 struct State {
-    blobs: HashMap<String, Vec<u8>>,
     queue: VecDeque<u64>,
     dispatches: HashMap<u64, Dispatch>,
     workers: HashMap<u64, WorkerEntry>,
@@ -158,7 +151,7 @@ struct State {
     /// drained by the runtime through
     /// [`TaskExecutor::drain_dispatch_notes`]. Only populated while the
     /// global event recorder is enabled.
-    notes: Vec<PendingNote>,
+    notes: Vec<DispatchNote>,
     /// Dispatch id → index into `notes`, so the executor can attach
     /// driver-side serialization time after the fact.
     note_index: HashMap<u64, usize>,
@@ -225,8 +218,8 @@ impl Shared {
     }
 }
 
-/// The distributed-mode coordinator: owns the dispatch server, blob
-/// store and worker table. Create one per driver process, register it
+/// The distributed-mode coordinator: owns the dispatch server, dispatch
+/// queue and worker table. Create one per driver process, register it
 /// with the runtime via [`Coordinator::executor`], and point `ffmr
 /// worker` processes at [`Coordinator::local_addr`].
 pub struct Coordinator {
@@ -334,11 +327,18 @@ impl Coordinator {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Taking the lock orders the store before any long poll's next
+        // wait, so the notification below cannot slip between a poll's
+        // check and its wait.
+        drop(self.shared.state.lock());
         self.shared.changed.notify_all();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.monitor.take() {
+        // Both loops park between rounds: wake them rather than wait out
+        // their interval, so teardown is prompt.
+        for h in [self.accept.take(), self.monitor.take()]
+            .into_iter()
+            .flatten()
+        {
+            h.thread().unpark();
             let _ = h.join();
         }
         let handles = std::mem::take(&mut *self.connections.lock());
@@ -366,20 +366,16 @@ fn accept_loop(
                 let handle = std::thread::spawn(move || serve_connection(stream, &shared));
                 connections.lock().push(handle);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
+            // Nothing pending (the listener is non-blocking) or a failed
+            // accept: look again after a poll interval.
+            Err(_) => std::thread::park_timeout(POLL),
         }
     }
 }
 
 fn monitor_loop(shared: &Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(MONITOR_INTERVAL);
+        std::thread::park_timeout(MONITOR_INTERVAL);
         let stale: Vec<u64> = {
             let st = shared.state.lock();
             st.workers
@@ -396,10 +392,57 @@ fn monitor_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+/// The dispatch a worker connection's last reply handed out, as that
+/// connection's socket measured it.
+#[derive(Debug, Clone, Copy)]
+struct HandOut {
+    dispatch: u64,
+    /// Driver clock when writing the reply began.
+    started_us: u64,
+    /// How long writing the reply took.
+    fetch_us: u64,
+    /// Task-body bytes the reply carried.
+    bytes_in: u64,
+}
+
+/// What one worker connection carries from request to request.
+#[derive(Debug, Default)]
+struct Conn {
+    /// The worker this connection registered.
+    worker: Option<u64>,
+    /// The dispatch the reply being built hands out; becomes
+    /// `handed_out` once that reply is written.
+    handing_out: Option<u64>,
+    handed_out: Option<HandOut>,
+    /// Microseconds from the current request's first byte to its last.
+    read_us: u64,
+}
+
+/// A socket reader that notes when the current message's first byte
+/// arrived, so a body's transfer is timed on the coordinator's socket.
+struct TimedReader<'a> {
+    stream: &'a TcpStream,
+    first_byte: Option<Instant>,
+}
+
+impl Read for TimedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        if n > 0 {
+            self.first_byte.get_or_insert_with(Instant::now);
+        }
+        Ok(n)
+    }
+}
+
+fn elapsed_us(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
-    let mut registered: Option<u64> = None;
+    let mut conn = Conn::default();
     // Once shutdown is requested the connection keeps serving for
     // [`SHUTDOWN_GRACE`] so in-flight workers can drain, then closes.
     let mut grace: Option<Instant> = None;
@@ -407,18 +450,41 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
         shared.shutdown.load(Ordering::SeqCst)
             && grace.get_or_insert_with(Instant::now).elapsed() > SHUTDOWN_GRACE
     };
-    // Anything but a whole frame — EOF, grace expired, a protocol
-    // violation — drops the connection.
-    while let Ok(Some(payload)) = read_frame_polled(&mut stream, &mut give_up) {
-        let response = match Message::decode(&payload) {
-            Ok(request) => handle_request(shared, &request, &mut registered),
-            Err(e) => error_response(format!("bad request: {e}")),
+    let mut reader = TimedReader {
+        stream: &stream,
+        first_byte: None,
+    };
+    // Anything but a whole message — EOF, grace expired, a frame
+    // violation — drops the connection; a malformed header is answered.
+    loop {
+        reader.first_byte = None;
+        let response = match read_message_polled(&mut reader, &mut give_up) {
+            Ok(Some(request)) => {
+                conn.read_us = reader.first_byte.map_or(0, elapsed_us);
+                handle_request(shared, request, &mut conn).unwrap_or_else(|error| error)
+            }
+            Err(WireError::BadMessage(e)) => error_response(format!("bad request: {e}")),
+            Ok(None) | Err(_) => break,
         };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        let started_us = ffmr_obs::span::epoch_us();
+        let writing = Instant::now();
+        if write_message(&mut &stream, &response).is_err() {
             break;
         }
+        if let Some(dispatch) = conn.handing_out.take() {
+            let fetch_us = elapsed_us(writing);
+            ffmr_obs::global()
+                .histogram("ffmr_dist_blob_get_us", &[])
+                .record(fetch_us);
+            conn.handed_out = Some(HandOut {
+                dispatch,
+                started_us,
+                fetch_us,
+                bytes_in: response.body.len() as u64,
+            });
+        }
     }
-    if let Some(id) = registered {
+    if let Some(id) = conn.worker {
         shared.mark_dead(id, "connection closed");
     }
 }
@@ -431,32 +497,17 @@ fn clock_offset(now_us: u64, rtt_us: u64) -> i64 {
     i64::try_from(received - sent).unwrap_or(0)
 }
 
-/// Maps a worker-clock timestamp onto the coordinator's process-epoch
-/// clock, clamping at zero.
-fn align_to_driver(worker_us: u64, offset_us: i64) -> u64 {
-    u64::try_from(i128::from(worker_us) + i128::from(offset_us)).unwrap_or(0)
-}
-
-/// Merges telemetry payloads a worker piggybacked on `task-done` (or
-/// sent as a final `telemetry` flush): a cumulative metrics snapshot
-/// merged into the driver registry under a `worker` label, and captured
-/// span JSONL forwarded verbatim to the driver's trace sink.
+/// Merges telemetry a worker piggybacked on `task-done` (or sent as a
+/// final `telemetry` flush): its cumulative metrics snapshot, merged
+/// into the driver registry under a `worker` label, and captured span
+/// JSONL, forwarded verbatim to the driver's trace sink.
 fn absorb_telemetry(request: &Message, worker: u64) {
-    if let Some(encoded) = request.get("metrics") {
-        if let Ok(bytes) = b64::decode(encoded) {
-            if let Ok(text) = String::from_utf8(bytes) {
-                ffmr_obs::global().merge_snapshot(&text, ("worker", &worker.to_string()));
-            }
-        }
+    let metrics = request.joined_lines("metrics");
+    if !metrics.is_empty() {
+        ffmr_obs::global().merge_snapshot(&metrics, ("worker", &worker.to_string()));
     }
-    if let Some(encoded) = request.get("spans") {
-        if let Ok(bytes) = b64::decode(encoded) {
-            if let Ok(text) = String::from_utf8(bytes) {
-                for line in text.lines().filter(|l| !l.is_empty()) {
-                    ffmr_obs::span::emit_raw(line);
-                }
-            }
-        }
+    for line in request.get_all("spans").filter(|l| !l.is_empty()) {
+        ffmr_obs::span::emit_raw(line);
     }
 }
 
@@ -468,15 +519,16 @@ fn parse_u64(request: &Message, key: &str) -> Result<u64, Message> {
     }
 }
 
+/// Answers one request; `Err` is an `error` reply.
 fn handle_request(
     shared: &Arc<Shared>,
-    request: &Message,
-    registered: &mut Option<u64>,
-) -> Message {
+    request: Message,
+    conn: &mut Conn,
+) -> Result<Message, Message> {
     match request.head.as_str() {
         verb::REGISTER => {
-            if registered.is_some() {
-                return error_response("connection already registered a worker");
+            if conn.worker.is_some() {
+                return Err(error_response("connection already registered a worker"));
             }
             // Crude first offset estimate from the registration itself;
             // refined by every lower-RTT heartbeat sample.
@@ -504,19 +556,14 @@ fn handle_request(
                     bytes_out: 0,
                 },
             );
-            *registered = Some(id);
+            conn.worker = Some(id);
             shared.publish_worker_gauge(&st);
             drop(st);
             shared.changed.notify_all();
-            let mut resp = Message::new(status::OK);
-            resp.push("worker", id);
-            resp
+            Ok(Message::new(status::OK).field("worker", id))
         }
         verb::HEARTBEAT => {
-            let worker = match parse_u64(request, "worker") {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
+            let worker = parse_u64(&request, "worker")?;
             let now_us = request.get_parsed::<u64>("now-us").ok().flatten();
             let rtt_us = request.get_parsed::<u64>("rtt-us").ok().flatten();
             if let Some(rtt) = rtt_us {
@@ -543,156 +590,78 @@ fn handle_request(
                         }
                         _ => {}
                     }
-                    Message::new(status::OK)
+                    Ok(Message::new(status::OK))
                 }
-                _ => error_response(format!("unknown or dead worker {worker}")),
+                _ => Err(error_response(format!("unknown or dead worker {worker}"))),
             }
         }
         verb::TASK_REQUEST => {
-            let worker = match parse_u64(request, "worker") {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
+            let worker = parse_u64(&request, "worker")?;
+            let deadline = Instant::now() + LONG_POLL;
             let mut st = shared.state.lock();
-            let Some(entry) = st.workers.get_mut(&worker) else {
-                return error_response(format!("unknown worker {worker}"));
+            // A long poll: wait on `changed` for a dispatch, shutdown or
+            // this worker's death, up to the deadline.
+            let d = loop {
+                let state = &mut *st;
+                let Some(entry) = state.workers.get_mut(&worker) else {
+                    return Err(error_response(format!("unknown worker {worker}")));
+                };
+                if !entry.alive {
+                    return Err(error_response(format!("worker {worker} was declared dead")));
+                }
+                entry.last_seen = Instant::now();
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    entry.departing = true;
+                    shared.publish_worker_gauge(state);
+                    return Ok(Message::new(status::OK).field("shutdown", 1));
+                }
+                if let Some(d) = state.queue.pop_front() {
+                    entry.running.push(d);
+                    break d;
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    return Ok(Message::new(status::OK).field("none", 1));
+                }
+                shared.changed.wait_timeout(&mut st, deadline - now);
             };
-            if !entry.alive {
-                return error_response(format!("worker {worker} was declared dead"));
+            let dispatch = st
+                .dispatches
+                .get_mut(&d)
+                .expect("queued dispatch has an entry");
+            dispatch.running_on = Some(worker);
+            let mut resp = Message::new(status::OK);
+            resp.push("dispatch", d);
+            resp.push("phase", dispatch.phase.as_str());
+            if dispatch.trace != 0 {
+                resp.push("trace", dispatch.trace);
+                resp.push("span", dispatch.span);
             }
-            entry.last_seen = Instant::now();
-            if shared.shutdown.load(Ordering::SeqCst) {
-                entry.departing = true;
-                shared.publish_worker_gauge(&st);
-                let mut resp = Message::new(status::OK);
-                resp.push("shutdown", 1);
-                return resp;
-            }
-            if let Some(d) = st.queue.pop_front() {
-                let (phase, trace, span) = {
-                    let dispatch = st
-                        .dispatches
-                        .get_mut(&d)
-                        .expect("queued dispatch has an entry");
-                    dispatch.running_on = Some(worker);
-                    (dispatch.phase, dispatch.trace, dispatch.span)
-                };
-                st.workers
-                    .get_mut(&worker)
-                    .expect("checked above")
-                    .running
-                    .push(d);
-                let mut resp = Message::new(status::OK);
-                resp.push("dispatch", d);
-                resp.push("phase", phase.as_str());
-                if trace != 0 {
-                    resp.push("trace", trace);
-                    resp.push("span", span);
-                }
-                resp
-            } else {
-                let mut resp = Message::new(status::OK);
-                resp.push("none", 1);
-                resp
-            }
-        }
-        verb::BLOB_GET => {
-            let started = Instant::now();
-            let resp = (|| {
-                let Some(name) = request.get("name") else {
-                    return error_response("missing field name");
-                };
-                let offset = match parse_u64(request, "offset") {
-                    Ok(v) => v as usize,
-                    Err(resp) => return resp,
-                };
-                let st = shared.state.lock();
-                let Some(blob) = st.blobs.get(name) else {
-                    return error_response(format!("no such blob {name}"));
-                };
-                if offset > blob.len() {
-                    return error_response(format!(
-                        "blob {name} offset {offset} out of range (len {})",
-                        blob.len()
-                    ));
-                }
-                let end = blob.len().min(offset + RAW_CHUNK_BYTES);
-                let chunk = &blob[offset..end];
-                ffmr_obs::global()
-                    .counter("ffmr_dist_blob_bytes_total", &[("dir", "get")])
-                    .add(chunk.len() as u64);
-                let mut resp = Message::new(status::OK);
-                resp.push("data", b64::encode(chunk));
-                resp.push("len", blob.len());
-                resp.push("more", u8::from(end < blob.len()));
-                resp
-            })();
+            resp.body = std::mem::take(&mut dispatch.body);
             ffmr_obs::global()
-                .histogram("ffmr_dist_blob_get_us", &[])
-                .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            resp
-        }
-        verb::BLOB_PUT => {
-            let started = Instant::now();
-            let resp = (|| {
-                let Some(name) = request.get("name") else {
-                    return error_response("missing field name");
-                };
-                let offset = match parse_u64(request, "offset") {
-                    Ok(v) => v as usize,
-                    Err(resp) => return resp,
-                };
-                let data = match b64::decode(request.get("data").unwrap_or_default()) {
-                    Ok(d) => d,
-                    Err(e) => return error_response(format!("bad blob chunk: {e}")),
-                };
-                let mut st = shared.state.lock();
-                let blob = if offset == 0 {
-                    st.blobs.insert(name.to_string(), Vec::new());
-                    st.blobs.get_mut(name).expect("just inserted")
-                } else {
-                    match st.blobs.get_mut(name) {
-                        Some(b) if b.len() == offset => b,
-                        Some(b) => {
-                            let len = b.len();
-                            return error_response(format!(
-                                "blob {name} offset {offset} does not match length {len}"
-                            ));
-                        }
-                        None => return error_response(format!("no such blob {name}")),
-                    }
-                };
-                ffmr_obs::global()
-                    .counter("ffmr_dist_blob_bytes_total", &[("dir", "put")])
-                    .add(data.len() as u64);
-                blob.extend_from_slice(&data);
-                Message::new(status::OK)
-            })();
-            ffmr_obs::global()
-                .histogram("ffmr_dist_blob_put_us", &[])
-                .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-            resp
+                .counter("ffmr_dist_blob_bytes_total", &[("dir", "get")])
+                .add(resp.body.len() as u64);
+            conn.handing_out = Some(d);
+            Ok(resp)
         }
         verb::TASK_DONE => {
-            let worker = match parse_u64(request, "worker") {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            let d = match parse_u64(request, "dispatch") {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
+            let worker = parse_u64(&request, "worker")?;
+            let d = parse_u64(&request, "dispatch")?;
             let ok = match request.get("status") {
                 Some("ok") => true,
                 Some("err") => false,
-                _ => return error_response("missing or bad field status"),
+                _ => return Err(error_response("missing or bad field status")),
             };
-            absorb_telemetry(request, worker);
+            absorb_telemetry(&request, worker);
             let done_us = ffmr_obs::span::epoch_us();
-            let t = |key: &str| request.get_parsed::<u64>(key).ok().flatten();
-            let (t_start, t_end) = (t("t-start-us"), t("t-end-us"));
-            let (fetch_us, push_us) = (t("t-fetch-us"), t("t-push-us"));
-            let (bytes_in, bytes_out) = (t("t-bytes-in"), t("t-bytes-out"));
+            let handed = conn.handed_out.take().filter(|h| h.dispatch == d);
+            let bytes_in = handed.map_or(0, |h| h.bytes_in);
+            let bytes_out = request.body.len() as u64;
+            let reg = ffmr_obs::global();
+            reg.counter("ffmr_dist_blob_bytes_total", &[("dir", "put")])
+                .add(bytes_out);
+            reg.histogram("ffmr_dist_blob_put_us", &[])
+                .record(conn.read_us);
             let mut st = shared.state.lock();
             if let Some(entry) = st.workers.get_mut(&worker) {
                 entry.last_seen = Instant::now();
@@ -702,8 +671,8 @@ fn handle_request(
                 } else {
                     entry.tasks_failed += 1;
                 }
-                entry.bytes_in += bytes_in.unwrap_or(0);
-                entry.bytes_out += bytes_out.unwrap_or(0);
+                entry.bytes_in += bytes_in;
+                entry.bytes_out += bytes_out;
             }
             // A dispatch the coordinator no longer tracks (or that was
             // reassigned after this worker was declared dead) is a stale
@@ -716,56 +685,47 @@ fn handle_request(
             if current {
                 if ffmr_obs::events::recorder().enabled() && st.notes.len() < NOTES_CAP {
                     let disp = st.dispatches.get(&d).expect("checked above");
-                    let queued_us = disp.queued_us;
-                    let note = PendingNote {
-                        note: DispatchNote {
-                            phase: disp.phase.as_str().to_string(),
-                            task: disp.task,
-                            worker,
-                            ok,
-                            queued_us,
-                            done_us,
-                            started_us: queued_us,
-                            finished_us: done_us,
-                            fetch_us: fetch_us.unwrap_or(0),
-                            push_us: push_us.unwrap_or(0),
-                            ser_us: 0,
-                            bytes_in: bytes_in.unwrap_or(0),
-                            bytes_out: bytes_out.unwrap_or(0),
-                        },
-                        worker_start_us: t_start,
-                        worker_end_us: t_end,
+                    let note = DispatchNote {
+                        phase: disp.phase.as_str().to_string(),
+                        task: disp.task,
+                        worker,
+                        ok,
+                        queued_us: disp.queued_us,
+                        done_us,
+                        started_us: handed.map_or(disp.queued_us, |h| h.started_us),
+                        finished_us: done_us,
+                        fetch_us: handed.map_or(0, |h| h.fetch_us),
+                        push_us: conn.read_us,
+                        ser_us: 0,
+                        bytes_in,
+                        bytes_out,
                     };
                     let idx = st.notes.len();
                     st.notes.push(note);
                     st.note_index.insert(d, idx);
                 }
-                let outcome = if ok {
-                    match st.blobs.remove(&proto::result_blob(d)) {
-                        Some(bytes) => Ok(bytes),
-                        None => Err(format!(
-                            "worker {worker} reported dispatch {d} ok but uploaded no result"
-                        )),
-                    }
-                } else {
+                let outcome = if !ok {
                     Err(request
                         .get("message")
                         .unwrap_or("worker reported failure without a message")
                         .to_string())
+                } else if request.body.is_empty() {
+                    Err(format!(
+                        "worker {worker} reported dispatch {d} ok without a result"
+                    ))
+                } else {
+                    Ok(request.body)
                 };
                 st.dispatches.get_mut(&d).expect("checked above").outcome = Some(outcome);
                 drop(st);
                 shared.changed.notify_all();
             }
-            Message::new(status::OK)
+            Ok(Message::new(status::OK))
         }
         verb::TELEMETRY => {
-            let worker = match parse_u64(request, "worker") {
-                Ok(v) => v,
-                Err(resp) => return resp,
-            };
-            absorb_telemetry(request, worker);
-            Message::new(status::OK)
+            let worker = parse_u64(&request, "worker")?;
+            absorb_telemetry(&request, worker);
+            Ok(Message::new(status::OK))
         }
         verb::WORKERS => {
             let st = shared.state.lock();
@@ -795,30 +755,52 @@ fn handle_request(
                 resp.push("bytes-in", w.bytes_in);
                 resp.push("bytes-out", w.bytes_out);
             }
-            resp
+            Ok(resp)
         }
-        other => error_response(format!("unknown verb {other:?}")),
+        other => Err(error_response(format!("unknown verb {other:?}"))),
     }
 }
 
 /// The [`TaskExecutor`] that ships tasks to worker processes.
 ///
-/// `execute_map`/`execute_reduce` stage the job and spec blobs, enqueue
-/// a dispatch, and block until a worker uploads the result (or the
-/// dispatch fails). Called concurrently from the runtime's task threads,
-/// so `worker_threads` bounds how many dispatches are in flight.
+/// `execute_map`/`execute_reduce` pack the job and the task's spec into
+/// a task body, enqueue a dispatch, and block until a worker reports its
+/// result (or the dispatch fails). Called concurrently from the
+/// runtime's task threads, so `worker_threads` bounds how many
+/// dispatches are in flight.
 #[derive(Debug)]
 pub struct RemoteExecutor {
     shared: Arc<Shared>,
 }
 
 impl RemoteExecutor {
-    fn run_remote(
+    /// Encodes one task, ships it and decodes its result; both codec
+    /// steps are charged to the dispatch's note as `ser_us`.
+    fn execute<R>(
         &self,
         phase: Phase,
         task: usize,
         wire: &WireSpec,
-        spec_bytes: Vec<u8>,
+        encode_spec: impl FnOnce() -> Vec<u8>,
+        decode_result: impl FnOnce(&[u8]) -> Result<R, DecodeError>,
+    ) -> Result<R, MrError> {
+        let encode_started = Instant::now();
+        let body = proto::encode_task_body(&wire.kind, &wire.params, &encode_spec());
+        let encode_time = encode_started.elapsed();
+        let (bytes, d) = self.run_remote(phase, task, body)?;
+        let decode_started = Instant::now();
+        let result = decode_result(&bytes)
+            .map_err(|e| MrError::Wire(format!("{} task {task} result: {e}", phase.as_str())));
+        let ser = encode_time + decode_started.elapsed();
+        self.record_ser_us(d, u64::try_from(ser.as_micros()).unwrap_or(u64::MAX));
+        result
+    }
+
+    fn run_remote(
+        &self,
+        phase: Phase,
+        task: usize,
+        body: Vec<u8>,
     ) -> Result<(Vec<u8>, u64), MrError> {
         // The dispatch span parents the worker-side task span: its id
         // travels in the `task-request` response and returns inside the
@@ -836,11 +818,6 @@ impl RemoteExecutor {
             let mut st = self.shared.state.lock();
             let d = st.next_dispatch;
             st.next_dispatch += 1;
-            st.blobs.insert(
-                proto::job_blob(d),
-                proto::encode_job_blob(&wire.kind, &wire.params),
-            );
-            st.blobs.insert(proto::spec_blob(d), spec_bytes);
             st.dispatches.insert(
                 d,
                 Dispatch {
@@ -851,6 +828,7 @@ impl RemoteExecutor {
                     queued_us: ffmr_obs::span::epoch_us(),
                     trace,
                     span: dispatch_span.id(),
+                    body,
                 },
             );
             st.queue.push_back(d);
@@ -906,8 +884,8 @@ impl RemoteExecutor {
     fn record_ser_us(&self, dispatch: u64, ser_us: u64) {
         let mut st = self.shared.state.lock();
         if let Some(&idx) = st.note_index.get(&dispatch) {
-            if let Some(pending) = st.notes.get_mut(idx) {
-                pending.note.ser_us = ser_us;
+            if let Some(note) = st.notes.get_mut(idx) {
+                note.ser_us = ser_us;
             }
         }
     }
@@ -916,24 +894,18 @@ impl RemoteExecutor {
 fn cleanup_dispatch(st: &mut State, d: u64) {
     st.dispatches.remove(&d);
     st.queue.retain(|&q| q != d);
-    st.blobs.remove(&proto::job_blob(d));
-    st.blobs.remove(&proto::spec_blob(d));
-    st.blobs.remove(&proto::result_blob(d));
 }
 
 impl TaskExecutor for RemoteExecutor {
     fn execute_map(&self, wire: &WireSpec, spec: MapTaskSpec) -> Result<MapTaskResult, MrError> {
         let task = spec.task;
-        let encode_started = Instant::now();
-        let spec_bytes = spec.to_bytes();
-        let encode_us = encode_started.elapsed();
-        let (bytes, d) = self.run_remote(Phase::Map, task, wire, spec_bytes)?;
-        let decode_started = Instant::now();
-        let result = MapTaskResult::from_bytes(&bytes)
-            .map_err(|e| MrError::Wire(format!("map task {task} result: {e}")));
-        let ser = encode_us + decode_started.elapsed();
-        self.record_ser_us(d, u64::try_from(ser.as_micros()).unwrap_or(u64::MAX));
-        result
+        self.execute(
+            Phase::Map,
+            task,
+            wire,
+            move || spec.to_bytes(),
+            MapTaskResult::from_bytes,
+        )
     }
 
     fn execute_reduce(
@@ -942,37 +914,27 @@ impl TaskExecutor for RemoteExecutor {
         spec: ReduceTaskSpec,
     ) -> Result<ReduceTaskResult, MrError> {
         let task = spec.task;
-        let encode_started = Instant::now();
-        let spec_bytes = spec.to_bytes();
-        let encode_us = encode_started.elapsed();
-        let (bytes, d) = self.run_remote(Phase::Reduce, task, wire, spec_bytes)?;
-        let decode_started = Instant::now();
-        let result = ReduceTaskResult::from_bytes(&bytes)
-            .map_err(|e| MrError::Wire(format!("reduce task {task} result: {e}")));
-        let ser = encode_us + decode_started.elapsed();
-        self.record_ser_us(d, u64::try_from(ser.as_micros()).unwrap_or(u64::MAX));
-        result
+        self.execute(
+            Phase::Reduce,
+            task,
+            wire,
+            move || spec.to_bytes(),
+            ReduceTaskResult::from_bytes,
+        )
     }
 
-    /// Aligns each note with its worker's offset as of now, the
-    /// lowest-RTT estimate seen so far.
     fn drain_dispatch_notes(&self) -> Vec<ffmr_obs::DispatchNote> {
         let mut st = self.shared.state.lock();
         st.note_index.clear();
-        let pending = std::mem::take(&mut st.notes);
-        pending
-            .into_iter()
-            .map(|p| {
-                let offset_us = st.workers.get(&p.note.worker).map_or(0, |w| w.offset_us);
-                p.aligned(offset_us)
-            })
-            .collect()
+        std::mem::take(&mut st.notes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::io::Write;
+
+    use ffmr_service::{read_message, write_frame};
 
     use super::*;
 
@@ -994,6 +956,21 @@ mod tests {
             .expect("the half-read prefix must not be lost")
             .expect("a reply, not EOF");
         assert_eq!(Message::decode(&reply).unwrap().head, status::OK);
+        // A body frame split across a tick is still one message, and
+        // the stream stays in step behind it.
+        let mut with_body = Message::new(verb::WORKERS);
+        with_body.body = vec![7; 64];
+        let mut frames = Vec::new();
+        write_message(&mut frames, &with_body).unwrap();
+        write_frame(&mut frames, &Message::new(verb::WORKERS).encode()).unwrap();
+        let cut = frames.len() / 2;
+        stream.write_all(&frames[..cut]).unwrap();
+        std::thread::sleep(3 * POLL);
+        stream.write_all(&frames[cut..]).unwrap();
+        for _ in 0..2 {
+            let reply = read_message(&mut stream).unwrap().expect("a reply");
+            assert_eq!(reply.head, status::OK);
+        }
         // Closed first, or shutdown would sit out the drain grace.
         drop(stream);
         coordinator.shutdown();
@@ -1001,10 +978,9 @@ mod tests {
 
     /// A fake worker whose clock runs `SHIFT_US` ahead of the driver's:
     /// a heartbeat whose RTT was spent on one leg skews the offset by
-    /// half that RTT, and a later, tighter beat must win for every note
-    /// drained after it, including notes whose `task-done` came first.
+    /// half that RTT, and a later, tighter beat must replace it.
     #[test]
-    fn notes_align_with_the_lowest_rtt_offset_at_drain_time() {
+    fn heartbeat_offset_tracks_the_lowest_rtt_sample() {
         const SHIFT_US: u64 = 10_000_000;
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
@@ -1013,73 +989,31 @@ mod tests {
             heartbeat_timeout: Duration::from_secs(3),
             dead_cluster_timeout: Duration::from_secs(30),
         });
-        let executor = RemoteExecutor {
-            shared: Arc::clone(&shared),
-        };
+        let mut conn = Conn::default();
+        let mut call = |request: Message| handle_request(&shared, request, &mut conn).unwrap();
         let worker_now = || ffmr_obs::span::epoch_us() + SHIFT_US;
-        let call = |request: Message| {
-            let response = handle_request(&shared, &request, &mut None);
-            assert_eq!(response.head, status::OK, "{request:?}");
-        };
+        call(Message::new(verb::REGISTER).field("now-us", worker_now()));
         // The worker stamps `now-us` `delay_us` before the driver reads
-        // it, and reports a round trip of `rtt_us`.
-        let heartbeat = |rtt_us: u64, delay_us: u64| {
-            let mut beat = Message::new(verb::HEARTBEAT);
-            beat.push("worker", 0);
-            beat.push("now-us", worker_now() - delay_us);
-            beat.push("rtt-us", rtt_us);
-            call(beat);
+        // it, and reports a round trip of `rtt_us`; the reply is the
+        // `workers` table's offset error against the true shift.
+        let mut beat = |rtt_us: u64, delay_us: u64| {
+            call(
+                Message::new(verb::HEARTBEAT)
+                    .field("worker", 0)
+                    .field("now-us", worker_now() - delay_us)
+                    .field("rtt-us", rtt_us),
+            );
+            let table = call(Message::new(verb::WORKERS));
+            let offset: i64 = table.get_parsed("offset-us").unwrap().unwrap();
+            offset.abs_diff(-(SHIFT_US as i64))
         };
 
-        let mut registered = None;
-        let mut register = Message::new(verb::REGISTER);
-        register.push("now-us", worker_now());
-        handle_request(&shared, &register, &mut registered);
-        assert_eq!(registered, Some(0));
-        ffmr_obs::events::recorder().set_enabled(true);
-
-        // 100 ms round trip, all of it on the way in: offset off by 50 ms.
-        heartbeat(100_000, 100_000);
-        {
-            let mut st = shared.state.lock();
-            st.dispatches.insert(
-                7,
-                Dispatch {
-                    phase: Phase::Map,
-                    task: 3,
-                    running_on: Some(0),
-                    outcome: None,
-                    queued_us: ffmr_obs::span::epoch_us(),
-                    trace: 0,
-                    span: 0,
-                },
-            );
-            st.workers.get_mut(&0).unwrap().running.push(7);
-        }
-        let (start, end) = (worker_now(), worker_now() + 1_000);
-        let mut done = Message::new(verb::TASK_DONE);
-        done.push("worker", 0);
-        done.push("dispatch", 7);
-        done.push("status", "err");
-        done.push("t-start-us", start);
-        done.push("t-end-us", end);
-        call(done);
-        // A tight, symmetric 4 ms beat after the task finished.
-        heartbeat(4_000, 2_000);
-
-        let min_rtt = shared.state.lock().workers[&0].min_rtt_us;
-        assert_eq!(min_rtt, 4_000);
-        let notes = executor.drain_dispatch_notes();
-        assert_eq!(notes.len(), 1);
-        let note = &notes[0];
-        assert_eq!((note.phase.as_str(), note.task, note.ok), ("map", 3, false));
-        for (aligned, truth) in [(note.started_us, start), (note.finished_us, end)] {
-            let truth = truth - SHIFT_US;
-            assert!(
-                aligned.abs_diff(truth) <= min_rtt,
-                "aligned {aligned}us vs truth {truth}us, min RTT {min_rtt}us"
-            );
-        }
-        assert_eq!(note.finished_us - note.started_us, 1_000);
+        // 100 ms round trip, all of it on the way in: 50 ms off.
+        let skewed = beat(100_000, 100_000);
+        assert!(skewed >= 40_000, "skewed beat off by only {skewed}us");
+        // A tight, symmetric 4 ms beat wins.
+        let tight = beat(4_000, 2_000);
+        assert!(tight <= 4_000, "tight beat still off by {tight}us");
+        assert_eq!(beat(20_000, 20_000), tight, "a looser beat displaced it");
     }
 }

@@ -6,16 +6,16 @@
 //! leaving the simulation contract untouched. The pieces:
 //!
 //! * [`coordinator`] — the driver-side TCP server: task-dispatch queue,
-//!   blob store, worker table with death detection, and the
-//!   [`RemoteExecutor`] that plugs into
+//!   worker table with death detection, and the [`RemoteExecutor`] that
+//!   plugs into
 //!   [`MrRuntime::set_task_executor`](mapreduce::MrRuntime::set_task_executor);
 //! * [`worker`] — the worker-process loop (`ffmr worker` runs this):
-//!   register, poll for dispatches, fetch blobs, execute, push results;
+//!   register, ask for a task (its spec arrives as the reply's body),
+//!   execute, report the result as the `task-done` body;
 //! * [`registry`] — job-kind → runner factory, since closures cannot
 //!   cross a process boundary;
-//! * [`proto`] — the dispatch verbs and blob naming layered on the
-//!   ffmrd frame format;
-//! * [`b64`] — std-only base64 for carrying raw bytes in text frames;
+//! * [`proto`] — the dispatch verbs and the task-body layout, on the
+//!   ffmrd frame format with raw message bodies;
 //! * [`signals`] — SIGINT/SIGTERM → atomic flag, the workspace's only
 //!   `unsafe`.
 //!
@@ -45,7 +45,6 @@
 
 #![warn(missing_docs)]
 
-pub mod b64;
 pub mod coordinator;
 pub mod proto;
 pub mod registry;

@@ -1,6 +1,6 @@
 //! The task-dispatch protocol spoken between the coordinator and worker
-//! processes, layered on the ffmrd wire format (`ffmr-service`'s
-//! length-prefixed [`Message`](ffmr_service::Message) frames).
+//! processes, layered on `ffmr-service`'s length-prefixed
+//! [`Message`](ffmr_service::Message) frames.
 //!
 //! Verbs (all requests are worker → coordinator; the coordinator only
 //! ever answers):
@@ -9,47 +9,41 @@
 //! |----------------|--------------------------------------------------|-------------------------------------|
 //! | `register`     | [`now-us <t>`]                                   | `worker <id>`                       |
 //! | `heartbeat`    | `worker <id>` [`now-us <t>` `rtt-us <r>`]        | —                                   |
-//! | `task-request` | `worker <id>`                                    | `dispatch <id>` + `phase map\|reduce` [+ `trace <t>` `span <s>`], or `none 1`, or `shutdown 1` |
-//! | `blob-get`     | `name <n>` `offset <o>`                          | `data <b64>` `len <total>` `more 0\|1` |
-//! | `blob-put`     | `name <n>` `offset <o>` `data <b64>` `last 0\|1` | —                                   |
-//! | `task-done`    | `worker <id>` `dispatch <id>` `status ok\|err` [`message <m>`] + telemetry (below) | — |
-//! | `telemetry`    | `worker <id>` [`metrics <b64>`] [`spans <b64>`]  | —                                   |
+//! | `task-request` | `worker <id>`                                    | `dispatch <id>` + `phase map\|reduce` [+ `trace <t>` `span <s>`] + task body, or `none 1`, or `shutdown 1` |
+//! | `task-done`    | `worker <id>` `dispatch <id>` `status ok\|err` [`message <m>`] + telemetry (below) + result body when ok | — |
+//! | `telemetry`    | `worker <id>` [`metrics <line>`…] [`spans <line>`…] | —                                |
 //! | `workers`      | —                                                | `queue-depth <n>` + per worker: `worker <id>` `state …` `hb-age-ms …` `rtt-us …` `offset-us …` `inflight …` `tasks-ok …` `tasks-failed …` `bytes-in …` `bytes-out …` |
+//!
+//! ## Bodies
+//!
+//! A task's bytes travel as message bodies (raw, streamed as
+//! back-to-back frames; see `ffmr_service::protocol`). The reply that
+//! hands a dispatch out carries the job kind, the job's wire params and
+//! the encoded `MapTaskSpec`/`ReduceTaskSpec` ([`encode_task_body`]); a
+//! successful `task-done` carries the encoded task result. `task-request`
+//! is a bounded long poll: the coordinator holds it until a dispatch is
+//! queued or it shuts down, and answers `none 1` when the bound passes.
+//! Dispatch ids are fresh per attempt, so a `task-done` for a dispatch
+//! the coordinator has already failed (worker declared dead, task
+//! re-dispatched) refers to a retired id and is ignored — retries stay
+//! exactly-once.
 //!
 //! ## Telemetry piggybacked on `task-done`
 //!
-//! When the worker measured the dispatch it adds `t-start-us`,
-//! `t-end-us` (its own process clock), `t-fetch-us`, `t-push-us`,
-//! `t-bytes-in`, `t-bytes-out`, plus optionally `metrics` (base64 of
-//! its registry's cumulative snapshot, see
-//! `Registry::encode_snapshot`) and `spans` (base64 of captured span
-//! JSONL). The coordinator aligns the worker-clock window with the
-//! per-worker offset estimated from heartbeats (`now-us` = worker
-//! clock at send, `rtt-us` = worker-measured round trip of the
-//! *previous* beat; offset = driver receive time − (`now-us` +
-//! rtt/2), keeping the minimum-RTT sample). The `telemetry` verb
-//! carries the same `metrics`/`spans` payloads as a final flush on
-//! shutdown. The `workers` verb is the read side (driver tools, not
-//! workers): a point-in-time table for `ffmr top`.
-//!
-//! Blobs move in chunks of at most [`RAW_CHUNK_BYTES`] raw bytes per
-//! frame: base64 inflates 3→4 and `write_frame` *asserts* payloads stay
-//! under `MAX_FRAME_BYTES` (1 MiB), so the chunk size leaves generous
-//! headroom (256 KiB raw → ~342 KiB encoded).
-//!
-//! Per dispatch `<d>` the coordinator stages blobs `task/<d>/job` (the
-//! job kind + wire params, see [`encode_job_blob`]) and `task/<d>/spec`
-//! (the encoded `MapTaskSpec`/`ReduceTaskSpec`); the worker pushes
-//! `task/<d>/result` before reporting `task-done`. Dispatch ids are
-//! fresh per attempt, so a `task-done` for a dispatch the coordinator
-//! has already failed (worker declared dead, task re-dispatched) refers
-//! to a retired id and is ignored — retries stay exactly-once.
+//! The worker adds its registry's cumulative snapshot (see
+//! `Registry::encode_snapshot`) as repeated one-line `metrics` fields and
+//! its captured span JSONL as repeated `spans` fields; the coordinator
+//! reads them back with `Message::joined_lines`/`get_all`. The
+//! `telemetry` verb carries the same fields as a final flush on
+//! shutdown. Heartbeats carry `now-us` (worker clock at send) and
+//! `rtt-us` (worker-measured round trip of the *previous* beat); the
+//! coordinator keeps the minimum-RTT offset estimate (driver receive
+//! time − (`now-us` + rtt/2)) for the `workers` table. The `workers` verb
+//! is the read side (driver tools, not workers): a point-in-time table
+//! for `ffmr top`.
 
 use mapreduce::encode::{get_bytes, put_bytes};
 use mapreduce::error::DecodeError;
-
-/// Largest raw (pre-base64) blob chunk carried in one frame.
-pub const RAW_CHUNK_BYTES: usize = 256 * 1024;
 
 /// Request heads.
 pub mod verb {
@@ -57,13 +51,9 @@ pub mod verb {
     pub const REGISTER: &str = "register";
     /// Liveness ping from a worker's heartbeat thread.
     pub const HEARTBEAT: &str = "heartbeat";
-    /// Ask for a task to run.
+    /// Ask for a task to run (a bounded long poll).
     pub const TASK_REQUEST: &str = "task-request";
-    /// Fetch one chunk of a staged blob.
-    pub const BLOB_GET: &str = "blob-get";
-    /// Append one chunk to an uploaded blob.
-    pub const BLOB_PUT: &str = "blob-put";
-    /// Report a dispatch finished (ok or err).
+    /// Report a dispatch finished (ok with its result body, or err).
     pub const TASK_DONE: &str = "task-done";
     /// Ship metrics/span telemetry outside a dispatch (shutdown flush).
     pub const TELEMETRY: &str = "telemetry";
@@ -71,47 +61,26 @@ pub mod verb {
     pub const WORKERS: &str = "workers";
 }
 
-/// Name of the job blob staged for dispatch `d`.
+/// Packs a job's wire kind and parameter blob and one task's encoded
+/// spec into the body of the reply that hands the task out.
 #[must_use]
-pub fn job_blob(dispatch: u64) -> String {
-    format!("task/{dispatch}/job")
+pub fn encode_task_body(kind: &str, params: &[u8], spec: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(kind.len() + params.len() + spec.len() + 16);
+    put_bytes(kind.as_bytes(), &mut body);
+    put_bytes(params, &mut body);
+    body.extend_from_slice(spec);
+    body
 }
 
-/// Name of the task-spec blob staged for dispatch `d`.
-#[must_use]
-pub fn spec_blob(dispatch: u64) -> String {
-    format!("task/{dispatch}/spec")
-}
-
-/// Name of the result blob a worker uploads for dispatch `d`.
-#[must_use]
-pub fn result_blob(dispatch: u64) -> String {
-    format!("task/{dispatch}/result")
-}
-
-/// Packs a job's wire kind and parameter blob into the `task/<d>/job`
-/// blob body.
-#[must_use]
-pub fn encode_job_blob(kind: &str, params: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(kind.len() + params.len() + 8);
-    put_bytes(kind.as_bytes(), &mut buf);
-    put_bytes(params, &mut buf);
-    buf
-}
-
-/// Unpacks [`encode_job_blob`] bytes into `(kind, params)`.
+/// Splits an [`encode_task_body`] body into `(kind, params, spec)`.
 ///
 /// # Errors
-/// On truncated, trailing or non-UTF-8 kind bytes.
-pub fn decode_job_blob(mut input: &[u8]) -> Result<(String, Vec<u8>), DecodeError> {
+/// On a truncated header or non-UTF-8 kind bytes.
+pub fn decode_task_body(mut input: &[u8]) -> Result<(&str, &[u8], &[u8]), DecodeError> {
     let kind = std::str::from_utf8(get_bytes(&mut input)?)
-        .map_err(|_| DecodeError::new("job kind is not utf-8"))?
-        .to_string();
-    let params = get_bytes(&mut input)?.to_vec();
-    if !input.is_empty() {
-        return Err(DecodeError::new("trailing bytes after job blob"));
-    }
-    Ok((kind, params))
+        .map_err(|_| DecodeError::new("job kind is not utf-8"))?;
+    let params = get_bytes(&mut input)?;
+    Ok((kind, params, input))
 }
 
 #[cfg(test)]
@@ -119,24 +88,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_blob_round_trip() {
-        let bytes = encode_job_blob("ff", &[9, 8, 7]);
-        let (kind, params) = decode_job_blob(&bytes).unwrap();
-        assert_eq!(kind, "ff");
-        assert_eq!(params, vec![9, 8, 7]);
-        for cut in 0..bytes.len() {
-            assert!(decode_job_blob(&bytes[..cut]).is_err(), "cut {cut}");
+    fn task_body_round_trip() {
+        let bytes = encode_task_body("ff", &[9, 8, 7], &[1, 2]);
+        let (kind, params, spec) = decode_task_body(&bytes).unwrap();
+        assert_eq!((kind, params, spec), ("ff", &[9, 8, 7][..], &[1, 2][..]));
+        // Every cut inside the kind/params header is an error; the spec
+        // is opaque here and its own decoder judges it.
+        for cut in 0..bytes.len() - 2 {
+            assert!(decode_task_body(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        let mut padded = bytes;
-        padded.push(0);
-        assert!(decode_job_blob(&padded).is_err());
-    }
-
-    #[test]
-    fn blob_names_are_distinct_per_dispatch() {
-        assert_eq!(job_blob(7), "task/7/job");
-        assert_eq!(spec_blob(7), "task/7/spec");
-        assert_eq!(result_blob(7), "task/7/result");
-        assert_ne!(result_blob(7), result_blob(8));
+        assert!(decode_task_body(&encode_task_body("\u{1F600}", &[], &[])).is_ok());
+        let mut bad = encode_task_body("ab", &[], &[]);
+        bad[1] = 0xff;
+        assert!(decode_task_body(&bad).is_err(), "non-utf-8 kind");
     }
 }

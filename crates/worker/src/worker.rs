@@ -1,21 +1,21 @@
-//! The worker-process main loop: poll the coordinator for tasks, fetch
-//! their bytes, execute, push results back.
+//! The worker-process main loop: ask the coordinator for a task, execute
+//! it, report the result.
 //!
 //! A worker is deliberately stateless between dispatches — everything a
-//! task needs arrives as blobs (`task/<d>/job`, `task/<d>/spec`) and
-//! everything it produces leaves as one (`task/<d>/result`). The only
-//! cache is the reconstructed [`TaskRunner`], keyed by `(kind, params)`:
-//! within one round every task shares the same job parameters, so the
-//! mapper/reducer is rebuilt once per round, not once per task.
+//! task needs arrives as the body of the `task-request` reply (job kind,
+//! params and task spec) and everything it produces leaves as the body
+//! of its `task-done`. The only cache is the reconstructed
+//! [`TaskRunner`] of the last `(kind, params)`: within one round every
+//! task shares the same job parameters, so the mapper/reducer is rebuilt
+//! once per round, not once per task.
 //!
 //! Shutdown paths: the coordinator answers `task-request` with
 //! `shutdown 1` (clean departure), or SIGINT/SIGTERM flips the
 //! [`signals`] flag and the loop exits before its next
-//! poll. A worker the coordinator has declared dead gets an error
+//! request. A worker the coordinator has declared dead gets an error
 //! response and exits nonzero — by then its tasks have been
-//! re-dispatched, and its uploads for retired dispatch ids are ignored.
+//! re-dispatched, and its reports for retired dispatch ids are ignored.
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,44 +24,28 @@ use std::time::{Duration, Instant};
 use ffmr_service::{status, Client, Message};
 use mapreduce::{MapTaskSpec, MrError, ReduceTaskSpec, TaskRunner};
 
-use crate::b64;
-use crate::proto::{self, verb, RAW_CHUNK_BYTES};
+use crate::proto::{self, verb};
 use crate::registry::JobKindRegistry;
 use crate::signals;
 
-/// Where a worker connects and how often it polls and heartbeats.
-/// Telemetry (metrics snapshots and captured spans) always rides on
-/// `task-done` and a final flush.
+/// Interval between heartbeats, well under the coordinator's default
+/// three-second heartbeat timeout.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(300);
+
+/// Where a worker connects. Telemetry (metrics snapshots and captured
+/// spans) always rides on `task-done` and a final flush.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
     /// Coordinator address (`host:port`).
     pub addr: String,
-    /// Sleep between `task-request` polls when the queue is empty.
-    pub poll_interval: Duration,
-    /// Interval between heartbeats (keep well under the coordinator's
-    /// heartbeat timeout).
-    pub heartbeat_interval: Duration,
 }
 
 impl WorkerConfig {
-    /// A config with default pacing for `addr`.
+    /// A config for `addr`.
     #[must_use]
     pub fn new(addr: impl Into<String>) -> Self {
-        Self {
-            addr: addr.into(),
-            poll_interval: Duration::from_millis(20),
-            heartbeat_interval: Duration::from_millis(300),
-        }
+        Self { addr: addr.into() }
     }
-}
-
-/// What the worker measured about one dispatch, on its own clock.
-#[derive(Debug, Default)]
-struct DispatchMeasure {
-    fetch_us: u64,
-    push_us: u64,
-    bytes_in: u64,
-    bytes_out: u64,
 }
 
 /// Sends `request` and insists on an `ok` response.
@@ -80,59 +64,6 @@ fn rpc(client: &mut Client, request: &Message) -> Result<Message, MrError> {
     }
 }
 
-/// Downloads a staged blob chunk by chunk.
-fn fetch_blob(client: &mut Client, name: &str) -> Result<Vec<u8>, MrError> {
-    let mut out = Vec::new();
-    loop {
-        let mut req = Message::new(verb::BLOB_GET);
-        req.push("name", name);
-        req.push("offset", out.len());
-        let resp = rpc(client, &req)?;
-        let chunk = b64::decode(resp.get("data").unwrap_or_default())
-            .map_err(|e| MrError::Wire(format!("blob {name}: {e}")))?;
-        let more = resp.get("more") == Some("1");
-        if more && chunk.is_empty() {
-            return Err(MrError::Wire(format!(
-                "blob {name}: empty chunk with more data claimed"
-            )));
-        }
-        out.extend_from_slice(&chunk);
-        if !more {
-            let len = resp
-                .get_parsed::<usize>("len")
-                .ok()
-                .flatten()
-                .unwrap_or(out.len());
-            if out.len() != len {
-                return Err(MrError::Wire(format!(
-                    "blob {name}: got {} bytes, coordinator reported {len}",
-                    out.len()
-                )));
-            }
-            return Ok(out);
-        }
-    }
-}
-
-/// Uploads `bytes` as blob `name`, chunked under the frame cap.
-fn push_blob(client: &mut Client, name: &str, bytes: &[u8]) -> Result<(), MrError> {
-    let mut offset = 0;
-    loop {
-        let end = bytes.len().min(offset + RAW_CHUNK_BYTES);
-        let last = end == bytes.len();
-        let mut req = Message::new(verb::BLOB_PUT);
-        req.push("name", name);
-        req.push("offset", offset);
-        req.push("data", b64::encode(&bytes[offset..end]));
-        req.push("last", u8::from(last));
-        rpc(client, &req)?;
-        if last {
-            return Ok(());
-        }
-        offset = end;
-    }
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -143,53 +74,45 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-type RunnerCache = HashMap<(String, Vec<u8>), Arc<dyn TaskRunner>>;
+/// The runner built for the last `(kind, params)` this worker saw.
+type RunnerCache = Option<(String, Vec<u8>, Box<dyn TaskRunner>)>;
 
-/// Fetches, decodes and executes one dispatch, returning the encoded
-/// result bytes to upload. Fetch timing and input bytes land in
-/// `measure`; the caller accounts for the result upload.
+/// Decodes and executes one dispatch from its task body, returning the
+/// encoded result.
 fn run_dispatch(
-    client: &mut Client,
     registry: &JobKindRegistry,
     cache: &mut RunnerCache,
     dispatch: u64,
     phase: &str,
-    measure: &mut DispatchMeasure,
+    body: &[u8],
 ) -> Result<Vec<u8>, MrError> {
-    let fetch_started = Instant::now();
-    let job = {
-        let _s = ffmr_obs::span("worker.blob.get");
-        fetch_blob(client, &proto::job_blob(dispatch))?
-    };
-    let (kind, params) = proto::decode_job_blob(&job)
-        .map_err(|e| MrError::Wire(format!("dispatch {dispatch} job blob: {e}")))?;
-    let key = (kind.clone(), params.clone());
-    let runner = if let Some(cached) = cache.get(&key) {
-        Arc::clone(cached)
-    } else {
-        let built: Arc<dyn TaskRunner> = Arc::from(registry.build(&kind, &params)?);
-        // A new round means new params; drop the previous round's
-        // runner rather than accumulating one per round.
-        cache.clear();
-        cache.insert(key, Arc::clone(&built));
-        built
-    };
-    let spec_bytes = {
-        let _s = ffmr_obs::span("worker.blob.get");
-        fetch_blob(client, &proto::spec_blob(dispatch))?
-    };
-    measure.fetch_us = u64::try_from(fetch_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    measure.bytes_in = (job.len() + spec_bytes.len()) as u64;
+    let (kind, params, spec) = proto::decode_task_body(body)
+        .map_err(|e| MrError::Wire(format!("dispatch {dispatch} task body: {e}")))?;
+    // A new round means new params: the previous round's runner is
+    // replaced rather than kept alongside.
+    if !matches!(cache, Some((k, p, _)) if k == kind && p == params) {
+        *cache = Some((
+            kind.to_string(),
+            params.to_vec(),
+            registry.build(kind, params)?,
+        ));
+    }
+    let runner = &cache.as_ref().expect("filled above").2;
+    let decode = |what: &str, e| MrError::Wire(format!("dispatch {dispatch} {what} spec: {e}"));
     let outcome = match phase {
         "map" => {
-            let spec = MapTaskSpec::from_bytes(&spec_bytes)
-                .map_err(|e| MrError::Wire(format!("dispatch {dispatch} map spec: {e}")))?;
+            let spec = {
+                let _s = ffmr_obs::span("worker.decode");
+                MapTaskSpec::from_bytes(spec).map_err(|e| decode("map", e))?
+            };
             std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_map(&spec)))
                 .map(|r| r.map(|res| res.to_bytes()))
         }
         "reduce" => {
-            let spec = ReduceTaskSpec::from_bytes(&spec_bytes)
-                .map_err(|e| MrError::Wire(format!("dispatch {dispatch} reduce spec: {e}")))?;
+            let spec = {
+                let _s = ffmr_obs::span("worker.decode");
+                ReduceTaskSpec::from_bytes(spec).map_err(|e| decode("reduce", e))?
+            };
             std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_reduce(&spec)))
                 .map(|r| r.map(|res| res.to_bytes()))
         }
@@ -206,6 +129,21 @@ fn run_dispatch(
             task: dispatch as usize,
             message: panic_message(payload.as_ref()),
         }),
+    }
+}
+
+/// Adds this worker's telemetry to `message` as repeated one-line
+/// fields: the `ffmr_worker_*` metrics snapshot when `metrics` is set,
+/// and every span line captured since the last shipment.
+fn push_telemetry(message: &mut Message, metrics: bool, capture: Option<&ffmr_obs::VecSink>) {
+    if metrics {
+        let snapshot = ffmr_obs::global().encode_snapshot_prefixed("ffmr_worker_");
+        for line in snapshot.lines() {
+            message.push("metrics", line);
+        }
+    }
+    for line in capture.map(ffmr_obs::VecSink::take).unwrap_or_default() {
+        message.push("spans", line);
     }
 }
 
@@ -236,7 +174,6 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
     let heartbeat = {
         let stop = Arc::clone(&stop);
         let addr = config.addr.clone();
-        let interval = config.heartbeat_interval;
         std::thread::spawn(move || {
             let Ok(mut client) = Client::connect(&addr) else {
                 return;
@@ -260,12 +197,14 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
                     }
                     _ => return,
                 }
-                std::thread::sleep(interval);
+                // `run_worker` unparks this thread when it exits, so
+                // teardown does not wait out the interval.
+                std::thread::park_timeout(HEARTBEAT_INTERVAL);
             }
         })
     };
 
-    let mut cache: RunnerCache = HashMap::new();
+    let mut cache: RunnerCache = None;
     // Buffers this process's spans for shipment to the coordinator.
     // Installed lazily, only in a standalone worker process (never when
     // the worker shares its process — and span sink — with the driver).
@@ -285,8 +224,8 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
         if resp.get("shutdown").is_some() {
             break Ok(());
         }
+        // The coordinator already waited for work; ask again at once.
         if resp.get("none").is_some() {
-            std::thread::sleep(config.poll_interval);
             continue;
         }
         let (Ok(Some(dispatch)), Some(phase)) =
@@ -312,41 +251,15 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
         if let Some(t) = trace {
             ffmr_obs::set_trace_id(t);
         }
-        let start_us = ffmr_obs::span::epoch_us();
-        let mut measure = DispatchMeasure::default();
+        let started = Instant::now();
         let mut task_span = parent_span.map_or_else(
             || ffmr_obs::span(&format!("worker.{phase}")),
             |p| ffmr_obs::span_child_of(&format!("worker.{phase}"), p),
         );
         task_span.field("dispatch", dispatch);
         task_span.field("worker", worker_id);
-        let outcome = run_dispatch(
-            &mut client,
-            registry,
-            &mut cache,
-            dispatch,
-            &phase,
-            &mut measure,
-        );
-        let outcome = match outcome {
-            Ok(result_bytes) => {
-                let push_started = Instant::now();
-                let pushed = {
-                    let _s = ffmr_obs::span("worker.blob.put");
-                    push_blob(&mut client, &proto::result_blob(dispatch), &result_bytes)
-                };
-                if let Err(e) = pushed {
-                    break Err(e);
-                }
-                measure.push_us =
-                    u64::try_from(push_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                measure.bytes_out = result_bytes.len() as u64;
-                Ok(())
-            }
-            Err(task_err) => Err(task_err),
-        };
+        let outcome = run_dispatch(registry, &mut cache, dispatch, &phase, &resp.body);
         drop(task_span);
-        let end_us = ffmr_obs::span::epoch_us();
         let reg = ffmr_obs::global();
         let status_label = if outcome.is_ok() { "ok" } else { "err" };
         reg.counter(
@@ -354,46 +267,34 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
             &[("phase", &phase), ("status", status_label)],
         )
         .inc();
-        reg.histogram("ffmr_worker_blob_fetch_us", &[])
-            .record(measure.fetch_us);
-        reg.histogram("ffmr_worker_blob_push_us", &[])
-            .record(measure.push_us);
         reg.histogram("ffmr_worker_task_us", &[])
-            .record(end_us.saturating_sub(start_us));
+            .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
 
         let mut done = Message::new(verb::TASK_DONE);
         done.push("worker", worker_id);
         done.push("dispatch", dispatch);
-        match &outcome {
-            Ok(()) => done.push("status", "ok"),
+        match outcome {
+            Ok(result) => {
+                done.push("status", "ok");
+                done.body = result;
+            }
             Err(task_err) => {
                 done.push("status", "err");
                 done.push("message", task_err.to_string());
             }
         }
-        done.push("t-start-us", start_us);
-        done.push("t-end-us", end_us);
-        done.push("t-fetch-us", measure.fetch_us);
-        done.push("t-push-us", measure.push_us);
-        done.push("t-bytes-in", measure.bytes_in);
-        done.push("t-bytes-out", measure.bytes_out);
         // Snapshots are cumulative, so shipping them less often loses
         // nothing: throttle to one per 100 ms so busy fleets don't pay
         // an encode+merge per task (the shutdown flush below delivers
         // whatever the throttle held back). Only the worker plane
         // ships: in-thread fleets share the driver's registry, and its
         // other series must not ride along with a worker label.
-        if last_metrics_ship.is_none_or(|t| t.elapsed() >= Duration::from_millis(100)) {
+        let ship_metrics =
+            last_metrics_ship.is_none_or(|t| t.elapsed() >= Duration::from_millis(100));
+        if ship_metrics {
             last_metrics_ship = Some(Instant::now());
-            let snapshot = reg.encode_snapshot_prefixed("ffmr_worker_");
-            done.push("metrics", b64::encode(snapshot.as_bytes()));
         }
-        if let Some(capture) = &span_capture {
-            let lines = capture.take();
-            if !lines.is_empty() {
-                done.push("spans", b64::encode(lines.join("\n").as_bytes()));
-            }
-        }
+        push_telemetry(&mut done, ship_metrics, span_capture.as_deref());
         if let Err(e) = rpc(&mut client, &done) {
             break Err(e);
         }
@@ -402,16 +303,10 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
     // and spans reach the coordinator even with no task in flight.
     let mut flush = Message::new(verb::TELEMETRY);
     flush.push("worker", worker_id);
-    let snapshot = ffmr_obs::global().encode_snapshot_prefixed("ffmr_worker_");
-    flush.push("metrics", b64::encode(snapshot.as_bytes()));
-    if let Some(capture) = &span_capture {
-        let lines = capture.take();
-        if !lines.is_empty() {
-            flush.push("spans", b64::encode(lines.join("\n").as_bytes()));
-        }
-    }
+    push_telemetry(&mut flush, true, span_capture.as_deref());
     let _ = client.request(&flush);
     stop.store(true, Ordering::SeqCst);
+    heartbeat.thread().unpark();
     let _ = heartbeat.join();
     result
 }

@@ -88,9 +88,9 @@ fn executor_round_trips_map_and_reduce_through_a_worker() {
         params: vec![0x5a],
     };
 
-    // Large enough to force multi-chunk blob transfer both directions
-    // (chunk cap is 256 KiB raw).
-    let input: Vec<u8> = (0..600_000u32).map(|i| (i % 251) as u8).collect();
+    // 3 MiB: the task body and the result both cross several frames
+    // (the cap is `MAX_FRAME_BYTES`, 1 MiB), in both directions.
+    let input: Vec<u8> = (0..3u32 << 20).map(|i| (i % 251) as u8).collect();
     let map = executor
         .execute_map(
             &wire,
@@ -108,7 +108,7 @@ fn executor_round_trips_map_and_reduce_through_a_worker() {
         .iter()
         .zip(&input)
         .all(|(out, inp)| out == &(inp ^ 0x5a)));
-    assert_eq!(map.counters, vec![("xor_bytes".to_string(), 600_000)]);
+    assert_eq!(map.counters, vec![("xor_bytes".to_string(), 3 << 20)]);
     assert_eq!(map.captured, vec![("svc".to_string(), vec![vec![0x5a]])]);
 
     let reduce = executor
@@ -127,6 +127,49 @@ fn executor_round_trips_map_and_reduce_through_a_worker() {
     coordinator.shutdown();
     w1.join().unwrap().unwrap();
     w2.join().unwrap().unwrap();
+}
+
+/// A dispatch note is timed on the coordinator's own socket: its window
+/// runs from writing the reply that hands the task out to reading the
+/// last byte of the `task-done`, and both body transfers fit inside it.
+#[test]
+fn dispatch_notes_time_the_bodies_on_the_coordinator_socket() {
+    ffmr_obs::events::recorder().set_enabled(true);
+    let coordinator = Coordinator::start(CoordinatorConfig::default()).unwrap();
+    let worker = spawn_worker(coordinator.local_addr().to_string());
+    assert!(coordinator.wait_for_workers(1, Duration::from_secs(10)));
+
+    let executor = coordinator.executor();
+    let wire = WireSpec {
+        kind: "xor".to_string(),
+        params: vec![3],
+    };
+    let spec = MapTaskSpec {
+        task: 5,
+        reducers: 1,
+        input: vec![1; 2 << 20],
+    };
+    let body = ffmr_worker::proto::encode_task_body(&wire.kind, &wire.params, &spec.to_bytes());
+    let result = executor.execute_map(&wire, spec).unwrap();
+    let notes = executor.drain_dispatch_notes();
+    assert_eq!(notes.len(), 1);
+    let n = &notes[0];
+    assert_eq!(
+        (n.phase.as_str(), n.task, n.worker, n.ok),
+        ("map", 5, 0, true)
+    );
+    assert_eq!(n.bytes_in, body.len() as u64);
+    assert_eq!(n.bytes_out, result.to_bytes().len() as u64);
+    assert!(n.queued_us <= n.started_us, "{n:?}");
+    assert!(
+        n.started_us <= n.finished_us && n.finished_us <= n.done_us,
+        "{n:?}"
+    );
+    assert!(n.fetch_us > 0 && n.push_us > 0, "{n:?}");
+    assert!(n.transfer_us() <= n.finished_us - n.started_us, "{n:?}");
+
+    coordinator.shutdown();
+    worker.join().unwrap().unwrap();
 }
 
 #[test]
@@ -373,21 +416,10 @@ fn protocol_abuse_gets_error_responses_not_crashes() {
         Message::new("frobnicate"),
         Message::new("heartbeat"),
         Message::new("heartbeat").field("worker", "not-a-number"),
+        // No worker has registered: task requests are refused at once,
+        // not held in a long poll.
+        Message::new("task-request").field("worker", 0),
         Message::new("task-request").field("worker", 999),
-        Message::new("blob-get")
-            .field("name", "nope")
-            .field("offset", 0),
-        Message::new("blob-get").field("offset", 0),
-        Message::new("blob-put")
-            .field("name", "x")
-            .field("offset", 0)
-            .field("data", "!!notbase64!!")
-            .field("last", 1),
-        Message::new("blob-put")
-            .field("name", "x")
-            .field("offset", 17)
-            .field("data", "")
-            .field("last", 1),
         Message::new("task-done").field("worker", 0),
     ];
     for request in cases {
@@ -395,6 +427,15 @@ fn protocol_abuse_gets_error_responses_not_crashes() {
         assert_eq!(resp.head, status::ERROR, "request {:?}", request.head);
         assert!(resp.get("message").is_some());
     }
+
+    // A result body for a dispatch nobody handed out (as from a zombie
+    // whose task was retried) is read off the socket, acked and dropped.
+    let mut stale = Message::new("task-done")
+        .field("worker", 0)
+        .field("dispatch", 41)
+        .field("status", "ok");
+    stale.body = vec![0xab; (3 << 20) + 5];
+    assert_eq!(client.request(&stale).unwrap().head, status::OK);
 
     // The connection is still healthy after all that abuse.
     let ok = client.request(&Message::new("register")).unwrap();

@@ -11,7 +11,7 @@
 //!       [--speculate] [--slow-task PHASE:TASKxFACTOR]
 //! ffmr serve --listen 127.0.0.1:7227 --graph fb=graph.txt [--graph ...]
 //!       [--workers 4] [--queue 16] [--cache 256] [--mr-threshold 2000]
-//! ffmr worker --connect HOST:PORT [--poll-ms 20] [--heartbeat-ms 300]
+//! ffmr worker --connect HOST:PORT
 //! ffmr query --addr 127.0.0.1:7227 --op maxflow --dataset fb \
 //!       (--source S --sink T | --w N) [--algorithm auto|...] [--timeout-ms N]
 //! ffmr stats --addr 127.0.0.1:7227 [--dataset fb] [--prometheus] [--watch]
@@ -30,7 +30,10 @@
 //! in-driver coordinator and execute every map/reduce task over TCP.
 //! The simulated cost model, retries and output bytes are identical to
 //! the in-process run. `ffmr worker --connect` joins a coordinator by
-//! hand (e.g. from another terminal or machine).
+//! hand (e.g. from another terminal or machine); it needs no other
+//! option: it long-polls the coordinator for tasks, each task's spec
+//! arrives as the raw body of the reply, and its result goes back the
+//! same way.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -102,7 +105,7 @@ fn print_help() {
          \x20          [--threads N] [--nodes N] [--reducers R] [--timeout-ms N]\n\
          \x20          [--no-core]  (disable the core-contraction planner)\n\
          \x20          [--slow-query-ms N] [--slowlog-file FILE]\n\
-         \x20 worker   --connect HOST:PORT [--poll-ms N] [--heartbeat-ms N]\n\
+         \x20 worker   --connect HOST:PORT\n\
          \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|history|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
          \x20          (--source S --sink T | --w N)\n\
@@ -141,7 +144,9 @@ fn print_help() {
          \x20 --slow-task (e.g. --slow-task map:2x10 = map task 2, 10x slow).\n\n\
          distributed mode:\n\
          \x20 maxflow --workers N spawns N `ffmr worker` OS processes and\n\
-         \x20 executes every map/reduce task in them over localhost TCP.\n\
+         \x20 executes every map/reduce task in them over localhost TCP;\n\
+         \x20 each task's spec and result cross the socket once, as raw\n\
+         \x20 message bodies. `worker --connect` joins a fleet by hand.\n\
          \x20 A worker killed mid-round is detected (connection drop or\n\
          \x20 heartbeat silence) and its tasks are re-dispatched under the\n\
          \x20 Hadoop retry budget. Output is byte-identical to --threads 1."
@@ -535,10 +540,7 @@ fn worker(args: &[String]) -> Result<(), String> {
     use ffmr::ffmr_worker::{self, JobKindRegistry, WorkerConfig};
     let opts = Options::parse(args)?;
     let addr = opts.required("connect")?.to_string();
-    let mut config = WorkerConfig::new(addr.clone());
-    config.poll_interval = std::time::Duration::from_millis(opts.parsed("poll-ms", 20u64)?.max(1));
-    config.heartbeat_interval =
-        std::time::Duration::from_millis(opts.parsed("heartbeat-ms", 300u64)?.max(10));
+    let config = WorkerConfig::new(addr.clone());
 
     ffmr_worker::signals::install();
     let mut registry = JobKindRegistry::new();

@@ -183,42 +183,46 @@ impl Drop for WorkerFleet {
     }
 }
 
+/// FF1 shuffles everything and has no schimmy; FF5 uses schimmy and
+/// `aug_proc`: both paths run through two real worker processes.
 #[test]
 fn two_worker_processes_match_the_inprocess_fingerprint() {
     let (net, s, t) = test_network(250, 2, 11);
-    let config = FfConfig::new(s, t).variant(FfVariant::ff5()).reducers(6);
-
-    // Baseline: the deterministic serial in-process run.
-    let mut rt_base = MrRuntime::new(ClusterConfig::small_cluster(4));
-    rt_base.set_worker_threads(Some(1));
-    let run_base = ffmr_core::run_max_flow(&mut rt_base, &net, &config).expect("baseline run");
-    let base_print = fingerprint(&rt_base, &run_base);
-
-    // Distributed: two real worker processes, parallel dispatch.
-    let fleet = WorkerFleet::start(2);
-    let mut rt_dist = MrRuntime::new(ClusterConfig::small_cluster(4));
-    rt_dist.set_task_executor(Some(fleet.coordinator().executor()));
-    let run_dist = ffmr_core::run_max_flow(&mut rt_dist, &net, &config).expect("distributed run");
-    let dist_print = fingerprint(&rt_dist, &run_dist);
-
-    assert_eq!(run_base.max_flow_value, run_dist.max_flow_value);
-    assert_eq!(
-        base_print, dist_print,
-        "distributed run diverged from the serial in-process fingerprint"
-    );
-
-    // Simulated cost model is computed driver-side from task-reported
-    // numbers, so the simulated clock must agree exactly too.
-    assert!(
-        (run_base.total_sim_seconds - run_dist.total_sim_seconds).abs() < 1e-9,
-        "simulated cost diverged: {} vs {}",
-        run_base.total_sim_seconds,
-        run_dist.total_sim_seconds
-    );
-
-    // And the flow itself must be the true maximum.
     let oracle = maxflow::Algorithm::Dinic.run(&net, s, t);
-    assert_eq!(run_dist.max_flow_value, oracle.value);
+    let fleet = WorkerFleet::start(2);
+    for variant in [FfVariant::ff1(), FfVariant::ff5()] {
+        let label = variant.name();
+        let config = FfConfig::new(s, t).variant(variant).reducers(6);
+
+        // Baseline: the deterministic serial in-process run.
+        let (rt_base, run_base) = inprocess_run(&net, &config, 1);
+        let base_print = fingerprint(&rt_base, &run_base);
+
+        // Distributed: two real worker processes, parallel dispatch.
+        let mut rt_dist = MrRuntime::new(ClusterConfig::small_cluster(4));
+        rt_dist.set_task_executor(Some(fleet.coordinator().executor()));
+        let run_dist =
+            ffmr_core::run_max_flow(&mut rt_dist, &net, &config).expect("distributed run");
+        let dist_print = fingerprint(&rt_dist, &run_dist);
+
+        assert_eq!(run_base.max_flow_value, run_dist.max_flow_value, "{label}");
+        assert_eq!(
+            base_print, dist_print,
+            "{label}: distributed run diverged from the serial in-process fingerprint"
+        );
+
+        // Simulated cost model is computed driver-side from task-reported
+        // numbers, so the simulated clock must agree exactly too.
+        assert!(
+            (run_base.total_sim_seconds - run_dist.total_sim_seconds).abs() < 1e-9,
+            "{label}: simulated cost diverged: {} vs {}",
+            run_base.total_sim_seconds,
+            run_dist.total_sim_seconds
+        );
+
+        // And the flow itself must be the true maximum.
+        assert_eq!(run_dist.max_flow_value, oracle.value, "{label}");
+    }
 }
 
 /// The merged flight recorder must be complete and must not perturb the
