@@ -36,7 +36,9 @@
 //! assert!(report.global_relabels >= 1);
 //! ```
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 
 use ffmr_sync::{Condvar, Mutex, RwLock};
 use swgraph::{Capacity, EdgeId, FlowNetwork, VertexId};
@@ -321,20 +323,64 @@ type Handles = (Arc<FlowNetwork>, Arc<RwLock<State>>);
 /// every query the serving tier admits, instead of the spawn-per-call
 /// model of the one-shot [`solve`].
 pub struct SolverPool {
-    board: Arc<Board<Handles>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    lanes: Lanes,
+}
+
+type Solved = Result<(FlowResult, SolveReport), Cancelled>;
+
+/// One whole solve for a one-thread pool's solver thread, with the
+/// channel its outcome (or panic) goes back on.
+struct SoloJob {
+    net: Arc<FlowNetwork>,
+    s: VertexId,
+    t: VertexId,
+    cancel: Cancel,
+    reply: mpsc::Sender<std::thread::Result<Solved>>,
+}
+
+enum Lanes {
+    /// One thread runs each whole solve on the inline schedule, callers
+    /// taking turns. Its allocations all come from one thread's heap
+    /// arena: solved inline on each calling thread instead, every caller
+    /// keeps an arena holding freed copies of the m-sized vectors a
+    /// solve builds, and a daemon's memory grows with its thread count.
+    Solo {
+        jobs: Option<mpsc::Sender<SoloJob>>,
+        thread: Option<JoinHandle<()>>,
+    },
+    /// Workers compute the chunks of each job the callers post.
+    Board {
+        board: Arc<Board<Handles>>,
+        workers: Vec<JoinHandle<()>>,
+    },
 }
 
 impl SolverPool {
-    /// Spawns a pool of `threads` workers. With `threads <= 1` no
-    /// threads are spawned and [`SolverPool::solve`] runs chunks inline.
+    /// Spawns a pool of `threads` workers. With `threads <= 1` the one
+    /// thread runs each whole solve, chunks inline, in turn.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        let board = Arc::new(Board::new());
-        let workers = if threads <= 1 {
-            Vec::new()
+        let lanes = if threads <= 1 {
+            let (jobs, inbox) = mpsc::channel::<SoloJob>();
+            let thread = std::thread::Builder::new()
+                .name("pr-solver".into())
+                .spawn(move || {
+                    for job in inbox {
+                        let solved = catch_unwind(AssertUnwindSafe(|| {
+                            solve(&job.net, job.s, job.t, 1, &job.cancel)
+                        }));
+                        // A gone receiver means the caller unwound.
+                        let _ = job.reply.send(solved);
+                    }
+                })
+                .expect("spawn the pool's solver thread");
+            Lanes::Solo {
+                jobs: Some(jobs),
+                thread: Some(thread),
+            }
         } else {
-            (0..threads)
+            let board = Arc::new(Board::new());
+            let workers = (0..threads)
                 .map(|_| {
                     let board = Arc::clone(&board);
                     std::thread::spawn(move || {
@@ -343,49 +389,82 @@ impl SolverPool {
                         });
                     })
                 })
-                .collect()
+                .collect();
+            Lanes::Board { board, workers }
         };
-        Self { board, workers }
+        Self { lanes }
     }
 
-    /// The worker count the pool was built with (1 means inline).
+    /// The worker count the pool was built with.
     #[must_use]
     pub fn threads(&self) -> usize {
-        self.workers.len().max(1)
+        match &self.lanes {
+            Lanes::Solo { .. } => 1,
+            Lanes::Board { workers, .. } => workers.len(),
+        }
     }
 
     /// Runs the same pulse schedule as the one-shot [`solve`] on this
-    /// pool's workers: concurrent queries reuse one set of threads with
-    /// no per-query spawn cost. Flow and report are byte-identical to
-    /// [`solve`] for any pool size (the chunk decomposition and apply
-    /// order do not depend on who computes a chunk).
+    /// pool's threads: concurrent queries reuse them with no per-query
+    /// spawn cost. Flow and report are byte-identical to [`solve`] for
+    /// any pool size (the chunk decomposition and apply order do not
+    /// depend on who computes a chunk). On a one-thread pool, a query
+    /// waits for the solves ahead of it; its `cancel` deadline counts
+    /// that wait.
     pub fn solve(
         &self,
         net: &Arc<FlowNetwork>,
         s: VertexId,
         t: VertexId,
         cancel: &Cancel,
-    ) -> Result<(FlowResult, SolveReport), Cancelled> {
-        if is_degenerate(net, s, t) {
-            return Ok(zero_flow(net));
+    ) -> Solved {
+        match &self.lanes {
+            Lanes::Solo { jobs, .. } => {
+                let (reply, outcome) = mpsc::channel();
+                let job = SoloJob {
+                    net: Arc::clone(net),
+                    s,
+                    t,
+                    cancel: cancel.clone(),
+                    reply,
+                };
+                jobs.as_ref()
+                    .expect("jobs is taken only by drop")
+                    .send(job)
+                    .expect("the solver thread outlives the pool's borrowers");
+                match outcome.recv().expect("the solver thread answers every job") {
+                    Ok(solved) => solved,
+                    Err(panic) => resume_unwind(panic),
+                }
+            }
+            Lanes::Board { board, .. } => {
+                if is_degenerate(net, s, t) {
+                    return Ok(zero_flow(net));
+                }
+                let state = Arc::new(RwLock::new(State::new(net, s, t)));
+                let mut exec = |job| board.execute((Arc::clone(net), Arc::clone(&state)), job);
+                run(net, s, t, &state, &mut exec, cancel)
+            }
         }
-        let state = Arc::new(RwLock::new(State::new(net, s, t)));
-        if self.workers.is_empty() {
-            return run(net, s, t, &state, &mut inline_executor(net, &state), cancel);
-        }
-        let mut exec = |job| {
-            self.board
-                .execute((Arc::clone(net), Arc::clone(&state)), job)
-        };
-        run(net, s, t, &state, &mut exec, cancel)
     }
 }
 
 impl Drop for SolverPool {
     fn drop(&mut self) {
-        self.board.shutdown();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        match &mut self.lanes {
+            Lanes::Solo { jobs, thread } => {
+                // Closing the queue ends the thread's loop.
+                drop(jobs.take());
+                if let Some(thread) = thread.take() {
+                    let _ = thread.join();
+                }
+            }
+            Lanes::Board { board, workers } => {
+                board.shutdown();
+                for worker in workers.drain(..) {
+                    let _ = worker.join();
+                }
+            }
         }
     }
 }
@@ -555,9 +634,9 @@ impl<'a> Solver<'a> {
             self.pulse(run);
             self.report.phases += 1;
         }
-        let st = self.state.read();
+        let mut st = self.state.write();
         let value = self.net.out_edges(self.s).map(|e| st.flow[e.index()]).sum();
-        let flows = st.flow.clone();
+        let flows = std::mem::take(&mut st.flow);
         Ok((FlowResult { value, flows }, self.report))
     }
 
@@ -941,8 +1020,61 @@ mod tests {
         let t = VertexId::new(199);
         let expired = Cancel::after(std::time::Duration::from_secs(0));
         assert_eq!(solve(&net, s, t, 2, &expired), Err(Cancelled));
-        let pool = SolverPool::new(2);
-        assert_eq!(pool.solve(&net, s, t, &expired), Err(Cancelled));
+        for pool_threads in [1, 2] {
+            let pool = SolverPool::new(pool_threads);
+            assert_eq!(
+                pool.solve(&net, s, t, &expired),
+                Err(Cancelled),
+                "pool_threads={pool_threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_thread_pool_serves_concurrent_callers_in_turn() {
+        let pool = SolverPool::new(1);
+        assert_eq!(pool.threads(), 1);
+        let queries: Vec<_> = (0..4u64)
+            .map(|seed| {
+                let edges = gen::barabasi_albert(200, 3, seed);
+                let net = Arc::new(FlowNetwork::from_undirected_unit(200, &edges));
+                let (s, t) = (VertexId::new(seed), VertexId::new(199 - seed));
+                let expected = solve_on(&net, s, t, 1);
+                (net, s, t, expected)
+            })
+            .collect();
+        let start = std::sync::Barrier::new(queries.len());
+        std::thread::scope(|scope| {
+            for (net, s, t, expected) in &queries {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..3 {
+                        let pooled = pool.solve(net, *s, *t, &Cancel::never()).unwrap();
+                        assert_eq!(&pooled, expected, "s={s:?} t={t:?}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn dropping_a_one_thread_pool_joins_its_thread() {
+        let edges = gen::erdos_renyi(40, 120, 1);
+        let net = Arc::new(FlowNetwork::from_undirected_unit(40, &edges));
+        let pool = SolverPool::new(1);
+        let (flow, _) = pool
+            .solve(&net, VertexId::new(0), VertexId::new(39), &Cancel::never())
+            .unwrap();
+        assert_eq!(
+            flow.value,
+            Algorithm::Dinic
+                .run(&net, VertexId::new(0), VertexId::new(39))
+                .value
+        );
+        drop(pool);
+        // Joined, the thread has dropped every job and its handles.
+        assert_eq!(Arc::strong_count(&net), 1);
     }
 
     #[test]

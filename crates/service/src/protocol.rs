@@ -97,29 +97,37 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one length-prefixed text frame.
+/// Writes one length-prefixed text frame in one `write` call.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
-    write_prefixed(w, payload.as_bytes(), false)?;
-    w.flush()?;
-    Ok(())
+    write_frames(w, payload.as_bytes(), &[])
 }
 
 /// Writes `message`: its header frame, then its body (if any) as
 /// back-to-back frames. A message without a body is written exactly as
 /// [`write_frame`] writes its encoding.
 pub fn write_message(w: &mut impl Write, message: &Message) -> Result<(), WireError> {
-    let header = message.encode();
-    let mut frames = std::iter::once(header.as_bytes())
-        .chain(message.body.chunks(MAX_FRAME_BYTES as usize))
+    write_frames(w, message.encode().as_bytes(), &message.body)
+}
+
+/// Writes `header` and then `body` as frames through one buffer at least
+/// as large as the header frame, so the header's prefix and bytes leave
+/// in one `write` call: a second, small segment would wait out the
+/// peer's delayed ACK. A body chunk at least as large as the buffer
+/// goes to `w` straight from `body`, uncopied.
+fn write_frames(w: &mut impl Write, header: &[u8], body: &[u8]) -> Result<(), WireError> {
+    let capacity = (4 + header.len()).max(8 << 10);
+    let mut out = std::io::BufWriter::with_capacity(capacity, w);
+    let mut frames = std::iter::once(header)
+        .chain(body.chunks(MAX_FRAME_BYTES as usize))
         .peekable();
     while let Some(frame) = frames.next() {
-        write_prefixed(w, frame, frames.peek().is_some())?;
+        write_prefixed(&mut out, frame, frames.peek().is_some())?;
     }
-    w.flush()?;
+    out.flush()?;
     Ok(())
 }
 
-/// Writes one frame's length prefix and bytes: two writes.
+/// Writes one frame's length prefix and bytes.
 fn write_prefixed(w: &mut impl Write, bytes: &[u8], more: bool) -> Result<(), WireError> {
     assert!(bytes.len() <= MAX_FRAME_BYTES as usize, "oversized frame");
     let prefix = bytes.len() as u32 | if more { MORE } else { 0 };
@@ -555,6 +563,57 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(WireError::FrameTooLarge(n)) if n == word
         ));
+    }
+
+    /// A writer that records each `write` call's address and length.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: Vec<(*const u8, usize)>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls.push((buf.as_ptr(), buf.len()));
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_message_without_a_body_is_one_write() {
+        let small = Message::new("ok").field("flow", 7);
+        let large = Message::new("ok").field("profile", "x".repeat(100_000));
+        for message in [small, large] {
+            let mut w = CountingWriter::default();
+            write_message(&mut w, &message).unwrap();
+            assert_eq!(w.calls.len(), 1, "{} header bytes", message.encode().len());
+            let mut framed = CountingWriter::default();
+            write_frame(&mut framed, &message.encode()).unwrap();
+            assert_eq!(framed.calls.len(), 1);
+            assert_eq!(framed.bytes, w.bytes, "write_frame and write_message agree");
+        }
+    }
+
+    #[test]
+    fn body_chunks_are_written_from_the_body_uncopied() {
+        let cap = MAX_FRAME_BYTES as usize;
+        let mut m = Message::new("task-request").field("dispatch", 9);
+        m.body = (0..3 * cap).map(|i| (i % 251) as u8).collect();
+        let mut w = CountingWriter::default();
+        write_message(&mut w, &m).unwrap();
+        for (i, chunk) in m.body.chunks(cap).enumerate() {
+            assert!(
+                w.calls.contains(&(chunk.as_ptr(), cap)),
+                "chunk {i} was copied: {:?}",
+                w.calls
+            );
+        }
+        assert_eq!(read_message(&mut w.bytes.as_slice()).unwrap().unwrap(), m);
     }
 
     #[test]

@@ -246,7 +246,6 @@ impl Coordinator {
     /// If the listener cannot bind `config.addr`.
     pub fn start(config: CoordinatorConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
@@ -332,8 +331,9 @@ impl Coordinator {
         // check and its wait.
         drop(self.shared.state.lock());
         self.shared.changed.notify_all();
-        // Both loops park between rounds: wake them rather than wait out
-        // their interval, so teardown is prompt.
+        // Wake both loops rather than wait out a blocked accept or the
+        // monitor's interval, so teardown is prompt.
+        let _ = TcpStream::connect(self.local_addr);
         for h in [self.accept.take(), self.monitor.take()]
             .into_iter()
             .flatten()
@@ -354,22 +354,21 @@ impl Drop for Coordinator {
     }
 }
 
+/// Accepts until shutdown; `stop` unblocks the `accept` with a
+/// self-connection, which is dropped here unserved.
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || serve_connection(stream, &shared));
-                connections.lock().push(handle);
-            }
-            // Nothing pending (the listener is non-blocking) or a failed
-            // accept: look again after a poll interval.
-            Err(_) => std::thread::park_timeout(POLL),
+    for stream in listener.incoming() {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        let Ok(stream) = stream else { continue };
+        let shared = Arc::clone(shared);
+        let handle = std::thread::spawn(move || serve_connection(stream, &shared));
+        connections.lock().push(handle);
     }
 }
 
