@@ -18,6 +18,9 @@
 //! [`SolverPool`](parallel_push_relabel::SolverPool). `Algorithm`'s
 //! `Display`/`FromStr` pair is the one table of solver names.
 //!
+//! [`local`] is not an `Algorithm`: its certified search may give up
+//! past a work budget, so it serves as a fast first try in front of one.
+//!
 //! # Example
 //!
 //! ```
@@ -44,6 +47,7 @@ pub mod contraction;
 mod dinic;
 mod edmonds_karp;
 mod ford_fulkerson;
+pub mod local;
 pub mod min_cut;
 pub mod parallel_push_relabel;
 mod push_relabel;

@@ -34,6 +34,10 @@ pub struct SolveReport {
     pub global_relabels: u64,
     /// Times the solver polled its [`Cancel`](crate::Cancel) token.
     pub cancel_polls: u64,
+    /// Distinct vertices the search reached (local search).
+    pub vertices_touched: u64,
+    /// Arcs examined over all the search's BFS rounds (local search).
+    pub arc_scans: u64,
 }
 
 impl SolveReport {
@@ -48,6 +52,8 @@ impl SolveReport {
             ("relabels", self.relabels),
             ("global_relabels", self.global_relabels),
             ("cancel_polls", self.cancel_polls),
+            ("vertices_touched", self.vertices_touched),
+            ("arc_scans", self.arc_scans),
         ]
         .into_iter()
         .filter(|&(_, v)| v != 0)

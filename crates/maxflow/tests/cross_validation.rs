@@ -3,8 +3,8 @@
 //! max-flow/min-cut relationship.
 
 use ffmr_prng::SplitMix64;
-use maxflow::{min_cut, validate, Algorithm};
-use swgraph::{gen, FlowNetwork, FlowNetworkBuilder, VertexId};
+use maxflow::{local, min_cut, validate, Algorithm, Cancel};
+use swgraph::{gen, Capacity, FlowNetwork, FlowNetworkBuilder, VertexId};
 
 fn check_all_agree(net: &FlowNetwork, s: VertexId, t: VertexId) -> i64 {
     let oracle = Algorithm::Dinic.run(net, s, t);
@@ -17,7 +17,36 @@ fn check_all_agree(net: &FlowNetwork, s: VertexId, t: VertexId) -> i64 {
     }
     let cut = min_cut::extract_min_cut(net, s, &oracle);
     assert_eq!(cut.value, oracle.value, "min cut != max flow");
+    check_local(net, s, t, oracle.value);
     oracle.value
+}
+
+/// When the local search answers inside its budget, it agrees with
+/// `expected`, its flow validates, and its certificate names a cut that
+/// separates the terminals at a capacity equal to the value. Returns
+/// whether it answered.
+fn check_local(net: &FlowNetwork, s: VertexId, t: VertexId, expected: Capacity) -> bool {
+    let (found, _) = local::LocalSearch::new()
+        .run(net, s, t, &Cancel::never())
+        .expect("never cancelled");
+    let Some(found) = found else {
+        return false;
+    };
+    assert_eq!(found.value, expected, "local disagrees with dinic");
+    validate::check_flow(net, s, t, &found.to_flow_result(net))
+        .unwrap_or_else(|e| panic!("local produced an invalid flow: {e}"));
+    assert!(found.on_source_side(s) && !found.on_source_side(t));
+    let cut: Capacity = net
+        .capacitated_edges()
+        .filter(|&e| found.on_source_side(net.tail(e)) && !found.on_source_side(net.head(e)))
+        .map(|e| net.capacity(e))
+        .fold(0, Capacity::saturating_add);
+    assert_eq!(
+        cut, found.value,
+        "{:?} is not a minimum cut",
+        found.certificate
+    );
+    true
 }
 
 #[test]
@@ -77,7 +106,51 @@ fn directed_asymmetric_capacities() {
     b.add_edge(2, 4, 8);
     b.add_edge(3, 4, 10);
     let net = b.build();
-    check_all_agree(&net, VertexId::new(0), VertexId::new(4));
+    let (s, t) = (VertexId::new(0), VertexId::new(4));
+    let value = check_all_agree(&net, s, t);
+    assert!(check_local(&net, s, t, value));
+    // Against the grain every arc is a residual arc of capacity 0.
+    let value = check_all_agree(&net, t, s);
+    assert_eq!(value, 0);
+    assert!(check_local(&net, t, s, value));
+}
+
+/// The local search's own edge cases, each one answered: terminals in
+/// different components, adjacent terminals, and a flow below the
+/// trivial bound, which only ends when no augmenting path is left.
+#[test]
+fn local_search_answers_the_edge_cases() {
+    let v = VertexId::new;
+    let split = FlowNetwork::from_undirected_unit(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    assert_eq!(check_all_agree(&split, v(0), v(5)), 0);
+    assert!(check_local(&split, v(0), v(5), 0));
+
+    let adjacent = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
+    let value = check_all_agree(&adjacent, v(0), v(2));
+    assert_eq!(value, 3);
+    assert!(check_local(&adjacent, v(0), v(2), value));
+
+    // Two 4-cliques joined by one bridge: both terminals have degree 3,
+    // the flow is 1.
+    let mut edges = Vec::new();
+    for base in [0u64, 4] {
+        for a in base..base + 4 {
+            for b in a + 1..base + 4 {
+                edges.push((a, b));
+            }
+        }
+    }
+    edges.push((3, 4));
+    let bridged = FlowNetwork::from_undirected_unit(8, &edges);
+    let value = check_all_agree(&bridged, v(0), v(7));
+    assert_eq!(value, 1);
+    let (found, _) = local::LocalSearch::new()
+        .run(&bridged, v(0), v(7), &Cancel::never())
+        .unwrap();
+    assert!(matches!(
+        found.expect("answered").certificate,
+        local::Certificate::SourceReach(_) | local::Certificate::SinkReach(_)
+    ));
 }
 
 /// Random directed multigraphs with random capacities: every solver
@@ -85,6 +158,7 @@ fn directed_asymmetric_capacities() {
 /// seeded SplitMix64 stream, so the corpus is deterministic.
 #[test]
 fn solvers_agree_on_random_directed_networks() {
+    let mut local_answers = 0;
     for case in 0..64u64 {
         let mut rng = SplitMix64::seed_from_u64(0xD1D0 + case);
         let n = rng.gen_range(2u64..25);
@@ -103,8 +177,12 @@ fn solvers_agree_on_random_directed_networks() {
         if s == t {
             continue;
         }
-        check_all_agree(&net, s, t);
+        let value = check_all_agree(&net, s, t);
+        local_answers += usize::from(check_local(&net, s, t, value));
     }
+    // Weighted capacities can need more paths than the budget allows;
+    // most cases still end inside it.
+    assert!(local_answers >= 40, "local answered {local_answers} cases");
 }
 
 /// The bulk-synchronous parallel push-relabel must return the identical

@@ -60,12 +60,14 @@ pub struct QueryProfile {
     /// 2-core), `full` (whole graph), or `-` when no solve ran.
     pub plan: String,
     /// Why that route: `periphery-direct`, `anchor-core-solve`,
+    /// `anchor-cache-hit`, `local-trivial-cut`, `local-exhausted`,
+    /// `local-budget` (the local search gave up and a solver finished),
     /// `cache-hit`, `planner-disabled`, `no-core-requested`,
     /// `super-terminal-query`, `mincut-needs-full-graph`,
     /// `mapreduce-pinned`, `coalesced-follower`.
     pub plan_reason: String,
-    /// Solver that produced the answer (`dinic`, `parallel-pr`,
-    /// `mapreduce-ff`, `periphery`, …).
+    /// Solver that produced the answer (`local`, `dinic`, `parallel-pr`,
+    /// `ff5`, `periphery`, …).
     pub solver: String,
     /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`).
     pub cache: String,
@@ -105,6 +107,10 @@ pub struct QueryProfile {
     pub global_relabels: u64,
     /// Cancel-token polls during the solve.
     pub cancel_polls: u64,
+    /// Distinct vertices the local search reached.
+    pub vertices_touched: u64,
+    /// Arcs the local search examined, over all its BFS rounds.
+    pub arc_scans: u64,
 }
 
 impl QueryProfile {
@@ -133,6 +139,8 @@ impl QueryProfile {
             ("relabels", self.relabels),
             ("global_relabels", self.global_relabels),
             ("cancel_polls", self.cancel_polls),
+            ("vertices_touched", self.vertices_touched),
+            ("arc_scans", self.arc_scans),
         ]
         .into_iter()
         .filter(|&(_, v)| v != 0)
@@ -212,6 +220,8 @@ impl QueryProfile {
             relabels: int("relabels"),
             global_relabels: int("global_relabels"),
             cancel_polls: int("cancel_polls"),
+            vertices_touched: int("vertices_touched"),
+            arc_scans: int("arc_scans"),
         })
     }
 }

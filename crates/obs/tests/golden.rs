@@ -180,6 +180,35 @@ fn query_profile() -> QueryProfile {
         relabels: 9,
         global_relabels: 2,
         cancel_polls: 8,
+        vertices_touched: 0,
+        arc_scans: 0,
+    }
+}
+
+/// A local-search answer: its search counters are the optional members
+/// the other samples omit.
+fn local_query_profile() -> QueryProfile {
+    QueryProfile {
+        verb: "maxflow".into(),
+        dataset: "fb4".into(),
+        epoch: 1,
+        plan: "core".into(),
+        plan_reason: "local-trivial-cut".into(),
+        solver: "local".into(),
+        cache: "miss".into(),
+        outcome: "ok".into(),
+        unix_ms: 1_700_000_000_000,
+        resolve_us: 1,
+        plan_us: 1,
+        solve_us: 92,
+        cache_update_us: 2,
+        total_us: 97,
+        deadline_ms: 30_000,
+        augmenting_paths: 46,
+        cancel_polls: 46,
+        vertices_touched: 1_553,
+        arc_scans: 7_902,
+        ..QueryProfile::default()
     }
 }
 
@@ -203,6 +232,8 @@ const MINIMAL_ROUND_PROFILE: &str = r#"{"round":0,"job":"r0","sim_seconds":0,"wa
 
 const QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"a\"b\\c\nd\te\rf\u0001gé","epoch":3,"plan":"core","plan_reason":"anchor-core-solve","solver":"parallel-pr","cache":"miss","coalesced":true,"resumed":false,"outcome":"error","error":"timeout after 250ms: \"slow\"\n","unix_ms":1700000000000,"queue_wait_us":12,"resolve_us":3,"plan_us":5,"solve_us":89975,"cache_update_us":0,"total_us":90000,"deadline_ms":30000,"phases":7,"pushes":41,"relabels":9,"global_relabels":2,"cancel_polls":8}"#;
 
+const LOCAL_QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"fb4","epoch":1,"plan":"core","plan_reason":"local-trivial-cut","solver":"local","cache":"miss","coalesced":false,"resumed":false,"outcome":"ok","unix_ms":1700000000000,"queue_wait_us":0,"resolve_us":1,"plan_us":1,"solve_us":92,"cache_update_us":2,"total_us":97,"deadline_ms":30000,"augmenting_paths":46,"cancel_polls":46,"vertices_touched":1553,"arc_scans":7902}"#;
+
 const BARE_QUERY_PROFILE: &str = r#"{"verb":"mincut","dataset":"","epoch":0,"plan":"","plan_reason":"","solver":"","cache":"","coalesced":false,"resumed":false,"outcome":"ok","unix_ms":0,"queue_wait_us":0,"resolve_us":0,"plan_us":0,"solve_us":0,"cache_update_us":0,"total_us":0,"deadline_ms":0}"#;
 
 /// `start_us` and `dur_us` are clock readings; everything else in the
@@ -222,6 +253,7 @@ fn encoders_emit_the_golden_lines() {
     assert_eq!(minimal_round_profile().to_json(), MINIMAL_ROUND_PROFILE);
     assert_eq!(query_profile().to_json(), QUERY_PROFILE);
     assert_eq!(bare_query_profile().to_json(), BARE_QUERY_PROFILE);
+    assert_eq!(local_query_profile().to_json(), LOCAL_QUERY_PROFILE);
 }
 
 /// Replaces the digits after `"key":` with a single `0`.
@@ -286,7 +318,7 @@ fn decoders_reject_truncation_and_never_panic_on_damage() {
     for line in [FULL_ROUND_PROFILE, MINIMAL_ROUND_PROFILE] {
         assert_decoder_survives_damage(line, RoundProfile::from_json);
     }
-    for line in [QUERY_PROFILE, BARE_QUERY_PROFILE] {
+    for line in [QUERY_PROFILE, BARE_QUERY_PROFILE, LOCAL_QUERY_PROFILE] {
         assert_decoder_survives_damage(line, QueryProfile::from_json);
     }
 }
@@ -310,6 +342,10 @@ fn golden_lines_decode_to_their_samples() {
     assert_eq!(
         QueryProfile::from_json(BARE_QUERY_PROFILE).unwrap(),
         bare_query_profile()
+    );
+    assert_eq!(
+        QueryProfile::from_json(LOCAL_QUERY_PROFILE).unwrap(),
+        local_query_profile()
     );
     let full = RoundProfile::from_json(FULL_ROUND_PROFILE).unwrap();
     assert_eq!(full.job, NASTY);

@@ -16,6 +16,13 @@
 //! carries the chosen solver plus the MapReduce round and shuffle
 //! counters (zero for sequential routes) so clients can see what a query
 //! cost.
+//!
+//! An unpinned core-plan query on the in-memory tier first tries
+//! [`maxflow::local`]: a bidirectional augmenting-path search that stops
+//! once the flow reaches `min(capacity out of s, capacity into t)` (that
+//! cut certifies it) or no path is left, and gives up past a work budget
+//! of a few passes over the arcs, in which case the pool solve runs as
+//! before. Its answers carry the solver label `local`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,8 +33,9 @@ use ffmr_core::{FfConfig, FfError, FfRun, FfVariant};
 use ffmr_obs::{QueryProfile, SlowLog};
 use mapreduce::{ClusterConfig, MrRuntime};
 use maxflow::contraction::CorePlan;
+use maxflow::local::{self, Certificate, LocalSearch};
 use maxflow::parallel_push_relabel::SolverPool;
-use maxflow::{Algorithm, Cancel, FlowResult};
+use maxflow::{Algorithm, Cancel, FlowResult, SolveReport};
 use swgraph::{FlowNetwork, VertexId};
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
@@ -104,6 +112,10 @@ pub struct QueryEngine {
     /// push-relabel solve — queries borrow its threads for the duration
     /// of their solve instead of spawning (and joining) a fresh set.
     pool: SolverPool,
+    /// Scratch for [`maxflow::local`] searches, one per engine thread
+    /// searching at once: each is n-sized and reused, so a cold query
+    /// allocates no graph-sized memory before the pool solve.
+    local: Mutex<Vec<LocalSearch>>,
     /// Queries currently being solved, keyed by their cache key. A
     /// duplicate arriving while the leader is still solving waits for
     /// the leader's answer instead of solving again (single-flight).
@@ -212,6 +224,14 @@ impl QueryOptions {
     }
 }
 
+/// A flow query up to its cache lookup ([`QueryEngine::prepare`]).
+struct PreparedQuery {
+    snap: Arc<crate::store::Snapshot>,
+    resolved: ResolvedQuery,
+    opts: QueryOptions,
+    key: CacheKey,
+}
+
 /// The resolved terminals of a query: either the literal `s`/`t` pair or
 /// a super source/sink construction over high-degree terminal sets.
 struct ResolvedQuery {
@@ -246,6 +266,7 @@ impl QueryEngine {
             stash: Mutex::new(VecDeque::new()),
             history: Mutex::new(VecDeque::new()),
             pool: SolverPool::new(threads),
+            local: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
             slowlog: SlowLog::from_env(),
         }
@@ -291,17 +312,34 @@ impl QueryEngine {
             "sleep" => self.sleep(request),
             other => Err(format!("unknown request '{other}'")),
         };
-        let response = match result {
-            Ok(mut response) => {
-                response.push("elapsed-us", started.elapsed().as_micros());
-                response
-            }
-            Err(message) => error_response(message),
+        finish_request(request, started, span, result)
+    }
+
+    /// Answers a `maxflow`/`mincut` request from the flow cache alone:
+    /// the reply [`execute`](Self::execute) would send on a hit, or
+    /// `None` for anything else — a miss, `no-cache`, a `w` query (its
+    /// resolution copies the graph), another verb, a malformed request —
+    /// which the caller then sends through `execute`. Only hits are
+    /// counted here, so the cache's miss count stays one per query. No
+    /// solver runs and no graph-sized memory is touched, which is what
+    /// lets the server answer hits on its connection threads.
+    #[must_use]
+    pub fn execute_cached(&self, request: &Message) -> Option<Message> {
+        let kind = match request.head.as_str() {
+            "maxflow" => QueryKind::MaxFlow,
+            "mincut" => QueryKind::MinCut,
+            _ => return None,
         };
-        span.field("status", &response.head);
-        drop(span);
-        record_query_metrics(&request.head, &response, started.elapsed());
-        response
+        if request.get("w").is_some() {
+            return None;
+        }
+        let started = Instant::now();
+        let mut prof = new_profile(request);
+        let response = self.cached_reply(request, kind, &mut prof)?;
+        let mut span = ffmr_obs::span("query");
+        span.field("verb", &request.head);
+        let result = self.close_profile(request, started, prof, Ok(response));
+        Some(finish_request(request, started, span, result))
     }
 
     fn list(&self) -> Message {
@@ -477,20 +515,21 @@ impl QueryEngine {
     /// response when the request carries the `explain` flag.
     fn flow_query(&self, request: &Message, kind: QueryKind) -> Result<Message, String> {
         let started = Instant::now();
-        let mut prof = QueryProfile {
-            verb: request.head.clone(),
-            dataset: request.get("dataset").unwrap_or("").to_string(),
-            plan: "-".to_string(),
-            // The server injects the measured queue wait into the
-            // request before execution; engine-inline callers have none.
-            queue_wait_us: request
-                .get_parsed("queue-wait-us")
-                .ok()
-                .flatten()
-                .unwrap_or(0),
-            ..QueryProfile::default()
-        };
+        let mut prof = new_profile(request);
         let result = self.flow_query_profiled(request, kind, &mut prof);
+        self.close_profile(request, started, prof, result)
+    }
+
+    /// Completes a flow query's profile: total and wall-clock stamps,
+    /// outcome, stage and deadline histograms, the slowlog, and the
+    /// `explain` echo on the response.
+    fn close_profile(
+        &self,
+        request: &Message,
+        started: Instant,
+        mut prof: QueryProfile,
+        result: Result<Message, String>,
+    ) -> Result<Message, String> {
         prof.total_us = prof.queue_wait_us + elapsed_us(started);
         prof.unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -531,12 +570,14 @@ impl QueryEngine {
         Ok(response)
     }
 
-    fn flow_query_profiled(
+    /// What a flow query settles before it can look in the cache: the
+    /// snapshot, the resolved terminals, the options and the cache key.
+    fn prepare(
         &self,
         request: &Message,
         kind: QueryKind,
         prof: &mut QueryProfile,
-    ) -> Result<Message, String> {
+    ) -> Result<PreparedQuery, String> {
         let dataset = request.get("dataset").ok_or("query needs 'dataset'")?;
         let snap = self
             .store
@@ -548,7 +589,6 @@ impl QueryEngine {
         let resolved = self.resolve_terminals(request, &snap.network)?;
         prof.resolve_us = elapsed_us(resolve_started);
         let opts = QueryOptions::parse(request, kind, &self.config)?;
-        let solver = self.pick_solver(opts.requested, &resolved.net);
         let key = CacheKey::new(
             dataset,
             snap.epoch,
@@ -556,18 +596,34 @@ impl QueryEngine {
             resolved.source_terminals.clone(),
             resolved.sink_terminals.clone(),
         );
+        Ok(PreparedQuery {
+            snap,
+            resolved,
+            opts,
+            key,
+        })
+    }
+
+    fn flow_query_profiled(
+        &self,
+        request: &Message,
+        kind: QueryKind,
+        prof: &mut QueryProfile,
+    ) -> Result<Message, String> {
+        let PreparedQuery {
+            snap,
+            resolved,
+            opts,
+            key,
+        } = self.prepare(request, kind, prof)?;
+        let dataset = snap.name.as_str();
+        let solver = self.pick_solver(opts.requested, &resolved.net);
 
         let use_cache = opts.use_cache;
         prof.cache = if use_cache { "miss" } else { "bypass" }.to_string();
         if use_cache {
             if let Some(hit) = self.cache.get(&key) {
-                prof.cache = "hit".to_string();
-                prof.plan = hit.plan.as_str().to_string();
-                prof.plan_reason = "cache-hit".to_string();
-                prof.solver = hit.solver.to_string();
-                let mut response = render_answer(&hit, kind, &resolved, dataset, snap.epoch, true);
-                push_serving_fields(&mut response, false, false, prof.queue_wait_us);
-                return Ok(response);
+                return Ok(hit_reply(&hit, kind, &resolved, dataset, snap.epoch, prof));
             }
         }
         prof.deadline_ms = u64::try_from(opts.timeout.as_millis()).unwrap_or(u64::MAX);
@@ -653,6 +709,30 @@ impl QueryEngine {
         let mut response = render_answer(&answer, kind, &resolved, dataset, snap.epoch, false);
         push_serving_fields(&mut response, resumed, coalesced, prof.queue_wait_us);
         Ok(response)
+    }
+
+    /// The cache-hit path of [`flow_query_profiled`](Self::flow_query_profiled)
+    /// on its own, for [`execute_cached`](Self::execute_cached): `None`
+    /// unless the request is well formed, uses the cache and hits.
+    fn cached_reply(
+        &self,
+        request: &Message,
+        kind: QueryKind,
+        prof: &mut QueryProfile,
+    ) -> Option<Message> {
+        let q = self.prepare(request, kind, prof).ok()?;
+        if !q.opts.use_cache {
+            return None;
+        }
+        let hit = self.cache.get_hit(&q.key)?;
+        Some(hit_reply(
+            &hit,
+            kind,
+            &q.resolved,
+            &q.snap.name,
+            q.snap.epoch,
+            prof,
+        ))
     }
 
     /// Registers this query in the in-flight table, either as the leader
@@ -747,7 +827,21 @@ impl QueryEngine {
                             sink_terminals: vec![sink_anchor],
                             super_st: false,
                         };
-                        let (mut answer, resumed) = self.solve(&core_q, opts, &core_key, prof)?;
+                        // The local search stands in front of the
+                        // in-memory tier only: a pinned solver, or the
+                        // MapReduce route past the vertex threshold,
+                        // runs as asked.
+                        let searched = if opts.requested.is_none()
+                            && matches!(self.pick_solver(None, core_net), Solver::Sequential(_))
+                        {
+                            self.solve_local(&core_q, opts, prof)?
+                        } else {
+                            None
+                        };
+                        let (mut answer, resumed) = match searched {
+                            Some(answer) => (answer, false),
+                            None => self.solve(&core_q, opts, &core_key, prof)?,
+                        };
                         answer.plan = Plan::Core;
                         if shared_key {
                             // The unclamped anchor-pair value is what
@@ -872,18 +966,8 @@ impl QueryEngine {
                     algo.run_with_report(&q.net, q.source, q.sink, &cancel)
                 };
                 prof.solve_us += elapsed_us(solve_started);
-                let (flow, report) = solved.map_err(|_| {
-                    format!(
-                        "timeout after {}ms (in-memory solve cancelled at the deadline)",
-                        opts.timeout.as_millis()
-                    )
-                })?;
-                prof.phases += report.phases;
-                prof.augmenting_paths += report.augmenting_paths;
-                prof.pushes += report.pushes;
-                prof.relabels += report.relabels;
-                prof.global_relabels += report.global_relabels;
-                prof.cancel_polls += report.cancel_polls;
+                let (flow, report) = solved.map_err(|_| timeout_message(opts.timeout))?;
+                add_report(prof, &report);
                 answer.flow = flow.value;
                 if opts.kind == QueryKind::MinCut {
                     let cut = maxflow::min_cut::extract_min_cut(&q.net, q.source, &flow);
@@ -923,6 +1007,51 @@ impl QueryEngine {
                 Ok((answer, resumed))
             }
         }
+    }
+
+    /// Runs the certified [`maxflow::local`] search on `q` with pooled
+    /// scratch. `None` when it ran out of budget: the caller solves.
+    fn solve_local(
+        &self,
+        q: &ResolvedQuery,
+        opts: &QueryOptions,
+        prof: &mut QueryProfile,
+    ) -> Result<Option<CachedAnswer>, String> {
+        let cancel = Cancel::after(opts.timeout);
+        let solve_started = Instant::now();
+        let mut search = self
+            .local
+            .lock()
+            .expect("local scratch")
+            .pop()
+            .unwrap_or_default();
+        let searched = search.run(&q.net, q.source, q.sink, &cancel);
+        self.local.lock().expect("local scratch").push(search);
+        prof.solve_us += elapsed_us(solve_started);
+        let (found, report) = searched.map_err(|_| timeout_message(opts.timeout))?;
+        add_report(prof, &report);
+        let outcome = match found.as_ref().map(|f| &f.certificate) {
+            Some(Certificate::SourceArcs | Certificate::SinkArcs) => "trivial-cut",
+            Some(Certificate::SourceReach(_) | Certificate::SinkReach(_)) => "exhausted",
+            None => "budget",
+        };
+        ffmr_obs::global()
+            .counter("ffmr_local_searches_total", &[("outcome", outcome)])
+            .inc();
+        prof.plan_reason = format!("local-{outcome}");
+        Ok(found.map(|found| {
+            prof.solver = local::NAME.to_string();
+            CachedAnswer {
+                flow: found.value,
+                solver: local::NAME,
+                plan: Plan::Core,
+                rounds: 0,
+                shuffle_bytes: 0,
+                sim_seconds_milli: 0,
+                cut_edges: None,
+                cut_source_side: None,
+            }
+        }))
     }
 
     /// Pops a stashed runtime matching this query, if any.
@@ -1063,6 +1192,83 @@ fn record_query_metrics(verb: &str, response: &Message, elapsed: Duration) {
     .record_duration(elapsed);
 }
 
+/// A fresh profile for a flow query request.
+fn new_profile(request: &Message) -> QueryProfile {
+    QueryProfile {
+        verb: request.head.clone(),
+        dataset: request.get("dataset").unwrap_or("").to_string(),
+        plan: "-".to_string(),
+        // The server injects the measured queue wait into the request
+        // before execution; engine-inline callers have none.
+        queue_wait_us: request
+            .get_parsed("queue-wait-us")
+            .ok()
+            .flatten()
+            .unwrap_or(0),
+        ..QueryProfile::default()
+    }
+}
+
+/// Turns a verb's result into the response: `elapsed-us` on success, an
+/// `error` reply otherwise; closes the `query` span and records the
+/// request metrics.
+fn finish_request(
+    request: &Message,
+    started: Instant,
+    mut span: ffmr_obs::Span,
+    result: Result<Message, String>,
+) -> Message {
+    let response = match result {
+        Ok(mut response) => {
+            response.push("elapsed-us", started.elapsed().as_micros());
+            response
+        }
+        Err(message) => error_response(message),
+    };
+    span.field("status", &response.head);
+    drop(span);
+    record_query_metrics(&request.head, &response, started.elapsed());
+    response
+}
+
+/// Renders a cache hit and notes it in the profile.
+fn hit_reply(
+    hit: &CachedAnswer,
+    kind: QueryKind,
+    resolved: &ResolvedQuery,
+    dataset: &str,
+    epoch: u64,
+    prof: &mut QueryProfile,
+) -> Message {
+    prof.cache = "hit".to_string();
+    prof.plan = hit.plan.as_str().to_string();
+    prof.plan_reason = "cache-hit".to_string();
+    prof.solver = hit.solver.to_string();
+    let mut response = render_answer(hit, kind, resolved, dataset, epoch, true);
+    push_serving_fields(&mut response, false, false, prof.queue_wait_us);
+    response
+}
+
+/// Adds a solve's execution counters to the profile.
+fn add_report(prof: &mut QueryProfile, report: &SolveReport) {
+    prof.phases += report.phases;
+    prof.augmenting_paths += report.augmenting_paths;
+    prof.pushes += report.pushes;
+    prof.relabels += report.relabels;
+    prof.global_relabels += report.global_relabels;
+    prof.cancel_polls += report.cancel_polls;
+    prof.vertices_touched += report.vertices_touched;
+    prof.arc_scans += report.arc_scans;
+}
+
+/// The error an in-memory solve cancelled at its deadline returns.
+fn timeout_message(timeout: Duration) -> String {
+    format!(
+        "timeout after {}ms (in-memory solve cancelled at the deadline)",
+        timeout.as_millis()
+    )
+}
+
 /// Saturating microseconds since `since` — stage windows in a
 /// [`QueryProfile`] never panic on clock weirdness.
 fn elapsed_us(since: Instant) -> u64 {
@@ -1144,12 +1350,13 @@ mod tests {
     }
 
     #[test]
-    fn maxflow_small_graph_takes_parallel_pr_and_caches() {
+    fn maxflow_small_graph_takes_the_local_search_and_caches() {
         let engine = engine_with(two_paths(), EngineConfig::default());
         let first = engine.execute(&query("maxflow"));
         assert_eq!(first.head, status::OK, "{first:?}");
         assert_eq!(first.get("flow"), Some("2"));
-        assert_eq!(first.get("solver"), Some("parallel-pr"));
+        assert_eq!(first.get("solver"), Some("local"));
+        assert_eq!(first.get("plan"), Some("core"));
         assert_eq!(first.get("cached"), Some("0"));
         assert_eq!(first.get("rounds"), Some("0"));
         let second = engine.execute(&query("maxflow"));
@@ -1219,10 +1426,12 @@ mod tests {
                 ..EngineConfig::default()
             };
             let engine = engine_with(net.clone(), config);
+            // Pinned: the local search would answer without the pool.
             let q = Message::new("maxflow")
                 .field("dataset", "g")
                 .field("source", 0)
-                .field("sink", 399);
+                .field("sink", 399)
+                .field("algorithm", "parallel-pr");
             let r = engine.execute(&q);
             assert_eq!(r.head, status::OK, "{r:?}");
             assert_eq!(r.get("solver"), Some("parallel-pr"));
@@ -1375,6 +1584,11 @@ mod tests {
     fn stats_exposes_the_metrics_registry() {
         let engine = engine_with(two_paths(), EngineConfig::default());
         let _ = engine.execute(&query("maxflow"));
+        let _ = engine.execute(
+            &query("maxflow")
+                .field("algorithm", "parallel-pr")
+                .field("no-cache", 1),
+        );
         let stats = engine.execute(&Message::new("stats"));
         assert_eq!(stats.head, status::OK);
         // Flat registry series ride along with the legacy cache fields.
@@ -1387,14 +1601,24 @@ mod tests {
             "{stats:?}"
         );
         assert!(stats.get("ffmr_cache_entries").is_some());
-        // The auto route picked the parallel solver, so its label shows
-        // up in the per-solver latency split and its ffmr_pr_* counters
-        // ride along in the registry dump.
+        // The auto route took the local search and the pinned one the
+        // parallel solver: both labels show up in the per-solver latency
+        // split, with the local outcome counter and the ffmr_pr_*
+        // counters riding along in the registry dump.
+        for solver in ["local", "parallel-pr"] {
+            assert!(
+                stats
+                    .fields
+                    .iter()
+                    .any(|(k, _)| k.contains(&format!("solver=\"{solver}\""))),
+                "{solver}: {stats:?}"
+            );
+        }
         assert!(
             stats
                 .fields
                 .iter()
-                .any(|(k, _)| k.contains("solver=\"parallel-pr\"")),
+                .any(|(k, _)| k == "ffmr_local_searches_total{outcome=\"trivial-cut\"}"),
             "{stats:?}"
         );
         assert!(
@@ -1546,18 +1770,21 @@ mod tests {
                     .field("sink", t),
             )
         };
-        // 4 → 0: up the chain (bottleneck 1), then core anchor 2 → 0.
+        // 4 → 0: up the chain (bottleneck 1), then core anchor 2 → 0,
+        // which the local search answers at the trivial bound 2.
         let r = ask(4, 0);
         assert_eq!(r.head, status::OK, "{r:?}");
         assert_eq!(r.get("flow"), Some("1"));
         assert_eq!(r.get("plan"), Some("core"));
+        assert_eq!(r.get("solver"), Some("local"));
         assert_eq!(r.get("cached"), Some("0"));
-        // 3 → 0 shares the anchor pair (2, 0): the core solve is reused
-        // even though the full query key differs.
+        // 3 → 0 shares the anchor pair (2, 0): the local answer is
+        // reused even though the full query key differs.
         let before = engine.cache_stats().hits;
         let r = ask(3, 0);
         assert_eq!(r.get("flow"), Some("1"));
         assert_eq!(r.get("plan"), Some("core"));
+        assert_eq!(r.get("solver"), Some("local"));
         assert!(
             engine.cache_stats().hits > before,
             "anchor-pair entry served the second query's core solve"
@@ -1597,37 +1824,102 @@ mod tests {
         assert_eq!(r.get("flow"), Some("1"));
     }
 
-    /// Core-planned answers agree with full-graph answers across a
-    /// seeded scale-free graph, including periphery terminals.
+    /// Core-planned answers — local searches, direct periphery answers
+    /// and pinned core solves — agree with full-graph answers across
+    /// seeded scale-free graphs, including periphery terminals.
     #[test]
     fn planner_agrees_with_full_solves_end_to_end() {
-        let n = 200;
-        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 2, 3));
-        let engine = engine_with(net, EngineConfig::default());
-        for (s, t) in [(0u64, 199u64), (1, 150), (42, 43), (199, 0), (7, 180)] {
-            let planned = engine.execute(
-                &Message::new("maxflow")
-                    .field("dataset", "g")
-                    .field("source", s)
-                    .field("sink", t)
-                    .field("no-cache", 1),
-            );
-            let full = engine.execute(
-                &Message::new("maxflow")
-                    .field("dataset", "g")
-                    .field("source", s)
-                    .field("sink", t)
-                    .field("no-cache", 1)
-                    .field("no-core", 1),
-            );
-            assert_eq!(planned.head, status::OK, "{planned:?}");
-            assert_eq!(
-                planned.get("flow"),
-                full.get("flow"),
-                "({s},{t}): plan {:?} disagrees with full solve",
-                planned.get("plan")
-            );
+        let mut local_answers = 0;
+        for (n, m, seed) in [(200, 2, 3), (120, 1, 5), (300, 3, 8)] {
+            let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, m, seed));
+            let engine = engine_with(net, EngineConfig::default());
+            for (s, t) in [
+                (0u64, n - 1),
+                (1, n * 3 / 4),
+                (42, 43),
+                (n - 1, 0),
+                (7, n - 20),
+            ] {
+                let ask = |extra: &[(&str, &str)]| {
+                    let mut q = Message::new("maxflow")
+                        .field("dataset", "g")
+                        .field("source", s)
+                        .field("sink", t)
+                        .field("no-cache", 1);
+                    for &(k, v) in extra {
+                        q.push(k, v);
+                    }
+                    let r = engine.execute(&q);
+                    assert_eq!(r.head, status::OK, "{r:?}");
+                    r
+                };
+                let planned = ask(&[]);
+                let pinned = ask(&[("algorithm", "push-relabel")]);
+                let full = ask(&[("no-core", "1")]);
+                local_answers += usize::from(planned.get("solver") == Some("local"));
+                for other in [&pinned, &full] {
+                    assert_eq!(
+                        planned.get("flow"),
+                        other.get("flow"),
+                        "n={n} ({s},{t}): {:?}/{:?} disagrees with {:?}/{:?}",
+                        planned.get("plan"),
+                        planned.get("solver"),
+                        other.get("plan"),
+                        other.get("solver"),
+                    );
+                }
+            }
         }
+        assert!(local_answers >= 8, "{local_answers} local answers");
+    }
+
+    #[test]
+    fn pinned_solvers_and_no_core_bypass_the_local_search() {
+        let engine = engine_with(two_paths(), EngineConfig::default());
+        for (extra, plan, solver) in [
+            (("algorithm", "dinic"), "core", "dinic"),
+            (("algorithm", "parallel-pr"), "core", "parallel-pr"),
+            (("no-core", "1"), "full", "parallel-pr"),
+        ] {
+            let r = engine.execute(
+                &query("maxflow")
+                    .field(extra.0, extra.1)
+                    .field("no-cache", 1)
+                    .field("explain", 1),
+            );
+            assert_eq!(r.head, status::OK, "{r:?}");
+            assert_eq!(r.get("flow"), Some("2"));
+            assert_eq!((r.get("plan"), r.get("solver")), (Some(plan), Some(solver)));
+            let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
+            assert_eq!((prof.vertices_touched, prof.arc_scans), (0, 0), "{prof:?}");
+            assert!(!prof.plan_reason.starts_with("local"), "{prof:?}");
+        }
+    }
+
+    #[test]
+    fn a_search_over_budget_falls_back_to_the_pool_solve() {
+        // Two hubs sharing 50 unit middles: each augmenting path rescans
+        // a hub's 50 arcs, so the search gives up and the pool finishes.
+        let mut b = swgraph::FlowNetworkBuilder::new(52);
+        for m in 2..52 {
+            b.add_undirected(0, m, 1);
+            b.add_undirected(m, 1, 1);
+        }
+        let engine = engine_with(b.build(), EngineConfig::default());
+        let r = engine.execute(
+            &Message::new("maxflow")
+                .field("dataset", "g")
+                .field("source", 0)
+                .field("sink", 1)
+                .field("explain", 1),
+        );
+        assert_eq!(r.head, status::OK, "{r:?}");
+        assert_eq!(r.get("flow"), Some("50"));
+        assert_eq!(r.get("solver"), Some("parallel-pr"));
+        assert_eq!(r.get("plan"), Some("core"));
+        let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
+        assert_eq!(prof.plan_reason, "local-budget");
+        assert!(prof.arc_scans > 0 && prof.pushes > 0, "{prof:?}");
     }
 
     #[test]
@@ -1712,21 +2004,68 @@ mod tests {
         assert_eq!(prof.outcome, "ok");
         assert_eq!(Some(prof.plan.as_str()), r.get("plan"));
         assert_eq!(Some(prof.solver.as_str()), r.get("solver"));
-        assert_eq!(prof.plan_reason, "anchor-core-solve");
+        assert_eq!(prof.plan_reason, "local-trivial-cut");
+        assert_eq!(prof.solver, "local");
         assert_eq!(prof.queue_wait_us, 1234);
         assert!(prof.total_us >= prof.queue_wait_us);
-        assert!(prof.pushes > 0, "core solve reports solver internals");
+        assert!(
+            prof.vertices_touched > 0 && prof.arc_scans > 0 && prof.augmenting_paths > 0,
+            "the local search reports its internals: {prof:?}"
+        );
 
         // Without the flag the response stays lean.
         let plain = engine.execute(&query("maxflow"));
         assert!(plain.get("profile").is_none());
 
-        // A cache hit explains itself as such.
+        // A cache hit explains itself as such, on either entry.
         let r = engine.execute(&q);
         let prof =
             ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).expect("hit profile");
         assert_eq!(prof.cache, "hit");
         assert_eq!(prof.plan_reason, "cache-hit");
+        let fast = engine.execute_cached(&q).expect("a cached answer");
+        assert_eq!(fast.get("flow"), r.get("flow"));
+        let prof = ffmr_obs::QueryProfile::from_json(fast.get("profile").unwrap()).unwrap();
+        assert_eq!(
+            (prof.cache.as_str(), prof.solver.as_str()),
+            ("hit", "local")
+        );
+    }
+
+    #[test]
+    fn execute_cached_answers_hits_only() {
+        let engine = engine_with(two_paths(), EngineConfig::default());
+        assert!(engine.execute_cached(&query("maxflow")).is_none(), "cold");
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 0),
+            "a fast-path miss is not counted"
+        );
+        let solved = engine.execute(&query("maxflow"));
+        assert_eq!(engine.cache_stats().misses, 1);
+        let hit = engine
+            .execute_cached(&query("maxflow"))
+            .expect("now cached");
+        assert_eq!(hit.head, status::OK);
+        assert_eq!(hit.get("cached"), Some("1"));
+        for field in ["flow", "solver", "plan", "sources", "sinks"] {
+            assert_eq!(hit.get(field), solved.get(field), "{field}");
+        }
+        assert!(hit.get("elapsed-us").is_some());
+        assert_eq!(engine.cache_stats().hits, 1);
+        // Everything else goes to `execute`: opted out, super-terminal,
+        // other verbs, malformed, unknown dataset.
+        for request in [
+            query("maxflow").field("no-cache", 1),
+            query("mincut"),
+            Message::new("maxflow").field("dataset", "g").field("w", 1),
+            Message::new("ping"),
+            query("maxflow").field("algorithm", "bogus"),
+            Message::new("maxflow").field("dataset", "nope"),
+        ] {
+            assert!(engine.execute_cached(&request).is_none(), "{request:?}");
+        }
     }
 
     #[test]

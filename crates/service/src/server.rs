@@ -6,18 +6,22 @@
 //!   connection (clients are few and long-lived; a query, not a
 //!   connection, is the unit of work);
 //! * each **connection thread** reads one frame at a time. Cheap verbs
-//!   (`ping`, `list`, `stats`, `history`, `shutdown`) are answered
-//!   inline; anything
-//!   that runs a solver or touches disk is submitted to the bounded
-//!   queue and the thread blocks for that one reply — the protocol is
-//!   strict request/response per connection;
+//!   (`ping`, `list`, `stats`, `history`, `slowlog`, `shutdown`) are
+//!   answered inline, and so is a `maxflow`/`mincut` whose answer is
+//!   already cached ([`QueryEngine::execute_cached`]); anything that
+//!   runs a solver or touches disk is submitted to the bounded queue and
+//!   the thread blocks for that one reply — the protocol is strict
+//!   request/response per connection;
 //! * a fixed pool of **worker threads** drains the queue and runs
 //!   [`QueryEngine::execute`].
 //!
 //! The queue is a `sync_channel(queue_depth)` submitted to with
 //! `try_send`: when every worker is busy and the queue is full, the
 //! client immediately gets a `busy` frame instead of unbounded latency —
-//! explicit load shedding, never silent queueing.
+//! explicit load shedding, never silent queueing. A cached answer never
+//! waits behind a solve and is never shed: it costs the connection
+//! thread a cache lookup instead of two thread hops, which on a one-CPU
+//! daemon is most of a hit's time.
 //!
 //! Each accepted stream has `TCP_NODELAY` set, and each reply leaves in
 //! one `write` ([`write_frame`]). Strict request/response is the pattern
@@ -246,8 +250,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Routes one request: inline for cheap verbs, through the bounded
-/// queue for anything that does real work.
+/// Routes one request: inline for cheap verbs and cache hits, through
+/// the bounded queue for anything that does real work.
 fn dispatch(request: &Message, shared: &Arc<Shared>) -> Message {
     match request.head.as_str() {
         "ping" | "list" | "stats" | "history" | "slowlog" => shared.engine.execute(request),
@@ -255,27 +259,35 @@ fn dispatch(request: &Message, shared: &Arc<Shared>) -> Message {
             shared.shutdown.store(true, Ordering::Relaxed);
             Message::new(crate::protocol::status::OK).field("shutdown", 1)
         }
-        _ => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let item = WorkItem {
-                request: request.clone(),
-                reply: reply_tx,
-                enqueued: std::time::Instant::now(),
-            };
-            match shared.queue.try_send(item) {
-                Ok(()) => {
-                    ffmr_obs::global().gauge("ffmr_queue_depth", &[]).add(1);
-                    reply_rx
-                        .recv()
-                        .unwrap_or_else(|_| error_response("worker dropped the request"))
-                }
-                Err(TrySendError::Full(_)) => {
-                    ffmr_obs::global().counter("ffmr_shed_total", &[]).inc();
-                    busy_response()
-                }
-                Err(TrySendError::Disconnected(_)) => error_response("server is shutting down"),
-            }
+        "maxflow" | "mincut" => shared
+            .engine
+            .execute_cached(request)
+            .unwrap_or_else(|| enqueue(request, shared)),
+        _ => enqueue(request, shared),
+    }
+}
+
+/// Submits a request to the bounded queue and waits for its reply, or
+/// sheds it with `busy` when the queue is full.
+fn enqueue(request: &Message, shared: &Shared) -> Message {
+    let (reply_tx, reply_rx) = mpsc::channel();
+    let item = WorkItem {
+        request: request.clone(),
+        reply: reply_tx,
+        enqueued: std::time::Instant::now(),
+    };
+    match shared.queue.try_send(item) {
+        Ok(()) => {
+            ffmr_obs::global().gauge("ffmr_queue_depth", &[]).add(1);
+            reply_rx
+                .recv()
+                .unwrap_or_else(|_| error_response("worker dropped the request"))
         }
+        Err(TrySendError::Full(_)) => {
+            ffmr_obs::global().counter("ffmr_shed_total", &[]).inc();
+            busy_response()
+        }
+        Err(TrySendError::Disconnected(_)) => error_response("server is shutting down"),
     }
 }
 
@@ -388,6 +400,52 @@ mod tests {
             "median round trip {} ms: {millis:?}",
             millis[10]
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn cache_hits_are_answered_while_the_queue_is_full() {
+        let server = start(1, 1);
+        let addr = server.local_addr();
+        let query = |source: u64| {
+            Message::new("maxflow")
+                .field("dataset", "g")
+                .field("source", source)
+                .field("sink", 3)
+        };
+        let mut client = Client::connect(addr).unwrap();
+        let warm = client.request(&query(0)).unwrap();
+        assert_eq!(warm.get("cached"), Some("0"), "{warm:?}");
+        // Hold the single worker, then fill the queue's one slot.
+        let hold = |ms: u64| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client
+                    .request(&Message::new("sleep").field("ms", ms))
+                    .unwrap()
+            })
+        };
+        let running = hold(1_500);
+        std::thread::sleep(Duration::from_millis(300));
+        let queued = hold(10);
+        std::thread::sleep(Duration::from_millis(300));
+
+        let hit = client.request(&query(0)).unwrap();
+        assert_eq!(hit.head, "ok", "{hit:?}");
+        assert_eq!(hit.get("cached"), Some("1"));
+        assert_eq!(hit.get("flow"), Some("2"));
+        let miss = client.request(&query(1)).unwrap();
+        assert_eq!(miss.head, "busy", "{miss:?}");
+        // A hit on the connection thread still explains itself.
+        let explained = client.request(&query(0).field("explain", 1)).unwrap();
+        let profile = explained.get("profile").expect("explain profile");
+        assert!(
+            profile.contains("\"plan_reason\":\"cache-hit\""),
+            "{profile}"
+        );
+
+        assert_eq!(running.join().unwrap().head, "ok");
+        assert_eq!(queued.join().unwrap().head, "ok");
         server.shutdown();
     }
 

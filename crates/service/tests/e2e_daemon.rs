@@ -2,8 +2,9 @@
 //! concurrent TCP clients over the wire protocol.
 //!
 //! Covers the full serving story in one scenario: mixed cached/uncached
-//! queries, both solver routes (the in-memory parallel push-relabel
-//! under the threshold, the FF5 MapReduce driver above it), cache hits
+//! queries, both solver routes (the in-memory tier under the threshold,
+//! where the local search answers first, the FF5 MapReduce driver above
+//! it), cache hits
 //! on repeated terminal sets, explicit `busy` load shedding when the
 //! bounded queue saturates, and a clean shutdown that leaves no thread
 //! hanging.
@@ -23,13 +24,12 @@ fn message(head: &str, dataset: &str, source: u64, sink: u64) -> Message {
         .field("sink", sink)
 }
 
-/// Eight concurrent clients over two datasets — one routed to the
-/// parallel push-relabel, one forced onto FF5 — with every answer
-/// checked against a local oracle.
+/// Eight concurrent clients over two datasets — one answered in memory,
+/// one forced onto FF5 — with every answer checked against an oracle.
 #[test]
 fn concurrent_mixed_queries_against_live_daemon() {
-    // "small" stays under the MR threshold (parallel push-relabel
-    // route); "large" sits above it and takes the FF5 MapReduce route.
+    // "small" stays under the MR threshold (in-memory route); "large"
+    // sits above it and takes the FF5 MapReduce route.
     let small_n = 500;
     let small = FlowNetwork::from_undirected_unit(small_n, &gen::barabasi_albert(small_n, 3, 11));
     let large_n = 700;
@@ -78,8 +78,8 @@ fn concurrent_mixed_queries_against_live_daemon() {
                 assert_eq!(r.get("flow"), Some(expected.to_string().as_str()));
                 assert_eq!(
                     r.get("solver"),
-                    Some("parallel-pr"),
-                    "small graph routes to the parallel push-relabel"
+                    Some("local"),
+                    "under the threshold the local search answers first"
                 );
                 // A duplicate racing the first solve is coalesced onto
                 // it rather than served from the cache.

@@ -122,7 +122,8 @@ fn print_help() {
          \x20 rotates to FILE.1 at FFMR_TRACE_MAX_BYTES (default 64 MiB).\n\
          \x20 `stats --prometheus` prints the text exposition for scraping;\n\
          \x20 plain `stats` leads with a serving summary (core hit rate,\n\
-         \x20 plan mix, coalesce rate) above the raw registry rows.\n\
+         \x20 plan mix, local-search share, coalesce rate) above the raw\n\
+         \x20 registry rows.\n\
          \x20 `query --explain` appends a per-query profile: the plan and\n\
          \x20 why, per-stage wall timings, and solver internals. The daemon\n\
          \x20 keeps every query over --slow-query-ms (default 250) in a\n\
@@ -904,14 +905,22 @@ fn stats(args: &[String]) -> Result<(), String> {
 
 /// The serving-tier counters an operator actually watches, derived from
 /// the flat registry rows the `stats` verb returns: core-planner hit
-/// rate, per-plan query mix, coalesce rate, and resumed runs. Printed
-/// above the raw rows so `stats --watch` reads like a dashboard.
+/// rate, per-plan query mix, the local search's share of the core
+/// solves it tried, coalesce rate, and resumed runs. Printed above the
+/// raw rows so `stats --watch` reads like a dashboard.
 fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     let num = |key: &str| -> u64 { response.get(key).and_then(|v| v.parse().ok()).unwrap_or(0) };
     let core = num("ffmr_core_answered_total");
     let fallback = num("ffmr_core_fallback_total");
     let coalesced = num("ffmr_query_coalesced_total");
     let resumed = num("ffmr_query_resumed_total");
+    let local = |outcome: &str| {
+        num(&format!(
+            "ffmr_local_searches_total{{outcome=\"{outcome}\"}}"
+        ))
+    };
+    let local_answered = local("trivial-cut") + local("exhausted");
+    let local_tried = local_answered + local("budget");
 
     // Plan mix: sum the `count=` of each per-plan latency histogram
     // (keys look like `ffmr_query_latency_us{plan="core",solver=...}`).
@@ -950,14 +959,16 @@ fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     };
     println!(
         "serving: {queries} planned queries | core hit rate {}% ({core} core, {fallback} full) | \
-         plan mix {mix} | coalesced {}% ({coalesced}) | resumed {resumed}",
+         plan mix {mix} | local search {}% ({local_answered} of {local_tried} answered) | \
+         coalesced {}% ({coalesced}) | resumed {resumed}",
         pct(core, core + fallback),
+        pct(local_answered, local_tried),
         pct(coalesced, queries.max(1)),
     );
 }
 
 /// Pulls one `name="value"` label out of a rendered label list like
-/// `plan="core",solver="parallel-pr",verb="maxflow"}`.
+/// `plan="core",solver="local",verb="maxflow"}`.
 fn extract_label<'a>(labels: &'a str, name: &str) -> Option<&'a str> {
     let start = if labels.starts_with(&format!("{name}=\"")) {
         name.len() + 2
