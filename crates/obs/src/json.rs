@@ -1,7 +1,6 @@
 //! The one JSON writer and reader behind every JSONL surface of this
-//! crate: round profiles (`ffmr report`, the `history` verb), query
-//! profiles (`--explain`, the `slowlog` verb, `--slowlog-file`) and
-//! spans (`--trace-file`).
+//! crate: round profiles (`ffmr report`), query profiles (`--explain`,
+//! the `slowlog` verb, `--slowlog-file`) and spans (`--trace-file`).
 //!
 //! Writing is append-only into one `String`: [`object`] opens an
 //! object, an [`ObjectWriter`] appends one `"key":value` member per

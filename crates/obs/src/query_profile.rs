@@ -64,17 +64,15 @@ pub struct QueryProfile {
     /// `local-budget` (the local search gave up and a solver finished),
     /// `cache-hit`, `planner-disabled`, `no-core-requested`,
     /// `super-terminal-query`, `mincut-needs-full-graph`,
-    /// `mapreduce-pinned`, `coalesced-follower`.
+    /// `coalesced-follower`.
     pub plan_reason: String,
     /// Solver that produced the answer (`local`, `dinic`, `parallel-pr`,
-    /// `ff5`, `periphery`, …).
+    /// `periphery`, …).
     pub solver: String,
     /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`).
     pub cache: String,
     /// The query piggybacked on another in-flight identical query.
     pub coalesced: bool,
-    /// The answer completed a stashed MapReduce run.
-    pub resumed: bool,
     /// `ok` or `error`.
     pub outcome: String,
     /// The error text when `outcome == "error"`.
@@ -164,7 +162,6 @@ impl QueryProfile {
             w.str("solver", &self.solver);
             w.str("cache", &self.cache);
             w.flag("coalesced", self.coalesced);
-            w.flag("resumed", self.resumed);
             w.str("outcome", &self.outcome);
             if let Some(error) = &self.error {
                 w.str("error", error);
@@ -203,7 +200,6 @@ impl QueryProfile {
             solver: text("solver"),
             cache: text("cache"),
             coalesced: f.flag("coalesced"),
-            resumed: f.flag("resumed"),
             outcome: text("outcome"),
             error: f.opt_str("error"),
             unix_ms: int("unix_ms"),
@@ -372,7 +368,6 @@ mod tests {
             solver: "parallel-pr".into(),
             cache: "miss".into(),
             coalesced: false,
-            resumed: false,
             outcome: "ok".into(),
             error: None,
             unix_ms: 1_700_000_000_000,

@@ -1,7 +1,8 @@
 //! The flow cache: LRU memoization of answered queries.
 //!
-//! Max-flow answers are expensive (an FF5 run is many MapReduce rounds)
-//! and immutable for a given snapshot, so `ffmrd` memoizes them. A key
+//! Max-flow answers cost a graph-sized solve whenever the local search
+//! gives up, and are immutable for a given snapshot, so `ffmrd` memoizes
+//! them. A key
 //! canonicalizes everything that determines the answer:
 //!
 //! * dataset name **and snapshot epoch** — a `reload` bumps the epoch,
@@ -108,16 +109,10 @@ impl CacheKey {
 pub struct CachedAnswer {
     /// The max-flow value.
     pub flow: Capacity,
-    /// Which solver produced it (`dinic`, `ff5`, `periphery`, …).
+    /// Which solver produced it (`local`, `parallel-pr`, `periphery`, …).
     pub solver: &'static str,
     /// How the planner routed it.
     pub plan: Plan,
-    /// MapReduce rounds consumed (0 for sequential solvers).
-    pub rounds: usize,
-    /// Total shuffle bytes across rounds (0 for sequential solvers).
-    pub shuffle_bytes: u64,
-    /// Total simulated cluster seconds (0 for sequential solvers).
-    pub sim_seconds_milli: u64,
     /// Min-cut certificate: crossing-edge count (min-cut queries only).
     pub cut_edges: Option<usize>,
     /// Min-cut certificate: source-side size (min-cut queries only).
@@ -407,9 +402,6 @@ mod tests {
             flow,
             solver: "dinic",
             plan: Plan::Full,
-            rounds: 0,
-            shuffle_bytes: 0,
-            sim_seconds_milli: 0,
             cut_edges: None,
             cut_source_side: None,
         }

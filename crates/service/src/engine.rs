@@ -1,41 +1,35 @@
 //! The query engine: routes each request to the right solver and
 //! memoizes answers.
 //!
-//! Solver auto-selection follows the structure-aware lesson of
-//! Bläsius/Friedrich/Weyand: on graphs small enough to fit one worker's
-//! memory comfortably, an in-memory solver beats any distributed round
-//! structure by orders of magnitude, while past the threshold the FF5
-//! MapReduce driver wins by keeping the whole graph out of any single
-//! address space. The in-memory tier is the deterministic parallel
-//! push-relabel ([`maxflow::parallel_push_relabel`]), which uses every
-//! core [`EngineConfig::worker_threads`] grants while answering
-//! bit-identically for any thread count. `algorithm auto` (the default)
-//! compares the snapshot's vertex count against
-//! [`EngineConfig::mr_threshold_vertices`]; explicit `algorithm` values
-//! (`parallel-pr`, `dinic`, `ff5`, ...) pin a solver. Every response
-//! carries the chosen solver plus the MapReduce round and shuffle
-//! counters (zero for sequential routes) so clients can see what a query
-//! cost.
+//! Every snapshot is one resident [`FlowNetwork`], so every query is
+//! solved in memory; the paper's MapReduce driver is `ffmr maxflow
+//! --algorithm ff1..ff5`, not a daemon route. The default solver is the
+//! deterministic parallel push-relabel
+//! ([`maxflow::parallel_push_relabel`]), which uses every core
+//! [`EngineConfig::worker_threads`] grants while answering
+//! bit-identically for any thread count. An explicit `algorithm` value
+//! (`parallel-pr`, `dinic`, `push-relabel`, ...) pins any
+//! [`Algorithm`]. Every response carries the chosen solver so clients
+//! can see what answered a query.
 //!
-//! An unpinned core-plan query on the in-memory tier first tries
-//! [`maxflow::local`]: a bidirectional augmenting-path search that stops
-//! once the flow reaches `min(capacity out of s, capacity into t)` (that
-//! cut certifies it) or no path is left, and gives up past a work budget
-//! of a few passes over the arcs, in which case the pool solve runs as
-//! before. Its answers carry the solver label `local`.
+//! An unpinned core-plan query first tries [`maxflow::local`]: a
+//! bidirectional augmenting-path search that stops once the flow reaches
+//! `min(capacity out of s, capacity into t)` (that cut certifies it) or
+//! no path is left, and gives up past a work budget of a few passes over
+//! the arcs, in which case the pool solve runs as before. Its answers
+//! carry the solver label `local`. This is the structure-aware lesson of
+//! Bläsius/Friedrich/Weyand: on small-world graphs most cuts sit at a
+//! terminal.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ffmr_core::{FfConfig, FfError, FfRun, FfVariant};
 use ffmr_obs::{QueryProfile, SlowLog};
-use mapreduce::{ClusterConfig, MrRuntime};
 use maxflow::contraction::CorePlan;
 use maxflow::local::{self, Certificate, LocalSearch};
 use maxflow::parallel_push_relabel::SolverPool;
-use maxflow::{Algorithm, Cancel, FlowResult, SolveReport};
+use maxflow::{Algorithm, Cancel, SolveReport};
 use swgraph::{FlowNetwork, VertexId};
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
@@ -45,17 +39,12 @@ use crate::store::GraphStore;
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Graphs with at most this many vertices take the in-memory
-    /// parallel push-relabel route under `algorithm auto`; larger ones
-    /// take the FF5 MapReduce driver.
+    /// Ignored: every query is solved in memory. Kept only until the
+    /// `perfbench` harness, which still sets it, stops doing so.
     pub mr_threshold_vertices: usize,
-    /// Worker threads for the in-memory parallel solver and for MR task
-    /// execution (`None` uses every available core).
+    /// Worker threads for the in-memory parallel solver (`None` uses
+    /// every available core).
     pub worker_threads: Option<usize>,
-    /// Simulated cluster size for MapReduce queries.
-    pub cluster_nodes: usize,
-    /// Reduce partitions for MapReduce queries.
-    pub reducers: usize,
     /// Flow-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Per-query deadline when the request names none.
@@ -80,8 +69,6 @@ impl Default for EngineConfig {
         Self {
             mr_threshold_vertices: 2_000,
             worker_threads: None,
-            cluster_nodes: 20,
-            reducers: 8,
             cache_capacity: 256,
             default_timeout: Duration::from_secs(30),
             super_min_degree: 3,
@@ -98,16 +85,6 @@ pub struct QueryEngine {
     store: Arc<GraphStore>,
     cache: FlowCache,
     config: EngineConfig,
-    /// Runtimes whose MapReduce query was cancelled after checkpointing
-    /// at least one round. A retry of the *same* query (same cache key
-    /// and solver) resumes from the stashed runtime's DFS instead of
-    /// recomputing from round 0 — turning a too-tight deadline into
-    /// incremental progress. Bounded FIFO: the oldest stash is dropped
-    /// when full.
-    stash: Mutex<VecDeque<StashedRun>>,
-    /// Flight-recorder round profiles of recent MapReduce queries,
-    /// newest last (bounded FIFO; served by the `history` verb).
-    history: Mutex<VecDeque<ffmr_obs::RoundProfile>>,
     /// One persistent worker pool shared by every in-memory parallel
     /// push-relabel solve — queries borrow its threads for the duration
     /// of their solve instead of spawning (and joining) a fresh set.
@@ -130,7 +107,7 @@ pub struct QueryEngine {
 #[derive(Debug)]
 struct InflightSlot {
     /// `None` while the leader is solving; the final result after.
-    done: Mutex<Option<Result<(CachedAnswer, bool), String>>>,
+    done: Mutex<Option<Result<CachedAnswer, String>>>,
     ready: Condvar,
 }
 
@@ -140,74 +117,33 @@ enum InflightRole {
     Follow(Arc<InflightSlot>),
 }
 
-/// One cancelled-but-checkpointed MapReduce runtime awaiting a retry.
-#[derive(Debug)]
-struct StashedRun {
-    key: CacheKey,
-    variant: FfVariant,
-    rt: MrRuntime,
-}
-
-/// How many cancelled runtimes the engine keeps for resumption.
-const STASH_CAPACITY: usize = 4;
-
-/// How many round profiles the engine keeps for the `history` verb.
-const HISTORY_CAPACITY: usize = 64;
-
 /// The `solver` label of answers read straight off the periphery trees.
 const PERIPHERY: &str = "periphery";
 
-/// Which solver a query resolved to. Names come from the two name tables
-/// ([`Algorithm`]'s and [`FfVariant`]'s `FromStr`/`name`), nowhere else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Solver {
-    Sequential(Algorithm),
-    MapReduce(FfVariant),
-}
-
-impl Solver {
-    fn name(self) -> &'static str {
-        match self {
-            Solver::Sequential(a) => a.name(),
-            Solver::MapReduce(v) => v.name(),
-        }
-    }
-
-    /// Parses a request's `algorithm` field; `None` is `auto` (the
-    /// default), which leaves the choice to the vertex-count threshold.
-    fn parse_requested(name: Option<&str>) -> Result<Option<Self>, String> {
-        let Some(name) = name.filter(|&n| n != "auto") else {
-            return Ok(None);
-        };
-        if let Ok(algorithm) = name.parse() {
-            Ok(Some(Solver::Sequential(algorithm)))
-        } else if let Ok(variant) = name.parse() {
-            Ok(Some(Solver::MapReduce(variant)))
-        } else {
-            let accepted: Vec<&str> = std::iter::once("auto")
-                .chain(Algorithm::names())
-                .chain(FfVariant::NAMES)
-                .collect();
-            Err(format!(
-                "unknown algorithm '{name}' (expected one of: {})",
-                accepted.join(", ")
-            ))
-        }
-    }
+/// Parses a request's `algorithm` field; `None` is `auto` (the default):
+/// the local search where the plan allows it, then the parallel
+/// push-relabel pool.
+fn parse_algorithm(name: Option<&str>) -> Result<Option<Algorithm>, String> {
+    let Some(name) = name.filter(|&n| n != "auto") else {
+        return Ok(None);
+    };
+    name.parse().map(Some).map_err(|_| {
+        let accepted: Vec<&str> = std::iter::once("auto").chain(Algorithm::names()).collect();
+        format!(
+            "unknown algorithm '{name}' (expected one of: {})",
+            accepted.join(", ")
+        )
+    })
 }
 
 /// The per-request options of a flow query, parsed once.
 struct QueryOptions {
     kind: QueryKind,
     /// The pinned solver, or `None` for `algorithm auto`.
-    requested: Option<Solver>,
+    requested: Option<Algorithm>,
     use_cache: bool,
     no_core: bool,
     timeout: Duration,
-    /// Diagnostic: cooperatively cancel the MR driver once it has
-    /// completed this many rounds — exercises the cancel/checkpoint/
-    /// resume path without tuning a wall-clock deadline.
-    cancel_after_rounds: Option<usize>,
 }
 
 impl QueryOptions {
@@ -215,11 +151,10 @@ impl QueryOptions {
         let timeout_ms: Option<u64> = request.get_parsed("timeout-ms")?;
         Ok(Self {
             kind,
-            requested: Solver::parse_requested(request.get("algorithm"))?,
+            requested: parse_algorithm(request.get("algorithm"))?,
             use_cache: request.get("no-cache").is_none(),
             no_core: request.get("no-core").is_some(),
             timeout: timeout_ms.map_or(config.default_timeout, Duration::from_millis),
-            cancel_after_rounds: request.get_parsed("cancel-after-rounds")?,
         })
     }
 }
@@ -252,10 +187,6 @@ impl QueryEngine {
     /// Creates an engine over `store`.
     #[must_use]
     pub fn new(store: Arc<GraphStore>, config: EngineConfig) -> Self {
-        // MapReduce queries feed the job history (`history` verb) from
-        // their flight-recorder events; turn the recorder on for the
-        // life of the process.
-        ffmr_obs::events::recorder().set_enabled(true);
         let threads = config
             .worker_threads
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
@@ -263,8 +194,6 @@ impl QueryEngine {
             cache: FlowCache::new(config.cache_capacity),
             store,
             config,
-            stash: Mutex::new(VecDeque::new()),
-            history: Mutex::new(VecDeque::new()),
             pool: SolverPool::new(threads),
             local: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -303,7 +232,6 @@ impl QueryEngine {
             "ping" => Ok(Message::new(status::OK).field("pong", 1)),
             "list" => Ok(self.list()),
             "stats" => self.stats(request),
-            "history" => self.history(request),
             "slowlog" => self.slowlog_verb(request),
             "load" => self.load(request),
             "reload" => self.reload(request),
@@ -372,12 +300,6 @@ impl QueryEngine {
             response.push("core-vertices", snap.core.core_vertex_count());
             response.push("core-edge-pairs", snap.core.core_edge_pairs());
             response.push("periphery-vertices", snap.core.periphery_vertex_count());
-            let route = if snap.network.num_vertices() <= self.config.mr_threshold_vertices {
-                "sequential"
-            } else {
-                "mapreduce"
-            };
-            response.push("auto-route", route);
         }
         let cache = self.cache.stats();
         response.push("cache-hits", cache.hits);
@@ -412,21 +334,6 @@ impl QueryEngine {
         Ok(response)
     }
 
-    /// Serves the job history of recent MapReduce queries: a `rounds`
-    /// count plus up to `limit` (default 16) repeated `profile` fields,
-    /// each one single-line [`ffmr_obs::RoundProfile`] JSON, newest last.
-    fn history(&self, request: &Message) -> Result<Message, String> {
-        let limit: usize = request.get_parsed("limit")?.unwrap_or(16);
-        let history = self.history.lock().expect("history lock");
-        let mut response = Message::new(status::OK);
-        response.push("rounds", history.len());
-        let skip = history.len().saturating_sub(limit);
-        for profile in history.iter().skip(skip) {
-            response.push("profile", profile.to_json());
-        }
-        Ok(response)
-    }
-
     /// Serves the slow-query ring: a `count` of retained entries plus
     /// up to `limit` (default 16) repeated `entry` fields, each one
     /// single-line [`QueryProfile`] JSON, newest last.
@@ -443,24 +350,6 @@ impl QueryEngine {
             response.push("entry", profile.to_json());
         }
         Ok(response)
-    }
-
-    /// Folds the round profiles a finished MapReduce run left in its
-    /// DFS history blob into the engine-wide bounded history.
-    fn ingest_history(&self, rt: &MrRuntime, base_path: &str) {
-        let Ok(bytes) = rt.dfs().read_blob(&ffmr_core::history_path(base_path)) else {
-            return;
-        };
-        let text = String::from_utf8_lossy(bytes);
-        let mut history = self.history.lock().expect("history lock");
-        for line in text.lines() {
-            if let Ok(profile) = ffmr_obs::RoundProfile::from_json(line) {
-                if history.len() >= HISTORY_CAPACITY {
-                    history.pop_front();
-                }
-                history.push_back(profile);
-            }
-        }
     }
 
     fn load(&self, request: &Message) -> Result<Message, String> {
@@ -617,7 +506,6 @@ impl QueryEngine {
             key,
         } = self.prepare(request, kind, prof)?;
         let dataset = snap.name.as_str();
-        let solver = self.pick_solver(opts.requested, &resolved.net);
 
         let use_cache = opts.use_cache;
         prof.cache = if use_cache { "miss" } else { "bypass" }.to_string();
@@ -629,15 +517,12 @@ impl QueryEngine {
         prof.deadline_ms = u64::try_from(opts.timeout.as_millis()).unwrap_or(u64::MAX);
 
         // The core planner applies to plain s→t max-flow queries only:
-        // min-cut needs the full graph for its certificate, `--w`
-        // queries solve an augmented graph the core was not built for,
-        // and an explicit MapReduce algorithm request pins the solver to
-        // the full graph (`no-core` opts a single request out).
-        let mr_requested = matches!(opts.requested, Some(Solver::MapReduce(_)));
+        // min-cut needs the full graph for its certificate, and `--w`
+        // queries solve an augmented graph the core was not built for
+        // (`no-core` opts a single request out).
         let planner_applies = self.config.core_planner
             && !resolved.super_st
             && kind == QueryKind::MaxFlow
-            && !mr_requested
             && !opts.no_core;
         let plan_started = Instant::now();
         let plan = if planner_applies {
@@ -652,32 +537,27 @@ impl QueryEngine {
             "super-terminal-query".to_string()
         } else if kind == QueryKind::MinCut {
             "mincut-needs-full-graph".to_string()
-        } else if mr_requested {
-            "mapreduce-pinned".to_string()
         } else if opts.no_core {
             "no-core-requested".to_string()
         } else {
             "planner-disabled".to_string()
         };
 
-        let compute = |prof: &mut QueryProfile| -> Result<(CachedAnswer, bool), String> {
+        let compute = |prof: &mut QueryProfile| -> Result<CachedAnswer, String> {
             self.execute_plan(&plan, &snap, &resolved, &opts, &key, prof)
         };
 
-        // Single-flight: an identical cacheable in-memory query arriving
-        // while another is solving waits for that answer instead of
-        // solving again. MapReduce queries are exempt — their stash/
-        // resume and round-accounting semantics are per-execution.
-        let coalescible = use_cache && matches!(solver, Solver::Sequential(_));
-        let (answer, resumed, coalesced) = if coalescible {
+        // Single-flight: an identical cacheable query arriving while
+        // another is solving waits for that answer instead of solving
+        // again.
+        let (answer, coalesced) = if use_cache {
             match self.join_or_lead(&key) {
                 InflightRole::Lead(slot) => {
                     let result = compute(prof);
                     *slot.done.lock().expect("inflight slot") = Some(result.clone());
                     slot.ready.notify_all();
                     self.inflight.lock().expect("inflight map").remove(&key);
-                    let (answer, resumed) = result?;
-                    (answer, resumed, false)
+                    (result?, false)
                 }
                 InflightRole::Follow(slot) => {
                     let mut done = slot.done.lock().expect("inflight slot");
@@ -689,25 +569,23 @@ impl QueryEngine {
                         .inc();
                     prof.coalesced = true;
                     prof.plan_reason = "coalesced-follower".to_string();
-                    let (answer, resumed) = done.clone().expect("leader published")?;
+                    let answer = done.clone().expect("leader published")?;
                     prof.plan = answer.plan.as_str().to_string();
                     prof.solver = answer.solver.to_string();
-                    (answer, resumed, true)
+                    (answer, true)
                 }
             }
         } else {
-            let (answer, resumed) = compute(prof)?;
-            (answer, resumed, false)
+            (compute(prof)?, false)
         };
         prof.coalesced = coalesced;
-        prof.resumed = resumed;
         if use_cache && !coalesced {
             let put_started = Instant::now();
             self.cache.put(key, answer.clone());
             prof.cache_update_us += elapsed_us(put_started);
         }
         let mut response = render_answer(&answer, kind, &resolved, dataset, snap.epoch, false);
-        push_serving_fields(&mut response, resumed, coalesced, prof.queue_wait_us);
+        push_serving_fields(&mut response, coalesced, prof.queue_wait_us);
         Ok(response)
     }
 
@@ -761,7 +639,7 @@ impl QueryEngine {
         opts: &QueryOptions,
         key: &CacheKey,
         prof: &mut QueryProfile,
-    ) -> Result<(CachedAnswer, bool), String> {
+    ) -> Result<CachedAnswer, String> {
         let metrics = ffmr_obs::global();
         match *plan {
             // The periphery trees fully determine the value: no solver.
@@ -770,17 +648,13 @@ impl QueryEngine {
                 prof.plan = Plan::Direct.as_str().to_string();
                 prof.plan_reason = "periphery-direct".to_string();
                 prof.solver = PERIPHERY.to_string();
-                let answer = CachedAnswer {
+                Ok(CachedAnswer {
                     flow,
                     solver: PERIPHERY,
                     plan: Plan::Direct,
-                    rounds: 0,
-                    shuffle_bytes: 0,
-                    sim_seconds_milli: 0,
                     cut_edges: None,
                     cut_source_side: None,
-                };
-                Ok((answer, false))
+                })
             }
             // Solve between the anchors on the contracted core; the
             // solve is cached under the anchor pair, so every query
@@ -811,11 +685,11 @@ impl QueryEngine {
                 } else {
                     None
                 };
-                let (mut core_answer, resumed) = match core_hit {
+                let mut core_answer = match core_hit {
                     Some(hit) => {
                         prof.plan_reason = "anchor-cache-hit".to_string();
                         prof.solver = hit.solver.to_string();
-                        (hit, false)
+                        hit
                     }
                     None => {
                         prof.plan_reason = "anchor-core-solve".to_string();
@@ -827,20 +701,16 @@ impl QueryEngine {
                             sink_terminals: vec![sink_anchor],
                             super_st: false,
                         };
-                        // The local search stands in front of the
-                        // in-memory tier only: a pinned solver, or the
-                        // MapReduce route past the vertex threshold,
-                        // runs as asked.
-                        let searched = if opts.requested.is_none()
-                            && matches!(self.pick_solver(None, core_net), Solver::Sequential(_))
-                        {
+                        // The local search stands in front of the pool
+                        // solve only: a pinned solver runs as asked.
+                        let searched = if opts.requested.is_none() {
                             self.solve_local(&core_q, opts, prof)?
                         } else {
                             None
                         };
-                        let (mut answer, resumed) = match searched {
-                            Some(answer) => (answer, false),
-                            None => self.solve(&core_q, opts, &core_key, prof)?,
+                        let mut answer = match searched {
+                            Some(answer) => answer,
+                            None => self.solve(&core_q, opts, prof)?,
                         };
                         answer.plan = Plan::Core;
                         if shared_key {
@@ -850,18 +720,18 @@ impl QueryEngine {
                             self.cache.put(core_key, answer.clone());
                             prof.cache_update_us += elapsed_us(put_started);
                         }
-                        (answer, resumed)
+                        answer
                     }
                 };
                 core_answer.flow = limit.min(core_answer.flow);
-                Ok((core_answer, resumed))
+                Ok(core_answer)
             }
             None => {
                 if !resolved.super_st && opts.kind == QueryKind::MaxFlow {
                     metrics.counter("ffmr_core_fallback_total", &[]).inc();
                 }
                 prof.plan = Plan::Full.as_str().to_string();
-                self.solve(resolved, opts, key, prof)
+                self.solve(resolved, opts, prof)
             }
         }
     }
@@ -915,98 +785,43 @@ impl QueryEngine {
         })
     }
 
-    /// The solver for `net`: the pinned one, or under `auto` the
-    /// in-memory parallel push-relabel up to the vertex threshold and the
-    /// FF5 MapReduce driver past it.
-    fn pick_solver(&self, requested: Option<Solver>, net: &FlowNetwork) -> Solver {
-        requested.unwrap_or_else(|| {
-            if net.num_vertices() <= self.config.mr_threshold_vertices {
-                Solver::Sequential(Algorithm::ParallelPushRelabel)
-            } else {
-                Solver::MapReduce(FfVariant::ff5())
-            }
-        })
-    }
-
-    /// Solves `q` with the solver `opts` pins or the threshold picks for
-    /// `q.net`; the second result element reports whether a MapReduce run
-    /// was resumed from a stashed checkpoint.
+    /// Solves `q` with the solver `opts` pins, or the parallel
+    /// push-relabel pool under `auto`. Every in-memory solver polls a
+    /// deadline at its natural progress boundaries; a query that blows
+    /// its budget returns a timeout error instead of holding the
+    /// connection hostage. The pool (no per-query thread spawn) is
+    /// thread-count invariant.
     fn solve(
         &self,
         q: &ResolvedQuery,
         opts: &QueryOptions,
-        key: &CacheKey,
         prof: &mut QueryProfile,
-    ) -> Result<(CachedAnswer, bool), String> {
-        let solver = self.pick_solver(opts.requested, &q.net);
-        prof.solver = solver.name().to_string();
+    ) -> Result<CachedAnswer, String> {
+        let algo = opts.requested.unwrap_or(Algorithm::ParallelPushRelabel);
+        prof.solver = algo.name().to_string();
+        let cancel = Cancel::after(opts.timeout);
+        let solve_started = Instant::now();
+        let solved = if algo == Algorithm::ParallelPushRelabel {
+            self.pool.solve(&q.net, q.source, q.sink, &cancel)
+        } else {
+            algo.run_with_report(&q.net, q.source, q.sink, &cancel)
+        };
+        prof.solve_us += elapsed_us(solve_started);
+        let (flow, report) = solved.map_err(|_| timeout_message(opts.timeout))?;
+        add_report(prof, &report);
         let mut answer = CachedAnswer {
-            flow: 0,
-            solver: solver.name(),
+            flow: flow.value,
+            solver: algo.name(),
             plan: Plan::Full,
-            rounds: 0,
-            shuffle_bytes: 0,
-            sim_seconds_milli: 0,
             cut_edges: None,
             cut_source_side: None,
         };
-        match solver {
-            Solver::Sequential(algo) => {
-                // Every in-memory solver polls a deadline at its natural
-                // progress boundaries; a query that blows its budget
-                // returns a timeout error instead of holding the
-                // connection hostage. The parallel push-relabel route
-                // runs on the engine's persistent worker pool (no
-                // per-query thread spawn) and is thread-count invariant.
-                let cancel = Cancel::after(opts.timeout);
-                let solve_started = Instant::now();
-                let solved = if algo == Algorithm::ParallelPushRelabel {
-                    self.pool.solve(&q.net, q.source, q.sink, &cancel)
-                } else {
-                    algo.run_with_report(&q.net, q.source, q.sink, &cancel)
-                };
-                prof.solve_us += elapsed_us(solve_started);
-                let (flow, report) = solved.map_err(|_| timeout_message(opts.timeout))?;
-                add_report(prof, &report);
-                answer.flow = flow.value;
-                if opts.kind == QueryKind::MinCut {
-                    let cut = maxflow::min_cut::extract_min_cut(&q.net, q.source, &flow);
-                    answer.cut_edges = Some(cut.cut_edges.len());
-                    answer.cut_source_side = Some(cut.source_side.len());
-                }
-                Ok((answer, false))
-            }
-            Solver::MapReduce(variant) => {
-                let solve_started = Instant::now();
-                let mr = self.run_mapreduce(q, variant, opts, key);
-                prof.solve_us += elapsed_us(solve_started);
-                let (run, rt, resumed) = mr?;
-                // Each MR flow round is the distributed analogue of a
-                // solver phase.
-                prof.phases += run.num_flow_rounds() as u64;
-                answer.flow = run.max_flow_value;
-                answer.rounds = run.num_flow_rounds();
-                answer.shuffle_bytes = run.rounds.iter().map(|r| r.shuffle_bytes).sum();
-                answer.sim_seconds_milli = (run.total_sim_seconds * 1_000.0) as u64;
-                if opts.kind == QueryKind::MinCut {
-                    let extracted = ffmr_core::verify::extract_flow(
-                        rt.dfs(),
-                        &run.final_graph_path,
-                        &run.pending_deltas,
-                        &q.net,
-                    )
-                    .map_err(|e| format!("flow extraction failed: {e}"))?;
-                    let flow = FlowResult {
-                        value: run.max_flow_value,
-                        flows: extracted.flows,
-                    };
-                    let cut = maxflow::min_cut::extract_min_cut(&q.net, q.source, &flow);
-                    answer.cut_edges = Some(cut.cut_edges.len());
-                    answer.cut_source_side = Some(cut.source_side.len());
-                }
-                Ok((answer, resumed))
-            }
+        if opts.kind == QueryKind::MinCut {
+            let cut = maxflow::min_cut::extract_min_cut(&q.net, q.source, &flow);
+            answer.cut_edges = Some(cut.cut_edges.len());
+            answer.cut_source_side = Some(cut.source_side.len());
         }
+        Ok(answer)
     }
 
     /// Runs the certified [`maxflow::local`] search on `q` with pooled
@@ -1045,130 +860,10 @@ impl QueryEngine {
                 flow: found.value,
                 solver: local::NAME,
                 plan: Plan::Core,
-                rounds: 0,
-                shuffle_bytes: 0,
-                sim_seconds_milli: 0,
                 cut_edges: None,
                 cut_source_side: None,
             }
         }))
-    }
-
-    /// Pops a stashed runtime matching this query, if any.
-    fn take_stashed(&self, key: &CacheKey, variant: FfVariant) -> Option<MrRuntime> {
-        let mut stash = self.stash.lock().expect("stash lock");
-        let pos = stash
-            .iter()
-            .position(|s| s.key == *key && s.variant == variant)?;
-        stash.remove(pos).map(|s| s.rt)
-    }
-
-    /// Stashes a cancelled-but-checkpointed runtime for later resumption.
-    fn stash_runtime(&self, key: CacheKey, variant: FfVariant, rt: MrRuntime) {
-        let mut stash = self.stash.lock().expect("stash lock");
-        // A retry of the same query must find the *newest* progress.
-        stash.retain(|s| !(s.key == key && s.variant == variant));
-        if stash.len() >= STASH_CAPACITY {
-            stash.pop_front();
-        }
-        stash.push_back(StashedRun { key, variant, rt });
-    }
-
-    /// Runs the FF driver with a watchdog thread that raises the
-    /// cancellation hook at the deadline; the driver aborts between
-    /// rounds with [`FfError::Cancelled`]. A cancelled run that reached a
-    /// checkpoint is stashed so an identical retry resumes it; the third
-    /// result element reports whether *this* run was such a resumption.
-    fn run_mapreduce(
-        &self,
-        q: &ResolvedQuery,
-        variant: FfVariant,
-        opts: &QueryOptions,
-        key: &CacheKey,
-    ) -> Result<(FfRun, MrRuntime, bool), String> {
-        let (timeout, cancel_after_rounds) = (opts.timeout, opts.cancel_after_rounds);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
-        let watchdog = {
-            let cancel = Arc::clone(&cancel);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let deadline = Instant::now() + timeout;
-                while !done.load(Ordering::Relaxed) {
-                    if Instant::now() >= deadline {
-                        cancel.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(10).min(timeout));
-                }
-            })
-        };
-        let mut config = FfConfig::new(q.source, q.sink)
-            .variant(variant)
-            .reducers(self.config.reducers)
-            .cancel_flag(Arc::clone(&cancel));
-        {
-            // Live progress gauges for `stats --watch`: refreshed after
-            // every completed round of the in-flight MR query. The same
-            // hook enforces the diagnostic round limit.
-            let flag = Arc::clone(&cancel);
-            config = config.on_round(move |stats| {
-                let m = ffmr_obs::global();
-                m.gauge("ffmr_ff_live_round", &[])
-                    .set(i64::try_from(stats.round).unwrap_or(i64::MAX));
-                m.gauge("ffmr_ff_live_apaths", &[])
-                    .set(i64::try_from(stats.a_paths).unwrap_or(i64::MAX));
-                m.gauge("ffmr_ff_live_shuffle_bytes", &[])
-                    .set(i64::try_from(stats.shuffle_bytes).unwrap_or(i64::MAX));
-                m.gauge("ffmr_ff_live_round_wall_us", &[])
-                    .set((stats.wall_seconds * 1e6) as i64);
-                if cancel_after_rounds.is_some_and(|limit| stats.round >= limit) {
-                    flag.store(true, Ordering::Relaxed);
-                }
-            });
-        }
-
-        let fresh_run = |config: &FfConfig| {
-            let mut rt = MrRuntime::new(ClusterConfig::paper_cluster(self.config.cluster_nodes));
-            rt.set_worker_threads(self.config.worker_threads);
-            let result = ffmr_core::run_max_flow(&mut rt, &q.net, config);
-            (rt, result, false)
-        };
-        let (rt, result, resumed) = match self.take_stashed(key, variant) {
-            Some(mut rt) => match ffmr_core::resume_max_flow(&mut rt, &config) {
-                // An unusable checkpoint (e.g. clobbered DFS) falls back
-                // to a full recomputation rather than failing the query.
-                Err(FfError::Checkpoint(_)) => fresh_run(&config),
-                result => (rt, result, true),
-            },
-            None => fresh_run(&config),
-        };
-        done.store(true, Ordering::Relaxed);
-        let _ = watchdog.join();
-        match result {
-            Ok(run) => {
-                if resumed {
-                    ffmr_obs::global()
-                        .counter("ffmr_query_resumed_total", &[])
-                        .inc();
-                }
-                self.ingest_history(&rt, &config.base_path);
-                Ok((run, rt, resumed))
-            }
-            Err(FfError::Cancelled { rounds_completed }) => {
-                let base = format!(
-                    "timeout after {}ms ({rounds_completed} rounds completed",
-                    timeout.as_millis()
-                );
-                if rt.dfs().blob_bytes("ffmr/checkpoint") > 0 {
-                    self.stash_runtime(key.clone(), variant, rt);
-                    Err(format!("{base}; progress checkpointed, retry to resume)"))
-                } else {
-                    Err(format!("{base})"))
-                }
-            }
-            Err(e) => Err(e.to_string()),
-        }
     }
 }
 
@@ -1245,7 +940,7 @@ fn hit_reply(
     prof.plan_reason = "cache-hit".to_string();
     prof.solver = hit.solver.to_string();
     let mut response = render_answer(hit, kind, resolved, dataset, epoch, true);
-    push_serving_fields(&mut response, false, false, prof.queue_wait_us);
+    push_serving_fields(&mut response, false, prof.queue_wait_us);
     response
 }
 
@@ -1276,13 +971,11 @@ fn elapsed_us(since: Instant) -> u64 {
 }
 
 /// The uniform serving-metadata tail every query response carries —
-/// `resumed`, `coalesced`, `queue_wait_us` — regardless of which path
-/// (cache hit, coalesced follower, fresh solve) produced the answer.
-/// `render_answer` already emitted `dataset`/`epoch`/`solver`/`plan`/
-/// `cached`; together these form the documented field set in
-/// [`crate::protocol`].
-fn push_serving_fields(response: &mut Message, resumed: bool, coalesced: bool, queue_wait_us: u64) {
-    response.push("resumed", u8::from(resumed));
+/// `coalesced`, `queue_wait_us` — regardless of which path (cache hit,
+/// coalesced follower, fresh solve) produced the answer. `render_answer`
+/// already emitted `dataset`/`epoch`/`solver`/`plan`/`cached`; together
+/// these form the documented field set in [`crate::protocol`].
+fn push_serving_fields(response: &mut Message, coalesced: bool, queue_wait_us: u64) {
     response.push("coalesced", u8::from(coalesced));
     response.push("queue_wait_us", queue_wait_us);
 }
@@ -1301,10 +994,7 @@ fn render_answer(
         .field("flow", answer.flow)
         .field("solver", answer.solver)
         .field("plan", answer.plan.as_str())
-        .field("cached", u8::from(cached))
-        .field("rounds", answer.rounds)
-        .field("shuffle-bytes", answer.shuffle_bytes)
-        .field("sim-seconds-milli", answer.sim_seconds_milli);
+        .field("cached", u8::from(cached));
     if kind == QueryKind::MinCut {
         if let (Some(edges), Some(side)) = (answer.cut_edges, answer.cut_source_side) {
             response.push("cut-edges", edges);
@@ -1358,41 +1048,48 @@ mod tests {
         assert_eq!(first.get("solver"), Some("local"));
         assert_eq!(first.get("plan"), Some("core"));
         assert_eq!(first.get("cached"), Some("0"));
-        assert_eq!(first.get("rounds"), Some("0"));
         let second = engine.execute(&query("maxflow"));
         assert_eq!(second.get("cached"), Some("1"));
         assert_eq!(second.get("flow"), Some("2"));
         assert_eq!(engine.cache_stats().hits, 1);
     }
 
+    /// Regression: past 2 000 vertices the daemon used to hand unpinned
+    /// queries to FF5 on a simulated cluster in the same process.
     #[test]
-    fn auto_routes_to_mapreduce_above_threshold() {
-        let config = EngineConfig {
-            mr_threshold_vertices: 3, // force the MR route on 4 vertices
-            ..EngineConfig::default()
-        };
-        let engine = engine_with(two_paths(), config);
-        let r = engine.execute(&query("maxflow"));
-        assert_eq!(r.head, status::OK, "{r:?}");
-        assert_eq!(r.get("solver"), Some("ff5"));
-        assert_eq!(r.get("flow"), Some("2"));
-        let rounds: usize = r.get("rounds").unwrap().parse().unwrap();
-        assert!(rounds > 0, "MR route reports real rounds");
-        let shuffle: u64 = r.get("shuffle-bytes").unwrap().parse().unwrap();
-        assert!(shuffle > 0, "MR route reports shuffle bytes");
+    fn snapshots_past_the_old_threshold_are_answered_in_memory() {
+        let n = 2_500;
+        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 17));
+        let dinic = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(n - 1));
+        let dinic = dinic.value.to_string();
+        let engine = engine_with(net, EngineConfig::default());
+        let pair = |head| Message::new(head).field("dataset", "g").field("source", 0);
+        let w = Message::new("maxflow").field("dataset", "g").field("w", 4);
+        for (q, solver, flow) in [
+            (pair("maxflow").field("sink", n - 1), "local", Some(&dinic)),
+            (
+                pair("mincut").field("sink", n - 1),
+                "parallel-pr",
+                Some(&dinic),
+            ),
+            (w, "parallel-pr", None),
+        ] {
+            let r = engine.execute(&q);
+            assert_eq!(r.head, status::OK, "{r:?}");
+            assert_eq!(r.get("solver"), Some(solver), "{q:?}");
+            if let Some(flow) = flow {
+                assert_eq!(r.get("flow"), Some(flow.as_str()), "{q:?}");
+            }
+        }
     }
 
     #[test]
     fn explicit_algorithms_agree() {
         let engine = engine_with(two_paths(), EngineConfig::default());
-        // Every name in the two name tables, through the wire field.
-        let in_memory = Algorithm::ALL.into_iter().map(Solver::Sequential);
-        let mapreduce = FfVariant::ladder()
-            .into_iter()
-            .map(|(_, v)| Solver::MapReduce(v));
-        for solver in in_memory.chain(mapreduce) {
+        // Every name in the name table, through the wire field.
+        for solver in Algorithm::ALL {
             let algo = solver.name();
-            assert_eq!(Solver::parse_requested(Some(algo)), Ok(Some(solver)));
+            assert_eq!(parse_algorithm(Some(algo)), Ok(Some(solver)));
             let mut q = query("maxflow").field("algorithm", algo);
             // Bypass the cache so every solver actually runs.
             q.push("no-cache", 1);
@@ -1410,9 +1107,14 @@ mod tests {
         assert_eq!(r.head, status::ERROR, "{r:?}");
         let message = r.get("message").unwrap();
         assert!(message.contains("unknown algorithm 'bogus'"), "{message}");
-        for name in Algorithm::names().chain(FfVariant::NAMES).chain(["auto"]) {
+        for name in Algorithm::names().chain(["auto"]) {
             assert!(message.contains(name), "{message} should name {name}");
         }
+        // The MapReduce variants are `ffmr maxflow`'s, not the daemon's.
+        let r = engine.execute(&query("maxflow").field("algorithm", "ff5"));
+        assert_eq!(r.head, status::ERROR, "{r:?}");
+        let message = r.get("message").unwrap();
+        assert!(message.contains("unknown algorithm 'ff5'"), "{message}");
     }
 
     #[test]
@@ -1441,20 +1143,15 @@ mod tests {
     }
 
     #[test]
-    fn mincut_returns_certificate_on_both_routes() {
-        for threshold in [2_000, 3] {
-            let config = EngineConfig {
-                mr_threshold_vertices: threshold,
-                ..EngineConfig::default()
-            };
-            let engine = engine_with(two_paths(), config);
-            let r = engine.execute(&query("mincut"));
-            assert_eq!(r.head, status::OK, "{r:?}");
-            assert_eq!(r.get("flow"), Some("2"));
-            assert_eq!(r.get("cut-edges"), Some("2"));
-            let side: usize = r.get("cut-source-side").unwrap().parse().unwrap();
-            assert!((1..4).contains(&side));
-        }
+    fn mincut_returns_a_certificate() {
+        let engine = engine_with(two_paths(), EngineConfig::default());
+        let r = engine.execute(&query("mincut"));
+        assert_eq!(r.head, status::OK, "{r:?}");
+        assert_eq!(r.get("flow"), Some("2"));
+        assert_eq!(r.get("solver"), Some("parallel-pr"));
+        assert_eq!(r.get("cut-edges"), Some("2"));
+        let side: usize = r.get("cut-source-side").unwrap().parse().unwrap();
+        assert!((1..4).contains(&side));
     }
 
     #[test]
@@ -1488,61 +1185,6 @@ mod tests {
         let after = engine.execute(&query("maxflow"));
         assert_eq!(after.get("cached"), Some("0"), "epoch fenced the cache");
         assert_eq!(after.get("flow"), Some("1"), "answer is for the new graph");
-    }
-
-    #[test]
-    fn timeouts_cancel_mapreduce_queries() {
-        let n = 2_000;
-        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 5));
-        let config = EngineConfig {
-            mr_threshold_vertices: 10,
-            ..EngineConfig::default()
-        };
-        let engine = engine_with(net, config);
-        let q = Message::new("maxflow")
-            .field("dataset", "g")
-            .field("w", 4)
-            .field("timeout-ms", 0);
-        let r = engine.execute(&q);
-        assert_eq!(r.head, status::ERROR, "{r:?}");
-        assert!(r.get("message").unwrap().contains("timeout"), "{r:?}");
-    }
-
-    #[test]
-    fn cancelled_mapreduce_queries_resume_on_retry() {
-        let n = 600;
-        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 11));
-        let config = EngineConfig {
-            mr_threshold_vertices: 10, // force the MR route
-            ..EngineConfig::default()
-        };
-        let engine = engine_with(net, config);
-        let base_query = || {
-            Message::new("maxflow")
-                .field("dataset", "g")
-                .field("w", 3)
-                .field("seed", 11)
-        };
-
-        // Cancel deterministically after the first flow round: the run
-        // dies mid-flight but its checkpoint survives in the stash.
-        let cancelled = engine.execute(&base_query().field("cancel-after-rounds", 1));
-        assert_eq!(cancelled.head, status::ERROR, "{cancelled:?}");
-        let message = cancelled.get("message").unwrap();
-        assert!(message.contains("1 rounds completed"), "{message}");
-        assert!(message.contains("retry to resume"), "{message}");
-
-        // The identical retry resumes from the checkpoint instead of
-        // recomputing from round 0 and completes normally.
-        let retry = engine.execute(&base_query());
-        assert_eq!(retry.head, status::OK, "{retry:?}");
-        assert_eq!(retry.get("resumed"), Some("1"));
-        assert_eq!(retry.get("cached"), Some("0"));
-
-        // A from-scratch run agrees on the answer.
-        let fresh = engine.execute(&base_query().field("no-cache", 1));
-        assert_eq!(fresh.get("resumed"), Some("0"), "stash was consumed");
-        assert_eq!(fresh.get("flow"), retry.get("flow"));
     }
 
     #[test]
@@ -1644,55 +1286,6 @@ mod tests {
     }
 
     #[test]
-    fn history_serves_round_profiles_of_mapreduce_queries() {
-        let config = EngineConfig {
-            mr_threshold_vertices: 3, // force the MR route on 4 vertices
-            ..EngineConfig::default()
-        };
-        let engine = engine_with(two_paths(), config);
-        let empty = engine.execute(&Message::new("history"));
-        assert_eq!(empty.head, status::OK, "{empty:?}");
-        assert_eq!(empty.get("rounds"), Some("0"));
-
-        let r = engine.execute(&query("maxflow"));
-        assert_eq!(r.head, status::OK, "{r:?}");
-        let h = engine.execute(&Message::new("history"));
-        let rounds: usize = h.get("rounds").unwrap().parse().unwrap();
-        assert!(rounds > 0, "MR query left round profiles: {h:?}");
-        let profiles: Vec<ffmr_obs::RoundProfile> = h
-            .fields
-            .iter()
-            .filter(|(k, _)| k == "profile")
-            .map(|(_, v)| ffmr_obs::RoundProfile::from_json(v).expect("profile parses"))
-            .collect();
-        assert_eq!(profiles.len(), rounds.min(16));
-        assert!(
-            profiles.iter().any(|p| !p.events.is_empty()),
-            "engine-enabled recorder fills event timelines"
-        );
-        assert!(
-            profiles.iter().all(|p| !p.critical_path.is_empty()),
-            "every profile carries a critical path"
-        );
-
-        // `limit` trims to the newest profiles.
-        let limited = engine.execute(&Message::new("history").field("limit", 1));
-        let kept: Vec<&(String, String)> = limited
-            .fields
-            .iter()
-            .filter(|(k, _)| k == "profile")
-            .collect();
-        assert_eq!(kept.len(), 1);
-
-        // The per-round hook refreshed the live progress gauges.
-        let fields = ffmr_obs::global().render_fields();
-        assert!(
-            fields.iter().any(|(k, _)| k == "ffmr_ff_live_round"),
-            "live round gauge exists"
-        );
-    }
-
-    #[test]
     fn plain_queries_share_the_snapshot_arc() {
         // Regression: plain s→t queries used to clone the whole graph
         // per query. They must now borrow the snapshot's own Arc.
@@ -1721,15 +1314,19 @@ mod tests {
         // deterministically even on a graph this small, for every
         // in-memory solver.
         let engine = engine_with(two_paths(), EngineConfig::default());
-        for algo in ["parallel-pr", "dinic", "push-relabel", "edmonds-karp"] {
-            let q = query("maxflow")
+        let pinned = ["parallel-pr", "dinic", "push-relabel", "edmonds-karp"].map(|algo| {
+            query("maxflow")
                 .field("algorithm", algo)
                 .field("no-core", 1)
-                .field("timeout-ms", 0);
+        });
+        // A super-terminal query takes the pool under `auto`.
+        let super_st = Message::new("maxflow").field("dataset", "g").field("w", 1);
+        for q in pinned.into_iter().chain([super_st]) {
+            let q = q.field("timeout-ms", 0);
             let r = engine.execute(&q);
-            assert_eq!(r.head, status::ERROR, "{algo}: {r:?}");
+            assert_eq!(r.head, status::ERROR, "{q:?}: {r:?}");
             let message = r.get("message").unwrap();
-            assert!(message.contains("timeout after 0ms"), "{algo}: {message}");
+            assert!(message.contains("timeout after 0ms"), "{q:?}: {message}");
         }
         // A sane deadline still answers.
         let r = engine.execute(&query("maxflow").field("timeout-ms", 30_000));
@@ -1751,7 +1348,6 @@ mod tests {
         assert_eq!(r.get("flow"), Some("1"));
         assert_eq!(r.get("solver"), Some("periphery"));
         assert_eq!(r.get("plan"), Some("direct"));
-        assert_eq!(r.get("rounds"), Some("0"));
     }
 
     /// A lollipop graph: triangle core {0,1,2} with a pendant chain
@@ -1959,7 +1555,6 @@ mod tests {
         assert!(list.get("dataset").unwrap().starts_with("g "));
         let stats = engine.execute(&Message::new("stats").field("dataset", "g"));
         assert_eq!(stats.get("vertices"), Some("4"));
-        assert_eq!(stats.get("auto-route"), Some("sequential"));
     }
 
     #[test]
@@ -1976,7 +1571,6 @@ mod tests {
                 "solver",
                 "plan",
                 "cached",
-                "resumed",
                 "coalesced",
                 "queue_wait_us",
             ] {

@@ -17,10 +17,9 @@
 //! * [`cache`] — LRU memoization of answers keyed by dataset, epoch,
 //!   query kind, and the *canonicalized* terminal sets (including the
 //!   paper's Sec. V-A1 super-source/sink construction);
-//! * [`engine`] — solver routing: sequential Dinic below a vertex
-//!   threshold, the FF5 MapReduce driver above it, explicit algorithm
-//!   pinning, per-query round/shuffle counters, and deadline
-//!   cancellation through the core driver's hooks;
+//! * [`engine`] — solver routing, all in memory: the core planner, the
+//!   certified local search, then the parallel push-relabel pool;
+//!   explicit algorithm pinning and per-query deadline cancellation;
 //! * [`server`] — TCP daemon: thread-per-connection front-end feeding a
 //!   bounded worker pool, `busy` load shedding, graceful shutdown;
 //! * [`client`] — the blocking client the `ffmr query` subcommand uses.

@@ -10,8 +10,8 @@
 //! ```text
 //! maxflow            |  ok
 //! dataset fb1        |  flow 318
-//! source 0           |  solver ff5
-//! sink 4038          |  rounds 9
+//! source 0           |  solver local
+//! sink 4038          |  plan core
 //! ```
 //!
 //! The format is deliberately line-oriented and std-only: it can be
@@ -34,22 +34,20 @@
 //!
 //! Every successful `maxflow`/`mincut` response carries the same
 //! serving-metadata fields regardless of which path produced the
-//! answer (fresh solve, cache hit, coalesced follower, resumed run):
+//! answer (fresh solve, cache hit, coalesced follower):
 //!
 //! | field           | meaning                                              |
 //! |-----------------|------------------------------------------------------|
 //! | `dataset`       | dataset name the query resolved against              |
 //! | `epoch`         | snapshot epoch that produced the answer              |
 //! | `flow`          | max-flow value (clamped for core plans)              |
-//! | `solver`        | `periphery`, an in-memory algorithm, or an MR variant|
+//! | `solver`        | `periphery`, `local`, or an in-memory algorithm      |
 //! | `plan`          | `direct`, `core`, or `full`                          |
 //! | `cached`        | `1` if served from the answer cache                  |
-//! | `resumed`       | `1` if an MR run resumed a stashed checkpoint        |
 //! | `coalesced`     | `1` if this request followed an identical in-flight one |
 //! | `queue_wait_us` | microseconds spent queued behind busy workers        |
 //!
-//! MR-route extras (`rounds`, `shuffle-bytes`, `sim-seconds-milli`),
-//! min-cut certificates (`cut-edges`, `cut-source-side`), and the
+//! Min-cut certificates (`cut-edges`, `cut-source-side`) and the
 //! resolved `sources`/`sinks` lists ride along. A request with an
 //! `explain` field additionally receives `profile`: the full
 //! `ffmr_obs::QueryProfile` as one JSON line (plan reason, per-stage

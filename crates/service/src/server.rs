@@ -6,7 +6,7 @@
 //!   connection (clients are few and long-lived; a query, not a
 //!   connection, is the unit of work);
 //! * each **connection thread** reads one frame at a time. Cheap verbs
-//!   (`ping`, `list`, `stats`, `history`, `slowlog`, `shutdown`) are
+//!   (`ping`, `list`, `stats`, `slowlog`, `shutdown`) are
 //!   answered inline, and so is a `maxflow`/`mincut` whose answer is
 //!   already cached ([`QueryEngine::execute_cached`]); anything that
 //!   runs a solver or touches disk is submitted to the bounded queue and
@@ -254,7 +254,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 /// the bounded queue for anything that does real work.
 fn dispatch(request: &Message, shared: &Arc<Shared>) -> Message {
     match request.head.as_str() {
-        "ping" | "list" | "stats" | "history" | "slowlog" => shared.engine.execute(request),
+        "ping" | "list" | "stats" | "slowlog" => shared.engine.execute(request),
         "shutdown" => {
             shared.shutdown.store(true, Ordering::Relaxed);
             Message::new(crate::protocol::status::OK).field("shutdown", 1)

@@ -10,7 +10,7 @@
 //!       [--crash-after-round N] [--crash-in-round N]
 //!       [--speculate] [--slow-task PHASE:TASKxFACTOR]
 //! ffmr serve --listen 127.0.0.1:7227 --graph fb=graph.txt [--graph ...]
-//!       [--workers 4] [--queue 16] [--cache 256] [--mr-threshold 2000]
+//!       [--workers 4] [--queue 16] [--cache 256] [--threads N]
 //! ffmr worker --connect HOST:PORT
 //! ffmr query --addr 127.0.0.1:7227 --op maxflow --dataset fb \
 //!       (--source S --sink T | --w N) [--algorithm auto|...] [--timeout-ms N]
@@ -24,6 +24,12 @@
 //! With `--w N` the source/sink arguments are ignored and a super
 //! source/sink over `N` high-degree terminals each is attached (the
 //! paper's Sec. V-A1 construction).
+//!
+//! `maxflow --algorithm ff1..ff5` is the paper's MapReduce driver on a
+//! simulated cluster, with `--state`/`--resume` checkpoints and `report`.
+//! `serve` holds each graph resident and answers every query in memory
+//! (core planner, certified local search, parallel push-relabel); its
+//! `--algorithm` pins an in-memory solver only.
 //!
 //! `maxflow --workers N` runs the MapReduce rounds in *distributed
 //! mode*: `N` separate `ffmr worker` OS processes are spawned against an
@@ -101,16 +107,16 @@ fn print_help() {
          \x20          [--slow-task PHASE:TASKxFACTOR] [--workers N]\n\
          \x20          [--coordinator HOST:PORT]\n\
          \x20 serve    --listen HOST:PORT --graph NAME=FILE [--graph ...]\n\
-         \x20          [--workers N] [--queue N] [--cache N] [--mr-threshold N]\n\
-         \x20          [--threads N] [--nodes N] [--reducers R] [--timeout-ms N]\n\
-         \x20          [--no-core]  (disable the core-contraction planner)\n\
+         \x20          [--workers N] [--queue N] [--cache N] [--threads N]\n\
+         \x20          [--timeout-ms N] [--no-core]  (disable the core planner)\n\
          \x20          [--slow-query-ms N] [--slowlog-file FILE]\n\
+         \x20          (every query is solved in memory; ff1..ff5 are maxflow's)\n\
          \x20 worker   --connect HOST:PORT\n\
-         \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|history|list|\n\
+         \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|slowlog|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
          \x20          (--source S --sink T | --w N)\n\
-         \x20          [--algorithm auto|...] [--seed S] [--timeout-ms N] [--no-cache]\n\
-         \x20          [--no-core] [--cancel-after-rounds N] [--explain]\n\
+         \x20          [--algorithm auto|parallel-pr|dinic|...] [--seed S]\n\
+         \x20          [--timeout-ms N] [--no-cache] [--no-core] [--explain]\n\
          \x20 slowlog  [--addr HOST:PORT] [--limit N] [--json]\n\
          \x20 stats    [--addr HOST:PORT] [--dataset D] [--prometheus] [--watch]\n\
          \x20          [--interval-ms N]\n\
@@ -605,10 +611,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 
     let solver_threads: usize = opts.parsed("threads", 0)?;
     let engine_config = engine::EngineConfig {
-        mr_threshold_vertices: opts.parsed("mr-threshold", 2_000)?,
         worker_threads: (solver_threads > 0).then_some(solver_threads),
-        cluster_nodes: opts.parsed("nodes", 20)?,
-        reducers: opts.parsed("reducers", 8)?,
         cache_capacity: opts.parsed("cache", 256)?,
         default_timeout: std::time::Duration::from_millis(opts.parsed("timeout-ms", 30_000u64)?),
         core_planner: !opts.has("no-core"),
@@ -677,7 +680,6 @@ fn query(args: &[String]) -> Result<(), String> {
         "min-degree",
         "algorithm",
         "timeout-ms",
-        "cancel-after-rounds",
         "no-cache",
         "no-core",
         "path",
@@ -693,9 +695,7 @@ fn query(args: &[String]) -> Result<(), String> {
 
     let mut client = Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
     let response = client.request(&request).map_err(|e| e.to_string())?;
-    // Only the echoed query profile gets the stage-tree rendering —
-    // other verbs reuse the `profile` field name for different payloads
-    // (`history` carries RoundProfile lines), which must print raw.
+    // Only the echoed query profile gets the stage-tree rendering.
     let explain = opts.get("explain").is_some();
     println!("{}", response.head);
     for (k, v) in &response.fields {
@@ -726,7 +726,7 @@ fn query(args: &[String]) -> Result<(), String> {
 fn print_query_profile(p: &ffmr::ffmr_obs::QueryProfile) {
     const WIDTH: usize = 24;
     println!(
-        "profile: {} on '{}' epoch {} — plan {} ({}), solver {}, cache {}{}{}",
+        "profile: {} on '{}' epoch {} — plan {} ({}), solver {}, cache {}{}",
         p.verb,
         p.dataset,
         p.epoch,
@@ -739,7 +739,6 @@ fn print_query_profile(p: &ffmr::ffmr_obs::QueryProfile) {
         if p.solver.is_empty() { "-" } else { &p.solver },
         p.cache,
         if p.coalesced { ", coalesced" } else { "" },
-        if p.resumed { ", resumed" } else { "" },
     );
     println!("stage timings:");
     let widest = p.stages().iter().map(|(_, us)| *us).max().unwrap_or(0);
@@ -906,14 +905,13 @@ fn stats(args: &[String]) -> Result<(), String> {
 /// The serving-tier counters an operator actually watches, derived from
 /// the flat registry rows the `stats` verb returns: core-planner hit
 /// rate, per-plan query mix, the local search's share of the core
-/// solves it tried, coalesce rate, and resumed runs. Printed above the
+/// solves it tried, and coalesce rate. Printed above the
 /// raw rows so `stats --watch` reads like a dashboard.
 fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     let num = |key: &str| -> u64 { response.get(key).and_then(|v| v.parse().ok()).unwrap_or(0) };
     let core = num("ffmr_core_answered_total");
     let fallback = num("ffmr_core_fallback_total");
     let coalesced = num("ffmr_query_coalesced_total");
-    let resumed = num("ffmr_query_resumed_total");
     let local = |outcome: &str| {
         num(&format!(
             "ffmr_local_searches_total{{outcome=\"{outcome}\"}}"
@@ -960,7 +958,7 @@ fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     println!(
         "serving: {queries} planned queries | core hit rate {}% ({core} core, {fallback} full) | \
          plan mix {mix} | local search {}% ({local_answered} of {local_tried} answered) | \
-         coalesced {}% ({coalesced}) | resumed {resumed}",
+         coalesced {}% ({coalesced})",
         pct(core, core + fallback),
         pct(local_answered, local_tried),
         pct(coalesced, queries.max(1)),
