@@ -20,6 +20,8 @@
 //!
 //! [`local`] is not an `Algorithm`: its certified search may give up
 //! past a work budget, so it serves as a fast first try in front of one.
+//! [`cut_tree`] runs it n − 1 times to build a Gomory–Hu tree that
+//! answers every pair of a symmetric network without a solve.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@
 pub mod cancel;
 mod capacity_scaling;
 pub mod contraction;
+pub mod cut_tree;
 mod dinic;
 mod edmonds_karp;
 mod ford_fulkerson;

@@ -3,7 +3,8 @@
 //! max-flow/min-cut relationship.
 
 use ffmr_prng::SplitMix64;
-use maxflow::{local, min_cut, validate, Algorithm, Cancel};
+use maxflow::cut_tree::CutTree;
+use maxflow::{local, min_cut, validate, Algorithm, Cancel, Cancelled};
 use swgraph::{gen, Capacity, FlowNetwork, FlowNetworkBuilder, VertexId};
 
 fn check_all_agree(net: &FlowNetwork, s: VertexId, t: VertexId) -> i64 {
@@ -287,4 +288,160 @@ fn flow_is_monotone_in_capacity() {
         assert!(bumped >= base, "case {case}");
         assert!(bumped <= base + bump, "case {case}");
     }
+}
+
+fn cut_tree(net: &FlowNetwork) -> CutTree {
+    CutTree::build(net, &Cancel::never())
+        .expect("never cancelled")
+        .expect("symmetric capacities")
+}
+
+/// A symmetric network with capacities 1..=5 per undirected edge, so
+/// that cuts are not all at a terminal.
+fn varied_undirected(n: u64, edges: &[(u64, u64)]) -> FlowNetwork {
+    let mut b = FlowNetworkBuilder::new(n);
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        b.add_undirected(u, v, 1 + (i as Capacity * 7) % 5);
+    }
+    b.build()
+}
+
+/// The tree's answer for every pair equals Dinic's.
+fn assert_tree_matches_dinic_on_every_pair(net: &FlowNetwork, label: &str) {
+    let tree = cut_tree(net);
+    let n = net.num_vertices() as u64;
+    for s in 0..n {
+        for t in s + 1..n {
+            let (s, t) = (VertexId::new(s), VertexId::new(t));
+            let dinic = Algorithm::Dinic.run(net, s, t).value;
+            assert_eq!(tree.max_flow(s, t), dinic, "{label} ({s:?}, {t:?})");
+            assert_eq!(tree.max_flow(t, s), dinic, "{label} ({t:?}, {s:?})");
+        }
+    }
+}
+
+#[test]
+fn cut_tree_matches_dinic_on_every_pair_of_the_small_corpus() {
+    for seed in 0..2 {
+        let edges = gen::barabasi_albert(60, 3, seed);
+        let unit = FlowNetwork::from_undirected_unit(60, &edges);
+        assert_tree_matches_dinic_on_every_pair(&unit, &format!("ba seed {seed}"));
+        let varied = varied_undirected(60, &edges);
+        assert_tree_matches_dinic_on_every_pair(&varied, &format!("varied ba seed {seed}"));
+        let edges = gen::watts_strogatz(50, 4, 0.2, seed);
+        let ws = FlowNetwork::from_undirected_unit(50, &edges);
+        assert_tree_matches_dinic_on_every_pair(&ws, &format!("ws seed {seed}"));
+    }
+    let grid = FlowNetwork::from_undirected_unit(49, &gen::grid(7, 7));
+    assert_tree_matches_dinic_on_every_pair(&grid, "grid");
+    let grid = varied_undirected(36, &gen::grid(6, 6));
+    assert_tree_matches_dinic_on_every_pair(&grid, "varied grid");
+}
+
+/// FB2'–FB4' at the default experiment scale (the daemon's benchmark
+/// graph is FB4'): 200 random pairs each.
+#[test]
+fn cut_tree_matches_dinic_on_the_fb_family() {
+    let scale = 50;
+    let edges = gen::social_crawl(&gen::FB_CHECKPOINTS, scale, 5_000, 42);
+    let mut rng = SplitMix64::seed_from_u64(7);
+    for checkpoint in &gen::FB_CHECKPOINTS[1..4] {
+        let n = (checkpoint.vertices / scale).max(2);
+        let net = FlowNetwork::from_undirected_unit(n, &gen::induced_prefix(&edges, n));
+        let tree = cut_tree(&net);
+        for _ in 0..200 {
+            let s = rng.gen_range(0..n);
+            let t = (s + rng.gen_range(1..n)) % n;
+            let (s, t) = (VertexId::new(s), VertexId::new(t));
+            let dinic = Algorithm::Dinic.run(&net, s, t).value;
+            assert_eq!(
+                tree.max_flow(s, t),
+                dinic,
+                "{} ({s:?}, {t:?})",
+                checkpoint.name
+            );
+        }
+    }
+}
+
+/// The Gomory–Hu property: removing the lightest edge on the tree path
+/// leaves the side below it, and that side is a minimum cut in the
+/// network — it separates the pair at a capacity equal to the value.
+#[test]
+fn the_lightest_tree_edge_names_a_minimum_cut() {
+    let edges = gen::barabasi_albert(150, 3, 4);
+    let mut checked = 0;
+    for net in [
+        FlowNetwork::from_undirected_unit(150, &edges),
+        varied_undirected(150, &edges),
+    ] {
+        let tree = cut_tree(&net);
+        let n = net.num_vertices() as u64;
+        let mut rng = SplitMix64::seed_from_u64(11);
+        for _ in 0..50 {
+            let s = rng.gen_range(0..n);
+            let t = (s + rng.gen_range(1..n)) % n;
+            let (s, t) = (VertexId::new(s), VertexId::new(t));
+            let (below, value) = tree.min_edge(s, t).expect("distinct terminals");
+            let under = |mut v: VertexId| loop {
+                if v == below {
+                    return true;
+                }
+                match tree.parent(v) {
+                    Some((p, _)) => v = p,
+                    None => return false,
+                }
+            };
+            assert_ne!(under(s), under(t), "the side separates ({s:?}, {t:?})");
+            let cut: Capacity = net
+                .capacitated_edges()
+                .filter(|&e| under(net.tail(e)) && !under(net.head(e)))
+                .map(|e| net.capacity(e))
+                .sum();
+            assert_eq!(cut, value, "({s:?}, {t:?})");
+            assert_eq!(value, Algorithm::Dinic.run(&net, s, t).value);
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 100);
+}
+
+#[test]
+fn cut_tree_edge_cases() {
+    let v = VertexId::new;
+    // One extra unit one way on one edge: no tree.
+    let mut b = FlowNetworkBuilder::new(4);
+    for (a, c) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+        b.add_undirected(a, c, 1);
+    }
+    b.add_edge(2, 3, 1);
+    assert_eq!(CutTree::build(&b.build(), &Cancel::never()), Ok(None));
+
+    // Across components the value is 0; within one it is not.
+    let split = FlowNetwork::from_undirected_unit(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]);
+    let tree = cut_tree(&split);
+    assert_eq!(tree.max_flow(v(0), v(5)), 0);
+    assert_eq!(tree.max_flow(v(4), v(1)), 0);
+    assert_eq!(tree.max_flow(v(0), v(2)), 2);
+    assert_eq!(tree.max_flow(v(3), v(5)), 1);
+
+    // An expired deadline stops the build.
+    let ring = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let expired = Cancel::after(std::time::Duration::ZERO);
+    assert_eq!(CutTree::build(&ring, &expired), Err(Cancelled));
+
+    // n <= 2, and degenerate terminals.
+    let empty = cut_tree(&FlowNetworkBuilder::new(0).build());
+    assert_eq!((empty.num_vertices(), empty.depth()), (0, 0));
+    assert_eq!(empty.max_flow(v(0), v(1)), 0);
+    let single = cut_tree(&FlowNetworkBuilder::new(1).build());
+    assert_eq!(single.max_flow(v(0), v(0)), 0);
+    assert_eq!(single.parent(v(0)), None);
+    let pair = cut_tree(&FlowNetwork::from_undirected_unit(2, &[(0, 1)]));
+    assert_eq!(pair.max_flow(v(0), v(1)), 1);
+    assert_eq!(pair.max_flow(v(1), v(0)), 1);
+    assert_eq!(pair.max_flow(v(1), v(9)), 0);
+    assert_eq!(pair.depth(), 1);
+    let apart = cut_tree(&FlowNetworkBuilder::new(2).build());
+    assert_eq!(apart.max_flow(v(0), v(1)), 0);
 }

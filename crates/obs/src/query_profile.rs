@@ -56,20 +56,22 @@ pub struct QueryProfile {
     pub dataset: String,
     /// Snapshot epoch the answer was computed on.
     pub epoch: u64,
-    /// Route taken: `direct` (periphery trees), `core` (contracted
-    /// 2-core), `full` (whole graph), or `-` when no solve ran.
+    /// Route taken: `tree` (read off the snapshot's cut tree), `direct`
+    /// (periphery trees), `core` (contracted 2-core), `full` (whole
+    /// graph), or `-` when no solve ran.
     pub plan: String,
-    /// Why that route: `periphery-direct`, `anchor-core-solve`,
+    /// Why that route: `cut-tree`, `periphery-direct`, `anchor-core-solve`,
     /// `anchor-cache-hit`, `local-trivial-cut`, `local-exhausted`,
     /// `local-budget` (the local search gave up and a solver finished),
     /// `cache-hit`, `planner-disabled`, `no-core-requested`,
     /// `super-terminal-query`, `mincut-needs-full-graph`,
     /// `coalesced-follower`.
     pub plan_reason: String,
-    /// Solver that produced the answer (`local`, `dinic`, `parallel-pr`,
-    /// `periphery`, …).
+    /// Solver that produced the answer (`tree`, `local`, `dinic`,
+    /// `parallel-pr`, `periphery`, …).
     pub solver: String,
-    /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`).
+    /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`, or a
+    /// cut-tree answer, which never touches the cache).
     pub cache: String,
     /// The query piggybacked on another in-flight identical query.
     pub coalesced: bool,

@@ -211,6 +211,25 @@ fn local_query_profile() -> QueryProfile {
     }
 }
 
+/// A cut-tree answer: a walk, no solver counters, the cache bypassed.
+fn tree_query_profile() -> QueryProfile {
+    QueryProfile {
+        verb: "maxflow".into(),
+        dataset: "fb4".into(),
+        epoch: 1,
+        plan: "tree".into(),
+        plan_reason: "cut-tree".into(),
+        solver: "tree".into(),
+        cache: "bypass".into(),
+        outcome: "ok".into(),
+        unix_ms: 1_700_000_000_000,
+        resolve_us: 1,
+        solve_us: 1,
+        total_us: 3,
+        ..QueryProfile::default()
+    }
+}
+
 fn bare_query_profile() -> QueryProfile {
     QueryProfile {
         verb: "mincut".into(),
@@ -233,6 +252,8 @@ const QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"a\"b\\c\nd\te\rf\u00
 
 const LOCAL_QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"fb4","epoch":1,"plan":"core","plan_reason":"local-trivial-cut","solver":"local","cache":"miss","coalesced":false,"outcome":"ok","unix_ms":1700000000000,"queue_wait_us":0,"resolve_us":1,"plan_us":1,"solve_us":92,"cache_update_us":2,"total_us":97,"deadline_ms":30000,"augmenting_paths":46,"cancel_polls":46,"vertices_touched":1553,"arc_scans":7902}"#;
 
+const TREE_QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"fb4","epoch":1,"plan":"tree","plan_reason":"cut-tree","solver":"tree","cache":"bypass","coalesced":false,"outcome":"ok","unix_ms":1700000000000,"queue_wait_us":0,"resolve_us":1,"plan_us":0,"solve_us":1,"cache_update_us":0,"total_us":3,"deadline_ms":0}"#;
+
 const BARE_QUERY_PROFILE: &str = r#"{"verb":"mincut","dataset":"","epoch":0,"plan":"","plan_reason":"","solver":"","cache":"","coalesced":false,"outcome":"ok","unix_ms":0,"queue_wait_us":0,"resolve_us":0,"plan_us":0,"solve_us":0,"cache_update_us":0,"total_us":0,"deadline_ms":0}"#;
 
 /// `start_us` and `dur_us` are clock readings; everything else in the
@@ -253,6 +274,7 @@ fn encoders_emit_the_golden_lines() {
     assert_eq!(query_profile().to_json(), QUERY_PROFILE);
     assert_eq!(bare_query_profile().to_json(), BARE_QUERY_PROFILE);
     assert_eq!(local_query_profile().to_json(), LOCAL_QUERY_PROFILE);
+    assert_eq!(tree_query_profile().to_json(), TREE_QUERY_PROFILE);
 }
 
 /// Replaces the digits after `"key":` with a single `0`.
@@ -317,7 +339,12 @@ fn decoders_reject_truncation_and_never_panic_on_damage() {
     for line in [FULL_ROUND_PROFILE, MINIMAL_ROUND_PROFILE] {
         assert_decoder_survives_damage(line, RoundProfile::from_json);
     }
-    for line in [QUERY_PROFILE, BARE_QUERY_PROFILE, LOCAL_QUERY_PROFILE] {
+    for line in [
+        QUERY_PROFILE,
+        BARE_QUERY_PROFILE,
+        LOCAL_QUERY_PROFILE,
+        TREE_QUERY_PROFILE,
+    ] {
         assert_decoder_survives_damage(line, QueryProfile::from_json);
     }
 }
@@ -345,6 +372,10 @@ fn golden_lines_decode_to_their_samples() {
     assert_eq!(
         QueryProfile::from_json(LOCAL_QUERY_PROFILE).unwrap(),
         local_query_profile()
+    );
+    assert_eq!(
+        QueryProfile::from_json(TREE_QUERY_PROFILE).unwrap(),
+        tree_query_profile()
     );
     let full = RoundProfile::from_json(FULL_ROUND_PROFILE).unwrap();
     assert_eq!(full.job, NASTY);

@@ -44,6 +44,9 @@ pub enum QueryKind {
 /// How the planner routed a query — the `plan` response field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Plan {
+    /// Read off the snapshot's Gomory–Hu cut tree; no solver ran, and
+    /// the answer is never cached.
+    Tree,
     /// Answered from the periphery trees alone; no solver ran.
     Direct,
     /// Solved between the anchors on the contracted 2-core.
@@ -57,6 +60,7 @@ impl Plan {
     #[must_use]
     pub const fn as_str(self) -> &'static str {
         match self {
+            Plan::Tree => "tree",
             Plan::Direct => "direct",
             Plan::Core => "core",
             Plan::Full => "full",

@@ -2,22 +2,32 @@
 //! memoizes answers.
 //!
 //! Every snapshot is one resident [`FlowNetwork`], so every query is
-//! solved in memory; the paper's MapReduce driver is `ffmr maxflow
-//! --algorithm ff1..ff5`, not a daemon route. The default solver is the
-//! deterministic parallel push-relabel
+//! answered in memory; the paper's MapReduce driver is `ffmr maxflow
+//! --algorithm ff1..ff5`, not a daemon route.
+//!
+//! A plain `maxflow` query (no `w`, `algorithm auto`, no `no-core`, the
+//! core planner on) is read off the snapshot's Gomory–Hu
+//! [`CutTree`](maxflow::cut_tree::CutTree) once the store has built it:
+//! a walk of a few tree edges, answered with `plan tree`, `solver tree`
+//! by [`QueryEngine::execute_cached`] on the connection thread, and
+//! never read from or written to the cache. Everything else — `mincut`,
+//! `w`, pinned solvers, `no-core`, snapshots with one-way capacities,
+//! and any query that arrives before the tree is ready — takes the
+//! solver path below.
+//!
+//! There the default solver is the deterministic parallel push-relabel
 //! ([`maxflow::parallel_push_relabel`]), which uses every core
 //! [`EngineConfig::worker_threads`] grants while answering
 //! bit-identically for any thread count. An explicit `algorithm` value
 //! (`parallel-pr`, `dinic`, `push-relabel`, ...) pins any
 //! [`Algorithm`]. Every response carries the chosen solver so clients
-//! can see what answered a query.
-//!
-//! An unpinned core-plan query first tries [`maxflow::local`]: a
-//! bidirectional augmenting-path search that stops once the flow reaches
-//! `min(capacity out of s, capacity into t)` (that cut certifies it) or
-//! no path is left, and gives up past a work budget of a few passes over
-//! the arcs, in which case the pool solve runs as before. Its answers
-//! carry the solver label `local`. This is the structure-aware lesson of
+//! can see what answered a query. An unpinned core-plan query first
+//! tries [`maxflow::local`]: a bidirectional augmenting-path search that
+//! stops once the flow reaches `min(capacity out of s, capacity into
+//! t)` (that cut certifies it) or no path is left, and gives up past a
+//! work budget of a few passes over the arcs, in which case the pool
+//! solve runs as before. Its answers carry the solver label `local`.
+//! Both the tree and the search are the structure-aware lesson of
 //! Bläsius/Friedrich/Weyand: on small-world graphs most cuts sit at a
 //! terminal.
 
@@ -27,6 +37,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ffmr_obs::{QueryProfile, SlowLog};
 use maxflow::contraction::CorePlan;
+use maxflow::cut_tree;
 use maxflow::local::{self, Certificate, LocalSearch};
 use maxflow::parallel_push_relabel::SolverPool;
 use maxflow::{Algorithm, Cancel, SolveReport};
@@ -34,7 +45,7 @@ use swgraph::{FlowNetwork, VertexId};
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
 use crate::protocol::{error_response, status, Message};
-use crate::store::GraphStore;
+use crate::store::{CutTreeStatus, GraphStore};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -243,14 +254,15 @@ impl QueryEngine {
         finish_request(request, started, span, result)
     }
 
-    /// Answers a `maxflow`/`mincut` request from the flow cache alone:
-    /// the reply [`execute`](Self::execute) would send on a hit, or
-    /// `None` for anything else — a miss, `no-cache`, a `w` query (its
-    /// resolution copies the graph), another verb, a malformed request —
-    /// which the caller then sends through `execute`. Only hits are
-    /// counted here, so the cache's miss count stays one per query. No
-    /// solver runs and no graph-sized memory is touched, which is what
-    /// lets the server answer hits on its connection threads.
+    /// Answers a `maxflow`/`mincut` request without a solver: the reply
+    /// [`execute`](Self::execute) would send when the snapshot's cut
+    /// tree answers it or the flow cache hits, or `None` for anything
+    /// else — a miss, `no-cache` before the tree is ready, a `w` query
+    /// (its resolution copies the graph), another verb, a malformed
+    /// request — which the caller then sends through `execute`. Only
+    /// hits are counted here, so the cache's miss count stays one per
+    /// query. No solver runs and no graph-sized memory is touched, which
+    /// is what lets the server answer these on its connection threads.
     #[must_use]
     pub fn execute_cached(&self, request: &Message) -> Option<Message> {
         let kind = match request.head.as_str() {
@@ -263,7 +275,7 @@ impl QueryEngine {
         }
         let started = Instant::now();
         let mut prof = new_profile(request);
-        let response = self.cached_reply(request, kind, &mut prof)?;
+        let response = self.inline_reply(request, kind, &mut prof)?;
         let mut span = ffmr_obs::span("query");
         span.field("verb", &request.head);
         let result = self.close_profile(request, started, prof, Ok(response));
@@ -300,6 +312,17 @@ impl QueryEngine {
             response.push("core-vertices", snap.core.core_vertex_count());
             response.push("core-edge-pairs", snap.core.core_edge_pairs());
             response.push("periphery-vertices", snap.core.periphery_vertex_count());
+            let status = snap.cut_tree_status();
+            response.push("cut-tree", status.as_str());
+            let (build_ms, depth) = match status {
+                CutTreeStatus::Ready(built) => (
+                    built.build_time.as_millis().to_string(),
+                    built.tree.depth().to_string(),
+                ),
+                _ => ("-".to_string(), "-".to_string()),
+            };
+            response.push("cut-tree-build-ms", build_ms);
+            response.push("cut-tree-depth", depth);
         }
         let cache = self.cache.stats();
         response.push("cache-hits", cache.hits);
@@ -499,12 +522,16 @@ impl QueryEngine {
         kind: QueryKind,
         prof: &mut QueryProfile,
     ) -> Result<Message, String> {
+        let prepared = self.prepare(request, kind, prof)?;
+        if let Some(reply) = tree_reply(&self.config, &prepared, prof) {
+            return Ok(reply);
+        }
         let PreparedQuery {
             snap,
             resolved,
             opts,
             key,
-        } = self.prepare(request, kind, prof)?;
+        } = prepared;
         let dataset = snap.name.as_str();
 
         let use_cache = opts.use_cache;
@@ -589,16 +616,21 @@ impl QueryEngine {
         Ok(response)
     }
 
-    /// The cache-hit path of [`flow_query_profiled`](Self::flow_query_profiled)
-    /// on its own, for [`execute_cached`](Self::execute_cached): `None`
-    /// unless the request is well formed, uses the cache and hits.
-    fn cached_reply(
+    /// The tree and cache-hit paths of
+    /// [`flow_query_profiled`](Self::flow_query_profiled) on their own,
+    /// for [`execute_cached`](Self::execute_cached): `None` unless the
+    /// request is well formed and the tree answers it, or it uses the
+    /// cache and hits.
+    fn inline_reply(
         &self,
         request: &Message,
         kind: QueryKind,
         prof: &mut QueryProfile,
     ) -> Option<Message> {
         let q = self.prepare(request, kind, prof).ok()?;
+        if let Some(reply) = tree_reply(&self.config, &q, prof) {
+            return Some(reply);
+        }
         if !q.opts.use_cache {
             return None;
         }
@@ -926,6 +958,50 @@ fn finish_request(
     response
 }
 
+/// The answer read off the snapshot's cut tree, when the query is one
+/// the tree answers: plain `maxflow` under `algorithm auto`, the core
+/// planner on and not opted out of, and the tree built. It bypasses the
+/// cache both ways: a walk costs less than a lookup.
+fn tree_reply(
+    config: &EngineConfig,
+    q: &PreparedQuery,
+    prof: &mut QueryProfile,
+) -> Option<Message> {
+    let applies = config.core_planner
+        && q.opts.kind == QueryKind::MaxFlow
+        && !q.resolved.super_st
+        && q.opts.requested.is_none()
+        && !q.opts.no_core;
+    if !applies {
+        return None;
+    }
+    let tree = q.snap.cut_tree()?;
+    let walk_started = Instant::now();
+    let flow = tree.max_flow(q.resolved.source, q.resolved.sink);
+    prof.solve_us = elapsed_us(walk_started);
+    prof.plan = Plan::Tree.as_str().to_string();
+    prof.plan_reason = "cut-tree".to_string();
+    prof.solver = cut_tree::NAME.to_string();
+    prof.cache = "bypass".to_string();
+    let answer = CachedAnswer {
+        flow,
+        solver: cut_tree::NAME,
+        plan: Plan::Tree,
+        cut_edges: None,
+        cut_source_side: None,
+    };
+    let mut response = render_answer(
+        &answer,
+        q.opts.kind,
+        &q.resolved,
+        &q.snap.name,
+        q.snap.epoch,
+        false,
+    );
+    push_serving_fields(&mut response, false, prof.queue_wait_us);
+    Some(response)
+}
+
 /// Renders a cache hit and notes it in the profile.
 fn hit_reply(
     hit: &CachedAnswer,
@@ -1020,12 +1096,22 @@ fn join(ids: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::one_way;
     use swgraph::gen;
 
     fn engine_with(net: FlowNetwork, config: EngineConfig) -> QueryEngine {
         let store = Arc::new(GraphStore::new());
         store.insert_network("g", net);
         QueryEngine::new(store, config)
+    }
+
+    /// An engine over `net` with its cut tree built.
+    fn engine_with_tree(net: FlowNetwork, config: EngineConfig) -> QueryEngine {
+        let engine = engine_with(net, config);
+        let snap = engine.store().get("g").unwrap();
+        let status = snap.await_cut_tree(Duration::from_secs(120));
+        assert!(matches!(status, CutTreeStatus::Ready(_)), "{status:?}");
+        engine
     }
 
     fn two_paths() -> FlowNetwork {
@@ -1041,7 +1127,7 @@ mod tests {
 
     #[test]
     fn maxflow_small_graph_takes_the_local_search_and_caches() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
         let first = engine.execute(&query("maxflow"));
         assert_eq!(first.head, status::OK, "{first:?}");
         assert_eq!(first.get("flow"), Some("2"));
@@ -1054,12 +1140,117 @@ mod tests {
         assert_eq!(engine.cache_stats().hits, 1);
     }
 
+    #[test]
+    fn maxflow_is_read_off_the_cut_tree_once_built() {
+        let n = 300;
+        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 21));
+        let engine = engine_with_tree(net.clone(), EngineConfig::default());
+        for (s, t) in [(0, n - 1), (5, 17), (n - 1, 0), (42, 43)] {
+            let dinic = Algorithm::Dinic.run(&net, VertexId::new(s), VertexId::new(t));
+            let q = Message::new("maxflow")
+                .field("dataset", "g")
+                .field("source", s)
+                .field("sink", t)
+                .field("explain", 1);
+            for r in [engine.execute(&q), engine.execute_cached(&q).unwrap()] {
+                assert_eq!(r.head, status::OK, "{r:?}");
+                assert_eq!(r.get("flow"), Some(dinic.value.to_string().as_str()));
+                assert_eq!(
+                    (r.get("plan"), r.get("solver")),
+                    (Some("tree"), Some("tree"))
+                );
+                assert_eq!(r.get("cached"), Some("0"), "{r:?}");
+                let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
+                assert_eq!(prof.plan_reason, "cut-tree");
+                assert_eq!(prof.cache, "bypass");
+            }
+        }
+        // `no-cache` changes nothing: the tree never touches the cache.
+        let r = engine.execute(&query("maxflow").field("no-cache", 1));
+        assert_eq!(r.get("plan"), Some("tree"));
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        let stats = engine.execute(&Message::new("stats").field("dataset", "g"));
+        assert_eq!(stats.get("cut-tree"), Some("ready"));
+        let depth: u32 = stats.get("cut-tree-depth").unwrap().parse().unwrap();
+        assert!(depth >= 1, "{stats:?}");
+        assert!(stats
+            .get("cut-tree-build-ms")
+            .unwrap()
+            .parse::<u64>()
+            .is_ok());
+    }
+
+    #[test]
+    fn asymmetric_snapshots_never_build_a_tree() {
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
+        let snap = engine.store().get("g").unwrap();
+        let status = snap.await_cut_tree(Duration::from_secs(120));
+        assert!(matches!(status, CutTreeStatus::Asymmetric), "{status:?}");
+        let stats = engine.execute(&Message::new("stats").field("dataset", "g"));
+        assert_eq!(stats.get("cut-tree"), Some("asymmetric"));
+        assert_eq!(stats.get("cut-tree-build-ms"), Some("-"));
+        assert_eq!(stats.get("cut-tree-depth"), Some("-"));
+        let r = engine.execute(&query("maxflow"));
+        assert_eq!(r.get("flow"), Some("2"));
+        assert_eq!(
+            (r.get("plan"), r.get("solver")),
+            (Some("core"), Some("local"))
+        );
+        assert!(engine
+            .execute_cached(&query("maxflow").field("no-cache", 1))
+            .is_none());
+    }
+
+    #[test]
+    fn pinned_and_no_core_queries_bypass_the_tree() {
+        let engine = engine_with_tree(two_paths(), EngineConfig::default());
+        let w = Message::new("maxflow").field("dataset", "g").field("w", 1);
+        for (q, plan, solver) in [
+            (
+                query("maxflow").field("algorithm", "dinic"),
+                "core",
+                "dinic",
+            ),
+            (query("maxflow").field("algorithm", "auto"), "tree", "tree"),
+            (query("maxflow").field("no-core", 1), "full", "parallel-pr"),
+            (query("mincut"), "full", "parallel-pr"),
+            (w, "full", "parallel-pr"),
+        ] {
+            let r = engine.execute(&q.field("no-cache", 1));
+            assert_eq!(r.head, status::OK, "{r:?}");
+            assert_eq!((r.get("plan"), r.get("solver")), (Some(plan), Some(solver)));
+        }
+        // Only the tree route is taken on the connection thread.
+        for q in [
+            query("maxflow").field("algorithm", "dinic"),
+            query("maxflow").field("no-core", 1),
+            query("mincut"),
+        ] {
+            assert!(engine.execute_cached(&q.field("no-cache", 1)).is_none());
+        }
+        // The engine-wide switch turns the tree off with the planner.
+        let off = EngineConfig {
+            core_planner: false,
+            ..EngineConfig::default()
+        };
+        let engine = engine_with_tree(two_paths(), off);
+        let r = engine.execute(&query("maxflow"));
+        assert_eq!(
+            (r.get("plan"), r.get("solver")),
+            (Some("full"), Some("parallel-pr"))
+        );
+    }
+
     /// Regression: past 2 000 vertices the daemon used to hand unpinned
     /// queries to FF5 on a simulated cluster in the same process.
     #[test]
     fn snapshots_past_the_old_threshold_are_answered_in_memory() {
         let n = 2_500;
-        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 17));
+        let net = one_way(&FlowNetwork::from_undirected_unit(
+            n,
+            &gen::barabasi_albert(n, 3, 17),
+        ));
         let dinic = Algorithm::Dinic.run(&net, VertexId::new(0), VertexId::new(n - 1));
         let dinic = dinic.value.to_string();
         let engine = engine_with(net, EngineConfig::default());
@@ -1176,12 +1367,13 @@ mod tests {
     #[test]
     fn reload_invalidates_via_epoch() {
         let store = Arc::new(GraphStore::new());
-        store.insert_network("g", two_paths());
+        store.insert_network("g", one_way(&two_paths()));
         let engine = QueryEngine::new(Arc::clone(&store), EngineConfig::default());
         assert_eq!(engine.execute(&query("maxflow")).get("cached"), Some("0"));
         assert_eq!(engine.execute(&query("maxflow")).get("cached"), Some("1"));
         // Swap in a different graph under the same name: one unit path.
-        store.insert_network("g", FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3)]));
+        let path = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3)]);
+        store.insert_network("g", one_way(&path));
         let after = engine.execute(&query("maxflow"));
         assert_eq!(after.get("cached"), Some("0"), "epoch fenced the cache");
         assert_eq!(after.get("flow"), Some("1"), "answer is for the new graph");
@@ -1224,7 +1416,7 @@ mod tests {
 
     #[test]
     fn stats_exposes_the_metrics_registry() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
         let _ = engine.execute(&query("maxflow"));
         let _ = engine.execute(
             &query("maxflow")
@@ -1338,7 +1530,7 @@ mod tests {
     #[test]
     fn periphery_queries_are_answered_directly() {
         let net = FlowNetwork::from_undirected_unit(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let engine = engine_with(net, EngineConfig::default());
+        let engine = engine_with(one_way(&net), EngineConfig::default());
         let q = Message::new("maxflow")
             .field("dataset", "g")
             .field("source", 0)
@@ -1357,7 +1549,7 @@ mod tests {
     #[test]
     fn core_plans_clamp_and_share_anchor_solves() {
         let net = FlowNetwork::from_undirected_unit(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
-        let engine = engine_with(net, EngineConfig::default());
+        let engine = engine_with(one_way(&net), EngineConfig::default());
         let ask = |s: u64, t: u64| {
             engine.execute(
                 &Message::new("maxflow")
@@ -1428,7 +1620,7 @@ mod tests {
         let mut local_answers = 0;
         for (n, m, seed) in [(200, 2, 3), (120, 1, 5), (300, 3, 8)] {
             let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, m, seed));
-            let engine = engine_with(net, EngineConfig::default());
+            let engine = engine_with(one_way(&net), EngineConfig::default());
             for (s, t) in [
                 (0u64, n - 1),
                 (1, n * 3 / 4),
@@ -1501,7 +1693,7 @@ mod tests {
             b.add_undirected(0, m, 1);
             b.add_undirected(m, 1, 1);
         }
-        let engine = engine_with(b.build(), EngineConfig::default());
+        let engine = engine_with(one_way(&b.build()), EngineConfig::default());
         let r = engine.execute(
             &Message::new("maxflow")
                 .field("dataset", "g")
@@ -1522,7 +1714,7 @@ mod tests {
     fn coalesced_queries_share_one_solve() {
         let n = 300;
         let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 9));
-        let engine = Arc::new(engine_with(net, EngineConfig::default()));
+        let engine = Arc::new(engine_with(one_way(&net), EngineConfig::default()));
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let engine = Arc::clone(&engine);
@@ -1559,12 +1751,15 @@ mod tests {
 
     #[test]
     fn every_query_response_carries_the_uniform_serving_fields() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
-        // Fresh solve, then cache hit: both must carry the full set.
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
+        // Fresh solve, cache hit, tree answer: all carry the full set.
         let fresh = engine.execute(&query("maxflow"));
         let hit = engine.execute(&query("maxflow"));
         assert_eq!(hit.get("cached"), Some("1"));
-        for (r, label) in [(&fresh, "fresh"), (&hit, "cache-hit")] {
+        let tree = engine_with_tree(two_paths(), EngineConfig::default());
+        let walked = tree.execute(&query("maxflow"));
+        assert_eq!(walked.get("plan"), Some("tree"));
+        for (r, label) in [(&fresh, "fresh"), (&hit, "cache-hit"), (&walked, "tree")] {
             for field in [
                 "dataset",
                 "epoch",
@@ -1582,7 +1777,7 @@ mod tests {
     #[test]
     fn explain_attaches_a_parseable_profile() {
         let net = FlowNetwork::from_undirected_unit(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
-        let engine = engine_with(net, EngineConfig::default());
+        let engine = engine_with(one_way(&net), EngineConfig::default());
         let q = Message::new("maxflow")
             .field("dataset", "g")
             .field("source", 4)
@@ -1628,7 +1823,7 @@ mod tests {
 
     #[test]
     fn execute_cached_answers_hits_only() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
         assert!(engine.execute_cached(&query("maxflow")).is_none(), "cold");
         let stats = engine.cache_stats();
         assert_eq!(

@@ -13,11 +13,13 @@
 //!   (std-only; debuggable with a hex dump), with an optional raw body
 //!   the distributed dispatch plane uses;
 //! * [`store`] — named immutable graph snapshots behind `Arc`, swapped
-//!   atomically on `load`/`reload` with a monotonically bumped epoch;
+//!   atomically on `load`/`reload` with a monotonically bumped epoch,
+//!   each with a Gomory–Hu cut tree built in the background;
 //! * [`cache`] — LRU memoization of answers keyed by dataset, epoch,
 //!   query kind, and the *canonicalized* terminal sets (including the
 //!   paper's Sec. V-A1 super-source/sink construction);
-//! * [`engine`] — solver routing, all in memory: the core planner, the
+//! * [`engine`] — query routing, all in memory: plain `maxflow` read
+//!   off the cut tree once it is built; otherwise the core planner, the
 //!   certified local search, then the parallel push-relabel pool;
 //!   explicit algorithm pinning and per-query deadline cancellation;
 //! * [`server`] — TCP daemon: thread-per-connection front-end feeding a
@@ -39,4 +41,4 @@ pub use protocol::{
     write_frame, write_message, Message, WireError, MAX_FRAME_BYTES,
 };
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use store::{GraphStore, Snapshot, StoreError};
+pub use store::{BuiltTree, CutTreeStatus, GraphStore, Snapshot, StoreError};

@@ -10,8 +10,8 @@
 //! ```text
 //! maxflow            |  ok
 //! dataset fb1        |  flow 318
-//! source 0           |  solver local
-//! sink 4038          |  plan core
+//! source 0           |  solver tree
+//! sink 4038          |  plan tree
 //! ```
 //!
 //! The format is deliberately line-oriented and std-only: it can be
@@ -34,16 +34,16 @@
 //!
 //! Every successful `maxflow`/`mincut` response carries the same
 //! serving-metadata fields regardless of which path produced the
-//! answer (fresh solve, cache hit, coalesced follower):
+//! answer (cut-tree walk, fresh solve, cache hit, coalesced follower):
 //!
 //! | field           | meaning                                              |
 //! |-----------------|------------------------------------------------------|
 //! | `dataset`       | dataset name the query resolved against              |
 //! | `epoch`         | snapshot epoch that produced the answer              |
 //! | `flow`          | max-flow value (clamped for core plans)              |
-//! | `solver`        | `periphery`, `local`, or an in-memory algorithm      |
-//! | `plan`          | `direct`, `core`, or `full`                          |
-//! | `cached`        | `1` if served from the answer cache                  |
+//! | `solver`        | `tree`, `periphery`, `local`, or an in-memory algorithm |
+//! | `plan`          | `tree`, `direct`, `core`, or `full`                  |
+//! | `cached`        | `1` if served from the answer cache (never for `tree`) |
 //! | `coalesced`     | `1` if this request followed an identical in-flight one |
 //! | `queue_wait_us` | microseconds spent queued behind busy workers        |
 //!

@@ -7,10 +7,11 @@
 //!   connection, is the unit of work);
 //! * each **connection thread** reads one frame at a time. Cheap verbs
 //!   (`ping`, `list`, `stats`, `slowlog`, `shutdown`) are
-//!   answered inline, and so is a `maxflow`/`mincut` whose answer is
-//!   already cached ([`QueryEngine::execute_cached`]); anything that
-//!   runs a solver or touches disk is submitted to the bounded queue and
-//!   the thread blocks for that one reply — the protocol is strict
+//!   answered inline, and so is a plain `maxflow` the snapshot's cut
+//!   tree answers and a `maxflow`/`mincut` whose answer is already
+//!   cached ([`QueryEngine::execute_cached`]); anything that runs a
+//!   solver or touches disk is submitted to the bounded queue and the
+//!   thread blocks for that one reply — the protocol is strict
 //!   request/response per connection;
 //! * a fixed pool of **worker threads** drains the queue and runs
 //!   [`QueryEngine::execute`].
@@ -18,10 +19,11 @@
 //! The queue is a `sync_channel(queue_depth)` submitted to with
 //! `try_send`: when every worker is busy and the queue is full, the
 //! client immediately gets a `busy` frame instead of unbounded latency —
-//! explicit load shedding, never silent queueing. A cached answer never
-//! waits behind a solve and is never shed: it costs the connection
-//! thread a cache lookup instead of two thread hops, which on a one-CPU
-//! daemon is most of a hit's time.
+//! explicit load shedding, never silent queueing. A tree or cached
+//! answer never waits behind a solve and is never shed: it costs the
+//! connection thread a walk of a few tree edges or a cache lookup
+//! instead of two thread hops, which on a one-CPU daemon is most of
+//! such an answer's time.
 //!
 //! Each accepted stream has `TCP_NODELAY` set, and each reply leaves in
 //! one `write` ([`write_frame`]). Strict request/response is the pattern
@@ -250,8 +252,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Routes one request: inline for cheap verbs and cache hits, through
-/// the bounded queue for anything that does real work.
+/// Routes one request: inline for cheap verbs, tree answers and cache
+/// hits, through the bounded queue for anything that does real work.
 fn dispatch(request: &Message, shared: &Arc<Shared>) -> Message {
     match request.head.as_str() {
         "ping" | "list" | "stats" | "slowlog" => shared.engine.execute(request),
@@ -336,15 +338,26 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::engine::EngineConfig;
-    use crate::store::GraphStore;
+    use crate::store::{one_way, CutTreeStatus, GraphStore};
     use swgraph::FlowNetwork;
 
+    fn two_paths() -> FlowNetwork {
+        FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)])
+    }
+
     fn start(workers: usize, queue_depth: usize) -> ServerHandle {
+        start_on(two_paths(), workers, queue_depth)
+    }
+
+    /// A server over `net`, returned once the store has settled its cut
+    /// tree (built, or refused for one-way capacities).
+    fn start_on(net: FlowNetwork, workers: usize, queue_depth: usize) -> ServerHandle {
         let store = Arc::new(GraphStore::new());
-        store.insert_network(
-            "g",
-            FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]),
-        );
+        store.insert_network("g", net);
+        let snap = store.get("g").unwrap();
+        let status = snap.await_cut_tree(Duration::from_secs(120));
+        assert!(!matches!(status, CutTreeStatus::Building), "{status:?}");
+        drop(snap);
         let engine = Arc::new(QueryEngine::new(store, EngineConfig::default()));
         serve(
             "127.0.0.1:0",
@@ -377,7 +390,7 @@ mod tests {
 
     #[test]
     fn cached_round_trips_do_not_wait_out_a_delayed_ack() {
-        let server = start(2, 4);
+        let server = start_on(one_way(&two_paths()), 2, 4);
         let mut client = Client::connect(server.local_addr()).unwrap();
         let request = Message::new("maxflow")
             .field("dataset", "g")
@@ -405,7 +418,7 @@ mod tests {
 
     #[test]
     fn cache_hits_are_answered_while_the_queue_is_full() {
-        let server = start(1, 1);
+        let server = start_on(one_way(&two_paths()), 1, 1);
         let addr = server.local_addr();
         let query = |source: u64| {
             Message::new("maxflow")
@@ -416,19 +429,7 @@ mod tests {
         let mut client = Client::connect(addr).unwrap();
         let warm = client.request(&query(0)).unwrap();
         assert_eq!(warm.get("cached"), Some("0"), "{warm:?}");
-        // Hold the single worker, then fill the queue's one slot.
-        let hold = |ms: u64| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                client
-                    .request(&Message::new("sleep").field("ms", ms))
-                    .unwrap()
-            })
-        };
-        let running = hold(1_500);
-        std::thread::sleep(Duration::from_millis(300));
-        let queued = hold(10);
-        std::thread::sleep(Duration::from_millis(300));
+        let (running, queued) = fill_the_queue(addr);
 
         let hit = client.request(&query(0)).unwrap();
         assert_eq!(hit.head, "ok", "{hit:?}");
@@ -444,6 +445,72 @@ mod tests {
             "{profile}"
         );
 
+        assert_eq!(running.join().unwrap().head, "ok");
+        assert_eq!(queued.join().unwrap().head, "ok");
+        server.shutdown();
+    }
+
+    /// Holds the single worker for 1.5 s, then fills the queue's one
+    /// slot: until the first reply, a request that needs a worker is
+    /// shed with `busy`.
+    fn fill_the_queue(addr: SocketAddr) -> (JoinHandle<Message>, JoinHandle<Message>) {
+        let hold = |ms: u64| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client
+                    .request(&Message::new("sleep").field("ms", ms))
+                    .unwrap()
+            })
+        };
+        let running = hold(1_500);
+        std::thread::sleep(Duration::from_millis(300));
+        let queued = hold(10);
+        std::thread::sleep(Duration::from_millis(300));
+        (running, queued)
+    }
+
+    #[test]
+    fn tree_answers_are_served_while_the_queue_is_full() {
+        let server = start(1, 1);
+        let addr = server.local_addr();
+        let mut client = Client::connect(addr).unwrap();
+        let (running, queued) = fill_the_queue(addr);
+        // Never asked before and never cached, yet answered: the walk
+        // ran on the connection thread, not on the held worker.
+        for source in [0, 1, 2] {
+            let r = client
+                .request(
+                    &Message::new("maxflow")
+                        .field("dataset", "g")
+                        .field("source", source)
+                        .field("sink", 3)
+                        .field("explain", 1),
+                )
+                .unwrap();
+            assert_eq!(r.head, "ok", "{r:?}");
+            assert_eq!(
+                (r.get("plan"), r.get("solver")),
+                (Some("tree"), Some("tree"))
+            );
+            assert_eq!(r.get("cached"), Some("0"));
+            assert_eq!(r.get("queue_wait_us"), Some("0"));
+            let profile = r.get("profile").expect("explain profile");
+            assert!(
+                profile.contains("\"plan_reason\":\"cut-tree\""),
+                "{profile}"
+            );
+        }
+        // What the tree does not answer still needs the worker.
+        let pinned = client
+            .request(
+                &Message::new("maxflow")
+                    .field("dataset", "g")
+                    .field("source", 0)
+                    .field("sink", 3)
+                    .field("algorithm", "dinic"),
+            )
+            .unwrap();
+        assert_eq!(pinned.head, "busy", "{pinned:?}");
         assert_eq!(running.join().unwrap().head, "ok");
         assert_eq!(queued.join().unwrap().head, "ok");
         server.shutdown();

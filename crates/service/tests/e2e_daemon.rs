@@ -2,11 +2,12 @@
 //! concurrent TCP clients over the wire protocol.
 //!
 //! Covers the full serving story in one scenario: mixed cached/uncached
-//! queries on two graph families, all answered in memory (the local
-//! search first, the parallel push-relabel pool when it gives up),
-//! cache hits on repeated terminal sets, explicit `busy` load shedding
-//! when the bounded queue saturates, and a clean shutdown that leaves no
-//! thread hanging.
+//! queries on two graph families, all answered in memory (from the cut
+//! tree once it is built; before that, and always on a graph with
+//! one-way capacities, the local search first and the parallel
+//! push-relabel pool when it gives up), cache hits on repeated terminal
+//! sets, explicit `busy` load shedding when the bounded queue saturates,
+//! and a clean shutdown that leaves no thread hanging.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +15,7 @@ use std::time::Duration;
 use ffmr_service::engine::{EngineConfig, QueryEngine};
 use ffmr_service::server::{serve, ServerConfig};
 use ffmr_service::{Client, GraphStore, Message};
-use swgraph::{gen, FlowNetwork, VertexId};
+use swgraph::{gen, FlowNetwork, FlowNetworkBuilder, VertexId};
 
 fn message(head: &str, dataset: &str, source: u64, sink: u64) -> Message {
     Message::new(head)
@@ -23,13 +24,30 @@ fn message(head: &str, dataset: &str, source: u64, sink: u64) -> Message {
         .field("sink", sink)
 }
 
+/// `net` with one more unit of capacity one way on its first edge pair:
+/// no cut tree, so plain queries take the solver path.
+fn one_way(net: &FlowNetwork) -> FlowNetwork {
+    let mut b = FlowNetworkBuilder::new(net.num_vertices() as u64);
+    for e in net.capacitated_edges() {
+        b.add_edge(net.tail(e).raw(), net.head(e).raw(), net.capacity(e));
+    }
+    let first = swgraph::EdgeId::new(0);
+    b.add_edge(net.head(first).raw(), net.tail(first).raw(), 1);
+    b.build()
+}
+
 /// Eight concurrent clients over two datasets, with every answer
-/// checked against an oracle.
+/// checked against an oracle. "small" has one one-way unit, so its
+/// queries exercise the solver path and the cache; "large" is
+/// symmetric, so its queries may be read off its cut tree.
 #[test]
 fn concurrent_mixed_queries_against_live_daemon() {
     // "small" is scale-free; "large" is a Watts–Strogatz ring.
     let small_n = 500;
-    let small = FlowNetwork::from_undirected_unit(small_n, &gen::barabasi_albert(small_n, 3, 11));
+    let small = one_way(&FlowNetwork::from_undirected_unit(
+        small_n,
+        &gen::barabasi_albert(small_n, 3, 11),
+    ));
     let large_n = 700;
     let large =
         FlowNetwork::from_undirected_unit(large_n, &gen::watts_strogatz(large_n, 4, 0.2, 5));
@@ -91,7 +109,7 @@ fn concurrent_mixed_queries_against_live_daemon() {
             assert_eq!(r.head, "ok", "{r:?}");
             assert_eq!(r.get("flow"), Some(expected.to_string().as_str()));
             assert!(
-                matches!(r.get("solver"), Some("local" | "parallel-pr")),
+                matches!(r.get("solver"), Some("tree" | "local" | "parallel-pr")),
                 "answered in memory: {r:?}"
             );
             r.get("cached").unwrap() == "1"
@@ -127,7 +145,10 @@ fn concurrent_mixed_queries_against_live_daemon() {
     assert_eq!(r.get("cached"), Some("1"));
 
     // Snapshot swap invalidates: same name, different graph, new answer.
-    store.insert_network("small", FlowNetwork::from_undirected_unit(500, &[(0, 499)]));
+    store.insert_network(
+        "small",
+        one_way(&FlowNetwork::from_undirected_unit(500, &[(0, 499)])),
+    );
     let r = client
         .request(&message("maxflow", "small", 0, 499))
         .unwrap();
@@ -146,7 +167,9 @@ fn concurrent_mixed_queries_against_live_daemon() {
 #[test]
 fn saturated_queue_sheds_busy_and_shuts_down_clean() {
     let store = Arc::new(GraphStore::new());
-    store.insert_network("g", FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3)]));
+    // One-way capacities: no cut tree, so `maxflow` needs a worker.
+    let path = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3)]);
+    store.insert_network("g", one_way(&path));
     let engine = Arc::new(QueryEngine::new(store, EngineConfig::default()));
     let handle = serve(
         "127.0.0.1:0",

@@ -13,7 +13,7 @@ use std::time::Duration;
 use ffmr_service::engine::{EngineConfig, QueryEngine};
 use ffmr_service::protocol::{status, Message};
 use ffmr_service::GraphStore;
-use swgraph::FlowNetwork;
+use swgraph::{FlowNetwork, FlowNetworkBuilder};
 
 const VERTICES: u64 = 8;
 const SOURCE: u64 = 0;
@@ -110,17 +110,31 @@ fn concurrent_queries_survive_snapshot_swaps() {
     assert!(stats.entries <= 16, "capacity respected: {stats:?}");
     assert!(stats.hits + stats.misses > 0, "{stats:?}");
 
-    // The final epoch answers deterministically and caches normally.
+    // The final epoch answers deterministically and caches normally
+    // (`no-core` keeps the query off the cut tree, which never caches).
     let q = Message::new("maxflow")
         .field("dataset", "g")
         .field("source", SOURCE)
-        .field("sink", SINK);
+        .field("sink", SINK)
+        .field("no-core", 1);
     let warm = engine.execute(&q);
     assert_eq!(warm.get("epoch"), Some("6"));
     assert_eq!(warm.get("flow"), Some("6"));
     let hit = engine.execute(&q);
     assert_eq!(hit.get("cached"), Some("1"), "{hit:?}");
     assert_eq!(hit.get("flow"), Some("6"));
+}
+
+/// `net` with one more unit of capacity one way on its first edge pair:
+/// no cut tree, so plain queries take the solver path.
+fn one_way(net: &FlowNetwork) -> FlowNetwork {
+    let mut b = FlowNetworkBuilder::new(net.num_vertices() as u64);
+    for e in net.capacitated_edges() {
+        b.add_edge(net.tail(e).raw(), net.head(e).raw(), net.capacity(e));
+    }
+    let first = swgraph::EdgeId::new(0);
+    b.add_edge(net.head(first).raw(), net.tail(first).raw(), 1);
+    b.build()
 }
 
 /// A barrage of identical expensive queries lands while the first is
@@ -130,7 +144,10 @@ fn concurrent_queries_survive_snapshot_swaps() {
 #[test]
 fn identical_query_storms_coalesce() {
     let n = 400;
-    let net = FlowNetwork::from_undirected_unit(n, &swgraph::gen::barabasi_albert(n, 3, 17));
+    let net = one_way(&FlowNetwork::from_undirected_unit(
+        n,
+        &swgraph::gen::barabasi_albert(n, 3, 17),
+    ));
     let store = Arc::new(GraphStore::new());
     store.insert_network("g", net);
     let engine = Arc::new(QueryEngine::new(
@@ -195,7 +212,7 @@ fn timeouts_on_the_core_path_release_followers_and_spare_the_cache() {
     // unit bottleneck.
     edges.push((0, n));
     edges.push((n, n + 1));
-    let net = FlowNetwork::from_undirected_unit(n + 2, &edges);
+    let net = one_way(&FlowNetwork::from_undirected_unit(n + 2, &edges));
     let store = Arc::new(GraphStore::new());
     store.insert_network("g", net);
     let engine = Arc::new(QueryEngine::new(

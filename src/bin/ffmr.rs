@@ -27,8 +27,10 @@
 //!
 //! `maxflow --algorithm ff1..ff5` is the paper's MapReduce driver on a
 //! simulated cluster, with `--state`/`--resume` checkpoints and `report`.
-//! `serve` holds each graph resident and answers every query in memory
-//! (core planner, certified local search, parallel push-relabel); its
+//! `serve` holds each graph resident and answers every query in memory:
+//! plain `maxflow` from a Gomory–Hu cut tree built in the background
+//! (it prints a line when one is ready), everything else by the core
+//! planner, certified local search and parallel push-relabel; its
 //! `--algorithm` pins an in-memory solver only.
 //!
 //! `maxflow --workers N` runs the MapReduce rounds in *distributed
@@ -110,7 +112,8 @@ fn print_help() {
          \x20          [--workers N] [--queue N] [--cache N] [--threads N]\n\
          \x20          [--timeout-ms N] [--no-core]  (disable the core planner)\n\
          \x20          [--slow-query-ms N] [--slowlog-file FILE]\n\
-         \x20          (every query is solved in memory; ff1..ff5 are maxflow's)\n\
+         \x20          (every query is answered in memory, plain maxflow from a\n\
+         \x20          cut tree once built; ff1..ff5 are maxflow's)\n\
          \x20 worker   --connect HOST:PORT\n\
          \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|slowlog|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
@@ -589,6 +592,13 @@ fn serve(args: &[String]) -> Result<(), String> {
     let listen = opts.get("listen").unwrap_or("127.0.0.1:7227").to_string();
 
     let store = std::sync::Arc::new(GraphStore::new());
+    store.on_tree_ready(|name, epoch, built| {
+        println!(
+            "cut tree for '{name}' epoch {epoch} ready: depth {}, built in {} ms",
+            built.tree.depth(),
+            built.build_time.as_millis()
+        );
+    });
     let mut loaded = 0usize;
     for spec in opts.get_all("graph") {
         let (name, path) = spec

@@ -10,7 +10,8 @@
 //! * [`ffmr_core`] — the paper's contribution: the FF1–FF5 MapReduce
 //!   max-flow variants, MR-BFS and the MR push–relabel baseline.
 //! * [`ffmr_service`] — `ffmrd`, the resident query daemon: snapshot
-//!   store, solver auto-selection, flow cache, TCP protocol.
+//!   store with per-snapshot cut trees, solver auto-selection, flow
+//!   cache, TCP protocol.
 //! * [`ffmr_obs`] — zero-dependency metrics registry (counters, gauges,
 //!   latency histograms) and JSONL span tracing, wired through the
 //!   runtime, the FF driver, and the daemon.
