@@ -724,7 +724,7 @@ fn manifest_from_state(config: &FfConfig, state: &LoopState, finished: bool) -> 
     }
 }
 
-/// Rounds 1..: the Ford-Fulkerson loop, entered fresh (after round 0) or
+/// Rounds 1..: the Ford–Fulkerson loop, entered fresh (after round 0) or
 /// from a resumed checkpoint.
 fn run_rounds(
     rt: &mut MrRuntime,

@@ -13,7 +13,7 @@
 //! from the comparison; everything else must match exactly.
 
 use ffmr_core::{resume_max_flow, run_max_flow, CrashPoint, FfConfig, FfError, FfRun, FfVariant};
-use mapreduce::{ClusterConfig, Dfs, FailurePolicy, MrRuntime, SlowTask, SpeculationPolicy};
+use mapreduce::{ClusterConfig, Dfs, FailurePolicy, MrRuntime};
 use swgraph::{gen, FlowNetwork, VertexId};
 
 fn net_for(seed: u64, n: u64) -> FlowNetwork {
@@ -242,31 +242,22 @@ fn resume_rejects_missing_or_mismatched_checkpoints() {
     assert_same_run(&resumed, &clean, "resume after rejected mismatch");
 }
 
-/// A retried reduce attempt and a speculative duplicate both re-submit
-/// their augmenting-path candidates to `aug_proc`; the route-level dedup
-/// must accept each candidate exactly once, leaving the accepted paths
-/// and flow value identical to an undisturbed run.
+/// A retried reduce attempt re-submits its augmenting-path candidates to
+/// `aug_proc`; the route-level dedup must accept each candidate exactly
+/// once, leaving the accepted paths and flow value identical to an
+/// undisturbed run.
 #[test]
-fn task_retries_and_speculation_do_not_double_accept_paths() {
+fn task_retries_do_not_double_accept_paths() {
     let n = 30;
     let net = net_for(13, n);
     let config = base_config(n, FfVariant::ff5());
     let (clean, _) = clean_run(&net, &config);
 
-    let mut cluster = ClusterConfig::small_cluster(4);
-    cluster.slow_tasks.push(SlowTask {
-        phase: "reduce",
-        task: 1,
-        factor: 10.0,
-    });
-    let mut rt = MrRuntime::new(cluster);
-    rt.set_worker_threads(Some(1));
+    let mut rt = new_rt();
     // Reduce task 0's first attempt always crashes and is retried.
     rt.set_failure_policy(FailurePolicy::with_injector(3, |phase, task, attempt| {
         phase == "reduce" && task == 0 && attempt == 0
     }));
-    // Reduce task 1 is a 10x straggler, so a speculative duplicate runs.
-    rt.set_speculation(SpeculationPolicy::hadoop_default());
 
     let disturbed = run_max_flow(&mut rt, &net, &config).expect("disturbed run");
     assert_eq!(disturbed.max_flow_value, clean.max_flow_value);

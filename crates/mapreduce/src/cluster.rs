@@ -46,24 +46,6 @@ pub struct ClusterConfig {
     pub dfs_block_mb: f64,
     /// Multiplier on shuffle bytes for the sort/merge disk passes.
     pub sort_factor: f64,
-    /// Injected per-task slowdowns (straggler simulation): each entry
-    /// multiplies the simulated duration of one task. Empty by default —
-    /// the healthy cluster. Plain data (not a closure) so the config stays
-    /// `Clone + PartialEq` and serializes into test fixtures.
-    pub slow_tasks: Vec<SlowTask>,
-}
-
-/// One injected straggler: task `task` of phase `phase` runs `factor`
-/// times slower than the cost model says (a sick disk, a busy node).
-/// An empty `phase` matches both map and reduce.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowTask {
-    /// `"map"`, `"reduce"`, or `""` for both.
-    pub phase: &'static str,
-    /// Task index within the phase.
-    pub task: usize,
-    /// Duration multiplier, clamped to at least 1.
-    pub factor: f64,
 }
 
 impl ClusterConfig {
@@ -87,7 +69,6 @@ impl ClusterConfig {
             // Hadoop's shuffle costs several disk passes per byte:
             // map-side sort spills and merges plus the reduce-side merge.
             sort_factor: 3.0,
-            slow_tasks: Vec::new(),
         }
     }
 
@@ -131,19 +112,7 @@ impl ClusterConfig {
             dfs_replication: 2,
             dfs_block_mb: 1.0,
             sort_factor: 1.0,
-            slow_tasks: Vec::new(),
         }
-    }
-
-    /// Combined injected slowdown for one task (product of matching
-    /// entries; 1.0 when none match).
-    #[must_use]
-    pub fn slowdown_for(&self, phase: &str, task: usize) -> f64 {
-        self.slow_tasks
-            .iter()
-            .filter(|s| s.task == task && (s.phase.is_empty() || s.phase == phase))
-            .map(|s| s.factor.max(1.0))
-            .product()
     }
 
     /// Total map slots across the cluster.
@@ -169,18 +138,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn reduce_node(&self, partition: usize) -> usize {
         partition % self.nodes
-    }
-
-    /// The node a speculative duplicate of a task on `node` is placed
-    /// on: the next node round-robin — a healthy stand-in, since
-    /// `slow_tasks` slowdowns are keyed by task index, not node.
-    #[must_use]
-    pub fn speculation_node(&self, node: usize) -> usize {
-        if self.nodes <= 1 {
-            node
-        } else {
-            (node + 1) % self.nodes
-        }
     }
 }
 
@@ -310,31 +267,5 @@ mod tests {
     #[test]
     fn nodes_clamped_to_one() {
         assert_eq!(ClusterConfig::paper_cluster(0).nodes, 1);
-    }
-
-    #[test]
-    fn slowdown_matches_phase_and_task() {
-        let mut cfg = ClusterConfig::small_cluster(2);
-        assert_eq!(cfg.slowdown_for("map", 0), 1.0);
-        cfg.slow_tasks.push(SlowTask {
-            phase: "map",
-            task: 3,
-            factor: 10.0,
-        });
-        cfg.slow_tasks.push(SlowTask {
-            phase: "",
-            task: 3,
-            factor: 2.0,
-        });
-        assert_eq!(cfg.slowdown_for("map", 3), 20.0);
-        assert_eq!(cfg.slowdown_for("reduce", 3), 2.0);
-        assert_eq!(cfg.slowdown_for("map", 2), 1.0);
-        // Sub-unit factors clamp to 1 (slowdowns never speed a task up).
-        cfg.slow_tasks = vec![SlowTask {
-            phase: "map",
-            task: 0,
-            factor: 0.5,
-        }];
-        assert_eq!(cfg.slowdown_for("map", 0), 1.0);
     }
 }

@@ -80,20 +80,6 @@ impl Counters {
             v.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Rolls every counter back to a [`Counters::snapshot`] taken earlier
-    /// from this same set; counters created since the snapshot drop to
-    /// zero. The runtime uses this to discard a speculative duplicate
-    /// attempt's increments — only one attempt's counters may count, just
-    /// as Hadoop keeps only the winning attempt's counters.
-    pub fn restore(&self, snapshot: &[(String, u64)]) {
-        for (name, v) in self.inner.read().iter() {
-            let old = snapshot
-                .binary_search_by(|(n, _)| n.as_str().cmp(name))
-                .map_or(0, |i| snapshot[i].1);
-            v.store(old, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,18 +114,6 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap[0].0, "apple");
         assert_eq!(snap[1].0, "zebra");
-    }
-
-    #[test]
-    fn restore_rolls_back_to_snapshot() {
-        let c = Counters::new();
-        c.incr("kept", 5);
-        let snap = c.snapshot();
-        c.incr("kept", 3);
-        c.incr("new since snapshot", 7);
-        c.restore(&snap);
-        assert_eq!(c.value("kept"), 5);
-        assert_eq!(c.value("new since snapshot"), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct MapTaskSpec {
 
 /// One task attempt's service calls: per service name (in first-call
 /// order), the submitted payloads in call order — applied driver-side
-/// only for the attempt that counts, so retried/speculative attempts stay
+/// only for the attempt that counts, so retried attempts stay
 /// exactly-once.
 pub type CapturedCalls = Vec<(String, Vec<Vec<u8>>)>;
 
@@ -61,7 +61,7 @@ pub struct MapTaskResult {
     /// Short-lived allocations charged (FF4 cost model input).
     pub allocs: u64,
     /// Buffered counter increments, merged by the driver only when this
-    /// attempt wins (retry/speculation semantics).
+    /// attempt wins (retry semantics).
     pub counters: Vec<(String, u64)>,
     /// Captured service calls, per service name, in call order.
     pub captured: CapturedCalls,
@@ -120,7 +120,7 @@ pub trait TaskRunner: Send + Sync {
 ///
 /// The runtime consults it only for jobs carrying a
 /// [`WireSpec`](crate::job::WireSpec); everything else — split planning,
-/// shuffle transposition, cost accounting, retry and speculation — stays
+/// shuffle transposition, cost accounting and retries — stays
 /// driver-side, so simulated costs are identical by construction.
 pub trait TaskExecutor: Send + Sync {
     /// Executes one map task described by `wire` + `spec`.

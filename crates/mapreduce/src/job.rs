@@ -95,9 +95,8 @@ where
 ///
 /// Counter increments and service calls are buffered locally and take
 /// effect only when the task attempt *succeeds* — so retried task
-/// attempts (see [`FailurePolicy`](crate::runtime::FailurePolicy)) and
-/// speculative duplicates never double-count, matching Hadoop's exclusion
-/// of failed-attempt counters.
+/// attempts (see [`FailurePolicy`](crate::runtime::FailurePolicy)) never
+/// double-count, matching Hadoop's exclusion of failed-attempt counters.
 #[derive(Debug)]
 pub struct TaskContext<'a, K, V> {
     pub(crate) out: Vec<(K, V)>,
@@ -178,8 +177,8 @@ impl<'a, K, V> TaskContext<'a, K, V> {
     /// applied by the runtime through [`Service::apply_calls`] once the
     /// attempt has succeeded and every lower-indexed task of the phase has
     /// been applied — in task-index order, whatever the thread count or
-    /// process the task ran in. A failed or speculative attempt's calls
-    /// are dropped with its output.
+    /// process the task ran in. A failed attempt's calls are dropped
+    /// with its output.
     pub fn submit<T: Datum>(&mut self, service: &str, call: &T) {
         let mut payload = Vec::with_capacity(call.encoded_len());
         call.encode(&mut payload);

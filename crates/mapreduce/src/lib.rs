@@ -96,7 +96,7 @@ pub mod runtime;
 pub mod service;
 pub mod stats;
 
-pub use cluster::{ClusterConfig, SlowTask};
+pub use cluster::ClusterConfig;
 pub use counters::Counters;
 pub use dfs::Dfs;
 pub use error::MrError;
@@ -106,6 +106,6 @@ pub use exec::{
 };
 pub use job::{JobBuilder, MapContext, Mapper, ReduceContext, Reducer, TaskContext, WireSpec};
 pub use record::{Datum, KeyDatum, SpillRun};
-pub use runtime::{partition_of, FailurePolicy, MrRuntime, SpeculationPolicy};
+pub use runtime::{partition_of, FailurePolicy, MrRuntime};
 pub use service::{Service, ServiceHandle};
 pub use stats::JobStats;

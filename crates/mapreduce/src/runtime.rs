@@ -105,54 +105,6 @@ impl FailurePolicy {
     }
 }
 
-/// When and how the runtime launches speculative duplicate attempts for
-/// straggling tasks — Hadoop's speculative execution, priced in the
-/// simulated cost model and really re-executed on the host (the
-/// duplicate's outputs, counters and service calls are discarded).
-///
-/// A task speculates when its simulated duration exceeds the phase's
-/// `percentile` duration by more than `slack`x. The duplicate starts at
-/// that detection threshold on a healthy (un-slowed) node; whichever
-/// attempt finishes first wins, and the loser's slot occupancy is still
-/// charged.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeculationPolicy {
-    /// Master switch (default off: identical behavior to the pre-existing
-    /// runtime).
-    pub enabled: bool,
-    /// Percentile (0..=1) of the phase's task durations used as the
-    /// baseline for straggler detection.
-    pub percentile: f64,
-    /// A task is a straggler when it exceeds the percentile duration by
-    /// this factor (clamped to at least 1).
-    pub slack: f64,
-    /// Phases with fewer tasks than this never speculate (too little
-    /// signal to call anything a straggler).
-    pub min_tasks: usize,
-}
-
-impl Default for SpeculationPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            percentile: 0.75,
-            slack: 1.5,
-            min_tasks: 2,
-        }
-    }
-}
-
-impl SpeculationPolicy {
-    /// Speculation on, with Hadoop-like thresholds.
-    #[must_use]
-    pub fn hadoop_default() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
-
 /// Executes jobs against a [`Dfs`] and accumulates simulated time.
 ///
 /// See the [crate docs](crate) for a full word-count example.
@@ -162,7 +114,6 @@ pub struct MrRuntime {
     worker_threads: Option<usize>,
     total_sim_seconds: f64,
     failure_policy: FailurePolicy,
-    speculation: SpeculationPolicy,
     executor: Option<Arc<dyn TaskExecutor>>,
 }
 
@@ -173,7 +124,6 @@ impl std::fmt::Debug for MrRuntime {
             .field("worker_threads", &self.worker_threads)
             .field("total_sim_seconds", &self.total_sim_seconds)
             .field("failure_policy", &self.failure_policy)
-            .field("speculation", &self.speculation)
             .field("executor", &self.executor.is_some())
             .finish_non_exhaustive()
     }
@@ -191,7 +141,6 @@ impl MrRuntime {
             worker_threads: None,
             total_sim_seconds: 0.0,
             failure_policy: FailurePolicy::default(),
-            speculation: SpeculationPolicy::default(),
             executor: None,
         }
     }
@@ -215,11 +164,6 @@ impl MrRuntime {
     /// Sets the task failure-handling policy (default: no retries).
     pub fn set_failure_policy(&mut self, policy: FailurePolicy) {
         self.failure_policy = policy;
-    }
-
-    /// Sets the speculative-execution policy (default: off).
-    pub fn set_speculation(&mut self, policy: SpeculationPolicy) {
-        self.speculation = policy;
     }
 
     /// The simulated cluster configuration.
@@ -343,9 +287,6 @@ impl MrRuntime {
             cost: TaskCost,
         }
 
-        // The split list is kept (splits are `Copy` byte-range views) so
-        // speculative duplicates can re-execute a straggling task.
-        let spec_splits = splits.clone();
         let map_fn = |task_idx: usize, split: InputSplit<'_>| -> Result<MapResult, MrError> {
             let inner = match remote {
                 Some((executor, wire)) => executor.execute_map(
@@ -359,8 +300,7 @@ impl MrRuntime {
                 None => runner.run_map_bytes(task_idx, split.data, reducers)?,
             };
             // Merge counters here, on the attempt's success path, so
-            // retried attempts never double-count and speculation's
-            // snapshot/rollback still brackets them.
+            // retried attempts never double-count.
             for (name, delta) in &inner.counters {
                 counters.incr(name, *delta);
             }
@@ -386,26 +326,11 @@ impl MrRuntime {
             wall_start,
         )?;
 
-        // Straggler mitigation: detect simulated stragglers among the map
-        // durations and really re-run duplicates (outputs discarded).
         let map_durations: Vec<f64> = map_results
             .iter()
-            .enumerate()
-            .map(|(i, (r, ..))| r.cost.seconds(&self.cluster) * self.cluster.slowdown_for("map", i))
+            .map(|(r, ..)| r.cost.seconds(&self.cluster))
             .collect();
         let map_attempts: Vec<u32> = map_results.iter().map(|(_, a, _)| *a).collect();
-        let map_spec = run_speculation(
-            "map",
-            &self.speculation,
-            &self.failure_policy,
-            &self.cluster,
-            &counters,
-            &map_durations,
-            &map_attempts,
-            &spec_splits,
-            &map_fn,
-            wall_start,
-        );
 
         let mut map_phase = PhaseCost::new();
         let mut map_input_records = 0u64;
@@ -416,18 +341,14 @@ impl MrRuntime {
         let mut map_bytes: Vec<(u64, u64)> = Vec::with_capacity(map_results.len());
         for (i, (r, attempts, _)) in map_results.iter().enumerate() {
             // Failed attempts occupied a slot for about as long as the
-            // successful one; charge them. The successful attempt itself
-            // is charged at its speculation-adjusted effective duration.
-            map_phase.push_task(map_spec.effective[i] + map_durations[i] * f64::from(attempts - 1));
+            // successful one; charge them.
+            map_phase.push_task(map_durations[i] * f64::from(*attempts));
             failed_attempts += u64::from(attempts - 1);
             map_input_records += r.inner.input_records;
             map_output_records += r.inner.output_records;
             input_bytes += r.cost.read_bytes - side_bytes;
             spilled_bytes += r.cost.write_bytes; // exactly the spill bytes
             map_bytes.push((r.cost.read_bytes - side_bytes, r.cost.write_bytes));
-        }
-        for &occupancy in &map_spec.extra_slots {
-            map_phase.push_task(occupancy);
         }
         let map_tasks = map_results.len();
         drop(map_span);
@@ -489,8 +410,8 @@ impl MrRuntime {
         }
 
         // Reduce tasks are dispatched by partition index and borrow their
-        // fetch list, so a retry or a speculative duplicate re-runs off
-        // the same spills without deep-copying them.
+        // fetch list, so a retry re-runs off the same spills without
+        // deep-copying them.
         let reduce_fn = |r: usize, _item: usize| -> Result<ReduceResult, MrError> {
             let spills = &fetches[r];
             // The fetch: account every spill from its per-run size
@@ -567,26 +488,9 @@ impl MrRuntime {
 
         let reduce_durations: Vec<f64> = reduce_results
             .iter()
-            .enumerate()
-            .map(|(r, (res, ..))| {
-                res.cost.seconds(&self.cluster) * self.cluster.slowdown_for("reduce", r)
-            })
+            .map(|(res, ..)| res.cost.seconds(&self.cluster))
             .collect();
         let reduce_attempts: Vec<u32> = reduce_results.iter().map(|(_, a, _)| *a).collect();
-        // A duplicate's service calls are discarded with its output: the
-        // original's were applied already, and they are the same calls.
-        let reduce_spec = run_speculation(
-            "reduce",
-            &self.speculation,
-            &self.failure_policy,
-            &self.cluster,
-            &counters,
-            &reduce_durations,
-            &reduce_attempts,
-            &(0..reducers).collect::<Vec<usize>>(),
-            &reduce_fn,
-            wall_start,
-        );
 
         job.services.end_round();
 
@@ -603,9 +507,7 @@ impl MrRuntime {
         let mut reduce_bytes: Vec<(u64, u64)> = Vec::with_capacity(reducers);
         let mut reduce_walls: Vec<Vec<WallWindow>> = Vec::with_capacity(reducers);
         for (i, (r, attempts, walls)) in reduce_results.into_iter().enumerate() {
-            reduce_phase.push_task(
-                reduce_spec.effective[i] + reduce_durations[i] * f64::from(attempts - 1),
-            );
+            reduce_phase.push_task(reduce_durations[i] * f64::from(attempts));
             failed_attempts += u64::from(attempts - 1);
             reduce_output_records += r.output_records;
             output_bytes += r.partition.data.len() as u64;
@@ -624,12 +526,7 @@ impl MrRuntime {
                 .record(r.merge_fanin);
             partitions.push(r.partition);
         }
-        for &occupancy in &reduce_spec.extra_slots {
-            reduce_phase.push_task(occupancy);
-        }
         let reduce_tasks = partitions.len();
-        let speculative_launched = map_spec.launched + reduce_spec.launched;
-        let speculative_won = map_spec.won + reduce_spec.won;
         self.dfs.insert_file(&cfg.output, DfsFile { partitions })?;
         drop(reduce_span);
 
@@ -678,7 +575,6 @@ impl MrRuntime {
                 &self.cluster,
                 &map_durations,
                 &map_attempts,
-                &map_spec,
                 &map_walls,
                 &map_bytes,
             );
@@ -707,7 +603,6 @@ impl MrRuntime {
                 &self.cluster,
                 &reduce_durations,
                 &reduce_attempts,
-                &reduce_spec,
                 &reduce_walls,
                 &reduce_bytes,
             );
@@ -744,8 +639,6 @@ impl MrRuntime {
             map_tasks,
             reduce_tasks,
             failed_attempts,
-            speculative_launched,
-            speculative_won,
             sim_seconds,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
             counters: counters.snapshot(),
@@ -789,153 +682,10 @@ fn fold_job_metrics(stats: &JobStats) {
         .add(stats.reduce_tasks as u64);
     m.counter("ffmr_mr_failed_attempts_total", &[])
         .add(stats.failed_attempts);
-    m.counter("ffmr_mr_speculative_launched_total", &[])
-        .add(stats.speculative_launched);
-    m.counter("ffmr_mr_speculative_won_total", &[])
-        .add(stats.speculative_won);
     m.counter("ffmr_mr_sim_millis_total", &[])
         .add((stats.sim_seconds * 1_000.0).max(0.0) as u64);
     m.histogram("ffmr_mr_job_wall_us", &[])
         .record((stats.wall_seconds * 1_000_000.0).max(0.0) as u64);
-}
-
-/// One speculative duplicate attempt, as the flight recorder sees it.
-struct SpecDup {
-    /// Task it duplicated.
-    task: usize,
-    /// Attempt index (continues the retry numbering).
-    attempt: u32,
-    /// Simulated seconds after the original attempt's start at which
-    /// the duplicate launched (the detection threshold).
-    threshold: f64,
-    /// The duplicate's healthy-node simulated duration.
-    healthy: f64,
-    /// Whether the duplicate ran to completion (false: crashed).
-    completed: bool,
-    /// Whether it beat the original.
-    won: bool,
-    /// Host wall-clock window of the duplicate execution.
-    wall: WallWindow,
-}
-
-/// What one phase's speculation pass decided and charged.
-struct SpecOutcome {
-    /// Per task: the successful attempt's effective duration — the base
-    /// duration, or the earlier speculative finish when a duplicate won.
-    effective: Vec<f64>,
-    /// Slot occupancy of each losing attempt (original or duplicate),
-    /// charged as extra phase entries.
-    extra_slots: Vec<f64>,
-    /// Duplicates launched.
-    launched: u64,
-    /// Duplicates that finished first.
-    won: u64,
-    /// Per-duplicate details for the flight recorder.
-    dups: Vec<SpecDup>,
-}
-
-/// Detects simulated stragglers in one phase and runs their speculative
-/// duplicates.
-///
-/// Simulation: a task whose duration exceeds the phase's `percentile`
-/// duration by `slack`x gets a duplicate, launched at that detection
-/// threshold on a healthy node (so it runs at the un-slowed duration).
-/// Whichever attempt finishes first wins; the loser occupies a slot until
-/// it is killed and that occupancy is charged.
-///
-/// Host side: the duplicate genuinely re-executes the task closure, but
-/// its output (service calls included) is dropped and counter increments
-/// are rolled back, as only one attempt's results may count. The duplicate's attempt index
-/// continues the retry numbering so fault injectors can target it; an
-/// injected or panicking duplicate simply never wins.
-#[allow(
-    clippy::too_many_arguments,
-    clippy::cast_precision_loss,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss
-)]
-fn run_speculation<T, R, F>(
-    phase: &'static str,
-    spec: &SpeculationPolicy,
-    failure: &FailurePolicy,
-    cluster: &ClusterConfig,
-    counters: &Counters,
-    durations: &[f64],
-    attempts: &[u32],
-    items: &[T],
-    f: &F,
-    epoch: Instant,
-) -> SpecOutcome
-where
-    T: Clone,
-    F: Fn(usize, T) -> Result<R, MrError> + Sync,
-{
-    let n = durations.len();
-    let mut out = SpecOutcome {
-        effective: durations.to_vec(),
-        extra_slots: Vec::new(),
-        launched: 0,
-        won: 0,
-        dups: Vec::new(),
-    };
-    if !spec.enabled || n < spec.min_tasks.max(1) {
-        return out;
-    }
-    let mut sorted = durations.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let baseline = sorted[((n - 1) as f64 * spec.percentile.clamp(0.0, 1.0)).floor() as usize];
-    let threshold = baseline * spec.slack.max(1.0);
-    if threshold <= 0.0 {
-        // Degenerate all-zero phase: nothing to win against.
-        return out;
-    }
-    for (i, &d) in durations.iter().enumerate() {
-        if d <= threshold {
-            continue;
-        }
-        out.launched += 1;
-        // Really re-run the task, then roll its counter increments back:
-        // exactly one attempt's counters count (Hadoop keeps the winner's;
-        // for pure tasks the two are identical, so keeping the original's
-        // is equivalent and keeps outputs byte-identical).
-        let snapshot = counters.snapshot();
-        let attempt = attempts[i];
-        let injected = failure
-            .injector
-            .as_ref()
-            .is_some_and(|inject| inject(phase, i, attempt));
-        let dup_started_us = elapsed_us(epoch);
-        let completed = !injected && run_task(phase, i, items[i].clone(), f).is_ok();
-        let dup_wall = (dup_started_us, elapsed_us(epoch));
-        counters.restore(&snapshot);
-
-        let healthy = d / cluster.slowdown_for(phase, i).max(1.0);
-        let spec_finish = threshold + healthy;
-        let won = completed && spec_finish < d;
-        if won {
-            // Duplicate wins: the original is killed at the speculative
-            // finish (its occupancy is the new effective duration); the
-            // duplicate occupied a slot for its whole healthy run.
-            out.won += 1;
-            out.effective[i] = spec_finish;
-            out.extra_slots.push(healthy);
-        } else if completed {
-            // Original wins: the duplicate is killed when the original
-            // finishes, after (d - threshold) seconds in its slot.
-            out.extra_slots.push(d - threshold);
-        }
-        // A crashed duplicate vacates its slot immediately: no charge.
-        out.dups.push(SpecDup {
-            task: i,
-            attempt,
-            threshold,
-            healthy,
-            completed,
-            won,
-            wall: dup_wall,
-        });
-    }
-    out
 }
 
 /// Greedy earliest-free-slot list schedule: returns, in task order, the
@@ -965,7 +715,7 @@ fn list_schedule(occupancies: &[f64], slots: usize) -> Vec<f64> {
 /// Stamps each task event with the worker that ran the matching
 /// dispatch. Events and notes are both ordered attempt-by-attempt
 /// within a `(phase, task)` pair, so pairing them positionally keeps
-/// retries and speculative duplicates attributed to the right worker.
+/// retries attributed to the right worker.
 fn attach_worker_attribution(events: &mut [ffmr_obs::TaskEvent], notes: &[ffmr_obs::DispatchNote]) {
     use std::collections::HashMap;
     let mut per_task: HashMap<(&str, usize), std::collections::VecDeque<u64>> = HashMap::new();
@@ -983,13 +733,11 @@ fn attach_worker_attribution(events: &mut [ffmr_obs::TaskEvent], notes: &[ffmr_o
 }
 
 /// Assembles the flight-recorder events of one phase: per task, every
-/// failed attempt, the final attempt, and any speculative duplicate.
+/// failed attempt, then the final attempt.
 ///
-/// Timeline conventions (documented on
-/// [`ffmr_obs::TaskEvent`]): attempts of one task run back to back on
-/// the slot the list schedule assigned; an attempt that *lost* a
-/// speculative race is shown at the full duration it would have run,
-/// with the winning duplicate's earlier finish bounding the phase.
+/// Timeline conventions (documented on [`ffmr_obs::TaskEvent`]):
+/// attempts of one task run back to back on the slot the list schedule
+/// assigned.
 #[allow(clippy::too_many_arguments)]
 fn phase_events(
     out: &mut Vec<ffmr_obs::TaskEvent>,
@@ -1000,14 +748,15 @@ fn phase_events(
     cluster: &ClusterConfig,
     durations: &[f64],
     attempts: &[u32],
-    spec: &SpecOutcome,
     walls: &[Vec<WallWindow>],
     bytes: &[(u64, u64)],
 ) {
     use ffmr_obs::{TaskEvent, TaskOutcome};
     let is_reduce = phase == "reduce";
-    let occupancies: Vec<f64> = (0..durations.len())
-        .map(|i| spec.effective[i] + durations[i] * f64::from(attempts[i].saturating_sub(1)))
+    let occupancies: Vec<f64> = durations
+        .iter()
+        .zip(attempts)
+        .map(|(&d, &a)| d * f64::from(a))
         .collect();
     let starts = list_schedule(&occupancies, slots);
     let event = |task: usize, attempt: u32, node: usize| TaskEvent {
@@ -1046,7 +795,6 @@ fn phase_events(
             ev.outcome = TaskOutcome::Failed;
             out.push(ev);
         }
-        let dup = spec.dups.iter().find(|d| d.task == i);
         let final_start = task_start + duration * f64::from(failed);
         let wall = windows.last().copied().unwrap_or((0, 0));
         let mut ev = event(i, failed, node);
@@ -1054,32 +802,7 @@ fn phase_events(
         ev.sim_end = final_start + duration;
         ev.wall_start_us = wall.0;
         ev.wall_end_us = wall.1;
-        ev.outcome = if dup.is_some_and(|d| d.won) {
-            TaskOutcome::SpeculativeLost
-        } else {
-            TaskOutcome::Ok
-        };
         out.push(ev);
-        if let Some(d) = dup {
-            let dup_start = final_start + d.threshold;
-            let mut ev = event(i, d.attempt, cluster.speculation_node(node));
-            ev.sim_start = dup_start;
-            ev.sim_end = if d.completed {
-                dup_start + d.healthy
-            } else {
-                dup_start
-            };
-            ev.wall_start_us = d.wall.0;
-            ev.wall_end_us = d.wall.1;
-            ev.outcome = if d.won {
-                TaskOutcome::SpeculativeWon
-            } else if d.completed {
-                TaskOutcome::SpeculativeLost
-            } else {
-                TaskOutcome::Failed
-            };
-            out.push(ev);
-        }
     }
 }
 

@@ -43,11 +43,6 @@ pub struct JobStats {
     /// Task attempts that failed and were retried (see
     /// [`FailurePolicy`](crate::runtime::FailurePolicy)).
     pub failed_attempts: u64,
-    /// Speculative duplicate attempts launched for straggling tasks (see
-    /// [`SpeculationPolicy`](crate::runtime::SpeculationPolicy)).
-    pub speculative_launched: u64,
-    /// Speculative duplicates that finished before the original attempt.
-    pub speculative_won: u64,
     /// Simulated job duration in seconds under the cluster cost model.
     pub sim_seconds: f64,
     /// Host wall-clock spent actually executing the job, in seconds.
@@ -55,7 +50,7 @@ pub struct JobStats {
     /// Snapshot of user counters at job end, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Flight-recorder events: one per task attempt (including failed
-    /// retries and speculative duplicates) plus one for the shuffle
+    /// retries) plus one for the shuffle
     /// barrier. Empty unless the global
     /// [`ffmr_obs::events::recorder`] is enabled when the job runs.
     pub task_events: Vec<ffmr_obs::TaskEvent>,

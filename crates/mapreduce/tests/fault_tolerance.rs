@@ -237,104 +237,3 @@ fn job_against_lost_data_recovers_after_node_repair() {
     assert_eq!(after, clean, "recovered data is the original data");
     assert_eq!(rt.dfs().file_records("out2"), 5);
 }
-
-#[test]
-fn speculation_cuts_straggler_makespan_with_identical_output() {
-    let run = |speculate: bool| {
-        let mut cluster = ClusterConfig::scaled_paper_cluster(4, 10_000.0);
-        // Map task 2 runs 10x slower than its peers (a sick node).
-        cluster.slow_tasks.push(mapreduce::SlowTask {
-            phase: "map",
-            task: 2,
-            factor: 10.0,
-        });
-        let mut rt = MrRuntime::new(cluster);
-        load_input(&mut rt);
-        if speculate {
-            rt.set_speculation(mapreduce::SpeculationPolicy::hadoop_default());
-        }
-        let stats = word_job(&mut rt, "out");
-        let output: Vec<(u64, u64)> = rt.dfs().read_records("out").unwrap();
-        (stats, output)
-    };
-    let (plain, plain_out) = run(false);
-    let (spec, spec_out) = run(true);
-
-    assert_eq!(spec_out, plain_out, "speculation must not change results");
-    assert_eq!(
-        spec.counter("mapped"),
-        plain.counter("mapped"),
-        "duplicate attempts must not double-count user counters"
-    );
-    assert!(spec.speculative_launched >= 1, "straggler gets a duplicate");
-    assert!(
-        spec.speculative_won >= 1,
-        "healthy duplicate finishes first"
-    );
-    assert_eq!(plain.speculative_launched, 0);
-    assert!(
-        spec.sim_seconds < plain.sim_seconds,
-        "duplicate beats the straggler: {} vs {}",
-        spec.sim_seconds,
-        plain.sim_seconds
-    );
-    // The duplicates surface on the metrics endpoint (`ffmr stats`).
-    let m = ffmr_obs::global();
-    assert!(
-        m.counter_value("ffmr_mr_speculative_launched_total")
-            .unwrap_or(0)
-            >= 1
-    );
-    assert!(
-        m.counter_value("ffmr_mr_speculative_won_total")
-            .unwrap_or(0)
-            >= 1
-    );
-}
-
-#[test]
-fn speculation_leaves_healthy_jobs_alone() {
-    let run = |speculate: bool| {
-        let mut rt = MrRuntime::new(ClusterConfig::scaled_paper_cluster(4, 10_000.0));
-        load_input(&mut rt);
-        if speculate {
-            rt.set_speculation(mapreduce::SpeculationPolicy::hadoop_default());
-        }
-        word_job(&mut rt, "out")
-    };
-    let plain = run(false);
-    let spec = run(true);
-    assert_eq!(spec.speculative_launched, 0, "no stragglers, no duplicates");
-    assert_eq!(
-        spec.sim_seconds.to_bits(),
-        plain.sim_seconds.to_bits(),
-        "an idle policy must not change the cost model"
-    );
-}
-
-#[test]
-fn speculative_duplicates_tolerate_their_own_faults() {
-    // A duplicate attempt can itself crash (its injected attempt index
-    // continues the retry numbering); the original still completes and
-    // the job must succeed without charging the crashed duplicate a win.
-    let mut cluster = ClusterConfig::scaled_paper_cluster(4, 10_000.0);
-    cluster.slow_tasks.push(mapreduce::SlowTask {
-        phase: "map",
-        task: 1,
-        factor: 20.0,
-    });
-    let mut rt = MrRuntime::new(cluster);
-    load_input(&mut rt);
-    // Attempt 1 of map task 1 is the speculative duplicate (attempt 0
-    // succeeded, so no retry consumes that index); kill it.
-    rt.set_failure_policy(FailurePolicy::with_injector(3, |phase, task, attempt| {
-        phase == "map" && task == 1 && attempt == 1
-    }));
-    rt.set_speculation(mapreduce::SpeculationPolicy::hadoop_default());
-    let stats = word_job(&mut rt, "out");
-    assert_eq!(stats.speculative_launched, 1);
-    assert_eq!(stats.speculative_won, 0, "a crashed duplicate cannot win");
-    let mut result: Vec<(u64, u64)> = rt.dfs().read_records("out").unwrap();
-    result.sort();
-    assert_eq!(result, (0..5u64).map(|k| (k, 12)).collect::<Vec<_>>());
-}

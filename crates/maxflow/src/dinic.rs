@@ -150,15 +150,15 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_edmonds_karp_on_random_graphs() {
+    fn agrees_with_push_relabel_on_random_graphs() {
         for seed in 0..10 {
             let edges = gen::erdos_renyi(40, 120, seed);
             let net = FlowNetwork::from_undirected_unit(40, &edges);
             let s = VertexId::new(0);
             let t = VertexId::new(39);
             let d = Algorithm::Dinic.run(&net, s, t);
-            let ek = Algorithm::EdmondsKarp.run(&net, s, t);
-            assert_eq!(d.value, ek.value, "seed {seed}");
+            let pr = Algorithm::PushRelabel.run(&net, s, t);
+            assert_eq!(d.value, pr.value, "seed {seed}");
             check_flow(&net, s, t, &d).unwrap();
         }
     }

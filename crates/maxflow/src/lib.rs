@@ -1,10 +1,9 @@
 //! Sequential maximum-flow reference algorithms.
 //!
 //! These are the in-memory baselines and correctness oracles for the FFMR
-//! reproduction: the Ford–Fulkerson schema the paper parallelizes, the
-//! classic strongly-polynomial refinements the paper cites (Edmonds–Karp
-//! \[31\], Dinic \[30\]) and the Push–Relabel comparator it argues is
-//! MR-unsuitable \[13\].
+//! reproduction: Dinic \[30\], the test oracle, and the Push–Relabel
+//! comparator the paper argues is MR-unsuitable \[13\], sequential and
+//! parallel (the daemon's fallback solver).
 //!
 //! All solvers share the [`FlowResult`] representation over
 //! [`swgraph::FlowNetwork`]'s paired edges and are cross-validated against
@@ -44,12 +43,9 @@
 #![forbid(unsafe_code)]
 
 pub mod cancel;
-mod capacity_scaling;
 pub mod contraction;
 pub mod cut_tree;
 mod dinic;
-mod edmonds_karp;
-mod ford_fulkerson;
 pub mod local;
 pub mod min_cut;
 pub mod parallel_push_relabel;
@@ -69,16 +65,10 @@ use swgraph::{FlowNetwork, VertexId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Algorithm {
-    /// DFS-based Ford–Fulkerson.
-    FordFulkerson,
-    /// BFS shortest-augmenting-path (Edmonds–Karp).
-    EdmondsKarp,
     /// Dinic's layered blocking flow.
     Dinic,
     /// FIFO Push–Relabel with global-relabeling and gap heuristics.
     PushRelabel,
-    /// Capacity-scaling Ford–Fulkerson.
-    CapacityScaling,
     /// Bulk-synchronous parallel Push–Relabel (deterministic for any
     /// thread count).
     ParallelPushRelabel,
@@ -86,12 +76,9 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// Every implemented algorithm.
-    pub const ALL: [Algorithm; 6] = [
-        Algorithm::FordFulkerson,
-        Algorithm::EdmondsKarp,
+    pub const ALL: [Algorithm; 3] = [
         Algorithm::Dinic,
         Algorithm::PushRelabel,
-        Algorithm::CapacityScaling,
         Algorithm::ParallelPushRelabel,
     ];
 
@@ -117,11 +104,8 @@ impl Algorithm {
         cancel: &Cancel,
     ) -> Result<(FlowResult, SolveReport), Cancelled> {
         match self {
-            Algorithm::FordFulkerson => ford_fulkerson::solve(net, s, t, cancel),
-            Algorithm::EdmondsKarp => edmonds_karp::solve(net, s, t, cancel),
             Algorithm::Dinic => dinic::solve(net, s, t, cancel),
             Algorithm::PushRelabel => push_relabel::solve(net, s, t, cancel),
-            Algorithm::CapacityScaling => capacity_scaling::solve(net, s, t, cancel),
             Algorithm::ParallelPushRelabel => {
                 let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
                 parallel_push_relabel::solve(net, s, t, threads, cancel)
@@ -138,11 +122,8 @@ impl Algorithm {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            Algorithm::FordFulkerson => "ford-fulkerson",
-            Algorithm::EdmondsKarp => "edmonds-karp",
             Algorithm::Dinic => "dinic",
             Algorithm::PushRelabel => "push-relabel",
-            Algorithm::CapacityScaling => "capacity-scaling",
             Algorithm::ParallelPushRelabel => "parallel-pr",
         }
     }

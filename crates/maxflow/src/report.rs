@@ -18,11 +18,11 @@
 /// never augments along paths).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveReport {
-    /// Outer progress rounds: BFS phases (Dinic), Δ scaling levels
-    /// (capacity scaling), discharge sweeps (sequential push-relabel),
-    /// or bulk-synchronous pulses (parallel push-relabel).
+    /// Outer progress rounds: BFS phases (Dinic), discharge sweeps
+    /// (sequential push-relabel), or bulk-synchronous pulses (parallel
+    /// push-relabel).
     pub phases: u64,
-    /// Augmenting paths pushed (Ford–Fulkerson family).
+    /// Augmenting paths pushed (Dinic and the local search).
     pub augmenting_paths: u64,
     /// Individual push operations applied (push-relabel family).
     pub pushes: u64,

@@ -1,7 +1,7 @@
 //! Flight recorder: structured per-task-attempt events.
 //!
 //! The MapReduce runtime assembles one [`TaskEvent`] per task attempt
-//! (map, reduce, speculative duplicates, failed retries) plus one
+//! (map, reduce, failed retries) plus one
 //! synthetic event for the shuffle barrier of each job. Events carry
 //! both simulated-cluster timings (the paper's cost model) and host
 //! wall-clock timings, so a job history can answer "which attempt
@@ -25,15 +25,8 @@ use crate::json::{self, ObjectWriter, Value};
 pub enum TaskOutcome {
     /// The attempt completed and its output was used.
     Ok,
-    /// The attempt crashed (fault injection or panic) and was retried
-    /// or, for a speculative duplicate, discarded.
+    /// The attempt crashed (fault injection or panic) and was retried.
     Failed,
-    /// A speculative duplicate that finished first and won the task.
-    SpeculativeWon,
-    /// An attempt that lost a speculative race: either the original
-    /// that was killed when its duplicate won, or a duplicate that
-    /// finished after the original.
-    SpeculativeLost,
 }
 
 impl TaskOutcome {
@@ -43,8 +36,6 @@ impl TaskOutcome {
         match self {
             TaskOutcome::Ok => "ok",
             TaskOutcome::Failed => "failed",
-            TaskOutcome::SpeculativeWon => "speculative-won",
-            TaskOutcome::SpeculativeLost => "speculative-lost",
         }
     }
 
@@ -54,8 +45,6 @@ impl TaskOutcome {
         match text {
             "ok" => Some(TaskOutcome::Ok),
             "failed" => Some(TaskOutcome::Failed),
-            "speculative-won" => Some(TaskOutcome::SpeculativeWon),
-            "speculative-lost" => Some(TaskOutcome::SpeculativeLost),
             _ => None,
         }
     }
@@ -78,8 +67,8 @@ pub struct TaskEvent {
     pub phase: String,
     /// Task index within the phase (partition index for reducers).
     pub task: usize,
-    /// Attempt number, starting at 0; speculative duplicates continue
-    /// the numbering after any failed attempts.
+    /// Attempt number, starting at 0; a retry follows each failed
+    /// attempt.
     pub attempt: u32,
     /// Simulated cluster node the attempt was placed on.
     pub node: usize,
@@ -90,9 +79,7 @@ pub struct TaskEvent {
     pub partition: Option<usize>,
     /// Simulated start, seconds from round start.
     pub sim_start: f64,
-    /// Simulated end, seconds from round start. For an attempt that
-    /// lost a speculative race this is the finish it *would* have had;
-    /// the phase barrier is bounded by the winning attempts.
+    /// Simulated end, seconds from round start.
     pub sim_end: f64,
     /// Host wall-clock start, microseconds since job start.
     pub wall_start_us: u64,
@@ -233,7 +220,7 @@ mod tests {
         let mut ev = event(3, 1);
         ev.job = "na\"me\\with\nodd chars".into();
         ev.partition = Some(7);
-        ev.outcome = TaskOutcome::SpeculativeWon;
+        ev.outcome = TaskOutcome::Failed;
         let line = ev.to_json();
         assert!(!line.contains('\n'), "JSONL lines must be single-line");
         let back = TaskEvent::from_json(&line).unwrap();
@@ -274,12 +261,7 @@ mod tests {
 
     #[test]
     fn outcome_spellings_round_trip() {
-        for outcome in [
-            TaskOutcome::Ok,
-            TaskOutcome::Failed,
-            TaskOutcome::SpeculativeWon,
-            TaskOutcome::SpeculativeLost,
-        ] {
+        for outcome in [TaskOutcome::Ok, TaskOutcome::Failed] {
             assert_eq!(TaskOutcome::parse(outcome.as_str()), Some(outcome));
         }
         assert_eq!(TaskOutcome::parse("bogus"), None);

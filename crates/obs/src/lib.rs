@@ -25,7 +25,7 @@
 //!   [`events::TaskEvent`] per task attempt, returned by the runtime in
 //!   `JobStats.task_events` while [`events::recorder()`] is enabled and
 //!   aggregated per round into a [`RoundProfile`] (phase breakdown,
-//!   partition skew, stragglers, critical path, speculation ROI).
+//!   partition skew, stragglers, critical path).
 //! * [`query_profile`] — one [`QueryProfile`] per served query, with
 //!   the over-threshold ones kept in the [`SlowLog`] ring.
 //!

@@ -3,17 +3,17 @@
 //! A [`RoundProfile`] condenses the raw [`TaskEvent`] stream of one
 //! MapReduce round into the diagnostics the paper reads off Hadoop's
 //! job-history pages: a phase-duration breakdown, reduce-partition
-//! skew, a straggler list, the critical path through the
-//! map → shuffle → reduce barriers, and speculation ROI. Profiles are
-//! persisted as JSONL (one line per round) in the FF driver's job
-//! history and rendered by `ffmr report`.
+//! skew, a straggler list and the critical path through the
+//! map → shuffle → reduce barriers. Profiles are persisted as JSONL (one
+//! line per round) in the FF driver's job history and rendered by
+//! `ffmr report`.
 
 use crate::events::{TaskEvent, TaskOutcome};
 use crate::json::{self, ObjectWriter, Value};
 
 /// Stragglers are attempts slower than `p75 × STRAGGLER_SLACK` of the
-/// winning attempts in their phase — the same shape as the runtime's
-/// default speculation trigger.
+/// successful attempts in their phase. Nothing injects slowdowns: the
+/// attempts that trip it got more work, e.g. from partition skew.
 pub const STRAGGLER_PERCENTILE: f64 = 0.75;
 /// Multiplier applied to the percentile baseline.
 pub const STRAGGLER_SLACK: f64 = 1.5;
@@ -337,13 +337,6 @@ pub struct RoundProfile {
     /// last-finishing reduce attempt. Removing any of them would
     /// shorten the round.
     pub critical_path: Vec<PathStep>,
-    /// Speculative duplicates launched this round.
-    pub speculative_launched: u64,
-    /// Duplicates that beat their original.
-    pub speculative_won: u64,
-    /// Simulated seconds saved by winning duplicates (the losing
-    /// original's would-be finish minus the winner's finish).
-    pub speculation_saved_seconds: f64,
     /// Per-dispatch cost notes from the coordinator (distributed runs
     /// only; empty for in-process rounds and pre-distributed history).
     pub dispatches: Vec<DispatchNote>,
@@ -359,7 +352,7 @@ pub struct RoundProfile {
 
 /// Did this attempt's output count toward the phase barrier?
 fn completed(e: &TaskEvent) -> bool {
-    matches!(e.outcome, TaskOutcome::Ok | TaskOutcome::SpeculativeWon)
+    e.outcome == TaskOutcome::Ok
 }
 
 /// Index of `p` (0..1) into `sorted` by the nearest-rank-below rule.
@@ -409,7 +402,6 @@ impl RoundProfile {
         profile.compute_skew(&events);
         profile.compute_stragglers(&events);
         profile.compute_critical_path(&events);
-        profile.compute_speculation(&events);
         profile.dispatches = dispatches;
         profile.compute_dist_blame();
         profile.compute_dist_path();
@@ -525,7 +517,7 @@ impl RoundProfile {
 
     fn compute_stragglers(&mut self, events: &[TaskEvent]) {
         for phase in ["map", "reduce"] {
-            // Baseline: the duration each task's *winning* attempt took.
+            // Baseline: the duration each task's successful attempt took.
             let mut winners: Vec<f64> = events
                 .iter()
                 .filter(|e| e.phase == phase && completed(e))
@@ -539,9 +531,10 @@ impl RoundProfile {
             if threshold <= 0.0 {
                 continue;
             }
-            for e in events.iter().filter(|e| {
-                e.phase == phase && e.outcome != TaskOutcome::Failed && e.sim_seconds() > threshold
-            }) {
+            for e in events
+                .iter()
+                .filter(|e| e.phase == phase && completed(e) && e.sim_seconds() > threshold)
+            {
                 self.stragglers.push(Straggler {
                     phase: e.phase.clone(),
                     task: e.task,
@@ -575,39 +568,6 @@ impl RoundProfile {
         }
     }
 
-    fn compute_speculation(&mut self, events: &[TaskEvent]) {
-        // Group per (phase, task): a task raced if it has any
-        // speculative-* event; the duplicate won iff a
-        // speculative-won event exists.
-        let mut tasks: Vec<(&str, usize)> = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.outcome,
-                    TaskOutcome::SpeculativeWon | TaskOutcome::SpeculativeLost
-                )
-            })
-            .map(|e| (e.phase.as_str(), e.task))
-            .collect();
-        tasks.sort_unstable();
-        tasks.dedup();
-        for (phase, task) in tasks {
-            self.speculative_launched += 1;
-            let won = events.iter().find(|e| {
-                e.phase == phase && e.task == task && e.outcome == TaskOutcome::SpeculativeWon
-            });
-            let lost = events.iter().find(|e| {
-                e.phase == phase && e.task == task && e.outcome == TaskOutcome::SpeculativeLost
-            });
-            if let Some(w) = won {
-                self.speculative_won += 1;
-                if let Some(l) = lost {
-                    self.speculation_saved_seconds += (l.sim_end - w.sim_end).max(0.0);
-                }
-            }
-        }
-    }
-
     /// Encodes the profile as one single-line JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -628,9 +588,6 @@ impl RoundProfile {
                 &self.critical_path,
                 PathStep::write_members,
             );
-            w.uint("speculative_launched", self.speculative_launched);
-            w.uint("speculative_won", self.speculative_won);
-            w.float("speculation_saved_seconds", self.speculation_saved_seconds);
             // The three distributed members are written only when a
             // `--workers` run recorded dispatches; in-process history
             // lines carry none of them.
@@ -669,9 +626,6 @@ impl RoundProfile {
             skew: f.opt_object("skew", SkewReport::from_value)?,
             stragglers: f.array("stragglers", Straggler::from_value)?,
             critical_path: f.array("critical_path", PathStep::from_value)?,
-            speculative_launched: f.opt_int("speculative_launched").unwrap_or(0),
-            speculative_won: f.opt_int("speculative_won").unwrap_or(0),
-            speculation_saved_seconds: f.opt_f64("speculation_saved_seconds").unwrap_or(0.0),
             dispatches: f.array("dispatches", DispatchNote::from_value)?,
             dist_blame: f.opt_object("dist_blame", DistBlame::from_value)?,
             critical_path_dist: f.array("critical_path_dist", DistPathStep::from_value)?,
@@ -767,40 +721,12 @@ mod tests {
     }
 
     #[test]
-    fn speculation_roi_counts_wins_and_saved_seconds() {
-        let mut events = sample_events();
-        // Task 3's duplicate won at t=4.0; the original would have run
-        // to t=11.0.
-        events[3].outcome = TaskOutcome::SpeculativeLost;
-        events.push(event("map", 3, 1, 2.65, 4.0, TaskOutcome::SpeculativeWon));
-        // Reduce task 0 raced a duplicate but the original won.
-        events.push(event(
-            "reduce",
-            0,
-            1,
-            12.5,
-            14.0,
-            TaskOutcome::SpeculativeLost,
-        ));
-        let p = RoundProfile::compute(1, "j".into(), events, 14.0, 0.01);
-        assert_eq!(p.speculative_launched, 2);
-        assert_eq!(p.speculative_won, 1);
-        assert!((p.speculation_saved_seconds - 7.0).abs() < 1e-9);
-        // The winning duplicate, not the killed original, now bounds
-        // the map phase.
-        let head = &p.critical_path[0];
-        assert_eq!(
-            (head.phase.as_str(), head.task, head.attempt),
-            ("map", 3, 1)
-        );
-        assert!((head.sim_end - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn profile_json_round_trips() {
         let mut events = sample_events();
-        events[3].outcome = TaskOutcome::SpeculativeLost;
-        events.push(event("map", 3, 1, 2.65, 4.0, TaskOutcome::SpeculativeWon));
+        // Map task 3's first attempt failed; its retry ran to t=11.0.
+        events.insert(3, event("map", 3, 0, 1.0, 2.0, TaskOutcome::Failed));
+        events[4].attempt = 1;
+        events[4].sim_start = 2.0;
         let p = RoundProfile::compute(7, "round-7".into(), events, 14.0, 0.25);
         let line = p.to_json();
         assert!(!line.contains('\n'));

@@ -95,9 +95,9 @@ pub struct QueryProfile {
     pub total_us: u64,
     /// The query's deadline budget in milliseconds (0 = default).
     pub deadline_ms: u64,
-    /// Solver phases (BFS rounds, Δ levels, sweeps, pulses).
+    /// Solver phases (BFS rounds, sweeps, pulses).
     pub phases: u64,
-    /// Augmenting paths pushed (Ford–Fulkerson family).
+    /// Augmenting paths pushed (Dinic and the local search).
     pub augmenting_paths: u64,
     /// Push operations (push-relabel family).
     pub pushes: u64,

@@ -31,7 +31,7 @@ fn task_event() -> TaskEvent {
         wall_end_us: 18_446_744_073_709_551_615,
         bytes_in: 100,
         bytes_out: 0,
-        outcome: TaskOutcome::SpeculativeWon,
+        outcome: TaskOutcome::Failed,
     }
 }
 
@@ -113,9 +113,6 @@ fn full_round_profile() -> RoundProfile {
                 sim_end: 5.5,
             },
         ],
-        speculative_launched: 2,
-        speculative_won: 1,
-        speculation_saved_seconds: 7.0,
         dispatches: vec![
             dispatch_note(),
             DispatchNote {
@@ -238,15 +235,15 @@ fn bare_query_profile() -> QueryProfile {
     }
 }
 
-const TASK_EVENT: &str = r#"{"job":"a\"b\\c\nd\te\rf\u0001gé","phase":"reduce","task":3,"attempt":1,"node":2,"worker":5,"partition":7,"sim_start":0,"sim_end":2.25,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"speculative-won"}"#;
+const TASK_EVENT: &str = r#"{"job":"a\"b\\c\nd\te\rf\u0001gé","phase":"reduce","task":3,"attempt":1,"node":2,"worker":5,"partition":7,"sim_start":0,"sim_end":2.25,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"failed"}"#;
 
 const BARE_TASK_EVENT: &str = r#"{"job":"j","phase":"map","task":3,"attempt":1,"node":2,"sim_start":1.5,"sim_end":1000000000000000000000,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"ok"}"#;
 
 const DISPATCH_NOTE: &str = r#"{"phase":"map\t\"x\"","task":4,"worker":2,"ok":true,"queued_us":1,"done_us":2000,"started_us":300,"finished_us":1900,"fetch_us":100,"push_us":50,"ser_us":20,"bytes_in":4096,"bytes_out":512}"#;
 
-const FULL_ROUND_PROFILE: &str = r#"{"round":7,"job":"a\"b\\c\nd\te\rf\u0001gé","sim_seconds":14,"wall_seconds":0.25,"map_seconds":0,"shuffle_seconds":1,"reduce_seconds":0.30000000000000004,"skew":{"partition":1,"max_bytes":400,"mean_bytes":250,"ratio":1.6},"stragglers":[{"phase":"map","task":3,"attempt":0,"seconds":10,"threshold_seconds":1.65},{"phase":"re\\duce","task":0,"attempt":2,"seconds":0,"threshold_seconds":0}],"critical_path":[{"phase":"map","task":3,"attempt":1,"sim_start":1,"sim_end":4},{"phase":"shuffle","task":0,"attempt":0,"sim_start":4,"sim_end":5.5}],"speculative_launched":2,"speculative_won":1,"speculation_saved_seconds":7,"dispatches":[{"phase":"map\t\"x\"","task":4,"worker":2,"ok":true,"queued_us":1,"done_us":2000,"started_us":300,"finished_us":1900,"fetch_us":100,"push_us":50,"ser_us":20,"bytes_in":4096,"bytes_out":512},{"phase":"","task":0,"worker":0,"ok":false,"queued_us":0,"done_us":0,"started_us":0,"finished_us":0,"fetch_us":0,"push_us":0,"ser_us":0,"bytes_in":0,"bytes_out":0}],"dist_blame":{"serialization_seconds":0.00004,"transfer_seconds":0.0003,"dispatch_wait_seconds":0.0005,"compute_seconds":0.0015},"critical_path_dist":[{"phase":"map/dispatch-wait","task":3,"worker":1,"start_us":0,"end_us":200},{"phase":"map/fetch","task":3,"worker":1,"start_us":200,"end_us":300}],"events":[{"job":"a\"b\\c\nd\te\rf\u0001gé","phase":"reduce","task":3,"attempt":1,"node":2,"worker":5,"partition":7,"sim_start":0,"sim_end":2.25,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"speculative-won"},{"job":"j","phase":"map","task":3,"attempt":1,"node":2,"sim_start":1.5,"sim_end":1000000000000000000000,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"ok"}]}"#;
+const FULL_ROUND_PROFILE: &str = r#"{"round":7,"job":"a\"b\\c\nd\te\rf\u0001gé","sim_seconds":14,"wall_seconds":0.25,"map_seconds":0,"shuffle_seconds":1,"reduce_seconds":0.30000000000000004,"skew":{"partition":1,"max_bytes":400,"mean_bytes":250,"ratio":1.6},"stragglers":[{"phase":"map","task":3,"attempt":0,"seconds":10,"threshold_seconds":1.65},{"phase":"re\\duce","task":0,"attempt":2,"seconds":0,"threshold_seconds":0}],"critical_path":[{"phase":"map","task":3,"attempt":1,"sim_start":1,"sim_end":4},{"phase":"shuffle","task":0,"attempt":0,"sim_start":4,"sim_end":5.5}],"dispatches":[{"phase":"map\t\"x\"","task":4,"worker":2,"ok":true,"queued_us":1,"done_us":2000,"started_us":300,"finished_us":1900,"fetch_us":100,"push_us":50,"ser_us":20,"bytes_in":4096,"bytes_out":512},{"phase":"","task":0,"worker":0,"ok":false,"queued_us":0,"done_us":0,"started_us":0,"finished_us":0,"fetch_us":0,"push_us":0,"ser_us":0,"bytes_in":0,"bytes_out":0}],"dist_blame":{"serialization_seconds":0.00004,"transfer_seconds":0.0003,"dispatch_wait_seconds":0.0005,"compute_seconds":0.0015},"critical_path_dist":[{"phase":"map/dispatch-wait","task":3,"worker":1,"start_us":0,"end_us":200},{"phase":"map/fetch","task":3,"worker":1,"start_us":200,"end_us":300}],"events":[{"job":"a\"b\\c\nd\te\rf\u0001gé","phase":"reduce","task":3,"attempt":1,"node":2,"worker":5,"partition":7,"sim_start":0,"sim_end":2.25,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"failed"},{"job":"j","phase":"map","task":3,"attempt":1,"node":2,"sim_start":1.5,"sim_end":1000000000000000000000,"wall_start_us":10,"wall_end_us":18446744073709551615,"bytes_in":100,"bytes_out":0,"outcome":"ok"}]}"#;
 
-const MINIMAL_ROUND_PROFILE: &str = r#"{"round":0,"job":"r0","sim_seconds":0,"wall_seconds":0,"map_seconds":0,"shuffle_seconds":0,"reduce_seconds":0,"stragglers":[],"critical_path":[],"speculative_launched":0,"speculative_won":0,"speculation_saved_seconds":0,"events":[]}"#;
+const MINIMAL_ROUND_PROFILE: &str = r#"{"round":0,"job":"r0","sim_seconds":0,"wall_seconds":0,"map_seconds":0,"shuffle_seconds":0,"reduce_seconds":0,"stragglers":[],"critical_path":[],"events":[]}"#;
 
 const QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"a\"b\\c\nd\te\rf\u0001gé","epoch":3,"plan":"core","plan_reason":"anchor-core-solve","solver":"parallel-pr","cache":"miss","coalesced":true,"outcome":"error","error":"timeout after 250ms: \"slow\"\n","unix_ms":1700000000000,"queue_wait_us":12,"resolve_us":3,"plan_us":5,"solve_us":89975,"cache_update_us":0,"total_us":90000,"deadline_ms":30000,"phases":7,"pushes":41,"relabels":9,"global_relabels":2,"cancel_polls":8}"#;
 

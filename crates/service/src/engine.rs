@@ -1294,12 +1294,23 @@ mod tests {
     #[test]
     fn unknown_algorithm_error_names_the_accepted_values() {
         let engine = engine_with(two_paths(), EngineConfig::default());
-        let r = engine.execute(&query("maxflow").field("algorithm", "bogus"));
-        assert_eq!(r.head, status::ERROR, "{r:?}");
-        let message = r.get("message").unwrap();
-        assert!(message.contains("unknown algorithm 'bogus'"), "{message}");
-        for name in Algorithm::names().chain(["auto"]) {
-            assert!(message.contains(name), "{message} should name {name}");
+        // Beside a typo, the names of the deleted textbook solvers.
+        for bad in [
+            "bogus",
+            "edmonds-karp",
+            "ford-fulkerson",
+            "capacity-scaling",
+        ] {
+            let r = engine.execute(&query("maxflow").field("algorithm", bad));
+            assert_eq!(r.head, status::ERROR, "{r:?}");
+            let message = r.get("message").unwrap();
+            assert!(
+                message.contains(&format!("unknown algorithm '{bad}'")),
+                "{message}"
+            );
+            for name in Algorithm::names().chain(["auto"]) {
+                assert!(message.contains(name), "{message} should name {name}");
+            }
         }
         // The MapReduce variants are `ffmr maxflow`'s, not the daemon's.
         let r = engine.execute(&query("maxflow").field("algorithm", "ff5"));
@@ -1506,7 +1517,7 @@ mod tests {
         // deterministically even on a graph this small, for every
         // in-memory solver.
         let engine = engine_with(two_paths(), EngineConfig::default());
-        let pinned = ["parallel-pr", "dinic", "push-relabel", "edmonds-karp"].map(|algo| {
+        let pinned = ["parallel-pr", "dinic", "push-relabel"].map(|algo| {
             query("maxflow")
                 .field("algorithm", algo)
                 .field("no-core", 1)

@@ -154,7 +154,7 @@ fn super_terminals_never_reduce_flow() {
 }
 
 fn maxflow_value(net: &FlowNetwork, s: VertexId, t: VertexId) -> i64 {
-    // Local Edmonds-Karp to avoid a circular dev-dependency on maxflow.
+    // Local Edmonds–Karp to avoid a circular dev-dependency on maxflow.
     use std::collections::VecDeque;
     let mut flows = vec![0i64; net.num_directed_edges()];
     let n = net.num_vertices();

@@ -5,7 +5,7 @@
 //! The division of labor keeps the simulation contract intact: worker
 //! processes only ever *execute task bodies over bytes*. Every cost-model
 //! and scheduling decision — simulated task durations, shuffle and
-//! cross-node accounting, retry budgets, speculative execution — stays in
+//! cross-node accounting, retry budgets — stays in
 //! the driver, computed from the numbers each task result reports. A
 //! distributed run therefore prices out identically to the in-process
 //! run it mirrors.
@@ -15,7 +15,7 @@
 //! path) or when its heartbeats go quiet past the configured timeout.
 //! Death fails that worker's in-flight dispatches with
 //! [`MrError::TaskFailed`], which re-enters the runtime's existing
-//! retry/speculation machinery; the re-dispatch gets a *fresh* dispatch
+//! retry machinery; the re-dispatch gets a *fresh* dispatch
 //! id, so a `task-done` from a zombie attempt refers to a retired id and
 //! is discarded — recovery is exactly-once. If every worker is gone for
 //! [`CoordinatorConfig::dead_cluster_timeout`], pending dispatches fail

@@ -4,11 +4,9 @@
 //! ffmr generate --model ba --vertices 1000 --out graph.txt [--param 3] [--seed 42]
 //! ffmr info --input graph.txt
 //! ffmr maxflow --input graph.txt --source 0 --sink 999 \
-//!       [--algorithm ff5|ff1|parallel-pr|dinic|edmonds-karp|push-relabel|
-//!        capacity-scaling|pregel]
+//!       [--algorithm ff5|ff1|parallel-pr|dinic|push-relabel|pregel]
 //!       [--nodes 20] [--w 0] [--threads N] [--state FILE] [--resume]
 //!       [--crash-after-round N] [--crash-in-round N]
-//!       [--speculate] [--slow-task PHASE:TASKxFACTOR]
 //! ffmr serve --listen 127.0.0.1:7227 --graph fb=graph.txt [--graph ...]
 //!       [--workers 4] [--queue 16] [--cache 256] [--threads N]
 //! ffmr worker --connect HOST:PORT
@@ -19,7 +17,8 @@
 //! ```
 //!
 //! `maxflow` and `serve` accept `--trace-file FILE` to record every span
-//! (FF rounds, MapReduce phases, queries) as one JSON line each.
+//! (FF rounds, MapReduce phases, queries) as one JSON line each. An
+//! option its subcommand does not read is an error.
 //!
 //! With `--w N` the source/sink arguments are ignored and a super
 //! source/sink over `N` high-degree terminals each is attached (the
@@ -50,35 +49,106 @@ use std::process::ExitCode;
 use ffmr::prelude::*;
 use ffmr::{ffmr_core, maxflow, swgraph};
 
-/// A subcommand: takes the arguments after its name.
-type Command = fn(&[String]) -> Result<(), String>;
+/// A subcommand: runs on the options given after its name.
+type Command = fn(&Options) -> Result<(), String>;
 
-/// The dispatch table — also the source of the usage line.
-const COMMANDS: &[(&str, Command)] = &[
-    ("generate", generate),
-    ("info", info),
-    ("maxflow", run_maxflow),
-    ("serve", serve),
-    ("worker", worker),
-    ("query", query),
-    ("slowlog", slowlog),
-    ("stats", stats),
-    ("top", top),
-    ("report", report),
+/// The dispatch table — also the source of the usage line. Each entry
+/// lists every option its subcommand reads; any other is an error.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "generate",
+        generate,
+        &["model", "vertices", "out", "seed", "param"],
+    ),
+    ("info", info, &["input"]),
+    (
+        "maxflow",
+        run_maxflow,
+        &[
+            "input",
+            "algorithm",
+            "source",
+            "sink",
+            "w",
+            "seed",
+            "nodes",
+            "reducers",
+            "threads",
+            "state",
+            "resume",
+            "crash-after-round",
+            "crash-in-round",
+            "workers",
+            "coordinator",
+            "trace-file",
+        ],
+    ),
+    (
+        "serve",
+        serve,
+        &[
+            "listen",
+            "graph",
+            "workers",
+            "queue",
+            "cache",
+            "threads",
+            "timeout-ms",
+            "no-core",
+            "slow-query-ms",
+            "slowlog-file",
+            "trace-file",
+            // Accepted and ignored: the daemon has no MapReduce route
+            // any more, but `perfbench/src/serve.rs` still passes it.
+            "mr-threshold",
+        ],
+    ),
+    ("worker", worker, &["connect"]),
+    ("query", query, QUERY_OPTIONS),
+    ("slowlog", slowlog, &["addr", "limit", "json"]),
+    (
+        "stats",
+        stats,
+        &["addr", "dataset", "prometheus", "watch", "interval-ms"],
+    ),
+    ("top", top, &["connect", "watch", "interval-ms"]),
+    ("report", report, &["state", "history", "base", "json"]),
+];
+
+/// `query`'s options: `--addr` and `--op` pick the daemon and the verb;
+/// every later one is forwarded as a request field of the same name.
+const QUERY_OPTIONS: &[&str] = &[
+    "addr",
+    "op",
+    "dataset",
+    "source",
+    "sink",
+    "w",
+    "seed",
+    "min-degree",
+    "algorithm",
+    "timeout-ms",
+    "no-cache",
+    "no-core",
+    "path",
+    "ms",
+    "format",
+    "limit",
+    "explain",
 ];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        let names: Vec<&str> = COMMANDS.iter().map(|&(name, _)| name).collect();
+        let names: Vec<&str> = COMMANDS.iter().map(|&(name, ..)| name).collect();
         eprintln!(
             "usage: ffmr <{}> [options]  (--help for details)",
             names.join("|")
         );
         return ExitCode::from(2);
     };
-    let result = match COMMANDS.iter().find(|(name, _)| name == command) {
-        Some((_, run)) => run(&args[1..]),
+    let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some(&(name, run, known)) => Options::parse(name, known, &args[1..]).and_then(|o| run(&o)),
         None if command == "--help" || command == "-h" => {
             print_help();
             Ok(())
@@ -97,16 +167,14 @@ fn main() -> ExitCode {
 fn print_help() {
     println!(
         "ffmr — max-flow on small-world graphs (MapReduce / Pregel / sequential)\n\n\
-         commands:\n\
+         commands (an option a command does not read is an error):\n\
          \x20 generate --model ba|ws|er --vertices N --out FILE [--param P] [--seed S]\n\
          \x20 info     --input FILE\n\
          \x20 maxflow  --input FILE (--source S --sink T | --w N)\n\
-         \x20          [--algorithm ff1..ff5|parallel-pr|dinic|edmonds-karp|\n\
-         \x20           ford-fulkerson|push-relabel|capacity-scaling|pregel]\n\
+         \x20          [--algorithm ff1..ff5|parallel-pr|dinic|push-relabel|pregel]\n\
          \x20          [--nodes N] [--reducers R] [--seed S] [--threads N]\n\
          \x20          [--state FILE] [--resume] [--crash-after-round N]\n\
-         \x20          [--crash-in-round N] [--speculate]\n\
-         \x20          [--slow-task PHASE:TASKxFACTOR] [--workers N]\n\
+         \x20          [--crash-in-round N] [--workers N]\n\
          \x20          [--coordinator HOST:PORT]\n\
          \x20 serve    --listen HOST:PORT --graph NAME=FILE [--graph ...]\n\
          \x20          [--workers N] [--queue N] [--cache N] [--threads N]\n\
@@ -149,9 +217,7 @@ fn print_help() {
          \x20 FF runs checkpoint every round. --state FILE persists the\n\
          \x20 simulated DFS on exit (success or injected crash) and\n\
          \x20 --resume --state FILE continues from the newest checkpoint.\n\
-         \x20 --crash-after-round/--crash-in-round N inject driver crashes;\n\
-         \x20 --speculate launches duplicates for stragglers injected with\n\
-         \x20 --slow-task (e.g. --slow-task map:2x10 = map task 2, 10x slow).\n\n\
+         \x20 --crash-after-round/--crash-in-round N inject driver crashes.\n\n\
          distributed mode:\n\
          \x20 maxflow --workers N spawns N `ffmr worker` OS processes and\n\
          \x20 executes every map/reduce task in them over localhost TCP;\n\
@@ -198,25 +264,29 @@ const FLAGS: &[&str] = &[
     "no-cache",
     "no-core",
     "resume",
-    "speculate",
     "json",
     "explain",
 ];
 
 /// Pulls `--name value` pairs (and bare `--flag`s) out of an argument
 /// list.
+#[derive(Debug)]
 struct Options {
     pairs: Vec<(String, String)>,
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `command`'s arguments; every option must be one of `known`.
+    fn parse(command: &str, known: &[&str], args: &[String]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected --option, got '{key}'"));
             };
+            if !known.contains(&name) {
+                return Err(format!("unknown option --{name} for {command}"));
+            }
             if FLAGS.contains(&name) {
                 pairs.push((name.to_string(), "1".to_string()));
                 continue;
@@ -259,8 +329,7 @@ impl Options {
     }
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
+fn generate(opts: &Options) -> Result<(), String> {
     let model = opts.required("model")?.to_string();
     let n: u64 = opts
         .required("vertices")?
@@ -295,8 +364,7 @@ fn load(path: &str) -> Result<FlowNetwork, String> {
         .map_err(|e| format!("parse failed: {e}"))
 }
 
-fn info(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
+fn info(opts: &Options) -> Result<(), String> {
     let net = load(opts.required("input")?)?;
     let d = swgraph::bfs::estimate_diameter(&net, 8, 1);
     let comps = swgraph::props::component_sizes(&net);
@@ -323,9 +391,8 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_maxflow(args: &[String]) -> Result<(), String> {
-    let opts = Options::parse(args)?;
-    install_trace_file(&opts)?;
+fn run_maxflow(opts: &Options) -> Result<(), String> {
+    install_trace_file(opts)?;
     let base = load(opts.required("input")?)?;
     let algorithm = opts.get("algorithm").unwrap_or("ff5").to_string();
     let nodes: usize = opts.parsed("nodes", 20)?;
@@ -360,18 +427,11 @@ fn run_maxflow(args: &[String]) -> Result<(), String> {
         // per-round history (readable with `ffmr report --state FILE`)
         // carries full task timelines.
         ffmr::ffmr_obs::events::recorder().set_enabled(true);
-        let mut cluster = ClusterConfig::paper_cluster(nodes);
-        for spec in opts.get_all("slow-task") {
-            cluster.slow_tasks.push(parse_slow_task(spec)?);
-        }
-        let mut rt = MrRuntime::new(cluster);
+        let mut rt = MrRuntime::new(ClusterConfig::paper_cluster(nodes));
         let threads: usize = opts.parsed("threads", 0)?;
         if threads > 0 {
             // 1 pins service-call ordering (bit-reproducible runs).
             rt.set_worker_threads(Some(threads));
-        }
-        if opts.has("speculate") {
-            rt.set_speculation(SpeculationPolicy::hadoop_default());
         }
 
         // Distributed mode: spawn real worker OS processes and route
@@ -546,9 +606,8 @@ impl Drop for DistributedRun {
 
 /// `ffmr worker` — join a coordinator and execute dispatched tasks
 /// until it says shutdown or the process receives SIGINT/SIGTERM.
-fn worker(args: &[String]) -> Result<(), String> {
+fn worker(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_worker::{self, JobKindRegistry, WorkerConfig};
-    let opts = Options::parse(args)?;
     let addr = opts.required("connect")?.to_string();
     let config = WorkerConfig::new(addr.clone());
 
@@ -562,33 +621,9 @@ fn worker(args: &[String]) -> Result<(), String> {
     ffmr_worker::run_worker(&config, &registry).map_err(|e| e.to_string())
 }
 
-/// Parses a straggler-injection spec `PHASE:TASKxFACTOR`, e.g.
-/// `map:2x10` (map task 2 runs 10x slower) or `any:0x3`.
-fn parse_slow_task(spec: &str) -> Result<SlowTask, String> {
-    let bad = || format!("--slow-task wants PHASE:TASKxFACTOR (e.g. map:2x10), got '{spec}'");
-    let (phase, rest) = spec.split_once(':').ok_or_else(bad)?;
-    let phase: &'static str = match phase {
-        "map" => "map",
-        "reduce" => "reduce",
-        "any" | "" => "",
-        _ => {
-            return Err(format!(
-                "--slow-task phase must be map|reduce|any: '{spec}'"
-            ))
-        }
-    };
-    let (task, factor) = rest.split_once('x').ok_or_else(bad)?;
-    Ok(SlowTask {
-        phase,
-        task: task.parse().map_err(|_| bad())?,
-        factor: factor.parse().map_err(|_| bad())?,
-    })
-}
-
-fn serve(args: &[String]) -> Result<(), String> {
+fn serve(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_service::{engine, server, GraphStore, QueryEngine};
-    let opts = Options::parse(args)?;
-    install_trace_file(&opts)?;
+    install_trace_file(opts)?;
     let listen = opts.get("listen").unwrap_or("127.0.0.1:7227").to_string();
 
     let store = std::sync::Arc::new(GraphStore::new());
@@ -674,30 +709,13 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn query(args: &[String]) -> Result<(), String> {
+fn query(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_service::{Client, Message};
-    let opts = Options::parse(args)?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7227");
     let op = opts.get("op").unwrap_or("maxflow");
 
     let mut request = Message::new(op);
-    for key in [
-        "dataset",
-        "source",
-        "sink",
-        "w",
-        "seed",
-        "min-degree",
-        "algorithm",
-        "timeout-ms",
-        "no-cache",
-        "no-core",
-        "path",
-        "ms",
-        "format",
-        "limit",
-        "explain",
-    ] {
+    for &key in &QUERY_OPTIONS[2..] {
         if let Some(v) = opts.get(key) {
             request.push(key, v);
         }
@@ -791,9 +809,8 @@ fn print_query_profile(p: &ffmr::ffmr_obs::QueryProfile) {
 /// `ffmr slowlog` — lists the daemon's ring of queries that blew the
 /// `--slow-query-ms` threshold, newest last; `--json` dumps the raw
 /// profile lines for machines.
-fn slowlog(args: &[String]) -> Result<(), String> {
+fn slowlog(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_service::{Client, Message};
-    let opts = Options::parse(args)?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7227");
     let mut request = Message::new("slowlog");
     if let Some(limit) = opts.get("limit") {
@@ -860,9 +877,8 @@ fn slowlog(args: &[String]) -> Result<(), String> {
 /// periodic refresh with `--watch`. A watch outlives daemon restarts:
 /// when the connection drops it reconnects with capped exponential
 /// backoff (one notice line per outage) instead of exiting.
-fn stats(args: &[String]) -> Result<(), String> {
+fn stats(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_service::{Client, Message};
-    let opts = Options::parse(args)?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7227");
     let prometheus = opts.has("prometheus");
     let watch = opts.has("watch");
@@ -991,9 +1007,8 @@ fn extract_label<'a>(labels: &'a str, name: &str) -> Option<&'a str> {
 /// verb: one row per worker with state, heartbeat age, RTT, estimated
 /// clock offset, in-flight dispatches and task/byte totals. `--watch`
 /// refreshes until interrupted (reconnecting like `stats --watch`).
-fn top(args: &[String]) -> Result<(), String> {
+fn top(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_service::{Client, Message};
-    let opts = Options::parse(args)?;
     let addr = opts.required("connect")?;
     let watch = opts.has("watch");
     let interval = std::time::Duration::from_millis(opts.parsed("interval-ms", 1_000u64)?.max(100));
@@ -1094,14 +1109,13 @@ fn reconnect(addr: &str) -> ffmr::ffmr_service::Client {
 }
 
 /// Renders the job history of an FF run: per-round task timelines
-/// (Gantt), partition skew, stragglers, the critical path and the
-/// speculation ROI. Reads either a `--state FILE` DFS image (as written
-/// by `maxflow --state`) or a plain `--history FILE` JSONL copied out of
-/// the DFS; `--json` re-emits the raw profile lines for machines.
-fn report(args: &[String]) -> Result<(), String> {
+/// (Gantt), partition skew, stragglers and the critical path. Reads
+/// either a `--state FILE` DFS image (as written by `maxflow --state`)
+/// or a plain `--history FILE` JSONL copied out of the DFS; `--json`
+/// re-emits the raw profile lines for machines.
+fn report(opts: &Options) -> Result<(), String> {
     use ffmr::ffmr_obs::RoundProfile;
 
-    let opts = Options::parse(args)?;
     let text = if let Some(path) = opts.get("history") {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
     } else if let Some(path) = opts.get("state") {
@@ -1217,8 +1231,6 @@ fn render_profile(out: &mut impl Write, p: &ffmr::ffmr_obs::RoundProfile) -> std
         let fill = match e.outcome {
             TaskOutcome::Ok => '#',
             TaskOutcome::Failed => 'x',
-            TaskOutcome::SpeculativeWon => '+',
-            TaskOutcome::SpeculativeLost => '-',
         };
         let mut bar = String::with_capacity(WIDTH);
         for col in 0..WIDTH {
@@ -1232,11 +1244,11 @@ fn render_profile(out: &mut impl Write, p: &ffmr::ffmr_obs::RoundProfile) -> std
         let worker = e.worker.map_or_else(String::new, |w| format!(" w{w}"));
         writeln!(
             out,
-            "  {:<7} t{:03} a{} |{bar}| {:>8.2}s {}{worker}",
+            "  {:<7} t{:03} a{} |{bar}| {:>9.3} ms {}{worker}",
             e.phase,
             e.task,
             e.attempt,
-            e.sim_seconds(),
+            e.sim_seconds() * 1e3,
             e.outcome.as_str()
         )?;
     }
@@ -1262,10 +1274,11 @@ fn render_profile(out: &mut impl Write, p: &ffmr::ffmr_obs::RoundProfile) -> std
         writeln!(out, "  stragglers: none")?;
     }
     for s in &p.stragglers {
+        let (took, threshold) = distinct_ms(s.seconds, s.threshold_seconds);
         writeln!(
             out,
-            "  straggler: {} t{:03} a{} took {:.2}s (threshold {:.2}s)",
-            s.phase, s.task, s.attempt, s.seconds, s.threshold_seconds
+            "  straggler: {} t{:03} a{} took {took} ms (threshold {threshold} ms)",
+            s.phase, s.task, s.attempt
         )?;
     }
     if p.critical_path.is_empty() {
@@ -1283,13 +1296,20 @@ fn render_profile(out: &mut impl Write, p: &ffmr::ffmr_obs::RoundProfile) -> std
             .collect();
         writeln!(out, "  critical path: {}", chain.join(" -> "))?;
     }
-    writeln!(
-        out,
-        "  speculation: launched {}, won {}, saved {:.2}s",
-        p.speculative_launched, p.speculative_won, p.speculation_saved_seconds
-    )?;
     render_dist_sections(out, p)?;
     writeln!(out)
+}
+
+/// Renders two durations in milliseconds with the fewest decimals, three
+/// at least, that tell them apart: a straggler must read larger than its
+/// threshold even when both take a few microseconds.
+fn distinct_ms(a_seconds: f64, b_seconds: f64) -> (String, String) {
+    let (a, b) = (a_seconds * 1e3, b_seconds * 1e3);
+    let mut decimals = 3;
+    while decimals < 9 && format!("{a:.decimals$}") == format!("{b:.decimals$}") {
+        decimals += 1;
+    }
+    (format!("{a:.decimals$}"), format!("{b:.decimals$}"))
 }
 
 /// The distributed-telemetry additions to a round report: per-worker
@@ -1384,4 +1404,72 @@ fn render_dist_sections(
         writeln!(out, "  dispatch path: {}", chain.join(" -> "))?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(command: &str, args: &[&str]) -> Result<Options, String> {
+        let &(name, _, known) = COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == command)
+            .expect("a subcommand");
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        Options::parse(name, known, &args)
+    }
+
+    #[test]
+    fn unknown_options_are_errors_naming_the_subcommand() {
+        let ff5 = ["--input", "rp.txt", "--algorithm", "ff5", "--w", "2"];
+        let err = parse("maxflow", &[&ff5[..], &["--bogus-flag", "3"]].concat()).unwrap_err();
+        assert_eq!(err, "unknown option --bogus-flag for maxflow");
+        // A deleted bare flag is refused before it could swallow the
+        // next argument as its value.
+        let err = parse("maxflow", &["--speculate", "--input", "rp.txt"]).unwrap_err();
+        assert_eq!(err, "unknown option --speculate for maxflow");
+        let err = parse(
+            "maxflow",
+            &[&ff5[..], &["--slow-task", "reduce:1x10"]].concat(),
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown option --slow-task for maxflow");
+        // Another subcommand's option is unknown here too.
+        let err = parse("info", &["--input", "g.txt", "--json"]).unwrap_err();
+        assert_eq!(err, "unknown option --json for info");
+    }
+
+    #[test]
+    fn every_subcommand_accepts_its_required_options() {
+        let valid: [(&str, &[&str]); 10] = [
+            (
+                "generate",
+                &["--model", "ba", "--vertices", "10", "--out", "g.txt"],
+            ),
+            ("info", &["--input", "g.txt"]),
+            (
+                "maxflow",
+                &["--input", "g.txt", "--source", "0", "--sink", "9"],
+            ),
+            // `--mr-threshold` is the benchmark harness's daemon command line.
+            (
+                "serve",
+                &["--graph", "g=g.txt", "--mr-threshold", "1000000"],
+            ),
+            ("worker", &["--connect", "127.0.0.1:1"]),
+            ("query", &["--op", "ping"]),
+            ("slowlog", &[]),
+            ("stats", &[]),
+            ("top", &["--connect", "127.0.0.1:1"]),
+            ("report", &["--state", "x.dfs"]),
+        ];
+        assert_eq!(valid.len(), COMMANDS.len(), "one invocation per subcommand");
+        for (command, args) in valid {
+            let opts = parse(command, args).unwrap_or_else(|e| panic!("{command}: {e}"));
+            for pair in args.chunks(2) {
+                let name = pair[0].trim_start_matches("--");
+                assert_eq!(opts.get(name), Some(pair[1]), "{command} --{name}");
+            }
+        }
+    }
 }

@@ -5,8 +5,9 @@
 //!
 //! * [`mapreduce`] — the Hadoop-like MapReduce runtime + cluster cost model.
 //! * [`swgraph`] — flow networks, small-world generators, BFS, analysis.
-//! * [`maxflow`] — sequential reference solvers (Ford–Fulkerson,
-//!   Edmonds–Karp, Dinic, Push–Relabel) and min-cut extraction.
+//! * [`maxflow`] — in-memory reference solvers (Dinic, sequential and
+//!   parallel Push–Relabel), the certified local search, the cut tree
+//!   and min-cut extraction.
 //! * [`ffmr_core`] — the paper's contribution: the FF1–FF5 MapReduce
 //!   max-flow variants, MR-BFS and the MR push–relabel baseline.
 //! * [`ffmr_service`] — `ffmrd`, the resident query daemon: snapshot
@@ -61,9 +62,7 @@ pub mod prelude {
         resume_max_flow, run_max_flow, AugProc, CrashPoint, ExcessPath, FfConfig, FfError, FfRun,
         FfVariant, KPolicy,
     };
-    pub use mapreduce::{
-        ClusterConfig, Dfs, FailurePolicy, JobBuilder, MrRuntime, SlowTask, SpeculationPolicy,
-    };
+    pub use mapreduce::{ClusterConfig, Dfs, FailurePolicy, JobBuilder, MrRuntime};
     pub use maxflow::{Algorithm, FlowResult};
     pub use swgraph::{Capacity, EdgeId, FlowNetwork, FlowNetworkBuilder, VertexId};
 }

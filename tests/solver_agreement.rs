@@ -1,7 +1,6 @@
-//! Solver-agreement matrix: every solver the query daemon can route to —
-//! the in-memory family (Dinic, Edmonds–Karp, push–relabel, capacity-
-//! scaling, the bulk-synchronous parallel push–relabel) and the paper's
-//! MapReduce variants (FF1, FF5) — must return the same max-flow value
+//! Solver-agreement matrix: every in-memory solver (Dinic, push–relabel,
+//! the bulk-synchronous parallel push–relabel) and the paper's MapReduce
+//! variants (FF1, FF5) must return the same max-flow value
 //! on the paper's two graph families (Barabási–Albert and
 //! Watts–Strogatz), and every returned flow assignment must pass
 //! feasibility validation. The parallel solver is additionally required
