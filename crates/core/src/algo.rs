@@ -2,7 +2,6 @@
 //! configuration ladder FF1–FF5.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mapreduce::driver::{collect_garbage, round_path, side_path};
@@ -175,18 +174,11 @@ impl KPolicy {
     }
 }
 
-/// Runtime hooks into a driver run: cooperative cancellation plus a
-/// per-round progress callback.
-///
-/// A long FFMR run spans many MapReduce rounds; between rounds the driver
-/// consults `cancel` (set it from another thread to abort with
-/// [`FfError::Cancelled`] — this is how the `ffmrd` serving layer
-/// enforces per-query timeouts) and invokes `on_round` with the round's
-/// statistics (progress bars, live dashboards, adaptive schedulers).
+/// Runtime hooks into a driver run: a per-round progress callback,
+/// invoked with the round's statistics after every completed round
+/// (progress bars, live dashboards, adaptive schedulers).
 #[derive(Clone, Default)]
 pub struct FfHooks {
-    /// Checked before every round; `true` aborts the run.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Called after every completed round with its statistics.
     pub on_round: Option<RoundCallback>,
 }
@@ -195,23 +187,6 @@ pub struct FfHooks {
 pub type RoundCallback = Arc<dyn Fn(&RoundStats) + Send + Sync>;
 
 impl FfHooks {
-    /// Hooks that only carry a cancellation flag.
-    #[must_use]
-    pub fn cancelled_by(flag: Arc<AtomicBool>) -> Self {
-        Self {
-            cancel: Some(flag),
-            on_round: None,
-        }
-    }
-
-    /// Whether the cancellation flag (if any) has been raised.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
     fn report(&self, stats: &RoundStats) {
         if let Some(cb) = &self.on_round {
             cb(stats);
@@ -222,7 +197,6 @@ impl FfHooks {
 impl fmt::Debug for FfHooks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FfHooks")
-            .field("cancel", &self.cancel)
             .field("on_round", &self.on_round.is_some())
             .finish()
     }
@@ -263,7 +237,7 @@ pub struct FfConfig {
     pub checkpoint: bool,
     /// Injected driver crash for fault-tolerance testing (default: none).
     pub crash_point: Option<CrashPoint>,
-    /// Cancellation and progress hooks (default: none).
+    /// Progress hooks (default: none).
     pub hooks: FfHooks,
 }
 
@@ -356,14 +330,6 @@ impl FfConfig {
     #[must_use]
     pub fn crash_point(mut self, point: CrashPoint) -> Self {
         self.crash_point = Some(point);
-        self
-    }
-
-    /// Installs a cancellation flag: raise it from any thread to abort
-    /// the run between rounds with [`FfError::Cancelled`].
-    #[must_use]
-    pub fn cancel_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.hooks.cancel = Some(flag);
         self
     }
 
@@ -487,11 +453,6 @@ pub fn run_max_flow_from_input(
     run_span.field("sink", config.sink);
 
     // ---- Round 0: convert the raw edge list into vertex records.
-    if config.hooks.is_cancelled() {
-        return Err(FfError::Cancelled {
-            rounds_completed: 0,
-        });
-    }
     let round0_started = std::time::Instant::now();
     let mut stats0 = {
         let mut span = ffmr_obs::span("ff.round");
@@ -739,11 +700,6 @@ fn run_rounds(
         if round > config.max_rounds {
             return Err(FfError::RoundLimitExceeded {
                 limit: config.max_rounds,
-            });
-        }
-        if config.hooks.is_cancelled() {
-            return Err(FfError::Cancelled {
-                rounds_completed: round - 1,
             });
         }
         let round_started = std::time::Instant::now();

@@ -19,12 +19,6 @@ pub enum FfError {
         /// The configured limit.
         limit: usize,
     },
-    /// The run was cancelled through [`FfHooks`](crate::FfHooks) (e.g. a
-    /// serving-layer timeout) before termination.
-    Cancelled {
-        /// Rounds completed before cancellation was observed.
-        rounds_completed: usize,
-    },
     /// A checkpoint manifest was missing, corrupt, or written by an
     /// incompatible configuration, so the run cannot be resumed.
     Checkpoint(String),
@@ -45,9 +39,6 @@ impl fmt::Display for FfError {
             FfError::InvalidConfig(m) => write!(f, "invalid ffmr config: {m}"),
             FfError::RoundLimitExceeded { limit } => {
                 write!(f, "round limit of {limit} exceeded before termination")
-            }
-            FfError::Cancelled { rounds_completed } => {
-                write!(f, "run cancelled after {rounds_completed} rounds")
             }
             FfError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             FfError::CrashInjected { round } => {

@@ -186,12 +186,6 @@ impl VertexValue {
             }
         }
     }
-
-    /// Approximate wire size (used for the paper's "Max Size" column).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 impl Datum for VertexValue {

@@ -208,20 +208,6 @@ where
         }
     }
 
-    /// Adds a combiner (same contract as
-    /// [`MappedJob::combine`](crate::job::MappedJob::combine)).
-    #[must_use]
-    pub fn with_combiner<C>(mut self, combiner: C) -> Self
-    where
-        C: Fn(&KM, &mut dyn Iterator<Item = VM>, &mut MapContext<'_, KM, VM>)
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.combiner = Some(Arc::new(combiner));
-        self
-    }
-
     /// Runs one map task over an input split's raw bytes.
     ///
     /// # Errors

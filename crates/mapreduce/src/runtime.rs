@@ -172,12 +172,6 @@ impl MrRuntime {
         &self.cluster
     }
 
-    /// Replaces the cluster model (affects subsequent jobs only).
-    pub fn set_cluster(&mut self, cluster: ClusterConfig) {
-        self.dfs.set_nodes(cluster.nodes);
-        self.cluster = cluster;
-    }
-
     /// Limits host worker threads (default: available parallelism).
     /// Changes wall-clock speed only: output, service-call order and
     /// simulated time are the same at any count.

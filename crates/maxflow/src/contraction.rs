@@ -54,8 +54,6 @@ pub struct CoreIndex {
     core_net: Arc<FlowNetwork>,
     /// Full id → core id (`NONE` for periphery vertices).
     core_of: Vec<u32>,
-    /// Core id → full id.
-    core_to_full: Vec<u32>,
     /// Periphery: the next vertex toward the root (`NONE` at roots and
     /// on core vertices).
     parent: Vec<u32>,
@@ -143,14 +141,14 @@ impl CoreIndex {
 
         // Renumber the surviving core and rebuild it as its own network.
         let mut core_of = vec![NONE; n];
-        let mut core_to_full = Vec::new();
+        let mut core_n = 0u32;
         for v in 0..n {
             if !peeled[v] {
-                core_of[v] = core_to_full.len() as u32;
-                core_to_full.push(v as u32);
+                core_of[v] = core_n;
+                core_n += 1;
             }
         }
-        let mut builder = FlowNetworkBuilder::new(core_to_full.len() as u64);
+        let mut builder = FlowNetworkBuilder::new(u64::from(core_n));
         for p in 0..net.num_edge_pairs() {
             let e = EdgeId::new(2 * p as u64);
             let u = net.tail(e).index();
@@ -204,7 +202,6 @@ impl CoreIndex {
         Self {
             core_net,
             core_of,
-            core_to_full,
             parent,
             up_cap,
             down_cap,
@@ -225,31 +222,19 @@ impl CoreIndex {
     /// Number of vertices that survived the peel.
     #[must_use]
     pub fn core_vertex_count(&self) -> usize {
-        self.core_to_full.len()
+        self.core_net.num_vertices()
     }
 
     /// Number of vertices peeled into the periphery forest.
     #[must_use]
     pub fn periphery_vertex_count(&self) -> usize {
-        self.core_of.len() - self.core_to_full.len()
+        self.core_of.len() - self.core_net.num_vertices()
     }
 
     /// Undirected edge pairs in the contracted core.
     #[must_use]
     pub fn core_edge_pairs(&self) -> usize {
         self.core_net.num_edge_pairs()
-    }
-
-    /// Maps a core id back to the full-graph vertex id.
-    #[must_use]
-    pub fn to_full(&self, core: VertexId) -> VertexId {
-        VertexId::new(u64::from(self.core_to_full[core.index()]))
-    }
-
-    /// True when `v` survived the peel.
-    #[must_use]
-    pub fn is_core(&self, v: VertexId) -> bool {
-        self.core_of[v.index()] != NONE
     }
 
     /// Plans one plain s–t max-flow query. Degenerate inputs (equal or

@@ -3,9 +3,7 @@
 //! deterministic pulses — every worker plans pushes and relabels against
 //! the *round-start* state into private per-chunk buffers, and the
 //! buffers are applied in frontier order between pulses. The result is
-//! bit-identical for any thread count, which is what lets the serving
-//! tier adopt it as the default in-memory solver without giving up
-//! reproducible answers.
+//! bit-identical for any thread count.
 //!
 //! Heuristics match the sequential twin
 //! ([`Algorithm::PushRelabel`](crate::Algorithm::PushRelabel)): exact
@@ -20,10 +18,9 @@
 //! [`ffmr_sync`] primitives (one `RwLock` over the solver state, a
 //! `Mutex`+`Condvar` chunk board) coordinating the workers.
 //!
-//! Two entries drive the one schedule and return the same
-//! `(FlowResult, SolveReport)` shape as every other solver: the one-shot
-//! [`solve`], which borrows the network and spawns scoped workers for the
-//! call, and [`SolverPool::solve`], which reuses persistent workers.
+//! One entry drives the schedule and returns the same
+//! `(FlowResult, SolveReport)` shape as every other solver: [`solve`],
+//! which borrows the network and spawns scoped workers for the call.
 //!
 //! # Example
 //! ```
@@ -35,10 +32,6 @@
 //! assert_eq!(flow.value, 2);
 //! assert!(report.global_relabels >= 1);
 //! ```
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 
 use ffmr_sync::{Condvar, Mutex, RwLock};
 use swgraph::{Capacity, EdgeId, FlowNetwork, VertexId};
@@ -81,9 +74,9 @@ pub fn solve(
     let board = Board::new();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| board.work(|(), job, i| compute_chunk(net, &state.read(), job, i)));
+            scope.spawn(|| board.work(|job, i| compute_chunk(net, &state.read(), job, i)));
         }
-        let out = run(net, s, t, &state, &mut |job| board.execute((), job), cancel);
+        let out = run(net, s, t, &state, &mut |job| board.execute(job), cancel);
         board.shutdown();
         out
     })
@@ -193,43 +186,32 @@ struct ChunkOut {
     candidates: Vec<u32>,
 }
 
-/// The chunk board: a coordinator posts a [`Job`], workers claim chunk
+/// The chunk board: the coordinator posts a [`Job`], workers claim chunk
 /// indices until they run out, and the last finished chunk wakes the
-/// coordinator. `C` is what a posted job carries for the workers — `()`
-/// for scoped workers, which borrow the network and state from the
-/// coordinator's stack, and `Arc` handles to both for the persistent
-/// [`SolverPool`], whose threads outlive any one solve.
-///
-/// One job occupies the board at a time; concurrent coordinators queue on
-/// `slot_free`, which serializes the *compute* phases of concurrent
-/// solves while letting their setup/apply phases overlap — the right
-/// trade on the bulk-synchronous schedule, where a pulse wants every core
-/// anyway.
-struct Board<C> {
-    slot: Mutex<BoardSlot<C>>,
+/// coordinator. The workers borrow the network and state from the
+/// coordinator's stack.
+struct Board {
+    slot: Mutex<BoardSlot>,
     /// Workers wait here for a new job (or shutdown).
     work_ready: Condvar,
-    /// The owning coordinator waits here for its last chunk.
+    /// The coordinator waits here for its last chunk.
     job_done: Condvar,
-    /// Other coordinators wait here for the board to free up.
-    slot_free: Condvar,
 }
 
-struct BoardSlot<C> {
-    posted: Option<Posted<C>>,
+struct BoardSlot {
+    posted: Option<Posted>,
     shutdown: bool,
 }
 
-/// A posted job plus what the workers need to compute it.
-struct Posted<C> {
-    carried: C,
+/// A posted job and its chunks' progress.
+struct Posted {
     job: Job,
     next_chunk: usize,
     remaining: usize,
     outputs: Vec<Option<ChunkOut>>,
 }
 
-impl<C: Clone> Board<C> {
+impl Board {
     fn new() -> Self {
         Self {
             slot: Mutex::new(BoardSlot {
@@ -238,36 +220,28 @@ impl<C: Clone> Board<C> {
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
-            slot_free: Condvar::new(),
         }
     }
 
     /// Posts `job`, blocks until every chunk is computed, and returns
-    /// the outputs in chunk order. Waits for the board first when
-    /// another coordinator's job is in flight.
-    fn execute(&self, carried: C, job: Job) -> Vec<ChunkOut> {
+    /// the outputs in chunk order.
+    fn execute(&self, job: Job) -> Vec<ChunkOut> {
         if job.chunks == 0 {
             return Vec::new();
         }
         let mut slot = self.slot.lock();
-        while slot.posted.is_some() {
-            self.slot_free.wait(&mut slot);
-        }
+        debug_assert!(slot.posted.is_none(), "one coordinator per board");
         slot.posted = Some(Posted {
-            carried,
             job,
             next_chunk: 0,
             remaining: job.chunks,
             outputs: (0..job.chunks).map(|_| None).collect(),
         });
         self.work_ready.notify_all();
-        // Only this coordinator can clear the slot, so the job observed
-        // here is always ours.
         while slot.posted.as_ref().is_some_and(|p| p.remaining > 0) {
             self.job_done.wait(&mut slot);
         }
-        let done = slot.posted.take().expect("slot owned by this coordinator");
-        self.slot_free.notify_one();
+        let done = slot.posted.take().expect("slot owned by the coordinator");
         done.outputs
             .into_iter()
             .map(|o| o.expect("every chunk produced output"))
@@ -279,14 +253,14 @@ impl<C: Clone> Board<C> {
         self.work_ready.notify_all();
     }
 
-    /// Body of one worker: claim a chunk, `compute` it from what the job
-    /// carries, deposit the output, repeat; park between jobs and return
-    /// on shutdown. A claimed chunk pins its job on the board (the
-    /// coordinator cannot observe `remaining == 0` until every claim is
-    /// deposited), so the deposit always finds the job it claimed from.
-    fn work(&self, compute: impl Fn(&C, Job, usize) -> ChunkOut) {
+    /// Body of one worker: claim a chunk, `compute` it, deposit the
+    /// output, repeat; park between jobs and return on shutdown. A
+    /// claimed chunk pins its job on the board (the coordinator cannot
+    /// observe `remaining == 0` until every claim is deposited), so the
+    /// deposit always finds the job it claimed from.
+    fn work(&self, compute: impl Fn(Job, usize) -> ChunkOut) {
         loop {
-            let (carried, job, index) = {
+            let (job, index) = {
                 let mut slot = self.slot.lock();
                 loop {
                     if slot.shutdown {
@@ -296,13 +270,13 @@ impl<C: Clone> Board<C> {
                         if p.next_chunk < p.job.chunks {
                             let index = p.next_chunk;
                             p.next_chunk += 1;
-                            break (p.carried.clone(), p.job, index);
+                            break (p.job, index);
                         }
                     }
                     self.work_ready.wait(&mut slot);
                 }
             };
-            let out = compute(&carried, job, index);
+            let out = compute(job, index);
             let mut slot = self.slot.lock();
             let p = slot.posted.as_mut().expect("claimed chunk pins its job");
             p.outputs[index] = Some(out);
@@ -311,169 +285,6 @@ impl<C: Clone> Board<C> {
                 self.job_done.notify_all();
             }
         }
-    }
-}
-
-/// What a [`SolverPool`] job carries: owned handles to the network and
-/// solver state, so the pool never borrows from a coordinator's stack and
-/// the crate stays `forbid(unsafe_code)`.
-type Handles = (Arc<FlowNetwork>, Arc<RwLock<State>>);
-
-/// A persistent worker pool: threads are spawned once and shared across
-/// every query the serving tier admits, instead of the spawn-per-call
-/// model of the one-shot [`solve`].
-pub struct SolverPool {
-    lanes: Lanes,
-}
-
-type Solved = Result<(FlowResult, SolveReport), Cancelled>;
-
-/// One whole solve for a one-thread pool's solver thread, with the
-/// channel its outcome (or panic) goes back on.
-struct SoloJob {
-    net: Arc<FlowNetwork>,
-    s: VertexId,
-    t: VertexId,
-    cancel: Cancel,
-    reply: mpsc::Sender<std::thread::Result<Solved>>,
-}
-
-enum Lanes {
-    /// One thread runs each whole solve on the inline schedule, callers
-    /// taking turns. Its allocations all come from one thread's heap
-    /// arena: solved inline on each calling thread instead, every caller
-    /// keeps an arena holding freed copies of the m-sized vectors a
-    /// solve builds, and a daemon's memory grows with its thread count.
-    Solo {
-        jobs: Option<mpsc::Sender<SoloJob>>,
-        thread: Option<JoinHandle<()>>,
-    },
-    /// Workers compute the chunks of each job the callers post.
-    Board {
-        board: Arc<Board<Handles>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-}
-
-impl SolverPool {
-    /// Spawns a pool of `threads` workers. With `threads <= 1` the one
-    /// thread runs each whole solve, chunks inline, in turn.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        let lanes = if threads <= 1 {
-            let (jobs, inbox) = mpsc::channel::<SoloJob>();
-            let thread = std::thread::Builder::new()
-                .name("pr-solver".into())
-                .spawn(move || {
-                    for job in inbox {
-                        let solved = catch_unwind(AssertUnwindSafe(|| {
-                            solve(&job.net, job.s, job.t, 1, &job.cancel)
-                        }));
-                        // A gone receiver means the caller unwound.
-                        let _ = job.reply.send(solved);
-                    }
-                })
-                .expect("spawn the pool's solver thread");
-            Lanes::Solo {
-                jobs: Some(jobs),
-                thread: Some(thread),
-            }
-        } else {
-            let board = Arc::new(Board::new());
-            let workers = (0..threads)
-                .map(|_| {
-                    let board = Arc::clone(&board);
-                    std::thread::spawn(move || {
-                        board.work(|(net, state): &Handles, job, i| {
-                            compute_chunk(net, &state.read(), job, i)
-                        });
-                    })
-                })
-                .collect();
-            Lanes::Board { board, workers }
-        };
-        Self { lanes }
-    }
-
-    /// The worker count the pool was built with.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        match &self.lanes {
-            Lanes::Solo { .. } => 1,
-            Lanes::Board { workers, .. } => workers.len(),
-        }
-    }
-
-    /// Runs the same pulse schedule as the one-shot [`solve`] on this
-    /// pool's threads: concurrent queries reuse them with no per-query
-    /// spawn cost. Flow and report are byte-identical to [`solve`] for
-    /// any pool size (the chunk decomposition and apply order do not
-    /// depend on who computes a chunk). On a one-thread pool, a query
-    /// waits for the solves ahead of it; its `cancel` deadline counts
-    /// that wait.
-    pub fn solve(
-        &self,
-        net: &Arc<FlowNetwork>,
-        s: VertexId,
-        t: VertexId,
-        cancel: &Cancel,
-    ) -> Solved {
-        match &self.lanes {
-            Lanes::Solo { jobs, .. } => {
-                let (reply, outcome) = mpsc::channel();
-                let job = SoloJob {
-                    net: Arc::clone(net),
-                    s,
-                    t,
-                    cancel: cancel.clone(),
-                    reply,
-                };
-                jobs.as_ref()
-                    .expect("jobs is taken only by drop")
-                    .send(job)
-                    .expect("the solver thread outlives the pool's borrowers");
-                match outcome.recv().expect("the solver thread answers every job") {
-                    Ok(solved) => solved,
-                    Err(panic) => resume_unwind(panic),
-                }
-            }
-            Lanes::Board { board, .. } => {
-                if is_degenerate(net, s, t) {
-                    return Ok(zero_flow(net));
-                }
-                let state = Arc::new(RwLock::new(State::new(net, s, t)));
-                let mut exec = |job| board.execute((Arc::clone(net), Arc::clone(&state)), job);
-                run(net, s, t, &state, &mut exec, cancel)
-            }
-        }
-    }
-}
-
-impl Drop for SolverPool {
-    fn drop(&mut self) {
-        match &mut self.lanes {
-            Lanes::Solo { jobs, thread } => {
-                // Closing the queue ends the thread's loop.
-                drop(jobs.take());
-                if let Some(thread) = thread.take() {
-                    let _ = thread.join();
-                }
-            }
-            Lanes::Board { board, workers } => {
-                board.shutdown();
-                for worker in workers.drain(..) {
-                    let _ = worker.join();
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for SolverPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SolverPool")
-            .field("threads", &self.threads())
-            .finish()
     }
 }
 
@@ -563,7 +374,7 @@ fn plan_discharge(net: &FlowNetwork, st: &State, u: u32, out: &mut ChunkOut) {
 
 /// The pulse-loop coordinator. Owns the bookkeeping the apply phase
 /// needs (height counts for the gap heuristic, scratch bitmaps) and
-/// drives jobs through an executor closure — the pool or the inline
+/// drives jobs through an executor closure — the board or the inline
 /// runner — so the schedule is one piece of code for any thread count.
 struct Solver<'a> {
     net: &'a FlowNetwork,
@@ -978,103 +789,23 @@ mod tests {
     }
 
     #[test]
-    fn pooled_solve_matches_scoped_and_inline() {
-        let edges = gen::barabasi_albert(300, 3, 9);
-        let net = Arc::new(FlowNetwork::from_undirected_unit(300, &edges));
-        let s = VertexId::new(0);
-        let t = VertexId::new(299);
-        let inline = solve_on(&net, s, t, 1);
-        assert_eq!(solve_on(&net, s, t, 4), inline, "scoped workers");
-        for pool_threads in [1, 2, 4] {
-            let pool = SolverPool::new(pool_threads);
-            let pooled = pool
-                .solve(&net, s, t, &Cancel::never())
-                .expect("never-cancel solve cannot fail");
-            assert_eq!(
-                pooled, inline,
-                "pool_threads={pool_threads}: per-edge assignment and report must match scoped/inline"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_is_reusable_across_solves_and_graphs() {
-        let pool = SolverPool::new(2);
-        for seed in 0..4 {
-            let edges = gen::erdos_renyi(40, 120, seed);
-            let net = Arc::new(FlowNetwork::from_undirected_unit(40, &edges));
-            let s = VertexId::new(0);
-            let t = VertexId::new(39);
-            let (pooled, _) = pool.solve(&net, s, t, &Cancel::never()).unwrap();
-            let d = Algorithm::Dinic.run(&net, s, t);
-            assert_eq!(pooled.value, d.value, "seed {seed}");
-            check_flow(&net, s, t, &pooled).unwrap();
-        }
-    }
-
-    #[test]
-    fn expired_deadline_cancels_scoped_and_pooled() {
+    fn expired_deadline_cancels_scoped_and_inline() {
         let edges = gen::barabasi_albert(200, 3, 5);
-        let net = Arc::new(FlowNetwork::from_undirected_unit(200, &edges));
-        let s = VertexId::new(0);
-        let t = VertexId::new(199);
+        let net = FlowNetwork::from_undirected_unit(200, &edges);
         let expired = Cancel::after(std::time::Duration::from_secs(0));
-        assert_eq!(solve(&net, s, t, 2, &expired), Err(Cancelled));
-        for pool_threads in [1, 2] {
-            let pool = SolverPool::new(pool_threads);
+        for threads in [1, 2] {
             assert_eq!(
-                pool.solve(&net, s, t, &expired),
+                solve(
+                    &net,
+                    VertexId::new(0),
+                    VertexId::new(199),
+                    threads,
+                    &expired
+                ),
                 Err(Cancelled),
-                "pool_threads={pool_threads}"
+                "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn one_thread_pool_serves_concurrent_callers_in_turn() {
-        let pool = SolverPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let queries: Vec<_> = (0..4u64)
-            .map(|seed| {
-                let edges = gen::barabasi_albert(200, 3, seed);
-                let net = Arc::new(FlowNetwork::from_undirected_unit(200, &edges));
-                let (s, t) = (VertexId::new(seed), VertexId::new(199 - seed));
-                let expected = solve_on(&net, s, t, 1);
-                (net, s, t, expected)
-            })
-            .collect();
-        let start = std::sync::Barrier::new(queries.len());
-        std::thread::scope(|scope| {
-            for (net, s, t, expected) in &queries {
-                let (pool, start) = (&pool, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    for _ in 0..3 {
-                        let pooled = pool.solve(net, *s, *t, &Cancel::never()).unwrap();
-                        assert_eq!(&pooled, expected, "s={s:?} t={t:?}");
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn dropping_a_one_thread_pool_joins_its_thread() {
-        let edges = gen::erdos_renyi(40, 120, 1);
-        let net = Arc::new(FlowNetwork::from_undirected_unit(40, &edges));
-        let pool = SolverPool::new(1);
-        let (flow, _) = pool
-            .solve(&net, VertexId::new(0), VertexId::new(39), &Cancel::never())
-            .unwrap();
-        assert_eq!(
-            flow.value,
-            Algorithm::Dinic
-                .run(&net, VertexId::new(0), VertexId::new(39))
-                .value
-        );
-        drop(pool);
-        // Joined, the thread has dropped every job and its handles.
-        assert_eq!(Arc::strong_count(&net), 1);
     }
 
     #[test]

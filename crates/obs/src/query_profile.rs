@@ -67,8 +67,8 @@ pub struct QueryProfile {
     /// `super-terminal-query`, `mincut-needs-full-graph`,
     /// `coalesced-follower`.
     pub plan_reason: String,
-    /// Solver that produced the answer (`tree`, `local`, `dinic`,
-    /// `parallel-pr`, `periphery`, …).
+    /// Solver that produced the answer (`tree`, `local`,
+    /// `push-relabel`, `dinic`, `periphery`, …).
     pub solver: String,
     /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`, or a
     /// cut-tree answer, which never touches the cache).

@@ -113,7 +113,7 @@ impl CacheKey {
 pub struct CachedAnswer {
     /// The max-flow value.
     pub flow: Capacity,
-    /// Which solver produced it (`local`, `parallel-pr`, `periphery`, …).
+    /// Which solver produced it (`local`, `push-relabel`, `periphery`, …).
     pub solver: &'static str,
     /// How the planner routed it.
     pub plan: Plan,

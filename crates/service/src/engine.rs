@@ -15,18 +15,16 @@
 //! and any query that arrives before the tree is ready — takes the
 //! solver path below.
 //!
-//! There the default solver is the deterministic parallel push-relabel
-//! ([`maxflow::parallel_push_relabel`]), which uses every core
-//! [`EngineConfig::worker_threads`] grants while answering
-//! bit-identically for any thread count. An explicit `algorithm` value
-//! (`parallel-pr`, `dinic`, `push-relabel`, ...) pins any
+//! There every solve runs on the engine's one [`SolverThread`]. The
+//! default solver is sequential push-relabel; an explicit `algorithm`
+//! value (`push-relabel`, `dinic`, `parallel-pr`) pins any
 //! [`Algorithm`]. Every response carries the chosen solver so clients
 //! can see what answered a query. An unpinned core-plan query first
 //! tries [`maxflow::local`]: a bidirectional augmenting-path search that
 //! stops once the flow reaches `min(capacity out of s, capacity into
 //! t)` (that cut certifies it) or no path is left, and gives up past a
-//! work budget of a few passes over the arcs, in which case the pool
-//! solve runs as before. Its answers carry the solver label `local`.
+//! work budget of a few passes over the arcs, in which case the solve
+//! runs as before. Its answers carry the solver label `local`.
 //! Both the tree and the search are the structure-aware lesson of
 //! Bläsius/Friedrich/Weyand: on small-world graphs most cuts sit at a
 //! terminal.
@@ -39,8 +37,7 @@ use ffmr_obs::{QueryProfile, SlowLog};
 use maxflow::contraction::CorePlan;
 use maxflow::cut_tree;
 use maxflow::local::{self, Certificate, LocalSearch};
-use maxflow::parallel_push_relabel::SolverPool;
-use maxflow::{Algorithm, Cancel, SolveReport};
+use maxflow::{Algorithm, Cancel, SolveReport, SolverThread};
 use swgraph::{FlowNetwork, VertexId};
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
@@ -53,8 +50,9 @@ pub struct EngineConfig {
     /// Ignored: every query is solved in memory. Kept only until the
     /// `perfbench` harness, which still sets it, stops doing so.
     pub mr_threshold_vertices: usize,
-    /// Worker threads for the in-memory parallel solver (`None` uses
-    /// every available core).
+    /// Ignored: every solve runs on the engine's one solver thread. Kept
+    /// only until the `perfbench` harness, which still sets it, stops
+    /// doing so.
     pub worker_threads: Option<usize>,
     /// Flow-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -96,13 +94,11 @@ pub struct QueryEngine {
     store: Arc<GraphStore>,
     cache: FlowCache,
     config: EngineConfig,
-    /// One persistent worker pool shared by every in-memory parallel
-    /// push-relabel solve — queries borrow its threads for the duration
-    /// of their solve instead of spawning (and joining) a fresh set.
-    pool: SolverPool,
+    /// The one thread every solve runs on, pinned or not.
+    solver: SolverThread,
     /// Scratch for [`maxflow::local`] searches, one per engine thread
     /// searching at once: each is n-sized and reused, so a cold query
-    /// allocates no graph-sized memory before the pool solve.
+    /// allocates no graph-sized memory before the solve.
     local: Mutex<Vec<LocalSearch>>,
     /// Queries currently being solved, keyed by their cache key. A
     /// duplicate arriving while the leader is still solving waits for
@@ -131,9 +127,12 @@ enum InflightRole {
 /// The `solver` label of answers read straight off the periphery trees.
 const PERIPHERY: &str = "periphery";
 
+/// The solver an unpinned query falls back to when the local search does
+/// not apply or gives up.
+const FALLBACK: Algorithm = Algorithm::PushRelabel;
+
 /// Parses a request's `algorithm` field; `None` is `auto` (the default):
-/// the local search where the plan allows it, then the parallel
-/// push-relabel pool.
+/// the local search where the plan allows it, then [`FALLBACK`].
 fn parse_algorithm(name: Option<&str>) -> Result<Option<Algorithm>, String> {
     let Some(name) = name.filter(|&n| n != "auto") else {
         return Ok(None);
@@ -198,14 +197,11 @@ impl QueryEngine {
     /// Creates an engine over `store`.
     #[must_use]
     pub fn new(store: Arc<GraphStore>, config: EngineConfig) -> Self {
-        let threads = config
-            .worker_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
         Self {
             cache: FlowCache::new(config.cache_capacity),
             store,
             config,
-            pool: SolverPool::new(threads),
+            solver: SolverThread::spawn(),
             local: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
             slowlog: SlowLog::from_env(),
@@ -733,8 +729,8 @@ impl QueryEngine {
                             sink_terminals: vec![sink_anchor],
                             super_st: false,
                         };
-                        // The local search stands in front of the pool
-                        // solve only: a pinned solver runs as asked.
+                        // The local search stands in front of the
+                        // fallback only: a pinned solver runs as asked.
                         let searched = if opts.requested.is_none() {
                             self.solve_local(&core_q, opts, prof)?
                         } else {
@@ -817,27 +813,21 @@ impl QueryEngine {
         })
     }
 
-    /// Solves `q` with the solver `opts` pins, or the parallel
-    /// push-relabel pool under `auto`. Every in-memory solver polls a
-    /// deadline at its natural progress boundaries; a query that blows
-    /// its budget returns a timeout error instead of holding the
-    /// connection hostage. The pool (no per-query thread spawn) is
-    /// thread-count invariant.
+    /// Solves `q` on the solver thread with the solver `opts` pins, or
+    /// [`FALLBACK`] under `auto`. Every in-memory solver polls a deadline
+    /// at its natural progress boundaries; a query that blows its budget
+    /// returns a timeout error instead of holding the connection hostage.
     fn solve(
         &self,
         q: &ResolvedQuery,
         opts: &QueryOptions,
         prof: &mut QueryProfile,
     ) -> Result<CachedAnswer, String> {
-        let algo = opts.requested.unwrap_or(Algorithm::ParallelPushRelabel);
+        let algo = opts.requested.unwrap_or(FALLBACK);
         prof.solver = algo.name().to_string();
         let cancel = Cancel::after(opts.timeout);
         let solve_started = Instant::now();
-        let solved = if algo == Algorithm::ParallelPushRelabel {
-            self.pool.solve(&q.net, q.source, q.sink, &cancel)
-        } else {
-            algo.run_with_report(&q.net, q.source, q.sink, &cancel)
-        };
+        let solved = self.solver.solve(algo, &q.net, q.source, q.sink, &cancel);
         prof.solve_us += elapsed_us(solve_started);
         let (flow, report) = solved.map_err(|_| timeout_message(opts.timeout))?;
         add_report(prof, &report);
@@ -1213,9 +1203,9 @@ mod tests {
                 "dinic",
             ),
             (query("maxflow").field("algorithm", "auto"), "tree", "tree"),
-            (query("maxflow").field("no-core", 1), "full", "parallel-pr"),
-            (query("mincut"), "full", "parallel-pr"),
-            (w, "full", "parallel-pr"),
+            (query("maxflow").field("no-core", 1), "full", "push-relabel"),
+            (query("mincut"), "full", "push-relabel"),
+            (w, "full", "push-relabel"),
         ] {
             let r = engine.execute(&q.field("no-cache", 1));
             assert_eq!(r.head, status::OK, "{r:?}");
@@ -1238,7 +1228,7 @@ mod tests {
         let r = engine.execute(&query("maxflow"));
         assert_eq!(
             (r.get("plan"), r.get("solver")),
-            (Some("full"), Some("parallel-pr"))
+            (Some("full"), Some("push-relabel"))
         );
     }
 
@@ -1260,10 +1250,10 @@ mod tests {
             (pair("maxflow").field("sink", n - 1), "local", Some(&dinic)),
             (
                 pair("mincut").field("sink", n - 1),
-                "parallel-pr",
+                "push-relabel",
                 Some(&dinic),
             ),
-            (w, "parallel-pr", None),
+            (w, "push-relabel", None),
         ] {
             let r = engine.execute(&q);
             assert_eq!(r.head, status::OK, "{r:?}");
@@ -1320,40 +1310,49 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_knob_does_not_change_the_answer() {
-        let n = 400;
-        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 13));
-        let mut flows = Vec::new();
-        for threads in [1, 4] {
-            let config = EngineConfig {
-                worker_threads: Some(threads),
-                ..EngineConfig::default()
-            };
-            let engine = engine_with(net.clone(), config);
-            // Pinned: the local search would answer without the pool.
-            let q = Message::new("maxflow")
-                .field("dataset", "g")
-                .field("source", 0)
-                .field("sink", 399)
-                .field("algorithm", "parallel-pr");
-            let r = engine.execute(&q);
-            assert_eq!(r.head, status::OK, "{r:?}");
-            assert_eq!(r.get("solver"), Some("parallel-pr"));
-            flows.push(r.get("flow").unwrap().to_string());
-        }
-        assert_eq!(flows[0], flows[1], "deterministic across thread counts");
-    }
-
-    #[test]
     fn mincut_returns_a_certificate() {
         let engine = engine_with(two_paths(), EngineConfig::default());
         let r = engine.execute(&query("mincut"));
         assert_eq!(r.head, status::OK, "{r:?}");
         assert_eq!(r.get("flow"), Some("2"));
-        assert_eq!(r.get("solver"), Some("parallel-pr"));
+        assert_eq!(r.get("solver"), Some("push-relabel"));
         assert_eq!(r.get("cut-edges"), Some("2"));
         let side: usize = r.get("cut-source-side").unwrap().parse().unwrap();
         assert!((1..4).contains(&side));
+    }
+
+    /// Unpinned `mincut` and `w` queries fall back to push-relabel, and
+    /// answer what a pinned `parallel-pr` or `dinic` solve answers: the
+    /// residual-reachable min cut is the same for every maximum flow.
+    #[test]
+    fn unpinned_fallback_answers_like_every_pinned_solver() {
+        let n = 400;
+        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 13));
+        let engine = engine_with_tree(net, EngineConfig::default());
+        let mincut = |s: u64, t: u64| {
+            Message::new("mincut")
+                .field("dataset", "g")
+                .field("source", s)
+                .field("sink", t)
+        };
+        let w = |seed: u64| {
+            Message::new("maxflow")
+                .field("dataset", "g")
+                .field("w", 8)
+                .field("seed", seed)
+        };
+        for q in [mincut(0, n - 1), mincut(5, 17), w(1), w(2)] {
+            let unpinned = engine.execute(&q.clone().field("no-cache", 1));
+            assert_eq!(unpinned.head, status::OK, "{unpinned:?}");
+            assert_eq!(unpinned.get("solver"), Some("push-relabel"), "{q:?}");
+            for pinned in ["parallel-pr", "dinic"] {
+                let r = engine.execute(&q.clone().field("algorithm", pinned).field("no-cache", 1));
+                assert_eq!(r.get("solver"), Some(pinned));
+                for field in ["flow", "cut-edges", "cut-source-side", "sources", "sinks"] {
+                    assert_eq!(r.get(field), unpinned.get(field), "{pinned} {field}: {q:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1522,7 +1521,7 @@ mod tests {
                 .field("algorithm", algo)
                 .field("no-core", 1)
         });
-        // A super-terminal query takes the pool under `auto`.
+        // A super-terminal query takes the fallback under `auto`.
         let super_st = Message::new("maxflow").field("dataset", "g").field("w", 1);
         for q in pinned.into_iter().chain([super_st]) {
             let q = q.field("timeout-ms", 0);
@@ -1678,7 +1677,7 @@ mod tests {
         for (extra, plan, solver) in [
             (("algorithm", "dinic"), "core", "dinic"),
             (("algorithm", "parallel-pr"), "core", "parallel-pr"),
-            (("no-core", "1"), "full", "parallel-pr"),
+            (("no-core", "1"), "full", "push-relabel"),
         ] {
             let r = engine.execute(
                 &query("maxflow")
@@ -1696,9 +1695,10 @@ mod tests {
     }
 
     #[test]
-    fn a_search_over_budget_falls_back_to_the_pool_solve() {
+    fn a_search_over_budget_falls_back_to_push_relabel() {
         // Two hubs sharing 50 unit middles: each augmenting path rescans
-        // a hub's 50 arcs, so the search gives up and the pool finishes.
+        // a hub's 50 arcs, so the search gives up and push-relabel
+        // finishes.
         let mut b = swgraph::FlowNetworkBuilder::new(52);
         for m in 2..52 {
             b.add_undirected(0, m, 1);
@@ -1714,7 +1714,7 @@ mod tests {
         );
         assert_eq!(r.head, status::OK, "{r:?}");
         assert_eq!(r.get("flow"), Some("50"));
-        assert_eq!(r.get("solver"), Some("parallel-pr"));
+        assert_eq!(r.get("solver"), Some("push-relabel"));
         assert_eq!(r.get("plan"), Some("core"));
         let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
         assert_eq!(prof.plan_reason, "local-budget");

@@ -20,8 +20,9 @@
 //!   paper's Sec. V-A1 super-source/sink construction);
 //! * [`engine`] — query routing, all in memory: plain `maxflow` read
 //!   off the cut tree once it is built; otherwise the core planner, the
-//!   certified local search, then the parallel push-relabel pool;
-//!   explicit algorithm pinning and per-query deadline cancellation;
+//!   certified local search, then sequential push-relabel, every solve
+//!   on one solver thread; explicit algorithm pinning and per-query
+//!   deadline cancellation;
 //! * [`server`] — TCP daemon: thread-per-connection front-end feeding a
 //!   bounded worker pool, `busy` load shedding, graceful shutdown;
 //! * [`client`] — the blocking client the `ffmr query` subcommand uses.

@@ -14,7 +14,8 @@
 //!   thread blocks for that one reply — the protocol is strict
 //!   request/response per connection;
 //! * a fixed pool of **worker threads** drains the queue and runs
-//!   [`QueryEngine::execute`].
+//!   [`QueryEngine::execute`], which hands every solve to the engine's
+//!   one solver thread.
 //!
 //! The queue is a `sync_channel(queue_depth)` submitted to with
 //! `try_send`: when every worker is busy and the queue is full, the

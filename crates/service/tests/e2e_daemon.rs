@@ -4,8 +4,8 @@
 //! Covers the full serving story in one scenario: mixed cached/uncached
 //! queries on two graph families, all answered in memory (from the cut
 //! tree once it is built; before that, and always on a graph with
-//! one-way capacities, the local search first and the parallel
-//! push-relabel pool when it gives up), cache hits on repeated terminal
+//! one-way capacities, the local search first and push-relabel when it
+//! gives up), cache hits on repeated terminal
 //! sets, explicit `busy` load shedding when the bounded queue saturates,
 //! and a clean shutdown that leaves no thread hanging.
 
@@ -109,7 +109,7 @@ fn concurrent_mixed_queries_against_live_daemon() {
             assert_eq!(r.head, "ok", "{r:?}");
             assert_eq!(r.get("flow"), Some(expected.to_string().as_str()));
             assert!(
-                matches!(r.get("solver"), Some("tree" | "local" | "parallel-pr")),
+                matches!(r.get("solver"), Some("tree" | "local" | "push-relabel")),
                 "answered in memory: {r:?}"
             );
             r.get("cached").unwrap() == "1"

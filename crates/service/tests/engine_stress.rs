@@ -40,7 +40,6 @@ fn concurrent_queries_survive_snapshot_swaps() {
         Arc::clone(&store),
         EngineConfig {
             cache_capacity: 16, // small enough to evict under load
-            worker_threads: Some(2),
             ..EngineConfig::default()
         },
     ));

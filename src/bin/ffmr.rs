@@ -8,7 +8,7 @@
 //!       [--nodes 20] [--w 0] [--threads N] [--state FILE] [--resume]
 //!       [--crash-after-round N] [--crash-in-round N]
 //! ffmr serve --listen 127.0.0.1:7227 --graph fb=graph.txt [--graph ...]
-//!       [--workers 4] [--queue 16] [--cache 256] [--threads N]
+//!       [--workers 4] [--queue 16] [--cache 256]
 //! ffmr worker --connect HOST:PORT
 //! ffmr query --addr 127.0.0.1:7227 --op maxflow --dataset fb \
 //!       (--source S --sink T | --w N) [--algorithm auto|...] [--timeout-ms N]
@@ -29,8 +29,8 @@
 //! `serve` holds each graph resident and answers every query in memory:
 //! plain `maxflow` from a Gomory–Hu cut tree built in the background
 //! (it prints a line when one is ready), everything else by the core
-//! planner, certified local search and parallel push-relabel; its
-//! `--algorithm` pins an in-memory solver only.
+//! planner, certified local search and sequential push-relabel on one
+//! solver thread; its `--algorithm` pins an in-memory solver only.
 //!
 //! `maxflow --workers N` runs the MapReduce rounds in *distributed
 //! mode*: `N` separate `ffmr worker` OS processes are spawned against an
@@ -92,7 +92,6 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "workers",
             "queue",
             "cache",
-            "threads",
             "timeout-ms",
             "no-core",
             "slow-query-ms",
@@ -177,11 +176,12 @@ fn print_help() {
          \x20          [--crash-in-round N] [--workers N]\n\
          \x20          [--coordinator HOST:PORT]\n\
          \x20 serve    --listen HOST:PORT --graph NAME=FILE [--graph ...]\n\
-         \x20          [--workers N] [--queue N] [--cache N] [--threads N]\n\
+         \x20          [--workers N] [--queue N] [--cache N]\n\
          \x20          [--timeout-ms N] [--no-core]  (disable the core planner)\n\
          \x20          [--slow-query-ms N] [--slowlog-file FILE]\n\
          \x20          (every query is answered in memory, plain maxflow from a\n\
-         \x20          cut tree once built; ff1..ff5 are maxflow's)\n\
+         \x20          cut tree once built, the rest by push-relabel on one\n\
+         \x20          solver thread; ff1..ff5 are maxflow's)\n\
          \x20 worker   --connect HOST:PORT\n\
          \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|slowlog|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
@@ -654,9 +654,7 @@ fn serve(opts: &Options) -> Result<(), String> {
         return Err("serve needs at least one --graph NAME=FILE".into());
     }
 
-    let solver_threads: usize = opts.parsed("threads", 0)?;
     let engine_config = engine::EngineConfig {
-        worker_threads: (solver_threads > 0).then_some(solver_threads),
         cache_capacity: opts.parsed("cache", 256)?,
         default_timeout: std::time::Duration::from_millis(opts.parsed("timeout-ms", 30_000u64)?),
         core_planner: !opts.has("no-core"),
@@ -1434,6 +1432,9 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, "unknown option --slow-task for maxflow");
+        // The daemon has one solver thread, not a sized pool.
+        let err = parse("serve", &["--graph", "g=g.txt", "--threads", "2"]).unwrap_err();
+        assert_eq!(err, "unknown option --threads for serve");
         // Another subcommand's option is unknown here too.
         let err = parse("info", &["--input", "g.txt", "--json"]).unwrap_err();
         assert_eq!(err, "unknown option --json for info");
