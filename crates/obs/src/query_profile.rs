@@ -2,10 +2,10 @@
 //! request, mirroring what [`crate::events`] does for MR task attempts.
 //!
 //! The serving tier (`ffmrd`) assembles a profile as a query travels
-//! planner → (direct | core | full) → cache/coalescing → solver: which
-//! plan was chosen and *why*, per-stage wall windows (queue wait,
-//! terminal resolution, planning, solve, cache update), and the
-//! solver's own execution counters. Three surfaces consume it:
+//! cut tree | (cache/coalescing → local search → solver): which plan
+//! answered it and *why*, per-stage wall windows (queue wait, terminal
+//! resolution, planning, solve, cache update), and the solver's own
+//! execution counters. Three surfaces consume it:
 //!
 //! * the `explain` request flag echoes the profile on the response
 //!   (`ffmr query --explain` renders it as a stage-timing tree);
@@ -56,19 +56,17 @@ pub struct QueryProfile {
     pub dataset: String,
     /// Snapshot epoch the answer was computed on.
     pub epoch: u64,
-    /// Route taken: `tree` (read off the snapshot's cut tree), `direct`
-    /// (periphery trees), `core` (contracted 2-core), `full` (whole
-    /// graph), or `-` when no solve ran.
+    /// Route taken: `tree` (read off the snapshot's cut tree), `full`
+    /// (solved on the whole graph), or `-` when the query failed before
+    /// either.
     pub plan: String,
-    /// Why that route: `cut-tree`, `periphery-direct`, `anchor-core-solve`,
-    /// `anchor-cache-hit`, `local-trivial-cut`, `local-exhausted`,
-    /// `local-budget` (the local search gave up and a solver finished),
-    /// `cache-hit`, `planner-disabled`, `no-core-requested`,
-    /// `super-terminal-query`, `mincut-needs-full-graph`,
-    /// `coalesced-follower`.
+    /// Why that route: `cut-tree`, `local-trivial-cut`,
+    /// `local-exhausted`, `local-budget` (the local search gave up and a
+    /// solver finished), `algorithm-pinned`, `super-terminal-query`,
+    /// `mincut-needs-full-graph`, `cache-hit`, `coalesced-follower`.
     pub plan_reason: String,
     /// Solver that produced the answer (`tree`, `local`,
-    /// `push-relabel`, `dinic`, `periphery`, …).
+    /// `push-relabel`, `dinic`, …).
     pub solver: String,
     /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`, or a
     /// cut-tree answer, which never touches the cache).
@@ -85,7 +83,8 @@ pub struct QueryProfile {
     pub queue_wait_us: u64,
     /// Terminal resolution (super-terminal BFS, id validation).
     pub resolve_us: u64,
-    /// Core-index planning (anchor lookup, tree bottleneck walk).
+    /// Planning. No serving route plans any more, so it stays 0; the
+    /// field and its stage remain for the `perfbench` harness.
     pub plan_us: u64,
     /// The solve itself (in-memory or simulated MapReduce wall time).
     pub solve_us: u64,
@@ -365,8 +364,8 @@ mod tests {
             verb: "maxflow".into(),
             dataset: "g".into(),
             epoch: 3,
-            plan: "core".into(),
-            plan_reason: "anchor-core-solve".into(),
+            plan: "full".into(),
+            plan_reason: "algorithm-pinned".into(),
             solver: "parallel-pr".into(),
             cache: "miss".into(),
             coalesced: false,

@@ -16,9 +16,11 @@
 //!   paper's Sec. V-A1 `--w` construction) canonicalizes to the sorted
 //!   high-degree terminal vertices actually chosen, so two `--w` queries
 //!   that select the same terminals share one entry even across
-//!   different requested seeds. The query planner also stores its core
-//!   solves under the terminals' *anchor* pair, so every query whose
-//!   periphery trees resolve to the same anchors shares one core solve.
+//!   different requested seeds.
+//!
+//! Answers read off a snapshot's cut tree never enter the cache (a walk
+//! costs less than a lookup), so every cached answer was solved on the
+//! whole graph: its `plan` is always `full`.
 //!
 //! Eviction is least-recently-used in O(1): a slab of entries threaded
 //! on an intrusive doubly-linked recency list, plus a key → slot map.
@@ -39,33 +41,6 @@ pub enum QueryKind {
     MaxFlow,
     /// Maximum flow plus the minimum cut certificate.
     MinCut,
-}
-
-/// How the planner routed a query — the `plan` response field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Plan {
-    /// Read off the snapshot's Gomory–Hu cut tree; no solver ran, and
-    /// the answer is never cached.
-    Tree,
-    /// Answered from the periphery trees alone; no solver ran.
-    Direct,
-    /// Solved between the anchors on the contracted 2-core.
-    Core,
-    /// Solved on the whole graph.
-    Full,
-}
-
-impl Plan {
-    /// The value the `plan` response field and metric label carry.
-    #[must_use]
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            Plan::Tree => "tree",
-            Plan::Direct => "direct",
-            Plan::Core => "core",
-            Plan::Full => "full",
-        }
-    }
 }
 
 /// A fully canonicalized query identity.
@@ -113,10 +88,8 @@ impl CacheKey {
 pub struct CachedAnswer {
     /// The max-flow value.
     pub flow: Capacity,
-    /// Which solver produced it (`local`, `push-relabel`, `periphery`, …).
+    /// Which solver produced it (`local`, `push-relabel`, `dinic`, …).
     pub solver: &'static str,
-    /// How the planner routed it.
-    pub plan: Plan,
     /// Min-cut certificate: crossing-edge count (min-cut queries only).
     pub cut_edges: Option<usize>,
     /// Min-cut certificate: source-side size (min-cut queries only).
@@ -405,7 +378,6 @@ mod tests {
         CachedAnswer {
             flow,
             solver: "dinic",
-            plan: Plan::Full,
             cut_edges: None,
             cut_source_side: None,
         }

@@ -5,42 +5,42 @@
 //! answered in memory; the paper's MapReduce driver is `ffmr maxflow
 //! --algorithm ff1..ff5`, not a daemon route.
 //!
-//! A plain `maxflow` query (no `w`, `algorithm auto`, no `no-core`, the
-//! core planner on) is read off the snapshot's Gomory–Hu
-//! [`CutTree`](maxflow::cut_tree::CutTree) once the store has built it:
-//! a walk of a few tree edges, answered with `plan tree`, `solver tree`
-//! by [`QueryEngine::execute_cached`] on the connection thread, and
-//! never read from or written to the cache. Everything else — `mincut`,
-//! `w`, pinned solvers, `no-core`, snapshots with one-way capacities,
-//! and any query that arrives before the tree is ready — takes the
-//! solver path below.
+//! A plain `maxflow` query (no `w`, `algorithm auto`) has one route:
 //!
-//! There every solve runs on the engine's one [`SolverThread`]. The
-//! default solver is sequential push-relabel; an explicit `algorithm`
-//! value (`push-relabel`, `dinic`, `parallel-pr`) pins any
-//! [`Algorithm`]. Every response carries the chosen solver so clients
-//! can see what answered a query. An unpinned core-plan query first
-//! tries [`maxflow::local`]: a bidirectional augmenting-path search that
-//! stops once the flow reaches `min(capacity out of s, capacity into
-//! t)` (that cut certifies it) or no path is left, and gives up past a
-//! work budget of a few passes over the arcs, in which case the solve
-//! runs as before. Its answers carry the solver label `local`.
-//! Both the tree and the search are the structure-aware lesson of
-//! Bläsius/Friedrich/Weyand: on small-world graphs most cuts sit at a
-//! terminal.
+//! 1. the snapshot's Gomory–Hu [`CutTree`](maxflow::cut_tree::CutTree),
+//!    once the store has built it: a walk of a few tree edges, answered
+//!    with `plan tree`, `solver tree` by [`QueryEngine::execute_cached`]
+//!    on the connection thread, and never read from or written to the
+//!    cache;
+//! 2. otherwise (snapshots with one-way capacities, and any query that
+//!    arrives before the tree is ready) [`maxflow::local`] on the
+//!    snapshot's own network: a bidirectional augmenting-path search
+//!    that stops once the flow reaches `min(capacity out of s, capacity
+//!    into t)` (that cut certifies it) or no path is left. Its answers
+//!    carry the solver label `local`;
+//! 3. otherwise — the search gave up past its work budget of a few
+//!    passes over the arcs — [`FALLBACK`], sequential push-relabel.
+//!
+//! `mincut` and `w` queries go straight to step 3, and an explicit
+//! `algorithm` value (`push-relabel`, `dinic`, `parallel-pr`) pins any
+//! [`Algorithm`] instead. Every solve runs on the engine's one
+//! [`SolverThread`], and every answer but the tree's is `plan full`.
+//! Every response carries the chosen solver so clients can see what
+//! answered a query. Both the tree and the search are the
+//! structure-aware lesson of Bläsius/Friedrich/Weyand: on small-world
+//! graphs most cuts sit at a terminal.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ffmr_obs::{QueryProfile, SlowLog};
-use maxflow::contraction::CorePlan;
 use maxflow::cut_tree;
 use maxflow::local::{self, Certificate, LocalSearch};
 use maxflow::{Algorithm, Cancel, SolveReport, SolverThread};
 use swgraph::{FlowNetwork, VertexId};
 
-use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
+use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, QueryKind};
 use crate::protocol::{error_response, status, Message};
 use crate::store::{CutTreeStatus, GraphStore};
 
@@ -62,11 +62,6 @@ pub struct EngineConfig {
     pub super_min_degree: usize,
     /// Default selection seed for super-terminal queries.
     pub super_seed: u64,
-    /// Whether plain `s→t` max-flow queries may be answered on the
-    /// snapshot's precomputed core contraction (periphery-tree direct
-    /// answers and anchor-pair core solves). Off routes everything to
-    /// the full graph.
-    pub core_planner: bool,
     /// Queries whose end-to-end wall time (queue wait included) meets
     /// or exceeds this land in the slow-query ring served by the
     /// `slowlog` verb.
@@ -82,7 +77,6 @@ impl Default for EngineConfig {
             default_timeout: Duration::from_secs(30),
             super_min_degree: 3,
             super_seed: 42,
-            core_planner: true,
             slow_query_threshold: Duration::from_millis(250),
         }
     }
@@ -124,15 +118,18 @@ enum InflightRole {
     Follow(Arc<InflightSlot>),
 }
 
-/// The `solver` label of answers read straight off the periphery trees.
-const PERIPHERY: &str = "periphery";
-
 /// The solver an unpinned query falls back to when the local search does
 /// not apply or gives up.
 const FALLBACK: Algorithm = Algorithm::PushRelabel;
 
+/// The `plan` of an answer read off the snapshot's cut tree.
+const PLAN_TREE: &str = "tree";
+
+/// The `plan` of every other answer: solved on the whole graph.
+const PLAN_FULL: &str = "full";
+
 /// Parses a request's `algorithm` field; `None` is `auto` (the default):
-/// the local search where the plan allows it, then [`FALLBACK`].
+/// the cut tree or the local search where they apply, then [`FALLBACK`].
 fn parse_algorithm(name: Option<&str>) -> Result<Option<Algorithm>, String> {
     let Some(name) = name.filter(|&n| n != "auto") else {
         return Ok(None);
@@ -152,7 +149,6 @@ struct QueryOptions {
     /// The pinned solver, or `None` for `algorithm auto`.
     requested: Option<Algorithm>,
     use_cache: bool,
-    no_core: bool,
     timeout: Duration,
 }
 
@@ -163,7 +159,6 @@ impl QueryOptions {
             kind,
             requested: parse_algorithm(request.get("algorithm"))?,
             use_cache: request.get("no-cache").is_none(),
-            no_core: request.get("no-core").is_some(),
             timeout: timeout_ms.map_or(config.default_timeout, Duration::from_millis),
         })
     }
@@ -305,9 +300,6 @@ impl QueryEngine {
                 format!("{:.3}", swgraph::props::average_degree(&snap.network)),
             );
             response.push("max-degree", swgraph::props::max_degree(&snap.network));
-            response.push("core-vertices", snap.core.core_vertex_count());
-            response.push("core-edge-pairs", snap.core.core_edge_pairs());
-            response.push("periphery-vertices", snap.core.periphery_vertex_count());
             let status = snap.cut_tree_status();
             response.push("cut-tree", status.as_str());
             let (build_ms, depth) = match status {
@@ -519,7 +511,7 @@ impl QueryEngine {
         prof: &mut QueryProfile,
     ) -> Result<Message, String> {
         let prepared = self.prepare(request, kind, prof)?;
-        if let Some(reply) = tree_reply(&self.config, &prepared, prof) {
+        if let Some(reply) = tree_reply(&prepared, prof) {
             return Ok(reply);
         }
         let PreparedQuery {
@@ -538,37 +530,8 @@ impl QueryEngine {
             }
         }
         prof.deadline_ms = u64::try_from(opts.timeout.as_millis()).unwrap_or(u64::MAX);
-
-        // The core planner applies to plain s→t max-flow queries only:
-        // min-cut needs the full graph for its certificate, and `--w`
-        // queries solve an augmented graph the core was not built for
-        // (`no-core` opts a single request out).
-        let planner_applies = self.config.core_planner
-            && !resolved.super_st
-            && kind == QueryKind::MaxFlow
-            && !opts.no_core;
-        let plan_started = Instant::now();
-        let plan = if planner_applies {
-            Some(snap.core.plan(resolved.source, resolved.sink))
-        } else {
-            None
-        };
-        prof.plan_us = elapsed_us(plan_started);
-        prof.plan_reason = if planner_applies {
-            String::new() // refined by execute_plan
-        } else if resolved.super_st {
-            "super-terminal-query".to_string()
-        } else if kind == QueryKind::MinCut {
-            "mincut-needs-full-graph".to_string()
-        } else if opts.no_core {
-            "no-core-requested".to_string()
-        } else {
-            "planner-disabled".to_string()
-        };
-
-        let compute = |prof: &mut QueryProfile| -> Result<CachedAnswer, String> {
-            self.execute_plan(&plan, &snap, &resolved, &opts, &key, prof)
-        };
+        prof.plan = PLAN_FULL.to_string();
+        let compute = |prof: &mut QueryProfile| self.compute(&resolved, &opts, prof);
 
         // Single-flight: an identical cacheable query arriving while
         // another is solving waits for that answer instead of solving
@@ -593,7 +556,6 @@ impl QueryEngine {
                     prof.coalesced = true;
                     prof.plan_reason = "coalesced-follower".to_string();
                     let answer = done.clone().expect("leader published")?;
-                    prof.plan = answer.plan.as_str().to_string();
                     prof.solver = answer.solver.to_string();
                     (answer, true)
                 }
@@ -607,7 +569,9 @@ impl QueryEngine {
             self.cache.put(key, answer.clone());
             prof.cache_update_us += elapsed_us(put_started);
         }
-        let mut response = render_answer(&answer, kind, &resolved, dataset, snap.epoch, false);
+        let mut response = render_answer(
+            &answer, PLAN_FULL, kind, &resolved, dataset, snap.epoch, false,
+        );
         push_serving_fields(&mut response, coalesced, prof.queue_wait_us);
         Ok(response)
     }
@@ -624,7 +588,7 @@ impl QueryEngine {
         prof: &mut QueryProfile,
     ) -> Option<Message> {
         let q = self.prepare(request, kind, prof).ok()?;
-        if let Some(reply) = tree_reply(&self.config, &q, prof) {
+        if let Some(reply) = tree_reply(&q, prof) {
             return Some(reply);
         }
         if !q.opts.use_cache {
@@ -657,111 +621,34 @@ impl QueryEngine {
         }
     }
 
-    /// Executes a planned query: direct periphery answers, core solves
-    /// (with anchor-pair caching), or the full-graph fallback.
-    fn execute_plan(
+    /// Answers a query the tree did not: an unpinned plain `maxflow`
+    /// tries the certified local search on the snapshot first; anything
+    /// else, and a search that gives up, is solved on the solver thread.
+    fn compute(
         &self,
-        plan: &Option<CorePlan>,
-        snap: &crate::store::Snapshot,
-        resolved: &ResolvedQuery,
+        q: &ResolvedQuery,
         opts: &QueryOptions,
-        key: &CacheKey,
         prof: &mut QueryProfile,
     ) -> Result<CachedAnswer, String> {
-        let metrics = ffmr_obs::global();
-        match *plan {
-            // The periphery trees fully determine the value: no solver.
-            Some(CorePlan::Direct(flow)) => {
-                metrics.counter("ffmr_core_answered_total", &[]).inc();
-                prof.plan = Plan::Direct.as_str().to_string();
-                prof.plan_reason = "periphery-direct".to_string();
-                prof.solver = PERIPHERY.to_string();
-                Ok(CachedAnswer {
-                    flow,
-                    solver: PERIPHERY,
-                    plan: Plan::Direct,
-                    cut_edges: None,
-                    cut_source_side: None,
-                })
-            }
-            // Solve between the anchors on the contracted core; the
-            // solve is cached under the anchor pair, so every query
-            // whose periphery trees meet the core at the same anchors
-            // shares it.
-            Some(CorePlan::Core {
-                source,
-                sink,
-                limit,
-                source_anchor,
-                sink_anchor,
-            }) => {
-                metrics.counter("ffmr_core_answered_total", &[]).inc();
-                prof.plan = Plan::Core.as_str().to_string();
-                let core_net = snap.core.core_net();
-                let core_key = CacheKey::new(
-                    &snap.name,
-                    snap.epoch,
-                    QueryKind::MaxFlow,
-                    vec![source_anchor],
-                    vec![sink_anchor],
-                );
-                // When both terminals are core vertices the core key IS
-                // the query key, and that lookup already missed.
-                let shared_key = opts.use_cache && core_key != *key;
-                let core_hit = if shared_key {
-                    self.cache.get(&core_key)
-                } else {
-                    None
-                };
-                let mut core_answer = match core_hit {
-                    Some(hit) => {
-                        prof.plan_reason = "anchor-cache-hit".to_string();
-                        prof.solver = hit.solver.to_string();
-                        hit
-                    }
-                    None => {
-                        prof.plan_reason = "anchor-core-solve".to_string();
-                        let core_q = ResolvedQuery {
-                            net: Arc::clone(core_net),
-                            source,
-                            sink,
-                            source_terminals: vec![source_anchor],
-                            sink_terminals: vec![sink_anchor],
-                            super_st: false,
-                        };
-                        // The local search stands in front of the
-                        // fallback only: a pinned solver runs as asked.
-                        let searched = if opts.requested.is_none() {
-                            self.solve_local(&core_q, opts, prof)?
-                        } else {
-                            None
-                        };
-                        let mut answer = match searched {
-                            Some(answer) => answer,
-                            None => self.solve(&core_q, opts, prof)?,
-                        };
-                        answer.plan = Plan::Core;
-                        if shared_key {
-                            // The unclamped anchor-pair value is what
-                            // other queries sharing these anchors need.
-                            let put_started = Instant::now();
-                            self.cache.put(core_key, answer.clone());
-                            prof.cache_update_us += elapsed_us(put_started);
-                        }
-                        answer
-                    }
-                };
-                core_answer.flow = limit.min(core_answer.flow);
-                Ok(core_answer)
-            }
+        let bypass = if opts.requested.is_some() {
+            Some("algorithm-pinned")
+        } else if q.super_st {
+            Some("super-terminal-query")
+        } else if opts.kind == QueryKind::MinCut {
+            Some("mincut-needs-full-graph")
+        } else {
+            None
+        };
+        match bypass {
+            Some(reason) => prof.plan_reason = reason.to_string(),
+            // The search names how it ended in the plan reason.
             None => {
-                if !resolved.super_st && opts.kind == QueryKind::MaxFlow {
-                    metrics.counter("ffmr_core_fallback_total", &[]).inc();
+                if let Some(answer) = self.solve_local(q, opts, prof)? {
+                    return Ok(answer);
                 }
-                prof.plan = Plan::Full.as_str().to_string();
-                self.solve(resolved, opts, prof)
             }
         }
+        self.solve(q, opts, prof)
     }
 
     fn resolve_terminals(
@@ -834,7 +721,6 @@ impl QueryEngine {
         let mut answer = CachedAnswer {
             flow: flow.value,
             solver: algo.name(),
-            plan: Plan::Full,
             cut_edges: None,
             cut_source_side: None,
         };
@@ -881,7 +767,6 @@ impl QueryEngine {
             CachedAnswer {
                 flow: found.value,
                 solver: local::NAME,
-                plan: Plan::Core,
                 cut_edges: None,
                 cut_source_side: None,
             }
@@ -892,7 +777,7 @@ impl QueryEngine {
 /// Folds one executed request into the process-wide registry: a per-verb
 /// request counter, a per-verb error counter, and a per-plan/per-solver/
 /// per-verb latency histogram (`-` for verbs that never pick one), so
-/// the direct/core/full serving tiers get separate SLO curves.
+/// the tree and full routes get separate SLO curves.
 fn record_query_metrics(verb: &str, response: &Message, elapsed: Duration) {
     let m = ffmr_obs::global();
     m.counter("ffmr_requests_total", &[("verb", verb)]).inc();
@@ -949,19 +834,12 @@ fn finish_request(
 }
 
 /// The answer read off the snapshot's cut tree, when the query is one
-/// the tree answers: plain `maxflow` under `algorithm auto`, the core
-/// planner on and not opted out of, and the tree built. It bypasses the
-/// cache both ways: a walk costs less than a lookup.
-fn tree_reply(
-    config: &EngineConfig,
-    q: &PreparedQuery,
-    prof: &mut QueryProfile,
-) -> Option<Message> {
-    let applies = config.core_planner
-        && q.opts.kind == QueryKind::MaxFlow
-        && !q.resolved.super_st
-        && q.opts.requested.is_none()
-        && !q.opts.no_core;
+/// the tree answers: plain `maxflow` under `algorithm auto`, and the
+/// tree built. It bypasses the cache both ways: a walk costs less than a
+/// lookup.
+fn tree_reply(q: &PreparedQuery, prof: &mut QueryProfile) -> Option<Message> {
+    let applies =
+        q.opts.kind == QueryKind::MaxFlow && !q.resolved.super_st && q.opts.requested.is_none();
     if !applies {
         return None;
     }
@@ -969,19 +847,19 @@ fn tree_reply(
     let walk_started = Instant::now();
     let flow = tree.max_flow(q.resolved.source, q.resolved.sink);
     prof.solve_us = elapsed_us(walk_started);
-    prof.plan = Plan::Tree.as_str().to_string();
+    prof.plan = PLAN_TREE.to_string();
     prof.plan_reason = "cut-tree".to_string();
     prof.solver = cut_tree::NAME.to_string();
     prof.cache = "bypass".to_string();
     let answer = CachedAnswer {
         flow,
         solver: cut_tree::NAME,
-        plan: Plan::Tree,
         cut_edges: None,
         cut_source_side: None,
     };
     let mut response = render_answer(
         &answer,
+        PLAN_TREE,
         q.opts.kind,
         &q.resolved,
         &q.snap.name,
@@ -1002,10 +880,10 @@ fn hit_reply(
     prof: &mut QueryProfile,
 ) -> Message {
     prof.cache = "hit".to_string();
-    prof.plan = hit.plan.as_str().to_string();
+    prof.plan = PLAN_FULL.to_string();
     prof.plan_reason = "cache-hit".to_string();
     prof.solver = hit.solver.to_string();
-    let mut response = render_answer(hit, kind, resolved, dataset, epoch, true);
+    let mut response = render_answer(hit, PLAN_FULL, kind, resolved, dataset, epoch, true);
     push_serving_fields(&mut response, false, prof.queue_wait_us);
     response
 }
@@ -1048,6 +926,7 @@ fn push_serving_fields(response: &mut Message, coalesced: bool, queue_wait_us: u
 
 fn render_answer(
     answer: &CachedAnswer,
+    plan: &str,
     kind: QueryKind,
     q: &ResolvedQuery,
     dataset: &str,
@@ -1059,7 +938,7 @@ fn render_answer(
         .field("epoch", epoch)
         .field("flow", answer.flow)
         .field("solver", answer.solver)
-        .field("plan", answer.plan.as_str())
+        .field("plan", plan)
         .field("cached", u8::from(cached));
     if kind == QueryKind::MinCut {
         if let (Some(edges), Some(side)) = (answer.cut_edges, answer.cut_source_side) {
@@ -1122,7 +1001,7 @@ mod tests {
         assert_eq!(first.head, status::OK, "{first:?}");
         assert_eq!(first.get("flow"), Some("2"));
         assert_eq!(first.get("solver"), Some("local"));
-        assert_eq!(first.get("plan"), Some("core"));
+        assert_eq!(first.get("plan"), Some("full"));
         assert_eq!(first.get("cached"), Some("0"));
         let second = engine.execute(&query("maxflow"));
         assert_eq!(second.get("cached"), Some("1"));
@@ -1185,7 +1064,7 @@ mod tests {
         assert_eq!(r.get("flow"), Some("2"));
         assert_eq!(
             (r.get("plan"), r.get("solver")),
-            (Some("core"), Some("local"))
+            (Some("full"), Some("local"))
         );
         assert!(engine
             .execute_cached(&query("maxflow").field("no-cache", 1))
@@ -1193,17 +1072,16 @@ mod tests {
     }
 
     #[test]
-    fn pinned_and_no_core_queries_bypass_the_tree() {
+    fn pinned_queries_bypass_the_tree() {
         let engine = engine_with_tree(two_paths(), EngineConfig::default());
         let w = Message::new("maxflow").field("dataset", "g").field("w", 1);
         for (q, plan, solver) in [
             (
                 query("maxflow").field("algorithm", "dinic"),
-                "core",
+                "full",
                 "dinic",
             ),
             (query("maxflow").field("algorithm", "auto"), "tree", "tree"),
-            (query("maxflow").field("no-core", 1), "full", "push-relabel"),
             (query("mincut"), "full", "push-relabel"),
             (w, "full", "push-relabel"),
         ] {
@@ -1214,22 +1092,10 @@ mod tests {
         // Only the tree route is taken on the connection thread.
         for q in [
             query("maxflow").field("algorithm", "dinic"),
-            query("maxflow").field("no-core", 1),
             query("mincut"),
         ] {
             assert!(engine.execute_cached(&q.field("no-cache", 1)).is_none());
         }
-        // The engine-wide switch turns the tree off with the planner.
-        let off = EngineConfig {
-            core_planner: false,
-            ..EngineConfig::default()
-        };
-        let engine = engine_with_tree(two_paths(), off);
-        let r = engine.execute(&query("maxflow"));
-        assert_eq!(
-            (r.get("plan"), r.get("solver")),
-            (Some("full"), Some("push-relabel"))
-        );
     }
 
     /// Regression: past 2 000 vertices the daemon used to hand unpinned
@@ -1516,11 +1382,8 @@ mod tests {
         // deterministically even on a graph this small, for every
         // in-memory solver.
         let engine = engine_with(two_paths(), EngineConfig::default());
-        let pinned = ["parallel-pr", "dinic", "push-relabel"].map(|algo| {
-            query("maxflow")
-                .field("algorithm", algo)
-                .field("no-core", 1)
-        });
+        let pinned = ["parallel-pr", "dinic", "push-relabel"]
+            .map(|algo| query("maxflow").field("algorithm", algo));
         // A super-terminal query takes the fallback under `auto`.
         let super_st = Message::new("maxflow").field("dataset", "g").field("w", 1);
         for q in pinned.into_iter().chain([super_st]) {
@@ -1535,162 +1398,106 @@ mod tests {
         assert_eq!(r.head, status::OK, "{r:?}");
     }
 
-    /// A path graph peels entirely into periphery: the planner answers
-    /// without running any solver.
+    /// An asymmetric snapshot (no cut tree) with the shapes a periphery
+    /// contraction would peel — pendant vertices, a pendant path, two
+    /// trees on one anchor — over a scale-free core: every unpinned plain
+    /// `maxflow`, whether the local search or the fallback answered it,
+    /// equals the same query pinned to Dinic.
     #[test]
-    fn periphery_queries_are_answered_directly() {
-        let net = FlowNetwork::from_undirected_unit(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let engine = engine_with(one_way(&net), EngineConfig::default());
-        let q = Message::new("maxflow")
-            .field("dataset", "g")
-            .field("source", 0)
-            .field("sink", 4);
-        let r = engine.execute(&q);
-        assert_eq!(r.head, status::OK, "{r:?}");
-        assert_eq!(r.get("flow"), Some("1"));
-        assert_eq!(r.get("solver"), Some("periphery"));
-        assert_eq!(r.get("plan"), Some("direct"));
-    }
+    fn unpinned_plain_queries_answer_like_dinic_without_a_tree() {
+        let core = 120;
+        let mut b = swgraph::FlowNetworkBuilder::new(core + 16);
+        for (i, &(u, v)) in gen::barabasi_albert(core, 2, 5).iter().enumerate() {
+            b.add_undirected(u, v, 1 + (i as swgraph::Capacity * 7) % 5);
+        }
+        let c = core;
+        // Pendant vertices on three core vertices.
+        for (leaf, anchor, cap) in [(c, 3, 2), (c + 1, 40, 5), (c + 2, 77, 1)] {
+            b.add_undirected(leaf, anchor, cap);
+        }
+        // A pendant path 9 - c+3 - c+4 - c+5 - c+6 with a narrow middle.
+        for (k, cap) in [(3, 4), (4, 1), (5, 3), (6, 2)] {
+            let prev = if k == 3 { 9 } else { c + k - 1 };
+            b.add_undirected(prev, c + k, cap);
+        }
+        // Two trees on anchor 0: a star and a forked chain.
+        for leaf in c + 8..c + 11 {
+            b.add_undirected(c + 7, leaf, 2);
+        }
+        b.add_undirected(0, c + 7, 3);
+        b.add_undirected(0, c + 11, 4);
+        b.add_undirected(c + 11, c + 12, 2);
+        b.add_undirected(c + 11, c + 13, 1);
+        b.add_undirected(c + 13, c + 14, 3);
+        b.add_undirected(c + 13, c + 15, 2);
+        let net = one_way(&b.build());
+        let n = net.num_vertices() as u64;
+        let engine = engine_with(net, EngineConfig::default());
+        let snap = engine.store().get("g").unwrap();
+        let status = snap.await_cut_tree(Duration::from_secs(120));
+        assert!(matches!(status, CutTreeStatus::Asymmetric), "{status:?}");
 
-    /// A lollipop graph: triangle core {0,1,2} with a pendant chain
-    /// 2-3-4. Queries from the chain solve on the core between anchors
-    /// and clamp by the tree bottleneck; queries sharing the anchor pair
-    /// share the cached core solve.
-    #[test]
-    fn core_plans_clamp_and_share_anchor_solves() {
-        let net = FlowNetwork::from_undirected_unit(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
-        let engine = engine_with(one_way(&net), EngineConfig::default());
-        let ask = |s: u64, t: u64| {
-            engine.execute(
-                &Message::new("maxflow")
-                    .field("dataset", "g")
-                    .field("source", s)
-                    .field("sink", t),
-            )
-        };
-        // 4 → 0: up the chain (bottleneck 1), then core anchor 2 → 0,
-        // which the local search answers at the trivial bound 2.
-        let r = ask(4, 0);
-        assert_eq!(r.head, status::OK, "{r:?}");
-        assert_eq!(r.get("flow"), Some("1"));
-        assert_eq!(r.get("plan"), Some("core"));
-        assert_eq!(r.get("solver"), Some("local"));
-        assert_eq!(r.get("cached"), Some("0"));
-        // 3 → 0 shares the anchor pair (2, 0): the local answer is
-        // reused even though the full query key differs.
-        let before = engine.cache_stats().hits;
-        let r = ask(3, 0);
-        assert_eq!(r.get("flow"), Some("1"));
-        assert_eq!(r.get("plan"), Some("core"));
-        assert_eq!(r.get("solver"), Some("local"));
-        assert!(
-            engine.cache_stats().hits > before,
-            "anchor-pair entry served the second query's core solve"
-        );
-        // Core-to-core queries agree with a full-graph solve.
-        let r = ask(0, 1);
-        assert_eq!(r.get("flow"), Some("2"), "triangle carries 2 units");
-    }
-
-    #[test]
-    fn no_core_and_disabled_planner_route_to_the_full_graph() {
-        let net = FlowNetwork::from_undirected_unit(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
-        // Per-request opt-out.
-        let engine = engine_with(net.clone(), EngineConfig::default());
-        let q = Message::new("maxflow")
-            .field("dataset", "g")
-            .field("source", 4)
-            .field("sink", 0)
-            .field("no-core", 1);
-        let r = engine.execute(&q);
-        assert_eq!(r.get("plan"), Some("full"), "{r:?}");
-        assert_eq!(r.get("flow"), Some("1"));
-        // Engine-wide kill switch.
-        let engine = engine_with(
-            net,
-            EngineConfig {
-                core_planner: false,
-                ..EngineConfig::default()
-            },
-        );
-        let q = Message::new("maxflow")
-            .field("dataset", "g")
-            .field("source", 4)
-            .field("sink", 0);
-        let r = engine.execute(&q);
-        assert_eq!(r.get("plan"), Some("full"), "{r:?}");
-        assert_eq!(r.get("flow"), Some("1"));
-    }
-
-    /// Core-planned answers — local searches, direct periphery answers
-    /// and pinned core solves — agree with full-graph answers across
-    /// seeded scale-free graphs, including periphery terminals.
-    #[test]
-    fn planner_agrees_with_full_solves_end_to_end() {
-        let mut local_answers = 0;
-        for (n, m, seed) in [(200, 2, 3), (120, 1, 5), (300, 3, 8)] {
-            let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, m, seed));
-            let engine = engine_with(one_way(&net), EngineConfig::default());
-            for (s, t) in [
-                (0u64, n - 1),
-                (1, n * 3 / 4),
-                (42, 43),
-                (n - 1, 0),
-                (7, n - 20),
-            ] {
-                let ask = |extra: &[(&str, &str)]| {
-                    let mut q = Message::new("maxflow")
-                        .field("dataset", "g")
-                        .field("source", s)
-                        .field("sink", t)
-                        .field("no-cache", 1);
-                    for &(k, v) in extra {
-                        q.push(k, v);
-                    }
-                    let r = engine.execute(&q);
-                    assert_eq!(r.head, status::OK, "{r:?}");
-                    r
-                };
-                let planned = ask(&[]);
-                let pinned = ask(&[("algorithm", "push-relabel")]);
-                let full = ask(&[("no-core", "1")]);
-                local_answers += usize::from(planned.get("solver") == Some("local"));
-                for other in [&pinned, &full] {
-                    assert_eq!(
-                        planned.get("flow"),
-                        other.get("flow"),
-                        "n={n} ({s},{t}): {:?}/{:?} disagrees with {:?}/{:?}",
-                        planned.get("plan"),
-                        planned.get("solver"),
-                        other.get("plan"),
-                        other.get("solver"),
-                    );
-                }
+        let mut rng = ffmr_prng::SplitMix64::seed_from_u64(40);
+        // Every pair among the grafted vertices and their anchors, then
+        // seeded pairs over the whole graph.
+        let grafted: Vec<u64> = [0, 3, 9, 40, 77].into_iter().chain(c..n).collect();
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        for &s in &grafted {
+            pairs.extend(grafted.iter().filter(|&&t| t != s).map(|&t| (s, t)));
+        }
+        pairs.truncate(120);
+        while pairs.len() < 200 {
+            let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if s != t {
+                pairs.push((s, t));
             }
         }
-        assert!(local_answers >= 8, "{local_answers} local answers");
+        let mut local = 0;
+        for (s, t) in pairs {
+            let ask = |q: Message| {
+                let r = engine.execute(
+                    &q.field("dataset", "g")
+                        .field("source", s)
+                        .field("sink", t)
+                        .field("no-cache", 1),
+                );
+                assert_eq!(r.head, status::OK, "({s},{t}): {r:?}");
+                r
+            };
+            let unpinned = ask(Message::new("maxflow"));
+            let dinic = ask(Message::new("maxflow").field("algorithm", "dinic"));
+            let solver = unpinned.get("solver").unwrap();
+            assert!(matches!(solver, "local" | "push-relabel"), "{unpinned:?}");
+            assert_eq!(unpinned.get("plan"), Some("full"), "{unpinned:?}");
+            assert_eq!(
+                unpinned.get("flow"),
+                dinic.get("flow"),
+                "({s},{t}) by {solver}"
+            );
+            local += usize::from(solver == "local");
+        }
+        assert!(local >= 150, "{local} of 200 answered by the local search");
     }
 
     #[test]
-    fn pinned_solvers_and_no_core_bypass_the_local_search() {
+    fn pinned_solvers_bypass_the_local_search() {
         let engine = engine_with(two_paths(), EngineConfig::default());
-        for (extra, plan, solver) in [
-            (("algorithm", "dinic"), "core", "dinic"),
-            (("algorithm", "parallel-pr"), "core", "parallel-pr"),
-            (("no-core", "1"), "full", "push-relabel"),
-        ] {
+        for solver in ["dinic", "parallel-pr", "push-relabel"] {
             let r = engine.execute(
                 &query("maxflow")
-                    .field(extra.0, extra.1)
+                    .field("algorithm", solver)
                     .field("no-cache", 1)
                     .field("explain", 1),
             );
             assert_eq!(r.head, status::OK, "{r:?}");
             assert_eq!(r.get("flow"), Some("2"));
-            assert_eq!((r.get("plan"), r.get("solver")), (Some(plan), Some(solver)));
+            assert_eq!(
+                (r.get("plan"), r.get("solver")),
+                (Some("full"), Some(solver))
+            );
             let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
             assert_eq!((prof.vertices_touched, prof.arc_scans), (0, 0), "{prof:?}");
-            assert!(!prof.plan_reason.starts_with("local"), "{prof:?}");
+            assert_eq!(prof.plan_reason, "algorithm-pinned", "{prof:?}");
         }
     }
 
@@ -1715,7 +1522,7 @@ mod tests {
         assert_eq!(r.head, status::OK, "{r:?}");
         assert_eq!(r.get("flow"), Some("50"));
         assert_eq!(r.get("solver"), Some("push-relabel"));
-        assert_eq!(r.get("plan"), Some("core"));
+        assert_eq!(r.get("plan"), Some("full"));
         let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
         assert_eq!(prof.plan_reason, "local-budget");
         assert!(prof.arc_scans > 0 && prof.pushes > 0, "{prof:?}");
@@ -1887,7 +1694,6 @@ mod tests {
         let err = engine.execute(
             &query("maxflow")
                 .field("algorithm", "dinic")
-                .field("no-core", 1)
                 .field("no-cache", 1)
                 .field("timeout-ms", 0),
         );

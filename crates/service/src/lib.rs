@@ -19,10 +19,10 @@
 //!   query kind, and the *canonicalized* terminal sets (including the
 //!   paper's Sec. V-A1 super-source/sink construction);
 //! * [`engine`] — query routing, all in memory: plain `maxflow` read
-//!   off the cut tree once it is built; otherwise the core planner, the
-//!   certified local search, then sequential push-relabel, every solve
-//!   on one solver thread; explicit algorithm pinning and per-query
-//!   deadline cancellation;
+//!   off the cut tree once it is built; otherwise the certified local
+//!   search on the snapshot itself, then sequential push-relabel, every
+//!   solve on one solver thread; explicit algorithm pinning and
+//!   per-query deadline cancellation;
 //! * [`server`] — TCP daemon: thread-per-connection front-end feeding a
 //!   bounded worker pool, `busy` load shedding, graceful shutdown;
 //! * [`client`] — the blocking client the `ffmr query` subcommand uses.
@@ -34,7 +34,7 @@ pub mod protocol;
 pub mod server;
 pub mod store;
 
-pub use cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, Plan, QueryKind};
+pub use cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, QueryKind};
 pub use client::Client;
 pub use engine::{EngineConfig, QueryEngine};
 pub use protocol::{

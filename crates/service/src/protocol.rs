@@ -40,9 +40,9 @@
 //! |-----------------|------------------------------------------------------|
 //! | `dataset`       | dataset name the query resolved against              |
 //! | `epoch`         | snapshot epoch that produced the answer              |
-//! | `flow`          | max-flow value (clamped for core plans)              |
-//! | `solver`        | `tree`, `periphery`, `local`, or an in-memory algorithm |
-//! | `plan`          | `tree`, `direct`, `core`, or `full`                  |
+//! | `flow`          | max-flow value                                       |
+//! | `solver`        | `tree`, `local`, or an in-memory algorithm           |
+//! | `plan`          | `tree` (read off the cut tree) or `full` (solved)    |
 //! | `cached`        | `1` if served from the answer cache (never for `tree`) |
 //! | `coalesced`     | `1` if this request followed an identical in-flight one |
 //! | `queue_wait_us` | microseconds spent queued behind busy workers        |

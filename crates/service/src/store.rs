@@ -28,7 +28,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ffmr_sync::RwLock;
-use maxflow::contraction::CoreIndex;
 use maxflow::cut_tree::CutTree;
 use maxflow::Cancel;
 use swgraph::FlowNetwork;
@@ -43,10 +42,6 @@ pub struct Snapshot {
     /// The graph itself, shared by `Arc` with every in-flight query so
     /// serving a query never copies the graph.
     pub network: Arc<FlowNetwork>,
-    /// The 2-core contraction of the graph, precomputed once per swap
-    /// and consulted by the query planner. Rebuilt on every (re)load —
-    /// it is derived purely from `network`, so it can never go stale.
-    pub core: Arc<CoreIndex>,
     /// Where the graph was read from, when file-backed (reloadable).
     pub source_path: Option<String>,
     /// When this snapshot was swapped in (drives the epoch-age gauge).
@@ -250,11 +245,7 @@ impl GraphStore {
     }
 
     fn swap_in(&self, name: &str, network: FlowNetwork, source_path: Option<String>) -> u64 {
-        // Preprocess outside the lock: the core peel is O(n + m) but on
-        // a large snapshot that is still real work, and queries against
-        // the *old* snapshot must keep flowing while it runs.
         let network = Arc::new(network);
-        let core = Arc::new(CoreIndex::build(&network));
         let cut_tree = Arc::new(OnceLock::new());
         let retired = Arc::new(AtomicBool::new(false));
         let epoch = {
@@ -266,7 +257,6 @@ impl GraphStore {
                     name: name.to_string(),
                     epoch,
                     network: Arc::clone(&network),
-                    core,
                     source_path,
                     loaded_at: Instant::now(),
                     cut_tree: Arc::clone(&cut_tree),
@@ -366,22 +356,6 @@ mod tests {
         assert_eq!(store.get("g").unwrap().epoch, 2);
         // The old Arc is still alive and still readable.
         assert_eq!(first.network.num_vertices(), 3);
-    }
-
-    #[test]
-    fn every_swap_carries_a_fresh_core_index() {
-        let store = GraphStore::new();
-        // A path graph peels completely: no core at all.
-        store.insert_network("g", tiny());
-        let snap = store.get("g").unwrap();
-        assert_eq!(snap.core.core_vertex_count(), 0);
-        assert_eq!(snap.core.periphery_vertex_count(), 3);
-        // Swapping in a cycle rebuilds the index: all-core now.
-        let cycle = FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2), (2, 0)]);
-        store.insert_network("g", cycle);
-        let snap = store.get("g").unwrap();
-        assert_eq!(snap.core.core_vertex_count(), 3);
-        assert_eq!(snap.core.periphery_vertex_count(), 0);
     }
 
     #[test]

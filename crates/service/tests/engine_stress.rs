@@ -21,8 +21,7 @@ const SINK: u64 = 7;
 const EPOCHS: u64 = 6;
 
 /// The epoch-`k` graph: `k` disjoint two-edge paths from SOURCE to SINK,
-/// so its max flow is exactly `k`. Epoch 1 is a single path (pure
-/// periphery, answered directly); later epochs have a 2-core.
+/// so its max flow is exactly `k`.
 fn variant(k: u64) -> FlowNetwork {
     let mut edges = Vec::new();
     for i in 0..k {
@@ -65,7 +64,7 @@ fn concurrent_queries_survive_snapshot_swaps() {
                     .field("sink", SINK);
                     match (worker + i) % 4 {
                         1 => q.push("no-cache", 1),
-                        2 => q.push("no-core", 1),
+                        2 => q.push("algorithm", "push-relabel"),
                         _ => {}
                     }
                     let r = engine.execute(&q);
@@ -109,13 +108,14 @@ fn concurrent_queries_survive_snapshot_swaps() {
     assert!(stats.entries <= 16, "capacity respected: {stats:?}");
     assert!(stats.hits + stats.misses > 0, "{stats:?}");
 
-    // The final epoch answers deterministically and caches normally
-    // (`no-core` keeps the query off the cut tree, which never caches).
+    // The final epoch answers deterministically and caches normally (a
+    // pinned solver keeps the query off the cut tree, which never
+    // caches).
     let q = Message::new("maxflow")
         .field("dataset", "g")
         .field("source", SOURCE)
         .field("sink", SINK)
-        .field("no-core", 1);
+        .field("algorithm", "push-relabel");
     let warm = engine.execute(&q);
     assert_eq!(warm.get("epoch"), Some("6"));
     assert_eq!(warm.get("flow"), Some("6"));
@@ -198,17 +198,16 @@ fn identical_query_storms_coalesce() {
     );
 }
 
-/// A deadline expiring mid-core-solve: the leader and every coalesced
+/// A deadline expiring mid-search: the leader and every coalesced
 /// follower get the timeout error back (nobody hangs on the inflight
-/// slot), the anchor-pair cache is left unpoisoned, and a later
-/// sane-deadline query answers correctly via the same core plan.
+/// slot), the cache is left unpoisoned, and a later sane-deadline query
+/// answers correctly on the same route.
 #[test]
-fn timeouts_on_the_core_path_release_followers_and_spare_the_cache() {
+fn timeouts_on_the_search_path_release_followers_and_spare_the_cache() {
     let n = 200u64;
     let mut edges = swgraph::gen::barabasi_albert(n, 3, 7);
-    // Pendant chain n+1 — n — 0: queries from the chain take the core
-    // plan between anchor 0 and the sink, clamped by the chain's
-    // unit bottleneck.
+    // Pendant chain n+1 — n — 0: the chain's unit edges bound every
+    // flow out of its tip.
     edges.push((0, n));
     edges.push((n, n + 1));
     let net = one_way(&FlowNetwork::from_undirected_unit(n + 2, &edges));
@@ -226,9 +225,8 @@ fn timeouts_on_the_core_path_release_followers_and_spare_the_cache() {
             .field("timeout-ms", timeout_ms)
     };
 
-    // An already-expired deadline dies at the solver's first cancel
-    // poll, inside the core solve. Leader and followers all must see
-    // the timeout error.
+    // An already-expired deadline dies at the search's first cancel
+    // poll. Leader and followers all must see the timeout error.
     let threads: Vec<_> = (0..4)
         .map(|_| {
             let engine = Arc::clone(&engine);
@@ -242,20 +240,28 @@ fn timeouts_on_the_core_path_release_followers_and_spare_the_cache() {
         assert!(r.get("message").unwrap().contains("timeout"), "{r:?}");
     }
 
-    // The failed solves must not have cached anything — under either
-    // the query key or the anchor-pair key.
+    // The failed searches must not have cached anything.
     let stats = engine.cache_stats();
     assert_eq!(stats.entries, 0, "a timed-out solve poisoned the cache");
 
-    // A sane deadline answers via the core plan with the right value...
+    // A sane deadline answers via the local search with the right
+    // value...
     let good = engine.execute(&ask(30_000));
     assert_eq!(good.head, status::OK, "{good:?}");
-    assert_eq!(good.get("plan"), Some("core"), "{good:?}");
+    assert_eq!(
+        (good.get("plan"), good.get("solver")),
+        (Some("full"), Some("local")),
+        "{good:?}"
+    );
     assert_eq!(good.get("cached"), Some("0"));
-    assert_eq!(good.get("flow"), Some("1"), "chain bottleneck clamps to 1");
-    // ...and a full-graph solve agrees, so no partial state leaked out
-    // of the cancelled run.
-    let full = engine.execute(&ask(30_000).field("no-cache", 1).field("no-core", 1));
+    assert_eq!(good.get("flow"), Some("1"), "the chain's bottleneck is 1");
+    // ...and a pinned solve agrees, so no partial state leaked out of
+    // the cancelled run.
+    let full = engine.execute(
+        &ask(30_000)
+            .field("no-cache", 1)
+            .field("algorithm", "push-relabel"),
+    );
     assert_eq!(full.head, status::OK, "{full:?}");
     assert_eq!(full.get("flow"), good.get("flow"));
 }

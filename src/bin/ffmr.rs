@@ -28,9 +28,9 @@
 //! simulated cluster, with `--state`/`--resume` checkpoints and `report`.
 //! `serve` holds each graph resident and answers every query in memory:
 //! plain `maxflow` from a Gomory–Hu cut tree built in the background
-//! (it prints a line when one is ready), everything else by the core
-//! planner, certified local search and sequential push-relabel on one
-//! solver thread; its `--algorithm` pins an in-memory solver only.
+//! (it prints a line when one is ready), everything else by the
+//! certified local search and sequential push-relabel on one solver
+//! thread; its `--algorithm` pins an in-memory solver only.
 //!
 //! `maxflow --workers N` runs the MapReduce rounds in *distributed
 //! mode*: `N` separate `ffmr worker` OS processes are spawned against an
@@ -93,7 +93,6 @@ const COMMANDS: &[(&str, Command, &[&str])] = &[
             "queue",
             "cache",
             "timeout-ms",
-            "no-core",
             "slow-query-ms",
             "slowlog-file",
             "trace-file",
@@ -128,7 +127,6 @@ const QUERY_OPTIONS: &[&str] = &[
     "algorithm",
     "timeout-ms",
     "no-cache",
-    "no-core",
     "path",
     "ms",
     "format",
@@ -177,17 +175,17 @@ fn print_help() {
          \x20          [--coordinator HOST:PORT]\n\
          \x20 serve    --listen HOST:PORT --graph NAME=FILE [--graph ...]\n\
          \x20          [--workers N] [--queue N] [--cache N]\n\
-         \x20          [--timeout-ms N] [--no-core]  (disable the core planner)\n\
-         \x20          [--slow-query-ms N] [--slowlog-file FILE]\n\
-         \x20          (every query is answered in memory, plain maxflow from a\n\
-         \x20          cut tree once built, the rest by push-relabel on one\n\
-         \x20          solver thread; ff1..ff5 are maxflow's)\n\
+         \x20          [--timeout-ms N] [--slow-query-ms N] [--slowlog-file FILE]\n\
+         \x20          (every query is answered in memory: plain maxflow from a\n\
+         \x20          cut tree once built, else by the local search; the rest\n\
+         \x20          by push-relabel on one solver thread; ff1..ff5 are\n\
+         \x20          maxflow's)\n\
          \x20 worker   --connect HOST:PORT\n\
          \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|slowlog|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
          \x20          (--source S --sink T | --w N)\n\
          \x20          [--algorithm auto|parallel-pr|dinic|...] [--seed S]\n\
-         \x20          [--timeout-ms N] [--no-cache] [--no-core] [--explain]\n\
+         \x20          [--timeout-ms N] [--no-cache] [--explain]\n\
          \x20 slowlog  [--addr HOST:PORT] [--limit N] [--json]\n\
          \x20 stats    [--addr HOST:PORT] [--dataset D] [--prometheus] [--watch]\n\
          \x20          [--interval-ms N]\n\
@@ -198,9 +196,9 @@ fn print_help() {
          \x20 line per span (FF rounds, MapReduce phases, queries); the file\n\
          \x20 rotates to FILE.1 at FFMR_TRACE_MAX_BYTES (default 64 MiB).\n\
          \x20 `stats --prometheus` prints the text exposition for scraping;\n\
-         \x20 plain `stats` leads with a serving summary (core hit rate,\n\
-         \x20 plan mix, local-search share, coalesce rate) above the raw\n\
-         \x20 registry rows.\n\
+         \x20 plain `stats` leads with a serving summary (plan mix,\n\
+         \x20 local-search share, coalesce rate) above the raw registry\n\
+         \x20 rows.\n\
          \x20 `query --explain` appends a per-query profile: the plan and\n\
          \x20 why, per-stage wall timings, and solver internals. The daemon\n\
          \x20 keeps every query over --slow-query-ms (default 250) in a\n\
@@ -262,7 +260,6 @@ const FLAGS: &[&str] = &[
     "prometheus",
     "watch",
     "no-cache",
-    "no-core",
     "resume",
     "json",
     "explain",
@@ -657,7 +654,6 @@ fn serve(opts: &Options) -> Result<(), String> {
     let engine_config = engine::EngineConfig {
         cache_capacity: opts.parsed("cache", 256)?,
         default_timeout: std::time::Duration::from_millis(opts.parsed("timeout-ms", 30_000u64)?),
-        core_planner: !opts.has("no-core"),
         slow_query_threshold: std::time::Duration::from_millis(
             opts.parsed("slow-query-ms", 250u64)?,
         ),
@@ -927,14 +923,11 @@ fn stats(opts: &Options) -> Result<(), String> {
 }
 
 /// The serving-tier counters an operator actually watches, derived from
-/// the flat registry rows the `stats` verb returns: core-planner hit
-/// rate, per-plan query mix, the local search's share of the core
-/// solves it tried, and coalesce rate. Printed above the
-/// raw rows so `stats --watch` reads like a dashboard.
+/// the flat registry rows the `stats` verb returns: per-plan query mix,
+/// the share of local searches that answered, and coalesce rate.
+/// Printed above the raw rows so `stats --watch` reads like a dashboard.
 fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     let num = |key: &str| -> u64 { response.get(key).and_then(|v| v.parse().ok()).unwrap_or(0) };
-    let core = num("ffmr_core_answered_total");
-    let fallback = num("ffmr_core_fallback_total");
     let coalesced = num("ffmr_query_coalesced_total");
     let local = |outcome: &str| {
         num(&format!(
@@ -945,7 +938,7 @@ fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     let local_tried = local_answered + local("budget");
 
     // Plan mix: sum the `count=` of each per-plan latency histogram
-    // (keys look like `ffmr_query_latency_us{plan="core",solver=...}`).
+    // (keys look like `ffmr_query_latency_us{plan="full",solver=...}`).
     let mut plans: Vec<(String, u64)> = Vec::new();
     for (k, v) in &response.fields {
         let Some(labels) = k.strip_prefix("ffmr_query_latency_us{") else {
@@ -980,17 +973,16 @@ fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
             .join(" / ")
     };
     println!(
-        "serving: {queries} planned queries | core hit rate {}% ({core} core, {fallback} full) | \
-         plan mix {mix} | local search {}% ({local_answered} of {local_tried} answered) | \
+        "serving: {queries} flow queries | plan mix {mix} | \
+         local search {}% ({local_answered} of {local_tried} answered) | \
          coalesced {}% ({coalesced})",
-        pct(core, core + fallback),
         pct(local_answered, local_tried),
         pct(coalesced, queries.max(1)),
     );
 }
 
 /// Pulls one `name="value"` label out of a rendered label list like
-/// `plan="core",solver="local",verb="maxflow"}`.
+/// `plan="full",solver="local",verb="maxflow"}`.
 fn extract_label<'a>(labels: &'a str, name: &str) -> Option<&'a str> {
     let start = if labels.starts_with(&format!("{name}=\"")) {
         name.len() + 2
@@ -1435,6 +1427,12 @@ mod tests {
         // The daemon has one solver thread, not a sized pool.
         let err = parse("serve", &["--graph", "g=g.txt", "--threads", "2"]).unwrap_err();
         assert_eq!(err, "unknown option --threads for serve");
+        // Nor a core planner to switch off: `--no-core` is gone from
+        // both ends, and refused before it could swallow an argument.
+        let err = parse("serve", &["--no-core", "--graph", "g=g.txt"]).unwrap_err();
+        assert_eq!(err, "unknown option --no-core for serve");
+        let err = parse("query", &["--op", "maxflow", "--no-core"]).unwrap_err();
+        assert_eq!(err, "unknown option --no-core for query");
         // Another subcommand's option is unknown here too.
         let err = parse("info", &["--input", "g.txt", "--json"]).unwrap_err();
         assert_eq!(err, "unknown option --json for info");

@@ -14,6 +14,7 @@
 //! and the run must still complete correctly via the retry path.
 
 use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use ffmr::prelude::*;
@@ -368,24 +369,28 @@ fn kill_nine_mid_job_is_recovered_by_retry() {
     let config = FfConfig::new(s, t).variant(FfVariant::ff5()).reducers(6);
 
     let mut fleet = WorkerFleet::start(2);
-    let victim = fleet.children.remove(0);
+    let victim = Mutex::new(Some(fleet.children.remove(0)));
 
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
     rt.set_task_executor(Some(fleet.coordinator().executor()));
     // Worker death fails the in-flight attempt; Hadoop's budget retries.
     rt.set_failure_policy(FailurePolicy::hadoop_default());
 
-    // SIGKILL the victim shortly into the run, from another thread —
-    // the driver never gets a chance to say goodbye on its behalf.
-    let killer = std::thread::spawn(move || {
-        let mut victim = victim;
-        std::thread::sleep(Duration::from_millis(50));
-        victim.kill().expect("kill -9 the worker");
-        victim.wait().expect("reap the victim");
+    // SIGKILL the victim once round 1 is done, so the rounds after it
+    // run on one worker however fast the host is; the worker never gets
+    // to deregister.
+    let killing = config.clone().on_round(move |stats| {
+        if stats.round != 1 {
+            return;
+        }
+        if let Some(mut victim) = victim.lock().expect("victim").take() {
+            victim.kill().expect("kill -9 the worker");
+            victim.wait().expect("reap the victim");
+        }
     });
 
-    let run = ffmr_core::run_max_flow(&mut rt, &net, &config).expect("run survives the kill");
-    killer.join().expect("killer thread");
+    let run = ffmr_core::run_max_flow(&mut rt, &net, &killing).expect("run survives the kill");
+    assert!(run.rounds.len() > 2, "the run must go on past round 1");
 
     assert_eq!(
         fleet.coordinator().worker_deaths(),
