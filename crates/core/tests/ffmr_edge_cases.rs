@@ -194,22 +194,6 @@ fn ffmr_survives_injected_task_failures() {
 }
 
 #[test]
-fn ffmr_fails_cleanly_when_graph_partition_is_lost() {
-    let n = 100;
-    let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 2));
-    let mut rt = runtime();
-    let config = FfConfig::new(VertexId::new(0), VertexId::new(n - 1)).max_rounds(2);
-    // Kill both replica homes of partition 0 before the run: the raw
-    // edges file becomes unreadable and the driver must surface DataLost.
-    rt.dfs_mut().fail_node(0);
-    rt.dfs_mut().fail_node(1);
-    match run_max_flow(&mut rt, &net, &config) {
-        Err(FfError::Mr(mapreduce::MrError::DataLost { .. })) => {}
-        other => panic!("expected DataLost, got {other:?}"),
-    }
-}
-
-#[test]
 fn unidirectional_and_extend_all_reach_the_same_max_flow() {
     let n = 120;
     let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 19));

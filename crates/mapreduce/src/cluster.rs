@@ -176,12 +176,6 @@ impl PhaseCost {
         let longest = self.task_seconds.iter().cloned().fold(0.0, f64::max);
         longest.max(total / slots)
     }
-
-    /// Number of tasks recorded.
-    #[must_use]
-    pub fn tasks(&self) -> usize {
-        self.task_seconds.len()
-    }
 }
 
 /// Cost of one task, assembled from the model's primitive charges.

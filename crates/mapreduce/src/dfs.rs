@@ -1,11 +1,11 @@
 //! A simulated distributed file system (HDFS/GFS stand-in).
 //!
 //! Files are named, immutable-once-written collections of *partitions*
-//! (Hadoop `part-NNNNN` outputs). Each partition stores encoded records and
-//! remembers its home node, so the runtime can price remote vs. local reads
-//! and replication traffic.
+//! (Hadoop `part-NNNNN` outputs), each a run of encoded records. The DFS
+//! holds data only; replication shows up as the cost model's replication
+//! traffic (`ClusterConfig::dfs_replication`), not as replica placement.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::encode::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::error::{DecodeError, MrError};
@@ -18,8 +18,6 @@ pub struct Partition {
     pub data: Vec<u8>,
     /// Number of records in `data`.
     pub records: u64,
-    /// Node holding the primary replica.
-    pub home_node: usize,
 }
 
 impl Partition {
@@ -41,58 +39,24 @@ impl Partition {
 
     /// Splits the byte run into input splits of at most `block_bytes`
     /// (each ending on a record boundary, like HDFS block-aligned
-    /// `InputSplit`s). Returns `(start, end, records)` ranges covering
-    /// the partition in order.
+    /// `InputSplit`s), covering the partition in order.
     ///
     /// # Errors
     /// [`DecodeError`] if the record framing is malformed.
-    pub fn splits(&self, block_bytes: usize) -> Result<Vec<(usize, usize, u64)>, DecodeError> {
+    pub fn splits(&self, block_bytes: usize) -> Result<Vec<&[u8]>, DecodeError> {
         let block_bytes = block_bytes.max(1);
         let mut out = Vec::new();
-        let total = self.data.len();
         let mut input = self.data.as_slice();
-        let mut start = 0usize;
-        let mut records_in_split = 0u64;
+        let mut split = input;
         while !input.is_empty() {
             // Skip one record: two length-prefixed byte runs.
-            let before = total - input.len();
-            crate::encode::get_bytes(&mut input)?;
-            crate::encode::get_bytes(&mut input)?;
-            let after = total - input.len();
-            records_in_split += 1;
-            if after - start >= block_bytes || input.is_empty() {
-                out.push((start, after, records_in_split));
-                start = after;
-                records_in_split = 0;
+            get_bytes(&mut input)?;
+            get_bytes(&mut input)?;
+            let len = split.len() - input.len();
+            if len >= block_bytes || input.is_empty() {
+                out.push(&split[..len]);
+                split = input;
             }
-            let _ = before;
-        }
-        Ok(out)
-    }
-}
-
-/// One map-task input: a record-aligned byte range of a partition.
-#[derive(Debug, Clone, Copy)]
-pub struct InputSplit<'a> {
-    /// The encoded records of this split, back to back.
-    pub data: &'a [u8],
-    /// Number of records in `data`.
-    pub records: u64,
-}
-
-impl<'a> InputSplit<'a> {
-    /// Decodes every record in this split.
-    ///
-    /// # Errors
-    /// [`DecodeError`] on malformed framing or count mismatch.
-    pub fn decode_all<K: Datum, V: Datum>(&self) -> Result<Vec<(K, V)>, DecodeError> {
-        let mut out = Vec::with_capacity(self.records as usize);
-        let mut input = self.data;
-        while !input.is_empty() {
-            out.push(decode_record(&mut input)?);
-        }
-        if out.len() as u64 != self.records {
-            return Err(DecodeError::new("split record count mismatch"));
         }
         Ok(out)
     }
@@ -119,7 +83,10 @@ impl DfsFile {
     }
 }
 
-/// The simulated DFS: a namespace of [`DfsFile`]s plus raw side-file blobs.
+/// The simulated DFS: a namespace of [`DfsFile`]s plus raw side-file
+/// blobs. Every file is always readable: nodes do not fail in this model,
+/// and task failures are retried by the runtime's
+/// [`FailurePolicy`](crate::FailurePolicy) instead.
 ///
 /// # Example
 /// ```
@@ -135,96 +102,24 @@ impl DfsFile {
 pub struct Dfs {
     files: HashMap<String, DfsFile>,
     blobs: HashMap<String, Vec<u8>>,
-    failed_nodes: HashSet<usize>,
-    replication: u32,
-    /// Cluster node count replica placement wraps around (0 = unbounded,
-    /// for standalone `Dfs` instances not owned by a runtime).
-    nodes: usize,
 }
 
-/// Version tag of the serialized [`Dfs`] image format.
-const DFS_IMAGE_VERSION: u64 = 1;
+/// Version tag of the serialized [`Dfs`] image format. Version 1 also
+/// carried replica placement and failed nodes; it is refused.
+const DFS_IMAGE_VERSION: u64 = 2;
 
 impl Dfs {
-    /// Creates an empty DFS with replication factor 2 (the paper's
-    /// Hadoop configuration).
+    /// Creates an empty DFS.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            replication: 2,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the replication factor used for availability decisions.
-    pub fn set_replication(&mut self, replication: u32) {
-        self.replication = replication.max(1);
-    }
-
-    /// Sets the cluster node count replica placement wraps around
-    /// (0 keeps the legacy unbounded namespace). The runtime calls this
-    /// with its `ClusterConfig::nodes` so replicas of partitions homed on
-    /// the last node land back on real nodes instead of phantom ones.
-    pub fn set_nodes(&mut self, nodes: usize) {
-        self.nodes = nodes;
-    }
-
-    /// Simulates the death of a cluster node: partitions whose replicas
-    /// all lived on failed nodes become unavailable. With the default
-    /// replication of 2 a single node failure never loses data — the
-    /// fault-tolerance property the paper leans on MapReduce for.
-    pub fn fail_node(&mut self, node: usize) {
-        self.failed_nodes.insert(node);
-    }
-
-    /// Brings a failed node back (its data is intact in this model).
-    pub fn recover_node(&mut self, node: usize) {
-        self.failed_nodes.remove(&node);
-    }
-
-    /// Whether any replica of `p` survives (replicas live on consecutive
-    /// nodes starting at the home node, wrapping at the cluster edge — a
-    /// simple deterministic placement).
-    fn partition_available(&self, p: &Partition) -> bool {
-        (0..self.replication as usize)
-            .map(|i| self.replica_node(p.home_node, i))
-            .any(|n| !self.failed_nodes.contains(&n))
-    }
-
-    /// The node holding replica `i` of a partition homed on `home`.
-    /// Placement wraps modulo the cluster node count so the last node's
-    /// replicas land on real nodes (that can fail) rather than phantom
-    /// ones past the cluster edge.
-    fn replica_node(&self, home: usize, i: usize) -> usize {
-        let n = home + i;
-        if self.nodes > 0 {
-            n % self.nodes
-        } else {
-            n
-        }
-    }
-
-    /// Checks that every partition of `path` is readable.
-    ///
-    /// # Errors
-    /// [`MrError::FileNotFound`] if absent; [`MrError::DataLost`] if a
-    /// partition's replicas all lived on failed nodes.
-    pub fn check_available(&self, path: &str) -> Result<(), MrError> {
-        let file = self.file(path)?;
-        for (i, p) in file.partitions.iter().enumerate() {
-            if !self.partition_available(p) {
-                return Err(MrError::DataLost {
-                    path: path.to_owned(),
-                    partition: i,
-                });
-            }
-        }
-        Ok(())
+        Self::default()
     }
 
     /// Writes typed records into `path`, spread round-robin over
     /// `partitions` partitions. Intended for loading raw job input;
     /// job outputs are written by the runtime with hash partitioning.
+    /// Records keep their given order, so such a file is a valid schimmy
+    /// input only if each partition is already in key order.
     ///
     /// # Errors
     /// Returns [`MrError::OutputExists`] if `path` exists, or
@@ -246,12 +141,7 @@ impl Dfs {
         if self.files.contains_key(path) {
             return Err(MrError::OutputExists(path.to_owned()));
         }
-        let mut parts: Vec<Partition> = (0..partitions)
-            .map(|i| Partition {
-                home_node: i,
-                ..Partition::default()
-            })
-            .collect();
+        let mut parts = vec![Partition::default(); partitions];
         for (i, (k, v)) in records.into_iter().enumerate() {
             let p = &mut parts[i % partitions];
             encode_record(&k, &v, &mut p.data);
@@ -364,8 +254,8 @@ impl Dfs {
         names
     }
 
-    /// Serializes the whole namespace — files, blobs, failure state and
-    /// placement parameters — into a deterministic byte image. A driver
+    /// Serializes the whole namespace — files and blobs — into a
+    /// deterministic byte image. A driver
     /// process about to exit (or crash, in tests) can persist this and a
     /// later process can [`Dfs::from_image`] it to resume where the first
     /// left off; this is the simulated analogue of HDFS simply outliving
@@ -374,14 +264,6 @@ impl Dfs {
     pub fn to_image(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_varint(DFS_IMAGE_VERSION, &mut out);
-        put_varint(u64::from(self.replication), &mut out);
-        put_varint(self.nodes as u64, &mut out);
-        let mut failed: Vec<usize> = self.failed_nodes.iter().copied().collect();
-        failed.sort_unstable();
-        put_varint(failed.len() as u64, &mut out);
-        for node in failed {
-            put_varint(node as u64, &mut out);
-        }
         let mut names = self.list();
         put_varint(names.len() as u64, &mut out);
         for name in &names {
@@ -389,7 +271,6 @@ impl Dfs {
             put_bytes(name.as_bytes(), &mut out);
             put_varint(file.partitions.len() as u64, &mut out);
             for p in &file.partitions {
-                put_varint(p.home_node as u64, &mut out);
                 put_varint(p.records, &mut out);
                 put_bytes(&p.data, &mut out);
             }
@@ -414,19 +295,7 @@ impl Dfs {
         if get_varint(input)? != DFS_IMAGE_VERSION {
             return Err(DecodeError::new("unsupported DFS image version"));
         }
-        let mut dfs = Self {
-            replication: u32::try_from(get_varint(input)?)
-                .map_err(|_| DecodeError::new("replication out of range"))?,
-            ..Self::default()
-        };
-        dfs.nodes = usize::try_from(get_varint(input)?)
-            .map_err(|_| DecodeError::new("node count out of range"))?;
-        for _ in 0..get_varint(input)? {
-            dfs.failed_nodes.insert(
-                usize::try_from(get_varint(input)?)
-                    .map_err(|_| DecodeError::new("failed node out of range"))?,
-            );
-        }
+        let mut dfs = Self::default();
         for _ in 0..get_varint(input)? {
             let name = String::from_utf8(get_bytes(input)?.to_vec())
                 .map_err(|_| DecodeError::new("file name is not UTF-8"))?;
@@ -434,8 +303,6 @@ impl Dfs {
             let mut partitions = Vec::with_capacity(parts as usize);
             for _ in 0..parts {
                 partitions.push(Partition {
-                    home_node: usize::try_from(get_varint(input)?)
-                        .map_err(|_| DecodeError::new("home node out of range"))?,
                     records: get_varint(input)?,
                     data: get_bytes(input)?.to_vec(),
                 });
@@ -544,24 +411,18 @@ mod tests {
         let part = &dfs.file("f").unwrap().partitions[0];
         for block in [1usize, 16, 64, 1 << 20] {
             let splits = part.splits(block).unwrap();
-            let total_records: u64 = splits.iter().map(|&(_, _, r)| r).sum();
+            // Contiguous coverage, in order.
+            assert!(splits.iter().all(|s| !s.is_empty()));
+            assert_eq!(splits.concat(), part.data, "block {block}");
+            // Every split decodes on its own, and no record is lost.
+            let mut total_records = 0;
+            for mut split in splits {
+                while !split.is_empty() {
+                    decode_record::<u64, Vec<u8>>(&mut split).unwrap();
+                    total_records += 1;
+                }
+            }
             assert_eq!(total_records, 100, "block {block}");
-            // Contiguous coverage.
-            let mut expect = 0;
-            for &(a, b, _) in &splits {
-                assert_eq!(a, expect);
-                assert!(b > a);
-                expect = b;
-            }
-            assert_eq!(expect, part.data.len());
-            // Every split decodes.
-            for &(a, b, r) in &splits {
-                let split = InputSplit {
-                    data: &part.data[a..b],
-                    records: r,
-                };
-                assert_eq!(split.decode_all::<u64, Vec<u8>>().unwrap().len() as u64, r);
-            }
         }
         // Tiny blocks: one record per split; huge blocks: one split.
         assert_eq!(part.splits(1).unwrap().len(), 100);
@@ -575,51 +436,14 @@ mod tests {
     }
 
     #[test]
-    fn replica_placement_wraps_at_cluster_edge() {
-        // 4 nodes, replication 2: a partition homed on node 3 replicates
-        // to nodes {3, 0}. Failing both must lose it; the pre-fix phantom
-        // replica on "node 4" made it immortal.
-        let mut dfs = Dfs::new();
-        dfs.set_nodes(4);
-        dfs.write_records("f", 4, (0..8u64).map(|i| (i, i)))
-            .unwrap();
-        assert_eq!(dfs.file("f").unwrap().partitions[3].home_node, 3);
-        dfs.fail_node(3);
-        dfs.fail_node(0);
-        assert!(matches!(
-            dfs.check_available("f"),
-            Err(MrError::DataLost { partition: 3, .. })
-        ));
-        dfs.recover_node(0);
-        dfs.check_available("f").unwrap();
-    }
-
-    #[test]
-    fn unbounded_dfs_keeps_legacy_placement() {
-        let mut dfs = Dfs::new();
-        dfs.write_records("f", 2, (0..4u64).map(|i| (i, i)))
-            .unwrap();
-        dfs.fail_node(1);
-        // Without a node count, partition 1's second replica sits on
-        // "node 2" and survives.
-        dfs.check_available("f").unwrap();
-    }
-
-    #[test]
     fn image_round_trips_every_field() {
         let mut dfs = Dfs::new();
-        dfs.set_replication(3);
-        dfs.set_nodes(5);
         dfs.write_records("f", 2, (0..6u64).map(|i| (i, format!("v{i}"))))
             .unwrap();
         dfs.write_blob("side", vec![9, 8, 7]);
-        dfs.fail_node(4);
         let image = dfs.to_image();
         let back = Dfs::from_image(&image).unwrap();
         assert_eq!(back.to_image(), image, "image is a fixed point");
-        assert_eq!(back.replication, 3);
-        assert_eq!(back.nodes, 5);
-        assert!(back.failed_nodes.contains(&4));
         let recs: Vec<(u64, String)> = back.read_records("f").unwrap();
         assert_eq!(recs.len(), 6);
         assert_eq!(back.read_blob("side").unwrap(), &[9, 8, 7]);
@@ -635,8 +459,10 @@ mod tests {
         );
         image.push(0);
         assert!(Dfs::from_image(&image).is_err(), "trailing byte");
-        image[0] = 99; // bad version
-        assert!(Dfs::from_image(&image[..image.len() - 1]).is_err());
+        image.pop();
+        image[0] = 1; // the retired version-1 layout
+        let err = Dfs::from_image(&image).unwrap_err();
+        assert!(err.to_string().contains("unsupported DFS image version"));
     }
 
     #[test]

@@ -50,11 +50,14 @@ pub enum MrError {
     InvalidJob(String),
     /// A service required by the job was not attached.
     ServiceMissing(String),
-    /// Every replica of a partition lived on failed nodes.
-    DataLost {
-        /// The file whose data is gone.
-        path: String,
-        /// The unavailable partition index.
+    /// A reduce task's merge met a key lower than the key before it in
+    /// one of its key-sorted input runs. Spills are sorted by the map
+    /// task, so in practice the run is a schimmy partition that no
+    /// reduce phase wrote (e.g. one from `Dfs::write_records`).
+    UnsortedRun {
+        /// The run: `schimmy input <path>` or `map task <i> spill`.
+        run: String,
+        /// The reduce partition being merged.
         partition: usize,
     },
     /// A distributed-mode wire failure: a task spec or result failed to
@@ -77,9 +80,11 @@ impl fmt::Display for MrError {
             } => write!(f, "{phase} task {task} failed: {message}"),
             MrError::InvalidJob(m) => write!(f, "invalid job: {m}"),
             MrError::ServiceMissing(name) => write!(f, "service not attached: {name}"),
-            MrError::DataLost { path, partition } => {
-                write!(f, "all replicas lost for {path} partition {partition}")
-            }
+            MrError::UnsortedRun { run, partition } => write!(
+                f,
+                "{run} is out of key order in partition {partition}: \
+                 a key is lower than the one before it"
+            ),
             MrError::Wire(m) => write!(f, "wire error: {m}"),
         }
     }
@@ -117,6 +122,10 @@ mod tests {
             },
             MrError::InvalidJob("no reducers".into()),
             MrError::ServiceMissing("aug_proc".into()),
+            MrError::UnsortedRun {
+                run: "schimmy input g".into(),
+                partition: 1,
+            },
             MrError::Wire("truncated result".into()),
         ];
         for e in errs {

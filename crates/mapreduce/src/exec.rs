@@ -1,9 +1,8 @@
 //! The task-execution boundary: one map or reduce task as a
 //! self-contained unit of work, independent of where it runs.
 //!
-//! [`MrRuntime::run`](crate::MrRuntime::run) used to inline the task
-//! bodies; they now live in [`JobTaskRunner`], a typed runner built from
-//! a job's mapper/combiner/reducer. The in-process path calls it
+//! The task bodies live in [`JobTaskRunner`], a typed runner built from
+//! a job's mapper and reducer. The in-process path calls it
 //! directly on borrowed bytes. Distributed mode wraps the same runner
 //! behind the byte-level [`TaskRunner`] trait: the driver serializes a
 //! [`MapTaskSpec`]/[`ReduceTaskSpec`], a worker process reconstructs the
@@ -24,10 +23,9 @@ use std::sync::Arc;
 
 use crate::encode::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::error::{DecodeError, MrError};
-use crate::job::{CombinerFn, MapContext, Mapper, ReduceContext, Reducer};
+use crate::job::{MapContext, Mapper, ReduceContext, Reducer};
 use crate::record::{decode_record, encode_record, Datum, KeyDatum, SpillRun};
-use crate::runtime::RunCursor;
-use crate::runtime::{encoded_keys_sorted, is_key_sorted, merge_sorted_runs, partition_of};
+use crate::runtime::{merge_sorted_runs, partition_of, MergeError};
 use crate::service::ServiceHandle;
 
 /// One map task, fully described: which task it is, how many reduce
@@ -56,7 +54,7 @@ pub struct MapTaskResult {
     pub spills: Vec<SpillRun>,
     /// Input records decoded.
     pub input_records: u64,
-    /// Records emitted by the mapper (before any combiner).
+    /// Records emitted by the mapper.
     pub output_records: u64,
     /// Short-lived allocations charged (FF4 cost model input).
     pub allocs: u64,
@@ -155,8 +153,8 @@ pub trait TaskExecutor: Send + Sync {
     }
 }
 
-/// The typed task bodies of one job: decode → map → sort → combine →
-/// spill, and fetch → merge → reduce → encode. Used directly by the
+/// The typed task bodies of one job: decode → map → sort → spill, and
+/// fetch → merge → reduce → encode. Used directly by the
 /// in-process path and wrapped as a [`TaskRunner`] worker-side, so both
 /// modes run the same code over the same bytes.
 pub struct JobTaskRunner<KI, VI, KM, VM, KO, VO>
@@ -165,7 +163,6 @@ where
     VM: Datum,
 {
     mapper: Arc<dyn Mapper<KI, VI, KM, VM>>,
-    combiner: Option<CombinerFn<KM, VM>>,
     reducer: Arc<dyn Reducer<KM, VM, KO, VO>>,
     services: ServiceHandle,
 }
@@ -186,23 +183,16 @@ where
         M: Mapper<KI, VI, KM, VM> + 'static,
         R: Reducer<KM, VM, KO, VO> + 'static,
     {
-        Self {
-            mapper: Arc::new(mapper),
-            combiner: None,
-            reducer: Arc::new(reducer),
-            services,
-        }
+        Self::from_parts(Arc::new(mapper), Arc::new(reducer), services)
     }
 
     pub(crate) fn from_parts(
         mapper: Arc<dyn Mapper<KI, VI, KM, VM>>,
-        combiner: Option<CombinerFn<KM, VM>>,
         reducer: Arc<dyn Reducer<KM, VM, KO, VO>>,
         services: ServiceHandle,
     ) -> Self {
         Self {
             mapper,
-            combiner,
             reducer,
             services,
         }
@@ -230,44 +220,16 @@ where
         }
         self.mapper.finish_split(&mut ctx);
         let output_records = ctx.out.len() as u64;
-        let mut allocs = ctx.allocs() + input_records;
-        let mut counters = std::mem::take(&mut ctx.local_counters);
-        let mut captured = std::mem::take(&mut ctx.calls);
+        let allocs = ctx.allocs() + input_records;
+        let counters = std::mem::take(&mut ctx.local_counters);
+        let captured = std::mem::take(&mut ctx.calls);
         let mut out = ctx.out;
 
         // Map-side sort (Hadoop's sort-at-map): the run is ordered here,
-        // inside the already-parallel map phase; the combiner and the
-        // reduce-side k-way merge both consume sorted runs. The sort is
-        // stable, so equal keys keep emission order.
+        // inside the already-parallel map phase; the reduce-side k-way
+        // merge consumes sorted runs. The sort is stable, so equal keys
+        // keep emission order.
         out.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // Optional combiner, fed key groups off the sorted run.
-        if let Some(comb) = &self.combiner {
-            let mut cctx = MapContext::new(&self.services, task);
-            // The combiner's calls follow the mapper's in one sequence.
-            cctx.calls = captured;
-            let mut group: Vec<VM> = Vec::new(); // reused across groups
-            let mut it = out.into_iter().peekable();
-            while let Some((key, first)) = it.next() {
-                group.push(first);
-                while it.peek().is_some_and(|(k, _)| *k == key) {
-                    group.push(it.next().expect("peeked").1);
-                }
-                // Dropping the drain clears the buffer (allocation kept)
-                // even if the combiner consumed only part.
-                comb(&key, &mut group.drain(..), &mut cctx);
-            }
-            allocs += cctx.allocs();
-            merge_counter_deltas(&mut counters, cctx.local_counters.drain(..));
-            captured = cctx.calls;
-            out = cctx.out;
-            // Combiners normally emit per visited group, i.e. already in
-            // key order; re-establish the invariant only when one emitted
-            // out of order.
-            if !is_key_sorted(&out) {
-                out.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-        }
 
         // Partition the sorted run into per-reducer spills; each spill
         // inherits the key order, so its byte run is ready to merge
@@ -288,44 +250,38 @@ where
     }
 
     /// Runs one reduce task over fetched spill runs plus an optional
-    /// schimmy partition's raw bytes.
+    /// schimmy partition: the schimmy input's path (for errors) and the
+    /// partition's raw bytes.
+    ///
+    /// Schimmy: the matching partition of a previous output is one more
+    /// sorted run in the merge heap (rank 0, so its values come first
+    /// within a key group), merged straight off its encoded bytes. The
+    /// previous job's reducers wrote it in key order; a run out of key
+    /// order is an error, never re-sorted.
     ///
     /// # Errors
-    /// Record decode failures and reducer errors.
+    /// Record decode failures, [`MrError::UnsortedRun`] for a run out of
+    /// key order, and reducer errors.
     pub fn run_reduce_parts(
         &self,
         task: usize,
         spills: &[SpillRun],
-        schimmy: Option<&[u8]>,
+        schimmy: Option<(&str, &[u8])>,
     ) -> Result<ReduceTaskResult, MrError> {
         let consumed: u64 = spills.iter().map(|s| s.records).sum();
-
-        // Schimmy: the matching partition of a previous output is one
-        // more sorted run in the merge heap (rank 0, so its values come
-        // first within a key group). Already-sorted partitions — the
-        // common case, since reduce outputs are written in key order —
-        // merge straight off their encoded bytes; unsorted ones fall
-        // back to decode + stable sort.
-        let schimmy_run: Option<RunCursor<'_, KM, VM>> = match schimmy {
-            Some(data) => {
-                if encoded_keys_sorted::<KM>(data)? {
-                    RunCursor::from_encoded(0, data)?
-                } else {
-                    let mut rest = data;
-                    let mut recs: Vec<(KM, VM)> = Vec::new();
-                    while !rest.is_empty() {
-                        recs.push(decode_record(&mut rest)?);
-                    }
-                    recs.sort_by(|a, b| a.0.cmp(&b.0));
-                    RunCursor::from_owned(0, recs)
-                }
-            }
-            None => None,
-        };
-
         let mut ctx = ReduceContext::new(&self.services, task);
-        let merge_fanin = merge_sorted_runs(schimmy_run, spills, |key, values| {
+        let merge_fanin = merge_sorted_runs(schimmy.map(|s| s.1), spills, |key, values| {
             self.reducer.reduce(key, values, &mut ctx);
+        })
+        .map_err(|e| match e {
+            MergeError::Decode(e) => MrError::Decode(e),
+            MergeError::Unsorted { rank } => MrError::UnsortedRun {
+                run: match (rank, schimmy) {
+                    (0, Some((path, _))) => format!("schimmy input {path}"),
+                    _ => format!("map task {} spill", rank - 1),
+                },
+                partition: task,
+            },
         })?;
 
         let records = ctx.out.len() as u64;
@@ -359,18 +315,12 @@ where
     }
 
     fn run_reduce(&self, spec: &ReduceTaskSpec) -> Result<ReduceTaskResult, MrError> {
-        self.run_reduce_parts(spec.task, &spec.spills, spec.schimmy.as_deref())
-    }
-}
-
-/// Folds counter deltas into `into`, summing duplicates by name.
-fn merge_counter_deltas(into: &mut Vec<(String, u64)>, from: impl Iterator<Item = (String, u64)>) {
-    for (name, delta) in from {
-        if let Some(entry) = into.iter_mut().find(|(n, _)| *n == name) {
-            entry.1 += delta;
-        } else {
-            into.push((name, delta));
-        }
+        // The spec carries the schimmy partition's bytes, not its path.
+        let schimmy = spec
+            .schimmy
+            .as_deref()
+            .map(|data| ("(path not shipped)", data));
+        self.run_reduce_parts(spec.task, &spec.spills, schimmy)
     }
 }
 

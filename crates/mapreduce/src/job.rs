@@ -1,4 +1,4 @@
-//! Job descriptions: mappers, reducers, combiners and their contexts.
+//! Job descriptions: mappers, reducers and their contexts.
 //!
 //! A job is built in two stages so the intermediate and output record types
 //! are inferred from the user functions:
@@ -90,8 +90,8 @@ where
     }
 }
 
-/// Emission context handed to mappers and combiners ([`MapContext`])
-/// and to reducers ([`ReduceContext`]).
+/// Emission context handed to mappers ([`MapContext`]) and to reducers
+/// ([`ReduceContext`]).
 ///
 /// Counter increments and service calls are buffered locally and take
 /// effect only when the task attempt *succeeds* — so retried task
@@ -107,7 +107,7 @@ pub struct TaskContext<'a, K, V> {
     task: usize,
 }
 
-/// The context a mapper or combiner emits intermediate records into.
+/// The context a mapper emits intermediate records into.
 pub type MapContext<'a, KM, VM> = TaskContext<'a, KM, VM>;
 
 /// The context a reducer emits output records into.
@@ -214,7 +214,7 @@ impl<'a, K, V> TaskContext<'a, K, V> {
 
 /// How a job's user code travels to a remote worker process: a registered
 /// job-kind name plus an opaque parameter blob the worker-side factory
-/// turns back into mapper/combiner/reducer instances. Jobs without a wire
+/// turns back into mapper and reducer instances. Jobs without a wire
 /// spec always execute in-process (closures cannot be shipped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSpec {
@@ -346,16 +346,11 @@ impl JobBuilder {
             },
             services: self.services,
             mapper: Arc::new(mapper),
-            combiner: None,
         }
     }
 }
 
-/// Combiner function type: same shape as a reducer over intermediate types.
-pub(crate) type CombinerFn<KM, VM> =
-    Arc<dyn Fn(&KM, &mut dyn Iterator<Item = VM>, &mut MapContext<'_, KM, VM>) + Send + Sync>;
-
-/// Second builder stage: the mapper is fixed; add a combiner or the reducer.
+/// Second builder stage: the mapper is fixed; add the reducer.
 pub struct MappedJob<KI, VI, KM, VM>
 where
     KM: KeyDatum,
@@ -364,7 +359,6 @@ where
     pub(crate) config: JobConfig,
     pub(crate) services: ServiceHandle,
     pub(crate) mapper: Arc<dyn Mapper<KI, VI, KM, VM>>,
-    pub(crate) combiner: Option<CombinerFn<KM, VM>>,
 }
 
 impl<KI, VI, KM, VM> MappedJob<KI, VI, KM, VM>
@@ -374,25 +368,6 @@ where
     KM: KeyDatum,
     VM: Datum,
 {
-    /// Adds a combiner, run per map task over its local output groups.
-    ///
-    /// The map task sorts its output by key first, so the combiner sees
-    /// each distinct key exactly once, in ascending order, with values in
-    /// emission order. Combiners may emit any keys (not just the group's);
-    /// the runtime re-sorts afterwards only if the emitted run is out of
-    /// order, preserving the spill's key-sorted invariant either way.
-    #[must_use]
-    pub fn combine<C>(mut self, combiner: C) -> Self
-    where
-        C: Fn(&KM, &mut dyn Iterator<Item = VM>, &mut MapContext<'_, KM, VM>)
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.combiner = Some(Arc::new(combiner));
-        self
-    }
-
     /// Supplies the `REDUCE` function, completing the job.
     pub fn reduce<R, KO, VO>(self, reducer: R) -> Job<KI, VI, KM, VM, KO, VO>
     where
@@ -404,7 +379,6 @@ where
             config: self.config,
             services: self.services,
             mapper: self.mapper,
-            combiner: self.combiner,
             reducer: Arc::new(reducer),
         }
     }
@@ -420,7 +394,6 @@ where
     pub(crate) config: JobConfig,
     pub(crate) services: ServiceHandle,
     pub(crate) mapper: Arc<dyn Mapper<KI, VI, KM, VM>>,
-    pub(crate) combiner: Option<CombinerFn<KM, VM>>,
     pub(crate) reducer: Arc<dyn Reducer<KM, VM, KO, VO>>,
 }
 
@@ -445,8 +418,7 @@ where
         f.debug_struct("Job")
             .field("config", &self.config)
             .field("services", &self.services)
-            .field("combiner", &self.combiner.is_some())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 

@@ -10,6 +10,7 @@
 //! DESIGN.md § "Shuffle pipeline" for the format and the determinism
 //! contract.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -22,12 +23,13 @@ use std::sync::Arc;
 
 use crate::cluster::{ClusterConfig, PhaseCost, TaskCost};
 use crate::counters::Counters;
-use crate::dfs::{Dfs, DfsFile, InputSplit, Partition};
+use crate::dfs::{Dfs, DfsFile, Partition};
 use crate::error::{DecodeError, MrError};
 use crate::exec::{
-    CapturedCalls, JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskSpec, TaskExecutor,
+    CapturedCalls, JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskResult, ReduceTaskSpec,
+    TaskExecutor,
 };
-use crate::job::{Job, WireSpec};
+use crate::job::{Job, JobConfig};
 use crate::record::{decode_exact, split_record, Datum, KeyDatum, SpillRun};
 use crate::service::ServiceHandle;
 use crate::stats::JobStats;
@@ -39,8 +41,27 @@ pub type FaultInjector = Arc<dyn Fn(&'static str, usize, u32) -> bool + Send + S
 /// to the job's `run()` entry, for the flight recorder.
 type WallWindow = (u64, u64);
 
+/// One task's record in the parallel runner: its result, its price
+/// under the cost model, the attempts it took and each attempt's
+/// wall-clock window.
+#[derive(Debug)]
+struct TaskRecord<R> {
+    result: R,
+    cost: TaskCost,
+    attempts: u32,
+    walls: Vec<WallWindow>,
+}
+
+impl<R> TaskRecord<R> {
+    /// Slot time the task occupied: failed attempts held a slot for
+    /// about as long as the successful one.
+    fn occupancy(&self, cluster: &ClusterConfig) -> f64 {
+        self.cost.seconds(cluster) * f64::from(self.attempts)
+    }
+}
+
 /// One task's outcome slot in the parallel runner.
-type TaskSlot<R> = Option<Result<(R, u32, Vec<WallWindow>), MrError>>;
+type TaskSlot<R> = Option<Result<TaskRecord<R>, MrError>>;
 
 /// Microseconds elapsed on `epoch`, saturating.
 fn elapsed_us(epoch: Instant) -> u64 {
@@ -133,11 +154,9 @@ impl MrRuntime {
     /// Creates a runtime simulating `cluster`.
     #[must_use]
     pub fn new(cluster: ClusterConfig) -> Self {
-        let mut dfs = Dfs::new();
-        dfs.set_nodes(cluster.nodes);
         Self {
             cluster,
-            dfs,
+            dfs: Dfs::new(),
             worker_threads: None,
             total_sim_seconds: 0.0,
             failure_policy: FailurePolicy::default(),
@@ -146,7 +165,7 @@ impl MrRuntime {
     }
 
     /// Installs (or clears) the task executor jobs with a
-    /// [`WireSpec`] are dispatched through —
+    /// [`WireSpec`](crate::WireSpec) are dispatched through —
     /// distributed mode's entry point. Jobs without a wire spec, and
     /// every runtime without an executor, run tasks in process exactly
     /// as before.
@@ -197,11 +216,15 @@ impl MrRuntime {
         self.total_sim_seconds
     }
 
-    /// Runs one job to completion.
+    /// Runs one job to completion: validate, plan splits, map, shuffle,
+    /// reduce, then commit and price. Each stage is one function below;
+    /// the map, shuffle and reduce stages open the `mr.map`, `mr.shuffle`
+    /// and `mr.reduce` spans under this job's `mr.job`.
     ///
     /// # Errors
     /// Fails if the configuration is invalid, an input is missing, the
-    /// output exists, a record fails to decode, or a task panics.
+    /// output exists, a record fails to decode, a schimmy partition is out
+    /// of key order, or a task fails every attempt.
     pub fn run<KI, VI, KM, VM, KO, VO>(
         &mut self,
         job: Job<KI, VI, KM, VM, KO, VO>,
@@ -214,8 +237,8 @@ impl MrRuntime {
         KO: Datum,
         VO: Datum,
     {
-        let wall_start = Instant::now();
-        let cfg = job.config().clone();
+        let epoch = Instant::now();
+        let cfg = job.config();
         let mut job_span = ffmr_obs::span("mr.job");
         job_span.field("job", &cfg.name);
         // The job span's id doubles as the trace id: every span this
@@ -223,6 +246,26 @@ impl MrRuntime {
         // until the next job carries it, stitching one cross-process
         // trace per job. Zero when tracing is off — nothing to stitch.
         ffmr_obs::set_trace_id(job_span.id());
+
+        let schimmy = self.validate(cfg)?;
+        let splits = self.plan_splits(cfg)?;
+        let side_bytes = cfg.side_blobs.iter().map(|p| self.dfs.blob_bytes(p)).sum();
+        let executor = self.executor.clone();
+        let run = JobRun::new(&job, executor.as_ref(), side_bytes, epoch);
+
+        job.services.begin_round();
+        let mut maps = self.map(&run, splits)?;
+        let (fetches, shuffle_wall) = shuffle(&mut maps, cfg.reducers, epoch);
+        let reduces = self.reduce(&run, &fetches, schimmy)?;
+        job.services.end_round();
+
+        self.commit_and_price(&run, &maps, shuffle_wall, reduces)
+    }
+
+    /// Validate: every check a job must pass, made before anything runs,
+    /// so a rejected job leaves the DFS and its services untouched.
+    /// Returns the schimmy file, if the job has one.
+    fn validate(&self, cfg: &JobConfig) -> Result<Option<&DfsFile>, MrError> {
         if cfg.reducers == 0 {
             return Err(MrError::InvalidJob("reducers must be > 0".into()));
         }
@@ -232,347 +275,210 @@ impl MrRuntime {
         if self.dfs.exists(&cfg.output) {
             return Err(MrError::OutputExists(cfg.output.clone()));
         }
-
-        let counters = Counters::new();
-        job.services.begin_round();
-
-        // ------------------------------------------------- map phase
-        // One map task per block-sized, record-aligned input split
-        // (Hadoop's InputSplit), across all input files.
-        let map_span = ffmr_obs::span("mr.map");
-        let block_bytes = (self.cluster.dfs_block_mb * 1024.0 * 1024.0).max(1.0) as usize;
-        let mut splits: Vec<InputSplit<'_>> = Vec::new();
         for input in &cfg.inputs {
-            self.dfs.check_available(input)?;
-            let file = self.dfs.file(input)?;
-            for partition in &file.partitions {
-                for (a, b, records) in partition.splits(block_bytes)? {
-                    splits.push(InputSplit {
-                        data: &partition.data[a..b],
-                        records,
-                    });
-                }
-            }
+            self.dfs.file(input)?;
         }
-        if let Some(schimmy) = &cfg.schimmy {
-            self.dfs.check_available(schimmy)?;
-        }
-        let side_bytes: u64 = cfg.side_blobs.iter().map(|p| self.dfs.blob_bytes(p)).sum();
-
-        let reducers = cfg.reducers;
-
-        // The typed task bodies (decode → map → sort → combine → spill,
-        // and the reduce merge) live in `JobTaskRunner` — the same code a
-        // remote worker runs after reconstructing the job from its wire
-        // spec, which is what makes distributed output byte-identical.
-        let runner = JobTaskRunner::from_parts(
-            Arc::clone(&job.mapper),
-            job.combiner.clone(),
-            Arc::clone(&job.reducer),
-            job.services.clone(),
-        );
-        // Dispatch remotely only when both halves exist: an installed
-        // executor and a job that declared how to rebuild its user code.
-        let remote: Option<(&Arc<dyn TaskExecutor>, &WireSpec)> =
-            self.executor.as_ref().zip(cfg.wire.as_ref());
-
-        struct MapResult {
-            inner: MapTaskResult,
-            cost: TaskCost,
-        }
-
-        let map_fn = |task_idx: usize, split: InputSplit<'_>| -> Result<MapResult, MrError> {
-            let inner = match remote {
-                Some((executor, wire)) => executor.execute_map(
-                    wire,
-                    MapTaskSpec {
-                        task: task_idx,
-                        reducers,
-                        input: split.data.to_vec(),
-                    },
-                )?,
-                None => runner.run_map_bytes(task_idx, split.data, reducers)?,
-            };
-            // Merge counters here, on the attempt's success path, so
-            // retried attempts never double-count.
-            for (name, delta) in &inner.counters {
-                counters.incr(name, *delta);
-            }
-            let spill_bytes: u64 = inner.spills.iter().map(SpillRun::bytes).sum();
-            let cost = TaskCost {
-                read_bytes: split.data.len() as u64 + side_bytes,
-                write_bytes: spill_bytes,
-                records: inner.input_records + inner.output_records,
-                allocs: inner.allocs,
-            };
-            Ok(MapResult { inner, cost })
+        // Schimmy: the matching partition of a previous output is merged
+        // into each reducer without being shuffled, so the partitioning
+        // must be the job's.
+        let Some(path) = &cfg.schimmy else {
+            return Ok(None);
         };
+        let file = self.dfs.file(path)?;
+        if file.partitions.len() != cfg.reducers {
+            return Err(MrError::InvalidJob(format!(
+                "schimmy input {path} has {} partitions, job has {} reducers",
+                file.partitions.len(),
+                cfg.reducers
+            )));
+        }
+        Ok(Some(file))
+    }
 
-        // Each map task's service calls are applied as soon as it and
-        // every lower-indexed task have completed (see `run_parallel`).
-        let map_results: Vec<(MapResult, u32, Vec<WallWindow>)> = run_parallel(
+    /// Plan splits: one map task per block-sized, record-aligned input
+    /// split (Hadoop's `InputSplit`), across all input files in order.
+    fn plan_splits(&self, cfg: &JobConfig) -> Result<Vec<&[u8]>, MrError> {
+        let block_bytes = (self.cluster.dfs_block_mb * 1024.0 * 1024.0).max(1.0) as usize;
+        let mut splits = Vec::new();
+        for input in &cfg.inputs {
+            for partition in &self.dfs.file(input)?.partitions {
+                splits.extend(partition.splits(block_bytes)?);
+            }
+        }
+        Ok(splits)
+    }
+
+    /// Map (`mr.map`): one task per split. Each task's service calls are
+    /// applied as soon as it and every lower-indexed task have completed
+    /// (see `run_parallel`).
+    fn map(
+        &self,
+        run: &JobRun<'_>,
+        splits: Vec<&[u8]>,
+    ) -> Result<Vec<TaskRecord<MapTaskResult>>, MrError> {
+        let _span = ffmr_obs::span("mr.map");
+        let map_task = |task: usize, split: &[u8]| {
+            let result = (run.map)(task, split)?;
+            run.merge_counters(&result.counters);
+            let cost = TaskCost {
+                read_bytes: split.len() as u64 + run.side_bytes,
+                write_bytes: result.spills.iter().map(SpillRun::bytes).sum(),
+                records: result.input_records + result.output_records,
+                allocs: result.allocs,
+            };
+            Ok((result, cost))
+        };
+        run_parallel(
             "map",
             self.worker_threads,
             &self.failure_policy,
             splits,
-            map_fn,
-            |r: &mut MapResult| apply_calls(&job.services, &mut r.inner.captured),
-            wall_start,
-        )?;
+            map_task,
+            |r: &mut MapTaskResult| apply_calls(run.services, &mut r.captured),
+            run.epoch,
+        )
+    }
 
-        let map_durations: Vec<f64> = map_results
-            .iter()
-            .map(|(r, ..)| r.cost.seconds(&self.cluster))
-            .collect();
-        let map_attempts: Vec<u32> = map_results.iter().map(|(_, a, _)| *a).collect();
-
-        let mut map_phase = PhaseCost::new();
-        let mut map_input_records = 0u64;
-        let mut map_output_records = 0u64;
-        let mut input_bytes = 0u64;
-        let mut spilled_bytes = 0u64;
-        let mut failed_attempts = 0u64;
-        let mut map_bytes: Vec<(u64, u64)> = Vec::with_capacity(map_results.len());
-        for (i, (r, attempts, _)) in map_results.iter().enumerate() {
-            // Failed attempts occupied a slot for about as long as the
-            // successful one; charge them.
-            map_phase.push_task(map_durations[i] * f64::from(*attempts));
-            failed_attempts += u64::from(attempts - 1);
-            map_input_records += r.inner.input_records;
-            map_output_records += r.inner.output_records;
-            input_bytes += r.cost.read_bytes - side_bytes;
-            spilled_bytes += r.cost.write_bytes; // exactly the spill bytes
-            map_bytes.push((r.cost.read_bytes - side_bytes, r.cost.write_bytes));
-        }
-        let map_tasks = map_results.len();
-        drop(map_span);
-
-        // ------------------------------------------------- shuffle
-        // Transpose map outputs into each reducer's fetch list: pure
-        // buffer moves, O(map_tasks x reducers), no per-record work.
-        // Empty runs are kept so a fetch list's position i is always map
-        // task i (the reduce task derives cross-node traffic from it).
-        // Byte accounting and the sorted-run merge happen inside the
-        // parallel reduce tasks below — the per-reducer "fetch".
-        let shuffle_span = ffmr_obs::span("mr.shuffle");
-        let shuffle_wall_start = elapsed_us(wall_start);
-        let mut fetches: Vec<Vec<SpillRun>> = (0..reducers)
-            .map(|_| Vec::with_capacity(map_tasks))
-            .collect();
-        let mut map_walls: Vec<Vec<WallWindow>> = Vec::with_capacity(map_tasks);
-        for (result, _, walls) in map_results {
-            map_walls.push(walls);
-            for (p, spill) in result.inner.spills.into_iter().enumerate() {
-                fetches[p].push(spill);
-            }
-        }
-        let shuffle_wall_end = elapsed_us(wall_start);
-        drop(shuffle_span);
-
-        // ------------------------------------------------- reduce phase
-        // (Per-task key sorting — Hadoop's sort phase — happens inside
-        // each reduce task and is covered by this span.)
-        let reduce_span = ffmr_obs::span("mr.reduce");
-        // Schimmy: pull the matching partition of a previous output and
-        // merge it with the shuffled records by key, without shuffling it.
-        let schimmy_file: Option<&DfsFile> = match &cfg.schimmy {
-            Some(path) => {
-                let f = self.dfs.file(path)?;
-                if f.partitions.len() != reducers {
-                    return Err(MrError::InvalidJob(format!(
-                        "schimmy input {} has {} partitions, job has {} reducers",
-                        path,
-                        f.partitions.len(),
-                        reducers
-                    )));
-                }
-                Some(f)
-            }
-            None => None,
-        };
-
-        struct ReduceResult {
-            partition: Partition,
-            output_records: u64,
-            cost: TaskCost,
-            schimmy_bytes: u64,
-            fetched_bytes: u64,
-            cross_node_bytes: u64,
-            spill_runs: u64,
-            merge_fanin: u64,
-            captured: CapturedCalls,
-        }
-
-        // Reduce tasks are dispatched by partition index and borrow their
-        // fetch list, so a retry re-runs off the same spills without
-        // deep-copying them.
-        let reduce_fn = |r: usize, _item: usize| -> Result<ReduceResult, MrError> {
+    /// Reduce (`mr.reduce`): one task per partition, each merging its
+    /// fetch list with its schimmy partition. Tasks are dispatched by
+    /// partition index and borrow their fetch list, so a retry re-runs
+    /// off the same spills without deep-copying them.
+    fn reduce(
+        &self,
+        run: &JobRun<'_>,
+        fetches: &[Vec<SpillRun>],
+        schimmy: Option<&DfsFile>,
+    ) -> Result<Vec<TaskRecord<ReduceOutput>>, MrError> {
+        let _span = ffmr_obs::span("mr.reduce");
+        let reduce_task = |r: usize, _item: usize| {
             let spills = &fetches[r];
             // The fetch: account every spill from its per-run size
             // prefix (Hadoop's reduce-shuffle-bytes and the cross-node
             // subset) — no per-record iteration.
             let to_node = self.cluster.reduce_node(r);
-            let mut fetched_bytes = 0u64;
-            let mut cross_node_bytes = 0u64;
+            let mut out = ReduceOutput::default();
             let mut consumed = 0u64;
-            let mut spill_runs = 0u64;
             for (map_idx, s) in spills.iter().enumerate() {
-                fetched_bytes += s.bytes();
+                out.fetched_bytes += s.bytes();
                 consumed += s.records;
                 if s.records > 0 {
-                    spill_runs += 1;
+                    out.spill_runs += 1;
                     if self.cluster.map_node(map_idx) != to_node {
-                        cross_node_bytes += s.bytes();
+                        out.cross_node_bytes += s.bytes();
                     }
                 }
             }
-            let schimmy_part = schimmy_file.map(|f| &f.partitions[r]);
-            let schimmy_bytes = schimmy_part.map_or(0, |p| p.data.len() as u64);
-
-            let inner = match remote {
-                Some((executor, wire)) => executor.execute_reduce(
-                    wire,
-                    ReduceTaskSpec {
-                        task: r,
-                        spills: spills.clone(),
-                        schimmy: schimmy_part.map(|p| p.data.clone()),
-                    },
-                )?,
-                None => {
-                    runner.run_reduce_parts(r, spills, schimmy_part.map(|p| p.data.as_slice()))?
-                }
-            };
-            for (name, delta) in &inner.counters {
-                counters.incr(name, *delta);
-            }
-
-            let output_records = inner.records;
+            let schimmy_part = schimmy.map(|f| f.partitions[r].data.as_slice());
+            out.schimmy_bytes = schimmy_part.map_or(0, |p| p.len() as u64);
+            out.task = (run.reduce)(r, spills, schimmy_part)?;
+            run.merge_counters(&out.task.counters);
             let cost = TaskCost {
-                read_bytes: fetched_bytes + schimmy_bytes,
-                write_bytes: inner.data.len() as u64,
-                records: consumed + output_records,
-                allocs: inner.allocs,
+                read_bytes: out.fetched_bytes + out.schimmy_bytes,
+                write_bytes: out.task.data.len() as u64,
+                records: consumed + out.task.records,
+                allocs: out.task.allocs,
             };
-            Ok(ReduceResult {
-                partition: Partition {
-                    data: inner.data,
-                    records: output_records,
-                    home_node: to_node,
-                },
-                output_records,
-                cost,
-                schimmy_bytes,
-                fetched_bytes,
-                cross_node_bytes,
-                spill_runs,
-                merge_fanin: inner.merge_fanin,
-                captured: inner.captured,
-            })
+            Ok((out, cost))
         };
-
-        let reduce_results: Vec<(ReduceResult, u32, Vec<WallWindow>)> = run_parallel(
+        run_parallel(
             "reduce",
             self.worker_threads,
             &self.failure_policy,
-            (0..reducers).collect(),
-            reduce_fn,
-            |r: &mut ReduceResult| apply_calls(&job.services, &mut r.captured),
-            wall_start,
-        )?;
+            (0..fetches.len()).collect(),
+            reduce_task,
+            |r: &mut ReduceOutput| apply_calls(run.services, &mut r.task.captured),
+            run.epoch,
+        )
+    }
 
-        let reduce_durations: Vec<f64> = reduce_results
-            .iter()
-            .map(|(res, ..)| res.cost.seconds(&self.cluster))
-            .collect();
-        let reduce_attempts: Vec<u32> = reduce_results.iter().map(|(_, a, _)| *a).collect();
-
-        job.services.end_round();
+    /// Commit and price: writes the output file, charges the job to the
+    /// cluster cost model and the simulated clock, and assembles its
+    /// stats and flight-recorder events.
+    fn commit_and_price(
+        &mut self,
+        run: &JobRun<'_>,
+        maps: &[TaskRecord<MapTaskResult>],
+        shuffle_wall: WallWindow,
+        reduces: Vec<TaskRecord<ReduceOutput>>,
+    ) -> Result<JobStats, MrError> {
+        let (cfg, cluster) = (run.cfg, &self.cluster);
+        let mut stats = JobStats {
+            name: cfg.name.clone(),
+            map_tasks: maps.len(),
+            reduce_tasks: reduces.len(),
+            ..JobStats::default()
+        };
+        let mut map_phase = PhaseCost::new();
+        for m in maps {
+            // Failed attempts occupied a slot for about as long as the
+            // successful one; charge them.
+            map_phase.push_task(m.occupancy(cluster));
+            stats.failed_attempts += u64::from(m.attempts - 1);
+            stats.map_input_records += m.result.input_records;
+            stats.map_output_records += m.result.output_records;
+            stats.input_bytes += m.cost.read_bytes - run.side_bytes;
+            stats.spilled_bytes += m.cost.write_bytes; // exactly the spill bytes
+        }
+        stats.map_output_bytes = stats.spilled_bytes;
 
         let metrics = ffmr_obs::global();
         let mut reduce_phase = PhaseCost::new();
-        let mut reduce_output_records = 0u64;
-        let mut output_bytes = 0u64;
-        let mut schimmy_bytes = 0u64;
-        let mut shuffle_bytes = 0u64;
         let mut cross_node_bytes = 0u64;
-        let mut spill_runs = 0u64;
-        let mut merge_fanin_max = 0u64;
-        let mut partitions = Vec::with_capacity(reducers);
-        let mut reduce_bytes: Vec<(u64, u64)> = Vec::with_capacity(reducers);
-        let mut reduce_walls: Vec<Vec<WallWindow>> = Vec::with_capacity(reducers);
-        for (i, (r, attempts, walls)) in reduce_results.into_iter().enumerate() {
-            reduce_phase.push_task(reduce_durations[i] * f64::from(attempts));
-            failed_attempts += u64::from(attempts - 1);
-            reduce_output_records += r.output_records;
-            output_bytes += r.partition.data.len() as u64;
-            reduce_bytes.push((
-                r.fetched_bytes + r.schimmy_bytes,
-                r.partition.data.len() as u64,
-            ));
-            reduce_walls.push(walls);
-            schimmy_bytes += r.schimmy_bytes;
-            shuffle_bytes += r.fetched_bytes;
-            cross_node_bytes += r.cross_node_bytes;
-            spill_runs += r.spill_runs;
-            merge_fanin_max = merge_fanin_max.max(r.merge_fanin);
+        for r in &reduces {
+            reduce_phase.push_task(r.occupancy(cluster));
+            stats.failed_attempts += u64::from(r.attempts - 1);
+            stats.reduce_output_records += r.result.task.records;
+            stats.output_bytes += r.cost.write_bytes;
+            stats.schimmy_bytes += r.result.schimmy_bytes;
+            stats.shuffle_bytes += r.result.fetched_bytes;
+            cross_node_bytes += r.result.cross_node_bytes;
+            stats.spill_runs += r.result.spill_runs;
+            stats.merge_fanin_max = stats.merge_fanin_max.max(r.result.task.merge_fanin);
             metrics
                 .histogram("ffmr_mr_merge_fanin", &[])
-                .record(r.merge_fanin);
-            partitions.push(r.partition);
+                .record(r.result.task.merge_fanin);
         }
-        let reduce_tasks = partitions.len();
-        self.dfs.insert_file(&cfg.output, DfsFile { partitions })?;
-        drop(reduce_span);
 
         let mb = 1024.0 * 1024.0;
-        let net_agg = self.cluster.net_mb_per_s * self.cluster.nodes as f64;
-        let disk_agg = self.cluster.disk_mb_per_s * self.cluster.nodes as f64;
+        let net_agg = cluster.net_mb_per_s * cluster.nodes as f64;
+        let disk_agg = cluster.disk_mb_per_s * cluster.nodes as f64;
+        let map_seconds = map_phase.makespan(cluster.total_map_slots());
         let shuffle_seconds = cross_node_bytes as f64 / mb / net_agg
-            + self.cluster.sort_factor * shuffle_bytes as f64 / mb / disk_agg;
-
+            + cluster.sort_factor * stats.shuffle_bytes as f64 / mb / disk_agg;
         // Replication traffic for the extra DFS copies.
-        let replication_seconds = output_bytes as f64
-            * f64::from(self.cluster.dfs_replication.saturating_sub(1))
+        let replication_seconds = stats.output_bytes as f64
+            * f64::from(cluster.dfs_replication.saturating_sub(1))
             / mb
             / net_agg;
-
-        let sim_seconds = self.cluster.round_overhead_s
-            + map_phase.makespan(self.cluster.total_map_slots())
+        stats.sim_seconds = cluster.round_overhead_s
+            + map_seconds
             + shuffle_seconds
-            + reduce_phase.makespan(self.cluster.total_reduce_slots())
+            + reduce_phase.makespan(cluster.total_reduce_slots())
             + replication_seconds;
-        self.total_sim_seconds += sim_seconds;
 
-        // ------------------------------------------- flight recorder
-        // One event per task attempt plus a synthetic shuffle-barrier
-        // event, on the derived timeline: scheduling overhead, then the
-        // map wave, the shuffle, the reduce wave (replication follows).
-        let recorder = ffmr_obs::events::recorder();
         // Drain unconditionally so notes never pile up across jobs when
         // the recorder is toggled mid-flight; they are empty in local
         // mode and when the coordinator saw the recorder disabled.
-        let mut dispatch_notes: Vec<ffmr_obs::DispatchNote> = self
+        stats.dispatch_notes = self
             .executor
             .as_ref()
             .map(|e| e.drain_dispatch_notes())
             .unwrap_or_default();
-        let mut task_events: Vec<ffmr_obs::TaskEvent> = Vec::new();
-        if recorder.enabled() {
-            let map_start = self.cluster.round_overhead_s;
-            let map_end = map_start + map_phase.makespan(self.cluster.total_map_slots());
-            phase_events(
-                &mut task_events,
-                &cfg.name,
+        if ffmr_obs::events::recorder().enabled() {
+            // One event per task attempt plus a synthetic shuffle-barrier
+            // event, on the derived timeline: scheduling overhead, then
+            // the map wave, the shuffle, the reduce wave (replication
+            // follows).
+            let map_end = cluster.round_overhead_s + map_seconds;
+            let mut events = phase_events(
+                cfg,
                 "map",
-                map_start,
-                self.cluster.total_map_slots(),
-                &self.cluster,
-                &map_durations,
-                &map_attempts,
-                &map_walls,
-                &map_bytes,
+                cluster.round_overhead_s,
+                cluster,
+                maps,
+                run.side_bytes,
             );
-            task_events.push(ffmr_obs::TaskEvent {
+            events.push(ffmr_obs::TaskEvent {
                 job: cfg.name.clone(),
                 phase: "shuffle".to_owned(),
                 task: 0,
@@ -582,66 +488,172 @@ impl MrRuntime {
                 worker: None,
                 sim_start: map_end,
                 sim_end: map_end + shuffle_seconds,
-                wall_start_us: shuffle_wall_start,
-                wall_end_us: shuffle_wall_end,
-                bytes_in: shuffle_bytes,
+                wall_start_us: shuffle_wall.0,
+                wall_end_us: shuffle_wall.1,
+                bytes_in: stats.shuffle_bytes,
                 bytes_out: cross_node_bytes,
                 outcome: ffmr_obs::TaskOutcome::Ok,
             });
-            phase_events(
-                &mut task_events,
-                &cfg.name,
+            events.extend(phase_events(
+                cfg,
                 "reduce",
                 map_end + shuffle_seconds,
-                self.cluster.total_reduce_slots(),
-                &self.cluster,
-                &reduce_durations,
-                &reduce_attempts,
-                &reduce_walls,
-                &reduce_bytes,
-            );
-            if !dispatch_notes.is_empty() {
-                // The coordinator stamps notes on the process epoch
-                // clock; rebase them onto this job's wall clock (the
-                // timeline `wall_start_us`/`wall_end_us` use).
-                let rebase = u64::try_from(
-                    wall_start
-                        .saturating_duration_since(ffmr_obs::span::process_epoch())
-                        .as_micros(),
-                )
-                .unwrap_or(u64::MAX);
-                for note in &mut dispatch_notes {
-                    note.rebase(rebase);
-                }
-                attach_worker_attribution(&mut task_events, &dispatch_notes);
-            }
+                cluster,
+                &reduces,
+                0,
+            ));
+            attach_worker_attribution(&mut events, &mut stats.dispatch_notes, run.epoch);
+            stats.task_events = events;
         }
 
-        let stats = JobStats {
-            name: cfg.name,
-            map_input_records,
-            map_output_records,
-            map_output_bytes: spilled_bytes,
-            spilled_bytes,
-            spill_runs,
-            merge_fanin_max,
-            shuffle_bytes,
-            reduce_output_records,
-            output_bytes,
-            input_bytes,
-            schimmy_bytes,
-            map_tasks,
-            reduce_tasks,
-            failed_attempts,
-            sim_seconds,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            counters: counters.snapshot(),
-            task_events,
-            dispatch_notes,
-        };
+        let partitions = reduces
+            .into_iter()
+            .map(|r| Partition {
+                records: r.result.task.records,
+                data: r.result.task.data,
+            })
+            .collect();
+        self.dfs.insert_file(&cfg.output, DfsFile { partitions })?;
+        self.total_sim_seconds += stats.sim_seconds;
+        stats.counters = run.counters.snapshot();
+        stats.wall_seconds = run.epoch.elapsed().as_secs_f64();
         fold_job_metrics(&stats);
         Ok(stats)
     }
+}
+
+/// Shuffle (`mr.shuffle`): moves the map tasks' spills into each
+/// reducer's fetch list — pure buffer moves, O(map tasks × reducers), no
+/// per-record work. Empty runs are kept so a fetch list's position i is
+/// always map task i (the reduce task derives cross-node traffic from
+/// it). Byte accounting and the sorted-run merge happen inside the
+/// parallel reduce tasks — the per-reducer "fetch". Returns the fetch
+/// lists and the stage's wall-clock window.
+fn shuffle(
+    maps: &mut [TaskRecord<MapTaskResult>],
+    reducers: usize,
+    epoch: Instant,
+) -> (Vec<Vec<SpillRun>>, WallWindow) {
+    let _span = ffmr_obs::span("mr.shuffle");
+    let start = elapsed_us(epoch);
+    let mut fetches: Vec<Vec<SpillRun>> = (0..reducers)
+        .map(|_| Vec::with_capacity(maps.len()))
+        .collect();
+    for m in maps {
+        for (p, spill) in std::mem::take(&mut m.result.spills).into_iter().enumerate() {
+            fetches[p].push(spill);
+        }
+    }
+    (fetches, (start, elapsed_us(epoch)))
+}
+
+/// A map task body: `(task, input split bytes)`.
+type MapTaskFn<'a> = Box<dyn Fn(usize, &[u8]) -> Result<MapTaskResult, MrError> + Sync + 'a>;
+/// A reduce task body: `(partition, fetched spills, schimmy partition bytes)`.
+type ReduceTaskFn<'a> =
+    Box<dyn Fn(usize, &[SpillRun], Option<&[u8]>) -> Result<ReduceTaskResult, MrError> + Sync + 'a>;
+
+/// What the stages share for one job: its config and services, where its
+/// tasks run, its counters, the side-blob bytes every map task reads
+/// (charged per task) and the wall-clock epoch.
+struct JobRun<'a> {
+    cfg: &'a JobConfig,
+    services: &'a ServiceHandle,
+    map: MapTaskFn<'a>,
+    reduce: ReduceTaskFn<'a>,
+    counters: Counters,
+    side_bytes: u64,
+    epoch: Instant,
+}
+
+impl<'a> JobRun<'a> {
+    /// Runs tasks through `executor` when the job declared a wire spec
+    /// (both halves are needed to ship user code), else in process.
+    fn new<KI, VI, KM, VM, KO, VO>(
+        job: &'a Job<KI, VI, KM, VM, KO, VO>,
+        executor: Option<&'a Arc<dyn TaskExecutor>>,
+        side_bytes: u64,
+        epoch: Instant,
+    ) -> Self
+    where
+        KI: Datum,
+        VI: Datum,
+        KM: KeyDatum,
+        VM: Datum,
+        KO: Datum,
+        VO: Datum,
+    {
+        let cfg = &job.config;
+        let reducers = cfg.reducers;
+        let (map, reduce): (MapTaskFn<'a>, ReduceTaskFn<'a>) = match executor.zip(cfg.wire.as_ref())
+        {
+            Some((executor, wire)) => (
+                Box::new(move |task, input| {
+                    let spec = MapTaskSpec {
+                        task,
+                        reducers,
+                        input: input.to_vec(),
+                    };
+                    executor.execute_map(wire, spec)
+                }),
+                Box::new(move |task, spills, schimmy| {
+                    let spec = ReduceTaskSpec {
+                        task,
+                        spills: spills.to_vec(),
+                        schimmy: schimmy.map(<[u8]>::to_vec),
+                    };
+                    executor.execute_reduce(wire, spec)
+                }),
+            ),
+            None => {
+                // The typed task bodies live in `JobTaskRunner` — the
+                // same code a remote worker runs after reconstructing the
+                // job from its wire spec, which is what makes distributed
+                // output byte-identical.
+                let runner = Arc::new(JobTaskRunner::from_parts(
+                    Arc::clone(&job.mapper),
+                    Arc::clone(&job.reducer),
+                    job.services.clone(),
+                ));
+                let reduce_runner = Arc::clone(&runner);
+                let schimmy_path = cfg.schimmy.as_deref().unwrap_or_default();
+                (
+                    Box::new(move |task, input| runner.run_map_bytes(task, input, reducers)),
+                    Box::new(move |task, spills, schimmy| {
+                        let schimmy = schimmy.map(|data| (schimmy_path, data));
+                        reduce_runner.run_reduce_parts(task, spills, schimmy)
+                    }),
+                )
+            }
+        };
+        Self {
+            cfg,
+            services: &job.services,
+            map,
+            reduce,
+            counters: Counters::new(),
+            side_bytes,
+            epoch,
+        }
+    }
+
+    /// Merges one task attempt's counters — called on the attempt's
+    /// success path, so retried attempts never double-count.
+    fn merge_counters(&self, deltas: &[(String, u64)]) {
+        for (name, delta) in deltas {
+            self.counters.incr(name, *delta);
+        }
+    }
+}
+
+/// A reduce task's result plus what its fetch moved.
+#[derive(Default)]
+struct ReduceOutput {
+    task: ReduceTaskResult,
+    schimmy_bytes: u64,
+    fetched_bytes: u64,
+    cross_node_bytes: u64,
+    spill_runs: u64,
 }
 
 /// Folds one job's statistics into the process-wide metrics registry —
@@ -706,14 +718,32 @@ fn list_schedule(occupancies: &[f64], slots: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Stamps each task event with the worker that ran the matching
-/// dispatch. Events and notes are both ordered attempt-by-attempt
-/// within a `(phase, task)` pair, so pairing them positionally keeps
-/// retries attributed to the right worker.
-fn attach_worker_attribution(events: &mut [ffmr_obs::TaskEvent], notes: &[ffmr_obs::DispatchNote]) {
+/// Rebases the executor's dispatch notes onto this job's wall clock and
+/// stamps each task event with the worker that ran the matching
+/// dispatch. Events and notes are both ordered attempt-by-attempt within
+/// a `(phase, task)` pair, so pairing them positionally keeps retries
+/// attributed to the right worker.
+fn attach_worker_attribution(
+    events: &mut [ffmr_obs::TaskEvent],
+    notes: &mut [ffmr_obs::DispatchNote],
+    epoch: Instant,
+) {
     use std::collections::HashMap;
-    let mut per_task: HashMap<(&str, usize), std::collections::VecDeque<u64>> = HashMap::new();
-    for note in notes {
+    if notes.is_empty() {
+        return;
+    }
+    // The coordinator stamps notes on the process epoch clock; rebase
+    // them onto this job's wall clock (the timeline `wall_start_us`/
+    // `wall_end_us` use).
+    let rebase = u64::try_from(
+        epoch
+            .saturating_duration_since(ffmr_obs::span::process_epoch())
+            .as_micros(),
+    )
+    .unwrap_or(u64::MAX);
+    let mut per_task: HashMap<(&str, usize), VecDeque<u64>> = HashMap::new();
+    for note in notes.iter_mut() {
+        note.rebase(rebase);
         per_task
             .entry((note.phase.as_str(), note.task))
             .or_default()
@@ -726,78 +756,66 @@ fn attach_worker_attribution(events: &mut [ffmr_obs::TaskEvent], notes: &[ffmr_o
     }
 }
 
-/// Assembles the flight-recorder events of one phase: per task, every
-/// failed attempt, then the final attempt.
+/// The flight-recorder events of one phase: per task, every failed
+/// attempt, then the final attempt. A map event's `bytes_in` is its
+/// split, without the `side_bytes` every map task also reads.
 ///
 /// Timeline conventions (documented on [`ffmr_obs::TaskEvent`]):
 /// attempts of one task run back to back on the slot the list schedule
 /// assigned.
-#[allow(clippy::too_many_arguments)]
-fn phase_events(
-    out: &mut Vec<ffmr_obs::TaskEvent>,
-    job: &str,
+fn phase_events<R>(
+    cfg: &JobConfig,
     phase: &'static str,
     phase_start: f64,
-    slots: usize,
     cluster: &ClusterConfig,
-    durations: &[f64],
-    attempts: &[u32],
-    walls: &[Vec<WallWindow>],
-    bytes: &[(u64, u64)],
-) {
+    tasks: &[TaskRecord<R>],
+    side_bytes: u64,
+) -> Vec<ffmr_obs::TaskEvent> {
     use ffmr_obs::{TaskEvent, TaskOutcome};
     let is_reduce = phase == "reduce";
-    let occupancies: Vec<f64> = durations
-        .iter()
-        .zip(attempts)
-        .map(|(&d, &a)| d * f64::from(a))
-        .collect();
-    let starts = list_schedule(&occupancies, slots);
-    let event = |task: usize, attempt: u32, node: usize| TaskEvent {
-        job: job.to_owned(),
-        phase: phase.to_owned(),
-        task,
-        attempt,
-        node,
-        partition: is_reduce.then_some(task),
-        worker: None,
-        sim_start: 0.0,
-        sim_end: 0.0,
-        wall_start_us: 0,
-        wall_end_us: 0,
-        bytes_in: bytes[task].0,
-        bytes_out: bytes[task].1,
-        outcome: TaskOutcome::Ok,
+    let slots = if is_reduce {
+        cluster.total_reduce_slots()
+    } else {
+        cluster.total_map_slots()
     };
-    for (i, &duration) in durations.iter().enumerate() {
+    let occupancies: Vec<f64> = tasks.iter().map(|t| t.occupancy(cluster)).collect();
+    let starts = list_schedule(&occupancies, slots);
+    let mut out = Vec::with_capacity(tasks.len());
+    for (i, t) in tasks.iter().enumerate() {
         let node = if is_reduce {
             cluster.reduce_node(i)
         } else {
             cluster.map_node(i)
         };
-        let task_start = phase_start + starts[i];
-        let failed = attempts[i].saturating_sub(1);
-        let windows = &walls[i];
-        for a in 0..failed {
-            let s = task_start + duration * f64::from(a);
-            let wall = windows.get(a as usize).copied().unwrap_or((0, 0));
-            let mut ev = event(i, a, node);
-            ev.sim_start = s;
-            ev.sim_end = s + duration;
-            ev.wall_start_us = wall.0;
-            ev.wall_end_us = wall.1;
-            ev.outcome = TaskOutcome::Failed;
-            out.push(ev);
+        let duration = t.cost.seconds(cluster);
+        let failed = t.attempts.saturating_sub(1);
+        for attempt in 0..=failed {
+            let sim_start = phase_start + starts[i] + duration * f64::from(attempt);
+            // One window per attempt, in attempt order.
+            let wall = t.walls.get(attempt as usize).copied().unwrap_or((0, 0));
+            out.push(TaskEvent {
+                job: cfg.name.clone(),
+                phase: phase.to_owned(),
+                task: i,
+                attempt,
+                node,
+                partition: is_reduce.then_some(i),
+                worker: None,
+                sim_start,
+                sim_end: sim_start + duration,
+                wall_start_us: wall.0,
+                wall_end_us: wall.1,
+                bytes_in: t.cost.read_bytes - side_bytes,
+                bytes_out: t.cost.write_bytes,
+                outcome: if attempt == failed {
+                    TaskOutcome::Ok
+                } else {
+                    TaskOutcome::Failed
+                },
+            });
         }
-        let final_start = task_start + duration * f64::from(failed);
-        let wall = windows.last().copied().unwrap_or((0, 0));
-        let mut ev = event(i, failed, node);
-        ev.sim_start = final_start;
-        ev.sim_end = final_start + duration;
-        ev.wall_start_us = wall.0;
-        ev.wall_end_us = wall.1;
-        out.push(ev);
     }
+    out
 }
 
 /// Stable hash partitioner (deterministic across runs and platforms for a
@@ -810,161 +828,96 @@ pub fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
     (h.finish() % partitions as u64) as usize
 }
 
-/// Whether a run of records is already in non-decreasing key order.
-pub(crate) fn is_key_sorted<K: Ord, V>(items: &[(K, V)]) -> bool {
-    items.windows(2).all(|w| w[0].0 <= w[1].0)
-}
-
-/// Scans an encoded run's keys (values stay untouched) and reports
-/// whether they are in non-decreasing order — the cheap pre-check that
-/// lets a schimmy partition merge straight off its bytes.
-pub(crate) fn encoded_keys_sorted<K: KeyDatum>(mut data: &[u8]) -> Result<bool, DecodeError> {
-    let mut prev: Option<K> = None;
-    while !data.is_empty() {
-        let (kraw, _vraw) = split_record(&mut data)?;
-        let key: K = decode_exact(kraw, "key")?;
-        if prev.is_some_and(|p| p > key) {
-            return Ok(false);
-        }
-        prev = Some(key);
-    }
-    Ok(true)
-}
-
-/// One key-sorted input run staged in the reduce-side merge heap.
+/// One key-sorted encoded run staged in the reduce-side merge heap.
 ///
 /// The current key is decoded once per record and *borrowed* for every
-/// heap comparison; for encoded runs the value stays raw bytes until its
-/// group is consumed, so comparisons never pay decode costs.
-pub(crate) struct RunCursor<'a, K, V> {
+/// heap comparison; the value stays raw bytes until its group is
+/// consumed, so comparisons never pay decode costs. The derived order is
+/// `(key, rank)`: ranks are unique, so the byte fields never decide it.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct RunCursor<'a, K> {
+    key: K,
     /// Tie-break on equal keys: 0 = schimmy, then 1 + map-task index.
     /// Combined with per-run stable sorting, this reproduces — byte for
     /// byte — the value order of a stable full-partition sort (schimmy
     /// first, then map-task order, then emission order).
     rank: usize,
-    key: K,
-    tail: RunTail<'a, K, V>,
+    value: &'a [u8],
+    rest: &'a [u8],
 }
 
-enum RunTail<'a, K, V> {
-    /// A pre-encoded spill (or sorted schimmy partition) byte run.
-    Encoded { value: &'a [u8], rest: &'a [u8] },
-    /// An owned, already-decoded run (unsorted-schimmy fallback).
-    Owned {
-        value: V,
-        rest: std::vec::IntoIter<(K, V)>,
-    },
+/// Why a reduce-side merge stopped.
+#[derive(Debug)]
+pub(crate) enum MergeError {
+    /// A record of some run failed to decode.
+    Decode(DecodeError),
+    /// The run of this rank (0 = schimmy, 1 + map-task index) has a key
+    /// lower than the key before it.
+    Unsorted { rank: usize },
 }
 
-impl<'a, K: KeyDatum, V: Datum> RunCursor<'a, K, V> {
+impl From<DecodeError> for MergeError {
+    fn from(e: DecodeError) -> Self {
+        Self::Decode(e)
+    }
+}
+
+impl<'a, K: KeyDatum> RunCursor<'a, K> {
     /// Opens a cursor over an encoded run; `None` if the run is empty.
-    pub(crate) fn from_encoded(
-        rank: usize,
-        mut data: &'a [u8],
-    ) -> Result<Option<Self>, DecodeError> {
+    fn open(rank: usize, mut data: &'a [u8]) -> Result<Option<Self>, DecodeError> {
         if data.is_empty() {
             return Ok(None);
         }
-        let (kraw, vraw) = split_record(&mut data)?;
+        let (kraw, value) = split_record(&mut data)?;
         Ok(Some(Self {
-            rank,
             key: decode_exact(kraw, "key")?,
-            tail: RunTail::Encoded {
-                value: vraw,
-                rest: data,
-            },
+            rank,
+            value,
+            rest: data,
         }))
     }
 
-    /// Opens a cursor over a decoded, key-sorted run.
-    pub(crate) fn from_owned(rank: usize, records: Vec<(K, V)>) -> Option<Self> {
-        let mut rest = records.into_iter();
-        let (key, value) = rest.next()?;
-        Some(Self {
-            rank,
-            key,
-            tail: RunTail::Owned { value, rest },
-        })
-    }
-
-    /// Consumes the current record, returning its key, decoded value and
-    /// the advanced cursor (`None` at end of run).
-    fn consume(self) -> Result<(K, V, Option<Self>), DecodeError> {
-        match self.tail {
-            RunTail::Encoded { value, rest } => {
-                let v: V = decode_exact(value, "value")?;
-                let next = Self::from_encoded(self.rank, rest)?;
-                Ok((self.key, v, next))
-            }
-            RunTail::Owned { value, mut rest } => {
-                let next = rest.next().map(|(key, v)| Self {
-                    rank: self.rank,
-                    key,
-                    tail: RunTail::Owned { value: v, rest },
-                });
-                Ok((self.key, value, next))
-            }
+    /// Consumes the current record, returning its key, raw value and the
+    /// advanced cursor (`None` at end of run). The one key comparison per
+    /// record that keeps the merge honest: a next key lower than this one
+    /// is [`MergeError::Unsorted`].
+    fn consume(self) -> Result<(K, &'a [u8], Option<Self>), MergeError> {
+        let next = Self::open(self.rank, self.rest)?;
+        if next.as_ref().is_some_and(|n| n.key < self.key) {
+            return Err(MergeError::Unsorted { rank: self.rank });
         }
+        Ok((self.key, self.value, next))
     }
 }
 
-// The heap orders by (key, rank), inverted so `BinaryHeap` pops the
-// minimum. Only `key` and `rank` participate — values never do.
-impl<K: KeyDatum, V> PartialEq for RunCursor<'_, K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank && self.key == other.key
-    }
-}
-impl<K: KeyDatum, V> Eq for RunCursor<'_, K, V> {}
-impl<K: KeyDatum, V> PartialOrd for RunCursor<'_, K, V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: KeyDatum, V> Ord for RunCursor<'_, K, V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-
-/// K-way-merges key-sorted runs — the optional schimmy cursor (rank 0)
-/// plus one spill per map task, visited in map-task index order — and
-/// invokes `f` once per distinct key with the grouped values. The group
-/// buffer is drained and reused across keys, never reallocated. Returns
-/// the merge fan-in (number of non-empty runs, schimmy included).
+/// K-way-merges key-sorted encoded runs — the optional schimmy partition
+/// (rank 0) plus one spill per map task, visited in map-task index order
+/// — and invokes `f` once per distinct key with the grouped values. The
+/// group buffer is drained and reused across keys, never reallocated.
+/// Returns the merge fan-in (number of non-empty runs, schimmy included).
 pub(crate) fn merge_sorted_runs<K: KeyDatum, V: Datum>(
-    schimmy: Option<RunCursor<'_, K, V>>,
+    schimmy: Option<&[u8]>,
     spills: &[SpillRun],
     mut f: impl FnMut(&K, &mut dyn Iterator<Item = V>),
-) -> Result<u64, DecodeError> {
-    let mut heap: BinaryHeap<RunCursor<'_, K, V>> = BinaryHeap::with_capacity(spills.len() + 1);
-    let mut fanin = 0u64;
-    if let Some(cursor) = schimmy {
-        heap.push(cursor);
-        fanin += 1;
+) -> Result<u64, MergeError> {
+    let runs = schimmy.into_iter().map(|data| (0, data));
+    let runs = runs.chain(spills.iter().enumerate().map(|(i, s)| (i + 1, &s.data[..])));
+    // `Reverse`: the heap pops the minimum (key, rank).
+    let mut heap: BinaryHeap<Reverse<RunCursor<'_, K>>> =
+        BinaryHeap::with_capacity(spills.len() + 1);
+    for (rank, data) in runs {
+        heap.extend(RunCursor::open(rank, data)?.map(Reverse));
     }
-    for (map_idx, spill) in spills.iter().enumerate() {
-        if let Some(cursor) = RunCursor::from_encoded(map_idx + 1, &spill.data)? {
-            heap.push(cursor);
-            fanin += 1;
-        }
-    }
+    let fanin = heap.len() as u64;
     let mut values: Vec<V> = Vec::new();
-    while let Some(cursor) = heap.pop() {
+    while let Some(Reverse(cursor)) = heap.pop() {
         let (key, v, next) = cursor.consume()?;
-        values.push(v);
-        if let Some(n) = next {
-            heap.push(n);
-        }
-        while heap.peek().is_some_and(|c| c.key == key) {
-            let (_, v, next) = heap.pop().expect("peeked").consume()?;
-            values.push(v);
-            if let Some(n) = next {
-                heap.push(n);
-            }
+        values.push(decode_exact(v, "value")?);
+        heap.extend(next.map(Reverse));
+        while heap.peek().is_some_and(|c| c.0.key == key) {
+            let (_, v, next) = heap.pop().expect("peeked").0.consume()?;
+            values.push(decode_exact(v, "value")?);
+            heap.extend(next.map(Reverse));
         }
         // Dropping the drain clears the buffer (allocation kept) even if
         // the reducer consumed only part of the group.
@@ -990,8 +943,8 @@ fn commit_ready<R>(
     next: &mut usize,
     commit: &mut impl FnMut(&mut R) -> Result<(), MrError>,
 ) {
-    while let Some(Some(Ok((result, ..)))) = slots.get_mut(*next) {
-        if let Err(e) = commit(result) {
+    while let Some(Some(Ok(record))) = slots.get_mut(*next) {
+        if let Err(e) = commit(&mut record.result) {
             slots[*next] = Some(Err(e));
             return;
         }
@@ -1001,8 +954,9 @@ fn commit_ready<R>(
 
 /// Runs `f` over `items` on a small thread pool, preserving result order,
 /// converting panics into [`MrError::TaskFailed`], and retrying failed
-/// tasks per the [`FailurePolicy`]. Returns each result with the number
-/// of attempts it took and each attempt's wall-clock window on `epoch`.
+/// tasks per the [`FailurePolicy`]. `f` returns a task's result and
+/// cost; each comes back as a [`TaskRecord`] with the attempts it took
+/// and each attempt's wall-clock window on `epoch`.
 ///
 /// `commit` runs on each successful result in task-index order, as soon
 /// as that task and every lower-indexed one have completed — the barrier
@@ -1016,11 +970,11 @@ fn run_parallel<T, R, F, C>(
     f: F,
     mut commit: C,
     epoch: Instant,
-) -> Result<Vec<(R, u32, Vec<WallWindow>)>, MrError>
+) -> Result<Vec<TaskRecord<R>>, MrError>
 where
     T: Send + Clone,
     R: Send,
-    F: Fn(usize, T) -> Result<R, MrError> + Sync,
+    F: Fn(usize, T) -> Result<(R, TaskCost), MrError> + Sync,
     C: FnMut(&mut R) -> Result<(), MrError> + Send,
 {
     let n = items.len();
@@ -1037,7 +991,7 @@ where
         let mut out = Vec::with_capacity(n);
         for (i, item) in items.into_iter().enumerate() {
             let mut done = run_task_with_retry(phase, policy, i, item, &f, epoch)?;
-            commit(&mut done.0)?;
+            commit(&mut done.result)?;
             out.push(done);
         }
         return Ok(out);
@@ -1082,16 +1036,16 @@ where
         .collect()
 }
 
-/// One task with the policy's retry budget; returns the result, the
-/// attempts consumed, and one wall-clock window per attempt.
+/// One task with the policy's retry budget; returns its record, with the
+/// attempts consumed and one wall-clock window per attempt.
 fn run_task_with_retry<T, R>(
     phase: &'static str,
     policy: &FailurePolicy,
     index: usize,
     item: T,
-    f: &(impl Fn(usize, T) -> Result<R, MrError> + Sync),
+    f: &(impl Fn(usize, T) -> Result<(R, TaskCost), MrError> + Sync),
     epoch: Instant,
-) -> Result<(R, u32, Vec<WallWindow>), MrError>
+) -> Result<TaskRecord<R>, MrError>
 where
     T: Clone,
 {
@@ -1127,7 +1081,14 @@ where
         windows.push((started_us, elapsed_us(epoch)));
         attempt += 1;
         match result {
-            Ok(r) => return Ok((r, attempt, windows)),
+            Ok((result, cost)) => {
+                return Ok(TaskRecord {
+                    result,
+                    cost,
+                    attempts: attempt,
+                    walls: windows,
+                })
+            }
             Err(e) if attempt >= budget => return Err(e),
             Err(_) => {} // retry
         }
@@ -1170,6 +1131,23 @@ mod tests {
         }
     }
 
+    /// A task body's result at no cost.
+    fn free<R>(result: R) -> Result<(R, TaskCost), MrError> {
+        Ok((result, TaskCost::default()))
+    }
+
+    /// `run_parallel` over free task bodies, committing nothing.
+    fn run_free<T: Send + Clone, R: Send>(
+        phase: &'static str,
+        threads: Option<usize>,
+        policy: &FailurePolicy,
+        items: Vec<T>,
+        f: impl Fn(usize, T) -> R + Sync,
+    ) -> Result<Vec<TaskRecord<R>>, MrError> {
+        let f = |i, x| free(f(i, x));
+        run_parallel(phase, threads, policy, items, f, |_| Ok(()), Instant::now())
+    }
+
     fn spill_of(records: &[(u64, String)]) -> SpillRun {
         let mut run = SpillRun::default();
         for (k, v) in records {
@@ -1182,11 +1160,15 @@ mod tests {
         schimmy: Option<Vec<(u64, String)>>,
         spills: &[SpillRun],
     ) -> (Vec<(u64, Vec<String>)>, u64) {
-        let cursor = schimmy.and_then(|recs| RunCursor::from_owned(0, recs));
+        let schimmy = schimmy.map(|recs| spill_of(&recs));
         let mut seen = Vec::new();
-        let fanin = merge_sorted_runs(cursor, spills, |k: &u64, vs| {
-            seen.push((*k, vs.collect::<Vec<String>>()));
-        })
+        let fanin = merge_sorted_runs(
+            schimmy.as_ref().map(|s| &s.data[..]),
+            spills,
+            |k: &u64, vs| {
+                seen.push((*k, vs.collect::<Vec<String>>()));
+            },
+        )
         .unwrap();
         (seen, fanin)
     }
@@ -1261,28 +1243,33 @@ mod tests {
     }
 
     #[test]
-    fn encoded_keys_sorted_detects_order() {
-        let sorted = spill_of(&[(1, s("a")), (1, s("b")), (2, s("c"))]);
-        assert!(encoded_keys_sorted::<u64>(&sorted.data).unwrap());
-        let unsorted = spill_of(&[(2, s("a")), (1, s("b"))]);
-        assert!(!encoded_keys_sorted::<u64>(&unsorted.data).unwrap());
-        assert!(encoded_keys_sorted::<u64>(&[]).unwrap());
+    fn merge_rejects_a_run_out_of_key_order() {
+        let sorted = spill_of(&[(1, s("a")), (4, s("b"))]);
+        let unsorted = spill_of(&[(1, s("a")), (3, s("b")), (2, s("c"))]);
+        let merge = |schimmy: Option<&SpillRun>, spills: &[SpillRun]| {
+            merge_sorted_runs::<u64, String>(schimmy.map(|r| &r.data[..]), spills, |_, _| {})
+        };
+        assert!(matches!(
+            merge(Some(&unsorted), std::slice::from_ref(&sorted)),
+            Err(MergeError::Unsorted { rank: 0 })
+        ));
+        assert!(matches!(
+            merge(Some(&sorted), &[sorted.clone(), unsorted]),
+            Err(MergeError::Unsorted { rank: 2 })
+        ));
+        // Equal neighbours are in order.
+        let ties = spill_of(&[(2, s("a")), (2, s("b"))]);
+        assert_eq!(merge(Some(&ties), &[]).unwrap(), 1);
     }
 
     #[test]
     fn run_parallel_preserves_order() {
         let policy = FailurePolicy::default();
-        let out = run_parallel(
-            "map",
-            Some(4),
-            &policy,
-            (0..100).collect(),
-            |i, x: i32| Ok(i as i32 * 2 + x - x),
-            |_| Ok(()),
-            Instant::now(),
-        )
+        let out = run_free("map", Some(4), &policy, (0..100).collect(), |i, x: i32| {
+            i as i32 * 2 + x - x
+        })
         .unwrap();
-        let values: Vec<i32> = out.into_iter().map(|(v, ..)| v).collect();
+        let values: Vec<i32> = out.into_iter().map(|t| t.result).collect();
         assert_eq!(values, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -1307,7 +1294,7 @@ mod tests {
                 if i == 5 {
                     five_done.store(true, Ordering::SeqCst);
                 }
-                Ok(x)
+                free(x)
             },
             |x: &mut usize| {
                 committed.push(*x);
@@ -1323,18 +1310,10 @@ mod tests {
     #[test]
     fn run_parallel_surfaces_panics() {
         let policy = FailurePolicy::default();
-        let err = run_parallel(
-            "reduce",
-            Some(2),
-            &policy,
-            vec![1, 2, 3],
-            |_, x: i32| {
-                assert!(x != 2, "boom on two");
-                Ok(x)
-            },
-            |_| Ok(()),
-            Instant::now(),
-        )
+        let err = run_free("reduce", Some(2), &policy, vec![1, 2, 3], |_, x: i32| {
+            assert!(x != 2, "boom on two");
+            x
+        })
         .unwrap_err();
         match err {
             MrError::TaskFailed { phase, message, .. } => {
@@ -1348,16 +1327,7 @@ mod tests {
     #[test]
     fn run_parallel_empty() {
         let policy = FailurePolicy::default();
-        let out: Vec<(i32, u32, Vec<WallWindow>)> = run_parallel(
-            "map",
-            None,
-            &policy,
-            Vec::<i32>::new(),
-            |_, x| Ok(x),
-            |_| Ok(()),
-            Instant::now(),
-        )
-        .unwrap();
+        let out = run_free("map", None, &policy, Vec::<i32>::new(), |_, x| x).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1365,36 +1335,18 @@ mod tests {
     fn retry_recovers_from_transient_faults() {
         // Fail every task's first attempt; all succeed on the second.
         let policy = FailurePolicy::with_injector(3, |_, _, attempt| attempt == 0);
-        let out = run_parallel(
-            "map",
-            Some(2),
-            &policy,
-            vec![10, 20, 30],
-            |_, x: i32| Ok(x),
-            |_| Ok(()),
-            Instant::now(),
-        )
-        .unwrap();
-        for (v, attempts, walls) in out {
-            assert!(v >= 10);
-            assert_eq!(attempts, 2);
-            assert_eq!(walls.len(), 2, "one wall window per attempt");
+        let out = run_free("map", Some(2), &policy, vec![10, 20, 30], |_, x: i32| x).unwrap();
+        for t in out {
+            assert!(t.result >= 10);
+            assert_eq!(t.attempts, 2);
+            assert_eq!(t.walls.len(), 2, "one wall window per attempt");
         }
     }
 
     #[test]
     fn retry_budget_exhaustion_fails_the_job() {
         let policy = FailurePolicy::with_injector(2, |_, task, _| task == 1);
-        let err = run_parallel(
-            "map",
-            Some(2),
-            &policy,
-            vec![1, 2, 3],
-            |_, x: i32| Ok(x),
-            |_| Ok(()),
-            Instant::now(),
-        )
-        .unwrap_err();
+        let err = run_free("map", Some(2), &policy, vec![1, 2, 3], |_, x: i32| x).unwrap_err();
         assert!(matches!(err, MrError::TaskFailed { task: 1, .. }));
     }
 
@@ -1403,22 +1355,12 @@ mod tests {
         use std::sync::atomic::{AtomicU32, Ordering};
         static CALLS: AtomicU32 = AtomicU32::new(0);
         let policy = FailurePolicy::hadoop_default();
-        let out = run_parallel(
-            "map",
-            Some(1),
-            &policy,
-            vec![1],
-            |_, x: i32| {
-                if CALLS.fetch_add(1, Ordering::SeqCst) < 2 {
-                    panic!("flaky");
-                }
-                Ok(x)
-            },
-            |_| Ok(()),
-            Instant::now(),
-        )
+        let out = run_free("map", Some(1), &policy, vec![1], |_, x: i32| {
+            assert!(CALLS.fetch_add(1, Ordering::SeqCst) >= 2, "flaky");
+            x
+        })
         .unwrap();
-        assert_eq!((out[0].0, out[0].1), (1, 3));
+        assert_eq!((out[0].result, out[0].attempts), (1, 3));
     }
 
     #[test]

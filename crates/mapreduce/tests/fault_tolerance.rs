@@ -1,6 +1,6 @@
 //! Fault tolerance: task retries, counter isolation across failed
-//! attempts, node failure with replica recovery — the properties the
-//! paper's Sec. I leans on MapReduce to provide.
+//! attempts and retry budgets — the properties the paper's Sec. I leans
+//! on MapReduce to provide.
 
 use mapreduce::{
     ClusterConfig, FailurePolicy, JobBuilder, MapContext, MrError, MrRuntime, ReduceContext,
@@ -114,126 +114,4 @@ fn budget_exhaustion_fails_the_job_without_output() {
         })
     ));
     assert!(!rt.dfs().exists("out"));
-}
-
-#[test]
-fn single_node_failure_is_survivable_with_replication_2() {
-    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
-    load_input(&mut rt);
-    word_job(&mut rt, "out");
-    // Kill one node: every partition still has a replica.
-    rt.dfs_mut().fail_node(0);
-    rt.dfs().check_available("out").unwrap();
-    let result: Vec<(u64, u64)> = rt.dfs().read_records("out").unwrap();
-    assert_eq!(result.len(), 5);
-    // A follow-up job reading the surviving data works.
-    let job = JobBuilder::new("follow")
-        .input("out")
-        .output("out2")
-        .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
-        .reduce(
-            |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
-            },
-        );
-    rt.run(job).unwrap();
-}
-
-#[test]
-fn adjacent_node_failures_lose_data_and_recovery_restores_it() {
-    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
-    load_input(&mut rt);
-    word_job(&mut rt, "out");
-    // Replicas live on consecutive nodes: killing two adjacent nodes
-    // loses any partition homed on the first.
-    rt.dfs_mut().fail_node(1);
-    rt.dfs_mut().fail_node(2);
-    let err = rt.dfs().check_available("out").unwrap_err();
-    assert!(matches!(err, MrError::DataLost { .. }));
-    assert!(err.to_string().contains("out"));
-
-    // A job over the damaged input must refuse to run.
-    let job = JobBuilder::new("blocked")
-        .input("out")
-        .output("out3")
-        .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
-        .reduce(
-            |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
-            },
-        );
-    assert!(matches!(rt.run(job), Err(MrError::DataLost { .. })));
-
-    // Recovery brings the data back.
-    rt.dfs_mut().recover_node(1);
-    rt.dfs().check_available("out").unwrap();
-}
-
-#[test]
-fn higher_replication_survives_more_failures() {
-    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
-    rt.dfs_mut().set_replication(3);
-    load_input(&mut rt);
-    word_job(&mut rt, "out");
-    rt.dfs_mut().fail_node(1);
-    rt.dfs_mut().fail_node(2);
-    rt.dfs().check_available("out").unwrap();
-}
-
-#[test]
-fn failing_every_node_loses_data_even_past_the_cluster_edge() {
-    // Regression: replica placement wraps around the cluster, so a
-    // partition homed on the last node replicates onto node 0 — and
-    // failing *every* node must report the loss rather than believing a
-    // phantom replica on a node that does not exist.
-    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(3));
-    load_input(&mut rt);
-    word_job(&mut rt, "out");
-    for node in 0..3 {
-        rt.dfs_mut().fail_node(node);
-    }
-    assert!(matches!(
-        rt.dfs().check_available("out").unwrap_err(),
-        MrError::DataLost { .. }
-    ));
-}
-
-#[test]
-fn job_against_lost_data_recovers_after_node_repair() {
-    // The full outage lifecycle: data is lost mid-sequence, the dependent
-    // job fails fast, the node comes back, and a retried job completes
-    // with exactly the result an undisturbed run would have produced.
-    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
-    load_input(&mut rt);
-    word_job(&mut rt, "out");
-    let clean: Vec<(u64, u64)> = rt.dfs().read_records("out").unwrap();
-
-    rt.dfs_mut().fail_node(1);
-    rt.dfs_mut().fail_node(2);
-    let follow = |rt: &mut MrRuntime, out: &str| {
-        let job = JobBuilder::new("follow")
-            .input("out")
-            .output(out)
-            .reducers(2)
-            .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
-            .reduce(
-                |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                    ctx.emit(*k, vs.sum());
-                },
-            );
-        rt.run(job)
-    };
-    assert!(matches!(
-        follow(&mut rt, "out2"),
-        Err(MrError::DataLost { .. })
-    ));
-    assert!(!rt.dfs().exists("out2"), "failed job must leave no output");
-
-    rt.dfs_mut().recover_node(1);
-    follow(&mut rt, "out2").unwrap();
-    let after: Vec<(u64, u64)> = rt.dfs().read_records("out").unwrap();
-    assert_eq!(after, clean, "recovered data is the original data");
-    assert_eq!(rt.dfs().file_records("out2"), 5);
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the MapReduce runtime: dataflow correctness,
-//! determinism, schimmy, combiners, services, counters, cost-model
-//! monotonicity and failure injection.
+//! determinism, schimmy, services, counters, cost-model monotonicity and
+//! failure injection.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,11 +19,11 @@ fn word_count_input() -> Vec<(u64, String)> {
     ]
 }
 
-fn run_word_count(rt: &mut MrRuntime, combine: bool) -> mapreduce::JobStats {
+fn run_word_count(rt: &mut MrRuntime) -> mapreduce::JobStats {
     rt.dfs_mut()
         .write_records("in", 3, word_count_input())
         .unwrap();
-    let mapped = JobBuilder::new("wc")
+    let job = JobBuilder::new("wc")
         .input("in")
         .output("out")
         .reducers(4)
@@ -33,21 +33,14 @@ fn run_word_count(rt: &mut MrRuntime, combine: bool) -> mapreduce::JobStats {
                     ctx.emit(w.to_string(), 1);
                 }
             },
-        );
-    let mapped = if combine {
-        mapped.combine(
-            |w: &String, vs: &mut dyn Iterator<Item = u64>, ctx: &mut MapContext<String, u64>| {
+        )
+        .reduce(
+            |w: &String,
+             vs: &mut dyn Iterator<Item = u64>,
+             ctx: &mut ReduceContext<String, u64>| {
                 ctx.emit(w.clone(), vs.sum());
             },
-        )
-    } else {
-        mapped
-    };
-    let job = mapped.reduce(
-        |w: &String, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<String, u64>| {
-            ctx.emit(w.clone(), vs.sum());
-        },
-    );
+        );
     rt.run(job).unwrap()
 }
 
@@ -60,7 +53,7 @@ fn sorted_counts(rt: &MrRuntime) -> Vec<(String, u64)> {
 #[test]
 fn word_count_end_to_end() {
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(3));
-    let stats = run_word_count(&mut rt, false);
+    let stats = run_word_count(&mut rt);
     assert_eq!(
         sorted_counts(&rt),
         vec![
@@ -79,28 +72,11 @@ fn word_count_end_to_end() {
 }
 
 #[test]
-fn combiner_reduces_shuffle_bytes_but_not_result() {
-    let mut rt_plain = MrRuntime::new(ClusterConfig::small_cluster(3));
-    let plain = run_word_count(&mut rt_plain, false);
-    let mut rt_comb = MrRuntime::new(ClusterConfig::small_cluster(3));
-    let combined = run_word_count(&mut rt_comb, true);
-    assert_eq!(sorted_counts(&rt_plain), sorted_counts(&rt_comb));
-    assert!(
-        combined.shuffle_bytes < plain.shuffle_bytes,
-        "combiner must shrink shuffle: {} vs {}",
-        combined.shuffle_bytes,
-        plain.shuffle_bytes
-    );
-    // Map output records are counted pre-combiner.
-    assert_eq!(combined.map_output_records, plain.map_output_records);
-}
-
-#[test]
 fn deterministic_mode_reproduces_stats_exactly() {
     let run = || {
         let mut rt = MrRuntime::new(ClusterConfig::small_cluster(3));
         rt.set_worker_threads(Some(1));
-        let stats = run_word_count(&mut rt, false);
+        let stats = run_word_count(&mut rt);
         (stats.shuffle_bytes, stats.sim_seconds, sorted_counts(&rt))
     };
     let (b1, s1, r1) = run();
@@ -114,10 +90,10 @@ fn deterministic_mode_reproduces_stats_exactly() {
 fn parallel_and_serial_agree_on_everything_deterministic() {
     let mut rt1 = MrRuntime::new(ClusterConfig::small_cluster(3));
     rt1.set_worker_threads(Some(1));
-    let s1 = run_word_count(&mut rt1, false);
+    let s1 = run_word_count(&mut rt1);
     let mut rt8 = MrRuntime::new(ClusterConfig::small_cluster(3));
     rt8.set_worker_threads(Some(8));
-    let s8 = run_word_count(&mut rt8, false);
+    let s8 = run_word_count(&mut rt8);
     assert_eq!(sorted_counts(&rt1), sorted_counts(&rt8));
     assert_eq!(s1.shuffle_bytes, s8.shuffle_bytes);
     assert_eq!(s1.map_output_records, s8.map_output_records);
@@ -226,10 +202,44 @@ fn schimmy_partition_mismatch_is_rejected() {
     rt.dfs_mut()
         .write_records("msgs", 1, vec![(1u64, 1u64)])
         .unwrap();
+    let collector = Arc::new(Collector::default());
     let job = JobBuilder::new("bad")
         .input("msgs")
         .output("out")
         .reducers(5) // != 2 partitions of "graph"
+        .schimmy_input("graph")
+        .attach_service("collector", Arc::clone(&collector) as Arc<dyn Service>)
+        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
+            ctx.submit("collector", k);
+            ctx.emit(*k, *v);
+        })
+        .reduce(
+            |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
+                ctx.emit(*k, vs.sum());
+            },
+        );
+    assert!(matches!(rt.run(job), Err(MrError::InvalidJob(_))));
+    // Rejected before any side effect: the service never saw the round.
+    assert_eq!(collector.rounds_begun.load(Ordering::SeqCst), 0);
+    assert_eq!(collector.applied.load(Ordering::SeqCst), 0);
+    assert!(!rt.dfs().exists("out"));
+}
+
+#[test]
+fn schimmy_input_out_of_key_order_is_a_typed_error() {
+    // `write_records` keeps insertion order, so this one-partition file
+    // is not key-sorted the way a reduce phase would have written it.
+    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(2));
+    rt.dfs_mut()
+        .write_records("graph", 1, vec![(5u64, 50u64), (2, 20), (9, 90)])
+        .unwrap();
+    rt.dfs_mut()
+        .write_records("msgs", 1, vec![(2u64, 1u64)])
+        .unwrap();
+    let job = JobBuilder::new("unsorted")
+        .input("msgs")
+        .output("out")
+        .reducers(1)
         .schimmy_input("graph")
         .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
         .reduce(
@@ -237,12 +247,22 @@ fn schimmy_partition_mismatch_is_rejected() {
                 ctx.emit(*k, vs.sum());
             },
         );
-    assert!(matches!(rt.run(job), Err(MrError::InvalidJob(_))));
+    let err = rt.run(job).unwrap_err();
+    match &err {
+        MrError::UnsortedRun { run, partition } => {
+            assert_eq!(run, "schimmy input graph");
+            assert_eq!(*partition, 0);
+        }
+        other => panic!("expected UnsortedRun, got {other}"),
+    }
+    assert!(err.to_string().contains("graph"), "{err}");
+    assert!(!rt.dfs().exists("out"));
 }
 
 #[derive(Default)]
 struct Collector {
     submitted: AtomicU64,
+    applied: AtomicU64,
     rounds_begun: AtomicU64,
     rounds_ended: AtomicU64,
 }
@@ -253,6 +273,10 @@ impl Service for Collector {
     }
     fn end_round(&self) {
         self.rounds_ended.fetch_add(1, Ordering::SeqCst);
+    }
+    fn apply_calls(&self, _calls: &[Vec<u8>]) -> Result<(), String> {
+        self.applied.fetch_add(1, Ordering::SeqCst);
+        Ok(())
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -575,7 +599,7 @@ fn flight_recorder_captures_task_timeline() {
     // is harmless (nothing asserts the field is empty).
     ffmr_obs::events::recorder().set_enabled(true);
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(3));
-    let stats = run_word_count(&mut rt, false);
+    let stats = run_word_count(&mut rt);
     let events = &stats.task_events;
 
     let phase_count = |p: &str| events.iter().filter(|e| e.phase == p).count();

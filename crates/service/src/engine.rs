@@ -19,7 +19,7 @@
 //!    into t)` (that cut certifies it) or no path is left. Its answers
 //!    carry the solver label `local`;
 //! 3. otherwise — the search gave up past its work budget of a few
-//!    passes over the arcs — [`FALLBACK`], sequential push-relabel.
+//!    passes over the arcs — `FALLBACK`, sequential push-relabel.
 //!
 //! `mincut` and `w` queries go straight to step 3, and an explicit
 //! `algorithm` value (`push-relabel`, `dinic`, `parallel-pr`) pins any
