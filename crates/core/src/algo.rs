@@ -1,19 +1,30 @@
 //! The FFMR driver: the paper's main program (Fig. 2) plus the variant
 //! configuration ladder FF1–FF5.
+//!
+//! [`run_max_flow`] and [`resume_max_flow`] enter one round loop of named
+//! stages: `open_round` (`aug_proc`'s round, the delta side blob and the
+//! job), the MR job, acceptance (`AugProc::close_round`) and
+//! `close_round`, the one place where a round's bookkeeping happens and
+//! the loop decides whether to stop. Round 0, graph preparation, closes
+//! through the same step. The loop state is the
+//! [`CheckpointManifest`] the step persists.
 
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 use mapreduce::driver::{collect_garbage, round_path, side_path};
-use mapreduce::{JobBuilder, MrRuntime, Service};
+use mapreduce::job::Job;
+use mapreduce::{JobBuilder, JobStats, MrRuntime, Service};
 use swgraph::{Capacity, FlowNetwork, VertexId};
 
-use crate::aug_service::{AugProc, AUG_PROC};
+use crate::aug_service::{AugProc, RoundAcceptance, AUG_PROC};
 use crate::augmented::AugmentedEdges;
-use crate::checkpoint::{self, CheckpointManifest, ConfigTag};
+use crate::checkpoint::{self, CheckpointManifest};
 use crate::error::FfError;
 use crate::map_reduce_fns::{FfMapper, FfReducer, FfShared};
 use crate::round0;
+use crate::vertex::VertexValue;
 
 /// Where an injected driver crash fires. This is the fault-injection
 /// analogue of the *driving program* dying — the blind spot of Hadoop's
@@ -174,36 +185,11 @@ impl KPolicy {
     }
 }
 
-/// Runtime hooks into a driver run: a per-round progress callback,
-/// invoked with the round's statistics after every completed round
-/// (progress bars, live dashboards, adaptive schedulers).
-#[derive(Clone, Default)]
-pub struct FfHooks {
-    /// Called after every completed round with its statistics.
-    pub on_round: Option<RoundCallback>,
-}
-
-/// Shared per-round progress callback (see [`FfHooks::on_round`]).
+/// Shared per-round progress callback (see [`FfConfig::on_round()`]).
 pub type RoundCallback = Arc<dyn Fn(&RoundStats) + Send + Sync>;
 
-impl FfHooks {
-    fn report(&self, stats: &RoundStats) {
-        if let Some(cb) = &self.on_round {
-            cb(stats);
-        }
-    }
-}
-
-impl fmt::Debug for FfHooks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FfHooks")
-            .field("on_round", &self.on_round.is_some())
-            .finish()
-    }
-}
-
 /// Configuration for one FFMR run.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct FfConfig {
     /// Source vertex.
     pub source: VertexId,
@@ -237,8 +223,29 @@ pub struct FfConfig {
     pub checkpoint: bool,
     /// Injected driver crash for fault-tolerance testing (default: none).
     pub crash_point: Option<CrashPoint>,
-    /// Progress hooks (default: none).
-    pub hooks: FfHooks,
+    /// Called after every completed round with its statistics: progress
+    /// bars, live dashboards (default: none).
+    pub on_round: Option<RoundCallback>,
+}
+
+impl fmt::Debug for FfConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FfConfig")
+            .field("source", &self.source)
+            .field("sink", &self.sink)
+            .field("variant", &self.variant)
+            .field("k_policy", &self.k_policy)
+            .field("bidirectional", &self.bidirectional)
+            .field("extend_all_paths", &self.extend_all_paths)
+            .field("reducers", &self.reducers)
+            .field("max_rounds", &self.max_rounds)
+            .field("base_path", &self.base_path)
+            .field("keep_rounds", &self.keep_rounds)
+            .field("checkpoint", &self.checkpoint)
+            .field("crash_point", &self.crash_point)
+            .field("on_round", &self.on_round.is_some())
+            .finish()
+    }
 }
 
 impl FfConfig {
@@ -258,7 +265,7 @@ impl FfConfig {
             keep_rounds: 3,
             checkpoint: true,
             crash_point: None,
-            hooks: FfHooks::default(),
+            on_round: None,
         }
     }
 
@@ -336,8 +343,20 @@ impl FfConfig {
     /// Installs a per-round progress callback.
     #[must_use]
     pub fn on_round(mut self, cb: impl Fn(&RoundStats) + Send + Sync + 'static) -> Self {
-        self.hooks.on_round = Some(Arc::new(cb));
+        self.on_round = Some(Arc::new(cb));
         self
+    }
+
+    /// The run parameters every mapper and reducer shares.
+    pub(crate) fn shared(&self) -> FfShared {
+        FfShared {
+            source: self.source.raw(),
+            sink: self.sink.raw(),
+            variant: self.variant,
+            k_policy: self.k_policy,
+            bidirectional: self.bidirectional,
+            extend_all_paths: self.extend_all_paths,
+        }
     }
 }
 
@@ -418,12 +437,29 @@ pub fn run_max_flow(
             "source or sink outside the network".into(),
         ));
     }
-    round0::load_raw_edges(rt, net, &raw_input_path(&config.base_path), config.reducers)?;
-    run_max_flow_from_input(rt, &raw_input_path(&config.base_path), config)
-}
+    let input = format!("{}/raw-edges", config.base_path);
+    round0::load_raw_edges(rt, net, &input, config.reducers)?;
+    let shared = Arc::new(config.shared());
 
-fn raw_input_path(base: &str) -> String {
-    format!("{base}/raw-edges")
+    let mut run_span = ffmr_obs::span("ff.run");
+    run_span.field("source", config.source);
+    run_span.field("sink", config.sink);
+
+    let mut state = CheckpointManifest {
+        fingerprint: checkpoint::fingerprint(config),
+        round: 0,
+        finished: false,
+        total_value: 0,
+        max_graph_bytes: 0,
+        deltas: Arc::new(AugmentedEdges::new(0)),
+        rounds: Vec::new(),
+    };
+    // Round 0: convert the raw edge list into vertex records.
+    let clock = RoundClock::start(0);
+    let stats = round0::run_round0(rt, &input, &config.base_path, config.reducers, &shared)?;
+    let nothing_accepted = RoundAcceptance::default();
+    close_round(rt, config, &mut state, clock, stats, nothing_accepted)?;
+    run_rounds(rt, config, &shared, state, run_span)
 }
 
 /// DFS blob path of the job-history file for a chain base path: one
@@ -435,73 +471,6 @@ pub fn history_path(base: &str) -> String {
     format!("{base}/history/rounds.jsonl")
 }
 
-/// Like [`run_max_flow`] but starting from an already-loaded raw edge
-/// file (see [`round0::load_raw_edges`]).
-///
-/// # Errors
-/// Same as [`run_max_flow`].
-pub fn run_max_flow_from_input(
-    rt: &mut MrRuntime,
-    input_path: &str,
-    config: &FfConfig,
-) -> Result<FfRun, FfError> {
-    let shared = make_shared(config);
-    let aug = Arc::new(AugProc::default());
-
-    let mut run_span = ffmr_obs::span("ff.run");
-    run_span.field("source", config.source);
-    run_span.field("sink", config.sink);
-
-    // ---- Round 0: convert the raw edge list into vertex records.
-    let round0_started = std::time::Instant::now();
-    let mut stats0 = {
-        let mut span = ffmr_obs::span("ff.round");
-        span.field("round", 0);
-        round0::run_round0(rt, input_path, &config.base_path, config.reducers, &shared)?
-    };
-    let graph0 = rt.dfs().file_bytes(&round_path(&config.base_path, 0));
-    let mut state = LoopState {
-        rounds: vec![RoundStats {
-            round: 0,
-            map_out_records: stats0.map_output_records,
-            shuffle_bytes: stats0.shuffle_bytes,
-            sim_seconds: stats0.sim_seconds,
-            wall_seconds: round0_started.elapsed().as_secs_f64(),
-            graph_bytes: graph0,
-            ..RoundStats::default()
-        }],
-        total_value: 0,
-        max_graph_bytes: graph0,
-        deltas: Arc::new(AugmentedEdges::new(0)),
-        next_round: 1,
-    };
-    config
-        .hooks
-        .report(state.rounds.last().expect("round 0 pushed"));
-    record_history(
-        rt,
-        config,
-        0,
-        stats0.name.clone(),
-        std::mem::take(&mut stats0.task_events),
-        std::mem::take(&mut stats0.dispatch_notes),
-        stats0.sim_seconds,
-        round0_started.elapsed().as_secs_f64(),
-    );
-    if config.checkpoint {
-        checkpoint::write_checkpoint(
-            rt.dfs_mut(),
-            &config.base_path,
-            &manifest_from_state(config, &state, false),
-        );
-    }
-    if config.crash_point == Some(CrashPoint::AfterRound(0)) {
-        return Err(FfError::CrashInjected { round: 0 });
-    }
-
-    run_rounds(rt, config, &shared, &aug, &mut state, run_span)
-}
-
 /// Resumes a run from the checkpoint manifest in the runtime's DFS
 /// (written by a previous run with [`FfConfig::checkpoint`] on, whose
 /// driver then died — or was crash-injected — at any point after round
@@ -511,8 +480,8 @@ pub fn run_max_flow_from_input(
 /// vertex records live in the DFS.
 ///
 /// The `config` must describe the same problem as the original run
-/// (source, sink, variant, reducers, search switches); hooks, crash
-/// points and round limits may differ.
+/// (source, sink, variant, reducers, search switches); the `on_round`
+/// callback, crash points and round limits may differ.
 ///
 /// # Errors
 /// [`FfError::Checkpoint`] when there is no manifest, it is corrupt, its
@@ -521,15 +490,15 @@ pub fn run_max_flow_from_input(
 /// [`run_max_flow`].
 pub fn resume_max_flow(rt: &mut MrRuntime, config: &FfConfig) -> Result<FfRun, FfError> {
     let manifest = checkpoint::read_checkpoint(rt.dfs(), &config.base_path)?;
-    if manifest.tag != ConfigTag::of(config) {
+    if manifest.fingerprint != checkpoint::fingerprint(config) {
         return Err(FfError::Checkpoint(
             "checkpoint was written by a different configuration".into(),
         ));
     }
-    if !rt.dfs().exists(&manifest.graph_path) {
+    let graph_path = round_path(&config.base_path, manifest.round);
+    if !rt.dfs().exists(&graph_path) {
         return Err(FfError::Checkpoint(format!(
-            "checkpointed graph {} is missing from the DFS",
-            manifest.graph_path
+            "checkpointed graph {graph_path} is missing from the DFS"
         )));
     }
     ffmr_obs::global()
@@ -576,75 +545,7 @@ pub fn resume_max_flow(rt: &mut MrRuntime, config: &FfConfig) -> Result<FfRun, F
             .write_blob(&history_path(&config.base_path), history.into_bytes());
     }
 
-    let finished = manifest.finished;
-    let mut state = LoopState {
-        next_round: manifest.round + 1,
-        total_value: manifest.total_value,
-        max_graph_bytes: manifest.max_graph_bytes,
-        deltas: Arc::new(manifest.deltas),
-        rounds: manifest.rounds,
-    };
-    if finished {
-        return Ok(finish(config, &mut state, run_span));
-    }
-    let shared = make_shared(config);
-    let aug = Arc::new(AugProc::default());
-    run_rounds(rt, config, &shared, &aug, &mut state, run_span)
-}
-
-fn make_shared(config: &FfConfig) -> Arc<FfShared> {
-    Arc::new(FfShared {
-        source: config.source.raw(),
-        sink: config.sink.raw(),
-        variant: config.variant,
-        k_policy: config.k_policy,
-        bidirectional: config.bidirectional,
-        extend_all_paths: config.extend_all_paths,
-    })
-}
-
-/// The state of Fig. 2's main loop between rounds — exactly what a
-/// checkpoint manifest persists.
-struct LoopState {
-    rounds: Vec<RoundStats>,
-    total_value: Capacity,
-    max_graph_bytes: u64,
-    /// Accepted deltas of the last completed round, broadcast to the next
-    /// round's mappers.
-    deltas: Arc<AugmentedEdges>,
-    next_round: usize,
-}
-
-/// Appends the round's flight-recorder profile to the [`history_path`]
-/// blob (one JSONL line per round; a resumed run keeps appending to the
-/// blob it finds). Runs only when checkpointing is on — history rides
-/// the same durability switch.
-#[allow(clippy::too_many_arguments)]
-fn record_history(
-    rt: &mut MrRuntime,
-    config: &FfConfig,
-    round: usize,
-    job: String,
-    events: Vec<ffmr_obs::TaskEvent>,
-    dispatches: Vec<ffmr_obs::DispatchNote>,
-    sim_seconds: f64,
-    wall_seconds: f64,
-) {
-    if !config.checkpoint {
-        return;
-    }
-    let profile = ffmr_obs::RoundProfile::compute_with_dispatches(
-        round,
-        job,
-        events,
-        dispatches,
-        sim_seconds,
-        wall_seconds,
-    );
-    let mut line = profile.to_json();
-    line.push('\n');
-    rt.dfs_mut()
-        .append_blob(&history_path(&config.base_path), line.as_bytes());
+    run_rounds(rt, config, &Arc::new(config.shared()), manifest, run_span)
 }
 
 /// Window of trailing flow-round wall times the anomaly sentinel
@@ -671,175 +572,206 @@ fn round_is_anomalous(prior_walls: &[f64], current: f64, factor: f64, min_wall: 
     current > factor * sorted[sorted.len() / 2]
 }
 
-fn manifest_from_state(config: &FfConfig, state: &LoopState, finished: bool) -> CheckpointManifest {
-    let last = state.rounds.last().map_or(0, |r| r.round);
-    CheckpointManifest {
-        tag: ConfigTag::of(config),
-        round: last,
-        finished,
-        total_value: state.total_value,
-        max_graph_bytes: state.max_graph_bytes,
-        graph_path: round_path(&config.base_path, last),
-        deltas: (*state.deltas).clone(),
-        rounds: state.rounds.clone(),
-    }
-}
-
-/// Rounds 1..: the Ford–Fulkerson loop, entered fresh (after round 0) or
-/// from a resumed checkpoint.
+/// Rounds 1..: the Ford–Fulkerson loop, entered after round 0 or from a
+/// resumed checkpoint (a finished one runs no round).
 fn run_rounds(
     rt: &mut MrRuntime,
     config: &FfConfig,
     shared: &Arc<FfShared>,
-    aug: &Arc<AugProc>,
-    state: &mut LoopState,
+    mut state: CheckpointManifest,
     run_span: ffmr_obs::Span,
 ) -> Result<FfRun, FfError> {
-    loop {
-        let round = state.next_round;
+    let aug = Arc::new(AugProc::default());
+    while !state.finished {
+        let round = state.round + 1;
         if round > config.max_rounds {
             return Err(FfError::RoundLimitExceeded {
                 limit: config.max_rounds,
             });
         }
-        let round_started = std::time::Instant::now();
-        let mut round_span = ffmr_obs::span("ff.round");
-        round_span.field("round", round);
-        aug.open_round(round);
-
-        let input = round_path(&config.base_path, round - 1);
-        let output = round_path(&config.base_path, round);
-        let delta_blob_path = side_path(&config.base_path, "augmented", round - 1);
-        rt.dfs_mut()
-            .write_blob(&delta_blob_path, state.deltas.to_blob());
-
-        let mapper = FfMapper {
-            shared: Arc::clone(shared),
-            deltas: Arc::clone(&state.deltas),
-        };
-        let reducer = FfReducer {
-            shared: Arc::clone(shared),
-            deltas: Arc::clone(&state.deltas),
-        };
-
-        let mut builder = JobBuilder::new(format!("{}-round-{round}", config.base_path))
-            .input(&input)
-            .output(&output)
-            .reducers(config.reducers)
-            .side_blob(&delta_blob_path)
-            .attach_service(AUG_PROC, Arc::clone(aug) as Arc<dyn Service>);
-        if config.variant.schimmy {
-            builder = builder.schimmy_input(&input);
-        }
-        if rt.has_task_executor() {
-            // Distributed mode: describe how a worker process rebuilds
-            // this round's mapper/reducer. (Round 0's graph-prep job uses
-            // closures and always runs in process.)
-            builder = builder.wire(
-                crate::wire::FF_JOB_KIND,
-                crate::wire::ff_wire_params(shared, &state.deltas),
-            );
-        }
-        let job = builder.map(mapper).reduce(reducer);
-        let mut stats = rt.run(job).map_err(FfError::Mr)?;
-
+        let clock = RoundClock::start(round);
+        let job = open_round(rt, config, shared, &aug, &state.deltas, round);
+        let stats = rt.run(job).map_err(FfError::Mr)?;
         if config.crash_point == Some(CrashPoint::MidRound(round)) {
             // The driver "dies" after the MR job but before recording
             // acceptance: nothing of round `round` reaches a checkpoint.
             return Err(FfError::CrashInjected { round });
         }
-
         let acceptance = aug.close_round();
-        state.total_value += acceptance.value_gained;
-        let graph_bytes = rt.dfs().file_bytes(&output);
-        state.max_graph_bytes = state.max_graph_bytes.max(graph_bytes);
+        close_round(rt, config, &mut state, clock, stats, acceptance)?;
+    }
+    Ok(finish(config, state, run_span))
+}
 
-        let som = stats.counter("source move");
-        let sim = stats.counter("sink move");
-        round_span.field("a_paths", acceptance.accepted_paths);
-        drop(round_span);
-        let wall_seconds = round_started.elapsed().as_secs_f64();
+/// A round in flight: its number, its `ff.round` span and when it began.
+struct RoundClock {
+    round: usize,
+    span: ffmr_obs::Span,
+    started: Instant,
+}
 
-        // Regression sentinel: a flow round much slower than its recent
-        // peers usually means contention or a perf regression, not more
-        // work — the loop's per-round workload shrinks as frontiers
-        // drain. Flag it but keep running.
-        let prior_walls: Vec<f64> = state
-            .rounds
-            .iter()
-            .filter(|r| r.round >= 1)
-            .map(|r| r.wall_seconds)
-            .collect();
-        if round_is_anomalous(&prior_walls, wall_seconds, ANOMALY_FACTOR, ANOMALY_MIN_WALL) {
-            ffmr_obs::global()
-                .counter("ffmr_ff_round_anomaly_total", &[])
-                .inc();
-            eprintln!(
-                "ffmr: round {round} wall time {wall_seconds:.3}s exceeds {ANOMALY_FACTOR}x \
-                 the trailing median of recent rounds; possible regression or host contention"
-            );
+impl RoundClock {
+    fn start(round: usize) -> Self {
+        let started = Instant::now();
+        let mut span = ffmr_obs::span("ff.round");
+        span.field("round", round);
+        Self {
+            round,
+            span,
+            started,
         }
+    }
+}
 
-        state.rounds.push(RoundStats {
+/// Opens flow round `round`: starts `aug_proc`'s round, writes the
+/// previous round's `deltas` as the job's side blob, and builds the job.
+fn open_round(
+    rt: &mut MrRuntime,
+    config: &FfConfig,
+    shared: &Arc<FfShared>,
+    aug: &Arc<AugProc>,
+    deltas: &Arc<AugmentedEdges>,
+    round: usize,
+) -> Job<u64, VertexValue, u64, VertexValue, u64, VertexValue> {
+    aug.open_round(round);
+    let input = round_path(&config.base_path, round - 1);
+    let delta_blob_path = side_path(&config.base_path, "augmented", round - 1);
+    rt.dfs_mut().write_blob(&delta_blob_path, deltas.to_blob());
+
+    let mut builder = JobBuilder::new(format!("{}-round-{round}", config.base_path))
+        .input(&input)
+        .output(round_path(&config.base_path, round))
+        .reducers(config.reducers)
+        .side_blob(&delta_blob_path)
+        .attach_service(AUG_PROC, Arc::clone(aug) as Arc<dyn Service>);
+    if config.variant.schimmy {
+        builder = builder.schimmy_input(&input);
+    }
+    if rt.has_task_executor() {
+        // Distributed mode: describe how a worker process rebuilds
+        // this round's mapper/reducer. (Round 0's graph-prep job uses
+        // closures and always runs in process.)
+        builder = builder.wire(
+            crate::wire::FF_JOB_KIND,
+            crate::wire::ff_wire_params(shared, deltas),
+        );
+    }
+    builder
+        .map(FfMapper {
+            shared: Arc::clone(shared),
+            deltas: Arc::clone(deltas),
+        })
+        .reduce(FfReducer {
+            shared: Arc::clone(shared),
+            deltas: Arc::clone(deltas),
+        })
+}
+
+/// Closes a round, round 0 included (with an empty acceptance): ends its
+/// span, folds its job and acceptance into the loop `state` as one more
+/// [`RoundStats`], calls `on_round`, decides whether the loop stops,
+/// appends the round's history line, writes the checkpoint, collects
+/// garbage and fires [`CrashPoint::AfterRound`].
+fn close_round(
+    rt: &mut MrRuntime,
+    config: &FfConfig,
+    state: &mut CheckpointManifest,
+    clock: RoundClock,
+    mut stats: JobStats,
+    acceptance: RoundAcceptance,
+) -> Result<(), FfError> {
+    let RoundClock {
+        round,
+        mut span,
+        started,
+    } = clock;
+    let graph_bytes = rt.dfs().file_bytes(&round_path(&config.base_path, round));
+    let source_move = stats.counter("source move");
+    let sink_move = stats.counter("sink move");
+    span.field("a_paths", acceptance.accepted_paths);
+    drop(span);
+    let wall_seconds = started.elapsed().as_secs_f64();
+
+    // Regression sentinel: a flow round much slower than its recent
+    // peers usually means contention or a perf regression, not more
+    // work — the loop's per-round workload shrinks as frontiers
+    // drain. Flag it but keep running.
+    let prior_walls: Vec<f64> = state
+        .rounds
+        .iter()
+        .filter(|r| r.round >= 1)
+        .map(|r| r.wall_seconds)
+        .collect();
+    if round_is_anomalous(&prior_walls, wall_seconds, ANOMALY_FACTOR, ANOMALY_MIN_WALL) {
+        ffmr_obs::global()
+            .counter("ffmr_ff_round_anomaly_total", &[])
+            .inc();
+        eprintln!(
+            "ffmr: round {round} wall time {wall_seconds:.3}s exceeds {ANOMALY_FACTOR}x \
+             the trailing median of recent rounds; possible regression or host contention"
+        );
+    }
+
+    state.round = round;
+    state.total_value += acceptance.value_gained;
+    state.max_graph_bytes = state.max_graph_bytes.max(graph_bytes);
+    state.rounds.push(RoundStats {
+        round,
+        a_paths: acceptance.accepted_paths,
+        value_gained: acceptance.value_gained,
+        max_queue: acceptance.max_queue,
+        map_out_records: stats.map_output_records,
+        shuffle_bytes: stats.shuffle_bytes,
+        sim_seconds: stats.sim_seconds,
+        wall_seconds,
+        source_move,
+        sink_move,
+        graph_bytes,
+    });
+    if let Some(on_round) = &config.on_round {
+        on_round(state.rounds.last().expect("round pushed"));
+    }
+
+    // Termination (paper Fig. 2 line 10): stop once either frontier
+    // stops moving — with the robustness refinement that a round that
+    // still accepted augmenting paths keeps the loop alive, since its
+    // flow changes have not been applied yet. Without bi-directional
+    // search there is no sink frontier to watch. Round 0 only builds the
+    // vertex records and moves no frontier, so it never stops the loop.
+    let frontier_stuck = source_move == 0 || (config.bidirectional && sink_move == 0);
+    state.finished = round > 0 && frontier_stuck && acceptance.accepted_paths == 0;
+    state.deltas = Arc::new(acceptance.deltas);
+
+    // The job history rides the checkpoint's durability switch: one
+    // flight-recorder profile line per round, appended to the blob a
+    // resumed run keeps extending.
+    if config.checkpoint {
+        let profile = ffmr_obs::RoundProfile::compute_with_dispatches(
             round,
-            a_paths: acceptance.accepted_paths,
-            value_gained: acceptance.value_gained,
-            max_queue: acceptance.max_queue,
-            map_out_records: stats.map_output_records,
-            shuffle_bytes: stats.shuffle_bytes,
-            sim_seconds: stats.sim_seconds,
-            wall_seconds,
-            source_move: som,
-            sink_move: sim,
-            graph_bytes,
-        });
-        config
-            .hooks
-            .report(state.rounds.last().expect("round pushed"));
-        record_history(
-            rt,
-            config,
-            round,
-            stats.name.clone(),
+            std::mem::take(&mut stats.name),
             std::mem::take(&mut stats.task_events),
             std::mem::take(&mut stats.dispatch_notes),
             stats.sim_seconds,
             wall_seconds,
         );
-
-        // Termination (paper Fig. 2 line 10): stop once either frontier
-        // stops moving — with the robustness refinement that a round that
-        // still accepted augmenting paths keeps the loop alive, since its
-        // flow changes have not been applied yet. Without bi-directional
-        // search there is no sink frontier to watch.
-        let frontier_stuck = som == 0 || (config.bidirectional && sim == 0);
-        let finished = frontier_stuck && acceptance.accepted_paths == 0;
-
-        state.deltas = Arc::new(acceptance.deltas);
-        if config.checkpoint {
-            checkpoint::write_checkpoint(
-                rt.dfs_mut(),
-                &config.base_path,
-                &manifest_from_state(config, state, finished),
-            );
-        }
-        collect_garbage(rt.dfs_mut(), &config.base_path, round, config.keep_rounds);
-        if config.crash_point == Some(CrashPoint::AfterRound(round)) {
-            return Err(FfError::CrashInjected { round });
-        }
-        if finished {
-            return Ok(finish(config, state, run_span));
-        }
-        state.next_round = round + 1;
+        let mut line = profile.to_json();
+        line.push('\n');
+        rt.dfs_mut()
+            .append_blob(&history_path(&config.base_path), line.as_bytes());
+        checkpoint::write_checkpoint(rt.dfs_mut(), &config.base_path, state);
     }
+    collect_garbage(rt.dfs_mut(), &config.base_path, round, config.keep_rounds);
+    if config.crash_point == Some(CrashPoint::AfterRound(round)) {
+        return Err(FfError::CrashInjected { round });
+    }
+    Ok(())
 }
 
 /// Emits the run-level metrics and assembles the result. `state.deltas`
 /// holds the final round's acceptances, which no mapper has applied yet
 /// (empty by construction of the termination test — or whatever the
 /// checkpoint of a finished run recorded).
-fn finish(config: &FfConfig, state: &mut LoopState, mut run_span: ffmr_obs::Span) -> FfRun {
-    let final_round = state.rounds.last().map_or(0, |r| r.round);
+fn finish(config: &FfConfig, state: CheckpointManifest, mut run_span: ffmr_obs::Span) -> FfRun {
     run_span.field("rounds", state.rounds.len());
     drop(run_span);
     let m = ffmr_obs::global();
@@ -854,9 +786,9 @@ fn finish(config: &FfConfig, state: &mut LoopState, mut run_span: ffmr_obs::Span
         max_flow_value: state.total_value,
         total_sim_seconds: state.rounds.iter().map(|r| r.sim_seconds).sum(),
         max_graph_bytes: state.max_graph_bytes,
-        final_graph_path: round_path(&config.base_path, final_round),
-        pending_deltas: (*state.deltas).clone(),
-        rounds: std::mem::take(&mut state.rounds),
+        final_graph_path: round_path(&config.base_path, state.round),
+        pending_deltas: Arc::unwrap_or_clone(state.deltas),
+        rounds: state.rounds,
     }
 }
 

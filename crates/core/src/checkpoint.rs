@@ -6,17 +6,20 @@
 //! persisting a small amount of driver state per iteration (HaLoop's
 //! reducer-output caching, Pregel's per-superstep checkpoints); FFMR's
 //! analogue is a versioned *checkpoint manifest* written to the DFS after
-//! every accepted round: the cumulative flow value, the round's
-//! `AugmentedEdges` (not yet folded into any vertex record), the
-//! per-round statistics, and the DFS path of the vertex partitions the
-//! round produced. Everything else a resumed driver needs — the vertex
-//! records themselves — is already durable in the DFS.
+//! every accepted round. The manifest *is* the driver's loop state — the
+//! round loop carries a [`CheckpointManifest`] and writes it as it stands:
+//! the run's fingerprint, the cumulative flow value, the round's
+//! `AugmentedEdges` (not yet folded into any vertex record) and the
+//! per-round statistics. Everything else a resumed driver needs — the
+//! vertex records of round N, at `round_path(base, N)` — is already
+//! durable in the DFS.
 //!
 //! [`crate::resume_max_flow`] reads the newest manifest, validates it
 //! against the caller's configuration, discards any half-written round
 //! outputs newer than the manifest (a mid-phase crash leaves those), and
 //! re-enters the round loop at round N+1.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use mapreduce::encode::{get_bytes, get_varint, get_varint_signed, put_bytes, put_varint};
@@ -24,12 +27,12 @@ use mapreduce::error::DecodeError;
 use mapreduce::Dfs;
 use swgraph::Capacity;
 
-use crate::algo::{FfConfig, KPolicy, RoundStats};
+use crate::algo::{FfConfig, RoundStats};
 use crate::augmented::AugmentedEdges;
 use crate::error::FfError;
 
 /// Version tag of the manifest encoding; bumped on incompatible changes.
-const MANIFEST_VERSION: u64 = 1;
+const MANIFEST_VERSION: u64 = 2;
 
 /// DFS blob path of the checkpoint manifest for a chain rooted at `base`.
 /// One fixed name per chain, overwritten each round: the DFS write is
@@ -39,63 +42,29 @@ pub fn checkpoint_path(base: &str) -> String {
     format!("{base}/checkpoint")
 }
 
-/// The configuration fingerprint stored in a manifest. Resuming under a
-/// different source/sink/variant/partitioning would silently compute a
+/// The configuration fingerprint stored in a manifest: the run parameters
+/// every FF round ships to its workers (source, sink, variant switches, k
+/// policy, search switches; see [`crate::wire`]) plus the reducer count.
+/// Resuming under a different configuration would silently compute a
 /// different problem, so the fingerprint must match exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigTag {
-    /// Source vertex id.
-    pub source: u64,
-    /// Sink vertex id.
-    pub sink: u64,
-    /// Reduce partitions per round.
-    pub reducers: u64,
-    /// Packed booleans: bits 0–3 are the FF2–FF5 variant switches, bit 4
-    /// bi-directional search, bit 5 extend-all-paths.
-    pub flags: u64,
-    /// Excess-path storage policy: 0 = in-degree, else fixed k + 1.
-    pub k_fixed: u64,
+#[must_use]
+pub fn fingerprint(config: &FfConfig) -> Vec<u8> {
+    let mut buf = Vec::new();
+    crate::wire::put_run_params(&config.shared(), &mut buf);
+    put_varint(config.reducers as u64, &mut buf);
+    buf
 }
 
-impl ConfigTag {
-    /// The fingerprint of `config`.
-    #[must_use]
-    pub fn of(config: &FfConfig) -> Self {
-        let v = config.variant;
-        let mut flags = 0u64;
-        for (bit, on) in [
-            v.stateful_aug,
-            v.schimmy,
-            v.pooled_objects,
-            v.remember_sent,
-            config.bidirectional,
-            config.extend_all_paths,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            flags |= u64::from(on) << bit;
-        }
-        Self {
-            source: config.source.raw(),
-            sink: config.sink.raw(),
-            reducers: config.reducers as u64,
-            flags,
-            k_fixed: match config.k_policy {
-                KPolicy::InDegree => 0,
-                KPolicy::Fixed(k) => k as u64 + 1,
-            },
-        }
-    }
-}
-
-/// Everything a resumed driver needs that is not already a durable DFS
-/// file: the state of Fig. 2's main loop at the end of round `round`.
+/// The state of Fig. 2's main loop at the end of round `round`: the
+/// driver's loop carries it from round to round, and persists it as it
+/// stands. Everything a resumed driver needs that is not already a
+/// durable DFS file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointManifest {
-    /// Fingerprint of the configuration that wrote the manifest.
-    pub tag: ConfigTag,
-    /// Last fully accepted round (0 = only graph preparation done).
+    /// [`fingerprint`] of the configuration that wrote the manifest.
+    pub fingerprint: Vec<u8>,
+    /// Last fully accepted round (0 = only graph preparation done); its
+    /// vertex records are at `round_path(base, round)`.
     pub round: usize,
     /// Whether the run terminated at `round` (resume then just
     /// reconstructs the finished result).
@@ -104,14 +73,13 @@ pub struct CheckpointManifest {
     pub total_value: Capacity,
     /// Largest graph file observed so far.
     pub max_graph_bytes: u64,
-    /// DFS path of round `round`'s vertex partitions.
-    pub graph_path: String,
     /// Round `round`'s accepted deltas — the table round `round + 1`'s
     /// mappers must broadcast (or, on a finished run, the pending deltas
     /// not yet folded into any vertex record).
-    pub deltas: AugmentedEdges,
-    /// Per-round statistics so a resumed run reports the same totals as
-    /// an uninterrupted one (floats are preserved bit-exactly).
+    pub deltas: Arc<AugmentedEdges>,
+    /// Per-round statistics, one per round from 0, so a resumed run
+    /// reports the same totals as an uninterrupted one (floats are
+    /// preserved bit-exactly).
     pub rounds: Vec<RoundStats>,
 }
 
@@ -121,16 +89,11 @@ impl CheckpointManifest {
     pub fn to_blob(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_varint(MANIFEST_VERSION, &mut buf);
-        put_varint(self.tag.source, &mut buf);
-        put_varint(self.tag.sink, &mut buf);
-        put_varint(self.tag.reducers, &mut buf);
-        put_varint(self.tag.flags, &mut buf);
-        put_varint(self.tag.k_fixed, &mut buf);
+        put_bytes(&self.fingerprint, &mut buf);
         put_varint(self.round as u64, &mut buf);
         put_varint(u64::from(self.finished), &mut buf);
         mapreduce::encode::put_varint_signed(self.total_value, &mut buf);
         put_varint(self.max_graph_bytes, &mut buf);
-        put_bytes(self.graph_path.as_bytes(), &mut buf);
         put_bytes(&self.deltas.to_blob(), &mut buf);
         put_varint(self.rounds.len() as u64, &mut buf);
         for r in &self.rounds {
@@ -161,20 +124,12 @@ impl CheckpointManifest {
         if get_varint(input)? != MANIFEST_VERSION {
             return Err(DecodeError::new("unsupported checkpoint version"));
         }
-        let tag = ConfigTag {
-            source: get_varint(input)?,
-            sink: get_varint(input)?,
-            reducers: get_varint(input)?,
-            flags: get_varint(input)?,
-            k_fixed: get_varint(input)?,
-        };
+        let fingerprint = get_bytes(input)?.to_vec();
         let round = get_varint(input)? as usize;
         let finished = get_varint(input)? != 0;
         let total_value = get_varint_signed(input)?;
         let max_graph_bytes = get_varint(input)?;
-        let graph_path = String::from_utf8(get_bytes(input)?.to_vec())
-            .map_err(|_| DecodeError::new("graph path is not UTF-8"))?;
-        let deltas = AugmentedEdges::from_blob(get_bytes(input)?)?;
+        let deltas = Arc::new(AugmentedEdges::from_blob(get_bytes(input)?)?);
         let n = get_varint(input)? as usize;
         let mut rounds = Vec::with_capacity(n.min(input.len()));
         for _ in 0..n {
@@ -196,12 +151,11 @@ impl CheckpointManifest {
             return Err(DecodeError::new("trailing checkpoint bytes"));
         }
         Ok(Self {
-            tag,
+            fingerprint,
             round,
             finished,
             total_value,
             max_graph_bytes,
-            graph_path,
             deltas,
             rounds,
         })
@@ -247,13 +201,12 @@ mod tests {
         let mut deltas = AugmentedEdges::new(2);
         deltas.add(swgraph::EdgeId::new(14), 2);
         CheckpointManifest {
-            tag: ConfigTag::of(&config),
+            fingerprint: fingerprint(&config),
             round: 2,
             finished: false,
             total_value: 5,
             max_graph_bytes: 12_345,
-            graph_path: "ffmr/round-00002".into(),
-            deltas,
+            deltas: Arc::new(deltas),
             rounds: vec![
                 RoundStats {
                     round: 0,
@@ -294,23 +247,73 @@ mod tests {
         assert!(CheckpointManifest::from_blob(&blob[..blob.len() - 1]).is_err());
         blob.push(0);
         assert!(CheckpointManifest::from_blob(&blob).is_err());
-        blob[0] = 0x7f; // bad version
-        assert!(CheckpointManifest::from_blob(&blob[..blob.len() - 1]).is_err());
+        blob.pop();
+        for version in [1, 0x7f] {
+            blob[0] = version;
+            let err = CheckpointManifest::from_blob(&blob).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported checkpoint version"),
+                "version {version}: {err}"
+            );
+        }
     }
 
     #[test]
-    fn config_tag_discriminates() {
-        let base = FfConfig::new(VertexId::new(0), VertexId::new(5));
-        let tag = ConfigTag::of(&base);
-        assert_eq!(tag, ConfigTag::of(&base.clone()));
-        let other_sink = FfConfig::new(VertexId::new(0), VertexId::new(6));
-        assert_ne!(tag, ConfigTag::of(&other_sink));
-        let other_variant = base.clone().variant(crate::FfVariant::ff1());
-        assert_ne!(tag, ConfigTag::of(&other_variant));
-        let other_reducers = base.clone().reducers(99);
-        assert_ne!(tag, ConfigTag::of(&other_reducers));
-        let unidirectional = base.bidirectional(false);
-        assert_ne!(tag, ConfigTag::of(&unidirectional));
+    fn fingerprint_discriminates_every_run_parameter() {
+        use crate::{FfVariant, KPolicy};
+        let base = FfConfig::new(VertexId::new(0), VertexId::new(5))
+            .variant(FfVariant::ff1())
+            .reducers(4);
+        let with_variant = |f: fn(&mut FfVariant)| {
+            let mut config = base.clone();
+            f(&mut config.variant);
+            config
+        };
+        let changed = [
+            (
+                "source",
+                FfConfig {
+                    source: VertexId::new(1),
+                    ..base.clone()
+                },
+            ),
+            (
+                "sink",
+                FfConfig {
+                    sink: VertexId::new(6),
+                    ..base.clone()
+                },
+            ),
+            ("reducers", base.clone().reducers(5)),
+            ("stateful aug", with_variant(|v| v.stateful_aug = true)),
+            ("schimmy", with_variant(|v| v.schimmy = true)),
+            ("pooled objects", with_variant(|v| v.pooled_objects = true)),
+            ("remember sent", with_variant(|v| v.remember_sent = true)),
+            ("bidirectional", base.clone().bidirectional(false)),
+            ("extend all paths", base.clone().extend_all_paths(true)),
+            ("k policy", base.clone().k_policy(KPolicy::InDegree)),
+            ("k", base.clone().k_policy(KPolicy::Fixed(5))),
+        ];
+        let print = fingerprint(&base);
+        assert_eq!(print, fingerprint(&base.clone()));
+        assert_eq!(
+            print,
+            fingerprint(
+                &base
+                    .clone()
+                    .max_rounds(3)
+                    .checkpoint(false)
+                    .on_round(|_| {})
+            ),
+            "round limits, checkpointing and the callback may differ on resume"
+        );
+        for (what, config) in changed {
+            assert_ne!(
+                print,
+                fingerprint(&config),
+                "{what} must change the fingerprint"
+            );
+        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub mod wire;
 
 pub use accumulator::Accumulator;
 pub use algo::{
-    history_path, resume_max_flow, run_max_flow, CrashPoint, FfConfig, FfHooks, FfRun, FfVariant,
-    KPolicy, RoundStats, UnknownVariant,
+    history_path, resume_max_flow, run_max_flow, CrashPoint, FfConfig, FfRun, FfVariant, KPolicy,
+    RoundStats, UnknownVariant,
 };
 pub use aug_service::AugProc;
 pub use augmented::AugmentedEdges;

@@ -47,26 +47,33 @@ fn get_bool(input: &mut &[u8]) -> Result<bool, DecodeError> {
     }
 }
 
+/// Writes the run configuration every FF round shares. The checkpoint
+/// manifest identifies a run by these bytes too
+/// ([`checkpoint::fingerprint`](crate::checkpoint::fingerprint)).
+pub(crate) fn put_run_params(shared: &FfShared, buf: &mut Vec<u8>) {
+    put_varint(shared.source, buf);
+    put_varint(shared.sink, buf);
+    put_bool(shared.variant.stateful_aug, buf);
+    put_bool(shared.variant.schimmy, buf);
+    put_bool(shared.variant.pooled_objects, buf);
+    put_bool(shared.variant.remember_sent, buf);
+    match shared.k_policy {
+        KPolicy::Fixed(k) => {
+            buf.push(0);
+            put_varint(k as u64, buf);
+        }
+        KPolicy::InDegree => buf.push(1),
+    }
+    put_bool(shared.bidirectional, buf);
+    put_bool(shared.extend_all_paths, buf);
+}
+
 /// Serializes one FF round's parameters — the shared run configuration
 /// plus the previous round's accepted deltas — for [`ff_task_runner`].
 #[must_use]
 pub fn ff_wire_params(shared: &FfShared, deltas: &AugmentedEdges) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_varint(shared.source, &mut buf);
-    put_varint(shared.sink, &mut buf);
-    put_bool(shared.variant.stateful_aug, &mut buf);
-    put_bool(shared.variant.schimmy, &mut buf);
-    put_bool(shared.variant.pooled_objects, &mut buf);
-    put_bool(shared.variant.remember_sent, &mut buf);
-    match shared.k_policy {
-        KPolicy::Fixed(k) => {
-            buf.push(0);
-            put_varint(k as u64, &mut buf);
-        }
-        KPolicy::InDegree => buf.push(1),
-    }
-    put_bool(shared.bidirectional, &mut buf);
-    put_bool(shared.extend_all_paths, &mut buf);
+    put_run_params(shared, &mut buf);
     put_bytes(&deltas.to_blob(), &mut buf);
     buf
 }

@@ -283,26 +283,37 @@ fn job_history_survives_crash_and_resume() {
     let (clean, clean_rt) = clean_run(&net, &config);
     let last = clean.rounds.last().expect("rounds").round;
 
-    let history_rounds = |rt: &MrRuntime| -> Vec<usize> {
+    let history = |rt: &MrRuntime| -> Vec<ffmr_obs::RoundProfile> {
         let bytes = rt
             .dfs()
             .read_blob(&ffmr_core::history_path("ffmr"))
             .expect("history blob");
         String::from_utf8_lossy(bytes)
             .lines()
-            .map(|l| {
-                ffmr_obs::RoundProfile::from_json(l)
-                    .expect("parseable profile line")
-                    .round
-            })
+            .map(|l| ffmr_obs::RoundProfile::from_json(l).expect("parseable profile line"))
             .collect()
     };
-    assert_eq!(history_rounds(&clean_rt), (0..=last).collect::<Vec<_>>());
+    // One line per round, in order, each with the wall time its
+    // `RoundStats` reports — round 0 included.
+    let assert_history_matches = |rt: &MrRuntime, run: &FfRun, context: &str| {
+        let profiles = history(rt);
+        let rounds: Vec<usize> = profiles.iter().map(|p| p.round).collect();
+        assert_eq!(rounds, (0..=last).collect::<Vec<_>>(), "{context}");
+        for (profile, stats) in profiles.iter().zip(&run.rounds) {
+            assert_eq!(
+                profile.wall_seconds.to_bits(),
+                stats.wall_seconds.to_bits(),
+                "{context}: round {} history wall_seconds",
+                stats.round
+            );
+        }
+    };
+    assert_history_matches(&clean_rt, &clean, "clean run");
 
     // A mid-round crash loses the in-flight round; the resumed run must
     // re-execute it and end with one history line per round, no dupes.
-    let (_, resumed_rt) = crash_and_resume(&net, &config, CrashPoint::MidRound(1));
-    assert_eq!(history_rounds(&resumed_rt), (0..=last).collect::<Vec<_>>());
+    let (resumed, resumed_rt) = crash_and_resume(&net, &config, CrashPoint::MidRound(1));
+    assert_history_matches(&resumed_rt, &resumed, "resumed run");
 
     // Checkpointing off writes no history at all.
     let mut rt = new_rt();

@@ -1,4 +1,4 @@
-//! FfHooks contract tests: the per-round progress callback fires exactly
+//! `on_round` contract tests: the per-round progress callback fires exactly
 //! once per executed round in order, and span tracing covers every round
 //! with properly nested MapReduce phases.
 

@@ -69,9 +69,12 @@ fn elapsed_us(epoch: Instant) -> u64 {
 }
 
 /// Decides how task failures are handled, mirroring Hadoop's
-/// `mapred.map.max.attempts`: a failed task attempt (a panic in the user
-/// function, or an injected environment fault) is retried up to
-/// `max_attempts` times before the whole job fails. Failed attempts'
+/// `mapred.map.max.attempts`: a failed task attempt
+/// ([`MrError::TaskFailed`]: a panic in the user function, an injected
+/// environment fault, a lost worker) is retried up to `max_attempts`
+/// times before the whole job fails. Any other task error (a record that
+/// does not decode, a run out of key order) would recur on every attempt,
+/// so it fails the job at once. Failed attempts'
 /// counter increments are discarded; their runtime is still charged to
 /// the simulated clock (the slot was occupied).
 #[derive(Clone)]
@@ -1036,7 +1039,8 @@ where
         .collect()
 }
 
-/// One task with the policy's retry budget; returns its record, with the
+/// One task with the policy's retry budget, which only
+/// [`MrError::TaskFailed`] attempts spend; returns its record, with the
 /// attempts consumed and one wall-clock window per attempt.
 fn run_task_with_retry<T, R>(
     phase: &'static str,
@@ -1089,8 +1093,8 @@ where
                     walls: windows,
                 })
             }
-            Err(e) if attempt >= budget => return Err(e),
-            Err(_) => {} // retry
+            Err(MrError::TaskFailed { .. }) if attempt < budget => {} // retry
+            Err(e) => return Err(e),
         }
     }
 }

@@ -7,7 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mapreduce::{
-    ClusterConfig, JobBuilder, MapContext, MrError, MrRuntime, ReduceContext, Service,
+    ClusterConfig, FailurePolicy, JobBuilder, MapContext, MrError, MrRuntime, ReduceContext,
+    Service,
 };
 
 fn word_count_input() -> Vec<(u64, String)> {
@@ -229,7 +230,12 @@ fn schimmy_partition_mismatch_is_rejected() {
 fn schimmy_input_out_of_key_order_is_a_typed_error() {
     // `write_records` keeps insertion order, so this one-partition file
     // is not key-sorted the way a reduce phase would have written it.
+    // The error is deterministic: under Hadoop's retry budget the reduce
+    // task still runs once.
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(2));
+    rt.set_failure_policy(FailurePolicy::hadoop_default());
+    let reducer_calls = Arc::new(AtomicU64::new(0));
+    let calls = Arc::clone(&reducer_calls);
     rt.dfs_mut()
         .write_records("graph", 1, vec![(5u64, 50u64), (2, 20), (9, 90)])
         .unwrap();
@@ -243,11 +249,13 @@ fn schimmy_input_out_of_key_order_is_a_typed_error() {
         .schimmy_input("graph")
         .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
         .reduce(
-            |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
+            move |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
+                calls.fetch_add(1, Ordering::SeqCst);
                 ctx.emit(*k, vs.sum());
             },
         );
     let err = rt.run(job).unwrap_err();
+    assert_eq!(reducer_calls.load(Ordering::SeqCst), 1, "no retry");
     match &err {
         MrError::UnsortedRun { run, partition } => {
             assert_eq!(run, "schimmy input graph");

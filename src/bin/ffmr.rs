@@ -390,143 +390,10 @@ fn info(opts: &Options) -> Result<(), String> {
 
 fn run_maxflow(opts: &Options) -> Result<(), String> {
     install_trace_file(opts)?;
-    let base = load(opts.required("input")?)?;
-    let algorithm = opts.get("algorithm").unwrap_or("ff5").to_string();
-    let nodes: usize = opts.parsed("nodes", 20)?;
-    let reducers: usize = opts.parsed("reducers", 8)?;
-    let seed: u64 = opts.parsed("seed", 42)?;
-    let w: usize = opts.parsed("w", 0)?;
-
-    let (net, s, t) = if w > 0 {
-        let st = swgraph::super_st::attach_super_terminals(&base, w, 3, seed)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "attached super terminals over {w} high-degree vertices each (s = {}, t = {})",
-            st.source, st.sink
-        );
-        (st.network, st.source, st.sink)
-    } else {
-        let s = VertexId::new(
-            opts.required("source")?
-                .parse()
-                .map_err(|_| "invalid --source")?,
-        );
-        let t = VertexId::new(
-            opts.required("sink")?
-                .parse()
-                .map_err(|_| "invalid --sink")?,
-        );
-        (base, s, t)
-    };
-
+    let (net, s, t) = terminals(opts)?;
+    let algorithm = opts.get("algorithm").unwrap_or("ff5");
     if let Ok(variant) = algorithm.parse::<FfVariant>() {
-        // Record one flight-recorder event per task attempt so the
-        // per-round history (readable with `ffmr report --state FILE`)
-        // carries full task timelines.
-        ffmr::ffmr_obs::events::recorder().set_enabled(true);
-        let mut rt = MrRuntime::new(ClusterConfig::paper_cluster(nodes));
-        let threads: usize = opts.parsed("threads", 0)?;
-        if threads > 0 {
-            // 1 pins service-call ordering (bit-reproducible runs).
-            rt.set_worker_threads(Some(threads));
-        }
-
-        // Distributed mode: spawn real worker OS processes and route
-        // every map/reduce task through them. The coordinator (and the
-        // children, told to shut down on their next poll) are torn down
-        // when `_dist` drops, including on the error paths below.
-        let dist_workers: usize = opts.parsed("workers", 0)?;
-        let _dist = if dist_workers > 0 {
-            let mut coordinator_config = ffmr::ffmr_worker::CoordinatorConfig::default();
-            if let Some(addr) = opts.get("coordinator") {
-                // A pinned bind address lets `ffmr top --connect` (and
-                // extra `ffmr worker` processes) find this run.
-                coordinator_config.addr = addr.to_string();
-            }
-            let coordinator = ffmr::ffmr_worker::Coordinator::start(coordinator_config)
-                .map_err(|e| format!("cannot start coordinator: {e}"))?;
-            let addr = coordinator.local_addr().to_string();
-            let exe = std::env::current_exe()
-                .map_err(|e| format!("cannot locate own executable: {e}"))?;
-            let mut children = Vec::new();
-            for _ in 0..dist_workers {
-                let child = std::process::Command::new(&exe)
-                    .arg("worker")
-                    .arg("--connect")
-                    .arg(&addr)
-                    .spawn()
-                    .map_err(|e| format!("cannot spawn worker process: {e}"))?;
-                children.push(child);
-            }
-            if !coordinator.wait_for_workers(dist_workers, std::time::Duration::from_secs(10)) {
-                return Err("worker processes did not register within 10s".into());
-            }
-            rt.set_task_executor(Some(coordinator.executor()));
-            // Worker deaths surface as failed task attempts; give them
-            // Hadoop's retry budget instead of the fail-fast default.
-            rt.set_failure_policy(FailurePolicy::hadoop_default());
-            println!("distributed mode: {dist_workers} worker processes via {addr}");
-            Some(DistributedRun {
-                coordinator: Some(coordinator),
-                children,
-            })
-        } else {
-            None
-        };
-
-        let mut config = FfConfig::new(s, t).variant(variant).reducers(reducers);
-        if let Some(round) = opts.get("crash-after-round") {
-            let round = round.parse().map_err(|_| "invalid --crash-after-round")?;
-            config = config.crash_point(CrashPoint::AfterRound(round));
-        }
-        if let Some(round) = opts.get("crash-in-round") {
-            let round = round.parse().map_err(|_| "invalid --crash-in-round")?;
-            config = config.crash_point(CrashPoint::MidRound(round));
-        }
-
-        let state_file = opts.get("state");
-        let result = if opts.has("resume") {
-            let path = state_file.ok_or("--resume needs --state FILE")?;
-            let image =
-                std::fs::read(path).map_err(|e| format!("cannot read state file {path}: {e}"))?;
-            *rt.dfs_mut() =
-                Dfs::from_image(&image).map_err(|e| format!("corrupt state file {path}: {e}"))?;
-            let manifest = ffmr_core::checkpoint::read_checkpoint(rt.dfs(), &config.base_path)
-                .map_err(|e| e.to_string())?;
-            println!("resumed from round {}", manifest.round);
-            ffmr_core::resume_max_flow(&mut rt, &config)
-        } else {
-            ffmr_core::run_max_flow(&mut rt, &net, &config)
-        };
-
-        let run = match result {
-            Ok(run) => run,
-            Err(FfError::CrashInjected { round }) => {
-                let Some(path) = state_file else {
-                    return Err(format!(
-                        "injected driver crash at round {round} (no --state FILE, progress lost)"
-                    ));
-                };
-                std::fs::write(path, rt.dfs().to_image())
-                    .map_err(|e| format!("cannot write state file {path}: {e}"))?;
-                return Err(format!(
-                    "injected driver crash at round {round}; state saved to {path} \
-                     (resume with --resume --state {path})"
-                ));
-            }
-            Err(e) => return Err(e.to_string()),
-        };
-        if let Some(path) = state_file {
-            std::fs::write(path, rt.dfs().to_image())
-                .map_err(|e| format!("cannot write state file {path}: {e}"))?;
-        }
-        println!(
-            "max flow = {} ({} rounds, {:.1} simulated min on {nodes} nodes)",
-            run.max_flow_value,
-            run.num_flow_rounds(),
-            run.total_sim_seconds / 60.0
-        );
-        return Ok(());
+        return run_ff(opts, &net, s, t, variant);
     }
     if algorithm == "pregel" {
         let run = ffmr_core::pregel_ff::run_max_flow_pregel(&net, s, t, 10_000)
@@ -579,6 +446,147 @@ fn run_maxflow(opts: &Options) -> Result<(), String> {
         cut.source_side.len()
     );
     Ok(())
+}
+
+/// The network and its terminals: `--source`/`--sink` on the input as
+/// read, or super terminals over `--w` high-degree vertices per side.
+fn terminals(opts: &Options) -> Result<(FlowNetwork, VertexId, VertexId), String> {
+    let base = load(opts.required("input")?)?;
+    let seed: u64 = opts.parsed("seed", 42)?;
+    let w: usize = opts.parsed("w", 0)?;
+    if w > 0 {
+        let st = swgraph::super_st::attach_super_terminals(&base, w, 3, seed)
+            .map_err(|e| e.to_string())?;
+        println!(
+            "attached super terminals over {w} high-degree vertices each (s = {}, t = {})",
+            st.source, st.sink
+        );
+        return Ok((st.network, st.source, st.sink));
+    }
+    let vertex = |name: &str| -> Result<VertexId, String> {
+        let id = opts.required(name)?.parse();
+        Ok(VertexId::new(id.map_err(|_| format!("invalid --{name}"))?))
+    };
+    Ok((base, vertex("source")?, vertex("sink")?))
+}
+
+/// `maxflow --algorithm ff1..ff5`: the MR driver, fresh or `--resume`d
+/// from a `--state` file, in process or over `--workers` processes.
+fn run_ff(
+    opts: &Options,
+    net: &FlowNetwork,
+    s: VertexId,
+    t: VertexId,
+    variant: FfVariant,
+) -> Result<(), String> {
+    let nodes: usize = opts.parsed("nodes", 20)?;
+    let reducers: usize = opts.parsed("reducers", 8)?;
+    // Record one flight-recorder event per task attempt so the
+    // per-round history (readable with `ffmr report --state FILE`)
+    // carries full task timelines.
+    ffmr::ffmr_obs::events::recorder().set_enabled(true);
+    let mut rt = MrRuntime::new(ClusterConfig::paper_cluster(nodes));
+    let threads: usize = opts.parsed("threads", 0)?;
+    if threads > 0 {
+        // 1 pins service-call ordering (bit-reproducible runs).
+        rt.set_worker_threads(Some(threads));
+    }
+
+    // Distributed mode: spawn real worker OS processes and route
+    // every map/reduce task through them. The coordinator (and the
+    // children, told to shut down on their next poll) are torn down
+    // when `_dist` drops, including on the error paths below.
+    let dist_workers: usize = opts.parsed("workers", 0)?;
+    let _dist = if dist_workers > 0 {
+        let mut coordinator_config = ffmr::ffmr_worker::CoordinatorConfig::default();
+        if let Some(addr) = opts.get("coordinator") {
+            // A pinned bind address lets `ffmr top --connect` (and
+            // extra `ffmr worker` processes) find this run.
+            coordinator_config.addr = addr.to_string();
+        }
+        let coordinator = ffmr::ffmr_worker::Coordinator::start(coordinator_config)
+            .map_err(|e| format!("cannot start coordinator: {e}"))?;
+        let addr = coordinator.local_addr().to_string();
+        let exe =
+            std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
+        let mut children = Vec::new();
+        for _ in 0..dist_workers {
+            let child = std::process::Command::new(&exe)
+                .arg("worker")
+                .arg("--connect")
+                .arg(&addr)
+                .spawn()
+                .map_err(|e| format!("cannot spawn worker process: {e}"))?;
+            children.push(child);
+        }
+        if !coordinator.wait_for_workers(dist_workers, std::time::Duration::from_secs(10)) {
+            return Err("worker processes did not register within 10s".into());
+        }
+        rt.set_task_executor(Some(coordinator.executor()));
+        // Worker deaths surface as failed task attempts; give them
+        // Hadoop's retry budget instead of the fail-fast default.
+        rt.set_failure_policy(FailurePolicy::hadoop_default());
+        println!("distributed mode: {dist_workers} worker processes via {addr}");
+        Some(DistributedRun {
+            coordinator: Some(coordinator),
+            children,
+        })
+    } else {
+        None
+    };
+
+    let mut config = FfConfig::new(s, t).variant(variant).reducers(reducers);
+    if let Some(round) = opts.get("crash-after-round") {
+        let round = round.parse().map_err(|_| "invalid --crash-after-round")?;
+        config = config.crash_point(CrashPoint::AfterRound(round));
+    }
+    if let Some(round) = opts.get("crash-in-round") {
+        let round = round.parse().map_err(|_| "invalid --crash-in-round")?;
+        config = config.crash_point(CrashPoint::MidRound(round));
+    }
+
+    let state_file = opts.get("state");
+    let result = if opts.has("resume") {
+        let path = state_file.ok_or("--resume needs --state FILE")?;
+        let image =
+            std::fs::read(path).map_err(|e| format!("cannot read state file {path}: {e}"))?;
+        *rt.dfs_mut() =
+            Dfs::from_image(&image).map_err(|e| format!("corrupt state file {path}: {e}"))?;
+        let manifest = ffmr_core::checkpoint::read_checkpoint(rt.dfs(), &config.base_path)
+            .map_err(|e| e.to_string())?;
+        println!("resumed from round {}", manifest.round);
+        ffmr_core::resume_max_flow(&mut rt, &config)
+    } else {
+        ffmr_core::run_max_flow(&mut rt, net, &config)
+    };
+
+    // The DFS image outlives a finished run and an injected crash alike;
+    // `--resume` picks the latter back up.
+    if let (Some(path), Ok(_) | Err(FfError::CrashInjected { .. })) = (state_file, &result) {
+        std::fs::write(path, rt.dfs().to_image())
+            .map_err(|e| format!("cannot write state file {path}: {e}"))?;
+    }
+    match result {
+        Ok(run) => {
+            println!(
+                "max flow = {} ({} rounds, {:.1} simulated min on {nodes} nodes)",
+                run.max_flow_value,
+                run.num_flow_rounds(),
+                run.total_sim_seconds / 60.0
+            );
+            Ok(())
+        }
+        Err(FfError::CrashInjected { round }) => Err(match state_file {
+            Some(path) => format!(
+                "injected driver crash at round {round}; state saved to {path} \
+                 (resume with --resume --state {path})"
+            ),
+            None => {
+                format!("injected driver crash at round {round} (no --state FILE, progress lost)")
+            }
+        }),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 /// Owns the distributed-mode coordinator and worker child processes for
