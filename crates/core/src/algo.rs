@@ -406,6 +406,9 @@ pub struct FfRun {
     /// Deltas accepted in the final round, not yet folded into
     /// `final_graph_path` (apply when extracting the flow function).
     pub pending_deltas: AugmentedEdges,
+    /// The checkpointed round a [`resume_max_flow`] run continued from
+    /// (`None` for a run started from round 0).
+    pub resumed_from: Option<usize>,
 }
 
 impl FfRun {
@@ -545,7 +548,12 @@ pub fn resume_max_flow(rt: &mut MrRuntime, config: &FfConfig) -> Result<FfRun, F
             .write_blob(&history_path(&config.base_path), history.into_bytes());
     }
 
-    run_rounds(rt, config, &Arc::new(config.shared()), manifest, run_span)
+    let resumed_from = manifest.round;
+    let run = run_rounds(rt, config, &Arc::new(config.shared()), manifest, run_span)?;
+    Ok(FfRun {
+        resumed_from: Some(resumed_from),
+        ..run
+    })
 }
 
 /// Window of trailing flow-round wall times the anomaly sentinel
@@ -789,6 +797,7 @@ fn finish(config: &FfConfig, state: CheckpointManifest, mut run_span: ffmr_obs::
         final_graph_path: round_path(&config.base_path, state.round),
         pending_deltas: Arc::unwrap_or_clone(state.deltas),
         rounds: state.rounds,
+        resumed_from: None,
     }
 }
 

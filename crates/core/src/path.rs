@@ -144,12 +144,6 @@ impl ExcessPath {
         self.edges.iter().any(|e| e.from == v || e.to == v)
     }
 
-    /// Whether the path traverses directed edge `eid`.
-    #[must_use]
-    pub fn contains_edge(&self, eid: EdgeId) -> bool {
-        self.edges.iter().any(|e| e.eid == eid)
-    }
-
     /// Extends a *source* path forward with one more hop (`self` ends at
     /// `hop.from`).
     #[must_use]
@@ -328,7 +322,5 @@ mod tests {
         assert!(p.contains_vertex(0));
         assert!(p.contains_vertex(2));
         assert!(!p.contains_vertex(3));
-        assert!(p.contains_edge(EdgeId::new(2)));
-        assert!(!p.contains_edge(EdgeId::new(4)));
     }
 }

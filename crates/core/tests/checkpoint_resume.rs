@@ -116,6 +116,7 @@ fn assert_same_run(resumed: &FfRun, clean: &FfRun, context: &str) {
 fn clean_run(net: &FlowNetwork, config: &FfConfig) -> (FfRun, MrRuntime) {
     let mut rt = new_rt();
     let run = run_max_flow(&mut rt, net, config).expect("uninterrupted run");
+    assert_eq!(run.resumed_from, None);
     (run, rt)
 }
 
@@ -138,6 +139,12 @@ fn crash_and_resume(net: &FlowNetwork, config: &FfConfig, point: CrashPoint) -> 
     let mut resumed_rt = new_rt();
     *resumed_rt.dfs_mut() = Dfs::from_image(&image).expect("DFS image round-trip");
     let run = resume_max_flow(&mut resumed_rt, config).expect("resumed run");
+    // A mid-round crash leaves the previous round's checkpoint.
+    let checkpointed = match point {
+        CrashPoint::AfterRound(r) => r,
+        CrashPoint::MidRound(r) => r - 1,
+    };
+    assert_eq!(run.resumed_from, Some(checkpointed), "{point:?}");
     (run, resumed_rt)
 }
 

@@ -97,28 +97,10 @@ impl ChainStats {
         self.rounds.push(stats);
     }
 
-    /// Number of rounds executed.
-    #[must_use]
-    pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
     /// Total simulated seconds across rounds.
     #[must_use]
     pub fn total_sim_seconds(&self) -> f64 {
         self.rounds.iter().map(|r| r.sim_seconds).sum()
-    }
-
-    /// Total shuffle bytes across rounds.
-    #[must_use]
-    pub fn total_shuffle_bytes(&self) -> u64 {
-        self.rounds.iter().map(|r| r.shuffle_bytes).sum()
-    }
-
-    /// Total intermediate records across rounds.
-    #[must_use]
-    pub fn total_map_output_records(&self) -> u64 {
-        self.rounds.iter().map(|r| r.map_output_records).sum()
     }
 }
 
@@ -152,9 +134,6 @@ mod tests {
             map_output_records: 13,
             ..JobStats::default()
         });
-        assert_eq!(chain.num_rounds(), 2);
         assert!((chain.total_sim_seconds() - 4.0).abs() < 1e-12);
-        assert_eq!(chain.total_shuffle_bytes(), 400);
-        assert_eq!(chain.total_map_output_records(), 20);
     }
 }

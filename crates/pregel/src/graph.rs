@@ -58,11 +58,6 @@ impl<S, E> Graph<S, E> {
         self.vertices.get(&id).map(|v| &v.state)
     }
 
-    /// Mutable access to a vertex's state.
-    pub fn state_mut(&mut self, id: u64) -> Option<&mut S> {
-        self.vertices.get_mut(&id).map(|v| &mut v.state)
-    }
-
     /// Iterates `(id, state)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &S)> + '_ {
         self.vertices.iter().map(|(&id, v)| (id, &v.state))
@@ -89,7 +84,6 @@ mod tests {
         assert_eq!(g.state(3), Some(&30));
         assert_eq!(g.state(9), None);
         assert_eq!(g.edges(3).unwrap().len(), 1);
-        *g.state_mut(1).unwrap() = 11;
         let ids: Vec<u64> = g.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![1, 3], "deterministic id order");
     }

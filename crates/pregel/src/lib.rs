@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algorithms;
 pub mod engine;
 pub mod graph;
 pub mod program;

@@ -245,17 +245,6 @@ impl FlowCache {
     /// Looks up `key`, refreshing its recency on a hit.
     #[must_use]
     pub fn get(&self, key: &CacheKey) -> Option<CachedAnswer> {
-        self.lookup(key, true)
-    }
-
-    /// Like [`get`](Self::get), but a miss is not counted: for a first
-    /// look whose miss is followed by a counted [`get`](Self::get).
-    #[must_use]
-    pub fn get_hit(&self, key: &CacheKey) -> Option<CachedAnswer> {
-        self.lookup(key, false)
-    }
-
-    fn lookup(&self, key: &CacheKey, count_miss: bool) -> Option<CachedAnswer> {
         let hit = {
             let mut inner = self.inner.lock();
             match inner.map.get(key).copied() {
@@ -265,11 +254,10 @@ impl FlowCache {
                     inner.hits += 1;
                     Some(inner.slot(i).answer.clone())
                 }
-                None if count_miss => {
+                None => {
                     inner.misses += 1;
                     None
                 }
-                None => return None,
             }
         };
         // Global counters are bumped outside the cache lock.
@@ -392,17 +380,6 @@ mod tests {
         assert_eq!(cache.get(&k).unwrap().flow, 3);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn get_hit_counts_hits_but_not_misses() {
-        let cache = FlowCache::new(4);
-        let k = key("g", 1, 0, 9);
-        assert_eq!(cache.get_hit(&k), None);
-        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
-        cache.put(k.clone(), answer(3));
-        assert_eq!(cache.get_hit(&k).unwrap().flow, 3);
-        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
     }
 
     #[test]

@@ -5,13 +5,21 @@
 //! answered in memory; the paper's MapReduce driver is `ffmr maxflow
 //! --algorithm ff1..ff5`, not a daemon route.
 //!
+//! A request takes two stages. [`QueryEngine::route`] runs on the
+//! caller's thread (the daemon's connection thread): it parses the
+//! request once, resolves its terminals, and answers everything that
+//! needs no solver — the cheap verbs, malformed requests, cut-tree
+//! answers and cache hits. What is left is a [`Work`] item: a prepared
+//! flow query, or a `load`/`reload`/`sleep`. [`QueryEngine::run`] does
+//! it on a pool worker, given how long it waited in the queue.
+//! [`QueryEngine::execute`] is both stages on one thread.
+//!
 //! A plain `maxflow` query (no `w`, `algorithm auto`) has one route:
 //!
 //! 1. the snapshot's Gomory–Hu [`CutTree`](maxflow::cut_tree::CutTree),
-//!    once the store has built it: a walk of a few tree edges, answered
-//!    with `plan tree`, `solver tree` by [`QueryEngine::execute_cached`]
-//!    on the connection thread, and never read from or written to the
-//!    cache;
+//!    once the store has built it: a walk of a few tree edges in
+//!    `route`, answered with `plan tree`, `solver tree`, and never read
+//!    from or written to the cache;
 //! 2. otherwise (snapshots with one-way capacities, and any query that
 //!    arrives before the tree is ready) [`maxflow::local`] on the
 //!    snapshot's own network: a bidirectional augmenting-path search
@@ -23,12 +31,14 @@
 //!
 //! `mincut` and `w` queries go straight to step 3, and an explicit
 //! `algorithm` value (`push-relabel`, `dinic`, `parallel-pr`) pins any
-//! [`Algorithm`] instead. Every solve runs on the engine's one
-//! [`SolverThread`], and every answer but the tree's is `plan full`.
-//! Every response carries the chosen solver so clients can see what
-//! answered a query. Both the tree and the search are the
-//! structure-aware lesson of Bläsius/Friedrich/Weyand: on small-world
-//! graphs most cuts sit at a terminal.
+//! [`Algorithm`] instead. A `w` query resolves to its terminal sets
+//! only; the super-terminal network is built by the worker that solves
+//! it, so a cache hit or a coalesced follower copies nothing. Every
+//! solve runs on the engine's one [`SolverThread`], and every answer but
+//! the tree's is `plan full`. Every response carries the chosen solver
+//! so clients can see what answered a query. Both the tree and the
+//! search are the structure-aware lesson of Bläsius/Friedrich/Weyand: on
+//! small-world graphs most cuts sit at a terminal.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,7 +52,7 @@ use swgraph::{FlowNetwork, VertexId};
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, QueryKind};
 use crate::protocol::{error_response, status, Message};
-use crate::store::{CutTreeStatus, GraphStore};
+use crate::store::{CutTreeStatus, GraphStore, Snapshot};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -102,6 +112,80 @@ pub struct QueryEngine {
     /// [`EngineConfig::slow_query_threshold`], served by the `slowlog`
     /// verb. Capacity honors `FFMR_SLOWLOG_CAP`.
     slowlog: SlowLog,
+}
+
+/// What [`QueryEngine::route`] makes of a request.
+pub enum Route {
+    /// The reply, made on the routing thread.
+    Reply(Message),
+    /// Work for a pool worker: hand it to [`QueryEngine::run`].
+    Work(Work),
+}
+
+/// A request [`QueryEngine::route`] could not answer without a solver
+/// or the disk: a flow query the cut tree and the cache did not answer,
+/// or a `load`, `reload` or `sleep`.
+pub struct Work {
+    job: Job,
+    /// Engine time `route` spent on the request.
+    routed: Duration,
+}
+
+enum Job {
+    Flow(Box<FlowJob>),
+    Load { dataset: String, path: String },
+    Reload { dataset: String },
+    Sleep { ms: u64 },
+}
+
+/// A flow query as `route` leaves it: prepared, looked up and missed.
+struct FlowJob {
+    query: PreparedQuery,
+    prof: QueryProfile,
+    explain: bool,
+}
+
+impl Job {
+    /// Parses a request for a verb other than the flow queries and the
+    /// ones `route` answers itself.
+    fn parse(request: &Message) -> Result<Self, String> {
+        match request.head.as_str() {
+            "load" => Ok(Job::Load {
+                dataset: request.get("dataset").ok_or("load needs 'dataset'")?.into(),
+                path: request.get("path").ok_or("load needs 'path'")?.into(),
+            }),
+            "reload" => {
+                let dataset = request.get("dataset").ok_or("reload needs 'dataset'")?;
+                if request.get("path").is_some() {
+                    // Silently ignoring the path would re-read the
+                    // *recorded* file — not what the caller asked for.
+                    return Err(
+                        "reload re-reads the recorded path; use 'load' to point at a new file"
+                            .to_string(),
+                    );
+                }
+                Ok(Job::Reload {
+                    dataset: dataset.into(),
+                })
+            }
+            "sleep" => Ok(Job::Sleep {
+                ms: request.get_parsed("ms")?.unwrap_or(100).min(60_000),
+            }),
+            other => Err(format!("unknown request '{other}'")),
+        }
+    }
+
+    fn verb(&self) -> &'static str {
+        match self {
+            Job::Flow(job) => match job.query.opts.kind {
+                QueryKind::MaxFlow => "maxflow",
+                QueryKind::MinCut => "mincut",
+            },
+            Job::Load { .. } => "load",
+            Job::Reload { .. } => "reload",
+            Job::Sleep { .. } => "sleep",
+        }
+    }
 }
 
 /// Rendezvous for queries coalesced onto one in-flight solve.
@@ -166,22 +250,23 @@ impl QueryOptions {
 
 /// A flow query up to its cache lookup ([`QueryEngine::prepare`]).
 struct PreparedQuery {
-    snap: Arc<crate::store::Snapshot>,
+    snap: Arc<Snapshot>,
     resolved: ResolvedQuery,
     opts: QueryOptions,
     key: CacheKey,
 }
 
 /// The resolved terminals of a query: either the literal `s`/`t` pair or
-/// a super source/sink construction over high-degree terminal sets.
+/// a super source/sink construction over high-degree terminal sets. No
+/// network is built here: a plain query solves on the snapshot's own,
+/// and a `w` query's augmented copy is built only to be solved.
 struct ResolvedQuery {
-    /// Network to solve on. A plain `s→t` query shares the snapshot's
-    /// own `Arc` (no copy); only a `--w` query materializes a new
-    /// (super-terminal-augmented) network.
-    net: Arc<FlowNetwork>,
+    /// `s`, or the super source (vertex `n`) of a `w` query.
     source: VertexId,
+    /// `t`, or the super sink (vertex `n + 1`) of a `w` query.
     sink: VertexId,
-    /// Canonical terminal vertex sets for the cache key.
+    /// Terminal vertex sets, in selection order; the cache key sorts
+    /// its own copy.
     source_terminals: Vec<u64>,
     sink_terminals: Vec<u64>,
     /// Whether the terminals are a super source/sink construction.
@@ -222,55 +307,81 @@ impl QueryEngine {
         self.cache.stats()
     }
 
-    /// Executes one request, returning the response message. Never
-    /// panics on malformed input — protocol errors become `error`
-    /// responses.
+    /// Executes one request, returning the response message: [`route`]
+    /// and then, if it left work, [`run`] on the same thread with no
+    /// queue wait. Never panics on malformed input — protocol errors
+    /// become `error` responses.
+    ///
+    /// [`route`]: Self::route
+    /// [`run`]: Self::run
     #[must_use]
     pub fn execute(&self, request: &Message) -> Message {
+        match self.route(request) {
+            Route::Reply(reply) => reply,
+            Route::Work(work) => self.run(work, Duration::ZERO),
+        }
+    }
+
+    /// The first stage of a request, cheap enough for a connection
+    /// thread: parses it, answers the verbs that need no solver or disk
+    /// (`ping`, `list`, `stats`, `slowlog`, and every malformed or
+    /// unknown request), and for a flow query resolves its terminals and
+    /// tries the cut tree and then the cache — one counted lookup. What
+    /// it cannot answer comes back as [`Work`].
+    #[must_use]
+    pub fn route(&self, request: &Message) -> Route {
         let started = Instant::now();
-        let mut span = ffmr_obs::span("query");
-        span.field("verb", &request.head);
         let result = match request.head.as_str() {
             "ping" => Ok(Message::new(status::OK).field("pong", 1)),
             "list" => Ok(self.list()),
             "stats" => self.stats(request),
             "slowlog" => self.slowlog_verb(request),
-            "load" => self.load(request),
-            "reload" => self.reload(request),
-            "maxflow" => self.flow_query(request, QueryKind::MaxFlow),
-            "mincut" => self.flow_query(request, QueryKind::MinCut),
-            "sleep" => self.sleep(request),
-            other => Err(format!("unknown request '{other}'")),
+            "maxflow" => return self.route_flow(request, QueryKind::MaxFlow, started),
+            "mincut" => return self.route_flow(request, QueryKind::MinCut, started),
+            _ => match Job::parse(request) {
+                Ok(job) => return work(job, started),
+                Err(message) => Err(message),
+            },
         };
-        finish_request(request, started, span, result)
+        Route::Reply(finish_request(
+            &request.head,
+            ffmr_obs::span("query"),
+            started.elapsed(),
+            result,
+        ))
     }
 
-    /// Answers a `maxflow`/`mincut` request without a solver: the reply
-    /// [`execute`](Self::execute) would send when the snapshot's cut
-    /// tree answers it or the flow cache hits, or `None` for anything
-    /// else — a miss, `no-cache` before the tree is ready, a `w` query
-    /// (its resolution copies the graph), another verb, a malformed
-    /// request — which the caller then sends through `execute`. Only
-    /// hits are counted here, so the cache's miss count stays one per
-    /// query. No solver runs and no graph-sized memory is touched, which
-    /// is what lets the server answer these on its connection threads.
+    /// The second stage: does what [`route`](Self::route) left, after it
+    /// waited `queue_wait` for a worker. A flow query leads or follows
+    /// an identical one in flight, solves (the local search, or the
+    /// solver thread), fills the cache and renders the reply.
     #[must_use]
-    pub fn execute_cached(&self, request: &Message) -> Option<Message> {
-        let kind = match request.head.as_str() {
-            "maxflow" => QueryKind::MaxFlow,
-            "mincut" => QueryKind::MinCut,
-            _ => return None,
-        };
-        if request.get("w").is_some() {
-            return None;
-        }
+    pub fn run(&self, work: Work, queue_wait: Duration) -> Message {
         let started = Instant::now();
-        let mut prof = new_profile(request);
-        let response = self.inline_reply(request, kind, &mut prof)?;
-        let mut span = ffmr_obs::span("query");
-        span.field("verb", &request.head);
-        let result = self.close_profile(request, started, prof, Ok(response));
-        Some(finish_request(request, started, span, result))
+        let verb = work.job.verb();
+        let span = ffmr_obs::span("query");
+        let result = match work.job {
+            Job::Flow(job) => {
+                let FlowJob {
+                    query,
+                    mut prof,
+                    explain,
+                } = *job;
+                prof.queue_wait_us = micros(queue_wait);
+                let result = self.solve_flow(query, &mut prof);
+                self.close_profile(prof, work.routed + started.elapsed(), explain, result)
+            }
+            Job::Load { dataset, path } => self.load(&dataset, &path),
+            Job::Reload { dataset } => self.reload(&dataset),
+            Job::Sleep { ms } => {
+                // Diagnostic: occupies a worker so operators (and the
+                // test suite) can probe queue shedding without crafting
+                // an expensive graph query.
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(Message::new(status::OK).field("slept-ms", ms))
+            }
+        };
+        finish_request(verb, span, work.routed + started.elapsed(), result)
     }
 
     fn list(&self) -> Message {
@@ -363,9 +474,7 @@ impl QueryEngine {
         Ok(response)
     }
 
-    fn load(&self, request: &Message) -> Result<Message, String> {
-        let name = request.get("dataset").ok_or("load needs 'dataset'")?;
-        let path = request.get("path").ok_or("load needs 'path'")?;
+    fn load(&self, name: &str, path: &str) -> Result<Message, String> {
         let epoch = self
             .store
             .load_from_path(name, path)
@@ -381,15 +490,7 @@ impl QueryEngine {
             .field("edge-pairs", snap.network.num_edge_pairs()))
     }
 
-    fn reload(&self, request: &Message) -> Result<Message, String> {
-        let name = request.get("dataset").ok_or("reload needs 'dataset'")?;
-        if request.get("path").is_some() {
-            // Silently ignoring the path would re-read the *recorded*
-            // file — not what the caller asked for.
-            return Err(
-                "reload re-reads the recorded path; use 'load' to point at a new file".to_string(),
-            );
-        }
+    fn reload(&self, name: &str) -> Result<Message, String> {
         let epoch = self.store.reload(name).map_err(|e| e.to_string())?;
         self.cache.invalidate_dataset(name);
         Ok(Message::new(status::OK)
@@ -397,40 +498,48 @@ impl QueryEngine {
             .field("epoch", epoch))
     }
 
-    /// Diagnostic: occupy a worker slot for `ms` milliseconds. Lets
-    /// operators (and the test suite) probe queue-shedding behaviour
-    /// without crafting an expensive graph query.
-    fn sleep(&self, request: &Message) -> Result<Message, String> {
-        let ms: u64 = request.get_parsed("ms")?.unwrap_or(100).min(60_000);
-        std::thread::sleep(Duration::from_millis(ms));
-        Ok(Message::new(status::OK).field("slept-ms", ms))
-    }
-
-    /// The profiled wrapper around the query path: assembles one
-    /// [`QueryProfile`] per request (plan, plan reason, stage wall
-    /// windows, solver internals), records the per-stage and
-    /// deadline-budget histograms, lands over-threshold profiles in the
-    /// slowlog — on the error path too, since timeouts are exactly the
-    /// queries worth explaining — and echoes the profile on the
-    /// response when the request carries the `explain` flag.
-    fn flow_query(&self, request: &Message, kind: QueryKind) -> Result<Message, String> {
-        let started = Instant::now();
+    /// The flow-query half of [`route`](Self::route): prepares the
+    /// query, then answers it from the cut tree or the cache, or leaves
+    /// it as work. The profile opened here travels with the work, so a
+    /// query has one profile whichever stage answers it.
+    fn route_flow(&self, request: &Message, kind: QueryKind, started: Instant) -> Route {
         let mut prof = new_profile(request);
-        let result = self.flow_query_profiled(request, kind, &mut prof);
-        self.close_profile(request, started, prof, result)
+        let explain = request.get("explain").is_some();
+        let result = match self.prepare(request, kind, &mut prof) {
+            Ok(query) => match self.answer_inline(&query, &mut prof) {
+                Some(reply) => Ok(reply),
+                None => {
+                    let job = FlowJob {
+                        query,
+                        prof,
+                        explain,
+                    };
+                    return work(Job::Flow(Box::new(job)), started);
+                }
+            },
+            Err(message) => Err(message),
+        };
+        let result = self.close_profile(prof, started.elapsed(), explain, result);
+        Route::Reply(finish_request(
+            &request.head,
+            ffmr_obs::span("query"),
+            started.elapsed(),
+            result,
+        ))
     }
 
     /// Completes a flow query's profile: total and wall-clock stamps,
     /// outcome, stage and deadline histograms, the slowlog, and the
-    /// `explain` echo on the response.
+    /// `explain` echo on the response. `engine` is the engine time so
+    /// far, without the queue wait the profile already holds.
     fn close_profile(
         &self,
-        request: &Message,
-        started: Instant,
         mut prof: QueryProfile,
+        engine: Duration,
+        explain: bool,
         result: Result<Message, String>,
     ) -> Result<Message, String> {
-        prof.total_us = prof.queue_wait_us + elapsed_us(started);
+        prof.total_us = prof.queue_wait_us + micros(engine);
         prof.unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
@@ -452,13 +561,11 @@ impl QueryEngine {
             m.histogram("ffmr_query_deadline_budget_pct", &[])
                 .record((prof.total_us * 100) / (prof.deadline_ms * 1_000));
         }
-        if prof.total_us
-            >= u64::try_from(self.config.slow_query_threshold.as_micros()).unwrap_or(u64::MAX)
-        {
+        if prof.total_us >= micros(self.config.slow_query_threshold) {
             self.slowlog.record(prof.clone());
         }
         let mut response = result?;
-        if request.get("explain").is_some() {
+        if explain {
             // Push the pair directly: the profile line is single-line
             // by construction (its writer escapes newlines), and
             // `Message::push` would re-clone the ~300-byte string just
@@ -504,45 +611,37 @@ impl QueryEngine {
         })
     }
 
-    fn flow_query_profiled(
-        &self,
-        request: &Message,
-        kind: QueryKind,
-        prof: &mut QueryProfile,
-    ) -> Result<Message, String> {
-        let prepared = self.prepare(request, kind, prof)?;
-        if let Some(reply) = tree_reply(&prepared, prof) {
-            return Ok(reply);
+    /// The reply the cut tree or the cache gives `q`, if either does.
+    fn answer_inline(&self, q: &PreparedQuery, prof: &mut QueryProfile) -> Option<Message> {
+        if let Some(reply) = tree_reply(q, prof) {
+            return Some(reply);
         }
-        let PreparedQuery {
-            snap,
-            resolved,
-            opts,
-            key,
-        } = prepared;
-        let dataset = snap.name.as_str();
+        prof.cache = if q.opts.use_cache { "miss" } else { "bypass" }.to_string();
+        if !q.opts.use_cache {
+            return None;
+        }
+        let hit = self.cache.get(&q.key)?;
+        Some(hit_reply(&hit, q, prof))
+    }
 
-        let use_cache = opts.use_cache;
-        prof.cache = if use_cache { "miss" } else { "bypass" }.to_string();
-        if use_cache {
-            if let Some(hit) = self.cache.get(&key) {
-                return Ok(hit_reply(&hit, kind, &resolved, dataset, snap.epoch, prof));
-            }
-        }
-        prof.deadline_ms = u64::try_from(opts.timeout.as_millis()).unwrap_or(u64::MAX);
+    /// Solves a query the tree and the cache did not answer: leads the
+    /// solve, or follows an identical one in flight; the leader fills
+    /// the cache.
+    fn solve_flow(&self, q: PreparedQuery, prof: &mut QueryProfile) -> Result<Message, String> {
+        prof.deadline_ms = u64::try_from(q.opts.timeout.as_millis()).unwrap_or(u64::MAX);
         prof.plan = PLAN_FULL.to_string();
-        let compute = |prof: &mut QueryProfile| self.compute(&resolved, &opts, prof);
+        let use_cache = q.opts.use_cache;
 
         // Single-flight: an identical cacheable query arriving while
         // another is solving waits for that answer instead of solving
         // again.
         let (answer, coalesced) = if use_cache {
-            match self.join_or_lead(&key) {
+            match self.join_or_lead(&q.key) {
                 InflightRole::Lead(slot) => {
-                    let result = compute(prof);
+                    let result = self.compute(&q, prof);
                     *slot.done.lock().expect("inflight slot") = Some(result.clone());
                     slot.ready.notify_all();
-                    self.inflight.lock().expect("inflight map").remove(&key);
+                    self.inflight.lock().expect("inflight map").remove(&q.key);
                     (result?, false)
                 }
                 InflightRole::Follow(slot) => {
@@ -553,7 +652,6 @@ impl QueryEngine {
                     ffmr_obs::global()
                         .counter("ffmr_query_coalesced_total", &[])
                         .inc();
-                    prof.coalesced = true;
                     prof.plan_reason = "coalesced-follower".to_string();
                     let answer = done.clone().expect("leader published")?;
                     prof.solver = answer.solver.to_string();
@@ -561,48 +659,17 @@ impl QueryEngine {
                 }
             }
         } else {
-            (compute(prof)?, false)
+            (self.compute(&q, prof)?, false)
         };
         prof.coalesced = coalesced;
+        let mut response = render_answer(&answer, PLAN_FULL, &q, false);
         if use_cache && !coalesced {
             let put_started = Instant::now();
-            self.cache.put(key, answer.clone());
+            self.cache.put(q.key, answer);
             prof.cache_update_us += elapsed_us(put_started);
         }
-        let mut response = render_answer(
-            &answer, PLAN_FULL, kind, &resolved, dataset, snap.epoch, false,
-        );
         push_serving_fields(&mut response, coalesced, prof.queue_wait_us);
         Ok(response)
-    }
-
-    /// The tree and cache-hit paths of
-    /// [`flow_query_profiled`](Self::flow_query_profiled) on their own,
-    /// for [`execute_cached`](Self::execute_cached): `None` unless the
-    /// request is well formed and the tree answers it, or it uses the
-    /// cache and hits.
-    fn inline_reply(
-        &self,
-        request: &Message,
-        kind: QueryKind,
-        prof: &mut QueryProfile,
-    ) -> Option<Message> {
-        let q = self.prepare(request, kind, prof).ok()?;
-        if let Some(reply) = tree_reply(&q, prof) {
-            return Some(reply);
-        }
-        if !q.opts.use_cache {
-            return None;
-        }
-        let hit = self.cache.get_hit(&q.key)?;
-        Some(hit_reply(
-            &hit,
-            kind,
-            &q.resolved,
-            &q.snap.name,
-            q.snap.epoch,
-            prof,
-        ))
     }
 
     /// Registers this query in the in-flight table, either as the leader
@@ -624,15 +691,16 @@ impl QueryEngine {
     /// Answers a query the tree did not: an unpinned plain `maxflow`
     /// tries the certified local search on the snapshot first; anything
     /// else, and a search that gives up, is solved on the solver thread.
-    fn compute(
-        &self,
-        q: &ResolvedQuery,
-        opts: &QueryOptions,
-        prof: &mut QueryProfile,
-    ) -> Result<CachedAnswer, String> {
+    fn compute(&self, q: &PreparedQuery, prof: &mut QueryProfile) -> Result<CachedAnswer, String> {
+        let PreparedQuery {
+            snap,
+            resolved,
+            opts,
+            ..
+        } = q;
         let bypass = if opts.requested.is_some() {
             Some("algorithm-pinned")
-        } else if q.super_st {
+        } else if resolved.super_st {
             Some("super-terminal-query")
         } else if opts.kind == QueryKind::MinCut {
             Some("mincut-needs-full-graph")
@@ -643,19 +711,33 @@ impl QueryEngine {
             Some(reason) => prof.plan_reason = reason.to_string(),
             // The search names how it ended in the plan reason.
             None => {
-                if let Some(answer) = self.solve_local(q, opts, prof)? {
+                if let Some(answer) = self.solve_local(&snap.network, resolved, opts, prof)? {
                     return Ok(answer);
                 }
             }
         }
-        self.solve(q, opts, prof)
+        let net = if resolved.super_st {
+            // Built only here, by the query about to solve on it; the
+            // copy is part of resolving the terminals.
+            let copy_started = Instant::now();
+            let net = snap
+                .network
+                .with_super_terminals(&resolved.source_terminals, &resolved.sink_terminals);
+            prof.resolve_us += elapsed_us(copy_started);
+            Arc::new(net)
+        } else {
+            Arc::clone(&snap.network)
+        };
+        self.solve(&net, resolved, opts, prof)
     }
 
     fn resolve_terminals(
         &self,
         request: &Message,
-        base: &Arc<FlowNetwork>,
+        base: &FlowNetwork,
     ) -> Result<ResolvedQuery, String> {
+        let raw = |ids: Vec<VertexId>| ids.into_iter().map(VertexId::raw).collect();
+        let n = base.num_vertices() as u64;
         let w: usize = request.get_parsed("w")?.unwrap_or(0);
         if w > 0 {
             let seed: u64 = request
@@ -664,14 +746,14 @@ impl QueryEngine {
             let min_degree: usize = request
                 .get_parsed("min-degree")?
                 .unwrap_or(self.config.super_min_degree);
-            let st = swgraph::super_st::attach_super_terminals(base, w, min_degree, seed)
-                .map_err(|e| e.to_string())?;
+            let (sources, sinks) =
+                swgraph::super_st::select_super_terminals(base, w, min_degree, seed)
+                    .map_err(|e| e.to_string())?;
             return Ok(ResolvedQuery {
-                net: Arc::new(st.network),
-                source: st.source,
-                sink: st.sink,
-                source_terminals: st.source_terminals.iter().map(|v| v.raw()).collect(),
-                sink_terminals: st.sink_terminals.iter().map(|v| v.raw()).collect(),
+                source: VertexId::new(n),
+                sink: VertexId::new(n + 1),
+                source_terminals: raw(sources),
+                sink_terminals: raw(sinks),
                 super_st: true,
             });
         }
@@ -684,14 +766,10 @@ impl QueryEngine {
         if source == sink {
             return Err("source equals sink".into());
         }
-        let n = base.num_vertices() as u64;
         if source >= n || sink >= n {
             return Err(format!("terminal outside the graph (0..{n})"));
         }
         Ok(ResolvedQuery {
-            // Shares the snapshot's Arc — a plain query never copies
-            // the graph.
-            net: Arc::clone(base),
             source: VertexId::new(source),
             sink: VertexId::new(sink),
             source_terminals: vec![source],
@@ -700,12 +778,14 @@ impl QueryEngine {
         })
     }
 
-    /// Solves `q` on the solver thread with the solver `opts` pins, or
-    /// [`FALLBACK`] under `auto`. Every in-memory solver polls a deadline
-    /// at its natural progress boundaries; a query that blows its budget
-    /// returns a timeout error instead of holding the connection hostage.
+    /// Solves `q` on `net` on the solver thread with the solver `opts`
+    /// pins, or [`FALLBACK`] under `auto`. Every in-memory solver polls a
+    /// deadline at its natural progress boundaries; a query that blows
+    /// its budget returns a timeout error instead of holding the
+    /// connection hostage.
     fn solve(
         &self,
+        net: &Arc<FlowNetwork>,
         q: &ResolvedQuery,
         opts: &QueryOptions,
         prof: &mut QueryProfile,
@@ -714,7 +794,7 @@ impl QueryEngine {
         prof.solver = algo.name().to_string();
         let cancel = Cancel::after(opts.timeout);
         let solve_started = Instant::now();
-        let solved = self.solver.solve(algo, &q.net, q.source, q.sink, &cancel);
+        let solved = self.solver.solve(algo, net, q.source, q.sink, &cancel);
         prof.solve_us += elapsed_us(solve_started);
         let (flow, report) = solved.map_err(|_| timeout_message(opts.timeout))?;
         add_report(prof, &report);
@@ -725,7 +805,7 @@ impl QueryEngine {
             cut_source_side: None,
         };
         if opts.kind == QueryKind::MinCut {
-            let cut = maxflow::min_cut::extract_min_cut(&q.net, q.source, &flow);
+            let cut = maxflow::min_cut::extract_min_cut(net, q.source, &flow);
             answer.cut_edges = Some(cut.cut_edges.len());
             answer.cut_source_side = Some(cut.source_side.len());
         }
@@ -736,6 +816,7 @@ impl QueryEngine {
     /// scratch. `None` when it ran out of budget: the caller solves.
     fn solve_local(
         &self,
+        net: &FlowNetwork,
         q: &ResolvedQuery,
         opts: &QueryOptions,
         prof: &mut QueryProfile,
@@ -748,7 +829,7 @@ impl QueryEngine {
             .expect("local scratch")
             .pop()
             .unwrap_or_default();
-        let searched = search.run(&q.net, q.source, q.sink, &cancel);
+        let searched = search.run(net, q.source, q.sink, &cancel);
         self.local.lock().expect("local scratch").push(search);
         prof.solve_us += elapsed_us(solve_started);
         let (found, report) = searched.map_err(|_| timeout_message(opts.timeout))?;
@@ -774,6 +855,14 @@ impl QueryEngine {
     }
 }
 
+/// `route`'s hand-off: `job` with the engine time spent on it so far.
+fn work(job: Job, started: Instant) -> Route {
+    Route::Work(Work {
+        job,
+        routed: started.elapsed(),
+    })
+}
+
 /// Folds one executed request into the process-wide registry: a per-verb
 /// request counter, a per-verb error counter, and a per-plan/per-solver/
 /// per-verb latency histogram (`-` for verbs that never pick one), so
@@ -794,42 +883,37 @@ fn record_query_metrics(verb: &str, response: &Message, elapsed: Duration) {
     .record_duration(elapsed);
 }
 
-/// A fresh profile for a flow query request.
+/// A fresh profile for a flow query request. Its queue wait stays 0
+/// unless a worker runs the query after a wait.
 fn new_profile(request: &Message) -> QueryProfile {
     QueryProfile {
         verb: request.head.clone(),
         dataset: request.get("dataset").unwrap_or("").to_string(),
         plan: "-".to_string(),
-        // The server injects the measured queue wait into the request
-        // before execution; engine-inline callers have none.
-        queue_wait_us: request
-            .get_parsed("queue-wait-us")
-            .ok()
-            .flatten()
-            .unwrap_or(0),
         ..QueryProfile::default()
     }
 }
 
-/// Turns a verb's result into the response: `elapsed-us` on success, an
-/// `error` reply otherwise; closes the `query` span and records the
-/// request metrics.
+/// Turns a verb's result into the response: `elapsed-us` (engine time,
+/// queue wait excluded) on success, an `error` reply otherwise; closes
+/// the `query` span and records the request metrics.
 fn finish_request(
-    request: &Message,
-    started: Instant,
+    verb: &str,
     mut span: ffmr_obs::Span,
+    elapsed: Duration,
     result: Result<Message, String>,
 ) -> Message {
     let response = match result {
         Ok(mut response) => {
-            response.push("elapsed-us", started.elapsed().as_micros());
+            response.push("elapsed-us", elapsed.as_micros());
             response
         }
         Err(message) => error_response(message),
     };
+    span.field("verb", verb);
     span.field("status", &response.head);
     drop(span);
-    record_query_metrics(&request.head, &response, started.elapsed());
+    record_query_metrics(verb, &response, elapsed);
     response
 }
 
@@ -857,33 +941,18 @@ fn tree_reply(q: &PreparedQuery, prof: &mut QueryProfile) -> Option<Message> {
         cut_edges: None,
         cut_source_side: None,
     };
-    let mut response = render_answer(
-        &answer,
-        PLAN_TREE,
-        q.opts.kind,
-        &q.resolved,
-        &q.snap.name,
-        q.snap.epoch,
-        false,
-    );
+    let mut response = render_answer(&answer, PLAN_TREE, q, false);
     push_serving_fields(&mut response, false, prof.queue_wait_us);
     Some(response)
 }
 
 /// Renders a cache hit and notes it in the profile.
-fn hit_reply(
-    hit: &CachedAnswer,
-    kind: QueryKind,
-    resolved: &ResolvedQuery,
-    dataset: &str,
-    epoch: u64,
-    prof: &mut QueryProfile,
-) -> Message {
+fn hit_reply(hit: &CachedAnswer, q: &PreparedQuery, prof: &mut QueryProfile) -> Message {
     prof.cache = "hit".to_string();
     prof.plan = PLAN_FULL.to_string();
     prof.plan_reason = "cache-hit".to_string();
     prof.solver = hit.solver.to_string();
-    let mut response = render_answer(hit, PLAN_FULL, kind, resolved, dataset, epoch, true);
+    let mut response = render_answer(hit, PLAN_FULL, q, true);
     push_serving_fields(&mut response, false, prof.queue_wait_us);
     response
 }
@@ -908,10 +977,15 @@ fn timeout_message(timeout: Duration) -> String {
     )
 }
 
+/// Saturating microseconds in `d`.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 /// Saturating microseconds since `since` — stage windows in a
 /// [`QueryProfile`] never panic on clock weirdness.
 fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+    micros(since.elapsed())
 }
 
 /// The uniform serving-metadata tail every query response carries —
@@ -924,30 +998,22 @@ fn push_serving_fields(response: &mut Message, coalesced: bool, queue_wait_us: u
     response.push("queue_wait_us", queue_wait_us);
 }
 
-fn render_answer(
-    answer: &CachedAnswer,
-    plan: &str,
-    kind: QueryKind,
-    q: &ResolvedQuery,
-    dataset: &str,
-    epoch: u64,
-    cached: bool,
-) -> Message {
+fn render_answer(answer: &CachedAnswer, plan: &str, q: &PreparedQuery, cached: bool) -> Message {
     let mut response = Message::new(status::OK)
-        .field("dataset", dataset)
-        .field("epoch", epoch)
+        .field("dataset", &q.snap.name)
+        .field("epoch", q.snap.epoch)
         .field("flow", answer.flow)
         .field("solver", answer.solver)
         .field("plan", plan)
         .field("cached", u8::from(cached));
-    if kind == QueryKind::MinCut {
+    if q.opts.kind == QueryKind::MinCut {
         if let (Some(edges), Some(side)) = (answer.cut_edges, answer.cut_source_side) {
             response.push("cut-edges", edges);
             response.push("cut-source-side", side);
         }
     }
-    response.push("sources", join(&q.source_terminals));
-    response.push("sinks", join(&q.sink_terminals));
+    response.push("sources", join(&q.resolved.source_terminals));
+    response.push("sinks", join(&q.resolved.sink_terminals));
     response
 }
 
@@ -994,6 +1060,15 @@ mod tests {
             .field("sink", 3)
     }
 
+    /// The reply [`QueryEngine::route`] gives on its own, or `None` when
+    /// it leaves work for a pool worker.
+    fn inline(engine: &QueryEngine, request: &Message) -> Option<Message> {
+        match engine.route(request) {
+            Route::Reply(reply) => Some(reply),
+            Route::Work(_) => None,
+        }
+    }
+
     #[test]
     fn maxflow_small_graph_takes_the_local_search_and_caches() {
         let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
@@ -1021,7 +1096,7 @@ mod tests {
                 .field("source", s)
                 .field("sink", t)
                 .field("explain", 1);
-            for r in [engine.execute(&q), engine.execute_cached(&q).unwrap()] {
+            for r in [engine.execute(&q), inline(&engine, &q).unwrap()] {
                 assert_eq!(r.head, status::OK, "{r:?}");
                 assert_eq!(r.get("flow"), Some(dinic.value.to_string().as_str()));
                 assert_eq!(
@@ -1066,9 +1141,7 @@ mod tests {
             (r.get("plan"), r.get("solver")),
             (Some("full"), Some("local"))
         );
-        assert!(engine
-            .execute_cached(&query("maxflow").field("no-cache", 1))
-            .is_none());
+        assert!(inline(&engine, &query("maxflow").field("no-cache", 1)).is_none());
     }
 
     #[test]
@@ -1094,7 +1167,7 @@ mod tests {
             query("maxflow").field("algorithm", "dinic"),
             query("mincut"),
         ] {
-            assert!(engine.execute_cached(&q.field("no-cache", 1)).is_none());
+            assert!(inline(&engine, &q.field("no-cache", 1)).is_none());
         }
     }
 
@@ -1354,24 +1427,38 @@ mod tests {
     }
 
     #[test]
-    fn plain_queries_share_the_snapshot_arc() {
+    fn resolving_terminals_builds_no_network() {
         // Regression: plain s→t queries used to clone the whole graph
-        // per query. They must now borrow the snapshot's own Arc.
+        // per query, and a `w` query copied it before its cache lookup.
+        // Resolution now names the terminals only.
         let engine = engine_with(two_paths(), EngineConfig::default());
         let snap = engine.store().get("g").unwrap();
-        let request = query("maxflow");
-        let resolved = engine.resolve_terminals(&request, &snap.network).unwrap();
-        assert!(
-            Arc::ptr_eq(&resolved.net, &snap.network),
-            "plain query must not copy the graph"
-        );
-        // Super-terminal queries still materialize an augmented graph.
+        let resolved = engine
+            .resolve_terminals(&query("maxflow"), &snap.network)
+            .unwrap();
+        assert_eq!((resolved.source.raw(), resolved.sink.raw()), (0, 3));
+        assert!(!resolved.super_st);
+        // A super-terminal query names the super source and sink of the
+        // network its solver will build, and the selected sets.
         let super_request = Message::new("maxflow").field("dataset", "g").field("w", 1);
         let resolved = engine
             .resolve_terminals(&super_request, &snap.network)
             .unwrap();
-        assert!(!Arc::ptr_eq(&resolved.net, &snap.network));
-        assert_eq!(resolved.net.num_vertices(), 6, "base + super s + super t");
+        assert_eq!((resolved.source.raw(), resolved.sink.raw()), (4, 5));
+        let config = EngineConfig::default();
+        let (sources, sinks) = swgraph::super_st::select_super_terminals(
+            &snap.network,
+            1,
+            config.super_min_degree,
+            config.super_seed,
+        )
+        .unwrap();
+        let raw = |ids: Vec<VertexId>| ids.into_iter().map(VertexId::raw).collect::<Vec<_>>();
+        assert_eq!(resolved.source_terminals, raw(sources));
+        assert_eq!(resolved.sink_terminals, raw(sinks));
+        let r = engine.execute(&super_request);
+        assert_eq!(r.head, status::OK, "{r:?}");
+        assert_eq!(r.get("flow"), Some("2"), "{r:?}");
     }
 
     #[test]
@@ -1600,9 +1687,11 @@ mod tests {
             .field("dataset", "g")
             .field("source", 4)
             .field("sink", 0)
-            .field("queue-wait-us", 1234)
             .field("explain", 1);
-        let r = engine.execute(&q);
+        let Route::Work(work) = engine.route(&q) else {
+            panic!("a cold query is left for a worker");
+        };
+        let r = engine.run(work, Duration::from_micros(1234));
         assert_eq!(r.head, status::OK, "{r:?}");
         let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").expect("explain profile"))
             .expect("profile parses");
@@ -1624,36 +1713,65 @@ mod tests {
         let plain = engine.execute(&query("maxflow"));
         assert!(plain.get("profile").is_none());
 
-        // A cache hit explains itself as such, on either entry.
-        let r = engine.execute(&q);
-        let prof =
-            ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).expect("hit profile");
-        assert_eq!(prof.cache, "hit");
-        assert_eq!(prof.plan_reason, "cache-hit");
-        let fast = engine.execute_cached(&q).expect("a cached answer");
+        // A cache hit explains itself as such, answered by `route`.
+        let fast = inline(&engine, &q).expect("a cached answer");
         assert_eq!(fast.get("flow"), r.get("flow"));
         let prof = ffmr_obs::QueryProfile::from_json(fast.get("profile").unwrap()).unwrap();
+        assert_eq!(prof.plan_reason, "cache-hit");
         assert_eq!(
             (prof.cache.as_str(), prof.solver.as_str()),
             ("hit", "local")
         );
+        assert_eq!(prof.queue_wait_us, 0);
+    }
+
+    /// Regression: the daemon used to forward the queue wait on the
+    /// request as a `queue-wait-us` field, and the engine read the first
+    /// one — so a client's own field set its profile's wait and total,
+    /// and a fast query landed in the slowlog.
+    #[test]
+    fn a_request_cannot_set_its_own_queue_wait() {
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
+        let q = query("maxflow")
+            .field("queue-wait-us", 999_999)
+            .field("explain", 1);
+        let profile = |r: &Message| {
+            assert_eq!(r.head, status::OK, "{r:?}");
+            ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap()
+        };
+        let Route::Work(work) = engine.route(&q) else {
+            panic!("a cold query is left for a worker");
+        };
+        let solved = engine.run(work, Duration::from_micros(7));
+        assert_eq!(profile(&solved).queue_wait_us, 7);
+        assert_eq!(solved.get("queue_wait_us"), Some("7"));
+        let hit = engine.execute(&q);
+        assert_eq!(hit.get("cached"), Some("1"));
+        assert_eq!(profile(&hit).queue_wait_us, 0);
+        assert!(profile(&hit).total_us < 999_999);
+        let log = engine.execute(&Message::new("slowlog"));
+        assert_eq!(log.get("count"), Some("0"), "{log:?}");
     }
 
     #[test]
-    fn execute_cached_answers_hits_only() {
+    fn route_answers_without_a_solver_and_leaves_the_rest() {
         let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
-        assert!(engine.execute_cached(&query("maxflow")).is_none(), "cold");
+        let Route::Work(cold) = engine.route(&query("maxflow")) else {
+            panic!("a cold query needs a solver");
+        };
         let stats = engine.cache_stats();
         assert_eq!(
             (stats.hits, stats.misses),
-            (0, 0),
-            "a fast-path miss is not counted"
+            (0, 1),
+            "route makes the query's one counted lookup"
         );
-        let solved = engine.execute(&query("maxflow"));
-        assert_eq!(engine.cache_stats().misses, 1);
-        let hit = engine
-            .execute_cached(&query("maxflow"))
-            .expect("now cached");
+        let solved = engine.run(cold, Duration::ZERO);
+        assert_eq!(
+            engine.cache_stats().misses,
+            1,
+            "the worker does not look again"
+        );
+        let hit = inline(&engine, &query("maxflow")).expect("now cached");
         assert_eq!(hit.head, status::OK);
         assert_eq!(hit.get("cached"), Some("1"));
         for field in ["flow", "solver", "plan", "sources", "sinks"] {
@@ -1661,17 +1779,40 @@ mod tests {
         }
         assert!(hit.get("elapsed-us").is_some());
         assert_eq!(engine.cache_stats().hits, 1);
-        // Everything else goes to `execute`: opted out, super-terminal,
-        // other verbs, malformed, unknown dataset.
+        // A cached super-terminal query is answered too: resolving it
+        // picks terminals and copies no graph.
+        let w = Message::new("maxflow").field("dataset", "g").field("w", 1);
+        assert!(inline(&engine, &w).is_none(), "cold");
+        let first = engine.execute(&w);
+        let again = inline(&engine, &w).expect("cached");
+        assert_eq!(again.get("cached"), Some("1"));
+        for field in ["flow", "sources", "sinks"] {
+            assert_eq!(again.get(field), first.get(field), "{field}");
+        }
+        // What needs a solver or the disk is left as work: opted out,
+        // an uncached mincut, the admin verbs.
         for request in [
             query("maxflow").field("no-cache", 1),
             query("mincut"),
-            Message::new("maxflow").field("dataset", "g").field("w", 1),
-            Message::new("ping"),
-            query("maxflow").field("algorithm", "bogus"),
-            Message::new("maxflow").field("dataset", "nope"),
+            Message::new("sleep").field("ms", 0),
+            Message::new("reload").field("dataset", "g"),
         ] {
-            assert!(engine.execute_cached(&request).is_none(), "{request:?}");
+            assert!(inline(&engine, &request).is_none(), "{request:?}");
+        }
+        // Cheap verbs are answered; malformed and unknown requests get
+        // their error without taking a worker.
+        for (request, head) in [
+            (Message::new("ping"), status::OK),
+            (query("maxflow").field("algorithm", "bogus"), status::ERROR),
+            (
+                Message::new("maxflow").field("dataset", "nope"),
+                status::ERROR,
+            ),
+            (Message::new("load").field("dataset", "g"), status::ERROR),
+            (Message::new("warp"), status::ERROR),
+        ] {
+            let r = inline(&engine, &request).expect("answered inline");
+            assert_eq!(r.head, head, "{request:?} → {r:?}");
         }
     }
 

@@ -5,17 +5,17 @@
 //! * one **accept thread** owns the listener and spawns a thread per
 //!   connection (clients are few and long-lived; a query, not a
 //!   connection, is the unit of work);
-//! * each **connection thread** reads one frame at a time. Cheap verbs
-//!   (`ping`, `list`, `stats`, `slowlog`, `shutdown`) are
-//!   answered inline, and so is a plain `maxflow` the snapshot's cut
-//!   tree answers and a `maxflow`/`mincut` whose answer is already
-//!   cached ([`QueryEngine::execute_cached`]); anything that runs a
-//!   solver or touches disk is submitted to the bounded queue and the
-//!   thread blocks for that one reply — the protocol is strict
+//! * each **connection thread** reads one frame at a time. It answers
+//!   `shutdown` itself and hands every other request to
+//!   [`QueryEngine::route`], which parses it once and answers what needs
+//!   no solver: the cheap verbs, malformed requests, cut-tree answers
+//!   and cache hits. The [`Work`] it leaves (a flow query to solve, a
+//!   `load`, `reload` or `sleep`) is submitted to the bounded queue and
+//!   the thread blocks for that one reply — the protocol is strict
 //!   request/response per connection;
 //! * a fixed pool of **worker threads** drains the queue and runs
-//!   [`QueryEngine::execute`], which hands every solve to the engine's
-//!   one solver thread.
+//!   [`QueryEngine::run`] on each item with the queue wait it measured;
+//!   every solve goes to the engine's one solver thread.
 //!
 //! The queue is a `sync_channel(queue_depth)` submitted to with
 //! `try_send`: when every worker is busy and the queue is full, the
@@ -24,7 +24,8 @@
 //! answer never waits behind a solve and is never shed: it costs the
 //! connection thread a walk of a few tree edges or a cache lookup
 //! instead of two thread hops, which on a one-CPU daemon is most of
-//! such an answer's time.
+//! such an answer's time. A queued query answers from the snapshot that
+//! was current when it arrived.
 //!
 //! Each accepted stream has `TCP_NODELAY` set, and each reply leaves in
 //! one `write` ([`write_frame`]). Strict request/response is the pattern
@@ -49,7 +50,7 @@ use std::time::Duration;
 
 use ffmr_sync::Mutex;
 
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, Route, Work};
 use crate::protocol::{busy_response, error_response, read_frame_polled, write_frame, Message};
 
 /// How often blocked threads re-check the shutdown flag.
@@ -74,9 +75,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued unit of work: the request and where to send the reply.
+/// One queued unit of work: what the engine left of a request, and
+/// where to send the reply.
 struct WorkItem {
-    request: Message,
+    work: Work,
     reply: mpsc::Sender<Message>,
     /// When the item entered the queue (drives `ffmr_queue_wait_us`).
     enqueued: std::time::Instant,
@@ -253,29 +255,25 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Routes one request: inline for cheap verbs, tree answers and cache
-/// hits, through the bounded queue for anything that does real work.
+/// Answers one request: `shutdown` here, everything else as the engine
+/// routes it — inline, or through the bounded queue.
 fn dispatch(request: &Message, shared: &Arc<Shared>) -> Message {
-    match request.head.as_str() {
-        "ping" | "list" | "stats" | "slowlog" => shared.engine.execute(request),
-        "shutdown" => {
-            shared.shutdown.store(true, Ordering::Relaxed);
-            Message::new(crate::protocol::status::OK).field("shutdown", 1)
-        }
-        "maxflow" | "mincut" => shared
-            .engine
-            .execute_cached(request)
-            .unwrap_or_else(|| enqueue(request, shared)),
-        _ => enqueue(request, shared),
+    if request.head == "shutdown" {
+        shared.shutdown.store(true, Ordering::Relaxed);
+        return Message::new(crate::protocol::status::OK).field("shutdown", 1);
+    }
+    match shared.engine.route(request) {
+        Route::Reply(reply) => reply,
+        Route::Work(work) => enqueue(work, shared),
     }
 }
 
-/// Submits a request to the bounded queue and waits for its reply, or
-/// sheds it with `busy` when the queue is full.
-fn enqueue(request: &Message, shared: &Shared) -> Message {
+/// Submits work to the bounded queue and waits for its reply, or sheds
+/// it with `busy` when the queue is full.
+fn enqueue(work: Work, shared: &Shared) -> Message {
     let (reply_tx, reply_rx) = mpsc::channel();
     let item = WorkItem {
-        request: request.clone(),
+        work,
         reply: reply_tx,
         enqueued: std::time::Instant::now(),
     };
@@ -304,7 +302,7 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Mutex<Receiver<WorkItem>>) {
         let item = queue.lock().recv_timeout(POLL_INTERVAL);
         match item {
             Ok(WorkItem {
-                mut request,
+                work,
                 reply,
                 enqueued,
             }) => {
@@ -316,14 +314,10 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Mutex<Receiver<WorkItem>>) {
                 let waited = enqueued.elapsed();
                 m.histogram("ffmr_queue_wait_us", &[])
                     .record_duration(waited);
-                // The engine folds the measured wait into the query's
-                // profile (explain output, slowlog, stage histograms).
-                request.push(
-                    "queue-wait-us",
-                    u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
-                );
                 m.gauge("ffmr_workers_busy", &[]).add(1);
-                let response = shared.engine.execute(&request);
+                // The engine folds the wait into the query's profile
+                // (explain output, slowlog, stage histograms).
+                let response = shared.engine.run(work, waited);
                 m.gauge("ffmr_workers_busy", &[]).sub(1);
                 // A gone receiver just means the connection died.
                 let _ = reply.send(response);
@@ -427,15 +421,26 @@ mod tests {
                 .field("source", source)
                 .field("sink", 3)
         };
+        // A super-terminal query resolves to its terminal sets on the
+        // connection thread, so its hits are answered there too.
+        let w = Message::new("maxflow").field("dataset", "g").field("w", 2);
         let mut client = Client::connect(addr).unwrap();
         let warm = client.request(&query(0)).unwrap();
         assert_eq!(warm.get("cached"), Some("0"), "{warm:?}");
+        let warm_w = client.request(&w).unwrap();
+        assert_eq!(warm_w.get("cached"), Some("0"), "{warm_w:?}");
         let (running, queued) = fill_the_queue(addr);
 
         let hit = client.request(&query(0)).unwrap();
         assert_eq!(hit.head, "ok", "{hit:?}");
         assert_eq!(hit.get("cached"), Some("1"));
         assert_eq!(hit.get("flow"), Some("2"));
+        let hit_w = client.request(&w).unwrap();
+        assert_eq!(hit_w.head, "ok", "{hit_w:?}");
+        assert_eq!(hit_w.get("cached"), Some("1"), "{hit_w:?}");
+        for field in ["flow", "sources", "sinks"] {
+            assert_eq!(hit_w.get(field), warm_w.get(field), "{field}");
+        }
         let miss = client.request(&query(1)).unwrap();
         assert_eq!(miss.head, "busy", "{miss:?}");
         // A hit on the connection thread still explains itself.

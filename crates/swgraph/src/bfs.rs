@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 use ffmr_prng::SplitMix64;
 
-use crate::ids::{EdgeId, VertexId};
+use crate::ids::VertexId;
 use crate::network::FlowNetwork;
 
 /// Distances (in hops over positive-capacity edges) from `source`;
@@ -41,41 +41,6 @@ pub fn bfs_distances(net: &FlowNetwork, source: VertexId) -> Vec<Option<u32>> {
         }
     }
     dist
-}
-
-/// A shortest `s -> t` path as a sequence of directed edge ids, or `None`
-/// if `t` is unreachable over positive-capacity edges.
-#[must_use]
-pub fn shortest_path(net: &FlowNetwork, s: VertexId, t: VertexId) -> Option<Vec<EdgeId>> {
-    if s == t {
-        return Some(Vec::new());
-    }
-    let mut parent: Vec<Option<EdgeId>> = vec![None; net.num_vertices()];
-    let mut visited = vec![false; net.num_vertices()];
-    visited[s.index()] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(s);
-    while let Some(u) = queue.pop_front() {
-        for (e, v) in net.neighbors(u) {
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                parent[v.index()] = Some(e);
-                if v == t {
-                    let mut path = Vec::new();
-                    let mut cur = t;
-                    while cur != s {
-                        let e = parent[cur.index()].expect("path back to s");
-                        path.push(e);
-                        cur = net.tail(e);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    None
 }
 
 /// Result of [`estimate_diameter`].
@@ -133,7 +98,6 @@ pub fn estimate_diameter(net: &FlowNetwork, samples: usize, seed: u64) -> Diamet
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
 
     #[test]
     fn distances_on_a_path() {
@@ -151,35 +115,6 @@ mod tests {
         let net = b.build();
         let from2 = bfs_distances(&net, VertexId::new(2));
         assert_eq!(from2, vec![None, None, Some(0)]);
-    }
-
-    #[test]
-    fn shortest_path_edges_connect() {
-        let edges = gen::watts_strogatz(200, 4, 0.2, 2);
-        let net = FlowNetwork::from_undirected_unit(200, &edges);
-        let s = VertexId::new(0);
-        let t = VertexId::new(150);
-        let path = shortest_path(&net, s, t).expect("connected");
-        assert_eq!(net.tail(path[0]), s);
-        assert_eq!(net.head(*path.last().unwrap()), t);
-        for w in path.windows(2) {
-            assert_eq!(net.head(w[0]), net.tail(w[1]));
-        }
-        let d = bfs_distances(&net, s)[t.index()].unwrap();
-        assert_eq!(path.len() as u32, d, "path is shortest");
-    }
-
-    #[test]
-    fn shortest_path_trivial_and_unreachable() {
-        let net = FlowNetwork::from_undirected_unit(3, &[(0, 1)]);
-        assert_eq!(
-            shortest_path(&net, VertexId::new(0), VertexId::new(0)),
-            Some(vec![])
-        );
-        assert_eq!(
-            shortest_path(&net, VertexId::new(0), VertexId::new(2)),
-            None
-        );
     }
 
     #[test]

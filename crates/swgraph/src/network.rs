@@ -311,18 +311,6 @@ impl FlowNetwork {
             adj,
         }
     }
-
-    /// The undirected edge list (canonical direction only, positive
-    /// capacity in either direction), useful for re-serialization.
-    #[must_use]
-    pub fn undirected_edges(&self) -> Vec<(u64, u64)> {
-        (0..self.num_edge_pairs())
-            .map(|p| {
-                let e = EdgeId::new(2 * p as u64);
-                (self.tail(e).raw(), self.head(e).raw())
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -413,7 +401,6 @@ mod tests {
         let net = FlowNetworkBuilder::new(0).build();
         assert_eq!(net.num_vertices(), 0);
         assert_eq!(net.num_edge_pairs(), 0);
-        assert!(net.undirected_edges().is_empty());
     }
 
     #[test]
@@ -468,14 +455,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn super_terminal_augmentation_rejects_bad_ids() {
         let _ = diamond().with_super_terminals(&[9], &[3]);
-    }
-
-    #[test]
-    fn undirected_edges_round_trip_shape() {
-        let edges = vec![(0u64, 1u64), (1, 2), (0, 2)];
-        let net = FlowNetwork::from_undirected_unit(3, &edges);
-        let mut back = net.undirected_edges();
-        back.sort();
-        assert_eq!(back, vec![(0, 1), (0, 2), (1, 2)]);
     }
 }

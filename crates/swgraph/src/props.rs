@@ -1,22 +1,12 @@
 //! Structural graph properties, used to certify that generated graphs
 //! have the small-world shape the paper's algorithm depends on.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use ffmr_prng::SplitMix64;
 
 use crate::ids::VertexId;
 use crate::network::FlowNetwork;
-
-/// Histogram of positive-capacity out-degrees: `degree -> vertex count`.
-#[must_use]
-pub fn degree_histogram(net: &FlowNetwork) -> BTreeMap<usize, usize> {
-    let mut hist = BTreeMap::new();
-    for v in 0..net.num_vertices() as u64 {
-        *hist.entry(net.degree(VertexId::new(v))).or_insert(0) += 1;
-    }
-    hist
-}
 
 /// Mean positive-capacity out-degree.
 #[must_use]
@@ -120,10 +110,8 @@ mod tests {
     use crate::gen;
 
     #[test]
-    fn degree_histogram_of_triangle() {
+    fn degree_stats_of_triangle() {
         let net = FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2), (0, 2)]);
-        let hist = degree_histogram(&net);
-        assert_eq!(hist.get(&2), Some(&3));
         assert!((average_degree(&net) - 2.0).abs() < 1e-12);
         assert_eq!(max_degree(&net), 2);
     }

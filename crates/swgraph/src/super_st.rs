@@ -54,34 +54,22 @@ impl fmt::Display for SuperStError {
 
 impl Error for SuperStError {}
 
-/// Attaches a super source and sink to `base`.
-///
-/// Picks `w` random vertices of degree ≥ `min_degree` for each terminal
-/// set (disjoint); if fewer than `2 * w` such vertices exist, falls back
-/// to the `2 * w` highest-degree vertices, mirroring the paper's "at
-/// least 3000 edges" selection at whatever scale the graph has.
+/// Picks the terminal sets [`attach_super_terminals`] wires up, without
+/// building a network: `w` random vertices of degree ≥ `min_degree` for
+/// the source side and another, disjoint `w` for the sink side, in
+/// selection order. If fewer than `2 * w` such vertices exist, it falls
+/// back to the `2 * w` highest-degree vertices, mirroring the paper's
+/// "at least 3000 edges" selection at whatever scale the graph has.
 ///
 /// # Errors
 /// [`SuperStError::NotEnoughVertices`] if the base graph has fewer than
 /// `2 * w` vertices with nonzero degree.
-///
-/// # Example
-/// ```
-/// # fn main() -> Result<(), swgraph::super_st::SuperStError> {
-/// let edges = swgraph::gen::barabasi_albert(300, 3, 1);
-/// let base = swgraph::FlowNetwork::from_undirected_unit(300, &edges);
-/// let st = swgraph::super_st::attach_super_terminals(&base, 4, 5, 99)?;
-/// assert_eq!(st.network.num_vertices(), 302);
-/// assert_eq!(st.source_terminals.len(), 4);
-/// # Ok(())
-/// # }
-/// ```
-pub fn attach_super_terminals(
+pub fn select_super_terminals(
     base: &FlowNetwork,
     w: usize,
     min_degree: usize,
     seed: u64,
-) -> Result<SuperStNetwork, SuperStError> {
+) -> Result<(Vec<VertexId>, Vec<VertexId>), SuperStError> {
     let n = base.num_vertices();
     let mut rng = SplitMix64::seed_from_u64(seed);
 
@@ -105,20 +93,47 @@ pub fn attach_super_terminals(
         qualified = by_degree[..2 * w].to_vec();
     }
     rng.shuffle(&mut qualified);
-    let source_terminals: Vec<VertexId> = qualified[..w].to_vec();
-    let sink_terminals: Vec<VertexId> = qualified[w..2 * w].to_vec();
+    let sinks = qualified[w..2 * w].to_vec();
+    qualified.truncate(w);
+    Ok((qualified, sinks))
+}
 
+/// Attaches a super source and sink to `base`, wired to the terminal
+/// sets [`select_super_terminals`] picks.
+///
+/// # Errors
+/// [`SuperStError::NotEnoughVertices`] if the base graph has fewer than
+/// `2 * w` vertices with nonzero degree.
+///
+/// # Example
+/// ```
+/// # fn main() -> Result<(), swgraph::super_st::SuperStError> {
+/// let edges = swgraph::gen::barabasi_albert(300, 3, 1);
+/// let base = swgraph::FlowNetwork::from_undirected_unit(300, &edges);
+/// let st = swgraph::super_st::attach_super_terminals(&base, 4, 5, 99)?;
+/// assert_eq!(st.network.num_vertices(), 302);
+/// assert_eq!(st.source_terminals.len(), 4);
+/// # Ok(())
+/// # }
+/// ```
+pub fn attach_super_terminals(
+    base: &FlowNetwork,
+    w: usize,
+    min_degree: usize,
+    seed: u64,
+) -> Result<SuperStNetwork, SuperStError> {
+    let n = base.num_vertices() as u64;
+    let (source_terminals, sink_terminals) = select_super_terminals(base, w, min_degree, seed)?;
     // Append the terminal pairs directly onto the base CSR instead of
     // re-inserting every edge through the builder: O(n + m) with no
-    // re-sort, which is what keeps per-query `--w` materialization cheap
-    // in the serving tier.
+    // re-sort.
     let sources: Vec<u64> = source_terminals.iter().map(|v| v.raw()).collect();
     let sinks: Vec<u64> = sink_terminals.iter().map(|v| v.raw()).collect();
     let network = base.with_super_terminals(&sources, &sinks);
     Ok(SuperStNetwork {
         network,
-        source: VertexId::new(n as u64),
-        sink: VertexId::new(n as u64 + 1),
+        source: VertexId::new(n),
+        sink: VertexId::new(n + 1),
         source_terminals,
         sink_terminals,
     })
@@ -199,6 +214,31 @@ mod tests {
         let b = attach_super_terminals(&net, 6, 4, 42).unwrap();
         assert_eq!(a.source_terminals, b.source_terminals);
         assert_eq!(a.sink_terminals, b.sink_terminals);
+    }
+
+    #[test]
+    fn selection_matches_the_attached_terminals() {
+        let net = base();
+        // min degree 4 qualifies enough vertices; one million does not,
+        // so the second case takes the highest-degree fallback.
+        for min_degree in [4, 1_000_000] {
+            for seed in 0..20 {
+                let st = attach_super_terminals(&net, 5, min_degree, seed).unwrap();
+                let (sources, sinks) = select_super_terminals(&net, 5, min_degree, seed).unwrap();
+                assert_eq!(
+                    sources, st.source_terminals,
+                    "seed {seed}, min {min_degree}"
+                );
+                assert_eq!(sinks, st.sink_terminals, "seed {seed}, min {min_degree}");
+            }
+        }
+        assert_eq!(
+            select_super_terminals(&net, 300, 0, 1),
+            Err(SuperStError::NotEnoughVertices {
+                needed: 600,
+                available: 500
+            })
+        );
     }
 
     #[test]

@@ -552,9 +552,6 @@ fn run_ff(
             std::fs::read(path).map_err(|e| format!("cannot read state file {path}: {e}"))?;
         *rt.dfs_mut() =
             Dfs::from_image(&image).map_err(|e| format!("corrupt state file {path}: {e}"))?;
-        let manifest = ffmr_core::checkpoint::read_checkpoint(rt.dfs(), &config.base_path)
-            .map_err(|e| e.to_string())?;
-        println!("resumed from round {}", manifest.round);
         ffmr_core::resume_max_flow(&mut rt, &config)
     } else {
         ffmr_core::run_max_flow(&mut rt, net, &config)
@@ -568,6 +565,9 @@ fn run_ff(
     }
     match result {
         Ok(run) => {
+            if let Some(round) = run.resumed_from {
+                println!("resumed from round {round}");
+            }
             println!(
                 "max flow = {} ({} rounds, {:.1} simulated min on {nodes} nodes)",
                 run.max_flow_value,
