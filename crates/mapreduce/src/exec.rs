@@ -13,6 +13,11 @@
 //! the simulated cost model from the returned record/byte/alloc numbers
 //! exactly as before.
 //!
+//! A [`TaskExecutor`] runs one task attempt per call and returns it as
+//! an [`Attempt`]: the result together with the dispatch note of the
+//! worker that ran it, which the runtime stores in that attempt's
+//! record. Telemetry about an attempt never travels apart from it.
+//!
 //! Stateful services are the one side channel, and it is the same in
 //! both modes: a task never calls a live service object, it
 //! [`submit`](crate::TaskContext::submit)s encoded calls into its context;
@@ -119,37 +124,53 @@ pub trait TaskRunner: Send + Sync {
 /// The runtime consults it only for jobs carrying a
 /// [`WireSpec`](crate::job::WireSpec); everything else — split planning,
 /// shuffle transposition, cost accounting and retries — stays
-/// driver-side, so simulated costs are identical by construction.
+/// driver-side, so simulated costs are identical by construction. Each
+/// call is one task attempt; a retry is a new call.
 pub trait TaskExecutor: Send + Sync {
     /// Executes one map task described by `wire` + `spec`.
     ///
-    /// # Errors
-    /// [`MrError::TaskFailed`] for attributable attempt failures (worker
-    /// death, user-code panic) — these re-enter the retry policy — and
-    /// [`MrError::Wire`] for non-attributable transport failures.
-    fn execute_map(
-        &self,
-        wire: &crate::job::WireSpec,
-        spec: MapTaskSpec,
-    ) -> Result<MapTaskResult, MrError>;
+    /// The result's errors are [`MrError::TaskFailed`] for attributable
+    /// attempt failures (worker death, user-code panic) — these re-enter
+    /// the retry policy — and [`MrError::Wire`] for non-attributable
+    /// transport failures.
+    fn execute_map(&self, wire: &crate::job::WireSpec, spec: MapTaskSpec)
+        -> Attempt<MapTaskResult>;
 
-    /// Executes one reduce task described by `wire` + `spec`.
-    ///
-    /// # Errors
-    /// As [`TaskExecutor::execute_map`].
+    /// Executes one reduce task described by `wire` + `spec`; errors as
+    /// [`TaskExecutor::execute_map`].
     fn execute_reduce(
         &self,
         wire: &crate::job::WireSpec,
         spec: ReduceTaskSpec,
-    ) -> Result<ReduceTaskResult, MrError>;
+    ) -> Attempt<ReduceTaskResult>;
+}
 
-    /// Hands over the per-dispatch telemetry notes accumulated since
-    /// the last drain (queue/transfer/compute timings with worker
-    /// attribution, on the executor's process-epoch clock). The default
-    /// executor has none; the remote executor feeds the flight
-    /// recorder's distributed lanes through this.
-    fn drain_dispatch_notes(&self) -> Vec<ffmr_obs::DispatchNote> {
-        Vec::new()
+/// One task attempt as it came back: its result and, when a worker took
+/// it, the [`DispatchNote`](ffmr_obs::DispatchNote) that timed it (on
+/// the process-epoch clock). In-process attempts, and remote ones that
+/// failed before any worker took them, have none.
+#[derive(Debug)]
+pub struct Attempt<R> {
+    /// The task's output, or why this attempt failed.
+    pub result: Result<R, MrError>,
+    /// The dispatch that ran this attempt, if one did.
+    pub note: Option<ffmr_obs::DispatchNote>,
+}
+
+impl<R> Attempt<R> {
+    /// Transforms a successful result, keeping the note.
+    pub(crate) fn map<S>(self, f: impl FnOnce(R) -> S) -> Attempt<S> {
+        Attempt {
+            result: self.result.map(f),
+            note: self.note,
+        }
+    }
+}
+
+/// An attempt no dispatch carried.
+impl<R> From<Result<R, MrError>> for Attempt<R> {
+    fn from(result: Result<R, MrError>) -> Self {
+        Self { result, note: None }
     }
 }
 

@@ -101,8 +101,8 @@ pub use counters::Counters;
 pub use dfs::Dfs;
 pub use error::MrError;
 pub use exec::{
-    JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskResult, ReduceTaskSpec, TaskExecutor,
-    TaskRunner,
+    Attempt, JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskResult, ReduceTaskSpec,
+    TaskExecutor, TaskRunner,
 };
 pub use job::{JobBuilder, MapContext, Mapper, ReduceContext, Reducer, TaskContext, WireSpec};
 pub use record::{Datum, KeyDatum, SpillRun};

@@ -26,8 +26,8 @@ use crate::counters::Counters;
 use crate::dfs::{Dfs, DfsFile, Partition};
 use crate::error::{DecodeError, MrError};
 use crate::exec::{
-    CapturedCalls, JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskResult, ReduceTaskSpec,
-    TaskExecutor,
+    Attempt, CapturedCalls, JobTaskRunner, MapTaskResult, MapTaskSpec, ReduceTaskResult,
+    ReduceTaskSpec, TaskExecutor,
 };
 use crate::job::{Job, JobConfig};
 use crate::record::{decode_exact, split_record, Datum, KeyDatum, SpillRun};
@@ -41,22 +41,29 @@ pub type FaultInjector = Arc<dyn Fn(&'static str, usize, u32) -> bool + Send + S
 /// to the job's `run()` entry, for the flight recorder.
 type WallWindow = (u64, u64);
 
+/// One task attempt's record: its wall-clock window and, when a worker
+/// ran it, the dispatch note that came back with its result.
+#[derive(Debug)]
+struct AttemptRecord {
+    wall: WallWindow,
+    note: Option<ffmr_obs::DispatchNote>,
+}
+
 /// One task's record in the parallel runner: its result, its price
-/// under the cost model, the attempts it took and each attempt's
-/// wall-clock window.
+/// under the cost model and one record per attempt, the last of which
+/// succeeded.
 #[derive(Debug)]
 struct TaskRecord<R> {
     result: R,
     cost: TaskCost,
-    attempts: u32,
-    walls: Vec<WallWindow>,
+    tries: Vec<AttemptRecord>,
 }
 
 impl<R> TaskRecord<R> {
     /// Slot time the task occupied: failed attempts held a slot for
     /// about as long as the successful one.
     fn occupancy(&self, cluster: &ClusterConfig) -> f64 {
-        self.cost.seconds(cluster) * f64::from(self.attempts)
+        self.cost.seconds(cluster) * self.tries.len() as f64
     }
 }
 
@@ -321,15 +328,16 @@ impl MrRuntime {
     ) -> Result<Vec<TaskRecord<MapTaskResult>>, MrError> {
         let _span = ffmr_obs::span("mr.map");
         let map_task = |task: usize, split: &[u8]| {
-            let result = (run.map)(task, split)?;
-            run.merge_counters(&result.counters);
-            let cost = TaskCost {
-                read_bytes: split.len() as u64 + run.side_bytes,
-                write_bytes: result.spills.iter().map(SpillRun::bytes).sum(),
-                records: result.input_records + result.output_records,
-                allocs: result.allocs,
-            };
-            Ok((result, cost))
+            (run.map)(task, split).map(|result| {
+                run.merge_counters(&result.counters);
+                let cost = TaskCost {
+                    read_bytes: split.len() as u64 + run.side_bytes,
+                    write_bytes: result.spills.iter().map(SpillRun::bytes).sum(),
+                    records: result.input_records + result.output_records,
+                    allocs: result.allocs,
+                };
+                (result, cost)
+            })
         };
         run_parallel(
             "map",
@@ -373,15 +381,17 @@ impl MrRuntime {
             }
             let schimmy_part = schimmy.map(|f| f.partitions[r].data.as_slice());
             out.schimmy_bytes = schimmy_part.map_or(0, |p| p.len() as u64);
-            out.task = (run.reduce)(r, spills, schimmy_part)?;
-            run.merge_counters(&out.task.counters);
-            let cost = TaskCost {
-                read_bytes: out.fetched_bytes + out.schimmy_bytes,
-                write_bytes: out.task.data.len() as u64,
-                records: consumed + out.task.records,
-                allocs: out.task.allocs,
-            };
-            Ok((out, cost))
+            (run.reduce)(r, spills, schimmy_part).map(|task| {
+                out.task = task;
+                run.merge_counters(&out.task.counters);
+                let cost = TaskCost {
+                    read_bytes: out.fetched_bytes + out.schimmy_bytes,
+                    write_bytes: out.task.data.len() as u64,
+                    records: consumed + out.task.records,
+                    allocs: out.task.allocs,
+                };
+                (out, cost)
+            })
         };
         run_parallel(
             "reduce",
@@ -416,7 +426,7 @@ impl MrRuntime {
             // Failed attempts occupied a slot for about as long as the
             // successful one; charge them.
             map_phase.push_task(m.occupancy(cluster));
-            stats.failed_attempts += u64::from(m.attempts - 1);
+            stats.failed_attempts += m.tries.len() as u64 - 1;
             stats.map_input_records += m.result.input_records;
             stats.map_output_records += m.result.output_records;
             stats.input_bytes += m.cost.read_bytes - run.side_bytes;
@@ -429,7 +439,7 @@ impl MrRuntime {
         let mut cross_node_bytes = 0u64;
         for r in &reduces {
             reduce_phase.push_task(r.occupancy(cluster));
-            stats.failed_attempts += u64::from(r.attempts - 1);
+            stats.failed_attempts += r.tries.len() as u64 - 1;
             stats.reduce_output_records += r.result.task.records;
             stats.output_bytes += r.cost.write_bytes;
             stats.schimmy_bytes += r.result.schimmy_bytes;
@@ -459,14 +469,6 @@ impl MrRuntime {
             + reduce_phase.makespan(cluster.total_reduce_slots())
             + replication_seconds;
 
-        // Drain unconditionally so notes never pile up across jobs when
-        // the recorder is toggled mid-flight; they are empty in local
-        // mode and when the coordinator saw the recorder disabled.
-        stats.dispatch_notes = self
-            .executor
-            .as_ref()
-            .map(|e| e.drain_dispatch_notes())
-            .unwrap_or_default();
         if ffmr_obs::events::recorder().enabled() {
             // One event per task attempt plus a synthetic shuffle-barrier
             // event, on the derived timeline: scheduling overhead, then
@@ -505,8 +507,8 @@ impl MrRuntime {
                 &reduces,
                 0,
             ));
-            attach_worker_attribution(&mut events, &mut stats.dispatch_notes, run.epoch);
             stats.task_events = events;
+            stats.dispatch_notes = dispatch_notes(maps, &reduces, run.epoch);
         }
 
         let partitions = reduces
@@ -551,10 +553,10 @@ fn shuffle(
 }
 
 /// A map task body: `(task, input split bytes)`.
-type MapTaskFn<'a> = Box<dyn Fn(usize, &[u8]) -> Result<MapTaskResult, MrError> + Sync + 'a>;
+type MapTaskFn<'a> = Box<dyn Fn(usize, &[u8]) -> Attempt<MapTaskResult> + Sync + 'a>;
 /// A reduce task body: `(partition, fetched spills, schimmy partition bytes)`.
 type ReduceTaskFn<'a> =
-    Box<dyn Fn(usize, &[SpillRun], Option<&[u8]>) -> Result<ReduceTaskResult, MrError> + Sync + 'a>;
+    Box<dyn Fn(usize, &[SpillRun], Option<&[u8]>) -> Attempt<ReduceTaskResult> + Sync + 'a>;
 
 /// What the stages share for one job: its config and services, where its
 /// tasks run, its counters, the side-blob bytes every map task reads
@@ -621,10 +623,10 @@ impl<'a> JobRun<'a> {
                 let reduce_runner = Arc::clone(&runner);
                 let schimmy_path = cfg.schimmy.as_deref().unwrap_or_default();
                 (
-                    Box::new(move |task, input| runner.run_map_bytes(task, input, reducers)),
+                    Box::new(move |task, input| runner.run_map_bytes(task, input, reducers).into()),
                     Box::new(move |task, spills, schimmy| {
                         let schimmy = schimmy.map(|data| (schimmy_path, data));
-                        reduce_runner.run_reduce_parts(task, spills, schimmy)
+                        reduce_runner.run_reduce_parts(task, spills, schimmy).into()
                     }),
                 )
             }
@@ -721,42 +723,30 @@ fn list_schedule(occupancies: &[f64], slots: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Rebases the executor's dispatch notes onto this job's wall clock and
-/// stamps each task event with the worker that ran the matching
-/// dispatch. Events and notes are both ordered attempt-by-attempt within
-/// a `(phase, task)` pair, so pairing them positionally keeps retries
-/// attributed to the right worker.
-fn attach_worker_attribution(
-    events: &mut [ffmr_obs::TaskEvent],
-    notes: &mut [ffmr_obs::DispatchNote],
+/// The attempts' dispatch notes, map tasks then reduce tasks, each
+/// task's attempts in order, rebased from the process epoch the
+/// coordinator stamps them on onto this job's wall clock (the one
+/// `wall_start_us`/`wall_end_us` use).
+fn dispatch_notes(
+    maps: &[TaskRecord<MapTaskResult>],
+    reduces: &[TaskRecord<ReduceOutput>],
     epoch: Instant,
-) {
-    use std::collections::HashMap;
-    if notes.is_empty() {
-        return;
-    }
-    // The coordinator stamps notes on the process epoch clock; rebase
-    // them onto this job's wall clock (the timeline `wall_start_us`/
-    // `wall_end_us` use).
+) -> Vec<ffmr_obs::DispatchNote> {
     let rebase = u64::try_from(
         epoch
             .saturating_duration_since(ffmr_obs::span::process_epoch())
             .as_micros(),
     )
     .unwrap_or(u64::MAX);
-    let mut per_task: HashMap<(&str, usize), VecDeque<u64>> = HashMap::new();
-    for note in notes.iter_mut() {
-        note.rebase(rebase);
-        per_task
-            .entry((note.phase.as_str(), note.task))
-            .or_default()
-            .push_back(note.worker);
-    }
-    for event in events {
-        if let Some(queue) = per_task.get_mut(&(event.phase.as_str(), event.task)) {
-            event.worker = queue.pop_front();
-        }
-    }
+    let tries = maps.iter().flat_map(|t| &t.tries);
+    let tries = tries.chain(reduces.iter().flat_map(|t| &t.tries));
+    tries
+        .filter_map(|t| t.note.clone())
+        .map(|mut note| {
+            note.rebase(rebase);
+            note
+        })
+        .collect()
 }
 
 /// The flight-recorder events of one phase: per task, every failed
@@ -791,26 +781,24 @@ fn phase_events<R>(
             cluster.map_node(i)
         };
         let duration = t.cost.seconds(cluster);
-        let failed = t.attempts.saturating_sub(1);
-        for attempt in 0..=failed {
-            let sim_start = phase_start + starts[i] + duration * f64::from(attempt);
-            // One window per attempt, in attempt order.
-            let wall = t.walls.get(attempt as usize).copied().unwrap_or((0, 0));
+        let last = t.tries.len() - 1;
+        for (attempt, record) in t.tries.iter().enumerate() {
+            let sim_start = phase_start + starts[i] + duration * attempt as f64;
             out.push(TaskEvent {
                 job: cfg.name.clone(),
                 phase: phase.to_owned(),
                 task: i,
-                attempt,
+                attempt: attempt as u32,
                 node,
                 partition: is_reduce.then_some(i),
-                worker: None,
+                worker: record.note.as_ref().map(|n| n.worker),
                 sim_start,
                 sim_end: sim_start + duration,
-                wall_start_us: wall.0,
-                wall_end_us: wall.1,
+                wall_start_us: record.wall.0,
+                wall_end_us: record.wall.1,
                 bytes_in: t.cost.read_bytes - side_bytes,
                 bytes_out: t.cost.write_bytes,
-                outcome: if attempt == failed {
+                outcome: if attempt == last {
                     TaskOutcome::Ok
                 } else {
                     TaskOutcome::Failed
@@ -957,9 +945,10 @@ fn commit_ready<R>(
 
 /// Runs `f` over `items` on a small thread pool, preserving result order,
 /// converting panics into [`MrError::TaskFailed`], and retrying failed
-/// tasks per the [`FailurePolicy`]. `f` returns a task's result and
-/// cost; each comes back as a [`TaskRecord`] with the attempts it took
-/// and each attempt's wall-clock window on `epoch`.
+/// tasks per the [`FailurePolicy`]. `f` runs one attempt and returns
+/// the task's result and cost with the attempt's dispatch note; each
+/// task comes back as a [`TaskRecord`] with one [`AttemptRecord`] per
+/// attempt, its wall-clock window on `epoch` beside its note.
 ///
 /// `commit` runs on each successful result in task-index order, as soon
 /// as that task and every lower-indexed one have completed — the barrier
@@ -977,7 +966,7 @@ fn run_parallel<T, R, F, C>(
 where
     T: Send + Clone,
     R: Send,
-    F: Fn(usize, T) -> Result<(R, TaskCost), MrError> + Sync,
+    F: Fn(usize, T) -> Attempt<(R, TaskCost)> + Sync,
     C: FnMut(&mut R) -> Result<(), MrError> + Send,
 {
     let n = items.len();
@@ -1040,14 +1029,14 @@ where
 }
 
 /// One task with the policy's retry budget, which only
-/// [`MrError::TaskFailed`] attempts spend; returns its record, with the
-/// attempts consumed and one wall-clock window per attempt.
+/// [`MrError::TaskFailed`] attempts spend; returns its record, one
+/// [`AttemptRecord`] per attempt made.
 fn run_task_with_retry<T, R>(
     phase: &'static str,
     policy: &FailurePolicy,
     index: usize,
     item: T,
-    f: &(impl Fn(usize, T) -> Result<(R, TaskCost), MrError> + Sync),
+    f: &(impl Fn(usize, T) -> Attempt<(R, TaskCost)> + Sync),
     epoch: Instant,
 ) -> Result<TaskRecord<R>, MrError>
 where
@@ -1056,20 +1045,21 @@ where
     let budget = policy.max_attempts.max(1);
     let mut attempt = 0u32;
     let mut item = Some(item);
-    let mut windows: Vec<WallWindow> = Vec::with_capacity(1);
+    let mut tries: Vec<AttemptRecord> = Vec::with_capacity(1);
     loop {
         let started_us = elapsed_us(epoch);
-        // Injected environment fault: the attempt dies before user code.
+        // Injected environment fault: the attempt dies before user code,
+        // so no dispatch carries it.
         let injected = policy
             .injector
             .as_ref()
             .is_some_and(|inject| inject(phase, index, attempt));
-        let result = if injected {
-            Err(MrError::TaskFailed {
+        let Attempt { result, note } = if injected {
+            Attempt::from(Err(MrError::TaskFailed {
                 phase,
                 task: index,
                 message: format!("injected environment fault (attempt {attempt})"),
-            })
+            }))
         } else if attempt + 1 >= budget {
             // Final permitted attempt: hand the input over by value so
             // single-attempt policies (the default) never deep-copy it.
@@ -1082,15 +1072,17 @@ where
                 f,
             )
         };
-        windows.push((started_us, elapsed_us(epoch)));
+        tries.push(AttemptRecord {
+            wall: (started_us, elapsed_us(epoch)),
+            note,
+        });
         attempt += 1;
         match result {
             Ok((result, cost)) => {
                 return Ok(TaskRecord {
                     result,
                     cost,
-                    attempts: attempt,
-                    walls: windows,
+                    tries,
                 })
             }
             Err(MrError::TaskFailed { .. }) if attempt < budget => {} // retry
@@ -1103,21 +1095,21 @@ fn run_task<T, R>(
     phase: &'static str,
     index: usize,
     item: T,
-    f: &(impl Fn(usize, T) -> Result<R, MrError> + Sync),
-) -> Result<R, MrError> {
+    f: &(impl Fn(usize, T) -> Attempt<R> + Sync),
+) -> Attempt<R> {
     match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-        Ok(result) => result,
+        Ok(attempt) => attempt,
         Err(payload) => {
             let message = payload
                 .downcast_ref::<&str>()
                 .map(ToString::to_string)
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "panic".to_string());
-            Err(MrError::TaskFailed {
+            Attempt::from(Err(MrError::TaskFailed {
                 phase,
                 task: index,
                 message,
-            })
+            }))
         }
     }
 }
@@ -1135,9 +1127,9 @@ mod tests {
         }
     }
 
-    /// A task body's result at no cost.
-    fn free<R>(result: R) -> Result<(R, TaskCost), MrError> {
-        Ok((result, TaskCost::default()))
+    /// A task body's result at no cost, run in process.
+    fn free<R>(result: R) -> Attempt<(R, TaskCost)> {
+        Ok((result, TaskCost::default())).into()
     }
 
     /// `run_parallel` over free task bodies, committing nothing.
@@ -1342,8 +1334,11 @@ mod tests {
         let out = run_free("map", Some(2), &policy, vec![10, 20, 30], |_, x: i32| x).unwrap();
         for t in out {
             assert!(t.result >= 10);
-            assert_eq!(t.attempts, 2);
-            assert_eq!(t.walls.len(), 2, "one wall window per attempt");
+            assert_eq!(t.tries.len(), 2, "one record per attempt");
+            assert!(
+                t.tries.iter().all(|a| a.note.is_none()),
+                "nothing dispatched"
+            );
         }
     }
 
@@ -1364,7 +1359,7 @@ mod tests {
             x
         })
         .unwrap();
-        assert_eq!((out[0].result, out[0].attempts), (1, 3));
+        assert_eq!((out[0].result, out[0].tries.len()), (1, 3));
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! distributed run therefore prices out identically to the in-process
 //! run it mirrors.
 //!
+//! One task attempt is one dispatch, and one `Dispatch` entry carries it
+//! from enqueue to retirement: its queue position (ids are issued in
+//! order, so the lowest-id entry no worker holds heads the queue), the
+//! worker running it, its hand-out and `task-done` stamps and its
+//! outcome. Retiring the entry hands the attempt's result and its
+//! [`DispatchNote`] back to the runtime together.
+//!
 //! Failure model: a worker is declared dead when its registration
 //! connection drops (a `kill -9` closes the socket, so this is the fast
 //! path) or when its heartbeats go quiet past the configured timeout.
@@ -21,13 +28,17 @@
 //! [`CoordinatorConfig::dead_cluster_timeout`], pending dispatches fail
 //! instead of hanging forever.
 //!
-//! Each dispatch's [`DispatchNote`] is measured here, on the driver clock
-//! and the worker's own socket: the window opens when the reply handing
-//! the task out starts to be written and closes when the `task-done`
-//! body has been read; `fetch_us` is the time writing that reply took
-//! and `push_us` the time from the `task-done`'s first byte to its last.
+//! Each dispatch's note is measured here, on the driver clock and the
+//! worker's own socket: the window opens when the dispatch is handed
+//! out, just before the reply carrying it is written, and closes when
+//! the `task-done` body has been read (or the worker is declared dead);
+//! `fetch_us` is the time writing that reply took and `push_us` the time
+//! from the `task-done`'s first byte to its last. Span lines a worker
+//! ships are moved onto the driver clock by that worker's estimated
+//! clock offset before they reach the trace sink.
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,7 +53,8 @@ use ffmr_service::{
 use ffmr_sync::{Condvar, Mutex};
 use mapreduce::error::DecodeError;
 use mapreduce::{
-    MapTaskResult, MapTaskSpec, MrError, ReduceTaskResult, ReduceTaskSpec, TaskExecutor, WireSpec,
+    Attempt, MapTaskResult, MapTaskSpec, MrError, ReduceTaskResult, ReduceTaskSpec, TaskExecutor,
+    WireSpec,
 };
 
 use crate::proto::{self, verb};
@@ -58,9 +70,6 @@ const POLL: Duration = Duration::from_millis(50);
 const LONG_POLL: Duration = Duration::from_millis(100);
 /// Heartbeat-monitor scan interval.
 const MONITOR_INTERVAL: Duration = Duration::from_millis(100);
-/// Dispatch-note backstop: a runtime that never drains (recorder turned
-/// on with no job collecting stats) must not grow memory without bound.
-const NOTES_CAP: usize = 65_536;
 
 /// Tuning knobs for [`Coordinator::start`].
 #[derive(Debug, Clone)]
@@ -85,30 +94,17 @@ impl Default for CoordinatorConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Map,
-    Reduce,
-}
-
-impl Phase {
-    fn as_str(self) -> &'static str {
-        match self {
-            Phase::Map => "map",
-            Phase::Reduce => "reduce",
-        }
-    }
-}
-
+/// One task attempt on the dispatch plane, from enqueue to retirement.
 #[derive(Debug)]
 struct Dispatch {
-    phase: Phase,
-    task: usize,
-    running_on: Option<u64>,
+    /// The worker it was handed to; `None` while it waits in the queue.
+    worker: Option<u64>,
+    /// The attempt's note, stamped as it goes: phase, task and
+    /// `queued_us` at enqueue; worker, `started_us` and `bytes_in` at
+    /// hand-out, `fetch_us` once the reply is written; the rest at
+    /// `task-done` or the worker's death.
+    note: DispatchNote,
     outcome: Option<Result<Vec<u8>, String>>,
-    /// When the driver enqueued this dispatch, on the process-epoch
-    /// clock ([`ffmr_obs::span::epoch_us`]).
-    queued_us: u64,
     /// Trace context handed to the worker on `task-request` (zero when
     /// the driver is not tracing).
     trace: u64,
@@ -119,19 +115,26 @@ struct Dispatch {
     body: Vec<u8>,
 }
 
+impl Dispatch {
+    /// Handed out and still waiting for its outcome.
+    fn running_on(&self, worker: u64) -> bool {
+        self.worker == Some(worker) && self.outcome.is_none()
+    }
+}
+
 #[derive(Debug)]
 struct WorkerEntry {
     last_seen: Instant,
     alive: bool,
     /// Told to shut down cleanly; not a death when it disconnects.
     departing: bool,
-    running: Vec<u64>,
-    /// Estimated worker-clock → coordinator-clock offset in µs, from
-    /// the lowest-RTT heartbeat sample (see `crate::proto` docs).
-    offset_us: i64,
-    /// RTT of the sample backing `offset_us` (`u64::MAX` until the
-    /// first heartbeat carries one).
-    min_rtt_us: u64,
+    /// Estimated worker-clock → coordinator-clock offset in µs: the
+    /// lowest [`clock_offset`] reading over the worker's registration
+    /// and heartbeats (`None` until one carries `now-us`). Each reading
+    /// exceeds the true offset by its message's transit time, so the
+    /// lowest is the tightest, and a span moved by it cannot start
+    /// before the dispatch that carried its task.
+    offset_us: Option<i64>,
     last_rtt_us: u64,
     tasks_ok: u64,
     tasks_failed: u64,
@@ -141,20 +144,12 @@ struct WorkerEntry {
 
 #[derive(Debug, Default)]
 struct State {
-    queue: VecDeque<u64>,
-    dispatches: HashMap<u64, Dispatch>,
+    /// Every dispatch not yet retired, by id.
+    dispatches: BTreeMap<u64, Dispatch>,
     workers: HashMap<u64, WorkerEntry>,
     next_worker: u64,
     next_dispatch: u64,
     deaths: u64,
-    /// Flight-recorder notes, one per completed dispatch attempt;
-    /// drained by the runtime through
-    /// [`TaskExecutor::drain_dispatch_notes`]. Only populated while the
-    /// global event recorder is enabled.
-    notes: Vec<DispatchNote>,
-    /// Dispatch id → index into `notes`, so the executor can attach
-    /// driver-side serialization time after the fact.
-    note_index: HashMap<u64, usize>,
 }
 
 impl State {
@@ -183,7 +178,8 @@ impl Shared {
     }
 
     /// Marks `worker` dead and fails its in-flight dispatches so the
-    /// runtime's retry path re-dispatches them.
+    /// runtime's retry path re-dispatches them; each keeps its note,
+    /// closed at the moment of death.
     fn mark_dead(&self, worker: u64, why: &str) {
         let mut st = self.state.lock();
         let Some(entry) = st.workers.get_mut(&worker) else {
@@ -193,23 +189,21 @@ impl Shared {
             return;
         }
         entry.alive = false;
-        let departing = entry.departing;
-        let running = std::mem::take(&mut entry.running);
-        if !departing {
+        if !entry.departing {
             st.deaths += 1;
             ffmr_obs::global()
                 .counter("ffmr_dist_worker_deaths_total", &[])
                 .inc();
         }
-        for d in running {
-            if let Some(dispatch) = st.dispatches.get_mut(&d) {
-                if dispatch.outcome.is_none() {
-                    dispatch.outcome = Some(Err(format!(
-                        "worker {worker} died ({why}) while running {} task {} (dispatch {d})",
-                        dispatch.phase.as_str(),
-                        dispatch.task,
-                    )));
-                }
+        let now_us = ffmr_obs::span::epoch_us();
+        for (d, dispatch) in &mut st.dispatches {
+            if dispatch.running_on(worker) {
+                let note = &mut dispatch.note;
+                (note.finished_us, note.done_us) = (now_us, now_us);
+                dispatch.outcome = Some(Err(format!(
+                    "worker {worker} died ({why}) while running {} task {} (dispatch {d})",
+                    note.phase, note.task,
+                )));
             }
         }
         self.publish_worker_gauge(&st);
@@ -391,28 +385,11 @@ fn monitor_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// The dispatch a worker connection's last reply handed out, as that
-/// connection's socket measured it.
-#[derive(Debug, Clone, Copy)]
-struct HandOut {
-    dispatch: u64,
-    /// Driver clock when writing the reply began.
-    started_us: u64,
-    /// How long writing the reply took.
-    fetch_us: u64,
-    /// Task-body bytes the reply carried.
-    bytes_in: u64,
-}
-
 /// What one worker connection carries from request to request.
 #[derive(Debug, Default)]
 struct Conn {
     /// The worker this connection registered.
     worker: Option<u64>,
-    /// The dispatch the reply being built hands out; becomes
-    /// `handed_out` once that reply is written.
-    handing_out: Option<u64>,
-    handed_out: Option<HandOut>,
     /// Microseconds from the current request's first byte to its last.
     read_us: u64,
 }
@@ -465,22 +442,19 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Err(WireError::BadMessage(e)) => error_response(format!("bad request: {e}")),
             Ok(None) | Err(_) => break,
         };
-        let started_us = ffmr_obs::span::epoch_us();
         let writing = Instant::now();
         if write_message(&mut &stream, &response).is_err() {
             break;
         }
-        if let Some(dispatch) = conn.handing_out.take() {
+        // Only the reply that hands a dispatch out names one.
+        if let Ok(Some(d)) = response.get_parsed::<u64>("dispatch") {
             let fetch_us = elapsed_us(writing);
             ffmr_obs::global()
                 .histogram("ffmr_dist_blob_get_us", &[])
                 .record(fetch_us);
-            conn.handed_out = Some(HandOut {
-                dispatch,
-                started_us,
-                fetch_us,
-                bytes_in: response.body.len() as u64,
-            });
+            if let Some(dispatch) = shared.state.lock().dispatches.get_mut(&d) {
+                dispatch.note.fetch_us = fetch_us;
+            }
         }
     }
     if let Some(id) = conn.worker {
@@ -488,26 +462,53 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Worker-clock → coordinator-clock offset: the worker stamped `now_us`
-/// roughly half an RTT before the coordinator read it.
-fn clock_offset(now_us: u64, rtt_us: u64) -> i64 {
+/// One reading of the worker-clock → coordinator-clock offset from a
+/// message the worker stamped `now_us` as it sent it: the true offset
+/// plus the time the message took to be read.
+fn clock_offset(now_us: u64) -> i64 {
     let received = i128::from(ffmr_obs::span::epoch_us());
-    let sent = i128::from(now_us) + i128::from(rtt_us / 2);
-    i64::try_from(received - sent).unwrap_or(0)
+    i64::try_from(received - i128::from(now_us)).unwrap_or(0)
 }
 
 /// Merges telemetry a worker piggybacked on `task-done` (or sent as a
 /// final `telemetry` flush): its cumulative metrics snapshot, merged
 /// into the driver registry under a `worker` label, and captured span
-/// JSONL, forwarded verbatim to the driver's trace sink.
-fn absorb_telemetry(request: &Message, worker: u64) {
+/// JSONL, moved onto the driver clock and forwarded to the driver's
+/// trace sink.
+fn absorb_telemetry(shared: &Shared, request: &Message, worker: u64) {
     let metrics = request.joined_lines("metrics");
     if !metrics.is_empty() {
         ffmr_obs::global().merge_snapshot(&metrics, ("worker", &worker.to_string()));
     }
-    for line in request.get_all("spans").filter(|l| !l.is_empty()) {
-        ffmr_obs::span::emit_raw(line);
+    let mut spans = request
+        .get_all("spans")
+        .filter(|l| !l.is_empty())
+        .peekable();
+    if spans.peek().is_some() {
+        let st = shared.state.lock();
+        let offset_us = st.workers.get(&worker).and_then(|w| w.offset_us);
+        drop(st);
+        let offset_us = offset_us.unwrap_or(0);
+        for line in spans {
+            ffmr_obs::span::emit_raw(&shift_start_us(line, offset_us));
+        }
     }
+}
+
+/// A worker span line with its `start_us` (worker process epoch) moved
+/// by `offset_us` onto the driver's epoch. The member is written by
+/// `ffmr_obs`'s own serializer, so its key cannot occur inside a string.
+fn shift_start_us(line: &str, offset_us: i64) -> Cow<'_, str> {
+    const KEY: &str = "\"start_us\":";
+    let Some(at) = line.find(KEY).map(|i| i + KEY.len()) else {
+        return Cow::Borrowed(line);
+    };
+    let digits = line[at..].bytes().take_while(u8::is_ascii_digit).count();
+    let Ok(start_us) = line[at..at + digits].parse::<u64>() else {
+        return Cow::Borrowed(line);
+    };
+    let shifted = start_us.saturating_add_signed(offset_us);
+    Cow::Owned(format!("{}{shifted}{}", &line[..at], &line[at + digits..]))
 }
 
 fn parse_u64(request: &Message, key: &str) -> Result<u64, Message> {
@@ -518,10 +519,38 @@ fn parse_u64(request: &Message, key: &str) -> Result<u64, Message> {
     }
 }
 
+/// Hands the queue's head — the lowest-id dispatch no worker holds — to
+/// `worker`: the reply that carries it, or `None` if the queue is empty.
+fn hand_out(state: &mut State, worker: u64) -> Option<Message> {
+    let (&d, dispatch) = state
+        .dispatches
+        .iter_mut()
+        .find(|(_, dispatch)| dispatch.worker.is_none())?;
+    dispatch.worker = Some(worker);
+    let mut resp = Message::new(status::OK);
+    resp.push("dispatch", d);
+    resp.push("phase", &dispatch.note.phase);
+    if dispatch.trace != 0 {
+        resp.push("trace", dispatch.trace);
+        resp.push("span", dispatch.span);
+    }
+    resp.body = std::mem::take(&mut dispatch.body);
+    let bytes_in = resp.body.len() as u64;
+    let note = &mut dispatch.note;
+    (note.worker, note.started_us, note.bytes_in) = (worker, ffmr_obs::span::epoch_us(), bytes_in);
+    if let Some(entry) = state.workers.get_mut(&worker) {
+        entry.bytes_in += bytes_in;
+    }
+    ffmr_obs::global()
+        .counter("ffmr_dist_blob_bytes_total", &[("dir", "get")])
+        .add(bytes_in);
+    Some(resp)
+}
+
 /// Answers one request; `Err` is an `error` reply.
 fn handle_request(
     shared: &Arc<Shared>,
-    request: Message,
+    mut request: Message,
     conn: &mut Conn,
 ) -> Result<Message, Message> {
     match request.head.as_str() {
@@ -529,13 +558,12 @@ fn handle_request(
             if conn.worker.is_some() {
                 return Err(error_response("connection already registered a worker"));
             }
-            // Crude first offset estimate from the registration itself;
-            // refined by every lower-RTT heartbeat sample.
+            // The first offset reading; every heartbeat adds one.
             let offset_us = request
                 .get_parsed::<u64>("now-us")
                 .ok()
                 .flatten()
-                .map_or(0, |now| clock_offset(now, 0));
+                .map(clock_offset);
             let mut st = shared.state.lock();
             let id = st.next_worker;
             st.next_worker += 1;
@@ -545,9 +573,7 @@ fn handle_request(
                     last_seen: Instant::now(),
                     alive: true,
                     departing: false,
-                    running: Vec::new(),
                     offset_us,
-                    min_rtt_us: u64::MAX,
                     last_rtt_us: 0,
                     tasks_ok: 0,
                     tasks_failed: 0,
@@ -574,20 +600,11 @@ fn handle_request(
             match st.workers.get_mut(&worker) {
                 Some(entry) if entry.alive => {
                     entry.last_seen = Instant::now();
-                    match (now_us, rtt_us) {
-                        // The lowest-RTT sample bounds the one-way delay
-                        // tightest, so it wins the offset estimate.
-                        (Some(now), Some(rtt)) => {
-                            entry.last_rtt_us = rtt;
-                            if rtt <= entry.min_rtt_us {
-                                entry.min_rtt_us = rtt;
-                                entry.offset_us = clock_offset(now, rtt);
-                            }
-                        }
-                        (Some(now), None) if entry.min_rtt_us == u64::MAX => {
-                            entry.offset_us = clock_offset(now, 0);
-                        }
-                        _ => {}
+                    if let Some(rtt) = rtt_us {
+                        entry.last_rtt_us = rtt;
+                    }
+                    if let Some(reading) = now_us.map(clock_offset) {
+                        entry.offset_us = Some(entry.offset_us.map_or(reading, |o| o.min(reading)));
                     }
                     Ok(Message::new(status::OK))
                 }
@@ -600,7 +617,7 @@ fn handle_request(
             let mut st = shared.state.lock();
             // A long poll: wait on `changed` for a dispatch, shutdown or
             // this worker's death, up to the deadline.
-            let d = loop {
+            loop {
                 let state = &mut *st;
                 let Some(entry) = state.workers.get_mut(&worker) else {
                     return Err(error_response(format!("unknown worker {worker}")));
@@ -614,34 +631,15 @@ fn handle_request(
                     shared.publish_worker_gauge(state);
                     return Ok(Message::new(status::OK).field("shutdown", 1));
                 }
-                if let Some(d) = state.queue.pop_front() {
-                    entry.running.push(d);
-                    break d;
+                if let Some(reply) = hand_out(state, worker) {
+                    return Ok(reply);
                 }
                 let now = Instant::now();
                 if now >= deadline {
                     return Ok(Message::new(status::OK).field("none", 1));
                 }
                 shared.changed.wait_timeout(&mut st, deadline - now);
-            };
-            let dispatch = st
-                .dispatches
-                .get_mut(&d)
-                .expect("queued dispatch has an entry");
-            dispatch.running_on = Some(worker);
-            let mut resp = Message::new(status::OK);
-            resp.push("dispatch", d);
-            resp.push("phase", dispatch.phase.as_str());
-            if dispatch.trace != 0 {
-                resp.push("trace", dispatch.trace);
-                resp.push("span", dispatch.span);
             }
-            resp.body = std::mem::take(&mut dispatch.body);
-            ffmr_obs::global()
-                .counter("ffmr_dist_blob_bytes_total", &[("dir", "get")])
-                .add(resp.body.len() as u64);
-            conn.handing_out = Some(d);
-            Ok(resp)
         }
         verb::TASK_DONE => {
             let worker = parse_u64(&request, "worker")?;
@@ -651,10 +649,8 @@ fn handle_request(
                 Some("err") => false,
                 _ => return Err(error_response("missing or bad field status")),
             };
-            absorb_telemetry(&request, worker);
+            absorb_telemetry(shared, &request, worker);
             let done_us = ffmr_obs::span::epoch_us();
-            let handed = conn.handed_out.take().filter(|h| h.dispatch == d);
-            let bytes_in = handed.map_or(0, |h| h.bytes_in);
             let bytes_out = request.body.len() as u64;
             let reg = ffmr_obs::global();
             reg.counter("ffmr_dist_blob_bytes_total", &[("dir", "put")])
@@ -664,72 +660,53 @@ fn handle_request(
             let mut st = shared.state.lock();
             if let Some(entry) = st.workers.get_mut(&worker) {
                 entry.last_seen = Instant::now();
-                entry.running.retain(|&r| r != d);
                 if ok {
                     entry.tasks_ok += 1;
                 } else {
                     entry.tasks_failed += 1;
                 }
-                entry.bytes_in += bytes_in;
                 entry.bytes_out += bytes_out;
             }
             // A dispatch the coordinator no longer tracks (or that was
             // reassigned after this worker was declared dead) is a stale
             // attempt: acknowledge and discard so retries stay
             // exactly-once.
-            let current = st
+            let Some(dispatch) = st
                 .dispatches
-                .get(&d)
-                .is_some_and(|disp| disp.running_on == Some(worker) && disp.outcome.is_none());
-            if current {
-                if ffmr_obs::events::recorder().enabled() && st.notes.len() < NOTES_CAP {
-                    let disp = st.dispatches.get(&d).expect("checked above");
-                    let note = DispatchNote {
-                        phase: disp.phase.as_str().to_string(),
-                        task: disp.task,
-                        worker,
-                        ok,
-                        queued_us: disp.queued_us,
-                        done_us,
-                        started_us: handed.map_or(disp.queued_us, |h| h.started_us),
-                        finished_us: done_us,
-                        fetch_us: handed.map_or(0, |h| h.fetch_us),
-                        push_us: conn.read_us,
-                        ser_us: 0,
-                        bytes_in,
-                        bytes_out,
-                    };
-                    let idx = st.notes.len();
-                    st.notes.push(note);
-                    st.note_index.insert(d, idx);
-                }
-                let outcome = if !ok {
-                    Err(request
-                        .get("message")
-                        .unwrap_or("worker reported failure without a message")
-                        .to_string())
-                } else if request.body.is_empty() {
-                    Err(format!(
-                        "worker {worker} reported dispatch {d} ok without a result"
-                    ))
-                } else {
-                    Ok(request.body)
-                };
-                st.dispatches.get_mut(&d).expect("checked above").outcome = Some(outcome);
-                drop(st);
-                shared.changed.notify_all();
-            }
+                .get_mut(&d)
+                .filter(|dispatch| dispatch.running_on(worker))
+            else {
+                return Ok(Message::new(status::OK));
+            };
+            let note = &mut dispatch.note;
+            (note.ok, note.done_us, note.finished_us) = (ok, done_us, done_us);
+            (note.push_us, note.bytes_out) = (conn.read_us, bytes_out);
+            dispatch.outcome = Some(if !ok {
+                Err(request
+                    .get("message")
+                    .unwrap_or("worker reported failure without a message")
+                    .to_string())
+            } else if request.body.is_empty() {
+                Err(format!(
+                    "worker {worker} reported dispatch {d} ok without a result"
+                ))
+            } else {
+                Ok(std::mem::take(&mut request.body))
+            });
+            drop(st);
+            shared.changed.notify_all();
             Ok(Message::new(status::OK))
         }
         verb::TELEMETRY => {
             let worker = parse_u64(&request, "worker")?;
-            absorb_telemetry(&request, worker);
+            absorb_telemetry(shared, &request, worker);
             Ok(Message::new(status::OK))
         }
         verb::WORKERS => {
             let st = shared.state.lock();
             let mut resp = Message::new(status::OK);
-            resp.push("queue-depth", st.queue.len());
+            let queued = st.dispatches.values().filter(|d| d.worker.is_none());
+            resp.push("queue-depth", queued.count());
             let mut ids: Vec<u64> = st.workers.keys().copied().collect();
             ids.sort_unstable();
             for id in ids {
@@ -747,8 +724,9 @@ fn handle_request(
                 );
                 resp.push("hb-age-ms", w.last_seen.elapsed().as_millis());
                 resp.push("rtt-us", w.last_rtt_us);
-                resp.push("offset-us", w.offset_us);
-                resp.push("inflight", w.running.len());
+                resp.push("offset-us", w.offset_us.unwrap_or(0));
+                let running = st.dispatches.values().filter(|d| d.running_on(id));
+                resp.push("inflight", running.count());
                 resp.push("tasks-ok", w.tasks_ok);
                 resp.push("tasks-failed", w.tasks_failed);
                 resp.push("bytes-in", w.bytes_in);
@@ -764,8 +742,9 @@ fn handle_request(
 ///
 /// `execute_map`/`execute_reduce` pack the job and the task's spec into
 /// a task body, enqueue a dispatch, and block until a worker reports its
-/// result (or the dispatch fails). Called concurrently from the
-/// runtime's task threads, so `worker_threads` bounds how many
+/// result (or the dispatch fails); the attempt comes back with the
+/// dispatch's note whenever a worker took it. Called concurrently from
+/// the runtime's task threads, so `worker_threads` bounds how many
 /// dispatches are in flight.
 #[derive(Debug)]
 pub struct RemoteExecutor {
@@ -777,30 +756,36 @@ impl RemoteExecutor {
     /// steps are charged to the dispatch's note as `ser_us`.
     fn execute<R>(
         &self,
-        phase: Phase,
+        phase: &'static str,
         task: usize,
         wire: &WireSpec,
         encode_spec: impl FnOnce() -> Vec<u8>,
         decode_result: impl FnOnce(&[u8]) -> Result<R, DecodeError>,
-    ) -> Result<R, MrError> {
+    ) -> Attempt<R> {
         let encode_started = Instant::now();
         let body = proto::encode_task_body(&wire.kind, &wire.params, &encode_spec());
         let encode_time = encode_started.elapsed();
-        let (bytes, d) = self.run_remote(phase, task, body)?;
+        let (outcome, mut note) = self.run_remote(phase, task, body);
         let decode_started = Instant::now();
-        let result = decode_result(&bytes)
-            .map_err(|e| MrError::Wire(format!("{} task {task} result: {e}", phase.as_str())));
-        let ser = encode_time + decode_started.elapsed();
-        self.record_ser_us(d, u64::try_from(ser.as_micros()).unwrap_or(u64::MAX));
-        result
+        let result = outcome.and_then(|bytes| {
+            decode_result(&bytes)
+                .map_err(|e| MrError::Wire(format!("{phase} task {task} result: {e}")))
+        });
+        if let Some(note) = &mut note {
+            let ser = encode_time + decode_started.elapsed();
+            note.ser_us = u64::try_from(ser.as_micros()).unwrap_or(u64::MAX);
+        }
+        Attempt { result, note }
     }
 
+    /// Enqueues one dispatch and waits for its retirement: the result
+    /// bytes or the failure, and its note if a worker took it.
     fn run_remote(
         &self,
-        phase: Phase,
+        phase: &'static str,
         task: usize,
         body: Vec<u8>,
-    ) -> Result<(Vec<u8>, u64), MrError> {
+    ) -> (Result<Vec<u8>, MrError>, Option<DispatchNote>) {
         // The dispatch span parents the worker-side task span: its id
         // travels in the `task-request` response and returns inside the
         // worker's captured span lines, stitching driver and worker
@@ -811,7 +796,7 @@ impl RemoteExecutor {
         } else {
             ffmr_obs::span_child_of("mr.dispatch", trace)
         };
-        dispatch_span.field("phase", phase.as_str());
+        dispatch_span.field("phase", phase);
         dispatch_span.field("task", task);
         let d = {
             let mut st = self.shared.state.lock();
@@ -820,86 +805,63 @@ impl RemoteExecutor {
             st.dispatches.insert(
                 d,
                 Dispatch {
-                    phase,
-                    task,
-                    running_on: None,
+                    worker: None,
+                    note: DispatchNote {
+                        phase: phase.to_string(),
+                        task,
+                        queued_us: ffmr_obs::span::epoch_us(),
+                        ..DispatchNote::default()
+                    },
                     outcome: None,
-                    queued_us: ffmr_obs::span::epoch_us(),
                     trace,
                     span: dispatch_span.id(),
                     body,
                 },
             );
-            st.queue.push_back(d);
             d
         };
         dispatch_span.field("dispatch", d);
         ffmr_obs::global()
-            .counter("ffmr_dist_dispatches_total", &[("phase", phase.as_str())])
+            .counter("ffmr_dist_dispatches_total", &[("phase", phase)])
             .inc();
         self.shared.changed.notify_all();
 
         let mut no_worker_since: Option<Instant> = None;
         let mut st = self.shared.state.lock();
-        loop {
-            if let Some(outcome) = st
-                .dispatches
-                .get_mut(&d)
-                .and_then(|disp| disp.outcome.take())
-            {
-                cleanup_dispatch(&mut st, d);
-                drop(st);
-                return outcome
-                    .map(|bytes| (bytes, d))
-                    .map_err(|message| MrError::TaskFailed {
-                        phase: phase.as_str(),
-                        task,
-                        message,
-                    });
+        let outcome = loop {
+            let dispatch = st.dispatches.get_mut(&d).expect("retired only here");
+            if let Some(outcome) = dispatch.outcome.take() {
+                break outcome;
             }
             if st.live_workers() == 0 {
                 let since = *no_worker_since.get_or_insert_with(Instant::now);
                 if since.elapsed() >= self.shared.dead_cluster_timeout {
-                    cleanup_dispatch(&mut st, d);
-                    drop(st);
-                    return Err(MrError::TaskFailed {
-                        phase: phase.as_str(),
-                        task,
-                        message: format!(
-                            "no live workers for {:?}; dispatch {d} abandoned",
-                            self.shared.dead_cluster_timeout
-                        ),
-                    });
+                    break Err(format!(
+                        "no live workers for {:?}; dispatch {d} abandoned",
+                        self.shared.dead_cluster_timeout
+                    ));
                 }
             } else {
                 no_worker_since = None;
             }
             self.shared.changed.wait_timeout(&mut st, MONITOR_INTERVAL);
-        }
+        };
+        let dispatch = st.dispatches.remove(&d).expect("retired only here");
+        drop(st);
+        let result = outcome.map_err(|message| MrError::TaskFailed {
+            phase,
+            task,
+            message,
+        });
+        (result, dispatch.worker.map(|_| dispatch.note))
     }
-
-    /// Attaches driver-side serialization time to the note `dispatch`
-    /// produced (no-op when no note was recorded).
-    fn record_ser_us(&self, dispatch: u64, ser_us: u64) {
-        let mut st = self.shared.state.lock();
-        if let Some(&idx) = st.note_index.get(&dispatch) {
-            if let Some(note) = st.notes.get_mut(idx) {
-                note.ser_us = ser_us;
-            }
-        }
-    }
-}
-
-fn cleanup_dispatch(st: &mut State, d: u64) {
-    st.dispatches.remove(&d);
-    st.queue.retain(|&q| q != d);
 }
 
 impl TaskExecutor for RemoteExecutor {
-    fn execute_map(&self, wire: &WireSpec, spec: MapTaskSpec) -> Result<MapTaskResult, MrError> {
+    fn execute_map(&self, wire: &WireSpec, spec: MapTaskSpec) -> Attempt<MapTaskResult> {
         let task = spec.task;
         self.execute(
-            Phase::Map,
+            "map",
             task,
             wire,
             move || spec.to_bytes(),
@@ -907,25 +869,15 @@ impl TaskExecutor for RemoteExecutor {
         )
     }
 
-    fn execute_reduce(
-        &self,
-        wire: &WireSpec,
-        spec: ReduceTaskSpec,
-    ) -> Result<ReduceTaskResult, MrError> {
+    fn execute_reduce(&self, wire: &WireSpec, spec: ReduceTaskSpec) -> Attempt<ReduceTaskResult> {
         let task = spec.task;
         self.execute(
-            Phase::Reduce,
+            "reduce",
             task,
             wire,
             move || spec.to_bytes(),
             ReduceTaskResult::from_bytes,
         )
-    }
-
-    fn drain_dispatch_notes(&self) -> Vec<ffmr_obs::DispatchNote> {
-        let mut st = self.shared.state.lock();
-        st.note_index.clear();
-        std::mem::take(&mut st.notes)
     }
 }
 
@@ -975,44 +927,96 @@ mod tests {
         coordinator.shutdown();
     }
 
-    /// A fake worker whose clock runs `SHIFT_US` ahead of the driver's:
-    /// a heartbeat whose RTT was spent on one leg skews the offset by
-    /// half that RTT, and a later, tighter beat must replace it.
-    #[test]
-    fn heartbeat_offset_tracks_the_lowest_rtt_sample() {
-        const SHIFT_US: u64 = 10_000_000;
-        let shared = Arc::new(Shared {
+    /// Coordinator state with no server around it, for driving
+    /// `handle_request` directly.
+    fn bare_shared() -> Arc<Shared> {
+        Arc::new(Shared {
             state: Mutex::new(State::default()),
             changed: Condvar::new(),
             shutdown: AtomicBool::new(false),
             heartbeat_timeout: Duration::from_secs(3),
             dead_cluster_timeout: Duration::from_secs(30),
-        });
+        })
+    }
+
+    /// A fake worker whose clock runs `SHIFT_US` ahead of the driver's:
+    /// each stamp reads the offset plus its own transit time, so a
+    /// registration that sat 50 ms in transit is 50 ms off, a later beat
+    /// that took 2 ms replaces it, and a slower beat does not displace it.
+    #[test]
+    fn clock_offset_keeps_the_tightest_reading() {
+        const SHIFT_US: u64 = 10_000_000;
+        let shared = bare_shared();
         let mut conn = Conn::default();
         let mut call = |request: Message| handle_request(&shared, request, &mut conn).unwrap();
-        let worker_now = || ffmr_obs::span::epoch_us() + SHIFT_US;
-        call(Message::new(verb::REGISTER).field("now-us", worker_now()));
-        // The worker stamps `now-us` `delay_us` before the driver reads
-        // it, and reports a round trip of `rtt_us`; the reply is the
-        // `workers` table's offset error against the true shift.
-        let mut beat = |rtt_us: u64, delay_us: u64| {
-            call(
-                Message::new(verb::HEARTBEAT)
-                    .field("worker", 0)
-                    .field("now-us", worker_now() - delay_us)
-                    .field("rtt-us", rtt_us),
-            );
+        // The worker stamps `now-us` `transit_us` before the driver reads
+        // it; the reply is the `workers` table's offset error against the
+        // true shift.
+        let worker_now = |transit_us: u64| ffmr_obs::span::epoch_us() + SHIFT_US - transit_us;
+        let mut error = |request: Message| {
+            call(request);
             let table = call(Message::new(verb::WORKERS));
             let offset: i64 = table.get_parsed("offset-us").unwrap().unwrap();
             offset.abs_diff(-(SHIFT_US as i64))
         };
+        let beat = |transit_us: u64| {
+            Message::new(verb::HEARTBEAT)
+                .field("worker", 0)
+                .field("now-us", worker_now(transit_us))
+                .field("rtt-us", 2 * transit_us)
+        };
 
-        // 100 ms round trip, all of it on the way in: 50 ms off.
-        let skewed = beat(100_000, 100_000);
-        assert!(skewed >= 40_000, "skewed beat off by only {skewed}us");
-        // A tight, symmetric 4 ms beat wins.
-        let tight = beat(4_000, 2_000);
-        assert!(tight <= 4_000, "tight beat still off by {tight}us");
-        assert_eq!(beat(20_000, 20_000), tight, "a looser beat displaced it");
+        let slow = error(Message::new(verb::REGISTER).field("now-us", worker_now(50_000)));
+        assert!(slow >= 50_000, "a 50 ms transit read only {slow}us off");
+        let tight = error(beat(2_000));
+        assert!(tight < 10_000, "the 2 ms beat still off by {tight}us");
+        assert_eq!(error(beat(20_000)), tight, "a slower beat displaced it");
+    }
+
+    /// A fake worker whose clock runs 10 s ahead of the driver's ships a
+    /// span it opened "now": in the driver's trace it must start now on
+    /// the driver clock, not 10 s in the future.
+    #[test]
+    fn shipped_spans_are_moved_onto_the_driver_clock() {
+        const SHIFT_US: u64 = 10_000_000;
+        let sink = Arc::new(ffmr_obs::VecSink::new());
+        ffmr_obs::set_sink(Some(Arc::clone(&sink) as Arc<dyn ffmr_obs::LineSink>));
+        let shared = bare_shared();
+        let mut conn = Conn::default();
+        let register =
+            Message::new(verb::REGISTER).field("now-us", ffmr_obs::span::epoch_us() + SHIFT_US);
+        handle_request(&shared, register, &mut conn).unwrap();
+        let driver_now = ffmr_obs::span::epoch_us();
+        let worker_start = driver_now + SHIFT_US;
+        let line = format!(
+            "{{\"name\":\"worker.map\",\"id\":1099511627776,\"thread\":\"w\",\
+             \"start_us\":{worker_start},\"dur_us\":5,\"dispatch\":\"0\"}}"
+        );
+        let telemetry = Message::new(verb::TELEMETRY)
+            .field("worker", 0)
+            .field("spans", &line);
+        handle_request(&shared, telemetry, &mut conn).unwrap();
+        ffmr_obs::set_sink(None);
+
+        let shipped: Vec<String> = sink
+            .take()
+            .into_iter()
+            .filter(|l| l.contains("\"worker.map\""))
+            .collect();
+        assert_eq!(shipped.len(), 1, "{shipped:?}");
+        let at = shipped[0].find("\"start_us\":").unwrap() + "\"start_us\":".len();
+        let digits: String = shipped[0][at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        let start_us: u64 = digits.parse().unwrap();
+        assert!(
+            start_us.abs_diff(driver_now) < 1_000_000,
+            "start_us {start_us} vs driver clock {driver_now}: {}",
+            shipped[0]
+        );
+        // Everything but the start is forwarded as the worker wrote it.
+        let moved = line.replace(&worker_start.to_string(), &digits);
+        assert_eq!(shipped[0], moved);
     }
 }

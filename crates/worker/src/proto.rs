@@ -36,9 +36,13 @@
 //! reads them back with `Message::joined_lines`/`get_all`. The
 //! `telemetry` verb carries the same fields as a final flush on
 //! shutdown. Heartbeats carry `now-us` (worker clock at send) and
-//! `rtt-us` (worker-measured round trip of the *previous* beat); the
-//! coordinator keeps the minimum-RTT offset estimate (driver receive
-//! time − (`now-us` + rtt/2)) for the `workers` table. The `workers` verb
+//! `rtt-us` (worker-measured round trip of the *previous* beat), and
+//! `register` carries `now-us` too. The coordinator keeps the lowest
+//! driver receive time − `now-us` over those stamps as the worker's
+//! clock offset: each reading exceeds the true offset by its message's
+//! transit time, so the lowest is the tightest. It shows the offset in
+//! the `workers` table and adds it to the `start_us` of every span line
+//! the worker ships. The `workers` verb
 //! is the read side (driver tools, not workers): a point-in-time table
 //! for `ffmr top`.
 

@@ -99,22 +99,23 @@ fn run_dispatch(
     }
     let runner = &cache.as_ref().expect("filled above").2;
     let decode = |what: &str, e| MrError::Wire(format!("dispatch {dispatch} {what} spec: {e}"));
-    let outcome = match phase {
+    // The task index a panic report names comes from the decoded spec.
+    let (task, outcome) = match phase {
         "map" => {
             let spec = {
                 let _s = ffmr_obs::span("worker.decode");
                 MapTaskSpec::from_bytes(spec).map_err(|e| decode("map", e))?
             };
-            std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_map(&spec)))
-                .map(|r| r.map(|res| res.to_bytes()))
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_map(&spec)));
+            (spec.task, outcome.map(|r| r.map(|res| res.to_bytes())))
         }
         "reduce" => {
             let spec = {
                 let _s = ffmr_obs::span("worker.decode");
                 ReduceTaskSpec::from_bytes(spec).map_err(|e| decode("reduce", e))?
             };
-            std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_reduce(&spec)))
-                .map(|r| r.map(|res| res.to_bytes()))
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| runner.run_reduce(&spec)));
+            (spec.task, outcome.map(|r| r.map(|res| res.to_bytes())))
         }
         other => {
             return Err(MrError::Wire(format!(
@@ -122,14 +123,13 @@ fn run_dispatch(
             )))
         }
     };
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => Err(MrError::TaskFailed {
+    outcome.unwrap_or_else(|payload| {
+        Err(MrError::TaskFailed {
             phase: if phase == "map" { "map" } else { "reduce" },
-            task: dispatch as usize,
+            task,
             message: panic_message(payload.as_ref()),
-        }),
-    }
+        })
+    })
 }
 
 /// Adds this worker's telemetry to `message` as repeated one-line
@@ -178,9 +178,9 @@ pub fn run_worker(config: &WorkerConfig, registry: &JobKindRegistry) -> Result<(
             let Ok(mut client) = Client::connect(&addr) else {
                 return;
             };
-            // Each beat carries this worker's clock and the measured
-            // round trip of the *previous* beat, so the coordinator can
-            // estimate a clock offset from the lowest-RTT sample.
+            // Each beat carries this worker's clock, from which the
+            // coordinator estimates a clock offset, and the measured
+            // round trip of the *previous* beat.
             let mut last_rtt_us: Option<u64> = None;
             while !stop.load(Ordering::SeqCst) && !signals::requested() {
                 let mut ping = Message::new(verb::HEARTBEAT);

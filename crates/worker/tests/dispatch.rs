@@ -100,6 +100,7 @@ fn executor_round_trips_map_and_reduce_through_a_worker() {
                 input: input.clone(),
             },
         )
+        .result
         .unwrap();
     assert_eq!(map.spills.len(), 1);
     assert_eq!(map.spills[0].data.len(), input.len());
@@ -120,6 +121,7 @@ fn executor_round_trips_map_and_reduce_through_a_worker() {
                 schimmy: None,
             },
         )
+        .result
         .unwrap();
     assert_eq!(reduce.data, input, "xor twice is identity");
     assert_eq!(reduce.merge_fanin, 1);
@@ -129,9 +131,10 @@ fn executor_round_trips_map_and_reduce_through_a_worker() {
     w2.join().unwrap().unwrap();
 }
 
-/// A dispatch note is timed on the coordinator's own socket: its window
-/// runs from writing the reply that hands the task out to reading the
-/// last byte of the `task-done`, and both body transfers fit inside it.
+/// A dispatch note comes back with the attempt it timed, measured on
+/// the coordinator's own socket: its window runs from handing the task
+/// out to reading the last byte of the `task-done`, and both body
+/// transfers fit inside it.
 #[test]
 fn dispatch_notes_time_the_bodies_on_the_coordinator_socket() {
     ffmr_obs::events::recorder().set_enabled(true);
@@ -150,10 +153,9 @@ fn dispatch_notes_time_the_bodies_on_the_coordinator_socket() {
         input: vec![1; 2 << 20],
     };
     let body = ffmr_worker::proto::encode_task_body(&wire.kind, &wire.params, &spec.to_bytes());
-    let result = executor.execute_map(&wire, spec).unwrap();
-    let notes = executor.drain_dispatch_notes();
-    assert_eq!(notes.len(), 1);
-    let n = &notes[0];
+    let attempt = executor.execute_map(&wire, spec);
+    let result = attempt.result.unwrap();
+    let n = attempt.note.expect("a worker ran the attempt");
     assert_eq!(
         (n.phase.as_str(), n.task, n.worker, n.ok),
         ("map", 5, 0, true)
@@ -193,11 +195,16 @@ fn worker_panic_surfaces_as_task_failed_not_a_hang() {
                 input: vec![1, 2, 3],
             },
         )
+        .result
         .unwrap_err();
     match err {
         MrError::TaskFailed { phase, message, .. } => {
             assert_eq!(phase, "map");
-            assert!(message.contains("synthetic task panic"), "{message}");
+            // The worker's report names the task, not the dispatch id.
+            assert!(
+                message.contains("map task 3 failed: synthetic task panic"),
+                "{message}"
+            );
         }
         other => panic!("expected TaskFailed, got {other}"),
     }
@@ -215,6 +222,7 @@ fn worker_panic_surfaces_as_task_failed_not_a_hang() {
                 input: vec![0],
             },
         )
+        .result
         .unwrap();
     assert_eq!(ok.spills[0].data, vec![1]);
 
@@ -242,6 +250,7 @@ fn unregistered_job_kind_fails_the_dispatch_with_a_typed_error() {
                 input: Vec::new(),
             },
         )
+        .result
         .unwrap_err();
     match err {
         MrError::TaskFailed { message, .. } => {
@@ -294,7 +303,17 @@ fn connection_drop_fails_inflight_dispatches_for_retry() {
     }
     drop(fake); // connection closed: the coordinator must declare death
 
-    let err = pending.join().unwrap().unwrap_err();
+    let attempt = pending.join().unwrap();
+    // The lost attempt still reached a worker, so it has its note.
+    let note = attempt
+        .note
+        .expect("the dead worker's attempt keeps its note");
+    assert_eq!(
+        (note.phase.as_str(), note.task, note.worker, note.ok),
+        ("map", 7, worker_id, false)
+    );
+    assert!(note.started_us <= note.finished_us, "{note:?}");
+    let err = attempt.result.unwrap_err();
     match err {
         MrError::TaskFailed {
             phase,
@@ -351,7 +370,7 @@ fn heartbeat_silence_declares_a_worker_dead() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let err = pending.join().unwrap().unwrap_err();
+    let err = pending.join().unwrap().result.unwrap_err();
     match err {
         MrError::TaskFailed { message, .. } => {
             assert!(message.contains("heartbeat timeout"), "{message}");
@@ -397,6 +416,7 @@ fn no_live_workers_times_out_instead_of_hanging() {
                 input: Vec::new(),
             },
         )
+        .result
         .unwrap_err();
     match err {
         MrError::TaskFailed { message, .. } => {
@@ -510,6 +530,7 @@ fn ff_round_task_is_byte_identical_local_and_remote() {
             },
             spec,
         )
+        .result
         .unwrap();
     assert_eq!(local.to_bytes(), remote.to_bytes(), "task output diverged");
 
@@ -547,10 +568,83 @@ fn executor_is_shared_across_threads() {
         })
         .collect();
     for (mask, handle) in handles.into_iter().enumerate() {
-        let result = handle.join().unwrap().unwrap();
+        let result = handle.join().unwrap().result.unwrap();
         assert!(result.spills[0].data.iter().all(|&b| b == mask as u8));
     }
     coordinator.shutdown();
     w1.join().unwrap().unwrap();
     w2.join().unwrap().unwrap();
+}
+
+/// Each attempt's note rides home with that attempt, so a retried task
+/// is attributed attempt by attempt: an injected fault dies before any
+/// dispatch and has no worker, and the retry that a worker ran carries
+/// the worker of its own note.
+#[test]
+fn a_retried_attempt_is_attributed_to_the_worker_that_ran_it() {
+    use ffmr_core::{FfConfig, FfVariant};
+    use mapreduce::{ClusterConfig, FailurePolicy, MrRuntime};
+    use swgraph::{FlowNetwork, VertexId};
+
+    ffmr_obs::events::recorder().set_enabled(true);
+    let coordinator = Coordinator::start(CoordinatorConfig::default()).unwrap();
+    let addr = coordinator.local_addr().to_string();
+    let worker = std::thread::spawn(move || {
+        let mut registry = JobKindRegistry::new();
+        registry.register(ffmr_core::FF_JOB_KIND, ffmr_core::ff_task_runner);
+        run_worker(&WorkerConfig::new(addr), &registry)
+    });
+    assert!(coordinator.wait_for_workers(1, Duration::from_secs(10)));
+
+    let n = 120;
+    let net = FlowNetwork::from_undirected_unit(n, &swgraph::gen::barabasi_albert(n, 3, 13));
+    let config = FfConfig::new(VertexId::new(0), VertexId::new(n - 1)).variant(FfVariant::ff5());
+    let mut rt = MrRuntime::new(ClusterConfig::small_cluster(4));
+    rt.set_task_executor(Some(coordinator.executor()));
+    rt.set_failure_policy(FailurePolicy::with_injector(4, |p, t, a| {
+        p == "map" && t == 0 && a == 0
+    }));
+    ffmr_core::run_max_flow(&mut rt, &net, &config).expect("run survives the injected fault");
+
+    let history = rt
+        .dfs()
+        .read_blob(&ffmr_core::history_path(&config.base_path))
+        .expect("history blob");
+    let text = String::from_utf8(history.to_vec()).unwrap();
+    let mut dispatched_rounds = 0;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        let p = ffmr_obs::RoundProfile::from_json(line).expect("parse profile");
+        // Round 0's graph-prep job runs in process: nothing dispatched.
+        if p.dispatches.is_empty() {
+            continue;
+        }
+        dispatched_rounds += 1;
+        let map0: Vec<_> = p
+            .events
+            .iter()
+            .filter(|e| e.phase == "map" && e.task == 0)
+            .collect();
+        assert_eq!(map0.len(), 2, "round {}: two attempts of map 0", p.round);
+        assert_eq!(
+            map0[0].worker, None,
+            "round {}: the injected attempt",
+            p.round
+        );
+        let notes: Vec<_> = p
+            .dispatches
+            .iter()
+            .filter(|n| n.phase == "map" && n.task == 0)
+            .collect();
+        assert_eq!(notes.len(), 1, "round {}: one dispatch of map 0", p.round);
+        assert_eq!(
+            map0[1].worker,
+            Some(notes[0].worker),
+            "round {}: the dispatched attempt",
+            p.round
+        );
+    }
+    assert!(dispatched_rounds > 0, "no round went through the worker");
+
+    coordinator.shutdown();
+    worker.join().unwrap().unwrap();
 }

@@ -812,28 +812,27 @@ fn print_query_profile(p: &ffmr::ffmr_obs::QueryProfile) {
 /// `--slow-query-ms` threshold, newest last; `--json` dumps the raw
 /// profile lines for machines.
 fn slowlog(opts: &Options) -> Result<(), String> {
-    use ffmr::ffmr_service::{Client, Message};
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7227");
-    let mut request = Message::new("slowlog");
+    let mut request = ffmr::ffmr_service::Message::new("slowlog");
     if let Some(limit) = opts.get("limit") {
         request.push("limit", limit);
     }
-    let mut client = Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let response = client.request(&request).map_err(|e| e.to_string())?;
-    if response.head != "ok" {
-        return Err(format!(
-            "server replied '{}': {}",
-            response.head,
-            response.get("message").unwrap_or("")
-        ));
-    }
-    if opts.has("json") {
+    let json = opts.has("json");
+    request_ok("slowlog", addr, "server", &request, None, |response| {
+        print_slowlog(response, json);
+    })
+}
+
+/// Renders one `slowlog` reply: the raw profile lines with `json`, else
+/// a summary line and one row per captured query.
+fn print_slowlog(response: &ffmr::ffmr_service::Message, json: bool) {
+    if json {
         for (k, v) in &response.fields {
             if k == "entry" {
                 println!("{v}");
             }
         }
-        return Ok(());
+        return;
     }
     println!(
         "slow queries: {} captured, {} dropped (ring capacity {}, threshold {} ms)",
@@ -871,60 +870,74 @@ fn slowlog(opts: &Options) -> Result<(), String> {
             Err(e) => eprintln!("warning: unparsable entry ({e}): {v}"),
         }
     }
-    Ok(())
 }
 
 /// Scrapes the daemon's `stats` verb: flat `series value` lines by
 /// default, the Prometheus text exposition with `--prometheus`, and a
-/// periodic refresh with `--watch`. A watch outlives daemon restarts:
-/// when the connection drops it reconnects with capped exponential
-/// backoff (one notice line per outage) instead of exiting.
+/// periodic refresh with `--watch` that outlives daemon restarts (see
+/// [`request_ok`]).
 fn stats(opts: &Options) -> Result<(), String> {
-    use ffmr::ffmr_service::{Client, Message};
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7227");
     let prometheus = opts.has("prometheus");
-    let watch = opts.has("watch");
     let interval = std::time::Duration::from_millis(opts.parsed("interval-ms", 2_000u64)?.max(100));
+    let mut request = ffmr::ffmr_service::Message::new("stats");
+    if let Some(dataset) = opts.get("dataset") {
+        request.push("dataset", dataset);
+    }
+    if prometheus {
+        request.push("format", "prometheus");
+    }
+    let watch = opts.has("watch").then_some(interval);
+    request_ok("stats", addr, "server", &request, watch, |response| {
+        if prometheus {
+            print!("{}", response.joined_lines("prom"));
+        } else {
+            print_serving_summary(response);
+            for (k, v) in &response.fields {
+                println!("{k} {v}");
+            }
+        }
+    })
+}
 
+/// The one request path of the client commands: sends `request` to
+/// `addr` and renders the `ok` reply; any other reply is an error naming
+/// `peer`. With `watch` the request repeats at that interval until
+/// interrupted, and a dropped connection is redialed with backoff (one
+/// notice line per outage) instead of ending the watch — a watch
+/// outlives daemon restarts.
+fn request_ok(
+    cmd: &str,
+    addr: &str,
+    peer: &str,
+    request: &ffmr::ffmr_service::Message,
+    watch: Option<std::time::Duration>,
+    mut render: impl FnMut(&ffmr::ffmr_service::Message),
+) -> Result<(), String> {
+    use ffmr::ffmr_service::Client;
     let mut client = Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
     loop {
-        let mut request = Message::new("stats");
-        if let Some(dataset) = opts.get("dataset") {
-            request.push("dataset", dataset);
-        }
-        if prometheus {
-            request.push("format", "prometheus");
-        }
-        let response = match client.request(&request) {
+        let response = match client.request(request) {
             Ok(response) => response,
-            Err(e) if watch => {
-                // The daemon restarted (or the network blipped) mid-watch;
-                // keep the watch alive rather than dying on the operator.
-                eprintln!("stats: connection to {addr} lost ({e}); reconnecting...");
+            Err(e) if watch.is_some() => {
+                eprintln!("{cmd}: connection to {addr} lost ({e}); reconnecting...");
                 client = reconnect(addr);
-                eprintln!("stats: reconnected to {addr}");
+                eprintln!("{cmd}: reconnected to {addr}");
                 continue;
             }
             Err(e) => return Err(e.to_string()),
         };
         if response.head != "ok" {
             return Err(format!(
-                "server replied '{}': {}",
+                "{peer} replied '{}': {}",
                 response.head,
                 response.get("message").unwrap_or("")
             ));
         }
-        if prometheus {
-            print!("{}", response.joined_lines("prom"));
-        } else {
-            print_serving_summary(&response);
-            for (k, v) in &response.fields {
-                println!("{k} {v}");
-            }
-        }
-        if !watch {
+        render(&response);
+        let Some(interval) = watch else {
             return Ok(());
-        }
+        };
         println!("---");
         std::thread::sleep(interval);
     }
@@ -1006,37 +1019,13 @@ fn extract_label<'a>(labels: &'a str, name: &str) -> Option<&'a str> {
 /// clock offset, in-flight dispatches and task/byte totals. `--watch`
 /// refreshes until interrupted (reconnecting like `stats --watch`).
 fn top(opts: &Options) -> Result<(), String> {
-    use ffmr::ffmr_service::{Client, Message};
     let addr = opts.required("connect")?;
-    let watch = opts.has("watch");
     let interval = std::time::Duration::from_millis(opts.parsed("interval-ms", 1_000u64)?.max(100));
-
-    let mut client = Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    loop {
-        let response = match client.request(&Message::new("workers")) {
-            Ok(response) => response,
-            Err(e) if watch => {
-                eprintln!("top: connection to {addr} lost ({e}); reconnecting...");
-                client = reconnect(addr);
-                eprintln!("top: reconnected to {addr}");
-                continue;
-            }
-            Err(e) => return Err(e.to_string()),
-        };
-        if response.head != "ok" {
-            return Err(format!(
-                "coordinator replied '{}': {}",
-                response.head,
-                response.get("message").unwrap_or("")
-            ));
-        }
-        print_worker_table(addr, &response);
-        if !watch {
-            return Ok(());
-        }
-        println!("---");
-        std::thread::sleep(interval);
-    }
+    let request = ffmr::ffmr_service::Message::new("workers");
+    let watch = opts.has("watch").then_some(interval);
+    request_ok("top", addr, "coordinator", &request, watch, |response| {
+        print_worker_table(addr, response);
+    })
 }
 
 /// Renders one `workers` response: a cluster summary line plus one row
