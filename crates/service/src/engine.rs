@@ -40,8 +40,7 @@
 //! search are the structure-aware lesson of Bläsius/Friedrich/Weyand: on
 //! small-world graphs most cuts sit at a terminal.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ffmr_obs::{QueryProfile, SlowLog};
@@ -50,7 +49,7 @@ use maxflow::local::{self, Certificate, LocalSearch};
 use maxflow::{Algorithm, Cancel, SolveReport, SolverThread};
 use swgraph::{FlowNetwork, VertexId};
 
-use crate::cache::{CacheKey, CacheStats, CachedAnswer, FlowCache, QueryKind};
+use crate::cache::{CacheKey, CacheStats, CachedAnswer, Claim, FlowCache, QueryKind};
 use crate::protocol::{error_response, status, Message};
 use crate::store::{CutTreeStatus, GraphStore, Snapshot};
 
@@ -104,10 +103,6 @@ pub struct QueryEngine {
     /// searching at once: each is n-sized and reused, so a cold query
     /// allocates no graph-sized memory before the solve.
     local: Mutex<Vec<LocalSearch>>,
-    /// Queries currently being solved, keyed by their cache key. A
-    /// duplicate arriving while the leader is still solving waits for
-    /// the leader's answer instead of solving again (single-flight).
-    inflight: Mutex<HashMap<CacheKey, Arc<InflightSlot>>>,
     /// The per-query flight recorder: profiles of queries over
     /// [`EngineConfig::slow_query_threshold`], served by the `slowlog`
     /// verb. Capacity honors `FFMR_SLOWLOG_CAP`.
@@ -186,20 +181,6 @@ impl Job {
             Job::Sleep { .. } => "sleep",
         }
     }
-}
-
-/// Rendezvous for queries coalesced onto one in-flight solve.
-#[derive(Debug)]
-struct InflightSlot {
-    /// `None` while the leader is solving; the final result after.
-    done: Mutex<Option<Result<CachedAnswer, String>>>,
-    ready: Condvar,
-}
-
-/// Whether this query leads the solve or follows an identical one.
-enum InflightRole {
-    Lead(Arc<InflightSlot>),
-    Follow(Arc<InflightSlot>),
 }
 
 /// The solver an unpinned query falls back to when the local search does
@@ -283,7 +264,6 @@ impl QueryEngine {
             config,
             solver: SolverThread::spawn(),
             local: Mutex::new(Vec::new()),
-            inflight: Mutex::new(HashMap::new()),
             slowlog: SlowLog::from_env(),
         }
     }
@@ -352,9 +332,10 @@ impl QueryEngine {
     }
 
     /// The second stage: does what [`route`](Self::route) left, after it
-    /// waited `queue_wait` for a worker. A flow query leads or follows
-    /// an identical one in flight, solves (the local search, or the
-    /// solver thread), fills the cache and renders the reply.
+    /// waited `queue_wait` for a worker. A flow query claims its key in
+    /// the cache: it replies with the answer an identical query left
+    /// there meanwhile, waits for one still solving, or solves (the local
+    /// search, or the solver thread) and publishes the answer.
     #[must_use]
     pub fn run(&self, work: Work, queue_wait: Duration) -> Message {
         let started = Instant::now();
@@ -559,7 +540,7 @@ impl QueryEngine {
             // Percent of the deadline budget consumed before answering
             // (or dying) — the SLO headroom signal.
             m.histogram("ffmr_query_deadline_budget_pct", &[])
-                .record((prof.total_us * 100) / (prof.deadline_ms * 1_000));
+                .record(prof.total_us.saturating_mul(100) / prof.deadline_ms.saturating_mul(1_000));
         }
         if prof.total_us >= micros(self.config.slow_query_threshold) {
             self.slowlog.record(prof.clone());
@@ -624,38 +605,31 @@ impl QueryEngine {
         Some(hit_reply(&hit, q, prof))
     }
 
-    /// Solves a query the tree and the cache did not answer: leads the
-    /// solve, or follows an identical one in flight; the leader fills
-    /// the cache.
+    /// Solves a query the tree and the cache did not answer, once its
+    /// claim on the cache finds neither the answer nor an identical query
+    /// solving; the leader publishes the answer to the cache.
     fn solve_flow(&self, q: PreparedQuery, prof: &mut QueryProfile) -> Result<Message, String> {
         prof.deadline_ms = u64::try_from(q.opts.timeout.as_millis()).unwrap_or(u64::MAX);
         prof.plan = PLAN_FULL.to_string();
-        let use_cache = q.opts.use_cache;
-
-        // Single-flight: an identical cacheable query arriving while
-        // another is solving waits for that answer instead of solving
-        // again.
-        let (answer, coalesced) = if use_cache {
-            match self.join_or_lead(&q.key) {
-                InflightRole::Lead(slot) => {
-                    let result = self.compute(&q, prof);
-                    *slot.done.lock().expect("inflight slot") = Some(result.clone());
-                    slot.ready.notify_all();
-                    self.inflight.lock().expect("inflight map").remove(&q.key);
-                    (result?, false)
-                }
-                InflightRole::Follow(slot) => {
-                    let mut done = slot.done.lock().expect("inflight slot");
-                    while done.is_none() {
-                        done = slot.ready.wait(done).expect("inflight wait");
-                    }
+        let (answer, coalesced) = if q.opts.use_cache {
+            match self.cache.claim(&q.key) {
+                Claim::Ready(hit) => return Ok(hit_reply(&hit, &q, prof)),
+                Claim::Follow(follower) => {
+                    let result = follower.wait();
                     ffmr_obs::global()
                         .counter("ffmr_query_coalesced_total", &[])
                         .inc();
                     prof.plan_reason = "coalesced-follower".to_string();
-                    let answer = done.clone().expect("leader published")?;
+                    let answer = result?;
                     prof.solver = answer.solver.to_string();
                     (answer, true)
+                }
+                Claim::Lead(ticket) => {
+                    let result = self.compute(&q, prof);
+                    let publish_started = Instant::now();
+                    ticket.publish(result.clone());
+                    prof.cache_update_us += elapsed_us(publish_started);
+                    (result?, false)
                 }
             }
         } else {
@@ -663,29 +637,8 @@ impl QueryEngine {
         };
         prof.coalesced = coalesced;
         let mut response = render_answer(&answer, PLAN_FULL, &q, false);
-        if use_cache && !coalesced {
-            let put_started = Instant::now();
-            self.cache.put(q.key, answer);
-            prof.cache_update_us += elapsed_us(put_started);
-        }
         push_serving_fields(&mut response, coalesced, prof.queue_wait_us);
         Ok(response)
-    }
-
-    /// Registers this query in the in-flight table, either as the leader
-    /// (first arrival) or as a follower of an identical running query.
-    fn join_or_lead(&self, key: &CacheKey) -> InflightRole {
-        let mut inflight = self.inflight.lock().expect("inflight map");
-        if let Some(slot) = inflight.get(key) {
-            InflightRole::Follow(Arc::clone(slot))
-        } else {
-            let slot = Arc::new(InflightSlot {
-                done: Mutex::new(None),
-                ready: Condvar::new(),
-            });
-            inflight.insert(key.clone(), Arc::clone(&slot));
-            InflightRole::Lead(slot)
-        }
     }
 
     /// Answers a query the tree did not: an unpinned plain `maxflow`
@@ -1638,10 +1591,54 @@ mod tests {
         assert!(flows.windows(2).all(|w| w[0] == w[1]), "{flows:?}");
         for r in &responses {
             assert_eq!(r.head, status::OK, "{r:?}");
-            // Every concurrent duplicate either led the solve, followed
-            // it (coalesced), or hit the cache after the leader's put.
-            assert!(r.get("coalesced").is_some());
         }
+        // Every concurrent duplicate but one followed the solve
+        // (coalesced) or found its answer (cached).
+        let led = responses
+            .iter()
+            .filter(|r| (r.get("cached"), r.get("coalesced")) == (Some("0"), Some("0")))
+            .count();
+        assert_eq!(led, 1, "{responses:?}");
+    }
+
+    /// Duplicates routed before the first is solved each leave work; run
+    /// one after another, only the first solves and the rest find its
+    /// answer in the cache.
+    #[test]
+    fn queued_duplicates_solve_once() {
+        let n = 500;
+        let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 11));
+        let engine = engine_with(one_way(&net), EngineConfig::default());
+        let q = Message::new("maxflow")
+            .field("dataset", "g")
+            .field("source", 0)
+            .field("sink", n - 1)
+            .field("explain", 1);
+        let works: Vec<Work> = (0..3)
+            .map(|_| match engine.route(&q) {
+                Route::Work(work) => work,
+                Route::Reply(r) => panic!("nothing is cached yet: {r:?}"),
+            })
+            .collect();
+        let replies: Vec<Message> = works
+            .into_iter()
+            .map(|work| engine.run(work, Duration::ZERO))
+            .collect();
+        fn served(r: &Message) -> [Option<&str>; 3] {
+            [r.get("cached"), r.get("coalesced"), r.get("solver")]
+        }
+        assert_eq!(served(&replies[0]), [Some("0"), Some("0"), Some("local")]);
+        for r in &replies[1..] {
+            assert_eq!(served(r), [Some("1"), Some("0"), Some("local")], "{r:?}");
+            assert_eq!(r.get("flow"), replies[0].get("flow"));
+            let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
+            assert_eq!(
+                (prof.plan_reason.as_str(), prof.cache.as_str()),
+                ("cache-hit", "hit")
+            );
+        }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 1));
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! | `flow`          | max-flow value                                       |
 //! | `solver`        | `tree`, `local`, or an in-memory algorithm           |
 //! | `plan`          | `tree` (read off the cut tree) or `full` (solved)    |
-//! | `cached`        | `1` if served from the answer cache (never for `tree`) |
-//! | `coalesced`     | `1` if this request followed an identical in-flight one |
+//! | `cached`        | `1` if the flow cache held the answer, on arrival or once dequeued (never `tree`) |
+//! | `coalesced`     | `1` if this request waited for an identical one solving |
 //! | `queue_wait_us` | microseconds spent queued behind busy workers        |
 //!
 //! Min-cut certificates (`cut-edges`, `cut-source-side`) and the

@@ -522,6 +522,35 @@ mod tests {
         server.shutdown();
     }
 
+    /// Request fields whose arithmetic used to overflow get a reply, and
+    /// the one worker lives on to answer the next queued query.
+    #[test]
+    fn overflowing_request_fields_leave_the_worker_serving() {
+        let server = start_on(one_way(&two_paths()), 1, 2);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let query = Message::new("maxflow")
+            .field("dataset", "g")
+            .field("source", 0)
+            .field("sink", 3);
+        // Its deadline in microseconds overflows a u64.
+        let far = client
+            .request(&query.clone().field("timeout-ms", 1u64 << 61))
+            .unwrap();
+        assert_eq!(far.head, "ok", "{far:?}");
+        // `2 * w` overflows a usize.
+        let huge_w = Message::new("maxflow")
+            .field("dataset", "g")
+            .field("w", 1u64 << 63);
+        let r = client.request(&huge_w).unwrap();
+        assert_eq!(r.head, "error", "{r:?}");
+        assert!(r.get("message").unwrap().contains("need"), "{r:?}");
+        // Past the cache, so the worker answers it.
+        let r = client.request(&query.field("no-cache", 1)).unwrap();
+        assert_eq!(r.head, "ok", "{r:?}");
+        assert_eq!(r.get("flow"), Some("2"), "{r:?}");
+        server.shutdown();
+    }
+
     #[test]
     fn malformed_frames_get_error_responses() {
         let server = start(1, 2);

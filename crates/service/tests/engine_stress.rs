@@ -1,19 +1,24 @@
 //! Concurrency stress: many client threads firing mixed queries at one
-//! engine while the snapshot is repeatedly swapped underneath them.
+//! engine while the snapshot is repeatedly swapped underneath them, and
+//! the same mix as seeded single-threaded schedules of the engine's two
+//! stages.
 //!
 //! The invariant under test is epoch consistency: every response names
 //! the epoch it was answered against, and the flow value must be the
 //! correct answer *for that epoch's graph* — never a hybrid of two
 //! snapshots and never a stale cache entry served across a reload.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ffmr_service::engine::{EngineConfig, QueryEngine};
+use ffmr_prng::SplitMix64;
+use ffmr_service::engine::{EngineConfig, QueryEngine, Route, Work};
 use ffmr_service::protocol::{status, Message};
 use ffmr_service::GraphStore;
-use swgraph::{FlowNetwork, FlowNetworkBuilder};
+use maxflow::Algorithm;
+use swgraph::{Capacity, FlowNetwork, FlowNetworkBuilder, VertexId};
 
 const VERTICES: u64 = 8;
 const SOURCE: u64 = 0;
@@ -137,9 +142,9 @@ fn one_way(net: &FlowNetwork) -> FlowNetwork {
 }
 
 /// A barrage of identical expensive queries lands while the first is
-/// still solving: followers coalesce onto the leader's solve (or hit
-/// the cache the leader filled) — every response agrees, and the
-/// engine never runs more solves than leaders.
+/// still solving: followers coalesce onto the leader's solve (or find
+/// the answer it published) — every response agrees, and exactly one
+/// query solves.
 #[test]
 fn identical_query_storms_coalesce() {
     let n = 400;
@@ -181,7 +186,7 @@ fn identical_query_storms_coalesce() {
             (false, false) => led += 1,
         }
     }
-    assert!(led >= 1, "someone actually solved");
+    assert_eq!(led, 1, "exactly one query solved");
     // Every response took exactly one of the three paths — nobody fell
     // through to an unaccounted solve.
     assert_eq!(
@@ -189,18 +194,124 @@ fn identical_query_storms_coalesce() {
         responses.len() as u64,
         "{led} led / {followed} followed / {hit} hit"
     );
-    // Cache misses are bounded by one initial probe per thread plus the
-    // leaders' anchor-key probes — a follower or hit never misses twice.
+    // One counted lookup per query, made by `route`.
     let stats = engine.cache_stats();
     assert!(
-        stats.misses <= responses.len() as u64 + led * 2,
+        stats.misses <= responses.len() as u64,
         "followers must not fall through to the solver: {led} leaders, {stats:?}"
     );
 }
 
+/// Seeded schedules of the engine's two stages on one thread: each seed
+/// interleaves `route` and `run` steps of plain, `w 2` and `mincut`
+/// queries on one-way snapshots (no cut tree) with snapshot swaps.
+/// Every key is solved at most once per epoch, and every reply's flow is
+/// Dinic's on the graph of the epoch it names.
+#[test]
+fn seeded_schedules_solve_each_key_once_per_epoch() {
+    let n = 60u64;
+    let graphs: Vec<FlowNetwork> = (0..3)
+        .map(|seed| {
+            let edges = swgraph::gen::barabasi_albert(n, 2, seed);
+            one_way(&FlowNetwork::from_undirected_unit(n, &edges))
+        })
+        .collect();
+    let pair = |head: &str, s: u64, t: u64| {
+        Message::new(head)
+            .field("dataset", "g")
+            .field("source", s)
+            .field("sink", t)
+    };
+    let queries = [
+        pair("maxflow", 0, n - 1),
+        pair("maxflow", 7, 30),
+        pair("mincut", 0, n - 1),
+        Message::new("maxflow").field("dataset", "g").field("w", 2),
+    ];
+    // Dinic's flow for each query on each graph; a `w` query on the
+    // network its terminals make with the engine's default selection.
+    let config = EngineConfig::default();
+    let dinic = |net: &FlowNetwork, s: u64, t: u64| {
+        Algorithm::Dinic
+            .run(net, VertexId::new(s), VertexId::new(t))
+            .value
+    };
+    let expected: Vec<Vec<Capacity>> = graphs
+        .iter()
+        .map(|net| {
+            let st = swgraph::super_st::attach_super_terminals(
+                net,
+                2,
+                config.super_min_degree,
+                config.super_seed,
+            )
+            .unwrap();
+            vec![
+                dinic(net, 0, n - 1),
+                dinic(net, 7, 30),
+                dinic(net, 0, n - 1),
+                dinic(&st.network, n, n + 1),
+            ]
+        })
+        .collect();
+
+    for seed in 0..200 {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let store = Arc::new(GraphStore::new());
+        // The graph each epoch (from 1) swaps in: more than the swaps.
+        let epochs: Vec<usize> = (0..25).map(|_| rng.gen_range(0..graphs.len())).collect();
+        store.insert_network("g", graphs[epochs[0]].clone());
+        let mut swapped = 1;
+        let engine = QueryEngine::new(Arc::clone(&store), EngineConfig::default());
+        let mut pending: Vec<(usize, Work)> = Vec::new();
+        let mut solves: HashMap<(usize, u64), u32> = HashMap::new();
+        let mut check = |query: usize, r: &Message| {
+            assert_eq!(r.head, status::OK, "seed {seed}, query {query}: {r:?}");
+            let epoch: u64 = r.get("epoch").unwrap().parse().unwrap();
+            let flow: Capacity = r.get("flow").unwrap().parse().unwrap();
+            let graph = epochs[usize::try_from(epoch - 1).unwrap()];
+            assert_eq!(
+                flow, expected[graph][query],
+                "seed {seed}, query {query}, epoch {epoch}: {r:?}"
+            );
+            if (r.get("cached"), r.get("coalesced")) == (Some("0"), Some("0")) {
+                let count = solves.entry((query, epoch)).or_default();
+                *count += 1;
+                assert_eq!(
+                    *count, 1,
+                    "seed {seed}: query {query} solved twice at epoch {epoch}"
+                );
+            }
+        };
+        for _ in 0..24 {
+            match rng.gen_range(0..10) {
+                0..=4 => {
+                    let query = rng.gen_range(0..queries.len());
+                    match engine.route(&queries[query]) {
+                        Route::Reply(r) => check(query, &r),
+                        Route::Work(work) => pending.push((query, work)),
+                    }
+                }
+                5..=8 if !pending.is_empty() => {
+                    let (query, work) = pending.swap_remove(rng.gen_range(0..pending.len()));
+                    check(query, &engine.run(work, Duration::ZERO));
+                }
+                _ => {
+                    store.insert_network("g", graphs[epochs[swapped]].clone());
+                    swapped += 1;
+                }
+            }
+        }
+        while !pending.is_empty() {
+            let (query, work) = pending.swap_remove(rng.gen_range(0..pending.len()));
+            check(query, &engine.run(work, Duration::ZERO));
+        }
+    }
+}
+
 /// A deadline expiring mid-search: the leader and every coalesced
-/// follower get the timeout error back (nobody hangs on the inflight
-/// slot), the cache is left unpoisoned, and a later sane-deadline query
+/// follower get the timeout error back (nobody hangs on the leader's
+/// solving entry), the cache is left unpoisoned, and a later sane-deadline query
 /// answers correctly on the same route.
 #[test]
 fn timeouts_on_the_search_path_release_followers_and_spare_the_cache() {

@@ -71,29 +71,32 @@ pub fn select_super_terminals(
     seed: u64,
 ) -> Result<(Vec<VertexId>, Vec<VertexId>), SuperStError> {
     let n = base.num_vertices();
+    // Saturates: a `w` past half the address space needs more vertices
+    // than any graph has, and must not wrap into a small number.
+    let needed = w.saturating_mul(2);
     let mut rng = SplitMix64::seed_from_u64(seed);
 
     let mut qualified: Vec<VertexId> = (0..n as u64)
         .map(VertexId::new)
         .filter(|&v| base.degree(v) >= min_degree)
         .collect();
-    if qualified.len() < 2 * w {
+    if qualified.len() < needed {
         // Fall back to the highest-degree vertices overall.
         let mut by_degree: Vec<VertexId> = (0..n as u64)
             .map(VertexId::new)
             .filter(|&v| base.degree(v) > 0)
             .collect();
         by_degree.sort_by_key(|&v| std::cmp::Reverse(base.degree(v)));
-        if by_degree.len() < 2 * w {
+        if by_degree.len() < needed {
             return Err(SuperStError::NotEnoughVertices {
-                needed: 2 * w,
+                needed,
                 available: by_degree.len(),
             });
         }
-        qualified = by_degree[..2 * w].to_vec();
+        qualified = by_degree[..needed].to_vec();
     }
     rng.shuffle(&mut qualified);
-    let sinks = qualified[w..2 * w].to_vec();
+    let sinks = qualified[w..needed].to_vec();
     qualified.truncate(w);
     Ok((qualified, sinks))
 }
@@ -205,6 +208,16 @@ mod tests {
         let err = attach_super_terminals(&tiny, 5, 0, 1).unwrap_err();
         assert!(matches!(err, SuperStError::NotEnoughVertices { .. }));
         assert!(!err.to_string().is_empty());
+        // A `w` whose `2 * w` overflows is too large, not a wrapped one.
+        for w in [usize::MAX / 2 + 1, usize::MAX] {
+            assert_eq!(
+                select_super_terminals(&tiny, w, 0, 1),
+                Err(SuperStError::NotEnoughVertices {
+                    needed: usize::MAX,
+                    available: 2
+                })
+            );
+        }
     }
 
     #[test]
