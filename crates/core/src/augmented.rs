@@ -16,8 +16,12 @@ use swgraph::{Capacity, EdgeId, IdMap};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AugmentedEdges {
     round: usize,
+    // The raw adds per directed edge, as the side file carries them.
     // Never iterated in an order that reaches output: `to_blob` sorts.
     deltas: IdMap<EdgeId, Capacity>,
+    // The net change of both directions of every edge in `deltas`, so
+    // `flow_change` (run per edge copy and path hop) probes once.
+    net: IdMap<EdgeId, Capacity>,
 }
 
 impl AugmentedEdges {
@@ -27,6 +31,7 @@ impl AugmentedEdges {
         Self {
             round,
             deltas: IdMap::default(),
+            net: IdMap::default(),
         }
     }
 
@@ -40,6 +45,7 @@ impl AugmentedEdges {
     pub fn add(&mut self, eid: EdgeId, delta: Capacity) {
         if delta != 0 {
             *self.deltas.entry(eid).or_insert(0) += delta;
+            add_net(&mut self.net, eid, delta);
         }
     }
 
@@ -54,7 +60,10 @@ impl AugmentedEdges {
     /// remove it.
     #[must_use]
     pub fn flow_change(&self, eid: EdgeId) -> Capacity {
-        self.get(eid) - self.get(eid.reverse())
+        if self.net.is_empty() {
+            return 0;
+        }
+        self.net.get(&eid).copied().unwrap_or(0)
     }
 
     /// Number of directed edges with recorded deltas.
@@ -101,8 +110,19 @@ impl AugmentedEdges {
         if !input.is_empty() {
             return Err(DecodeError::new("trailing augmented-edges bytes"));
         }
-        Ok(Self { round, deltas })
+        let mut net = IdMap::with_capacity_and_hasher(2 * deltas.len(), Default::default());
+        for (&e, &d) in &deltas {
+            add_net(&mut net, e, d);
+        }
+        Ok(Self { round, deltas, net })
     }
+}
+
+/// Records a raw add of `delta` on `eid` in the net table: skew symmetry
+/// gives its reverse the opposite change.
+fn add_net(net: &mut IdMap<EdgeId, Capacity>, eid: EdgeId, delta: Capacity) {
+    *net.entry(eid).or_insert(0) += delta;
+    *net.entry(eid.reverse()).or_insert(0) -= delta;
 }
 
 #[cfg(test)]
@@ -127,6 +147,22 @@ mod tests {
         a.add(EdgeId::new(5), 1); // reverse traversal
         assert_eq!(a.flow_change(EdgeId::new(4)), 2);
         assert_eq!(a.flow_change(EdgeId::new(5)), -2);
+    }
+
+    #[test]
+    fn flow_change_matches_the_raw_adds_after_a_blob_round_trip() {
+        let mut a = AugmentedEdges::new(2);
+        for (e, d) in [(4, 3), (5, 1), (8, -2), (9, 2), (12, 1), (4, -1)] {
+            a.add(EdgeId::new(e), d);
+        }
+        let back = AugmentedEdges::from_blob(&a.to_blob()).unwrap();
+        for e in 0..16 {
+            let eid = EdgeId::new(e);
+            let raw = a.get(eid) - a.get(eid.reverse());
+            assert_eq!(a.flow_change(eid), raw, "edge {e}");
+            assert_eq!(back.flow_change(eid), raw, "edge {e} from the blob");
+        }
+        assert_eq!(AugmentedEdges::new(0).flow_change(EdgeId::new(3)), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::accumulator::Accumulator;
 use crate::algo::{FfVariant, KPolicy};
 use crate::aug_service::AUG_PROC;
 use crate::augmented::AugmentedEdges;
-use crate::path::ExcessPath;
+use crate::path::{ExcessPath, PathEdge};
 use crate::vertex::VertexValue;
 
 /// Immutable per-run parameters shared by every mapper and reducer.
@@ -57,9 +57,7 @@ impl FfMapper {
 }
 
 impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
-    fn map(&self, u: &u64, value: &VertexValue, ctx: &mut MapContext<'_, u64, VertexValue>) {
-        let u = *u;
-        let mut v = value.clone();
+    fn map(&self, u: u64, mut v: VertexValue, ctx: &mut MapContext<'_, u64, VertexValue>) {
         if !self.shared.variant.pooled_objects {
             // Deserializing + cloning the record churns one object per
             // edge and per stored path hop in the un-pooled variants.
@@ -79,14 +77,19 @@ impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
             v.refresh_sent_markers();
         }
 
+        // Every fragment is framed when it is emitted, so two scratch
+        // records carry all of this master's extensions and candidates.
+        let mut source_frag = VertexValue::fragment();
+        let mut sink_frag = VertexValue::fragment();
+
         // MAP lines 5-8 (FF1 only): concatenate source x sink pairs into
         // augmenting-path candidates and shuffle them to the sink. FF2+
         // moves this into the reduce phase (straight to aug_proc).
         if !self.shared.variant.stateful_aug {
             Accumulator::new().accept_pairs(&v.source_paths, &v.sink_paths, |se, te| {
                 self.charge_path(ctx, se.len() + te.len());
-                let cand = ExcessPath::concat(se, te);
-                ctx.emit(self.shared.sink, VertexValue::source_fragment(cand));
+                refill(&mut source_frag.source_paths, se.edges(), te.edges());
+                ctx.emit(self.shared.sink, &source_frag);
             });
         }
 
@@ -113,9 +116,13 @@ impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
                     .filter(|p| !p.is_saturated() && !p.contains_vertex(e.to))
                     .take(per_edge)
                 {
-                    let ext = se.extended(e.forward_hop(u));
-                    self.charge_path(ctx, ext.len());
-                    ctx.emit(e.to, VertexValue::source_fragment(ext));
+                    let hops = refill(
+                        &mut source_frag.source_paths,
+                        se.edges(),
+                        &[e.forward_hop(u)],
+                    );
+                    self.charge_path(ctx, hops);
+                    ctx.emit(e.to, &source_frag);
                     if remember {
                         e.sent_source = Some(se.route_hash());
                     }
@@ -128,9 +135,9 @@ impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
                     .filter(|p| !p.is_saturated() && !p.contains_vertex(e.to))
                     .take(per_edge)
                 {
-                    let ext = te.prepended(e.backward_hop(u));
-                    self.charge_path(ctx, ext.len());
-                    ctx.emit(e.to, VertexValue::sink_fragment(ext));
+                    let hops = refill(&mut sink_frag.sink_paths, &[e.backward_hop(u)], te.edges());
+                    self.charge_path(ctx, hops);
+                    ctx.emit(e.to, &sink_frag);
                     if remember {
                         e.sent_sink = Some(te.route_hash());
                     }
@@ -144,6 +151,16 @@ impl Mapper<u64, VertexValue, u64, VertexValue> for FfMapper {
             ctx.emit(u, v);
         }
     }
+}
+
+/// Makes `paths` hold the one path `head` then `tail`, reusing the
+/// scratch fragment's allocations; returns the path's hop count.
+fn refill(paths: &mut Vec<ExcessPath>, head: &[PathEdge], tail: &[PathEdge]) -> usize {
+    if paths.is_empty() {
+        paths.push(ExcessPath::empty());
+    }
+    paths[0].assign_concat(head, tail);
+    paths[0].len()
 }
 
 /// The `REDUCE` function (paper Fig. 4).
@@ -271,7 +288,6 @@ impl Reducer<u64, VertexValue, u64, VertexValue> for FfReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::PathEdge;
     use crate::vertex::VertexEdge;
     use mapreduce::{Counters, ServiceHandle};
     use swgraph::EdgeId;
@@ -313,8 +329,8 @@ mod tests {
         let counters = Counters::new();
         let services = ServiceHandle::new();
         let mut ctx = MapContext::for_testing(&counters, &services);
-        mapper.map(&u, v, &mut ctx);
-        ctx.emitted().to_vec()
+        mapper.map(u, v.clone(), &mut ctx);
+        ctx.emitted()
     }
 
     #[test]
@@ -513,7 +529,8 @@ mod tests {
         // Three disjoint fragments + one conflicting duplicate.
         let vals = vec![master, mk(10), mk(10), mk(12), mk(14)];
         reducer.reduce(&5, &mut vals.into_iter(), &mut ctx);
-        let stored = &ctx.emitted()[0].1.source_paths;
+        let emitted = ctx.emitted();
+        let stored = &emitted[0].1.source_paths;
         assert_eq!(stored.len(), 2, "k = 2 caps storage");
         assert_ne!(
             stored[0].edges()[0].eid,

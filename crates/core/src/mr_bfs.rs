@@ -108,9 +108,9 @@ pub fn run_bfs(
         .output(round_path(base_path, 0))
         .reducers(reducers)
         .map(
-            |u: &u64, e: &round0::RawEdge, ctx: &mut MapContext<u64, u64>| {
-                ctx.emit(*u, e.to);
-                ctx.emit(e.to, *u);
+            |u: u64, e: round0::RawEdge, ctx: &mut MapContext<u64, u64>| {
+                ctx.emit(u, e.to);
+                ctx.emit(e.to, u);
             },
         )
         .reduce(
@@ -143,16 +143,15 @@ pub fn run_bfs(
             .output(&output)
             .reducers(reducers)
             .map(
-                |u: &u64, v: &BfsValue, ctx: &mut MapContext<u64, BfsValue>| {
+                |u: u64, mut v: BfsValue, ctx: &mut MapContext<u64, BfsValue>| {
                     if v.frontier {
                         let d = v.dist.expect("frontier vertices have distances");
                         for &to in &v.edges {
                             ctx.emit(to, BfsValue::fragment(d + 1));
                         }
                     }
-                    let mut master = v.clone();
-                    master.frontier = false;
-                    ctx.emit(*u, master);
+                    v.frontier = false;
+                    ctx.emit(u, v);
                 },
             )
             .reduce(

@@ -116,8 +116,7 @@ pub fn run_min_cut(
         .output(round_path(base_path, 0))
         .reducers(reducers)
         .map(
-            move |u: &u64, v: &VertexValue, ctx: &mut MapContext<u64, CutValue>| {
-                let mut v = v.clone();
+            move |u: u64, mut v: VertexValue, ctx: &mut MapContext<u64, CutValue>| {
                 v.apply_deltas(&pending);
                 let mut out = CutValue {
                     reachable: false,
@@ -132,7 +131,7 @@ pub fn run_min_cut(
                         out.saturated_out.push(entry);
                     }
                 }
-                ctx.emit(*u, out);
+                ctx.emit(u, out);
             },
         )
         .reduce(
@@ -161,7 +160,7 @@ pub fn run_min_cut(
             .output(&output)
             .reducers(reducers)
             .map(
-                |u: &u64, v: &CutValue, ctx: &mut MapContext<u64, CutValue>| {
+                |u: u64, mut v: CutValue, ctx: &mut MapContext<u64, CutValue>| {
                     if v.fresh {
                         for &(to, _, _) in &v.residual_out {
                             ctx.emit(
@@ -173,9 +172,8 @@ pub fn run_min_cut(
                             );
                         }
                     }
-                    let mut master = v.clone();
-                    master.fresh = false;
-                    ctx.emit(*u, master);
+                    v.fresh = false;
+                    ctx.emit(u, v);
                 },
             )
             .reduce(

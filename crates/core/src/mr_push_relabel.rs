@@ -222,12 +222,12 @@ pub fn run_push_relabel(
         .output(round_path(base_path, 0))
         .reducers(reducers)
         .map(
-            |u: &u64, e: &round0::RawEdge, ctx: &mut MapContext<u64, round0::RawEdge>| {
-                ctx.emit(*u, *e);
+            |u: u64, e: round0::RawEdge, ctx: &mut MapContext<u64, round0::RawEdge>| {
+                ctx.emit(u, e);
                 ctx.emit(
                     e.to,
                     round0::RawEdge {
-                        to: *u,
+                        to: u,
                         eid: e.eid.reverse(),
                         cap: e.rev_cap,
                         rev_cap: e.cap,
@@ -298,23 +298,22 @@ pub fn run_push_relabel(
             .output(&output)
             .reducers(reducers)
             .map(
-                move |u: &u64, v: &PrRecord, ctx: &mut MapContext<u64, PrRecord>| {
-                    let PrRecord::Master {
-                        height,
-                        excess,
-                        edges,
-                    } = v
-                    else {
+                move |u: u64, v: PrRecord, ctx: &mut MapContext<u64, PrRecord>| {
+                    let (mut height, mut excess, mut edges) = match v {
+                        PrRecord::Master {
+                            height,
+                            excess,
+                            edges,
+                        } => (height, excess, edges),
                         // Refunds emitted by last round's reduce travel
                         // through this round's shuffle untouched.
-                        ctx.emit(*u, v.clone());
-                        return;
+                        refund => {
+                            ctx.emit(u, refund);
+                            return;
+                        }
                     };
-                    let mut height = *height;
-                    let mut excess = *excess;
-                    let mut edges = edges.clone();
                     let old_height = height;
-                    if *u != s_raw && *u != t_raw && excess > 0 && height < 2 * n {
+                    if u != s_raw && u != t_raw && excess > 0 && height < 2 * n {
                         // Push along admissible edges (stale-height view).
                         for e in edges.iter_mut() {
                             if excess == 0 {
@@ -351,11 +350,11 @@ pub fn run_push_relabel(
                     }
                     if height != old_height {
                         for e in &edges {
-                            ctx.emit(e.to, PrRecord::Height { from: *u, height });
+                            ctx.emit(e.to, PrRecord::Height { from: u, height });
                         }
                     }
                     ctx.emit(
-                        *u,
+                        u,
                         PrRecord::Master {
                             height,
                             excess,

@@ -7,7 +7,7 @@
 //! refreshed, so residual capacity — and therefore saturation — is
 //! decidable locally.
 
-use mapreduce::encode::{get_varint, put_varint, varint_len};
+use mapreduce::encode::{get_varint, put_varint};
 use mapreduce::error::DecodeError;
 use mapreduce::Datum;
 use swgraph::{Capacity, EdgeId};
@@ -38,6 +38,7 @@ impl PathEdge {
 }
 
 impl Datum for PathEdge {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(self.eid.raw(), buf);
         put_varint(self.from, buf);
@@ -45,6 +46,7 @@ impl Datum for PathEdge {
         self.cap.encode(buf);
         self.flow.encode(buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Self {
             eid: EdgeId::new(get_varint(input)?),
@@ -53,13 +55,6 @@ impl Datum for PathEdge {
             cap: Capacity::decode(input)?,
             flow: Capacity::decode(input)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.eid.raw())
-            + varint_len(self.from)
-            + varint_len(self.to)
-            + self.cap.encoded_len()
-            + self.flow.encoded_len()
     }
 }
 
@@ -181,6 +176,20 @@ impl ExcessPath {
         Self { edges }
     }
 
+    /// Makes `self` the path `head` then `tail`, keeping its allocation:
+    /// the in-place form of [`ExcessPath::extended`],
+    /// [`ExcessPath::prepended`] and [`ExcessPath::concat`] for a caller
+    /// that reuses one scratch path.
+    pub fn assign_concat(&mut self, head: &[PathEdge], tail: &[PathEdge]) {
+        debug_assert!(head
+            .last()
+            .zip(tail.first())
+            .is_none_or(|(a, b)| a.to == b.from));
+        self.edges.clear();
+        self.edges.extend_from_slice(head);
+        self.edges.extend_from_slice(tail);
+    }
+
     /// Refreshes each hop's flow from `deltas` and reports whether the
     /// path survived (is still unsaturated).
     pub fn refresh(&mut self, deltas: &AugmentedEdges) -> bool {
@@ -206,16 +215,15 @@ impl ExcessPath {
 }
 
 impl Datum for ExcessPath {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         self.edges.encode(buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Self {
             edges: Vec::<PathEdge>::decode(input)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        self.edges.encoded_len()
     }
 }
 

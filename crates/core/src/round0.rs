@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mapreduce::encode::{get_varint, put_varint, varint_len};
+use mapreduce::encode::{get_varint, put_varint};
 use mapreduce::error::DecodeError;
 use mapreduce::{Datum, JobBuilder, JobStats, MapContext, MrError, MrRuntime, ReduceContext};
 use swgraph::{Capacity, EdgeId, FlowNetwork};
@@ -33,12 +33,14 @@ pub struct RawEdge {
 }
 
 impl Datum for RawEdge {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(self.to, buf);
         put_varint(self.eid.raw(), buf);
         self.cap.encode(buf);
         self.rev_cap.encode(buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Self {
             to: get_varint(input)?,
@@ -46,12 +48,6 @@ impl Datum for RawEdge {
             cap: Capacity::decode(input)?,
             rev_cap: Capacity::decode(input)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.to)
-            + varint_len(self.eid.raw())
-            + self.cap.encoded_len()
-            + self.rev_cap.encoded_len()
     }
 }
 
@@ -102,14 +98,14 @@ pub fn run_round0(
         .output(output)
         .reducers(reducers)
         .map(
-            move |u: &u64, e: &RawEdge, ctx: &mut MapContext<u64, RawEdge>| {
+            move |u: u64, e: RawEdge, ctx: &mut MapContext<u64, RawEdge>| {
                 // Announce the edge to both endpoints so each builds its
                 // own directed copy.
-                ctx.emit(*u, *e);
+                ctx.emit(u, e);
                 ctx.emit(
                     e.to,
                     RawEdge {
-                        to: *u,
+                        to: u,
                         eid: e.eid.reverse(),
                         cap: e.rev_cap,
                         rev_cap: e.cap,

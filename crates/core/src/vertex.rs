@@ -6,7 +6,7 @@
 //! carries no edges. "The master vertex is differentiated from a vertex
 //! fragment as it has at least one edge."
 
-use mapreduce::encode::{get_varint, put_varint, varint_len};
+use mapreduce::encode::{get_varint, put_varint};
 use mapreduce::error::DecodeError;
 use mapreduce::Datum;
 use swgraph::{Capacity, EdgeId};
@@ -75,6 +75,7 @@ impl VertexEdge {
 }
 
 impl Datum for VertexEdge {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(self.to, buf);
         put_varint(self.eid.raw(), buf);
@@ -84,6 +85,7 @@ impl Datum for VertexEdge {
         self.sent_source.encode(buf);
         self.sent_sink.encode(buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Self {
             to: get_varint(input)?,
@@ -94,15 +96,6 @@ impl Datum for VertexEdge {
             sent_source: Option::<u64>::decode(input)?,
             sent_sink: Option::<u64>::decode(input)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.to)
-            + varint_len(self.eid.raw())
-            + self.flow.encoded_len()
-            + self.cap.encoded_len()
-            + self.rev_cap.encoded_len()
-            + self.sent_source.encoded_len()
-            + self.sent_sink.encoded_len()
     }
 }
 
@@ -189,20 +182,19 @@ impl VertexValue {
 }
 
 impl Datum for VertexValue {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         self.source_paths.encode(buf);
         self.sink_paths.encode(buf);
         self.edges.encode(buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Self {
             source_paths: Vec::decode(input)?,
             sink_paths: Vec::decode(input)?,
             edges: Vec::decode(input)?,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        self.source_paths.encoded_len() + self.sink_paths.encoded_len() + self.edges.encoded_len()
     }
 }
 
@@ -241,7 +233,6 @@ mod tests {
         };
         let mut buf = Vec::new();
         v.encode(&mut buf);
-        assert_eq!(buf.len(), v.encoded_len());
         let mut s = buf.as_slice();
         assert_eq!(VertexValue::decode(&mut s).unwrap(), v);
     }

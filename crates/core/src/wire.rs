@@ -201,7 +201,7 @@ mod tests {
     fn runner_factory_builds_a_working_runner() {
         // A reconstructed runner must execute a map task: feed it one
         // master vertex record and check the spill comes back non-empty.
-        use mapreduce::{Datum, MapTaskSpec};
+        use mapreduce::{MapTaskSpec, SpillRun};
         let shared = sample_shared();
         let params = ff_wire_params(&shared, &AugmentedEdges::new(0));
         let runner = ff_task_runner(&params).unwrap();
@@ -219,18 +219,14 @@ mod tests {
                 sent_sink: None,
             }],
         };
-        let mut input = Vec::new();
-        let key = 3u64; // the source vertex
-        put_varint(key.encoded_len() as u64, &mut input);
-        Datum::encode(&key, &mut input);
-        put_varint(vertex.encoded_len() as u64, &mut input);
-        Datum::encode(&vertex, &mut input);
+        let mut input = SpillRun::default();
+        input.push(&3u64, &vertex); // keyed by the source vertex
 
         let result = runner
             .run_map(&MapTaskSpec {
                 task: 0,
                 reducers: 2,
-                input,
+                input: input.data,
             })
             .unwrap();
         assert_eq!(result.input_records, 1);

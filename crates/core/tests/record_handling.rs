@@ -1,8 +1,10 @@
 //! FF4's record handling, held to the plain versions it replaced.
 //!
-//! * Every FF record type computes `encoded_len` by hand, so the runtime
-//!   encodes each record once; the hand-written length must equal what
-//!   `encode` writes.
+//! * The runtime frames every record in one pass (a one-byte length
+//!   placeholder, the datum, then the real length, shifting the datum up
+//!   when the prefix needs more bytes); for every FF record type, frames
+//!   short and long must equal the two-pass layout and split back into
+//!   the same key and value.
 //! * Candidate generation judges `se|te` pairs on their two halves and
 //!   prunes exhausted ones; it must offer exactly what the naive
 //!   `concat` + `try_accept` loop does.
@@ -13,7 +15,9 @@
 use ffmr_core::round0::RawEdge;
 use ffmr_core::{Accumulator, ExcessPath, PathEdge, VertexEdge, VertexValue};
 use ffmr_prng::SplitMix64;
-use mapreduce::Datum;
+use mapreduce::encode::put_bytes;
+use mapreduce::record::split_record;
+use mapreduce::{Datum, SpillRun};
 use swgraph::EdgeId;
 
 /// An integer of random bit width, so every varint length occurs.
@@ -64,30 +68,50 @@ fn any_edge(rng: &mut SplitMix64, markers: bool) -> VertexEdge {
     }
 }
 
-fn assert_len_matches<T: Datum + std::fmt::Debug>(value: &T, case: u64) {
-    let mut buf = Vec::new();
-    value.encode(&mut buf);
-    assert_eq!(value.encoded_len(), buf.len(), "case {case}: {value:?}");
+/// Frames `value` under `key` in one pass, checks the frame against the
+/// two-pass layout (encode, then length-prefix) and splits it back into
+/// the same key and value; returns the value's encoded length.
+fn assert_frames<T: Datum + PartialEq + std::fmt::Debug>(key: u64, value: &T, case: u64) -> usize {
+    let mut run = SpillRun::default();
+    run.push(&key, value);
+    let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
+    key.encode(&mut kbuf);
+    value.encode(&mut vbuf);
+    let mut two_pass = Vec::new();
+    put_bytes(&kbuf, &mut two_pass);
+    put_bytes(&vbuf, &mut two_pass);
+    assert_eq!(run.data, two_pass, "case {case}: {value:?}");
+
+    let mut rest = run.data.as_slice();
+    let (kraw, vraw) = split_record(&mut rest).unwrap();
+    assert!(rest.is_empty(), "case {case}: one record, one frame");
+    assert_eq!(u64::decode(&mut &kraw[..]).unwrap(), key, "case {case}");
+    let mut vrest = vraw;
+    assert_eq!(T::decode(&mut vrest).unwrap(), *value, "case {case}");
+    assert!(vrest.is_empty(), "case {case}: value slot holds the value");
+    vbuf.len()
 }
 
 #[test]
-fn encoded_len_equals_encode_for_every_ff_record_type() {
+fn one_pass_frames_split_back_for_every_ff_record_type() {
+    let (mut short, mut long) = (0usize, 0usize);
     for case in 0..400u64 {
         let mut rng = SplitMix64::seed_from_u64(0xC0DE_0000 + case);
-        assert_len_matches(&any_hop(&mut rng), case);
-        assert_len_matches(&any_path(&mut rng, 12), case);
-        assert_len_matches(&ExcessPath::empty(), case);
-        assert_len_matches(&any_edge(&mut rng, false), case);
-        assert_len_matches(&any_edge(&mut rng, true), case);
-        assert_len_matches(
-            &RawEdge {
-                to: any_u64(&mut rng),
-                eid: EdgeId::new(any_u64(&mut rng)),
-                cap: any_i64(&mut rng),
-                rev_cap: any_i64(&mut rng),
-            },
-            case,
-        );
+        let key = any_u64(&mut rng);
+        let mut lens = vec![
+            assert_frames(key, &any_hop(&mut rng), case),
+            assert_frames(key, &any_path(&mut rng, 12), case),
+            assert_frames(key, &ExcessPath::empty(), case),
+            assert_frames(key, &any_edge(&mut rng, false), case),
+            assert_frames(key, &any_edge(&mut rng, true), case),
+        ];
+        let raw = RawEdge {
+            to: any_u64(&mut rng),
+            eid: EdgeId::new(any_u64(&mut rng)),
+            cap: any_i64(&mut rng),
+            rev_cap: any_i64(&mut rng),
+        };
+        lens.push(assert_frames(key, &raw, case));
         let paths = |rng: &mut SplitMix64| -> Vec<ExcessPath> {
             (0..rng.gen_range(0..5)).map(|_| any_path(rng, 8)).collect()
         };
@@ -101,11 +125,22 @@ fn encoded_len_equals_encode_for_every_ff_record_type() {
                 .map(|_| any_edge(&mut rng, markers))
                 .collect(),
         };
-        assert_len_matches(&master, case);
-        assert_len_matches(&VertexValue::source_fragment(any_path(&mut rng, 10)), case);
-        assert_len_matches(&VertexValue::sink_fragment(any_path(&mut rng, 10)), case);
-        assert_len_matches(&VertexValue::fragment(), case);
+        lens.push(assert_frames(key, &master, case));
+        let source = VertexValue::source_fragment(any_path(&mut rng, 10));
+        lens.push(assert_frames(key, &source, case));
+        let sink = VertexValue::sink_fragment(any_path(&mut rng, 10));
+        lens.push(assert_frames(key, &sink, case));
+        lens.push(assert_frames(key, &VertexValue::fragment(), case));
+        for len in lens {
+            if len < 128 {
+                short += 1;
+            } else {
+                long += 1;
+            }
+        }
     }
+    // Both prefix widths occur, each many times.
+    assert!(short > 1_000 && long > 500, "{short} short, {long} long");
 }
 
 /// A connected path over `vertices` (consecutive pairs become hops) whose

@@ -15,7 +15,17 @@ use crate::error::DecodeError;
 /// mapreduce::encode::put_varint(300, &mut buf);
 /// assert_eq!(buf, [0xAC, 0x02]);
 /// ```
-pub fn put_varint(mut v: u64, buf: &mut Vec<u8>) {
+#[inline]
+pub fn put_varint(v: u64, buf: &mut Vec<u8>) {
+    if v < 0x80 {
+        buf.push(v as u8);
+    } else {
+        put_varint_long(v, buf);
+    }
+}
+
+/// [`put_varint`] for values of two bytes or more.
+fn put_varint_long(mut v: u64, buf: &mut Vec<u8>) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -32,7 +42,31 @@ pub fn put_varint(mut v: u64, buf: &mut Vec<u8>) {
 /// # Errors
 /// Returns [`DecodeError`] if the input ends mid-varint or the varint is
 /// longer than 10 bytes (overflow).
+#[inline]
 pub fn get_varint(input: &mut &[u8]) -> Result<u64, DecodeError> {
+    // Vertex and edge ids take one to three bytes; decode those here and
+    // leave longer (and malformed) varints to the loop.
+    let bytes: &[u8] = input;
+    match *bytes {
+        [b0, ref rest @ ..] if b0 < 0x80 => {
+            *input = rest;
+            Ok(u64::from(b0))
+        }
+        [b0, b1, ref rest @ ..] if b1 < 0x80 => {
+            *input = rest;
+            Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7)
+        }
+        [b0, b1, b2, ref rest @ ..] if b2 < 0x80 => {
+            *input = rest;
+            Ok(u64::from(b0 & 0x7f) | u64::from(b1 & 0x7f) << 7 | u64::from(b2) << 14)
+        }
+        _ => get_varint_long(input),
+    }
+}
+
+/// [`get_varint`] for varints of four bytes or more, truncated input
+/// and overflow.
+fn get_varint_long(input: &mut &[u8]) -> Result<u64, DecodeError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     for (idx, &byte) in input.iter().enumerate() {
@@ -51,6 +85,7 @@ pub fn get_varint(input: &mut &[u8]) -> Result<u64, DecodeError> {
 
 /// Number of bytes [`put_varint`] would append for `v`.
 #[must_use]
+#[inline]
 pub fn varint_len(v: u64) -> usize {
     if v == 0 {
         return 1;
@@ -61,17 +96,20 @@ pub fn varint_len(v: u64) -> usize {
 
 /// Zig-zag maps a signed integer to unsigned so small magnitudes stay short.
 #[must_use]
+#[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
 #[must_use]
+#[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Appends a signed varint (zig-zag + LEB128).
+#[inline]
 pub fn put_varint_signed(v: i64, buf: &mut Vec<u8>) {
     put_varint(zigzag(v), buf);
 }
@@ -80,11 +118,13 @@ pub fn put_varint_signed(v: i64, buf: &mut Vec<u8>) {
 ///
 /// # Errors
 /// Propagates [`get_varint`] errors.
+#[inline]
 pub fn get_varint_signed(input: &mut &[u8]) -> Result<i64, DecodeError> {
     Ok(unzigzag(get_varint(input)?))
 }
 
 /// Appends a length-prefixed byte slice.
+#[inline]
 pub fn put_bytes(v: &[u8], buf: &mut Vec<u8>) {
     put_varint(v.len() as u64, buf);
     buf.extend_from_slice(v);
@@ -94,6 +134,7 @@ pub fn put_bytes(v: &[u8], buf: &mut Vec<u8>) {
 ///
 /// # Errors
 /// Returns [`DecodeError`] if the prefix or payload is truncated.
+#[inline]
 pub fn get_bytes<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     let len = get_varint(input)? as usize;
     if input.len() < len {
@@ -170,6 +211,57 @@ mod tests {
     fn overlong_varint_is_error() {
         let mut s: &[u8] = &[0xff; 11];
         assert!(get_varint(&mut s).is_err());
+    }
+
+    /// The lengths at which the inlined one- to three-byte paths hand
+    /// over to the loop, plus the longest varint.
+    #[test]
+    fn varint_table_round_trips_across_the_inline_boundaries() {
+        for (v, len) in [
+            (127u64, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            ((1 << 21) - 1, 3),
+            (1 << 21, 4),
+            (u64::MAX, 10),
+        ] {
+            let mut buf = vec![0xEE];
+            put_varint(v, &mut buf);
+            assert_eq!(buf.len(), 1 + len, "length of {v}");
+            buf.push(0xEE); // a trailing byte must stay unread
+            let mut s = &buf[1..];
+            assert_eq!(get_varint(&mut s).unwrap(), v);
+            assert_eq!(s, [0xEE], "{v} consumed exactly its bytes");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_varint_is_an_error() {
+        for v in [16_383u64, (1 << 21) - 1, u64::MAX] {
+            let mut buf = Vec::new();
+            put_varint(v, &mut buf);
+            for cut in 0..buf.len() {
+                let mut s = &buf[..cut];
+                let err = get_varint(&mut s).unwrap_err();
+                assert_eq!(
+                    err,
+                    DecodeError::new("truncated varint"),
+                    "{v} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn eleven_byte_varint_is_an_overflow() {
+        let mut bytes = [0x80u8; 11];
+        bytes[10] = 0x01;
+        let mut s: &[u8] = &bytes;
+        assert_eq!(
+            get_varint(&mut s).unwrap_err(),
+            DecodeError::new("varint overflow")
+        );
     }
 
     #[test]

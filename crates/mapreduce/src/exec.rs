@@ -29,7 +29,7 @@ use std::sync::Arc;
 use crate::encode::{get_bytes, get_varint, put_bytes, put_varint};
 use crate::error::{DecodeError, MrError};
 use crate::job::{MapContext, Mapper, ReduceContext, Reducer};
-use crate::record::{decode_record, encode_record, Datum, KeyDatum, SpillRun};
+use crate::record::{decode_record, Datum, KeyDatum, SpillRun};
 use crate::runtime::{merge_sorted_runs, partition_of, MergeError};
 use crate::service::ServiceHandle;
 
@@ -174,10 +174,10 @@ impl<R> From<Result<R, MrError>> for Attempt<R> {
     }
 }
 
-/// The typed task bodies of one job: decode → map → sort → spill, and
-/// fetch → merge → reduce → encode. Used directly by the
-/// in-process path and wrapped as a [`TaskRunner`] worker-side, so both
-/// modes run the same code over the same bytes.
+/// The typed task bodies of one job: decode → map (framing at `emit`) →
+/// sort → spill, and fetch → merge → reduce (framing at `emit`). Used
+/// directly by the in-process path and wrapped as a [`TaskRunner`]
+/// worker-side, so both modes run the same code over the same bytes.
 pub struct JobTaskRunner<KI, VI, KM, VM, KO, VO>
 where
     KM: KeyDatum,
@@ -229,44 +229,22 @@ where
         input: &[u8],
         reducers: usize,
     ) -> Result<MapTaskResult, MrError> {
+        let mut ctx = MapContext::new(&self.services, task, true);
         let mut rest = input;
-        let mut records: Vec<(KI, VI)> = Vec::new();
+        let mut input_records = 0u64;
         while !rest.is_empty() {
-            records.push(decode_record(&mut rest)?);
-        }
-        let input_records = records.len() as u64;
-        let mut ctx = MapContext::new(&self.services, task);
-        for (k, v) in &records {
+            let (k, v) = decode_record(&mut rest)?;
+            input_records += 1;
             self.mapper.map(k, v, &mut ctx);
         }
         self.mapper.finish_split(&mut ctx);
-        let output_records = ctx.out.len() as u64;
-        let allocs = ctx.allocs() + input_records;
-        let counters = std::mem::take(&mut ctx.local_counters);
-        let captured = std::mem::take(&mut ctx.calls);
-        let mut out = ctx.out;
-
-        // Map-side sort (Hadoop's sort-at-map): the run is ordered here,
-        // inside the already-parallel map phase; the reduce-side k-way
-        // merge consumes sorted runs. The sort is stable, so equal keys
-        // keep emission order.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // Partition the sorted run into per-reducer spills; each spill
-        // inherits the key order, so its byte run is ready to merge
-        // without any reduce-side sort.
-        let mut spills: Vec<SpillRun> = vec![SpillRun::default(); reducers];
-        for (k, v) in &out {
-            spills[partition_of(k, reducers)].push(k, v);
-        }
-
         Ok(MapTaskResult {
-            spills,
+            output_records: ctx.records(),
+            allocs: ctx.allocs() + input_records,
             input_records,
-            output_records,
-            allocs,
-            counters,
-            captured,
+            spills: spill(&ctx.frames, ctx.index, reducers),
+            counters: ctx.local_counters,
+            captured: ctx.calls,
         })
     }
 
@@ -290,7 +268,7 @@ where
         schimmy: Option<(&str, &[u8])>,
     ) -> Result<ReduceTaskResult, MrError> {
         let consumed: u64 = spills.iter().map(|s| s.records).sum();
-        let mut ctx = ReduceContext::new(&self.services, task);
+        let mut ctx = ReduceContext::new(&self.services, task, false);
         let merge_fanin = merge_sorted_runs(schimmy.map(|s| s.1), spills, |key, values| {
             self.reducer.reduce(key, values, &mut ctx);
         })
@@ -305,21 +283,48 @@ where
             },
         })?;
 
-        let records = ctx.out.len() as u64;
-        let allocs = ctx.allocs() + consumed;
-        let mut data = Vec::new();
-        for (k, v) in &ctx.out {
-            encode_record(k, v, &mut data);
-        }
         Ok(ReduceTaskResult {
-            data,
-            records,
-            allocs,
+            records: ctx.records(),
+            allocs: ctx.allocs() + consumed,
+            data: ctx.frames,
             merge_fanin,
             counters: std::mem::take(&mut ctx.local_counters),
             captured: std::mem::take(&mut ctx.calls),
         })
     }
+}
+
+/// Map-side sort and partition (Hadoop's sort-at-map), over frames
+/// already encoded at `emit`: stable-sorts the frame index by key, so
+/// equal keys keep emission order, then copies each frame into its
+/// partition's run, sized exactly beforehand. Each run inherits the key
+/// order, so the reduce side merges it without sorting.
+fn spill<K: KeyDatum>(
+    frames: &[u8],
+    mut index: Vec<(K, usize, usize)>,
+    reducers: usize,
+) -> Vec<SpillRun> {
+    index.sort_by(|a, b| a.0.cmp(&b.0));
+    let parts: Vec<usize> = index
+        .iter()
+        .map(|(k, _, _)| partition_of(k, reducers))
+        .collect();
+    let mut sizes = vec![(0usize, 0u64); reducers];
+    for ((_, start, end), &p) in index.iter().zip(&parts) {
+        sizes[p].0 += end - start;
+        sizes[p].1 += 1;
+    }
+    let mut spills: Vec<SpillRun> = sizes
+        .into_iter()
+        .map(|(bytes, records)| SpillRun {
+            data: Vec::with_capacity(bytes),
+            records,
+        })
+        .collect();
+    for ((_, start, end), &p) in index.iter().zip(&parts) {
+        spills[p].data.extend_from_slice(&frames[*start..*end]);
+    }
+    spills
 }
 
 impl<KI, VI, KM, VM, KO, VO> TaskRunner for JobTaskRunner<KI, VI, KM, VM, KO, VO>
@@ -591,11 +596,12 @@ impl ReduceTaskResult {
 mod tests {
     use super::*;
     use crate::job::{MapContext, ReduceContext};
+    use crate::record::encode_record;
 
     fn sample_runner() -> JobTaskRunner<u64, u64, u64, u64, u64, u64> {
         JobTaskRunner::new(
-            |k: &u64, v: &u64, ctx: &mut MapContext<'_, u64, u64>| {
-                ctx.emit(*k % 3, *v);
+            |k: u64, v: u64, ctx: &mut MapContext<'_, u64, u64>| {
+                ctx.emit(k % 3, v);
                 ctx.incr("mapped", 1);
             },
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<'_, u64, u64>| {

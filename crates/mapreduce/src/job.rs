@@ -9,7 +9,7 @@
 //!     .input("in")
 //!     .output("out")
 //!     .reducers(4)
-//!     .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k % 2, *v))
+//!     .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k % 2, v))
 //!     .reduce(
 //!         |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
 //!             ctx.emit(*k, vs.sum::<u64>());
@@ -18,17 +18,19 @@
 //! assert_eq!(job.config().name, "count");
 //! ```
 
+use std::borrow::Borrow;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::counters::Counters;
 use crate::error::MrError;
 use crate::exec::CapturedCalls;
-use crate::record::{Datum, KeyDatum};
+use crate::record::{decode_record, encode_record, Datum, KeyDatum};
 use crate::service::{Service, ServiceHandle};
 
 /// The `MAP` function of a job.
 ///
-/// Implemented for any `Fn(&KI, &VI, &mut MapContext<KM, VM>)`; implement
+/// Implemented for any `Fn(KI, VI, &mut MapContext<KM, VM>)`; implement
 /// the trait directly to override [`Mapper::finish_split`] (the in-mapper
 /// combining pattern from Lin & Schatz, referenced by the paper).
 pub trait Mapper<KI, VI, KM, VM>: Send + Sync
@@ -36,8 +38,9 @@ where
     KM: KeyDatum,
     VM: Datum,
 {
-    /// Processes one input record, emitting intermediate records.
-    fn map(&self, key: &KI, value: &VI, ctx: &mut MapContext<'_, KM, VM>);
+    /// Processes one input record, emitting intermediate records. The
+    /// record was decoded for this call alone, so the mapper owns it.
+    fn map(&self, key: KI, value: VI, ctx: &mut MapContext<'_, KM, VM>);
 
     /// Called once after the last record of each input split; emit any
     /// split-local aggregates here.
@@ -46,11 +49,11 @@ where
 
 impl<F, KI, VI, KM, VM> Mapper<KI, VI, KM, VM> for F
 where
-    F: Fn(&KI, &VI, &mut MapContext<'_, KM, VM>) + Send + Sync,
+    F: Fn(KI, VI, &mut MapContext<'_, KM, VM>) + Send + Sync,
     KM: KeyDatum,
     VM: Datum,
 {
-    fn map(&self, key: &KI, value: &VI, ctx: &mut MapContext<'_, KM, VM>) {
+    fn map(&self, key: KI, value: VI, ctx: &mut MapContext<'_, KM, VM>) {
         self(key, value, ctx);
     }
 }
@@ -93,18 +96,29 @@ where
 /// Emission context handed to mappers ([`MapContext`]) and to reducers
 /// ([`ReduceContext`]).
 ///
+/// Each emitted record is framed (`encode_record`) into one byte buffer
+/// as it is emitted, and never encoded again: a reduce task's buffer is
+/// its output partition, and a map task sorts an index of its frames by
+/// key and copies them into its spill runs.
+///
 /// Counter increments and service calls are buffered locally and take
 /// effect only when the task attempt *succeeds* — so retried task
 /// attempts (see [`FailurePolicy`](crate::runtime::FailurePolicy)) never
 /// double-count, matching Hadoop's exclusion of failed-attempt counters.
 #[derive(Debug)]
 pub struct TaskContext<'a, K, V> {
-    pub(crate) out: Vec<(K, V)>,
+    /// Emitted records, framed back to back in emission order.
+    pub(crate) frames: Vec<u8>,
+    /// Map tasks only: each record's key and the byte range of its frame.
+    pub(crate) index: Vec<(K, usize, usize)>,
+    indexed: bool,
+    records: u64,
     pub(crate) local_counters: Vec<(String, u64)>,
     pub(crate) calls: CapturedCalls,
     services: &'a ServiceHandle,
     allocs: u64,
     task: usize,
+    value: PhantomData<fn(V)>,
 }
 
 /// The context a mapper emits intermediate records into.
@@ -114,14 +128,20 @@ pub type MapContext<'a, KM, VM> = TaskContext<'a, KM, VM>;
 pub type ReduceContext<'a, KO, VO> = TaskContext<'a, KO, VO>;
 
 impl<'a, K, V> TaskContext<'a, K, V> {
-    pub(crate) fn new(services: &'a ServiceHandle, task: usize) -> Self {
+    /// A context for task `task`; `indexed` keeps the per-record key
+    /// index a map task sorts its spills by.
+    pub(crate) fn new(services: &'a ServiceHandle, task: usize, indexed: bool) -> Self {
         Self {
-            out: Vec::new(),
+            frames: Vec::new(),
+            index: Vec::new(),
+            indexed,
+            records: 0,
             local_counters: Vec::new(),
             calls: Vec::new(),
             services,
             allocs: 0,
             task,
+            value: PhantomData,
         }
     }
 
@@ -139,19 +159,12 @@ impl<'a, K, V> TaskContext<'a, K, V> {
     /// flush them with [`TaskContext::merge_counters_into`].
     #[must_use]
     pub fn for_testing(_counters: &Counters, services: &'a ServiceHandle) -> Self {
-        Self::new(services, 0)
+        Self::new(services, 0, false)
     }
 
-    /// Records emitted so far (primarily for tests of user functions).
-    #[must_use]
-    pub fn emitted(&self) -> &[(K, V)] {
-        &self.out
-    }
-
-    /// Emits one record.
-    pub fn emit(&mut self, key: K, value: V) {
-        self.allocs += 1;
-        self.out.push((key, value));
+    /// Number of records emitted so far.
+    pub(crate) fn records(&self) -> u64 {
+        self.records
     }
 
     /// Increments a named job counter (applied only if this task attempt
@@ -180,8 +193,12 @@ impl<'a, K, V> TaskContext<'a, K, V> {
     /// process the task ran in. A failed attempt's calls are dropped
     /// with its output.
     pub fn submit<T: Datum>(&mut self, service: &str, call: &T) {
-        let mut payload = Vec::with_capacity(call.encoded_len());
-        call.encode(&mut payload);
+        // Encoded past the last frame, so the payload is allocated once
+        // at its exact size; the frames are left as they were.
+        let end = self.frames.len();
+        call.encode(&mut self.frames);
+        let payload = self.frames[end..].to_vec();
+        self.frames.truncate(end);
         match self.calls.iter_mut().find(|(name, _)| name == service) {
             Some((_, calls)) => calls.push(payload),
             None => self.calls.push((service.to_owned(), vec![payload])),
@@ -209,6 +226,36 @@ impl<'a, K, V> TaskContext<'a, K, V> {
 
     pub(crate) fn allocs(&self) -> u64 {
         self.allocs
+    }
+}
+
+impl<K: Datum, V: Datum> TaskContext<'_, K, V> {
+    /// Emits one record, owned or borrowed: its frame is written here,
+    /// and the value is not kept.
+    #[inline]
+    pub fn emit(&mut self, key: K, value: impl Borrow<V>) {
+        self.allocs += 1;
+        self.records += 1;
+        let start = self.frames.len();
+        encode_record(&key, value.borrow(), &mut self.frames);
+        if self.indexed {
+            self.index.push((key, start, self.frames.len()));
+        }
+    }
+
+    /// Records emitted so far, decoded from their frames in emission
+    /// order (for tests of user functions).
+    ///
+    /// # Panics
+    /// Never: every frame was written by [`TaskContext::emit`].
+    #[must_use]
+    pub fn emitted(&self) -> Vec<(K, V)> {
+        let mut rest = self.frames.as_slice();
+        let mut out = Vec::new();
+        while !rest.is_empty() {
+            out.push(decode_record(&mut rest).expect("emit wrote a whole frame"));
+        }
+        out
     }
 }
 
@@ -435,7 +482,7 @@ mod tests {
             .reducers(7)
             .schimmy_input("prev")
             .side_blob("delta")
-            .map(|_k: &u64, _v: &u64, _ctx: &mut MapContext<'_, u64, u64>| {})
+            .map(|_k: u64, _v: u64, _ctx: &mut MapContext<'_, u64, u64>| {})
             .reduce(
                 |_k: &u64,
                  _vs: &mut dyn Iterator<Item = u64>,
@@ -453,13 +500,16 @@ mod tests {
     fn contexts_collect_emissions_and_allocs() {
         let counters = Counters::new();
         let services = ServiceHandle::new();
-        let mut ctx: MapContext<'_, u64, u64> = MapContext::new(&services, 3);
+        let mut ctx: MapContext<'_, u64, u64> = MapContext::new(&services, 3, true);
         ctx.emit(1, 2);
         ctx.emit(3, 4);
         ctx.charge_allocs(10);
         ctx.incr("seen", 2);
         ctx.incr("seen", 3);
-        assert_eq!(ctx.out.len(), 2);
+        assert_eq!(ctx.records(), 2);
+        assert_eq!(ctx.emitted(), vec![(1, 2), (3, 4)]);
+        assert_eq!(ctx.frames, [1, 1, 1, 2, 1, 3, 1, 4]);
+        assert_eq!(ctx.index, vec![(1, 0, 4), (3, 4, 8)]);
         assert_eq!(ctx.allocs(), 12);
         assert_eq!(ctx.task(), 3);
         assert_eq!(
@@ -475,15 +525,15 @@ mod tests {
     fn struct_mapper_with_finish_split() {
         struct Flusher;
         impl Mapper<u64, u64, u64, u64> for Flusher {
-            fn map(&self, _k: &u64, _v: &u64, _ctx: &mut MapContext<'_, u64, u64>) {}
+            fn map(&self, _k: u64, _v: u64, _ctx: &mut MapContext<'_, u64, u64>) {}
             fn finish_split(&self, ctx: &mut MapContext<'_, u64, u64>) {
                 ctx.emit(99, 99);
             }
         }
         let services = ServiceHandle::new();
-        let mut ctx = MapContext::new(&services, 0);
-        Flusher.map(&1, &1, &mut ctx);
+        let mut ctx = MapContext::new(&services, 0, true);
+        Flusher.map(1, 1, &mut ctx);
         Flusher.finish_split(&mut ctx);
-        assert_eq!(ctx.out, vec![(99, 99)]);
+        assert_eq!(ctx.emitted(), vec![(99, 99)]);
     }
 }

@@ -41,7 +41,7 @@
 //!     .input("input")
 //!     .output("counts")
 //!     .reducers(2)
-//!     .map(|_k: &u64, line: &String, ctx: &mut MapContext<String, u64>| {
+//!     .map(|_k: u64, line: String, ctx: &mut MapContext<String, u64>| {
 //!         for w in line.split_whitespace() {
 //!             ctx.emit(w.to_string(), 1u64);
 //!         }

@@ -1,9 +1,10 @@
 //! Typed record encoding: the [`Datum`] trait and implementations.
 //!
 //! Every key and value that flows through a job implements [`Datum`], a
-//! compact binary wire format analogous to Hadoop's `Writable`. The runtime
-//! uses [`Datum::encoded_len`] to account, byte-exactly, for the disk and
-//! network traffic each record causes.
+//! compact binary wire format analogous to Hadoop's `Writable`. A record
+//! is encoded once, into a length-prefixed frame ([`SpillRun::push`]),
+//! and its bytes are never re-encoded: spill, shuffle and output byte
+//! counts are the lengths of those frames.
 
 use std::hash::Hash;
 
@@ -34,18 +35,6 @@ pub trait Datum: Sized + Send + Clone + 'static {
     /// # Errors
     /// Returns [`DecodeError`] on truncated or malformed input.
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError>;
-
-    /// Number of bytes [`Datum::encode`] would append.
-    ///
-    /// The default encodes the whole value into a throw-away buffer, so a
-    /// record using it is encoded twice on every write: it is for cold
-    /// types only. Any type that flows through a job's records computes
-    /// its length directly (and a test holds it equal to `encode`'s).
-    fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
 }
 
 /// A [`Datum`] usable as an intermediate key: hashable for partitioning and
@@ -55,99 +44,94 @@ pub trait KeyDatum: Datum + Ord + Eq + Hash {}
 impl<T: Datum + Ord + Eq + Hash> KeyDatum for T {}
 
 impl Datum for u64 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(*self, buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         get_varint(input)
-    }
-    fn encoded_len(&self) -> usize {
-        crate::encode::varint_len(*self)
     }
 }
 
 impl Datum for u32 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(u64::from(*self), buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let v = get_varint(input)?;
         u32::try_from(v).map_err(|_| DecodeError::new("u32 out of range"))
     }
-    fn encoded_len(&self) -> usize {
-        crate::encode::varint_len(u64::from(*self))
-    }
 }
 
 impl Datum for i64 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint_signed(*self, buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         get_varint_signed(input)
-    }
-    fn encoded_len(&self) -> usize {
-        crate::encode::varint_len(crate::encode::zigzag(*self))
     }
 }
 
 impl Datum for String {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_bytes(self.as_bytes(), buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let raw = get_bytes(input)?;
         std::str::from_utf8(raw)
             .map(str::to_owned)
             .map_err(|_| DecodeError::new("invalid utf-8 string"))
     }
-    fn encoded_len(&self) -> usize {
-        crate::encode::varint_len(self.len() as u64) + self.len()
-    }
 }
 
 impl Datum for Vec<u8> {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_bytes(self, buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(get_bytes(input)?.to_vec())
-    }
-    fn encoded_len(&self) -> usize {
-        crate::encode::varint_len(self.len() as u64) + self.len()
     }
 }
 
 impl Datum for () {
+    #[inline]
     fn encode(&self, _buf: &mut Vec<u8>) {}
+    #[inline]
     fn decode(_input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(())
-    }
-    fn encoded_len(&self) -> usize {
-        0
     }
 }
 
 impl<A: Datum, B: Datum> Datum for (A, B) {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok((A::decode(input)?, B::decode(input)?))
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 
 impl<T: Datum> Datum for Vec<T> {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(self.len() as u64, buf);
         for item in self {
             item.encode(buf);
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let n = get_varint(input)? as usize;
         // Guard against hostile length prefixes: each element needs >= 0
@@ -158,13 +142,10 @@ impl<T: Datum> Datum for Vec<T> {
         }
         Ok(out)
     }
-    fn encoded_len(&self) -> usize {
-        crate::encode::varint_len(self.len() as u64)
-            + self.iter().map(Datum::encoded_len).sum::<usize>()
-    }
 }
 
 impl<T: Datum> Datum for Option<T> {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             None => buf.push(0),
@@ -174,6 +155,7 @@ impl<T: Datum> Datum for Option<T> {
             }
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match input.split_first() {
             Some((&0, rest)) => {
@@ -188,20 +170,40 @@ impl<T: Datum> Datum for Option<T> {
             None => Err(DecodeError::new("truncated option")),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Datum::encoded_len)
-    }
 }
 
 /// Encodes one `(key, value)` record with a length-prefixed key so records
 /// can be scanned without knowing the value type. Each of the two is
-/// encoded exactly once: the length prefixes come from
-/// [`Datum::encoded_len`].
+/// encoded exactly once, straight into `buf` (see [`put_framed`]).
+#[inline]
 pub(crate) fn encode_record<K: Datum, V: Datum>(key: &K, value: &V, buf: &mut Vec<u8>) {
-    put_varint(key.encoded_len() as u64, buf);
-    key.encode(buf);
-    put_varint(value.encoded_len() as u64, buf);
-    value.encode(buf);
+    put_framed(key, buf);
+    put_framed(value, buf);
+}
+
+/// Appends `datum` with its length as a varint prefix, the layout
+/// [`put_bytes`] writes, in one pass: a one-byte placeholder, then the
+/// datum, then its length written into the placeholder. A datum of 128
+/// bytes or more needs a longer prefix; the bytes after the placeholder
+/// are shifted up to make room for it.
+#[inline]
+fn put_framed<T: Datum>(datum: &T, buf: &mut Vec<u8>) {
+    let at = buf.len();
+    buf.push(0);
+    datum.encode(buf);
+    let len = buf.len() - at - 1;
+    if len < 0x80 {
+        buf[at] = len as u8;
+    } else {
+        // The prefix is the low seven bits with the continuation bit,
+        // then the varint of the rest: append that tail and rotate it
+        // in front of the datum.
+        buf[at] = (len & 0x7f) as u8 | 0x80;
+        let end = buf.len();
+        put_varint(len as u64 >> 7, buf);
+        let tail = buf.len() - end;
+        buf[at + 1..].rotate_right(tail);
+    }
 }
 
 /// Decodes one record written by [`encode_record`].
@@ -213,7 +215,11 @@ pub(crate) fn decode_record<K: Datum, V: Datum>(input: &mut &[u8]) -> Result<(K,
 /// Splits the next record's raw encoded key and value byte runs off
 /// `input` without decoding either — the spill-merge path uses this to
 /// walk record frames while only the *keys* it compares get decoded.
-pub(crate) fn split_record<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], &'a [u8]), DecodeError> {
+///
+/// # Errors
+/// Returns [`DecodeError`] if either length prefix or slot is truncated.
+#[inline]
+pub fn split_record<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], &'a [u8]), DecodeError> {
     let kraw = get_bytes(input)?;
     let vraw = get_bytes(input)?;
     Ok((kraw, vraw))
@@ -221,6 +227,7 @@ pub(crate) fn split_record<'a>(input: &mut &'a [u8]) -> Result<(&'a [u8], &'a [u
 
 /// Decodes a datum from its raw (already length-stripped) slot, rejecting
 /// trailing garbage. `what` names the slot for the error message.
+#[inline]
 pub(crate) fn decode_exact<T: Datum>(mut raw: &[u8], what: &str) -> Result<T, DecodeError> {
     let v = T::decode(&mut raw)?;
     if !raw.is_empty() {
@@ -257,16 +264,6 @@ impl SpillRun {
     }
 }
 
-/// Wire size of one record as stored in the DFS and counted by the shuffle.
-/// Production accounting now sums spill-run byte lengths instead; this is
-/// kept to assert the two agree.
-#[cfg(test)]
-pub(crate) fn record_len<K: Datum, V: Datum>(key: &K, value: &V) -> usize {
-    let kl = key.encoded_len();
-    let vl = value.encoded_len();
-    crate::encode::varint_len(kl as u64) + kl + crate::encode::varint_len(vl as u64) + vl
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +271,6 @@ mod tests {
     fn round_trip<T: Datum + PartialEq + std::fmt::Debug>(v: T) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
-        assert_eq!(buf.len(), v.encoded_len(), "encoded_len mismatch");
         let mut s = buf.as_slice();
         assert_eq!(T::decode(&mut s).unwrap(), v);
         assert!(s.is_empty(), "bytes left over");
@@ -315,10 +311,47 @@ mod tests {
     fn record_round_trip() {
         let mut buf = Vec::new();
         encode_record(&5u64, &String::from("abc"), &mut buf);
-        assert_eq!(buf.len(), record_len(&5u64, &String::from("abc")));
+        assert_eq!(buf, [1, 5, 4, 3, b'a', b'b', b'c']);
         let mut s = buf.as_slice();
         let (k, v): (u64, String) = decode_record(&mut s).unwrap();
         assert_eq!((k, v), (5, "abc".to_string()));
+    }
+
+    /// One-pass frames equal the two-pass layout (encode, then
+    /// `put_bytes`) on both sides of every prefix-length boundary.
+    #[test]
+    fn one_pass_frames_equal_two_pass_frames() {
+        for len in [
+            0usize, 1, 126, 127, 128, 129, 300, 16_382, 16_383, 16_384, 20_000,
+        ] {
+            let key = vec![7u8; len / 3];
+            let value = "x".repeat(len);
+            let mut one_pass = vec![0xEE];
+            encode_record(&key, &value, &mut one_pass);
+
+            let mut two_pass = vec![0xEE];
+            for datum in [
+                {
+                    let mut b = Vec::new();
+                    key.encode(&mut b);
+                    b
+                },
+                {
+                    let mut b = Vec::new();
+                    value.encode(&mut b);
+                    b
+                },
+            ] {
+                put_bytes(&datum, &mut two_pass);
+            }
+            assert_eq!(one_pass, two_pass, "value of {len} bytes");
+            let mut s = &one_pass[1..];
+            assert_eq!(
+                decode_record::<Vec<u8>, String>(&mut s).unwrap(),
+                (key, value)
+            );
+            assert!(s.is_empty());
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ fn run_identity(cluster: ClusterConfig, records: u64, payload: usize) -> mapredu
         .input("in")
         .output("out")
         .reducers(8)
-        .map(|k: &u64, v: &Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
-            ctx.emit(*k, v.clone());
+        .map(|k: u64, v: Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
+            ctx.emit(k, v);
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = Vec<u8>>, ctx: &mut ReduceContext<u64, u64>| {
@@ -110,11 +110,9 @@ fn skewed_partition_creates_straggler_time() {
         .input("in")
         .output("out")
         .reducers(8)
-        .map(
-            |_k: &u64, v: &Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
-                ctx.emit(7, v.clone());
-            },
-        )
+        .map(|_k: u64, v: Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
+            ctx.emit(7, v);
+        })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = Vec<u8>>, ctx: &mut ReduceContext<u64, u64>| {
                 ctx.emit(*k, vs.count() as u64);
@@ -141,10 +139,10 @@ fn side_blobs_are_charged_per_map_task() {
             .output("out")
             .reducers(2)
             .side_blob("delta")
-            .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+            .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
             .reduce(
                 |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                    ctx.emit(*k, vs.sum());
+                    ctx.emit(*k, vs.sum::<u64>());
                 },
             );
         rt.run(job).unwrap().sim_seconds

@@ -11,14 +11,14 @@ fn word_job(rt: &mut MrRuntime, out: &str) -> mapreduce::JobStats {
         .input("in")
         .output(out)
         .reducers(4)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| {
             ctx.incr("mapped", 1);
-            ctx.emit(k % 5, *v);
+            ctx.emit(k % 5, v);
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 ctx.incr("groups", 1);
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     rt.run(job).unwrap()
@@ -99,10 +99,10 @@ fn budget_exhaustion_fails_the_job_without_output() {
         .input("in")
         .output("out")
         .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     assert!(matches!(

@@ -28,18 +28,16 @@ fn run_word_count(rt: &mut MrRuntime) -> mapreduce::JobStats {
         .input("in")
         .output("out")
         .reducers(4)
-        .map(
-            |_k: &u64, line: &String, ctx: &mut MapContext<String, u64>| {
-                for w in line.split_whitespace() {
-                    ctx.emit(w.to_string(), 1);
-                }
-            },
-        )
+        .map(|_k: u64, line: String, ctx: &mut MapContext<String, u64>| {
+            for w in line.split_whitespace() {
+                ctx.emit(w.to_string(), 1);
+            }
+        })
         .reduce(
             |w: &String,
              vs: &mut dyn Iterator<Item = u64>,
              ctx: &mut ReduceContext<String, u64>| {
-                ctx.emit(w.clone(), vs.sum());
+                ctx.emit(w.clone(), vs.sum::<u64>());
             },
         );
     rt.run(job).unwrap()
@@ -111,7 +109,7 @@ fn multi_round_chain_threads_output_to_input() {
         .input("r0")
         .output("r1")
         .reducers(3)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, v * 2))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v * 2))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 for v in vs {
@@ -124,10 +122,10 @@ fn multi_round_chain_threads_output_to_input() {
         .input("r1")
         .output("r2")
         .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k % 2, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k % 2, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     rt.run(j2).unwrap();
@@ -150,7 +148,7 @@ fn schimmy_merges_master_records_without_shuffling_them() {
         .input("raw")
         .output("graph")
         .reducers(reducers)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 for v in vs {
@@ -172,13 +170,13 @@ fn schimmy_merges_master_records_without_shuffling_them() {
         .output("applied")
         .reducers(reducers)
         .schimmy_input("graph")
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 let all: Vec<u64> = vs.collect();
                 // Master (>= 100) arrives first thanks to schimmy-first merge.
                 assert!(all[0] >= 100, "master must come first for key {k}");
-                ctx.emit(*k, all.iter().sum());
+                ctx.emit(*k, all.iter().sum::<u64>());
             },
         );
     let stats = rt.run(job).unwrap();
@@ -210,13 +208,13 @@ fn schimmy_partition_mismatch_is_rejected() {
         .reducers(5) // != 2 partitions of "graph"
         .schimmy_input("graph")
         .attach_service("collector", Arc::clone(&collector) as Arc<dyn Service>)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
-            ctx.submit("collector", k);
-            ctx.emit(*k, *v);
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| {
+            ctx.submit("collector", &k);
+            ctx.emit(k, v);
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     assert!(matches!(rt.run(job), Err(MrError::InvalidJob(_))));
@@ -247,11 +245,11 @@ fn schimmy_input_out_of_key_order_is_a_typed_error() {
         .output("out")
         .reducers(1)
         .schimmy_input("graph")
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             move |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 calls.fetch_add(1, Ordering::SeqCst);
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     let err = rt.run(job).unwrap_err();
@@ -303,16 +301,16 @@ fn services_are_reachable_from_map_and_reduce() {
         .output("out")
         .reducers(2)
         .attach_service("collector", Arc::clone(&collector) as Arc<dyn Service>)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| {
             let c: &Collector = ctx.service("collector").unwrap();
             c.submitted.fetch_add(1, Ordering::SeqCst);
-            ctx.emit(*k, *v);
+            ctx.emit(k, v);
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 let c: &Collector = ctx.service("collector").unwrap();
                 c.submitted.fetch_add(10, Ordering::SeqCst);
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     rt.run(job).unwrap();
@@ -331,14 +329,14 @@ fn missing_service_surfaces_as_error_in_task() {
         .input("in")
         .output("out")
         .reducers(1)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| {
             let r: Result<&Collector, _> = ctx.service("ghost");
             assert!(r.is_err());
-            ctx.emit(*k, *v);
+            ctx.emit(k, v);
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     rt.run(job).unwrap();
@@ -354,16 +352,16 @@ fn counters_flow_back_in_stats() {
         .input("in")
         .output("out")
         .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| {
             if k.is_multiple_of(2) {
                 ctx.incr("even", 1);
             }
-            ctx.emit(*k, *v);
+            ctx.emit(k, v);
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 ctx.incr("groups", 1);
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     let stats = rt.run(job).unwrap();
@@ -382,12 +380,12 @@ fn mapper_panic_fails_job_with_context() {
         .input("in")
         .output("out")
         .reducers(1)
-        .map(|k: &u64, _v: &u64, _ctx: &mut MapContext<u64, u64>| {
-            assert!(*k != 2, "injected mapper failure");
+        .map(|k: u64, _v: u64, _ctx: &mut MapContext<u64, u64>| {
+            assert!(k != 2, "injected mapper failure");
         })
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     match rt.run(job) {
@@ -411,7 +409,7 @@ fn reducer_panic_fails_job() {
         .input("in")
         .output("out")
         .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             |_k: &u64, _vs: &mut dyn Iterator<Item = u64>, _ctx: &mut ReduceContext<u64, u64>| {
                 panic!("injected reducer failure");
@@ -441,10 +439,10 @@ fn invalid_jobs_are_rejected_before_running() {
             .input(input)
             .output(output)
             .reducers(reducers)
-            .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+            .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
             .reduce(
                 |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                    ctx.emit(*k, vs.sum());
+                    ctx.emit(*k, vs.sum::<u64>());
                 },
             )
     };
@@ -472,10 +470,10 @@ fn empty_input_produces_empty_output() {
         .input("in")
         .output("out")
         .reducers(2)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     let stats = rt.run(job).unwrap();
@@ -494,10 +492,10 @@ fn skewed_keys_all_land_in_one_group() {
         .input("in")
         .output("out")
         .reducers(8)
-        .map(|_k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(42, *v))
+        .map(|_k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(42, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                ctx.emit(*k, vs.sum());
+                ctx.emit(*k, vs.sum::<u64>());
             },
         );
     rt.run(job).unwrap();
@@ -516,14 +514,14 @@ fn more_nodes_reduce_simulated_time_on_heavy_jobs() {
             .input("in")
             .output("out")
             .reducers(64)
-            .map(|k: &u64, v: &Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
-                ctx.emit(*k, v.clone());
+            .map(|k: u64, v: Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
+                ctx.emit(k, v);
             })
             .reduce(
                 |k: &u64,
                  vs: &mut dyn Iterator<Item = Vec<u8>>,
                  ctx: &mut ReduceContext<u64, u64>| {
-                    ctx.emit(*k, vs.map(|v| v.len() as u64).sum());
+                    ctx.emit(*k, vs.map(|v| v.len() as u64).sum::<u64>());
                 },
             );
         rt.run(job).unwrap().sim_seconds
@@ -549,12 +547,12 @@ fn small_dfs_blocks_create_more_map_tasks_with_identical_output() {
             .input("in")
             .output("out")
             .reducers(4)
-            .map(|k: &u64, v: &Vec<u8>, ctx: &mut MapContext<u64, u64>| {
+            .map(|k: u64, v: Vec<u8>, ctx: &mut MapContext<u64, u64>| {
                 ctx.emit(k % 10, v.len() as u64);
             })
             .reduce(
                 |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
-                    ctx.emit(*k, vs.sum());
+                    ctx.emit(*k, vs.sum::<u64>());
                 },
             );
         let stats = rt.run(job).unwrap();
@@ -583,8 +581,8 @@ fn shuffle_bytes_scale_with_payload_size() {
             .input("in")
             .output("out")
             .reducers(4)
-            .map(|k: &u64, v: &Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
-                ctx.emit(*k, v.clone());
+            .map(|k: u64, v: Vec<u8>, ctx: &mut MapContext<u64, Vec<u8>>| {
+                ctx.emit(k, v);
             })
             .reduce(
                 |k: &u64,

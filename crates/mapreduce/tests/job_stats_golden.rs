@@ -23,7 +23,7 @@ fn run_fixed_job(threads: usize) -> JobStats {
         .input("raw")
         .output("master")
         .reducers(REDUCERS)
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| ctx.emit(*k, *v))
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| ctx.emit(k, v))
         .reduce(
             |k: &u64, vs: &mut dyn Iterator<Item = u64>, ctx: &mut ReduceContext<u64, u64>| {
                 for v in vs {
@@ -46,9 +46,9 @@ fn run_fixed_job(threads: usize) -> JobStats {
         .reducers(REDUCERS)
         .schimmy_input("master")
         .side_blob("side")
-        .map(|k: &u64, v: &u64, ctx: &mut MapContext<u64, u64>| {
+        .map(|k: u64, v: u64, ctx: &mut MapContext<u64, u64>| {
             ctx.incr("mapped", 1);
-            ctx.emit(k % 11, *v);
+            ctx.emit(k % 11, v);
             if k.is_multiple_of(4) {
                 ctx.emit(k % 5, 1);
             }

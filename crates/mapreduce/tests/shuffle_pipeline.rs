@@ -10,7 +10,11 @@
 //! reproduces by its case number alone.
 
 use ffmr_prng::SplitMix64;
-use mapreduce::{partition_of, ClusterConfig, JobBuilder, MapContext, MrRuntime, ReduceContext};
+use mapreduce::encode::put_bytes;
+use mapreduce::{
+    partition_of, ClusterConfig, Datum, JobBuilder, JobTaskRunner, MapContext, MrRuntime,
+    ReduceContext, ServiceHandle, SpillRun,
+};
 
 /// Random printable-ish value: varied lengths, including empty.
 fn random_value(rng: &mut SplitMix64) -> String {
@@ -84,7 +88,7 @@ fn run_identity(case: &Case, worker_threads: Option<usize>) -> Vec<Vec<u8>> {
         .input("in")
         .output("out")
         .reducers(case.reducers)
-        .map(|k: &u64, v: &String, ctx: &mut MapContext<u64, String>| ctx.emit(*k, v.clone()))
+        .map(|k: u64, v: String, ctx: &mut MapContext<u64, String>| ctx.emit(k, v))
         .reduce(
             |k: &u64,
              vs: &mut dyn Iterator<Item = String>,
@@ -164,7 +168,7 @@ fn schimmy_merge_matches_reference_with_side_input_first() {
             .input("masters_raw")
             .output("masters")
             .reducers(case.reducers)
-            .map(|k: &u64, v: &String, ctx: &mut MapContext<u64, String>| ctx.emit(*k, v.clone()))
+            .map(|k: u64, v: String, ctx: &mut MapContext<u64, String>| ctx.emit(k, v))
             .reduce(
                 |k: &u64,
                  vs: &mut dyn Iterator<Item = String>,
@@ -184,7 +188,7 @@ fn schimmy_merge_matches_reference_with_side_input_first() {
             .output("out")
             .reducers(case.reducers)
             .schimmy_input("masters")
-            .map(|k: &u64, v: &String, ctx: &mut MapContext<u64, String>| ctx.emit(*k, v.clone()))
+            .map(|k: u64, v: String, ctx: &mut MapContext<u64, String>| ctx.emit(k, v))
             .reduce(
                 |k: &u64,
                  vs: &mut dyn Iterator<Item = String>,
@@ -243,7 +247,7 @@ fn spill_and_merge_metrics_reach_the_registry() {
         .input("in")
         .output("out")
         .reducers(case.reducers)
-        .map(|k: &u64, v: &String, ctx: &mut MapContext<u64, String>| ctx.emit(*k, v.clone()))
+        .map(|k: u64, v: String, ctx: &mut MapContext<u64, String>| ctx.emit(k, v))
         .reduce(
             |k: &u64,
              vs: &mut dyn Iterator<Item = String>,
@@ -266,4 +270,100 @@ fn spill_and_merge_metrics_reach_the_registry() {
         merges >= case.reducers as u64,
         "merge fan-in records +{merges}"
     );
+}
+
+/// What the emit-framing test's mapper emits for one input record:
+/// several records under a few shared keys, with values from empty to
+/// past the 128 bytes at which a frame's length prefix grows.
+fn emissions(k: u64, v: &str, key_range: u64) -> Vec<(u64, String)> {
+    let n = 1 + (k % 3) as usize;
+    (0..n)
+        .map(|i| {
+            let key = (k + i as u64 * 7) % key_range;
+            (key, v.repeat(i * 9 + 1))
+        })
+        .collect()
+}
+
+/// The map side before frames were written at `emit`, kept as the
+/// oracle: typed records stable-sorted by key, then each framed in two
+/// passes (encode each datum, then length-prefix it) into its
+/// partition's run.
+fn old_path_spills(mut records: Vec<(u64, String)>, reducers: usize) -> Vec<SpillRun> {
+    records.sort_by_key(|r| r.0); // stable
+    let mut spills = vec![SpillRun::default(); reducers];
+    for (k, v) in &records {
+        let run = &mut spills[partition_of(k, reducers)];
+        let (mut kbuf, mut vbuf) = (Vec::new(), Vec::new());
+        k.encode(&mut kbuf);
+        v.encode(&mut vbuf);
+        put_bytes(&kbuf, &mut run.data);
+        put_bytes(&vbuf, &mut run.data);
+        run.records += 1;
+    }
+    spills
+}
+
+#[test]
+fn spills_framed_at_emit_equal_the_sorted_typed_record_path() {
+    let (mut long_frames, mut shared_keys, mut busy_partitions) = (0usize, 0usize, 0usize);
+    for case_no in 0..40u64 {
+        let mut rng = SplitMix64::seed_from_u64(0xe417_0000 + case_no);
+        let key_range = rng.gen_range(1u64..12);
+        let reducers = rng.gen_range(2u64..6) as usize;
+        let inputs: Vec<(u64, String)> = (0..rng.gen_range(0u64..60))
+            .map(|i| {
+                let len = rng.gen_range(0u64..40) as usize;
+                (i, "ab".repeat(len))
+            })
+            .collect();
+        let mut input = SpillRun::default();
+        for (k, v) in &inputs {
+            input.push(k, v);
+        }
+
+        // Even-numbered emissions pass the value by reference, the rest
+        // hand it over.
+        let runner = JobTaskRunner::new(
+            move |k: u64, v: String, ctx: &mut MapContext<'_, u64, String>| {
+                for (i, (key, value)) in emissions(k, &v, key_range).into_iter().enumerate() {
+                    if i % 2 == 0 {
+                        ctx.emit(key, &value);
+                    } else {
+                        ctx.emit(key, value);
+                    }
+                }
+            },
+            |k: &u64,
+             vs: &mut dyn Iterator<Item = String>,
+             ctx: &mut ReduceContext<'_, u64, String>| {
+                for v in vs {
+                    ctx.emit(*k, v);
+                }
+            },
+            ServiceHandle::new(),
+        );
+        let got = runner.run_map_bytes(0, &input.data, reducers).unwrap();
+
+        let emitted: Vec<(u64, String)> = inputs
+            .iter()
+            .flat_map(|(k, v)| emissions(*k, v, key_range))
+            .collect();
+        assert_eq!(got.output_records, emitted.len() as u64, "case {case_no}");
+        long_frames += emitted.iter().filter(|(_, v)| v.len() >= 128).count();
+        shared_keys += emitted.len().saturating_sub(key_range as usize);
+        busy_partitions += got.spills.iter().filter(|s| s.records > 0).count();
+        assert_eq!(
+            got.spills,
+            old_path_spills(emitted, reducers),
+            "case {case_no}"
+        );
+    }
+    // The corpus holds what the test is about.
+    assert!(
+        long_frames > 100,
+        "{long_frames} frames of 128 bytes or more"
+    );
+    assert!(shared_keys > 100, "{shared_keys} records share a key");
+    assert!(busy_partitions > 80, "{busy_partitions} non-empty spills");
 }

@@ -40,8 +40,10 @@
 //! through their receive timeout, and everything is joined — no detached
 //! threads survive the handle.
 
+use std::any::Any;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -88,6 +90,10 @@ struct Shared {
     engine: Arc<QueryEngine>,
     shutdown: AtomicBool,
     queue: SyncSender<WorkItem>,
+    /// Makes the next queued run panic, so tests can check that a
+    /// panic costs its request and not the worker.
+    #[cfg(test)]
+    panic_next_run: AtomicBool,
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -121,6 +127,8 @@ pub fn serve(
         engine,
         shutdown: AtomicBool::new(false),
         queue: queue_tx,
+        #[cfg(test)]
+        panic_next_run: AtomicBool::new(false),
     });
 
     let queue_rx = Arc::new(Mutex::new(queue_rx));
@@ -316,8 +324,21 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Mutex<Receiver<WorkItem>>) {
                     .record_duration(waited);
                 m.gauge("ffmr_workers_busy", &[]).add(1);
                 // The engine folds the wait into the query's profile
-                // (explain output, slowlog, stage histograms).
-                let response = shared.engine.run(work, waited);
+                // (explain output, slowlog, stage histograms). A panic
+                // on the solve path fails this request only: the worker
+                // replies with an error and takes the next item. A
+                // claim the run held is settled by its ticket's drop.
+                let run = AssertUnwindSafe(|| {
+                    #[cfg(test)]
+                    assert!(
+                        !shared.panic_next_run.swap(false, Ordering::SeqCst),
+                        "injected solve-path panic"
+                    );
+                    shared.engine.run(work, waited)
+                });
+                let response = panic::catch_unwind(run).unwrap_or_else(|payload| {
+                    error_response(format!("internal error: {}", panic_message(&*payload)))
+                });
                 m.gauge("ffmr_workers_busy", &[]).sub(1);
                 // A gone receiver just means the connection died.
                 let _ = reply.send(response);
@@ -326,6 +347,15 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Mutex<Receiver<WorkItem>>) {
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         }
     }
+}
+
+/// The message of a caught panic, if it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("panic without a message")
 }
 
 #[cfg(test)]
@@ -547,6 +577,32 @@ mod tests {
         // Past the cache, so the worker answers it.
         let r = client.request(&query.field("no-cache", 1)).unwrap();
         assert_eq!(r.head, "ok", "{r:?}");
+        assert_eq!(r.get("flow"), Some("2"), "{r:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_run_fails_its_request_and_the_worker_keeps_serving() {
+        // One worker, and a one-way graph so no cut tree answers on the
+        // connection thread: both queries reach that worker.
+        let server = start_on(one_way(&two_paths()), 1, 2);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let query = Message::new("maxflow")
+            .field("dataset", "g")
+            .field("source", 0)
+            .field("sink", 3)
+            .field("no-cache", 1);
+        server.shared.panic_next_run.store(true, Ordering::SeqCst);
+        let r = client.request(&query).unwrap();
+        assert_eq!(r.head, "error", "{r:?}");
+        assert!(
+            r.get("message")
+                .unwrap()
+                .contains("injected solve-path panic"),
+            "{r:?}"
+        );
+        let r = client.request(&query).unwrap();
+        assert_eq!(r.head, "ok", "the worker survived: {r:?}");
         assert_eq!(r.get("flow"), Some("2"), "{r:?}");
         server.shutdown();
     }

@@ -467,8 +467,6 @@ fn protocol_abuse_gets_error_responses_not_crashes() {
 fn ff_round_task_is_byte_identical_local_and_remote() {
     use ffmr_core::map_reduce_fns::FfShared;
     use ffmr_core::{AugmentedEdges, FfVariant, KPolicy};
-    use mapreduce::encode::put_varint;
-    use mapreduce::Datum;
 
     let shared = FfShared {
         source: 0,
@@ -496,16 +494,12 @@ fn ff_round_task_is_byte_identical_local_and_remote() {
             })
             .collect(),
     };
-    let mut input = Vec::new();
-    let key = 0u64;
-    put_varint(key.encoded_len() as u64, &mut input);
-    Datum::encode(&key, &mut input);
-    put_varint(vertex.encoded_len() as u64, &mut input);
-    Datum::encode(&vertex, &mut input);
+    let mut input = SpillRun::default();
+    input.push(&0u64, &vertex);
     let spec = MapTaskSpec {
         task: 0,
         reducers: 4,
-        input,
+        input: input.data,
     };
 
     let local = ffmr_core::ff_task_runner(&params)
