@@ -7,32 +7,17 @@
 use std::collections::HashMap;
 
 use mapreduce::{Dfs, MrError};
+use maxflow::FlowResult;
 use swgraph::{Capacity, EdgeId, FlowNetwork, VertexId};
 
 use crate::augmented::AugmentedEdges;
 use crate::vertex::VertexValue;
 
-/// A flow function reassembled from the final round's vertex records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtractedFlow {
-    /// Flow per directed edge slot, indexed by [`EdgeId`].
-    pub flows: Vec<Capacity>,
-}
-
-impl ExtractedFlow {
-    /// Net outflow at `s` — the flow value when `s` is the source.
-    #[must_use]
-    pub fn value_from(&self, net: &FlowNetwork, s: VertexId) -> Capacity {
-        if s.index() >= net.num_vertices() {
-            return 0;
-        }
-        net.out_edges(s).map(|e| self.flows[e.index()]).sum()
-    }
-}
-
 /// Reads the final vertex records at `path`, folds in `pending` deltas
 /// (the last round's acceptances no mapper applied), and reassembles the
-/// flow function over `net`.
+/// flow function over `net`, its value measured as the net outflow at
+/// `s`. Audit it with `maxflow::validate::check_flow`, and prove it
+/// maximum with `maxflow::min_cut::extract_min_cut`.
 ///
 /// # Errors
 /// Fails if the records are missing/corrupt, reference unknown edges, or
@@ -43,7 +28,8 @@ pub fn extract_flow(
     path: &str,
     pending: &AugmentedEdges,
     net: &FlowNetwork,
-) -> Result<ExtractedFlow, MrError> {
+    s: VertexId,
+) -> Result<FlowResult, MrError> {
     let records: Vec<(u64, VertexValue)> = dfs.read_records(path)?;
     let m = net.num_directed_edges();
     let mut flows: Vec<Option<Capacity>> = vec![None; m];
@@ -80,39 +66,12 @@ pub fn extract_flow(
             )));
         }
     }
-    Ok(ExtractedFlow { flows })
-}
-
-/// Checks whether the residual network implied by `flow` still has an
-/// augmenting `s -> t` path (BFS). A maximal flow must return `false`.
-#[must_use]
-pub fn has_augmenting_path(
-    net: &FlowNetwork,
-    flow: &ExtractedFlow,
-    s: VertexId,
-    t: VertexId,
-) -> bool {
-    let n = net.num_vertices();
-    if s.index() >= n || t.index() >= n {
-        return false;
-    }
-    let mut visited = vec![false; n];
-    visited[s.index()] = true;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(s);
-    while let Some(u) = queue.pop_front() {
-        for e in net.out_edges(u) {
-            let v = net.head(e);
-            if !visited[v.index()] && net.capacity(e) - flow.flows[e.index()] > 0 {
-                if v == t {
-                    return true;
-                }
-                visited[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    false
+    let value = if s.index() < net.num_vertices() {
+        net.out_edges(s).map(|e| flows[e.index()]).sum()
+    } else {
+        0
+    };
+    Ok(FlowResult { value, flows })
 }
 
 /// Summarizes excess-path storage across the final records — useful for
@@ -174,15 +133,14 @@ mod tests {
                 ),
             ],
         );
-        let f = extract_flow(&dfs, "final", &AugmentedEdges::new(0), &net).unwrap();
+        let (s, t) = (VertexId::new(0), VertexId::new(1));
+        let f = extract_flow(&dfs, "final", &AugmentedEdges::new(0), &net, s).unwrap();
         assert_eq!(f.flows, vec![1, -1]);
-        assert_eq!(f.value_from(&net, VertexId::new(0)), 1);
-        assert!(!has_augmenting_path(
-            &net,
-            &f,
-            VertexId::new(0),
-            VertexId::new(1)
-        ));
+        assert_eq!(f.value, 1);
+        maxflow::validate::check_flow(&net, s, t, &f).unwrap();
+        let cut = maxflow::min_cut::extract_min_cut(&net, s, &f);
+        assert!(!cut.source_side.contains(&t));
+        assert_eq!(cut.value, f.value);
     }
 
     #[test]
@@ -211,7 +169,7 @@ mod tests {
         );
         let mut pending = AugmentedEdges::new(9);
         pending.add(EdgeId::new(0), 1);
-        let f = extract_flow(&dfs, "final", &pending, &net).unwrap();
+        let f = extract_flow(&dfs, "final", &pending, &net, VertexId::new(0)).unwrap();
         assert_eq!(f.flows, vec![1, -1]);
     }
 
@@ -239,7 +197,14 @@ mod tests {
                 ),
             ],
         );
-        assert!(extract_flow(&dfs, "final", &AugmentedEdges::new(0), &net).is_err());
+        assert!(extract_flow(
+            &dfs,
+            "final",
+            &AugmentedEdges::new(0),
+            &net,
+            VertexId::new(0)
+        )
+        .is_err());
     }
 
     #[test]
@@ -257,21 +222,25 @@ mod tests {
                 },
             )],
         );
-        assert!(extract_flow(&dfs, "final", &AugmentedEdges::new(0), &net).is_err());
+        assert!(extract_flow(
+            &dfs,
+            "final",
+            &AugmentedEdges::new(0),
+            &net,
+            VertexId::new(0)
+        )
+        .is_err());
     }
 
     #[test]
-    fn augmenting_path_detected_on_zero_flow() {
+    fn a_zero_flow_leaves_the_sink_reachable() {
         let net = FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2)]);
-        let f = ExtractedFlow {
+        let f = FlowResult {
+            value: 0,
             flows: vec![0; net.num_directed_edges()],
         };
-        assert!(has_augmenting_path(
-            &net,
-            &f,
-            VertexId::new(0),
-            VertexId::new(2)
-        ));
+        let cut = maxflow::min_cut::extract_min_cut(&net, VertexId::new(0), &f);
+        assert!(cut.source_side.contains(&VertexId::new(2)));
     }
 
     #[test]

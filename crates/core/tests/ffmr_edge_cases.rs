@@ -158,12 +158,22 @@ fn all_variants_emit_identical_flow_functions_when_deterministic() {
     let extract = || {
         let mut rt = runtime();
         rt.set_worker_threads(Some(1));
-        let config =
-            FfConfig::new(VertexId::new(0), VertexId::new(n - 1)).variant(FfVariant::ff1());
+        let (s, t) = (VertexId::new(0), VertexId::new(n - 1));
+        let config = FfConfig::new(s, t).variant(FfVariant::ff1());
         let run = run_max_flow(&mut rt, &net, &config).unwrap();
-        verify::extract_flow(rt.dfs(), &run.final_graph_path, &run.pending_deltas, &net)
-            .unwrap()
-            .flows
+        let flow = verify::extract_flow(
+            rt.dfs(),
+            &run.final_graph_path,
+            &run.pending_deltas,
+            &net,
+            s,
+        )
+        .unwrap();
+        maxflow::validate::check_flow(&net, s, t, &flow).unwrap();
+        let cut = maxflow::min_cut::extract_min_cut(&net, s, &flow);
+        assert!(!cut.source_side.contains(&t));
+        assert_eq!(cut.value, flow.value);
+        flow.flows
     };
     assert_eq!(extract(), extract());
 }

@@ -4,8 +4,8 @@
 
 use ffmr_core::{run_max_flow, verify, FfConfig, FfVariant};
 use mapreduce::{ClusterConfig, MrRuntime};
+use maxflow::min_cut::extract_min_cut;
 use maxflow::validate::check_flow;
-use maxflow::FlowResult;
 use swgraph::{gen, FlowNetwork, VertexId};
 
 fn check_variant(
@@ -26,24 +26,21 @@ fn check_variant(
         "{label}: ffmr disagrees with dinic"
     );
 
-    // Reassemble the flow function and audit it fully.
-    let extracted = verify::extract_flow(rt.dfs(), &run.final_graph_path, &run.pending_deltas, net)
+    // Reassemble the flow function, audit it, and prove it maximum: the
+    // residual-reachable side excludes t and its cut equals the value.
+    let flow = verify::extract_flow(rt.dfs(), &run.final_graph_path, &run.pending_deltas, net, s)
         .unwrap_or_else(|e| panic!("{label}: flow extraction failed: {e}"));
     assert_eq!(
-        extracted.value_from(net, s),
-        oracle.value,
+        flow.value, oracle.value,
         "{label}: extracted flow value mismatch"
     );
-    let as_result = FlowResult {
-        value: extracted.value_from(net, s),
-        flows: extracted.flows.clone(),
-    };
-    check_flow(net, s, t, &as_result)
-        .unwrap_or_else(|e| panic!("{label}: invalid flow function: {e}"));
+    check_flow(net, s, t, &flow).unwrap_or_else(|e| panic!("{label}: invalid flow function: {e}"));
+    let cut = extract_min_cut(net, s, &flow);
     assert!(
-        !verify::has_augmenting_path(net, &extracted, s, t),
+        !cut.source_side.contains(&t),
         "{label}: residual network still has an augmenting path"
     );
+    assert_eq!(cut.value, flow.value, "{label}: cut and flow differ");
     run.max_flow_value
 }
 

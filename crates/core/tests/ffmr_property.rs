@@ -17,14 +17,14 @@ fn ffmr_value(net: &FlowNetwork, s: VertexId, t: VertexId, variant: FfVariant) -
     rt.set_worker_threads(Some(2));
     let config = FfConfig::new(s, t).variant(variant).reducers(3);
     let run = run_max_flow(&mut rt, net, &config).expect("ffmr run");
-    // Always audit the extracted flow for internal consistency.
-    let extracted = verify::extract_flow(rt.dfs(), &run.final_graph_path, &run.pending_deltas, net)
+    // Always audit the extracted flow, and prove it maximum.
+    let flow = verify::extract_flow(rt.dfs(), &run.final_graph_path, &run.pending_deltas, net, s)
         .expect("consistent flow extraction");
-    assert_eq!(extracted.value_from(net, s), run.max_flow_value);
-    assert!(
-        !verify::has_augmenting_path(net, &extracted, s, t),
-        "residual still augmentable"
-    );
+    assert_eq!(flow.value, run.max_flow_value);
+    maxflow::validate::check_flow(net, s, t, &flow).expect("feasible flow");
+    let cut = maxflow::min_cut::extract_min_cut(net, s, &flow);
+    assert!(!cut.source_side.contains(&t), "residual still augmentable");
+    assert_eq!(cut.value, flow.value);
     run.max_flow_value
 }
 

@@ -11,12 +11,11 @@
 //! step `s` solves `s` against its current tree parent on the original
 //! network and re-hangs the parent's children that fall on `s`'s side.
 //!
-//! Each step's solver is [`LocalSearch`]: on a small-world graph almost
-//! every cut is the trivial one at a terminal, and a
-//! [`Certificate::SourceArcs`] side is `{s}` alone, so that step costs
-//! the search and O(1) more. Every other side is scanned once over the n
-//! vertices. A search that runs out of budget is finished by
-//! [`Algorithm::Dinic`] and [`extract_min_cut`].
+//! Each step's solver is [`LocalSearch`], which always answers with a
+//! certified cut: on a small-world graph almost every cut is the trivial
+//! one at a terminal, and a [`Certificate::SourceArcs`] side is `{s}`
+//! alone, so that step costs the search and O(1) more. Every other side
+//! is scanned once over the n vertices.
 //!
 //! A query walks both ends up to their lowest common ancestor, by
 //! depth: on the FB' graphs the tree is two levels deep, so an answer
@@ -25,9 +24,7 @@
 use swgraph::{Capacity, EdgeId, FlowNetwork, VertexId};
 
 use crate::cancel::{Cancel, Cancelled};
-use crate::local::{Certificate, LocalFlow, LocalSearch};
-use crate::min_cut::extract_min_cut;
-use crate::Algorithm;
+use crate::local::{Certificate, LocalSearch};
 
 /// The solver label answers read off a cut tree carry.
 pub const NAME: &str = "tree";
@@ -40,8 +37,6 @@ pub struct BuildSteps {
     pub trivial_cut: u64,
     /// The local search ran out of augmenting paths.
     pub exhausted: u64,
-    /// The local search gave up and Dinic found the cut.
-    pub budget: u64,
 }
 
 /// A Gomory–Hu tree of a symmetric network, rooted at vertex 0.
@@ -55,26 +50,6 @@ pub struct CutTree {
     /// Per vertex: edges between it and the root.
     depth: Vec<u32>,
     steps: BuildSteps,
-}
-
-/// The `s` side of one build step's minimum cut.
-enum SourceSide {
-    /// Everything but the sink (a [`Certificate::SinkArcs`] cut).
-    AllBut(VertexId),
-    /// The side a local search's certificate names.
-    Local(LocalFlow),
-    /// A sorted vertex list from [`extract_min_cut`].
-    Sorted(Vec<VertexId>),
-}
-
-impl SourceSide {
-    fn contains(&self, v: VertexId) -> bool {
-        match self {
-            SourceSide::AllBut(t) => v != *t,
-            SourceSide::Local(flow) => flow.on_source_side(v),
-            SourceSide::Sorted(side) => side.binary_search(&v).is_ok(),
-        }
-    }
 }
 
 impl CutTree {
@@ -97,44 +72,30 @@ impl CutTree {
         for s in (1..n).map(|s| VertexId::new(s as u64)) {
             cancel.check()?;
             let t = parent[s.index()];
-            let (found, _) = search.run(net, s, t, cancel)?;
-            let (value, side) = match found {
-                Some(flow) => match flow.certificate {
-                    Certificate::SourceArcs => {
-                        // The side is {s}: no child of t moves, and t's
-                        // parent (never s in a tree) stays put.
-                        steps.trivial_cut += 1;
-                        weight[s.index()] = flow.value;
-                        continue;
-                    }
-                    Certificate::SinkArcs => {
-                        steps.trivial_cut += 1;
-                        (flow.value, SourceSide::AllBut(t))
-                    }
-                    Certificate::SourceReach(_) | Certificate::SinkReach(_) => {
-                        steps.exhausted += 1;
-                        (flow.value, SourceSide::Local(flow))
-                    }
-                },
-                None => {
-                    steps.budget += 1;
-                    let (flow, _) = Algorithm::Dinic.run_with_report(net, s, t, cancel)?;
-                    let cut = extract_min_cut(net, s, &flow);
-                    (flow.value, SourceSide::Sorted(cut.source_side))
+            let (flow, _) = search.run(net, &[s], &[t], cancel)?;
+            match flow.certificate {
+                Certificate::SourceArcs => {
+                    // The side is {s}: no child of t moves, and t's
+                    // parent (never s in a tree) stays put.
+                    steps.trivial_cut += 1;
+                    weight[s.index()] = flow.value;
+                    continue;
                 }
-            };
-            weight[s.index()] = value;
+                Certificate::SinkArcs => steps.trivial_cut += 1,
+                Certificate::SourceReach(_) | Certificate::SinkReach(_) => steps.exhausted += 1,
+            }
+            weight[s.index()] = flow.value;
             for i in (0..n).map(|i| VertexId::new(i as u64)) {
-                if i != s && parent[i.index()] == t && side.contains(i) {
+                if i != s && parent[i.index()] == t && flow.on_source_side(i) {
                     parent[i.index()] = s;
                 }
             }
             let above = parent[t.index()];
-            if above != t && side.contains(above) {
+            if above != t && flow.on_source_side(above) {
                 parent[s.index()] = above;
                 parent[t.index()] = s;
                 weight[s.index()] = weight[t.index()];
-                weight[t.index()] = value;
+                weight[t.index()] = flow.value;
             }
         }
         let depth = depths(&parent);

@@ -2,8 +2,8 @@
 //!
 //! These are the in-memory baselines and correctness oracles for the FFMR
 //! reproduction: Dinic \[30\], the test oracle, and the Push–Relabel
-//! comparator the paper argues is MR-unsuitable \[13\], sequential (the
-//! daemon's fallback solver) and parallel.
+//! comparator the paper argues is MR-unsuitable \[13\], sequential and
+//! parallel.
 //!
 //! All solvers share the [`FlowResult`] representation over
 //! [`swgraph::FlowNetwork`]'s paired edges and are cross-validated against
@@ -17,10 +17,12 @@
 //! explicit thread count. `Algorithm`'s `Display`/`FromStr` pair is the
 //! one table of solver names.
 //!
-//! [`local`] is not an `Algorithm`: its certified search may give up
-//! past a work budget, so it serves as a fast first try in front of one.
-//! [`cut_tree`] runs it n − 1 times to build a Gomory–Hu tree that
-//! answers every pair of a symmetric network without a solve.
+//! [`local`] is not an `Algorithm`: it takes a source *set* and a sink
+//! set, keeps its flow in a sparse overlay of the network, and answers
+//! with a certificate, a minimum cut, beside the value. The daemon
+//! answers every unpinned query with it, and [`cut_tree`] runs it n − 1
+//! times to build a Gomory–Hu tree that answers every pair of a
+//! symmetric network without a solve.
 //!
 //! # Example
 //!

@@ -1,58 +1,62 @@
-//! Certified local max-flow search for the query tier, after Bläsius,
-//! Friedrich and Weyand ("Efficiently Computing Maximum Flows in
-//! Scale-Free Networks"): on a scale-free graph the maximum `s`–`t` flow
-//! almost always equals the *trivial bound* `min(capacity out of s,
-//! capacity into t)`, and augmenting paths between two vertices of a
-//! small-diameter graph are short — the reason the paper's FF1 searches
-//! from both terminals at once.
+//! Certified maximum flow between terminal sets, for the query tier,
+//! after Bläsius, Friedrich and Weyand ("Efficiently Computing Maximum
+//! Flows in Scale-Free Networks"): on a scale-free graph the maximum flow
+//! almost always equals the *trivial bound* `min(δ(S), δ(T))`, the
+//! capacity leaving the source set or entering the sink set, and
+//! augmenting paths between two vertices of a small-diameter graph are
+//! short — the reason the paper's FF1 searches from both terminals at
+//! once.
 //!
-//! [`LocalSearch`] finds augmenting paths one at a time by balanced
-//! bidirectional BFS in the residual graph (the side with fewer queued
-//! vertices expands next, and the two searches meet in the middle). It
-//! stops in one of three ways:
+//! [`LocalSearch`] grows two search trees in the residual graph, in the
+//! manner of Boykov and Kolmogorov ("An Experimental Comparison of
+//! Min-Cut/Max-Flow Algorithms for Energy Minimization in Vision", PAMI
+//! 2004): the source tree is rooted at every vertex of `S` and the sink
+//! tree at every vertex of `T`. The side with fewer active vertices
+//! expands next; an arc from one tree into the other closes an augmenting
+//! path, which gets its bottleneck. The trees persist across paths: a
+//! saturated tree arc orphans the vertex below it, which is re-adopted
+//! by a tree neighbour with a path to a root, or freed, its neighbours
+//! re-activated. The search stops in one of two ways, each with a
+//! certificate:
 //!
-//! * the flow reaches the trivial bound: every arc out of `s` (or into
-//!   `t`) is saturated, so that single-terminal cut is a minimum cut
+//! * the flow reaches the trivial bound: every arc out of `S` (or into
+//!   `T`) is saturated, so that cut is a minimum cut
 //!   ([`Certificate::SourceArcs`], [`Certificate::SinkArcs`]);
-//! * one side's search runs dry: no augmenting path is left, and the
-//!   vertices it reached — those `s` still reaches, or those that still
-//!   reach `t` — form one side of a minimum cut
-//!   ([`Certificate::SourceReach`], [`Certificate::SinkReach`]);
-//! * the arcs it has scanned, over all its searches, pass
-//!   [`BUDGET_PER_ARC`] times the network's arc count: it returns no
-//!   answer, and the caller runs a global solver instead.
+//! * one tree has no active vertex left: no residual arc leaves the
+//!   source tree (or enters the sink tree), so no augmenting path is left
+//!   and the tree is one side of a minimum cut
+//!   ([`Certificate::SourceReach`], the vertices `S` reaches;
+//!   [`Certificate::SinkReach`], the sink tree).
 //!
 //! The flow lives in a sparse overlay keyed by edge pair, never an
 //! m-sized vector. The scratch a [`LocalSearch`] keeps between runs is
-//! n-sized and never cleared: per-round stamps tell stale marks apart.
+//! n-sized and never cleared: per-run stamps tell stale marks apart.
+
+use std::collections::VecDeque;
 
 use swgraph::{Capacity, EdgeId, FlowNetwork, IdMap, VertexId};
 
 use crate::cancel::{Cancel, Cancelled};
+use crate::min_cut::{cut_of, residual_reach, MinCut};
 use crate::report::SolveReport;
 use crate::residual::FlowResult;
 
 /// The solver label answers of this search carry.
 pub const NAME: &str = "local";
 
-/// The work budget: a search gives up once it has scanned this many arcs
-/// per directed arc of the network, summed over all its BFS rounds. Past
-/// that a global solver, which touches every arc a few times, is the
-/// cheaper way to finish.
-pub const BUDGET_PER_ARC: u64 = 2;
-
 /// Why a found flow is maximum: a cut whose capacity equals its value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Certificate {
-    /// The flow saturates every arc leaving `s`: `({s}, V ∖ {s})`.
+    /// The flow saturates every arc leaving `S`: `(S, V ∖ S)`.
     SourceArcs,
-    /// The flow saturates every arc entering `t`: `(V ∖ {t}, {t})`.
+    /// The flow saturates every arc entering `T`: `(V ∖ T, T)`.
     SinkArcs,
-    /// No augmenting path is left; the source side is the vertices `s`
+    /// No augmenting path is left; the source side is the vertices `S`
     /// still reaches in the residual graph (sorted).
     SourceReach(Vec<VertexId>),
-    /// No augmenting path is left; the sink side is the vertices that
-    /// still reach `t` in the residual graph (sorted).
+    /// No augmenting path is left; the sink side is the sink tree
+    /// (sorted), which holds every vertex that still reaches `T` in the
+    /// residual graph and has no residual arc into it from outside.
     SinkReach(Vec<VertexId>),
 }
 
@@ -63,11 +67,10 @@ pub struct LocalFlow {
     pub value: Capacity,
     /// The minimum cut that proves `value` maximum.
     pub certificate: Certificate,
-    source: VertexId,
-    sink: VertexId,
-    /// Flow on each edge pair that ever carried any, keyed by the pair's
-    /// forward member ([`EdgeId::canonical`]).
-    flows: IdMap<EdgeId, Capacity>,
+    /// The source and sink sets, sorted.
+    sources: Vec<VertexId>,
+    sinks: Vec<VertexId>,
+    flows: Flows,
 }
 
 impl LocalFlow {
@@ -75,11 +78,33 @@ impl LocalFlow {
     #[must_use]
     pub fn on_source_side(&self, v: VertexId) -> bool {
         match &self.certificate {
-            Certificate::SourceArcs => v == self.source,
-            Certificate::SinkArcs => v != self.sink,
+            Certificate::SourceArcs => self.sources.binary_search(&v).is_ok(),
+            Certificate::SinkArcs => self.sinks.binary_search(&v).is_err(),
             Certificate::SourceReach(side) => side.binary_search(&v).is_ok(),
             Certificate::SinkReach(side) => side.binary_search(&v).is_err(),
         }
+    }
+
+    /// The inclusion-minimal minimum cut on `net`, the network the flow
+    /// was found on: the vertices `S` reaches in the final residual
+    /// graph, the side [`extract_min_cut`](crate::min_cut::extract_min_cut)
+    /// reports. A [`Certificate::SourceReach`] side is that set already;
+    /// any other costs one search over the overlay.
+    #[must_use]
+    pub fn min_cut(&self, net: &FlowNetwork) -> MinCut {
+        let reached = match &self.certificate {
+            Certificate::SourceReach(side) => {
+                let mut reached = vec![false; net.num_vertices()];
+                for v in side {
+                    reached[v.index()] = true;
+                }
+                reached
+            }
+            _ => residual_reach(net, &self.sources, |e| {
+                net.capacity(e) - flow_on(&self.flows, e)
+            }),
+        };
+        cut_of(net, &reached)
     }
 
     /// The flow as a dense [`FlowResult`] over `net`, the network it was
@@ -98,8 +123,12 @@ impl LocalFlow {
     }
 }
 
-/// Flow on `e` in an overlay keyed by forward members.
-fn flow_on(flows: &IdMap<EdgeId, Capacity>, e: EdgeId) -> Capacity {
+/// Flow on each edge pair that ever carried any, keyed by the pair's
+/// forward member ([`EdgeId::canonical`]).
+type Flows = IdMap<EdgeId, Capacity>;
+
+/// Flow on `e` in the overlay.
+fn flow_on(flows: &Flows, e: EdgeId) -> Capacity {
     let f = flows.get(&e.canonical()).copied().unwrap_or(0);
     if e.is_forward() {
         f
@@ -108,43 +137,93 @@ fn flow_on(flows: &IdMap<EdgeId, Capacity>, e: EdgeId) -> Capacity {
     }
 }
 
-/// How one BFS round ended.
-enum Round {
-    /// The searches met and the path's bottleneck was pushed.
-    Pushed,
-    /// The forward search ran dry; `fwd` holds what `s` reaches.
-    SourceDry,
-    /// The backward search ran dry; `bwd` holds what reaches `t`.
-    SinkDry,
-    /// The work budget ran out mid-round.
-    OverBudget,
+/// One of the two search trees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Source = 0,
+    Sink = 1,
 }
 
-/// Which search reached a vertex, in the low bit of its mark.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Fwd = 0,
-    Bwd = 1,
+impl Side {
+    /// The residual arc the tree grows along through `e`, an arc out of
+    /// one of its vertices: `e` away from `S`, its reverse toward `T`;
+    /// either way from the source side to the sink side. It is the parent
+    /// arc of the vertex reached.
+    fn growth_arc(self, e: EdgeId) -> EdgeId {
+        match self {
+            Side::Source => e,
+            Side::Sink => e.reverse(),
+        }
+    }
+
+    /// The tree parent of the vertex whose parent arc is `arc`.
+    fn parent(self, net: &FlowNetwork, arc: EdgeId) -> VertexId {
+        match self {
+            Side::Source => net.tail(arc),
+            Side::Sink => net.head(arc),
+        }
+    }
+}
+
+/// The parent arc of a terminal, a tree root.
+const ROOT: EdgeId = EdgeId::new(u64::MAX);
+/// The parent arc of an orphan, cut off from its root.
+const ORPHAN: EdgeId = EdgeId::new(u64::MAX - 1);
+
+/// Per-vertex search state; meaningful only while `run` is the current
+/// run, and free otherwise.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    run: u64,
+    tree: Option<Side>,
+    /// The residual arc joining it to its tree parent, oriented from the
+    /// source side to the sink side: parent → v in the source tree,
+    /// v → parent in the sink tree. [`ROOT`] or [`ORPHAN`] otherwise.
+    parent: EdgeId,
+    /// Its depth when it joined the tree or was last re-hung: 0 at a
+    /// root, one more than its parent's then.
+    label: u32,
+    /// Where the last search for its parent succeeded.
+    parent_arc: u32,
+    active: bool,
+    /// The next of its arcs to scan while active.
+    next_arc: u32,
+    /// Whether an incident edge pair carries flow this run.
+    carries: bool,
+    /// The epoch in which its tree path was last seen to reach a root.
+    rooted: u64,
 }
 
 /// Reusable scratch for local searches: keep one per thread and call
 /// [`run`](Self::run) for each query. It grows to the largest network it
 /// has searched.
+///
+/// Orphans are settled lazily, one at a time: when a path found runs
+/// through one, or when a tree has nothing left to grow but vertices
+/// parked below one. A tree that runs dry is closed with its orphans in
+/// it, and a search that stops at the trivial bound never settles the
+/// orphans its last paths left.
 #[derive(Debug, Default)]
 pub struct LocalSearch {
-    /// Per vertex: `2 * round + side` of the last round that reached it.
-    mark: Vec<u64>,
-    /// Per vertex: the residual arc its search reached it through,
-    /// pointing away from `s` on both sides.
-    via: Vec<EdgeId>,
-    /// Per vertex: the last run in which an incident pair carried flow.
-    carries: Vec<u64>,
-    round: u64,
+    nodes: Vec<Node>,
     run: u64,
-    /// Vertices the forward (backward) search reached this round, in
-    /// visit order; the unexpanded tail is the search's queue.
-    fwd: Vec<VertexId>,
-    bwd: Vec<VertexId>,
+    /// Bumped at every run and augmentation, the only steps that cut
+    /// rooted vertices off their roots.
+    epoch: u64,
+    /// Vertices this run reached, each once.
+    touched: Vec<VertexId>,
+    /// Per tree: its active vertices, front first (with stale entries),
+    /// how many there are, and those put aside unscanned below an orphan.
+    active: [VecDeque<VertexId>; 2],
+    live: [usize; 2],
+    parked: [Vec<VertexId>; 2],
+    /// Per tree: the growth arcs out of its roots, by the vertex they
+    /// reach (sorted), where an orphan finds a root parent by lookup.
+    root_arcs: [Vec<(VertexId, EdgeId)>; 2],
+    /// Scratch for settling one orphan: its children, and its tree
+    /// neighbours with a residual arc toward it.
+    children: Vec<VertexId>,
+    feeders: Vec<VertexId>,
     /// The current augmenting path's arcs.
     path: Vec<EdgeId>,
 }
@@ -156,64 +235,70 @@ impl LocalSearch {
         Self::default()
     }
 
-    /// Searches for a maximum `s`–`t` flow on `net`. Returns the
-    /// certified flow, or `None` once the budget runs out, with the
-    /// report either way: augmenting paths, cancel polls (one per
-    /// path), distinct vertices touched and arcs scanned.
+    /// Finds a maximum flow on `net` from the vertex set `sources` to the
+    /// vertex set `sinks`, with its certificate and the report:
+    /// augmenting paths, cancel polls (one per path), distinct vertices
+    /// touched and arcs scanned.
     ///
-    /// Degenerate terminals (equal or out of range) answer 0 with an
-    /// empty [`Certificate::SourceReach`], matching the solvers'
-    /// conventions.
+    /// Degenerate terminals (an empty or out-of-range set, or sets that
+    /// share a vertex) answer 0 with an empty
+    /// [`Certificate::SourceReach`], matching the solvers' conventions.
     ///
     /// # Errors
     /// [`Cancelled`] when `cancel` fires before a path.
     pub fn run(
         &mut self,
         net: &FlowNetwork,
-        s: VertexId,
-        t: VertexId,
+        sources: &[VertexId],
+        sinks: &[VertexId],
         cancel: &Cancel,
-    ) -> Result<(Option<LocalFlow>, SolveReport), Cancelled> {
+    ) -> Result<(LocalFlow, SolveReport), Cancelled> {
         let mut report = SolveReport::default();
-        let n = net.num_vertices();
         let mut found = LocalFlow {
             value: 0,
             certificate: Certificate::SourceReach(Vec::new()),
-            source: s,
-            sink: t,
+            sources: sorted(sources),
+            sinks: sorted(sinks),
             flows: IdMap::default(),
         };
-        if s == t || s.index() >= n || t.index() >= n {
-            return Ok((Some(found), report));
+        let n = net.num_vertices();
+        let (s, t) = (&found.sources, &found.sinks);
+        let out_of_range = s.iter().chain(t).any(|v| v.index() >= n);
+        if s.is_empty() || t.is_empty() || out_of_range || s.iter().any(|v| t.contains(v)) {
+            return Ok((found, report));
         }
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-            self.via.resize(n, EdgeId::default());
-            self.carries.resize(n, 0);
+        self.start(n, &found.sources, &found.sinks);
+        // A lone terminal's arcs are left out: only a parallel edge
+        // could re-hang a vertex from it.
+        for (roots, side) in [(&found.sources, Side::Source), (&found.sinks, Side::Sink)] {
+            let mut arcs: Vec<(VertexId, EdgeId)> = roots
+                .iter()
+                .filter(|_| roots.len() > 1)
+                .flat_map(|&r| net.out_edges(r))
+                .filter(|&e| !self.in_tree(net.head(e), side))
+                .map(|e| (net.head(e), side.growth_arc(e)))
+                .collect();
+            arcs.sort_unstable();
+            self.root_arcs[side as usize] = arcs;
         }
-        self.run += 1;
-        let first_round = self.round + 1;
-        let out_of_s = net.capacity_out(s);
-        let into_t = net
-            .out_edges(t)
-            .map(|e| net.capacity(e.reverse()))
-            .fold(0, Capacity::saturating_add);
-        let bound = out_of_s.min(into_t);
-        let budget = BUDGET_PER_ARC.saturating_mul(net.num_directed_edges() as u64);
+        let out_of_s = self.boundary(net, &found.sources, Side::Source);
+        let bound = out_of_s.min(self.boundary(net, &found.sinks, Side::Sink));
         while found.value < bound {
             report.cancel_polls += 1;
             cancel.check()?;
-            match self.round(net, s, t, &mut found, &mut report, first_round, budget) {
-                Round::Pushed => report.augmenting_paths += 1,
-                Round::SourceDry => {
-                    found.certificate = Certificate::SourceReach(sorted(&self.fwd));
-                    return Ok((Some(found), report));
+            match self.grow(net, &found.flows, &mut report) {
+                Ok(arc) => {
+                    self.augment(net, &mut found, arc);
+                    report.augmenting_paths += 1;
                 }
-                Round::SinkDry => {
-                    found.certificate = Certificate::SinkReach(sorted(&self.bwd));
-                    return Ok((Some(found), report));
+                Err(dry) => {
+                    found.certificate = match dry {
+                        Side::Source => Certificate::SourceReach(self.source_side(net, &found)),
+                        Side::Sink => Certificate::SinkReach(self.members(Side::Sink)),
+                    };
+                    report.vertices_touched = self.touched.len() as u64;
+                    return Ok((found, report));
                 }
-                Round::OverBudget => return Ok((None, report)),
             }
         }
         found.certificate = if bound == out_of_s {
@@ -221,174 +306,376 @@ impl LocalSearch {
         } else {
             Certificate::SinkArcs
         };
-        Ok((Some(found), report))
+        report.vertices_touched = self.touched.len() as u64;
+        Ok((found, report))
     }
 
-    /// One BFS round from both terminals; pushes along the path it finds.
-    #[allow(clippy::too_many_arguments)]
-    fn round(
-        &mut self,
-        net: &FlowNetwork,
-        s: VertexId,
-        t: VertexId,
-        found: &mut LocalFlow,
-        report: &mut SolveReport,
-        first_round: u64,
-        budget: u64,
-    ) -> Round {
-        self.round += 1;
-        for (v, side) in [(s, Side::Fwd), (t, Side::Bwd)] {
-            if self.mark[v.index()] >> 1 < first_round {
-                report.vertices_touched += 1;
-            }
-            self.mark[v.index()] = 2 * self.round + side as u64;
+    /// Starts a run: the terminals are the active roots of their trees.
+    fn start(&mut self, n: usize, sources: &[VertexId], sinks: &[VertexId]) {
+        if self.nodes.len() < n {
+            self.nodes.resize(n, Node::default());
         }
-        self.fwd.clear();
-        self.fwd.push(s);
-        self.bwd.clear();
-        self.bwd.push(t);
-        let (mut fwd_next, mut bwd_next) = (0, 0);
+        self.run += 1;
+        self.epoch += 1;
+        self.touched.clear();
+        self.active.iter_mut().for_each(VecDeque::clear);
+        self.live = [0, 0];
+        self.parked.iter_mut().for_each(Vec::clear);
+        for (roots, side) in [(sources, Side::Source), (sinks, Side::Sink)] {
+            for &v in roots {
+                self.join(v, side, ROOT, 0);
+            }
+        }
+    }
+
+    /// δ(S) for the source set, or δ(T) for the sink set: the capacity of
+    /// the arcs between the set and the rest, once `start` tagged them.
+    fn boundary(&self, net: &FlowNetwork, roots: &[VertexId], side: Side) -> Capacity {
+        roots
+            .iter()
+            .flat_map(|&v| net.out_edges(v))
+            .filter(|&e| !self.in_tree(net.head(e), side))
+            .map(|e| net.capacity(side.growth_arc(e)))
+            .fold(0, Capacity::saturating_add)
+    }
+
+    fn in_tree(&self, v: VertexId, side: Side) -> bool {
+        let node = &self.nodes[v.index()];
+        node.run == self.run && node.tree == Some(side)
+    }
+
+    /// Puts the free vertex `v` into `side`'s tree below `parent` with
+    /// `label`, and activates it.
+    fn join(&mut self, v: VertexId, side: Side, parent: EdgeId, label: u32) {
+        let node = &mut self.nodes[v.index()];
+        if node.run != self.run {
+            *node = Node {
+                run: self.run,
+                ..Node::default()
+            };
+            self.touched.push(v);
+        }
+        node.tree = Some(side);
+        node.parent = parent;
+        node.label = label;
+        node.parent_arc = 0;
+        self.activate(v);
+    }
+
+    /// Marks a tree vertex active, to scan its arcs from the first.
+    fn activate(&mut self, v: VertexId) {
+        let node = &mut self.nodes[v.index()];
+        node.next_arc = 0;
+        if !node.active {
+            node.active = true;
+            let side = node.tree.expect("only tree vertices are active") as usize;
+            self.live[side] += 1;
+            self.active[side].push_back(v);
+        }
+    }
+
+    /// Ends `v`'s activity; a stale queue entry may stay behind.
+    fn deactivate(&mut self, v: VertexId, side: Side) {
+        let node = &mut self.nodes[v.index()];
+        if std::mem::take(&mut node.active) {
+            self.live[side as usize] -= 1;
+        }
+    }
+
+    /// The orphan on `v`'s tree path, or `None` when it reaches a root.
+    /// A path found to reach a root is stamped with the current epoch,
+    /// so later walks stop where it begins.
+    fn orphan_above(&mut self, net: &FlowNetwork, v: VertexId, side: Side) -> Option<VertexId> {
+        let mut u = v;
         loop {
-            let fwd_queued = self.fwd.len() - fwd_next;
-            let bwd_queued = self.bwd.len() - bwd_next;
-            if fwd_queued == 0 {
-                return Round::SourceDry;
+            let node = &self.nodes[u.index()];
+            if node.rooted == self.epoch {
+                break;
             }
-            if bwd_queued == 0 {
-                return Round::SinkDry;
-            }
-            if report.arc_scans > budget {
-                return Round::OverBudget;
-            }
-            let meeting = if fwd_queued <= bwd_queued {
-                fwd_next += 1;
-                self.expand(
-                    net,
-                    found,
-                    report,
-                    self.fwd[fwd_next - 1],
-                    Side::Fwd,
-                    first_round,
-                )
-            } else {
-                bwd_next += 1;
-                self.expand(
-                    net,
-                    found,
-                    report,
-                    self.bwd[bwd_next - 1],
-                    Side::Bwd,
-                    first_round,
-                )
-            };
-            if let Some(arc) = meeting {
-                self.augment(net, s, t, found, arc);
-                return Round::Pushed;
+            match node.parent {
+                ROOT => break,
+                ORPHAN => return Some(u),
+                e => u = side.parent(net, e),
             }
         }
-    }
-
-    /// Scans `u`'s arcs for one side's search, queueing what it newly
-    /// reaches. Returns the arc that joins the two searches, if any; it
-    /// runs from the forward tree into the backward tree.
-    fn expand(
-        &mut self,
-        net: &FlowNetwork,
-        found: &LocalFlow,
-        report: &mut SolveReport,
-        u: VertexId,
-        side: Side,
-        first_round: u64,
-    ) -> Option<EdgeId> {
-        // Both endpoints of a pair that carries flow are flagged, so
-        // `u`'s flag covers either direction of each of its pairs.
-        let carries = self.carries[u.index()] == self.run;
-        for e in net.out_edges(u) {
-            report.arc_scans += 1;
-            // Forward: the residual arc u→w. Backward: w→u, toward t.
-            let arc = match side {
-                Side::Fwd => e,
-                Side::Bwd => e.reverse(),
-            };
-            let flow = if carries {
-                flow_on(&found.flows, arc)
-            } else {
-                0
-            };
-            if net.capacity(arc) <= flow {
-                continue;
+        let mut u = v;
+        while self.nodes[u.index()].rooted != self.epoch {
+            let node = &mut self.nodes[u.index()];
+            node.rooted = self.epoch;
+            if node.parent == ROOT {
+                break;
             }
-            let w = net.head(e);
-            let mark = self.mark[w.index()];
-            if mark >> 1 == self.round {
-                if mark & 1 != side as u64 {
-                    return Some(arc);
-                }
-                continue;
-            }
-            if mark >> 1 < first_round {
-                report.vertices_touched += 1;
-            }
-            self.mark[w.index()] = 2 * self.round + side as u64;
-            self.via[w.index()] = arc;
-            match side {
-                Side::Fwd => self.fwd.push(w),
-                Side::Bwd => self.bwd.push(w),
-            }
+            u = side.parent(net, node.parent);
         }
         None
     }
 
-    /// Pushes the bottleneck along `s ⇝ tail(arc) → head(arc) ⇝ t`.
-    fn augment(
+    /// Residual capacity of `e`, an arc out of or into `v`, whose flag
+    /// says whether any of its pairs carries flow.
+    fn residual(&self, net: &FlowNetwork, flows: &Flows, v: VertexId, e: EdgeId) -> Capacity {
+        let carries = self.nodes[v.index()].carries;
+        net.capacity(e) - if carries { flow_on(flows, e) } else { 0 }
+    }
+
+    /// Grows the tree with fewer active vertices until an arc from the
+    /// source tree into the sink tree closes a path whose arcs are all in
+    /// place; leaves that path in `self.path` and returns its middle arc,
+    /// or the side whose tree ran out of active vertices.
+    fn grow(
         &mut self,
         net: &FlowNetwork,
-        s: VertexId,
-        t: VertexId,
-        found: &mut LocalFlow,
-        arc: EdgeId,
-    ) {
+        flows: &Flows,
+        report: &mut SolveReport,
+    ) -> Result<EdgeId, Side> {
+        'next: loop {
+            let side = match self.live {
+                [0, _] => Side::Source,
+                [_, 0] => Side::Sink,
+                [s, t] if s <= t => Side::Source,
+                _ => Side::Sink,
+            };
+            if self.live[side as usize] == 0 {
+                if self.parked[side as usize].is_empty() {
+                    return Err(side);
+                }
+                self.unpark(net, flows, side, report);
+                continue;
+            }
+            let p = *self.active[side as usize]
+                .front()
+                .expect("a live vertex is queued");
+            let node = self.nodes[p.index()];
+            if !node.active || node.tree != Some(side) {
+                // Stale, or put aside below.
+                self.active[side as usize].pop_front();
+                continue;
+            }
+            // Only rooted vertices grow: an orphaned subtree could take
+            // back the vertices its orphans free. The rest wait, parked,
+            // until their tree has nothing else to grow; most searches
+            // end before that.
+            if self.orphan_above(net, p, side).is_some() {
+                self.deactivate(p, side);
+                self.parked[side as usize].push(p);
+                continue;
+            }
+            let first = node.next_arc as usize;
+            for (k, e) in net.out_edges(p).enumerate().skip(first) {
+                report.arc_scans += 1;
+                let q = net.head(e);
+                let other = &self.nodes[q.index()];
+                let tree = (other.run == self.run).then_some(other.tree).flatten();
+                let arc = side.growth_arc(e);
+                if tree == Some(side) || self.residual(net, flows, p, arc) <= 0 {
+                    continue;
+                }
+                match tree {
+                    None => self.join(q, side, arc, node.label + 1),
+                    Some(_) => {
+                        // Resume here: the arc may have room left.
+                        self.nodes[p.index()].next_arc = k as u32;
+                        match self.trace(net, arc) {
+                            None => return Ok(arc),
+                            Some(orphan) => {
+                                self.settle(net, flows, orphan, report);
+                                continue 'next;
+                            }
+                        }
+                    }
+                }
+            }
+            self.deactivate(p, side);
+        }
+    }
+
+    /// Gives `side`'s tree active vertices again: settles the orphans
+    /// above its parked vertices and wakes those still in the tree.
+    fn unpark(&mut self, net: &FlowNetwork, flows: &Flows, side: Side, report: &mut SolveReport) {
+        while let Some(p) = self.parked[side as usize].pop() {
+            while self.in_tree(p, side) {
+                match self.orphan_above(net, p, side) {
+                    Some(orphan) => self.settle(net, flows, orphan, report),
+                    None => {
+                        self.activate(p);
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Collects the path `S ⇝ tail(arc) → head(arc) ⇝ T` in `self.path`,
+    /// or returns the first orphan on it.
+    fn trace(&mut self, net: &FlowNetwork, arc: EdgeId) -> Option<VertexId> {
         self.path.clear();
+        for (mut v, side) in [(net.tail(arc), Side::Source), (net.head(arc), Side::Sink)] {
+            loop {
+                match self.nodes[v.index()].parent {
+                    ROOT => break,
+                    ORPHAN => return Some(v),
+                    e => {
+                        self.path.push(e);
+                        v = side.parent(net, e);
+                    }
+                }
+            }
+        }
         self.path.push(arc);
-        let mut v = net.tail(arc);
-        while v != s {
-            let e = self.via[v.index()];
-            self.path.push(e);
-            v = net.tail(e);
-        }
-        let mut v = net.head(arc);
-        while v != t {
-            let e = self.via[v.index()];
-            self.path.push(e);
-            v = net.head(e);
-        }
+        None
+    }
+
+    /// Pushes the bottleneck along the traced path through `arc` and
+    /// orphans the vertex below each tree arc it saturates.
+    fn augment(&mut self, net: &FlowNetwork, found: &mut LocalFlow, arc: EdgeId) {
         let amount = self
             .path
             .iter()
             .map(|&e| net.capacity(e) - flow_on(&found.flows, e))
             .min()
             .unwrap_or(0);
-        for &e in &self.path {
+        for i in 0..self.path.len() {
+            let e = self.path[i];
             let f = found.flows.entry(e.canonical()).or_insert(0);
             *f += if e.is_forward() { amount } else { -amount };
-            self.carries[net.tail(e).index()] = self.run;
-            self.carries[net.head(e).index()] = self.run;
+            let (tail, head) = (net.tail(e), net.head(e));
+            self.nodes[tail.index()].carries = true;
+            self.nodes[head.index()].carries = true;
+            if e == arc || net.capacity(e) > flow_on(&found.flows, e) {
+                continue;
+            }
+            // A saturated tree arc: its child is the endpoint it is the
+            // parent arc of.
+            let child = if self.nodes[head.index()].parent == e {
+                head
+            } else {
+                tail
+            };
+            self.nodes[child.index()].parent = ORPHAN;
         }
         found.value = found.value.saturating_add(amount);
+        self.epoch += 1;
+    }
+
+    /// Re-hangs the orphan `v` from a tree neighbour with a residual arc
+    /// toward it and a path to a root: the first labelled below it, or
+    /// else the lowest. Frees it when there is none: its children become
+    /// orphans and the neighbours that could grow back into it become
+    /// active. Stale entries pass.
+    fn settle(&mut self, net: &FlowNetwork, flows: &Flows, v: VertexId, report: &mut SolveReport) {
+        let node = self.nodes[v.index()];
+        let Some(side) = node.tree.filter(|_| node.parent == ORPHAN) else {
+            return;
+        };
+        // A parent labelled 0 is a root: look for one directly, and,
+        // failing that, take the first parent labelled 1.
+        let mut enough = node.label;
+        if enough == 1 {
+            let arcs = &self.root_arcs[side as usize];
+            let from = arcs.partition_point(|&(q, _)| q < v);
+            let root_arc = arcs[from..]
+                .iter()
+                .take_while(|&&(q, _)| q == v)
+                .map(|&(_, arc)| arc)
+                .find(|&arc| self.residual(net, flows, v, arc) > 0);
+            if let Some(arc) = root_arc {
+                self.nodes[v.index()].parent = arc;
+                return;
+            }
+            enough = 2;
+        }
+        self.children.clear();
+        self.feeders.clear();
+        let mut lowest: Option<(u32, EdgeId, usize)> = None;
+        // From where its last parent was found, round to there.
+        let first = node.parent_arc as usize;
+        let arcs = || net.out_edges(v).enumerate();
+        for (k, e) in arcs().skip(first).chain(arcs().take(first)) {
+            report.arc_scans += 1;
+            let q = net.head(e);
+            if !self.in_tree(q, side) {
+                continue;
+            }
+            let other = self.nodes[q.index()];
+            if other.parent == side.growth_arc(e) {
+                self.children.push(q);
+            }
+            // q → v in the source tree, v → q in the sink tree.
+            let toward = side.growth_arc(e).reverse();
+            if self.residual(net, flows, v, toward) <= 0 {
+                continue;
+            }
+            self.feeders.push(q);
+            if lowest.is_some_and(|(l, _, _)| l <= other.label)
+                || self.orphan_above(net, q, side).is_some()
+            {
+                continue;
+            }
+            lowest = Some((other.label, toward, k));
+            if other.label < enough {
+                break;
+            }
+        }
+        let Some((label, arc, k)) = lowest else {
+            for i in 0..self.children.len() {
+                self.nodes[self.children[i].index()].parent = ORPHAN;
+            }
+            for i in 0..self.feeders.len() {
+                self.activate(self.feeders[i]);
+            }
+            self.deactivate(v, side);
+            self.nodes[v.index()].tree = None;
+            return;
+        };
+        let node = &mut self.nodes[v.index()];
+        node.parent = arc;
+        node.parent_arc = k as u32;
+        node.label = label + 1;
+    }
+
+    /// What `S` reaches in the residual graph once the source tree is
+    /// dry, sorted: the tree, unless it holds orphans, which `S` may not
+    /// reach, when a search over the overlay says.
+    fn source_side(&self, net: &FlowNetwork, found: &LocalFlow) -> Vec<VertexId> {
+        let tree = self.members(Side::Source);
+        if tree.iter().all(|v| self.nodes[v.index()].parent != ORPHAN) {
+            return tree;
+        }
+        let reached = residual_reach(net, &found.sources, |e| {
+            net.capacity(e) - flow_on(&found.flows, e)
+        });
+        (0..net.num_vertices())
+            .filter(|&v| reached[v])
+            .map(|v| VertexId::new(v as u64))
+            .collect()
+    }
+
+    /// The sorted vertices of `side`'s tree.
+    fn members(&self, side: Side) -> Vec<VertexId> {
+        let mut members: Vec<VertexId> = self
+            .touched
+            .iter()
+            .copied()
+            .filter(|&v| self.in_tree(v, side))
+            .collect();
+        members.sort_unstable();
+        members
     }
 }
 
 fn sorted(vertices: &[VertexId]) -> Vec<VertexId> {
-    let mut side = vertices.to_vec();
-    side.sort_unstable();
-    side
+    let mut set = vertices.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::min_cut::extract_min_cut;
     use crate::validate::check_flow;
     use crate::Algorithm;
+    use ffmr_prng::SplitMix64;
     use swgraph::{gen, FlowNetworkBuilder};
 
     fn v(id: u64) -> VertexId {
@@ -400,15 +687,16 @@ mod tests {
         s: VertexId,
         t: VertexId,
         cancel: &Cancel,
-    ) -> Result<(Option<LocalFlow>, SolveReport), Cancelled> {
-        LocalSearch::new().run(net, s, t, cancel)
+    ) -> Result<(LocalFlow, SolveReport), Cancelled> {
+        LocalSearch::new().run(net, &[s], &[t], cancel)
     }
 
     fn answer(net: &FlowNetwork, s: u64, t: u64) -> (LocalFlow, SolveReport) {
         let (found, report) = solve(net, v(s), v(t), &Cancel::never()).unwrap();
-        let found = found.expect("answers inside the budget");
         check_flow(net, v(s), v(t), &found.to_flow_result(net)).unwrap();
-        assert_eq!(found.value, Algorithm::Dinic.run(net, v(s), v(t)).value);
+        let dinic = Algorithm::Dinic.run(net, v(s), v(t));
+        assert_eq!(found.value, dinic.value);
+        assert_eq!(found.min_cut(net), extract_min_cut(net, v(s), &dinic));
         (found, report)
     }
 
@@ -481,28 +769,45 @@ mod tests {
 
     #[test]
     fn degenerate_terminals_answer_zero() {
-        let net = FlowNetwork::from_undirected_unit(2, &[(0, 1)]);
-        for (s, t) in [(0, 0), (0, 9), (9, 0)] {
-            let (found, _) = solve(&net, v(s), v(t), &Cancel::never()).unwrap();
-            assert_eq!(found.unwrap().value, 0);
+        let net = FlowNetwork::from_undirected_unit(3, &[(0, 1), (1, 2)]);
+        let mut search = LocalSearch::new();
+        for (sources, sinks) in [
+            (vec![0], vec![0]),
+            (vec![0], vec![9]),
+            (vec![9], vec![0]),
+            (vec![], vec![1]),
+            (vec![0, 1], vec![1, 2]),
+        ] {
+            let (sources, sinks): (Vec<_>, Vec<_>) = (
+                sources.into_iter().map(v).collect(),
+                sinks.into_iter().map(v).collect(),
+            );
+            let (found, _) = search
+                .run(&net, &sources, &sinks, &Cancel::never())
+                .unwrap();
+            assert_eq!(found.value, 0, "{sources:?} → {sinks:?}");
         }
     }
 
     #[test]
-    fn two_high_degree_terminals_run_out_of_budget() {
-        // s and t share 50 unit-capacity middles: every round rescans
-        // s's 50 arcs, so 50 rounds cost ~25x the 200 arcs there are.
+    fn two_high_degree_terminals_share_their_middles() {
+        // s and t share 50 unit-capacity middles: 50 paths, each found
+        // from the trees the previous ones left, so the arcs scanned stay
+        // a small multiple of the 200 arcs there are.
         let mut b = FlowNetworkBuilder::new(52);
         for m in 2..52 {
             b.add_undirected(0, m, 1);
             b.add_undirected(m, 1, 1);
         }
         let net = b.build();
-        let (found, report) = solve(&net, v(0), v(1), &Cancel::never()).unwrap();
-        assert_eq!(found, None);
-        let budget = BUDGET_PER_ARC * net.num_directed_edges() as u64;
-        assert!(report.arc_scans > budget, "{report:?}");
-        assert!(report.augmenting_paths < 50);
+        let (found, report) = answer(&net, 0, 1);
+        assert_eq!(found.value, 50);
+        assert_eq!(found.certificate, Certificate::SourceArcs);
+        assert_eq!(report.augmenting_paths, 50);
+        assert!(
+            report.arc_scans <= 4 * net.num_directed_edges() as u64,
+            "{report:?}"
+        );
     }
 
     #[test]
@@ -510,6 +815,71 @@ mod tests {
         let net = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let cancel = Cancel::after(std::time::Duration::ZERO);
         assert_eq!(solve(&net, v(0), v(2), &cancel), Err(Cancelled));
+    }
+
+    /// Random weighted networks, some edges one-way, with random source
+    /// and sink sets that often sit next to each other: the flow
+    /// validates and equals Dinic's on the super-terminal copy, and the
+    /// cut is the copy's inclusion-minimal one, super source aside.
+    #[test]
+    fn terminal_sets_answer_like_dinic_on_the_super_terminal_copy() {
+        let mut rng = SplitMix64::seed_from_u64(3);
+        let mut search = LocalSearch::new();
+        for case in 0..150 {
+            let n = rng.gen_range(6..40);
+            let mut b = FlowNetworkBuilder::new(n);
+            for _ in 0..rng.gen_range(n..4 * n) {
+                let (a, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a == c {
+                    continue;
+                }
+                let cap = rng.gen_range(1..6) as Capacity;
+                if rng.gen_range(0..3) == 0 {
+                    b.add_edge(a, c, cap);
+                } else {
+                    b.add_undirected(a, c, cap);
+                }
+            }
+            let net = b.build();
+            let mut ids: Vec<u64> = (0..n).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.gen_range(0..i as u64 + 1) as usize);
+            }
+            let k = rng.gen_range(1..4) as usize;
+            let (sources, sinks) = (&ids[..k], &ids[k..2 * k]);
+            let copy = net.with_super_terminals(sources, sinks);
+            let (s, t) = (v(n), v(n + 1));
+            let dinic = Algorithm::Dinic.run(&copy, s, t);
+            let expected = extract_min_cut(&copy, s, &dinic);
+
+            let ids = |raw: &[u64]| raw.iter().map(|&r| v(r)).collect::<Vec<_>>();
+            let (found, _) = search
+                .run(&net, &ids(sources), &ids(sinks), &Cancel::never())
+                .unwrap();
+            assert_eq!(found.value, dinic.value, "case {case}");
+            let flow = found.to_flow_result(&net);
+            for u in (0..n).map(v) {
+                let out: Capacity = net.out_edges(u).map(|e| flow.flow(e)).sum();
+                let terminal = sources.contains(&u.raw()) || sinks.contains(&u.raw());
+                assert!(terminal || out == 0, "case {case}: conservation at {u}");
+            }
+            for e in (0..net.num_directed_edges() as u64).map(EdgeId::new) {
+                assert!(flow.flow(e) <= net.capacity(e), "case {case}: {e}");
+            }
+            let cut = found.min_cut(&net);
+            assert_eq!(cut.value, found.value, "case {case}");
+            assert_eq!(cut.cut_edges.len(), expected.cut_edges.len(), "case {case}");
+            assert_eq!(
+                cut.source_side.len() + 1,
+                expected.source_side.len(),
+                "case {case}"
+            );
+            for u in (0..n).map(v) {
+                let side = found.on_source_side(u);
+                assert!(!sources.contains(&u.raw()) || side, "case {case}");
+                assert!(!sinks.contains(&u.raw()) || !side, "case {case}");
+            }
+        }
     }
 
     #[test]
@@ -521,8 +891,8 @@ mod tests {
             let n = [300, 40, 120][seed as usize % 3];
             let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 2, seed));
             for (s, t) in [(0, n - 1), (n / 2, 1), (0, n - 1)] {
-                let reused = search.run(&net, v(s), v(t), &Cancel::never()).unwrap();
-                let fresh = solve(&net, v(s), v(t), &Cancel::never()).unwrap();
+                let reused = search.run(&net, &[v(s)], &[v(t)], &Cancel::never());
+                let fresh = solve(&net, v(s), v(t), &Cancel::never());
                 assert_eq!(reused, fresh, "seed {seed}, ({s},{t})");
             }
         }

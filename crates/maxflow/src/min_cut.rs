@@ -38,39 +38,56 @@ pub struct MinCut {
 /// ```
 #[must_use]
 pub fn extract_min_cut(net: &FlowNetwork, s: VertexId, flow: &FlowResult) -> MinCut {
-    let n = net.num_vertices();
-    let mut reachable = vec![false; n];
-    if s.index() < n {
-        reachable[s.index()] = true;
-        let mut queue = VecDeque::new();
+    let sources: &[VertexId] = if s.index() < net.num_vertices() {
+        &[s]
+    } else {
+        &[]
+    };
+    let reached = residual_reach(net, sources, |e| net.capacity(e) - flow.flow(e));
+    cut_of(net, &reached)
+}
+
+/// Per vertex: whether `sources` reach it over arcs with positive
+/// `residual` capacity (BFS).
+pub(crate) fn residual_reach(
+    net: &FlowNetwork,
+    sources: &[VertexId],
+    residual: impl Fn(EdgeId) -> Capacity,
+) -> Vec<bool> {
+    let mut reached = vec![false; net.num_vertices()];
+    let mut queue = VecDeque::new();
+    for &s in sources {
+        reached[s.index()] = true;
         queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for e in net.out_edges(u) {
-                let v = net.head(e);
-                if !reachable[v.index()] && net.capacity(e) - flow.flow(e) > 0 {
-                    reachable[v.index()] = true;
-                    queue.push_back(v);
-                }
+    }
+    while let Some(u) = queue.pop_front() {
+        for e in net.out_edges(u) {
+            let v = net.head(e);
+            if !reached[v.index()] && residual(e) > 0 {
+                reached[v.index()] = true;
+                queue.push_back(v);
             }
         }
     }
+    reached
+}
+
+/// The cut whose source side is the vertices `reached` marks: the
+/// positive-capacity arcs that leave it.
+pub(crate) fn cut_of(net: &FlowNetwork, reached: &[bool]) -> MinCut {
     let mut cut_edges = Vec::new();
     let mut value: Capacity = 0;
-    for u in 0..n {
-        if !reachable[u] {
-            continue;
-        }
-        for e in net.out_edges(VertexId::new(u as u64)) {
-            if net.capacity(e) > 0 && !reachable[net.head(e).index()] {
+    let mut source_side = Vec::new();
+    for u in (0..net.num_vertices()).filter(|&u| reached[u]) {
+        let u = VertexId::new(u as u64);
+        source_side.push(u);
+        for e in net.out_edges(u) {
+            if net.capacity(e) > 0 && !reached[net.head(e).index()] {
                 cut_edges.push(e);
                 value = value.saturating_add(net.capacity(e));
             }
         }
     }
-    let source_side = (0..n)
-        .filter(|&u| reachable[u])
-        .map(|u| VertexId::new(u as u64))
-        .collect();
     MinCut {
         source_side,
         cut_edges,

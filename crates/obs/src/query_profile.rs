@@ -60,10 +60,9 @@ pub struct QueryProfile {
     /// (solved on the whole graph), or `-` when the query failed before
     /// either.
     pub plan: String,
-    /// Why that route: `cut-tree`, `local-trivial-cut`,
-    /// `local-exhausted`, `local-budget` (the local search gave up and a
-    /// solver finished), `algorithm-pinned`, `super-terminal-query`,
-    /// `mincut-needs-full-graph`, `cache-hit`, `coalesced-follower`.
+    /// Why that route: `cut-tree`, `local-trivial-cut` and
+    /// `local-exhausted` (how the local search's certificate was found),
+    /// `algorithm-pinned`, `cache-hit`, `coalesced-follower`.
     pub plan_reason: String,
     /// Solver that produced the answer (`tree`, `local`,
     /// `push-relabel`, `dinic`, …).

@@ -1,8 +1,8 @@
 //! The flow cache: `ffmrd`'s one table of answers.
 //!
-//! Max-flow answers cost a graph-sized solve whenever the local search
-//! gives up, and are immutable for a given snapshot, so `ffmrd` memoizes
-//! them. A key canonicalizes everything that determines the answer:
+//! Max-flow answers can cost a search over much of the graph (a `w`
+//! query, a `mincut`, a cut away from the terminals), and are immutable
+//! for a given snapshot, so `ffmrd` memoizes them. A key canonicalizes everything that determines the answer:
 //!
 //! * dataset name **and snapshot epoch** — a `reload` bumps the epoch,
 //!   so every entry for the old graph is unreachable the instant the

@@ -14,31 +14,33 @@
 //! it on a pool worker, given how long it waited in the queue.
 //! [`QueryEngine::execute`] is both stages on one thread.
 //!
-//! A plain `maxflow` query (no `w`, `algorithm auto`) has one route:
+//! An unpinned query (`algorithm auto`, the default) has one route:
 //!
-//! 1. the snapshot's Gomory–Hu [`CutTree`](maxflow::cut_tree::CutTree),
-//!    once the store has built it: a walk of a few tree edges in
-//!    `route`, answered with `plan tree`, `solver tree`, and never read
-//!    from or written to the cache;
-//! 2. otherwise (snapshots with one-way capacities, and any query that
-//!    arrives before the tree is ready) [`maxflow::local`] on the
-//!    snapshot's own network: a bidirectional augmenting-path search
-//!    that stops once the flow reaches `min(capacity out of s, capacity
-//!    into t)` (that cut certifies it) or no path is left. Its answers
-//!    carry the solver label `local`;
-//! 3. otherwise — the search gave up past its work budget of a few
-//!    passes over the arcs — `FALLBACK`, sequential push-relabel.
+//! 1. a plain `maxflow` is read off the snapshot's Gomory–Hu
+//!    [`CutTree`](maxflow::cut_tree::CutTree) once the store has built
+//!    it: a walk of a few tree edges in `route`, answered with `plan
+//!    tree`, `solver tree`, and never read from or written to the cache;
+//! 2. everything else — a plain query on a snapshot with one-way
+//!    capacities or before its tree is ready, a `w` query, a `mincut` —
+//!    is answered by [`maxflow::local`] on the snapshot's own network,
+//!    from the query's source set to its sink set (one vertex each, or a
+//!    `w` query's terminal sets). It grows search trees from both sets,
+//!    keeps them across augmenting paths, and stops once the flow
+//!    reaches the capacity leaving `S` or entering `T` (that cut
+//!    certifies it) or one tree can grow no further (its vertices are a
+//!    minimum-cut side). A `mincut` reply's side is the vertices the
+//!    sources reach in the final residual graph. Its answers carry the
+//!    solver label `local`.
 //!
-//! `mincut` and `w` queries go straight to step 3, and an explicit
-//! `algorithm` value (`push-relabel`, `dinic`, `parallel-pr`) pins any
-//! [`Algorithm`] instead. A `w` query resolves to its terminal sets
-//! only; the super-terminal network is built by the worker that solves
-//! it, so a cache hit or a coalesced follower copies nothing. Every
-//! solve runs on the engine's one [`SolverThread`], and every answer but
-//! the tree's is `plan full`. Every response carries the chosen solver
-//! so clients can see what answered a query. Both the tree and the
-//! search are the structure-aware lesson of Bläsius/Friedrich/Weyand: on
-//! small-world graphs most cuts sit at a terminal.
+//! An explicit `algorithm` value (`push-relabel`, `dinic`,
+//! `parallel-pr`) pins any [`Algorithm`] instead, solved on the engine's
+//! one [`SolverThread`]; a pinned `w` query builds its super-terminal
+//! copy of the network there, since a solver takes one source and one
+//! sink. Every answer but the tree's is `plan full`, and every response
+//! carries the solver so clients can see what answered a query. Both the
+//! tree and the search are the structure-aware lesson of
+//! Bläsius/Friedrich/Weyand: on small-world graphs most cuts sit at a
+//! terminal.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -97,7 +99,7 @@ pub struct QueryEngine {
     store: Arc<GraphStore>,
     cache: FlowCache,
     config: EngineConfig,
-    /// The one thread every solve runs on, pinned or not.
+    /// The one thread every pinned solve runs on.
     solver: SolverThread,
     /// Scratch for [`maxflow::local`] searches, one per engine thread
     /// searching at once: each is n-sized and reused, so a cold query
@@ -183,10 +185,6 @@ impl Job {
     }
 }
 
-/// The solver an unpinned query falls back to when the local search does
-/// not apply or gives up.
-const FALLBACK: Algorithm = Algorithm::PushRelabel;
-
 /// The `plan` of an answer read off the snapshot's cut tree.
 const PLAN_TREE: &str = "tree";
 
@@ -194,7 +192,7 @@ const PLAN_TREE: &str = "tree";
 const PLAN_FULL: &str = "full";
 
 /// Parses a request's `algorithm` field; `None` is `auto` (the default):
-/// the cut tree or the local search where they apply, then [`FALLBACK`].
+/// the cut tree where it applies, the local search otherwise.
 fn parse_algorithm(name: Option<&str>) -> Result<Option<Algorithm>, String> {
     let Some(name) = name.filter(|&n| n != "auto") else {
         return Ok(None);
@@ -239,12 +237,14 @@ struct PreparedQuery {
 
 /// The resolved terminals of a query: either the literal `s`/`t` pair or
 /// a super source/sink construction over high-degree terminal sets. No
-/// network is built here: a plain query solves on the snapshot's own,
-/// and a `w` query's augmented copy is built only to be solved.
+/// network is built here: every unpinned query solves on the snapshot's
+/// own, and a pinned `w` query's augmented copy is built only to be
+/// solved.
 struct ResolvedQuery {
-    /// `s`, or the super source (vertex `n`) of a `w` query.
+    /// `s`, or the super source (vertex `n`) of a pinned `w` query's
+    /// copy.
     source: VertexId,
-    /// `t`, or the super sink (vertex `n + 1`) of a `w` query.
+    /// `t`, or the super sink (vertex `n + 1`) of that copy.
     sink: VertexId,
     /// Terminal vertex sets, in selection order; the cache key sorts
     /// its own copy.
@@ -335,7 +335,8 @@ impl QueryEngine {
     /// waited `queue_wait` for a worker. A flow query claims its key in
     /// the cache: it replies with the answer an identical query left
     /// there meanwhile, waits for one still solving, or solves (the local
-    /// search, or the solver thread) and publishes the answer.
+    /// search, or the solver thread when pinned) and publishes the
+    /// answer.
     #[must_use]
     pub fn run(&self, work: Work, queue_wait: Duration) -> Message {
         let started = Instant::now();
@@ -641,9 +642,8 @@ impl QueryEngine {
         Ok(response)
     }
 
-    /// Answers a query the tree did not: an unpinned plain `maxflow`
-    /// tries the certified local search on the snapshot first; anything
-    /// else, and a search that gives up, is solved on the solver thread.
+    /// Answers a query the tree did not: the local search on the
+    /// snapshot, or the pinned solver on the solver thread.
     fn compute(&self, q: &PreparedQuery, prof: &mut QueryProfile) -> Result<CachedAnswer, String> {
         let PreparedQuery {
             snap,
@@ -651,24 +651,10 @@ impl QueryEngine {
             opts,
             ..
         } = q;
-        let bypass = if opts.requested.is_some() {
-            Some("algorithm-pinned")
-        } else if resolved.super_st {
-            Some("super-terminal-query")
-        } else if opts.kind == QueryKind::MinCut {
-            Some("mincut-needs-full-graph")
-        } else {
-            None
+        let Some(algo) = opts.requested else {
+            return self.solve_local(&snap.network, resolved, opts, prof);
         };
-        match bypass {
-            Some(reason) => prof.plan_reason = reason.to_string(),
-            // The search names how it ended in the plan reason.
-            None => {
-                if let Some(answer) = self.solve_local(&snap.network, resolved, opts, prof)? {
-                    return Ok(answer);
-                }
-            }
-        }
+        prof.plan_reason = "algorithm-pinned".to_string();
         let net = if resolved.super_st {
             // Built only here, by the query about to solve on it; the
             // copy is part of resolving the terminals.
@@ -681,7 +667,7 @@ impl QueryEngine {
         } else {
             Arc::clone(&snap.network)
         };
-        self.solve(&net, resolved, opts, prof)
+        self.solve(algo, &net, resolved, opts, prof)
     }
 
     fn resolve_terminals(
@@ -731,19 +717,18 @@ impl QueryEngine {
         })
     }
 
-    /// Solves `q` on `net` on the solver thread with the solver `opts`
-    /// pins, or [`FALLBACK`] under `auto`. Every in-memory solver polls a
-    /// deadline at its natural progress boundaries; a query that blows
-    /// its budget returns a timeout error instead of holding the
-    /// connection hostage.
+    /// Solves `q` on `net` with `algo` on the solver thread. Every
+    /// in-memory solver polls a deadline at its natural progress
+    /// boundaries; a query that blows its budget returns a timeout error
+    /// instead of holding the connection hostage.
     fn solve(
         &self,
+        algo: Algorithm,
         net: &Arc<FlowNetwork>,
         q: &ResolvedQuery,
         opts: &QueryOptions,
         prof: &mut QueryProfile,
     ) -> Result<CachedAnswer, String> {
-        let algo = opts.requested.unwrap_or(FALLBACK);
         prof.solver = algo.name().to_string();
         let cancel = Cancel::after(opts.timeout);
         let solve_started = Instant::now();
@@ -765,15 +750,19 @@ impl QueryEngine {
         Ok(answer)
     }
 
-    /// Runs the certified [`maxflow::local`] search on `q` with pooled
-    /// scratch. `None` when it ran out of budget: the caller solves.
+    /// Runs the certified [`maxflow::local`] search on `q`'s terminal
+    /// sets with pooled scratch; a `mincut` reads its side off the
+    /// search's residual graph, counting a `w` query's super source as a
+    /// pinned solve's copy does.
     fn solve_local(
         &self,
         net: &FlowNetwork,
         q: &ResolvedQuery,
         opts: &QueryOptions,
         prof: &mut QueryProfile,
-    ) -> Result<Option<CachedAnswer>, String> {
+    ) -> Result<CachedAnswer, String> {
+        let ids = |raw: &[u64]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
+        let (sources, sinks) = (ids(&q.source_terminals), ids(&q.sink_terminals));
         let cancel = Cancel::after(opts.timeout);
         let solve_started = Instant::now();
         let mut search = self
@@ -782,29 +771,32 @@ impl QueryEngine {
             .expect("local scratch")
             .pop()
             .unwrap_or_default();
-        let searched = search.run(net, q.source, q.sink, &cancel);
+        let searched = search.run(net, &sources, &sinks, &cancel);
         self.local.lock().expect("local scratch").push(search);
         prof.solve_us += elapsed_us(solve_started);
         let (found, report) = searched.map_err(|_| timeout_message(opts.timeout))?;
         add_report(prof, &report);
-        let outcome = match found.as_ref().map(|f| &f.certificate) {
-            Some(Certificate::SourceArcs | Certificate::SinkArcs) => "trivial-cut",
-            Some(Certificate::SourceReach(_) | Certificate::SinkReach(_)) => "exhausted",
-            None => "budget",
+        let outcome = match found.certificate {
+            Certificate::SourceArcs | Certificate::SinkArcs => "trivial-cut",
+            Certificate::SourceReach(_) | Certificate::SinkReach(_) => "exhausted",
         };
         ffmr_obs::global()
             .counter("ffmr_local_searches_total", &[("outcome", outcome)])
             .inc();
         prof.plan_reason = format!("local-{outcome}");
-        Ok(found.map(|found| {
-            prof.solver = local::NAME.to_string();
-            CachedAnswer {
-                flow: found.value,
-                solver: local::NAME,
-                cut_edges: None,
-                cut_source_side: None,
-            }
-        }))
+        prof.solver = local::NAME.to_string();
+        let mut answer = CachedAnswer {
+            flow: found.value,
+            solver: local::NAME,
+            cut_edges: None,
+            cut_source_side: None,
+        };
+        if opts.kind == QueryKind::MinCut {
+            let cut = found.min_cut(net);
+            answer.cut_edges = Some(cut.cut_edges.len());
+            answer.cut_source_side = Some(cut.source_side.len() + usize::from(q.super_st));
+        }
+        Ok(answer)
     }
 }
 
@@ -1108,8 +1100,8 @@ mod tests {
                 "dinic",
             ),
             (query("maxflow").field("algorithm", "auto"), "tree", "tree"),
-            (query("mincut"), "full", "push-relabel"),
-            (w, "full", "push-relabel"),
+            (query("mincut"), "full", "local"),
+            (w, "full", "local"),
         ] {
             let r = engine.execute(&q.field("no-cache", 1));
             assert_eq!(r.head, status::OK, "{r:?}");
@@ -1140,12 +1132,8 @@ mod tests {
         let w = Message::new("maxflow").field("dataset", "g").field("w", 4);
         for (q, solver, flow) in [
             (pair("maxflow").field("sink", n - 1), "local", Some(&dinic)),
-            (
-                pair("mincut").field("sink", n - 1),
-                "push-relabel",
-                Some(&dinic),
-            ),
-            (w, "push-relabel", None),
+            (pair("mincut").field("sink", n - 1), "local", Some(&dinic)),
+            (w, "local", None),
         ] {
             let r = engine.execute(&q);
             assert_eq!(r.head, status::OK, "{r:?}");
@@ -1207,17 +1195,18 @@ mod tests {
         let r = engine.execute(&query("mincut"));
         assert_eq!(r.head, status::OK, "{r:?}");
         assert_eq!(r.get("flow"), Some("2"));
-        assert_eq!(r.get("solver"), Some("push-relabel"));
+        assert_eq!(r.get("solver"), Some("local"));
         assert_eq!(r.get("cut-edges"), Some("2"));
         let side: usize = r.get("cut-source-side").unwrap().parse().unwrap();
         assert!((1..4).contains(&side));
     }
 
-    /// Unpinned `mincut` and `w` queries fall back to push-relabel, and
-    /// answer what a pinned `parallel-pr` or `dinic` solve answers: the
-    /// residual-reachable min cut is the same for every maximum flow.
+    /// Unpinned `mincut` and `w` queries are answered by the local search
+    /// on the snapshot, and answer what a pinned `parallel-pr` or `dinic`
+    /// solve answers: the residual-reachable min cut is the same for
+    /// every maximum flow.
     #[test]
-    fn unpinned_fallback_answers_like_every_pinned_solver() {
+    fn unpinned_mincut_and_w_answer_like_every_pinned_solver() {
         let n = 400;
         let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 13));
         let engine = engine_with_tree(net, EngineConfig::default());
@@ -1236,7 +1225,7 @@ mod tests {
         for q in [mincut(0, n - 1), mincut(5, 17), w(1), w(2)] {
             let unpinned = engine.execute(&q.clone().field("no-cache", 1));
             assert_eq!(unpinned.head, status::OK, "{unpinned:?}");
-            assert_eq!(unpinned.get("solver"), Some("push-relabel"), "{q:?}");
+            assert_eq!(unpinned.get("solver"), Some("local"), "{q:?}");
             for pinned in ["parallel-pr", "dinic"] {
                 let r = engine.execute(&q.clone().field("algorithm", pinned).field("no-cache", 1));
                 assert_eq!(r.get("solver"), Some(pinned));
@@ -1424,7 +1413,7 @@ mod tests {
         let engine = engine_with(two_paths(), EngineConfig::default());
         let pinned = ["parallel-pr", "dinic", "push-relabel"]
             .map(|algo| query("maxflow").field("algorithm", algo));
-        // A super-terminal query takes the fallback under `auto`.
+        // A super-terminal query takes the local search under `auto`.
         let super_st = Message::new("maxflow").field("dataset", "g").field("w", 1);
         for q in pinned.into_iter().chain([super_st]) {
             let q = q.field("timeout-ms", 0);
@@ -1441,8 +1430,8 @@ mod tests {
     /// An asymmetric snapshot (no cut tree) with the shapes a periphery
     /// contraction would peel — pendant vertices, a pendant path, two
     /// trees on one anchor — over a scale-free core: every unpinned plain
-    /// `maxflow`, whether the local search or the fallback answered it,
-    /// equals the same query pinned to Dinic.
+    /// `maxflow`, each answered by the local search, equals the same query
+    /// pinned to Dinic.
     #[test]
     fn unpinned_plain_queries_answer_like_dinic_without_a_tree() {
         let core = 120;
@@ -1492,7 +1481,6 @@ mod tests {
                 pairs.push((s, t));
             }
         }
-        let mut local = 0;
         for (s, t) in pairs {
             let ask = |q: Message| {
                 let r = engine.execute(
@@ -1506,17 +1494,13 @@ mod tests {
             };
             let unpinned = ask(Message::new("maxflow"));
             let dinic = ask(Message::new("maxflow").field("algorithm", "dinic"));
-            let solver = unpinned.get("solver").unwrap();
-            assert!(matches!(solver, "local" | "push-relabel"), "{unpinned:?}");
-            assert_eq!(unpinned.get("plan"), Some("full"), "{unpinned:?}");
             assert_eq!(
-                unpinned.get("flow"),
-                dinic.get("flow"),
-                "({s},{t}) by {solver}"
+                (unpinned.get("plan"), unpinned.get("solver")),
+                (Some("full"), Some("local")),
+                "{unpinned:?}"
             );
-            local += usize::from(solver == "local");
+            assert_eq!(unpinned.get("flow"), dinic.get("flow"), "({s},{t})");
         }
-        assert!(local >= 150, "{local} of 200 answered by the local search");
     }
 
     #[test]
@@ -1542,30 +1526,85 @@ mod tests {
     }
 
     #[test]
-    fn a_search_over_budget_falls_back_to_push_relabel() {
-        // Two hubs sharing 50 unit middles: each augmenting path rescans
-        // a hub's 50 arcs, so the search gives up and push-relabel
-        // finishes.
+    fn two_hubs_sharing_their_middles_are_answered_by_the_search() {
+        // Two hubs sharing 50 unit middles: each augmenting path ends on a
+        // hub, and the search keeps its trees across the 50 of them.
         let mut b = swgraph::FlowNetworkBuilder::new(52);
         for m in 2..52 {
             b.add_undirected(0, m, 1);
             b.add_undirected(m, 1, 1);
         }
         let engine = engine_with(one_way(&b.build()), EngineConfig::default());
-        let r = engine.execute(
-            &Message::new("maxflow")
+        let q = |head| {
+            Message::new(head)
                 .field("dataset", "g")
                 .field("source", 0)
                 .field("sink", 1)
-                .field("explain", 1),
-        );
+                .field("no-cache", 1)
+        };
+        let r = engine.execute(&q("maxflow").field("explain", 1));
         assert_eq!(r.head, status::OK, "{r:?}");
         assert_eq!(r.get("flow"), Some("50"));
-        assert_eq!(r.get("solver"), Some("push-relabel"));
-        assert_eq!(r.get("plan"), Some("full"));
+        assert_eq!(
+            (r.get("plan"), r.get("solver")),
+            (Some("full"), Some("local"))
+        );
         let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
-        assert_eq!(prof.plan_reason, "local-budget");
-        assert!(prof.arc_scans > 0 && prof.pushes > 0, "{prof:?}");
+        assert_eq!(prof.plan_reason, "local-trivial-cut");
+        assert_eq!(prof.augmenting_paths, 50, "{prof:?}");
+        let unpinned = engine.execute(&q("mincut"));
+        let dinic = engine.execute(&q("mincut").field("algorithm", "dinic"));
+        for field in ["flow", "cut-edges", "cut-source-side"] {
+            assert_eq!(unpinned.get(field), dinic.get(field), "{field}");
+        }
+    }
+
+    /// Seeded `w` mincuts (w ∈ {2, 8, 64}) and seeded `mincut` pairs on
+    /// FB1'–FB3' and R-MAT 2^12: the local search's `flow`, `cut-edges`,
+    /// `cut-source-side`, `sources` and `sinks` equal a pinned Dinic
+    /// solve's, the `w` ones on the super-terminal copy.
+    #[test]
+    fn unpinned_w_and_mincut_queries_answer_like_dinic() {
+        let scale = 50;
+        let crawl = gen::social_crawl(&gen::FB_CHECKPOINTS[..3], scale, 5_000, 42);
+        let fb = gen::FB_CHECKPOINTS[..3].iter().map(|checkpoint| {
+            let n = (checkpoint.vertices / scale).max(2);
+            FlowNetwork::from_undirected_unit(n, &gen::induced_prefix(&crawl, n))
+        });
+        let rmat = FlowNetwork::from_undirected_unit(1 << 12, &gen::rmat_graph500(12, 7));
+        let mut rng = ffmr_prng::SplitMix64::seed_from_u64(49);
+        for (g, net) in fb.chain([rmat]).enumerate() {
+            let n = net.num_vertices() as u64;
+            // One way on one edge: no cut tree to build meanwhile.
+            let engine = engine_with(one_way(&net), EngineConfig::default());
+            let mut queries: Vec<Message> = (0..50u64)
+                .map(|i| {
+                    Message::new("mincut")
+                        .field("w", [2, 8, 64][i as usize % 3])
+                        .field("seed", i)
+                })
+                .collect();
+            while queries.len() < 70 {
+                let (s, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if s != t {
+                    queries.push(Message::new("mincut").field("source", s).field("sink", t));
+                }
+            }
+            for q in queries {
+                let q = q.field("dataset", "g").field("no-cache", 1);
+                let unpinned = engine.execute(&q);
+                assert_eq!(unpinned.head, status::OK, "graph {g} {q:?}: {unpinned:?}");
+                assert_eq!(unpinned.get("solver"), Some("local"), "{q:?}");
+                let dinic = engine.execute(&q.clone().field("algorithm", "dinic"));
+                for field in ["flow", "cut-edges", "cut-source-side", "sources", "sinks"] {
+                    assert_eq!(
+                        unpinned.get(field),
+                        dinic.get(field),
+                        "graph {g} {field}: {q:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   query kind, and the *canonicalized* terminal sets (including the
 //!   paper's Sec. V-A1 super-source/sink construction);
 //! * [`engine`] — query routing, all in memory: plain `maxflow` read
-//!   off the cut tree once it is built; otherwise the certified local
-//!   search on the snapshot itself, then sequential push-relabel, every
-//!   solve on one solver thread; explicit algorithm pinning and
-//!   per-query deadline cancellation;
+//!   off the cut tree once it is built; every other unpinned query (`w`
+//!   and `mincut` too) answered by the certified local search between
+//!   its terminal sets on the snapshot itself; explicit algorithm
+//!   pinning, each pinned solve on one solver thread; per-query deadline
+//!   cancellation;
 //! * [`server`] — TCP daemon: thread-per-connection front-end feeding a
 //!   bounded worker pool, `busy` load shedding, graceful shutdown;
 //! * [`client`] — the blocking client the `ffmr query` subcommand uses.

@@ -44,6 +44,8 @@ use std::any::Any;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{self, AssertUnwindSafe};
+#[cfg(test)]
+use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -94,6 +96,13 @@ struct Shared {
     /// panic costs its request and not the worker.
     #[cfg(test)]
     panic_next_run: AtomicBool,
+    /// This server's queued items and busy workers, for tests that must
+    /// know its queue is full: the registry's gauges are shared by every
+    /// server in the process.
+    #[cfg(test)]
+    queued: AtomicUsize,
+    #[cfg(test)]
+    busy: AtomicUsize,
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -129,6 +138,10 @@ pub fn serve(
         queue: queue_tx,
         #[cfg(test)]
         panic_next_run: AtomicBool::new(false),
+        #[cfg(test)]
+        queued: AtomicUsize::new(0),
+        #[cfg(test)]
+        busy: AtomicUsize::new(0),
     });
 
     let queue_rx = Arc::new(Mutex::new(queue_rx));
@@ -285,7 +298,14 @@ fn enqueue(work: Work, shared: &Shared) -> Message {
         reply: reply_tx,
         enqueued: std::time::Instant::now(),
     };
-    match shared.queue.try_send(item) {
+    #[cfg(test)]
+    shared.queued.fetch_add(1, Ordering::SeqCst);
+    let sent = shared.queue.try_send(item);
+    #[cfg(test)]
+    if sent.is_err() {
+        shared.queued.fetch_sub(1, Ordering::SeqCst);
+    }
+    match sent {
         Ok(()) => {
             ffmr_obs::global().gauge("ffmr_queue_depth", &[]).add(1);
             reply_rx
@@ -323,6 +343,11 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Mutex<Receiver<WorkItem>>) {
                 m.histogram("ffmr_queue_wait_us", &[])
                     .record_duration(waited);
                 m.gauge("ffmr_workers_busy", &[]).add(1);
+                #[cfg(test)]
+                {
+                    shared.queued.fetch_sub(1, Ordering::SeqCst);
+                    shared.busy.fetch_add(1, Ordering::SeqCst);
+                }
                 // The engine folds the wait into the query's profile
                 // (explain output, slowlog, stage histograms). A panic
                 // on the solve path fails this request only: the worker
@@ -340,6 +365,8 @@ fn worker_loop(shared: &Arc<Shared>, queue: &Mutex<Receiver<WorkItem>>) {
                     error_response(format!("internal error: {}", panic_message(&*payload)))
                 });
                 m.gauge("ffmr_workers_busy", &[]).sub(1);
+                #[cfg(test)]
+                shared.busy.fetch_sub(1, Ordering::SeqCst);
                 // A gone receiver just means the connection died.
                 let _ = reply.send(response);
             }
@@ -459,7 +486,7 @@ mod tests {
         assert_eq!(warm.get("cached"), Some("0"), "{warm:?}");
         let warm_w = client.request(&w).unwrap();
         assert_eq!(warm_w.get("cached"), Some("0"), "{warm_w:?}");
-        let (running, queued) = fill_the_queue(addr);
+        let (running, queued) = fill_the_queue(&server);
 
         let hit = client.request(&query(0)).unwrap();
         assert_eq!(hit.head, "ok", "{hit:?}");
@@ -488,8 +515,9 @@ mod tests {
 
     /// Holds the single worker for 1.5 s, then fills the queue's one
     /// slot: until the first reply, a request that needs a worker is
-    /// shed with `busy`.
-    fn fill_the_queue(addr: SocketAddr) -> (JoinHandle<Message>, JoinHandle<Message>) {
+    /// shed with `busy`. Each step waits on this server's own counts.
+    fn fill_the_queue(server: &ServerHandle) -> (JoinHandle<Message>, JoinHandle<Message>) {
+        let addr = server.local_addr();
         let hold = |ms: u64| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
@@ -498,10 +526,17 @@ mod tests {
                     .unwrap()
             })
         };
+        let wait_for = |what: &str, count: &AtomicUsize| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while count.load(Ordering::SeqCst) < 1 {
+                assert!(std::time::Instant::now() < deadline, "no {what} after 30 s");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
         let running = hold(1_500);
-        std::thread::sleep(Duration::from_millis(300));
+        wait_for("busy worker", &server.shared.busy);
         let queued = hold(10);
-        std::thread::sleep(Duration::from_millis(300));
+        wait_for("queued request", &server.shared.queued);
         (running, queued)
     }
 
@@ -510,7 +545,7 @@ mod tests {
         let server = start(1, 1);
         let addr = server.local_addr();
         let mut client = Client::connect(addr).unwrap();
-        let (running, queued) = fill_the_queue(addr);
+        let (running, queued) = fill_the_queue(&server);
         // Never asked before and never cached, yet answered: the walk
         // ran on the connection thread, not on the held worker.
         for source in [0, 1, 2] {

@@ -306,7 +306,6 @@ fn record_build(dataset: &str, built: &BuiltTree) {
     for (outcome, n) in [
         ("trivial-cut", steps.trivial_cut),
         ("exhausted", steps.exhausted),
-        ("budget", steps.budget),
     ] {
         m.counter("ffmr_cut_tree_steps_total", &[("outcome", outcome)])
             .add(n);

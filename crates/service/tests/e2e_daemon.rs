@@ -4,8 +4,7 @@
 //! Covers the full serving story in one scenario: mixed cached/uncached
 //! queries on two graph families, all answered in memory (from the cut
 //! tree once it is built; before that, and always on a graph with
-//! one-way capacities, the local search first and push-relabel when it
-//! gives up), cache hits on repeated terminal
+//! one-way capacities, by the local search), cache hits on repeated terminal
 //! sets, explicit `busy` load shedding when the bounded queue saturates,
 //! and a clean shutdown that leaves no thread hanging.
 

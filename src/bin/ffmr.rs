@@ -28,9 +28,10 @@
 //! simulated cluster, with `--state`/`--resume` checkpoints and `report`.
 //! `serve` holds each graph resident and answers every query in memory:
 //! plain `maxflow` from a Gomory–Hu cut tree built in the background
-//! (it prints a line when one is ready), everything else by the
-//! certified local search and sequential push-relabel on one solver
-//! thread; its `--algorithm` pins an in-memory solver only.
+//! (it prints a line when one is ready), everything else — `w` and
+//! `mincut` queries too — by the certified local search between the
+//! terminal sets on the snapshot; its `--algorithm` pins an in-memory
+//! solver, run on one solver thread.
 //!
 //! `maxflow --workers N` runs the MapReduce rounds in *distributed
 //! mode*: `N` separate `ffmr worker` OS processes are spawned against an
@@ -177,9 +178,9 @@ fn print_help() {
          \x20          [--workers N] [--queue N] [--cache N]\n\
          \x20          [--timeout-ms N] [--slow-query-ms N] [--slowlog-file FILE]\n\
          \x20          (every query is answered in memory: plain maxflow from a\n\
-         \x20          cut tree once built, else by the local search; the rest\n\
-         \x20          by push-relabel on one solver thread; ff1..ff5 are\n\
-         \x20          maxflow's)\n\
+         \x20          cut tree once built, everything else by the local search\n\
+         \x20          between the terminal sets; a pinned --algorithm runs on\n\
+         \x20          one solver thread; ff1..ff5 are maxflow's)\n\
          \x20 worker   --connect HOST:PORT\n\
          \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|slowlog|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
@@ -197,8 +198,8 @@ fn print_help() {
          \x20 rotates to FILE.1 at FFMR_TRACE_MAX_BYTES (default 64 MiB).\n\
          \x20 `stats --prometheus` prints the text exposition for scraping;\n\
          \x20 plain `stats` leads with a serving summary (plan mix,\n\
-         \x20 local-search share, coalesce rate) above the raw registry\n\
-         \x20 rows.\n\
+         \x20 local searches and their trivial-cut share, coalesce\n\
+         \x20 rate) above the raw registry rows.\n\
          \x20 `query --explain` appends a per-query profile: the plan and\n\
          \x20 why, per-stage wall timings, and solver internals. The daemon\n\
          \x20 keeps every query over --slow-query-ms (default 250) in a\n\
@@ -945,7 +946,8 @@ fn request_ok(
 
 /// The serving-tier counters an operator actually watches, derived from
 /// the flat registry rows the `stats` verb returns: per-plan query mix,
-/// the share of local searches that answered, and coalesce rate.
+/// the local searches and the share that stopped at a trivial cut, and
+/// coalesce rate.
 /// Printed above the raw rows so `stats --watch` reads like a dashboard.
 fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     let num = |key: &str| -> u64 { response.get(key).and_then(|v| v.parse().ok()).unwrap_or(0) };
@@ -955,8 +957,8 @@ fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
             "ffmr_local_searches_total{{outcome=\"{outcome}\"}}"
         ))
     };
-    let local_answered = local("trivial-cut") + local("exhausted");
-    let local_tried = local_answered + local("budget");
+    let trivial = local("trivial-cut");
+    let searches = trivial + local("exhausted");
 
     // Plan mix: sum the `count=` of each per-plan latency histogram
     // (keys look like `ffmr_query_latency_us{plan="full",solver=...}`).
@@ -995,9 +997,9 @@ fn print_serving_summary(response: &ffmr::ffmr_service::Message) {
     };
     println!(
         "serving: {queries} flow queries | plan mix {mix} | \
-         local search {}% ({local_answered} of {local_tried} answered) | \
+         local search {searches} ({}% trivial cut) | \
          coalesced {}% ({coalesced})",
-        pct(local_answered, local_tried),
+        pct(trivial, searches),
         pct(coalesced, queries.max(1)),
     );
 }

@@ -16,19 +16,22 @@ fn mr_flow_checked(net: &FlowNetwork, s: VertexId, t: VertexId, variant: FfVaria
     let mut rt = MrRuntime::new(ClusterConfig::small_cluster(2));
     let config = FfConfig::new(s, t).variant(variant).reducers(3);
     let run = ffmr_core::run_max_flow(&mut rt, net, &config).expect("ffmr run");
-    let extracted =
-        ffmr_core::verify::extract_flow(rt.dfs(), &run.final_graph_path, &run.pending_deltas, net)
-            .expect("consistent flow extraction");
-    let result = FlowResult {
-        value: extracted.value_from(net, s),
-        flows: extracted.flows.clone(),
-    };
+    let result = ffmr_core::verify::extract_flow(
+        rt.dfs(),
+        &run.final_graph_path,
+        &run.pending_deltas,
+        net,
+        s,
+    )
+    .expect("consistent flow extraction");
     maxflow::validate::check_flow(net, s, t, &result).expect("MR flow must be feasible");
     assert_eq!(result.value, run.max_flow_value, "declared vs extracted");
+    let cut = maxflow::min_cut::extract_min_cut(net, s, &result);
     assert!(
-        !ffmr_core::verify::has_augmenting_path(net, &extracted, s, t),
+        !cut.source_side.contains(&t),
         "MR flow left an augmenting path"
     );
+    assert_eq!(cut.value, result.value, "MR cut and flow differ");
     run.max_flow_value
 }
 

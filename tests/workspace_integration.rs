@@ -17,18 +17,18 @@ fn full_pipeline_generation_to_validated_flow() {
     let config = FfConfig::new(st.source, st.sink).variant(FfVariant::ff5());
     let run = ffmr_core::run_max_flow(&mut rt, &st.network, &config).unwrap();
 
-    let extracted = ffmr_core::verify::extract_flow(
+    let result = ffmr_core::verify::extract_flow(
         rt.dfs(),
         &run.final_graph_path,
         &run.pending_deltas,
         &st.network,
+        st.source,
     )
     .unwrap();
-    let result = FlowResult {
-        value: extracted.value_from(&st.network, st.source),
-        flows: extracted.flows.clone(),
-    };
     maxflow::validate::check_flow(&st.network, st.source, st.sink, &result).unwrap();
+    let mr_cut = maxflow::min_cut::extract_min_cut(&st.network, st.source, &result);
+    assert!(!mr_cut.source_side.contains(&st.sink));
+    assert_eq!(mr_cut.value, result.value);
 
     let oracle = maxflow::Algorithm::Dinic.run(&st.network, st.source, st.sink);
     assert_eq!(run.max_flow_value, oracle.value);
