@@ -11,18 +11,18 @@
 //!
 //! There is one way to call a solver: pick an [`Algorithm`] and
 //! [`run`](Algorithm::run) it (or [`run_with_report`](Algorithm::run_with_report)
-//! for a [`Cancel`] token and the [`SolveReport`] counters), on the
-//! calling thread or handed to a [`SolverThread`]. The solver modules
-//! are private; [`parallel_push_relabel`] alone stays public for its
-//! explicit thread count. `Algorithm`'s `Display`/`FromStr` pair is the
+//! for a [`Cancel`] token and the [`SolveReport`] counters) on the
+//! calling thread. The solver modules are private;
+//! [`parallel_push_relabel`] alone stays public for its explicit thread
+//! count. `Algorithm`'s `Display`/`FromStr` pair is the
 //! one table of solver names.
 //!
 //! [`local`] is not an `Algorithm`: it takes a source *set* and a sink
 //! set, keeps its flow in a sparse overlay of the network, and answers
 //! with a certificate, a minimum cut, beside the value. The daemon
-//! answers every unpinned query with it, and [`cut_tree`] runs it n − 1
-//! times to build a Gomory–Hu tree that answers every pair of a
-//! symmetric network without a solve.
+//! answers every query its cut tree does not with it, and [`cut_tree`]
+//! runs it n − 1 times to build a Gomory–Hu tree that answers every pair
+//! of a symmetric network without a solve.
 //!
 //! # Example
 //!
@@ -59,10 +59,6 @@ pub mod validate;
 pub use cancel::{Cancel, Cancelled};
 pub use report::SolveReport;
 pub use residual::{FlowResult, Residual};
-
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 
 use swgraph::{FlowNetwork, VertexId};
 
@@ -135,98 +131,6 @@ impl Algorithm {
     }
 }
 
-/// What a solve returns: the flow and the solver's counters, or
-/// [`Cancelled`].
-type Solved = Result<(FlowResult, SolveReport), Cancelled>;
-
-/// One whole solve for a [`SolverThread`], with the channel its outcome
-/// (or panic) goes back on.
-struct Job {
-    algorithm: Algorithm,
-    net: Arc<FlowNetwork>,
-    s: VertexId,
-    t: VertexId,
-    cancel: Cancel,
-    reply: mpsc::Sender<std::thread::Result<Solved>>,
-}
-
-/// One dedicated thread that runs each solve handed to it, callers taking
-/// turns. Its allocations all come from one thread's heap arena: solved
-/// on each calling thread instead, every caller keeps an arena holding
-/// freed copies of the m-sized vectors a solve builds, and a server's
-/// memory grows with its thread count.
-#[derive(Debug)]
-pub struct SolverThread {
-    jobs: Option<mpsc::Sender<Job>>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl SolverThread {
-    /// Spawns the thread.
-    #[must_use]
-    pub fn spawn() -> Self {
-        let (jobs, inbox) = mpsc::channel::<Job>();
-        let thread = std::thread::Builder::new()
-            .name("solver".into())
-            .spawn(move || {
-                for job in inbox {
-                    let solved = catch_unwind(AssertUnwindSafe(|| {
-                        job.algorithm
-                            .run_with_report(&job.net, job.s, job.t, &job.cancel)
-                    }));
-                    // A gone receiver means the caller unwound.
-                    let _ = job.reply.send(solved);
-                }
-            })
-            .expect("spawn the solver thread");
-        Self {
-            jobs: Some(jobs),
-            thread: Some(thread),
-        }
-    }
-
-    /// [`Algorithm::run_with_report`] on this thread, blocking until it
-    /// answers. A call waits for the solves ahead of it; its `cancel`
-    /// deadline counts that wait. A panic in the solver resumes here.
-    pub fn solve(
-        &self,
-        algorithm: Algorithm,
-        net: &Arc<FlowNetwork>,
-        s: VertexId,
-        t: VertexId,
-        cancel: &Cancel,
-    ) -> Result<(FlowResult, SolveReport), Cancelled> {
-        let (reply, outcome) = mpsc::channel();
-        let job = Job {
-            algorithm,
-            net: Arc::clone(net),
-            s,
-            t,
-            cancel: cancel.clone(),
-            reply,
-        };
-        self.jobs
-            .as_ref()
-            .expect("jobs is taken only by drop")
-            .send(job)
-            .expect("the solver thread outlives its borrowers");
-        match outcome.recv().expect("the solver thread answers every job") {
-            Ok(solved) => solved,
-            Err(panic) => resume_unwind(panic),
-        }
-    }
-}
-
-impl Drop for SolverThread {
-    fn drop(&mut self) {
-        // Closing the queue ends the thread's loop.
-        drop(self.jobs.take());
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -274,75 +178,17 @@ mod tests {
         }
     }
 
-    fn ba(n: u64, seed: u64) -> Arc<FlowNetwork> {
-        Arc::new(FlowNetwork::from_undirected_unit(
-            n,
-            &swgraph::gen::barabasi_albert(n, 3, seed),
-        ))
-    }
-
     #[test]
-    fn solver_thread_serves_concurrent_callers_in_turn() {
-        let solver = SolverThread::spawn();
-        let queries: Vec<_> = (0..4u64)
-            .map(|seed| {
-                let net = ba(200, seed);
-                let (s, t) = (VertexId::new(seed), VertexId::new(199 - seed));
-                let expected = Algorithm::PushRelabel
-                    .run_with_report(&net, s, t, &Cancel::never())
-                    .unwrap();
-                (net, s, t, expected)
-            })
-            .collect();
-        let start = std::sync::Barrier::new(queries.len());
-        std::thread::scope(|scope| {
-            for (net, s, t, expected) in &queries {
-                let (solver, start) = (&solver, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    for _ in 0..3 {
-                        let solved = solver
-                            .solve(Algorithm::PushRelabel, net, *s, *t, &Cancel::never())
-                            .unwrap();
-                        assert_eq!(&solved, expected, "s={s:?} t={t:?}");
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn solver_thread_returns_cancelled_at_an_expired_deadline() {
-        let solver = SolverThread::spawn();
-        let net = ba(200, 5);
-        let expired = Cancel::after(std::time::Duration::from_secs(0));
+    fn every_algorithm_returns_cancelled_at_an_expired_deadline() {
+        let net = FlowNetwork::from_undirected_unit(200, &swgraph::gen::barabasi_albert(200, 3, 5));
+        let expired = Cancel::after(std::time::Duration::ZERO);
         for algorithm in Algorithm::ALL {
             assert_eq!(
-                solver.solve(
-                    algorithm,
-                    &net,
-                    VertexId::new(0),
-                    VertexId::new(199),
-                    &expired
-                ),
+                algorithm.run_with_report(&net, VertexId::new(0), VertexId::new(199), &expired),
                 Err(Cancelled),
                 "{algorithm}"
             );
         }
-    }
-
-    #[test]
-    fn dropping_the_solver_thread_joins_it() {
-        let net = ba(40, 1);
-        let (s, t) = (VertexId::new(0), VertexId::new(39));
-        let solver = SolverThread::spawn();
-        let (flow, _) = solver
-            .solve(Algorithm::Dinic, &net, s, t, &Cancel::never())
-            .unwrap();
-        assert_eq!(flow.value, Algorithm::PushRelabel.run(&net, s, t).value);
-        drop(solver);
-        // Joined, the thread has dropped every job and its handles.
-        assert_eq!(Arc::strong_count(&net), 1);
     }
 
     #[test]

@@ -69,32 +69,17 @@ pub fn solve(
     }
     let state = RwLock::new(State::new(net, s, t));
     if threads <= 1 {
-        return run(net, s, t, &state, &mut inline_executor(net, &state), cancel);
+        return Solver::new(net, s, t, &state).solve(&mut inline_executor(net, &state), cancel);
     }
     let board = Board::new();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| board.work(|job, i| compute_chunk(net, &state.read(), job, i)));
         }
-        let out = run(net, s, t, &state, &mut |job| board.execute(job), cancel);
+        let out = Solver::new(net, s, t, &state).solve(&mut |job| board.execute(job), cancel);
         board.shutdown();
         out
     })
-}
-
-/// Drives the pulse schedule through `exec` and folds the finished run
-/// into the process-wide metrics.
-fn run(
-    net: &FlowNetwork,
-    s: VertexId,
-    t: VertexId,
-    state: &RwLock<State>,
-    exec: &mut Executor<'_>,
-    cancel: &Cancel,
-) -> Result<(FlowResult, SolveReport), Cancelled> {
-    let out = Solver::new(net, s, t, state).solve(exec, cancel)?;
-    record_metrics(&out.1);
-    Ok(out)
 }
 
 /// No flow can exist: identical or out-of-range terminals.
@@ -428,13 +413,9 @@ impl<'a> Solver<'a> {
         loop {
             self.report.cancel_polls += 1;
             cancel.check()?;
-            let frontier_len = self.state.read().frontier.len();
-            if frontier_len == 0 {
+            if self.state.read().frontier.is_empty() {
                 break;
             }
-            ffmr_obs::global()
-                .histogram("ffmr_pr_frontier_size", &[])
-                .record(frontier_len as u64);
             if self.work_since_relabel >= self.relabel_threshold {
                 self.global_relabel(run, cancel)?;
                 self.refilter_frontier();
@@ -455,7 +436,6 @@ impl<'a> Solver<'a> {
     /// then the sequential apply (pushes, then relabels + gap lifts),
     /// then the next frontier.
     fn pulse(&mut self, run: &mut Executor<'_>) {
-        let started = std::time::Instant::now();
         let chunks = {
             let st = self.state.read();
             st.frontier.len().div_ceil(CHUNK)
@@ -465,9 +445,6 @@ impl<'a> Solver<'a> {
             chunks,
         });
         self.apply(&outputs);
-        ffmr_obs::global()
-            .histogram("ffmr_pr_pass_wall_us", &[])
-            .record_duration(started.elapsed());
     }
 
     /// Applies one pulse's buffered outputs in chunk order. Pushes land
@@ -579,9 +556,6 @@ impl<'a> Solver<'a> {
         }
         self.work_since_relabel = 0;
         self.report.global_relabels += 1;
-        ffmr_obs::global()
-            .counter("ffmr_pr_global_relabels_total", &[])
-            .inc();
         Ok(())
     }
 
@@ -672,17 +646,6 @@ fn gap_lift(st: &mut State, height_count: &mut [usize], n: usize, old: u32, s_in
             height_count[n + 1] += 1;
         }
     }
-}
-
-/// Folds one run into the process-wide registry (`ffmr stats` /
-/// `ffmr report` surface these).
-fn record_metrics(report: &SolveReport) {
-    let m = ffmr_obs::global();
-    m.counter("ffmr_pr_discharge_passes_total", &[])
-        .add(report.phases);
-    m.counter("ffmr_pr_pushes_total", &[]).add(report.pushes);
-    m.counter("ffmr_pr_relabels_total", &[])
-        .add(report.relabels);
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! request, mirroring what [`crate::events`] does for MR task attempts.
 //!
 //! The serving tier (`ffmrd`) assembles a profile as a query travels
-//! cut tree | (cache/coalescing → local search → solver): which plan
+//! cut tree | (cache/coalescing → local search): which plan
 //! answered it and *why*, per-stage wall windows (queue wait, terminal
 //! resolution, planning, solve, cache update), and the solver's own
 //! execution counters. Three surfaces consume it:
@@ -62,13 +62,13 @@ pub struct QueryProfile {
     pub plan: String,
     /// Why that route: `cut-tree`, `local-trivial-cut` and
     /// `local-exhausted` (how the local search's certificate was found),
-    /// `algorithm-pinned`, `cache-hit`, `coalesced-follower`.
+    /// `cache-hit`, `coalesced-follower`.
     pub plan_reason: String,
-    /// Solver that produced the answer (`tree`, `local`,
-    /// `push-relabel`, `dinic`, …).
+    /// Solver that produced the answer: `tree` (the cut tree) or `local`
+    /// (the local search).
     pub solver: String,
-    /// Cache interaction: `hit`, `miss`, or `bypass` (`no-cache`, or a
-    /// cut-tree answer, which never touches the cache).
+    /// Cache interaction: `hit`, `miss`, or `bypass` (a cut-tree
+    /// answer, which never touches the cache).
     pub cache: String,
     /// The query piggybacked on another in-flight identical query.
     pub coalesced: bool,
@@ -364,8 +364,8 @@ mod tests {
             dataset: "g".into(),
             epoch: 3,
             plan: "full".into(),
-            plan_reason: "algorithm-pinned".into(),
-            solver: "parallel-pr".into(),
+            plan_reason: "local-exhausted".into(),
+            solver: "local".into(),
             cache: "miss".into(),
             coalesced: false,
             outcome: "ok".into(),

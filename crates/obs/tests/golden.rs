@@ -156,8 +156,8 @@ fn query_profile() -> QueryProfile {
         dataset: NASTY.into(),
         epoch: 3,
         plan: "full".into(),
-        plan_reason: "algorithm-pinned".into(),
-        solver: "parallel-pr".into(),
+        plan_reason: "local-exhausted".into(),
+        solver: "local".into(),
         cache: "miss".into(),
         coalesced: true,
         outcome: "error".into(),
@@ -245,7 +245,7 @@ const FULL_ROUND_PROFILE: &str = r#"{"round":7,"job":"a\"b\\c\nd\te\rf\u0001gé"
 
 const MINIMAL_ROUND_PROFILE: &str = r#"{"round":0,"job":"r0","sim_seconds":0,"wall_seconds":0,"map_seconds":0,"shuffle_seconds":0,"reduce_seconds":0,"stragglers":[],"critical_path":[],"events":[]}"#;
 
-const QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"a\"b\\c\nd\te\rf\u0001gé","epoch":3,"plan":"full","plan_reason":"algorithm-pinned","solver":"parallel-pr","cache":"miss","coalesced":true,"outcome":"error","error":"timeout after 250ms: \"slow\"\n","unix_ms":1700000000000,"queue_wait_us":12,"resolve_us":3,"plan_us":5,"solve_us":89975,"cache_update_us":0,"total_us":90000,"deadline_ms":30000,"phases":7,"pushes":41,"relabels":9,"global_relabels":2,"cancel_polls":8}"#;
+const QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"a\"b\\c\nd\te\rf\u0001gé","epoch":3,"plan":"full","plan_reason":"local-exhausted","solver":"local","cache":"miss","coalesced":true,"outcome":"error","error":"timeout after 250ms: \"slow\"\n","unix_ms":1700000000000,"queue_wait_us":12,"resolve_us":3,"plan_us":5,"solve_us":89975,"cache_update_us":0,"total_us":90000,"deadline_ms":30000,"phases":7,"pushes":41,"relabels":9,"global_relabels":2,"cancel_polls":8}"#;
 
 const LOCAL_QUERY_PROFILE: &str = r#"{"verb":"maxflow","dataset":"fb4","epoch":1,"plan":"full","plan_reason":"local-trivial-cut","solver":"local","cache":"miss","coalesced":false,"outcome":"ok","unix_ms":1700000000000,"queue_wait_us":0,"resolve_us":1,"plan_us":1,"solve_us":92,"cache_update_us":2,"total_us":97,"deadline_ms":30000,"augmenting_paths":46,"cancel_polls":46,"vertices_touched":1553,"arc_scans":7902}"#;
 

@@ -14,7 +14,7 @@
 //! it on a pool worker, given how long it waited in the queue.
 //! [`QueryEngine::execute`] is both stages on one thread.
 //!
-//! An unpinned query (`algorithm auto`, the default) has one route:
+//! Every flow query has one route:
 //!
 //! 1. a plain `maxflow` is read off the snapshot's Gomory–Hu
 //!    [`CutTree`](maxflow::cut_tree::CutTree) once the store has built
@@ -30,15 +30,12 @@
 //!    certifies it) or one tree can grow no further (its vertices are a
 //!    minimum-cut side). A `mincut` reply's side is the vertices the
 //!    sources reach in the final residual graph. Its answers carry the
-//!    solver label `local`.
+//!    solver label `local`, and are `plan full`.
 //!
-//! An explicit `algorithm` value (`push-relabel`, `dinic`,
-//! `parallel-pr`) pins any [`Algorithm`] instead, solved on the engine's
-//! one [`SolverThread`]; a pinned `w` query builds its super-terminal
-//! copy of the network there, since a solver takes one source and one
-//! sink. Every answer but the tree's is `plan full`, and every response
-//! carries the solver so clients can see what answered a query. Both the
-//! tree and the search are the structure-aware lesson of
+//! Nothing pins another solver: a request with an `algorithm` other than
+//! `auto`, or with `no-cache`, gets an `error` reply naming `ffmr maxflow
+//! --algorithm`, which runs every [`maxflow::Algorithm`]. Both the tree
+//! and the search are the structure-aware lesson of
 //! Bläsius/Friedrich/Weyand: on small-world graphs most cuts sit at a
 //! terminal.
 
@@ -48,7 +45,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ffmr_obs::{QueryProfile, SlowLog};
 use maxflow::cut_tree;
 use maxflow::local::{self, Certificate, LocalSearch};
-use maxflow::{Algorithm, Cancel, SolveReport, SolverThread};
+use maxflow::{Cancel, SolveReport};
 use swgraph::{FlowNetwork, VertexId};
 
 use crate::cache::{CacheKey, CacheStats, CachedAnswer, Claim, FlowCache, QueryKind};
@@ -61,9 +58,9 @@ pub struct EngineConfig {
     /// Ignored: every query is solved in memory. Kept only until the
     /// `perfbench` harness, which still sets it, stops doing so.
     pub mr_threshold_vertices: usize,
-    /// Ignored: every solve runs on the engine's one solver thread. Kept
-    /// only until the `perfbench` harness, which still sets it, stops
-    /// doing so.
+    /// Ignored: every solve is a cut-tree walk or a local search on the
+    /// calling thread. Kept only until the `perfbench` harness, which
+    /// still sets it, stops doing so.
     pub worker_threads: Option<usize>,
     /// Flow-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
@@ -99,8 +96,6 @@ pub struct QueryEngine {
     store: Arc<GraphStore>,
     cache: FlowCache,
     config: EngineConfig,
-    /// The one thread every pinned solve runs on.
-    solver: SolverThread,
     /// Scratch for [`maxflow::local`] searches, one per engine thread
     /// searching at once: each is n-sized and reused, so a cold query
     /// allocates no graph-sized memory before the solve.
@@ -174,7 +169,7 @@ impl Job {
 
     fn verb(&self) -> &'static str {
         match self {
-            Job::Flow(job) => match job.query.opts.kind {
+            Job::Flow(job) => match job.query.kind {
                 QueryKind::MaxFlow => "maxflow",
                 QueryKind::MinCut => "mincut",
             },
@@ -191,63 +186,40 @@ const PLAN_TREE: &str = "tree";
 /// The `plan` of every other answer: solved on the whole graph.
 const PLAN_FULL: &str = "full";
 
-/// Parses a request's `algorithm` field; `None` is `auto` (the default):
-/// the cut tree where it applies, the local search otherwise.
-fn parse_algorithm(name: Option<&str>) -> Result<Option<Algorithm>, String> {
-    let Some(name) = name.filter(|&n| n != "auto") else {
-        return Ok(None);
-    };
-    name.parse().map(Some).map_err(|_| {
-        let accepted: Vec<&str> = std::iter::once("auto").chain(Algorithm::names()).collect();
-        format!(
-            "unknown algorithm '{name}' (expected one of: {})",
-            accepted.join(", ")
-        )
-    })
-}
-
-/// The per-request options of a flow query, parsed once.
-struct QueryOptions {
-    kind: QueryKind,
-    /// The pinned solver, or `None` for `algorithm auto`.
-    requested: Option<Algorithm>,
-    use_cache: bool,
-    timeout: Duration,
-}
-
-impl QueryOptions {
-    fn parse(request: &Message, kind: QueryKind, config: &EngineConfig) -> Result<Self, String> {
-        let timeout_ms: Option<u64> = request.get_parsed("timeout-ms")?;
-        Ok(Self {
-            kind,
-            requested: parse_algorithm(request.get("algorithm"))?,
-            use_cache: request.get("no-cache").is_none(),
-            timeout: timeout_ms.map_or(config.default_timeout, Duration::from_millis),
-        })
+/// Refuses the request fields that would pin a solver or skip the
+/// cache: an `algorithm` other than `auto`, and `no-cache`. Answering
+/// either from the tree or the search would hand the caller an answer
+/// it did not ask for without saying so.
+fn refuse_pinning(request: &Message) -> Result<(), String> {
+    if let Some(name) = request.get("algorithm").filter(|&name| name != "auto") {
+        return Err(format!(
+            "algorithm '{name}' is not served (only auto: the cut tree or the local \
+             search); pin a solver with `ffmr maxflow --algorithm`"
+        ));
     }
+    if request.get("no-cache").is_some() {
+        return Err("no-cache is not served (ffmrd has no uncached route); \
+                    solve afresh with `ffmr maxflow --algorithm`"
+            .to_string());
+    }
+    Ok(())
 }
 
 /// A flow query up to its cache lookup ([`QueryEngine::prepare`]).
 struct PreparedQuery {
     snap: Arc<Snapshot>,
     resolved: ResolvedQuery,
-    opts: QueryOptions,
+    kind: QueryKind,
+    timeout: Duration,
     key: CacheKey,
 }
 
 /// The resolved terminals of a query: either the literal `s`/`t` pair or
-/// a super source/sink construction over high-degree terminal sets. No
-/// network is built here: every unpinned query solves on the snapshot's
-/// own, and a pinned `w` query's augmented copy is built only to be
-/// solved.
+/// high-degree terminal sets for a super source/sink. No network is
+/// built here: every query solves on the snapshot's own.
 struct ResolvedQuery {
-    /// `s`, or the super source (vertex `n`) of a pinned `w` query's
-    /// copy.
-    source: VertexId,
-    /// `t`, or the super sink (vertex `n + 1`) of that copy.
-    sink: VertexId,
-    /// Terminal vertex sets, in selection order; the cache key sorts
-    /// its own copy.
+    /// Terminal vertex sets, in selection order (one vertex each for a
+    /// plain pair); the cache key sorts its own copy.
     source_terminals: Vec<u64>,
     sink_terminals: Vec<u64>,
     /// Whether the terminals are a super source/sink construction.
@@ -262,7 +234,6 @@ impl QueryEngine {
             cache: FlowCache::new(config.cache_capacity),
             store,
             config,
-            solver: SolverThread::spawn(),
             local: Mutex::new(Vec::new()),
             slowlog: SlowLog::from_env(),
         }
@@ -334,9 +305,8 @@ impl QueryEngine {
     /// The second stage: does what [`route`](Self::route) left, after it
     /// waited `queue_wait` for a worker. A flow query claims its key in
     /// the cache: it replies with the answer an identical query left
-    /// there meanwhile, waits for one still solving, or solves (the local
-    /// search, or the solver thread when pinned) and publishes the
-    /// answer.
+    /// there meanwhile, waits for one still solving, or runs the local
+    /// search and publishes the answer.
     #[must_use]
     pub fn run(&self, work: Work, queue_wait: Duration) -> Message {
         let started = Instant::now();
@@ -577,7 +547,8 @@ impl QueryEngine {
         let resolve_started = Instant::now();
         let resolved = self.resolve_terminals(request, &snap.network)?;
         prof.resolve_us = elapsed_us(resolve_started);
-        let opts = QueryOptions::parse(request, kind, &self.config)?;
+        refuse_pinning(request)?;
+        let timeout_ms: Option<u64> = request.get_parsed("timeout-ms")?;
         let key = CacheKey::new(
             dataset,
             snap.epoch,
@@ -588,7 +559,8 @@ impl QueryEngine {
         Ok(PreparedQuery {
             snap,
             resolved,
-            opts,
+            kind,
+            timeout: timeout_ms.map_or(self.config.default_timeout, Duration::from_millis),
             key,
         })
     }
@@ -598,10 +570,7 @@ impl QueryEngine {
         if let Some(reply) = tree_reply(q, prof) {
             return Some(reply);
         }
-        prof.cache = if q.opts.use_cache { "miss" } else { "bypass" }.to_string();
-        if !q.opts.use_cache {
-            return None;
-        }
+        prof.cache = "miss".to_string();
         let hit = self.cache.get(&q.key)?;
         Some(hit_reply(&hit, q, prof))
     }
@@ -610,64 +579,32 @@ impl QueryEngine {
     /// claim on the cache finds neither the answer nor an identical query
     /// solving; the leader publishes the answer to the cache.
     fn solve_flow(&self, q: PreparedQuery, prof: &mut QueryProfile) -> Result<Message, String> {
-        prof.deadline_ms = u64::try_from(q.opts.timeout.as_millis()).unwrap_or(u64::MAX);
+        prof.deadline_ms = u64::try_from(q.timeout.as_millis()).unwrap_or(u64::MAX);
         prof.plan = PLAN_FULL.to_string();
-        let (answer, coalesced) = if q.opts.use_cache {
-            match self.cache.claim(&q.key) {
-                Claim::Ready(hit) => return Ok(hit_reply(&hit, &q, prof)),
-                Claim::Follow(follower) => {
-                    let result = follower.wait();
-                    ffmr_obs::global()
-                        .counter("ffmr_query_coalesced_total", &[])
-                        .inc();
-                    prof.plan_reason = "coalesced-follower".to_string();
-                    let answer = result?;
-                    prof.solver = answer.solver.to_string();
-                    (answer, true)
-                }
-                Claim::Lead(ticket) => {
-                    let result = self.compute(&q, prof);
-                    let publish_started = Instant::now();
-                    ticket.publish(result.clone());
-                    prof.cache_update_us += elapsed_us(publish_started);
-                    (result?, false)
-                }
+        let (answer, coalesced) = match self.cache.claim(&q.key) {
+            Claim::Ready(hit) => return Ok(hit_reply(&hit, &q, prof)),
+            Claim::Follow(follower) => {
+                let result = follower.wait();
+                ffmr_obs::global()
+                    .counter("ffmr_query_coalesced_total", &[])
+                    .inc();
+                prof.plan_reason = "coalesced-follower".to_string();
+                let answer = result?;
+                prof.solver = answer.solver.to_string();
+                (answer, true)
             }
-        } else {
-            (self.compute(&q, prof)?, false)
+            Claim::Lead(ticket) => {
+                let result = self.solve_local(&q, prof);
+                let publish_started = Instant::now();
+                ticket.publish(result.clone());
+                prof.cache_update_us += elapsed_us(publish_started);
+                (result?, false)
+            }
         };
         prof.coalesced = coalesced;
         let mut response = render_answer(&answer, PLAN_FULL, &q, false);
         push_serving_fields(&mut response, coalesced, prof.queue_wait_us);
         Ok(response)
-    }
-
-    /// Answers a query the tree did not: the local search on the
-    /// snapshot, or the pinned solver on the solver thread.
-    fn compute(&self, q: &PreparedQuery, prof: &mut QueryProfile) -> Result<CachedAnswer, String> {
-        let PreparedQuery {
-            snap,
-            resolved,
-            opts,
-            ..
-        } = q;
-        let Some(algo) = opts.requested else {
-            return self.solve_local(&snap.network, resolved, opts, prof);
-        };
-        prof.plan_reason = "algorithm-pinned".to_string();
-        let net = if resolved.super_st {
-            // Built only here, by the query about to solve on it; the
-            // copy is part of resolving the terminals.
-            let copy_started = Instant::now();
-            let net = snap
-                .network
-                .with_super_terminals(&resolved.source_terminals, &resolved.sink_terminals);
-            prof.resolve_us += elapsed_us(copy_started);
-            Arc::new(net)
-        } else {
-            Arc::clone(&snap.network)
-        };
-        self.solve(algo, &net, resolved, opts, prof)
     }
 
     fn resolve_terminals(
@@ -676,7 +613,6 @@ impl QueryEngine {
         base: &FlowNetwork,
     ) -> Result<ResolvedQuery, String> {
         let raw = |ids: Vec<VertexId>| ids.into_iter().map(VertexId::raw).collect();
-        let n = base.num_vertices() as u64;
         let w: usize = request.get_parsed("w")?.unwrap_or(0);
         if w > 0 {
             let seed: u64 = request
@@ -689,8 +625,6 @@ impl QueryEngine {
                 swgraph::super_st::select_super_terminals(base, w, min_degree, seed)
                     .map_err(|e| e.to_string())?;
             return Ok(ResolvedQuery {
-                source: VertexId::new(n),
-                sink: VertexId::new(n + 1),
                 source_terminals: raw(sources),
                 sink_terminals: raw(sinks),
                 super_st: true,
@@ -705,65 +639,34 @@ impl QueryEngine {
         if source == sink {
             return Err("source equals sink".into());
         }
+        let n = base.num_vertices() as u64;
         if source >= n || sink >= n {
             return Err(format!("terminal outside the graph (0..{n})"));
         }
         Ok(ResolvedQuery {
-            source: VertexId::new(source),
-            sink: VertexId::new(sink),
             source_terminals: vec![source],
             sink_terminals: vec![sink],
             super_st: false,
         })
     }
 
-    /// Solves `q` on `net` with `algo` on the solver thread. Every
-    /// in-memory solver polls a deadline at its natural progress
-    /// boundaries; a query that blows its budget returns a timeout error
-    /// instead of holding the connection hostage.
-    fn solve(
-        &self,
-        algo: Algorithm,
-        net: &Arc<FlowNetwork>,
-        q: &ResolvedQuery,
-        opts: &QueryOptions,
-        prof: &mut QueryProfile,
-    ) -> Result<CachedAnswer, String> {
-        prof.solver = algo.name().to_string();
-        let cancel = Cancel::after(opts.timeout);
-        let solve_started = Instant::now();
-        let solved = self.solver.solve(algo, net, q.source, q.sink, &cancel);
-        prof.solve_us += elapsed_us(solve_started);
-        let (flow, report) = solved.map_err(|_| timeout_message(opts.timeout))?;
-        add_report(prof, &report);
-        let mut answer = CachedAnswer {
-            flow: flow.value,
-            solver: algo.name(),
-            cut_edges: None,
-            cut_source_side: None,
-        };
-        if opts.kind == QueryKind::MinCut {
-            let cut = maxflow::min_cut::extract_min_cut(net, q.source, &flow);
-            answer.cut_edges = Some(cut.cut_edges.len());
-            answer.cut_source_side = Some(cut.source_side.len());
-        }
-        Ok(answer)
-    }
-
     /// Runs the certified [`maxflow::local`] search on `q`'s terminal
-    /// sets with pooled scratch; a `mincut` reads its side off the
-    /// search's residual graph, counting a `w` query's super source as a
-    /// pinned solve's copy does.
+    /// sets on the snapshot's network, with pooled scratch; a `mincut`
+    /// reads its side off the search's residual graph, counting a `w`
+    /// query's super source as a solve on the super-terminal copy
+    /// ([`swgraph::super_st::attach_super_terminals`]) does.
     fn solve_local(
         &self,
-        net: &FlowNetwork,
-        q: &ResolvedQuery,
-        opts: &QueryOptions,
+        q: &PreparedQuery,
         prof: &mut QueryProfile,
     ) -> Result<CachedAnswer, String> {
+        let net = &q.snap.network;
         let ids = |raw: &[u64]| raw.iter().map(|&v| VertexId::new(v)).collect::<Vec<_>>();
-        let (sources, sinks) = (ids(&q.source_terminals), ids(&q.sink_terminals));
-        let cancel = Cancel::after(opts.timeout);
+        let (sources, sinks) = (
+            ids(&q.resolved.source_terminals),
+            ids(&q.resolved.sink_terminals),
+        );
+        let cancel = Cancel::after(q.timeout);
         let solve_started = Instant::now();
         let mut search = self
             .local
@@ -774,7 +677,7 @@ impl QueryEngine {
         let searched = search.run(net, &sources, &sinks, &cancel);
         self.local.lock().expect("local scratch").push(search);
         prof.solve_us += elapsed_us(solve_started);
-        let (found, report) = searched.map_err(|_| timeout_message(opts.timeout))?;
+        let (found, report) = searched.map_err(|_| timeout_message(q.timeout))?;
         add_report(prof, &report);
         let outcome = match found.certificate {
             Certificate::SourceArcs | Certificate::SinkArcs => "trivial-cut",
@@ -791,10 +694,10 @@ impl QueryEngine {
             cut_edges: None,
             cut_source_side: None,
         };
-        if opts.kind == QueryKind::MinCut {
+        if q.kind == QueryKind::MinCut {
             let cut = found.min_cut(net);
             answer.cut_edges = Some(cut.cut_edges.len());
-            answer.cut_source_side = Some(cut.source_side.len() + usize::from(q.super_st));
+            answer.cut_source_side = Some(cut.source_side.len() + usize::from(q.resolved.super_st));
         }
         Ok(answer)
     }
@@ -863,18 +766,16 @@ fn finish_request(
 }
 
 /// The answer read off the snapshot's cut tree, when the query is one
-/// the tree answers: plain `maxflow` under `algorithm auto`, and the
-/// tree built. It bypasses the cache both ways: a walk costs less than a
-/// lookup.
+/// the tree answers: a plain pair's `maxflow`, and the tree built. It
+/// bypasses the cache both ways: a walk costs less than a lookup.
 fn tree_reply(q: &PreparedQuery, prof: &mut QueryProfile) -> Option<Message> {
-    let applies =
-        q.opts.kind == QueryKind::MaxFlow && !q.resolved.super_st && q.opts.requested.is_none();
-    if !applies {
+    if q.kind != QueryKind::MaxFlow || q.resolved.super_st {
         return None;
     }
     let tree = q.snap.cut_tree()?;
     let walk_started = Instant::now();
-    let flow = tree.max_flow(q.resolved.source, q.resolved.sink);
+    let (s, t) = (q.resolved.source_terminals[0], q.resolved.sink_terminals[0]);
+    let flow = tree.max_flow(VertexId::new(s), VertexId::new(t));
     prof.solve_us = elapsed_us(walk_started);
     prof.plan = PLAN_TREE.to_string();
     prof.plan_reason = "cut-tree".to_string();
@@ -951,7 +852,7 @@ fn render_answer(answer: &CachedAnswer, plan: &str, q: &PreparedQuery, cached: b
         .field("solver", answer.solver)
         .field("plan", plan)
         .field("cached", u8::from(cached));
-    if q.opts.kind == QueryKind::MinCut {
+    if q.kind == QueryKind::MinCut {
         if let (Some(edges), Some(side)) = (answer.cut_edges, answer.cut_source_side) {
             response.push("cut-edges", edges);
             response.push("cut-source-side", side);
@@ -977,7 +878,61 @@ fn join(ids: &[u64]) -> String {
 mod tests {
     use super::*;
     use crate::store::one_way;
+    use maxflow::Algorithm;
     use swgraph::gen;
+
+    /// The reply fields Dinic gives flow query `q` on `net`, the network
+    /// of the engine's snapshot: `flow`, and for a `mincut` the cut's
+    /// `cut-edges` and `cut-source-side` (`None` otherwise), then
+    /// `sources` and `sinks`. A `w` query is solved on the copy
+    /// [`swgraph::super_st::attach_super_terminals`] makes with the
+    /// engine's default selection, whose source side counts the super
+    /// source.
+    fn dinic_fields(net: &FlowNetwork, q: &Message) -> [(&'static str, Option<String>); 5] {
+        let config = EngineConfig::default();
+        let w: usize = q.get_parsed("w").unwrap().unwrap_or(0);
+        let parsed = |field| q.get_parsed::<u64>(field).unwrap();
+        let (copy, s, t, sources, sinks);
+        let net = if w > 0 {
+            let seed = parsed("seed").unwrap_or(config.super_seed);
+            let st =
+                swgraph::super_st::attach_super_terminals(net, w, config.super_min_degree, seed)
+                    .unwrap();
+            let raw = |ids: &[VertexId]| ids.iter().map(|v| v.raw()).collect::<Vec<_>>();
+            (s, t) = (st.source, st.sink);
+            (sources, sinks) = (raw(&st.source_terminals), raw(&st.sink_terminals));
+            copy = st.network;
+            &copy
+        } else {
+            let (source, sink) = (parsed("source").unwrap(), parsed("sink").unwrap());
+            (s, t) = (VertexId::new(source), VertexId::new(sink));
+            (sources, sinks) = (vec![source], vec![sink]);
+            net
+        };
+        let flow = Algorithm::Dinic.run(net, s, t);
+        let cut = (q.head == "mincut").then(|| maxflow::min_cut::extract_min_cut(net, s, &flow));
+        [
+            ("flow", Some(flow.value.to_string())),
+            (
+                "cut-edges",
+                cut.as_ref().map(|c| c.cut_edges.len().to_string()),
+            ),
+            (
+                "cut-source-side",
+                cut.as_ref().map(|c| c.source_side.len().to_string()),
+            ),
+            ("sources", Some(join(&sources))),
+            ("sinks", Some(join(&sinks))),
+        ]
+    }
+
+    /// Asserts that `reply` carries Dinic's fields for `q` on `net`.
+    fn assert_like_dinic(net: &FlowNetwork, q: &Message, reply: &Message) {
+        assert_eq!(reply.head, status::OK, "{q:?}: {reply:?}");
+        for (field, expected) in dinic_fields(net, q) {
+            assert_eq!(reply.get(field), expected.as_deref(), "{field}: {q:?}");
+        }
+    }
 
     fn engine_with(net: FlowNetwork, config: EngineConfig) -> QueryEngine {
         let store = Arc::new(GraphStore::new());
@@ -1054,9 +1009,7 @@ mod tests {
                 assert_eq!(prof.cache, "bypass");
             }
         }
-        // `no-cache` changes nothing: the tree never touches the cache.
-        let r = engine.execute(&query("maxflow").field("no-cache", 1));
-        assert_eq!(r.get("plan"), Some("tree"));
+        // The tree never touches the cache.
         let stats = engine.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
         let stats = engine.execute(&Message::new("stats").field("dataset", "g"));
@@ -1086,37 +1039,35 @@ mod tests {
             (r.get("plan"), r.get("solver")),
             (Some("full"), Some("local"))
         );
-        assert!(inline(&engine, &query("maxflow").field("no-cache", 1)).is_none());
+        // A pair not yet cached is left for a worker.
+        let fresh = Message::new("maxflow")
+            .field("dataset", "g")
+            .field("source", 1)
+            .field("sink", 3);
+        assert!(inline(&engine, &fresh).is_none());
     }
 
     #[test]
-    fn pinned_queries_bypass_the_tree() {
+    fn only_plain_pairs_are_read_off_the_tree() {
         let engine = engine_with_tree(two_paths(), EngineConfig::default());
         let w = Message::new("maxflow").field("dataset", "g").field("w", 1);
+        // Only the tree route is taken on the connection thread.
+        for q in [&query("mincut"), &w] {
+            assert!(inline(&engine, q).is_none(), "{q:?}");
+        }
         for (q, plan, solver) in [
-            (
-                query("maxflow").field("algorithm", "dinic"),
-                "full",
-                "dinic",
-            ),
+            (query("maxflow"), "tree", "tree"),
             (query("maxflow").field("algorithm", "auto"), "tree", "tree"),
             (query("mincut"), "full", "local"),
             (w, "full", "local"),
         ] {
-            let r = engine.execute(&q.field("no-cache", 1));
+            let r = engine.execute(&q);
             assert_eq!(r.head, status::OK, "{r:?}");
             assert_eq!((r.get("plan"), r.get("solver")), (Some(plan), Some(solver)));
         }
-        // Only the tree route is taken on the connection thread.
-        for q in [
-            query("maxflow").field("algorithm", "dinic"),
-            query("mincut"),
-        ] {
-            assert!(inline(&engine, &q.field("no-cache", 1)).is_none());
-        }
     }
 
-    /// Regression: past 2 000 vertices the daemon used to hand unpinned
+    /// Regression: past 2 000 vertices the daemon used to hand plain
     /// queries to FF5 on a simulated cluster in the same process.
     #[test]
     fn snapshots_past_the_old_threshold_are_answered_in_memory() {
@@ -1144,49 +1095,53 @@ mod tests {
         }
     }
 
+    /// Fields that would pin a solver or skip the cache are refused with
+    /// an error naming the CLI, on every flow verb and before the cache
+    /// is looked at; `algorithm auto` is the default route.
     #[test]
-    fn explicit_algorithms_agree() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
-        // Every name in the name table, through the wire field.
-        for solver in Algorithm::ALL {
-            let algo = solver.name();
-            assert_eq!(parse_algorithm(Some(algo)), Ok(Some(solver)));
-            let mut q = query("maxflow").field("algorithm", algo);
-            // Bypass the cache so every solver actually runs.
-            q.push("no-cache", 1);
-            let r = engine.execute(&q);
-            assert_eq!(r.head, status::OK, "{algo}: {r:?}");
-            assert_eq!(r.get("flow"), Some("2"), "{algo} disagrees");
-            assert_eq!(r.get("solver"), Some(algo), "solver echoes the parsed name");
-        }
-    }
-
-    #[test]
-    fn unknown_algorithm_error_names_the_accepted_values() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
-        // Beside a typo, the names of the deleted textbook solvers.
-        for bad in [
-            "bogus",
-            "edmonds-karp",
-            "ford-fulkerson",
-            "capacity-scaling",
+    fn pinning_and_cache_bypass_fields_are_refused() {
+        for engine in [
+            engine_with_tree(two_paths(), EngineConfig::default()),
+            engine_with(one_way(&two_paths()), EngineConfig::default()),
         ] {
-            let r = engine.execute(&query("maxflow").field("algorithm", bad));
-            assert_eq!(r.head, status::ERROR, "{r:?}");
-            let message = r.get("message").unwrap();
-            assert!(
-                message.contains(&format!("unknown algorithm '{bad}'")),
-                "{message}"
-            );
-            for name in Algorithm::names().chain(["auto"]) {
-                assert!(message.contains(name), "{message} should name {name}");
+            let w = Message::new("maxflow").field("dataset", "g").field("w", 1);
+            for q in [query("maxflow"), query("mincut"), w] {
+                let refused = [
+                    q.clone().field("algorithm", "dinic"),
+                    q.clone().field("algorithm", "parallel-pr"),
+                    q.clone().field("algorithm", "push-relabel"),
+                    q.clone().field("algorithm", "ff5"),
+                    q.clone().field("algorithm", "edmonds-karp"),
+                    q.clone().field("no-cache", 1),
+                ];
+                let before = engine.cache_stats();
+                for bad in &refused {
+                    for r in [engine.execute(bad), inline(&engine, bad).unwrap()] {
+                        assert_eq!(r.head, status::ERROR, "{bad:?}: {r:?}");
+                        let message = r.get("message").unwrap();
+                        assert!(message.contains("ffmr maxflow --algorithm"), "{message}");
+                    }
+                }
+                assert_eq!(
+                    engine.cache_stats(),
+                    before,
+                    "a refused request touched the cache"
+                );
+                let plain = engine.execute(&q);
+                let auto = engine.execute(&q.clone().field("algorithm", "auto"));
+                assert_eq!(plain.head, status::OK, "{plain:?}");
+                for field in ["flow", "solver", "plan", "cut-edges", "sources", "sinks"] {
+                    assert_eq!(auto.get(field), plain.get(field), "{field}: {q:?}");
+                }
+                // One route, one cache key: a cached answer is found again.
+                let cached = if plain.get("plan") == Some("tree") {
+                    "0"
+                } else {
+                    "1"
+                };
+                assert_eq!(auto.get("cached"), Some(cached), "{auto:?}");
             }
         }
-        // The MapReduce variants are `ffmr maxflow`'s, not the daemon's.
-        let r = engine.execute(&query("maxflow").field("algorithm", "ff5"));
-        assert_eq!(r.head, status::ERROR, "{r:?}");
-        let message = r.get("message").unwrap();
-        assert!(message.contains("unknown algorithm 'ff5'"), "{message}");
     }
 
     #[test]
@@ -1201,15 +1156,15 @@ mod tests {
         assert!((1..4).contains(&side));
     }
 
-    /// Unpinned `mincut` and `w` queries are answered by the local search
-    /// on the snapshot, and answer what a pinned `parallel-pr` or `dinic`
-    /// solve answers: the residual-reachable min cut is the same for
-    /// every maximum flow.
+    /// `mincut` and `w` queries on a snapshot with a cut tree are
+    /// answered by the local search on the snapshot, and answer what Dinic
+    /// does: the residual-reachable min cut is the same for every maximum
+    /// flow.
     #[test]
-    fn unpinned_mincut_and_w_answer_like_every_pinned_solver() {
+    fn mincut_and_w_queries_answer_like_dinic_beside_a_tree() {
         let n = 400;
         let net = FlowNetwork::from_undirected_unit(n, &gen::barabasi_albert(n, 3, 13));
-        let engine = engine_with_tree(net, EngineConfig::default());
+        let engine = engine_with_tree(net.clone(), EngineConfig::default());
         let mincut = |s: u64, t: u64| {
             Message::new("mincut")
                 .field("dataset", "g")
@@ -1223,16 +1178,9 @@ mod tests {
                 .field("seed", seed)
         };
         for q in [mincut(0, n - 1), mincut(5, 17), w(1), w(2)] {
-            let unpinned = engine.execute(&q.clone().field("no-cache", 1));
-            assert_eq!(unpinned.head, status::OK, "{unpinned:?}");
-            assert_eq!(unpinned.get("solver"), Some("local"), "{q:?}");
-            for pinned in ["parallel-pr", "dinic"] {
-                let r = engine.execute(&q.clone().field("algorithm", pinned).field("no-cache", 1));
-                assert_eq!(r.get("solver"), Some(pinned));
-                for field in ["flow", "cut-edges", "cut-source-side", "sources", "sinks"] {
-                    assert_eq!(r.get(field), unpinned.get(field), "{pinned} {field}: {q:?}");
-                }
-            }
+            let r = engine.execute(&q);
+            assert_eq!(r.get("solver"), Some("local"), "{q:?}: {r:?}");
+            assert_like_dinic(&net, &q, &r);
         }
     }
 
@@ -1309,11 +1257,6 @@ mod tests {
     fn stats_exposes_the_metrics_registry() {
         let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
         let _ = engine.execute(&query("maxflow"));
-        let _ = engine.execute(
-            &query("maxflow")
-                .field("algorithm", "parallel-pr")
-                .field("no-cache", 1),
-        );
         let stats = engine.execute(&Message::new("stats"));
         assert_eq!(stats.head, status::OK);
         // Flat registry series ride along with the legacy cache fields.
@@ -1326,19 +1269,16 @@ mod tests {
             "{stats:?}"
         );
         assert!(stats.get("ffmr_cache_entries").is_some());
-        // The auto route took the local search and the pinned one the
-        // parallel solver: both labels show up in the per-solver latency
-        // split, with the local outcome counter and the ffmr_pr_*
-        // counters riding along in the registry dump.
-        for solver in ["local", "parallel-pr"] {
-            assert!(
-                stats
-                    .fields
-                    .iter()
-                    .any(|(k, _)| k.contains(&format!("solver=\"{solver}\""))),
-                "{solver}: {stats:?}"
-            );
-        }
+        // The query took the local search: its label shows up in the
+        // per-solver latency split, with the local outcome counter riding
+        // along in the registry dump.
+        assert!(
+            stats
+                .fields
+                .iter()
+                .any(|(k, _)| k.contains("solver=\"local\"")),
+            "{stats:?}"
+        );
         assert!(
             stats
                 .fields
@@ -1346,11 +1286,10 @@ mod tests {
                 .any(|(k, _)| k == "ffmr_local_searches_total{outcome=\"trivial-cut\"}"),
             "{stats:?}"
         );
+        // No engine route runs the parallel solver, and it records no
+        // series of its own.
         assert!(
-            stats
-                .fields
-                .iter()
-                .any(|(k, _)| k.starts_with("ffmr_pr_discharge_passes_total")),
+            !stats.fields.iter().any(|(k, _)| k.starts_with("ffmr_pr_")),
             "{stats:?}"
         );
         // `format prometheus` carries the text exposition as repeated
@@ -1378,15 +1317,17 @@ mod tests {
         let resolved = engine
             .resolve_terminals(&query("maxflow"), &snap.network)
             .unwrap();
-        assert_eq!((resolved.source.raw(), resolved.sink.raw()), (0, 3));
+        assert_eq!(
+            (resolved.source_terminals, resolved.sink_terminals),
+            (vec![0], vec![3])
+        );
         assert!(!resolved.super_st);
-        // A super-terminal query names the super source and sink of the
-        // network its solver will build, and the selected sets.
+        // A super-terminal query names the selected sets.
         let super_request = Message::new("maxflow").field("dataset", "g").field("w", 1);
         let resolved = engine
             .resolve_terminals(&super_request, &snap.network)
             .unwrap();
-        assert_eq!((resolved.source.raw(), resolved.sink.raw()), (4, 5));
+        assert!(resolved.super_st);
         let config = EngineConfig::default();
         let (sources, sinks) = swgraph::super_st::select_super_terminals(
             &snap.network,
@@ -1406,16 +1347,14 @@ mod tests {
     #[test]
     fn timeouts_cancel_in_memory_queries() {
         // Regression: `timeout-ms` was silently ignored on the
-        // sequential route; the deadline now reaches the solver's
+        // sequential route; the deadline now reaches the search's
         // progress boundaries. An already-expired deadline must fail
-        // deterministically even on a graph this small, for every
-        // in-memory solver.
-        let engine = engine_with(two_paths(), EngineConfig::default());
-        let pinned = ["parallel-pr", "dinic", "push-relabel"]
-            .map(|algo| query("maxflow").field("algorithm", algo));
-        // A super-terminal query takes the local search under `auto`.
+        // deterministically even on a graph this small, for every query
+        // the local search answers: a plain pair (no tree on a one-way
+        // snapshot), a `mincut` and a super-terminal query.
+        let engine = engine_with(one_way(&two_paths()), EngineConfig::default());
         let super_st = Message::new("maxflow").field("dataset", "g").field("w", 1);
-        for q in pinned.into_iter().chain([super_st]) {
+        for q in [query("maxflow"), query("mincut"), super_st] {
             let q = q.field("timeout-ms", 0);
             let r = engine.execute(&q);
             assert_eq!(r.head, status::ERROR, "{q:?}: {r:?}");
@@ -1429,11 +1368,10 @@ mod tests {
 
     /// An asymmetric snapshot (no cut tree) with the shapes a periphery
     /// contraction would peel — pendant vertices, a pendant path, two
-    /// trees on one anchor — over a scale-free core: every unpinned plain
-    /// `maxflow`, each answered by the local search, equals the same query
-    /// pinned to Dinic.
+    /// trees on one anchor — over a scale-free core: every plain
+    /// `maxflow`, each answered by the local search, equals Dinic's flow.
     #[test]
-    fn unpinned_plain_queries_answer_like_dinic_without_a_tree() {
+    fn plain_queries_answer_like_dinic_without_a_tree() {
         let core = 120;
         let mut b = swgraph::FlowNetworkBuilder::new(core + 16);
         for (i, &(u, v)) in gen::barabasi_albert(core, 2, 5).iter().enumerate() {
@@ -1461,7 +1399,7 @@ mod tests {
         b.add_undirected(c + 13, c + 15, 2);
         let net = one_way(&b.build());
         let n = net.num_vertices() as u64;
-        let engine = engine_with(net, EngineConfig::default());
+        let engine = engine_with(net.clone(), EngineConfig::default());
         let snap = engine.store().get("g").unwrap();
         let status = snap.await_cut_tree(Duration::from_secs(120));
         assert!(matches!(status, CutTreeStatus::Asymmetric), "{status:?}");
@@ -1482,46 +1420,17 @@ mod tests {
             }
         }
         for (s, t) in pairs {
-            let ask = |q: Message| {
-                let r = engine.execute(
-                    &q.field("dataset", "g")
-                        .field("source", s)
-                        .field("sink", t)
-                        .field("no-cache", 1),
-                );
-                assert_eq!(r.head, status::OK, "({s},{t}): {r:?}");
-                r
-            };
-            let unpinned = ask(Message::new("maxflow"));
-            let dinic = ask(Message::new("maxflow").field("algorithm", "dinic"));
-            assert_eq!(
-                (unpinned.get("plan"), unpinned.get("solver")),
-                (Some("full"), Some("local")),
-                "{unpinned:?}"
-            );
-            assert_eq!(unpinned.get("flow"), dinic.get("flow"), "({s},{t})");
-        }
-    }
-
-    #[test]
-    fn pinned_solvers_bypass_the_local_search() {
-        let engine = engine_with(two_paths(), EngineConfig::default());
-        for solver in ["dinic", "parallel-pr", "push-relabel"] {
-            let r = engine.execute(
-                &query("maxflow")
-                    .field("algorithm", solver)
-                    .field("no-cache", 1)
-                    .field("explain", 1),
-            );
-            assert_eq!(r.head, status::OK, "{r:?}");
-            assert_eq!(r.get("flow"), Some("2"));
+            let q = Message::new("maxflow")
+                .field("dataset", "g")
+                .field("source", s)
+                .field("sink", t);
+            let r = engine.execute(&q);
             assert_eq!(
                 (r.get("plan"), r.get("solver")),
-                (Some("full"), Some(solver))
+                (Some("full"), Some("local")),
+                "{r:?}"
             );
-            let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
-            assert_eq!((prof.vertices_touched, prof.arc_scans), (0, 0), "{prof:?}");
-            assert_eq!(prof.plan_reason, "algorithm-pinned", "{prof:?}");
+            assert_like_dinic(&net, &q, &r);
         }
     }
 
@@ -1534,13 +1443,13 @@ mod tests {
             b.add_undirected(0, m, 1);
             b.add_undirected(m, 1, 1);
         }
-        let engine = engine_with(one_way(&b.build()), EngineConfig::default());
+        let net = one_way(&b.build());
+        let engine = engine_with(net.clone(), EngineConfig::default());
         let q = |head| {
             Message::new(head)
                 .field("dataset", "g")
                 .field("source", 0)
                 .field("sink", 1)
-                .field("no-cache", 1)
         };
         let r = engine.execute(&q("maxflow").field("explain", 1));
         assert_eq!(r.head, status::OK, "{r:?}");
@@ -1552,19 +1461,15 @@ mod tests {
         let prof = ffmr_obs::QueryProfile::from_json(r.get("profile").unwrap()).unwrap();
         assert_eq!(prof.plan_reason, "local-trivial-cut");
         assert_eq!(prof.augmenting_paths, 50, "{prof:?}");
-        let unpinned = engine.execute(&q("mincut"));
-        let dinic = engine.execute(&q("mincut").field("algorithm", "dinic"));
-        for field in ["flow", "cut-edges", "cut-source-side"] {
-            assert_eq!(unpinned.get(field), dinic.get(field), "{field}");
-        }
+        assert_like_dinic(&net, &q("mincut"), &engine.execute(&q("mincut")));
     }
 
     /// Seeded `w` mincuts (w ∈ {2, 8, 64}) and seeded `mincut` pairs on
     /// FB1'–FB3' and R-MAT 2^12: the local search's `flow`, `cut-edges`,
-    /// `cut-source-side`, `sources` and `sinks` equal a pinned Dinic
-    /// solve's, the `w` ones on the super-terminal copy.
+    /// `cut-source-side`, `sources` and `sinks` equal Dinic's, the `w`
+    /// ones on the super-terminal copy.
     #[test]
-    fn unpinned_w_and_mincut_queries_answer_like_dinic() {
+    fn w_and_mincut_queries_answer_like_dinic() {
         let scale = 50;
         let crawl = gen::social_crawl(&gen::FB_CHECKPOINTS[..3], scale, 5_000, 42);
         let fb = gen::FB_CHECKPOINTS[..3].iter().map(|checkpoint| {
@@ -1576,7 +1481,8 @@ mod tests {
         for (g, net) in fb.chain([rmat]).enumerate() {
             let n = net.num_vertices() as u64;
             // One way on one edge: no cut tree to build meanwhile.
-            let engine = engine_with(one_way(&net), EngineConfig::default());
+            let net = one_way(&net);
+            let engine = engine_with(net.clone(), EngineConfig::default());
             let mut queries: Vec<Message> = (0..50u64)
                 .map(|i| {
                     Message::new("mincut")
@@ -1591,18 +1497,10 @@ mod tests {
                 }
             }
             for q in queries {
-                let q = q.field("dataset", "g").field("no-cache", 1);
-                let unpinned = engine.execute(&q);
-                assert_eq!(unpinned.head, status::OK, "graph {g} {q:?}: {unpinned:?}");
-                assert_eq!(unpinned.get("solver"), Some("local"), "{q:?}");
-                let dinic = engine.execute(&q.clone().field("algorithm", "dinic"));
-                for field in ["flow", "cut-edges", "cut-source-side", "sources", "sinks"] {
-                    assert_eq!(
-                        unpinned.get(field),
-                        dinic.get(field),
-                        "graph {g} {field}: {q:?}"
-                    );
-                }
+                let q = q.field("dataset", "g");
+                let r = engine.execute(&q);
+                assert_eq!(r.get("solver"), Some("local"), "graph {g} {q:?}: {r:?}");
+                assert_like_dinic(&net, &q, &r);
             }
         }
     }
@@ -1825,10 +1723,9 @@ mod tests {
         for field in ["flow", "sources", "sinks"] {
             assert_eq!(again.get(field), first.get(field), "{field}");
         }
-        // What needs a solver or the disk is left as work: opted out,
-        // an uncached mincut, the admin verbs.
+        // What needs a solver or the disk is left as work: an uncached
+        // mincut, the admin verbs.
         for request in [
-            query("maxflow").field("no-cache", 1),
             query("mincut"),
             Message::new("sleep").field("ms", 0),
             Message::new("reload").field("dataset", "g"),
@@ -1840,6 +1737,8 @@ mod tests {
         for (request, head) in [
             (Message::new("ping"), status::OK),
             (query("maxflow").field("algorithm", "bogus"), status::ERROR),
+            (query("mincut").field("algorithm", "dinic"), status::ERROR),
+            (query("mincut").field("no-cache", 1), status::ERROR),
             (
                 Message::new("maxflow").field("dataset", "nope"),
                 status::ERROR,
@@ -1868,12 +1767,7 @@ mod tests {
         assert_eq!(ok.head, status::OK);
         // A timed-out query is exactly the kind worth explaining later:
         // it must land in the slowlog too, profiled as an error.
-        let err = engine.execute(
-            &query("maxflow")
-                .field("algorithm", "dinic")
-                .field("no-cache", 1)
-                .field("timeout-ms", 0),
-        );
+        let err = engine.execute(&query("mincut").field("timeout-ms", 0));
         assert_eq!(err.head, status::ERROR, "{err:?}");
 
         let log = engine.execute(&Message::new("slowlog"));

@@ -18,12 +18,12 @@
 //! * [`cache`] — LRU memoization of answers keyed by dataset, epoch,
 //!   query kind, and the *canonicalized* terminal sets (including the
 //!   paper's Sec. V-A1 super-source/sink construction);
-//! * [`engine`] — query routing, all in memory: plain `maxflow` read
-//!   off the cut tree once it is built; every other unpinned query (`w`
-//!   and `mincut` too) answered by the certified local search between
-//!   its terminal sets on the snapshot itself; explicit algorithm
-//!   pinning, each pinned solve on one solver thread; per-query deadline
-//!   cancellation;
+//! * [`engine`] — query routing, all in memory and on one route: plain
+//!   `maxflow` read off the cut tree once it is built; every other query
+//!   (`w` and `mincut` too) answered by the certified local search
+//!   between its terminal sets on the snapshot itself; per-query
+//!   deadline cancellation. Pinning a solver is `ffmr maxflow
+//!   --algorithm`'s, and the daemon refuses it;
 //! * [`server`] — TCP daemon: thread-per-connection front-end feeding a
 //!   bounded worker pool, `busy` load shedding, graceful shutdown;
 //! * [`client`] — the blocking client the `ffmr query` subcommand uses.

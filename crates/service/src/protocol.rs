@@ -41,7 +41,7 @@
 //! | `dataset`       | dataset name the query resolved against              |
 //! | `epoch`         | snapshot epoch that produced the answer              |
 //! | `flow`          | max-flow value                                       |
-//! | `solver`        | `tree`, `local`, or an in-memory algorithm           |
+//! | `solver`        | `tree` (the cut tree) or `local` (the local search)  |
 //! | `plan`          | `tree` (read off the cut tree) or `full` (solved)    |
 //! | `cached`        | `1` if the flow cache held the answer, on arrival or once dequeued (never `tree`) |
 //! | `coalesced`     | `1` if this request waited for an identical one solving |

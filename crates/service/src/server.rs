@@ -4,7 +4,9 @@
 //!
 //! * one **accept thread** owns the listener and spawns a thread per
 //!   connection (clients are few and long-lived; a query, not a
-//!   connection, is the unit of work);
+//!   connection, is the unit of work). A connection whose thread the OS
+//!   refuses is closed and counted (`ffmr_connections_refused_total`),
+//!   and the thread goes on accepting;
 //! * each **connection thread** reads one frame at a time. It answers
 //!   `shutdown` itself and hands every other request to
 //!   [`QueryEngine::route`], which parses it once and answers what needs
@@ -14,8 +16,8 @@
 //!   the thread blocks for that one reply — the protocol is strict
 //!   request/response per connection;
 //! * a fixed pool of **worker threads** drains the queue and runs
-//!   [`QueryEngine::run`] on each item with the queue wait it measured;
-//!   every solve goes to the engine's one solver thread.
+//!   [`QueryEngine::run`] on each item with the queue wait it measured:
+//!   the local search for a flow query, on the worker itself.
 //!
 //! The queue is a `sync_channel(queue_depth)` submitted to with
 //! `try_send`: when every worker is busy and the queue is full, the
@@ -96,6 +98,10 @@ struct Shared {
     /// panic costs its request and not the worker.
     #[cfg(test)]
     panic_next_run: AtomicBool,
+    /// Makes the next connection's thread spawn fail, as the OS refuses
+    /// one under a connection flood.
+    #[cfg(test)]
+    refuse_next_spawn: AtomicBool,
     /// This server's queued items and busy workers, for tests that must
     /// know its queue is full: the registry's gauges are shared by every
     /// server in the process.
@@ -138,6 +144,8 @@ pub fn serve(
         queue: queue_tx,
         #[cfg(test)]
         panic_next_run: AtomicBool::new(false),
+        #[cfg(test)]
+        refuse_next_spawn: AtomicBool::new(false),
         #[cfg(test)]
         queued: AtomicUsize::new(0),
         #[cfg(test)]
@@ -225,11 +233,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<J
             return;
         }
         let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("ffmrd-conn".into())
-            .spawn(move || connection_loop(stream, &shared))
-            .expect("spawn connection thread");
+        let Ok(handle) = spawn_connection(stream, shared) else {
+            // The stream went down with the refused thread's closure:
+            // that client reads EOF, and the daemon keeps accepting.
+            ffmr_obs::global()
+                .counter("ffmr_connections_refused_total", &[])
+                .inc();
+            continue;
+        };
         let mut conns = conns.lock();
         // Opportunistically reap finished connections so a long-lived
         // daemon doesn't accumulate handles.
@@ -239,6 +250,19 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<J
             .gauge("ffmr_connections", &[])
             .set(i64::try_from(conns.len()).unwrap_or(i64::MAX));
     }
+}
+
+/// Starts the thread that serves `stream`, or fails as the OS's thread
+/// spawn does.
+fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if shared.refuse_next_spawn.swap(false, Ordering::SeqCst) {
+        return Err(io::Error::other("injected spawn refusal"));
+    }
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name("ffmrd-conn".into())
+        .spawn(move || connection_loop(stream, &shared))
 }
 
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
@@ -572,16 +596,15 @@ mod tests {
             );
         }
         // What the tree does not answer still needs the worker.
-        let pinned = client
+        let mincut = client
             .request(
-                &Message::new("maxflow")
+                &Message::new("mincut")
                     .field("dataset", "g")
                     .field("source", 0)
-                    .field("sink", 3)
-                    .field("algorithm", "dinic"),
+                    .field("sink", 3),
             )
             .unwrap();
-        assert_eq!(pinned.head, "busy", "{pinned:?}");
+        assert_eq!(mincut.head, "busy", "{mincut:?}");
         assert_eq!(running.join().unwrap().head, "ok");
         assert_eq!(queued.join().unwrap().head, "ok");
         server.shutdown();
@@ -609,8 +632,12 @@ mod tests {
         let r = client.request(&huge_w).unwrap();
         assert_eq!(r.head, "error", "{r:?}");
         assert!(r.get("message").unwrap().contains("need"), "{r:?}");
-        // Past the cache, so the worker answers it.
-        let r = client.request(&query.field("no-cache", 1)).unwrap();
+        // Not cached yet, so the worker answers it.
+        let mincut = Message::new("mincut")
+            .field("dataset", "g")
+            .field("source", 0)
+            .field("sink", 3);
+        let r = client.request(&mincut).unwrap();
         assert_eq!(r.head, "ok", "{r:?}");
         assert_eq!(r.get("flow"), Some("2"), "{r:?}");
         server.shutdown();
@@ -625,8 +652,7 @@ mod tests {
         let query = Message::new("maxflow")
             .field("dataset", "g")
             .field("source", 0)
-            .field("sink", 3)
-            .field("no-cache", 1);
+            .field("sink", 3);
         server.shared.panic_next_run.store(true, Ordering::SeqCst);
         let r = client.request(&query).unwrap();
         assert_eq!(r.head, "error", "{r:?}");
@@ -639,6 +665,70 @@ mod tests {
         let r = client.request(&query).unwrap();
         assert_eq!(r.head, "ok", "the worker survived: {r:?}");
         assert_eq!(r.get("flow"), Some("2"), "{r:?}");
+        server.shutdown();
+    }
+
+    /// A saturated bounded queue sheds load with an explicit `busy` reply
+    /// instead of stalling, and the server still shuts down cleanly.
+    #[test]
+    fn saturated_queue_sheds_busy_and_shuts_down_clean() {
+        // One-way capacities: no cut tree, so `maxflow` needs a worker.
+        let path = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3)]);
+        let server = start_on(one_way(&path), 1, 1);
+        let query = Message::new("maxflow")
+            .field("dataset", "g")
+            .field("source", 0)
+            .field("sink", 3);
+        let (running, queued) = fill_the_queue(&server);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let start = std::time::Instant::now();
+        let shed = client.request(&query).unwrap();
+        assert_eq!(shed.head, "busy", "{shed:?}");
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "busy must be immediate, not queued"
+        );
+        // Cheap verbs bypass the queue and still answer while saturated.
+        let pong = client.request(&Message::new("ping")).unwrap();
+        assert_eq!(pong.head, "ok");
+        assert_eq!(running.join().unwrap().head, "ok");
+        assert_eq!(queued.join().unwrap().head, "ok");
+        // After the worker drains, the shed query succeeds on retry.
+        let retry = client.request(&query).unwrap();
+        assert_eq!(retry.head, "ok", "{retry:?}");
+        assert_eq!(retry.get("flow"), Some("1"));
+        // Joins every accept/connection/worker thread; a hang here fails
+        // the test via the harness timeout.
+        server.shutdown();
+    }
+
+    /// Regression: the accept thread used to panic when the OS refused a
+    /// connection's thread, and the daemon never accepted again.
+    #[test]
+    fn a_refused_connection_thread_drops_its_client_and_accepting_goes_on() {
+        use std::io::Read;
+        let server = start(1, 2);
+        server
+            .shared
+            .refuse_next_spawn
+            .store(true, Ordering::SeqCst);
+        let mut refused = TcpStream::connect(server.local_addr()).unwrap();
+        refused
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            refused.read(&mut byte).unwrap(),
+            0,
+            "the refused client reads EOF"
+        );
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let pong = client.request(&Message::new("ping")).unwrap();
+        assert_eq!(pong.head, "ok");
+        // The accept thread counted the refusal before it took the
+        // connection that just answered.
+        let refusals = ffmr_obs::global().counter("ffmr_connections_refused_total", &[]);
+        assert!(refusals.get() >= 1);
         server.shutdown();
     }
 

@@ -5,8 +5,9 @@
 //! queries on two graph families, all answered in memory (from the cut
 //! tree once it is built; before that, and always on a graph with
 //! one-way capacities, by the local search), cache hits on repeated terminal
-//! sets, explicit `busy` load shedding when the bounded queue saturates,
-//! and a clean shutdown that leaves no thread hanging.
+//! sets, and a clean shutdown that leaves no thread hanging. Load
+//! shedding is `server.rs`'s to test: its tests wait on the server's own
+//! queue counts instead of sleeping.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,7 +109,7 @@ fn concurrent_mixed_queries_against_live_daemon() {
             assert_eq!(r.head, "ok", "{r:?}");
             assert_eq!(r.get("flow"), Some(expected.to_string().as_str()));
             assert!(
-                matches!(r.get("solver"), Some("tree" | "local" | "push-relabel")),
+                matches!(r.get("solver"), Some("tree" | "local")),
                 "answered in memory: {r:?}"
             );
             r.get("cached").unwrap() == "1"
@@ -158,69 +159,5 @@ fn concurrent_mixed_queries_against_live_daemon() {
     );
     assert_eq!(r.get("flow"), Some("1"));
 
-    handle.shutdown();
-}
-
-/// A saturated bounded queue sheds load with an explicit `busy` reply
-/// instead of stalling, and the daemon still shuts down cleanly.
-#[test]
-fn saturated_queue_sheds_busy_and_shuts_down_clean() {
-    let store = Arc::new(GraphStore::new());
-    // One-way capacities: no cut tree, so `maxflow` needs a worker.
-    let path = FlowNetwork::from_undirected_unit(4, &[(0, 1), (1, 3)]);
-    store.insert_network("g", one_way(&path));
-    let engine = Arc::new(QueryEngine::new(store, EngineConfig::default()));
-    let handle = serve(
-        "127.0.0.1:0",
-        engine,
-        &ServerConfig {
-            workers: 1,
-            queue_depth: 1,
-        },
-    )
-    .unwrap();
-    let addr = handle.local_addr();
-
-    // Occupy the single worker with a long diagnostic sleep...
-    let occupier = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client
-            .request(&Message::new("sleep").field("ms", 1500))
-            .unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(300));
-    // ...fill the queue's single slot...
-    let queued = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client
-            .request(&Message::new("sleep").field("ms", 10))
-            .unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(300));
-
-    // ...and the next heavy request must be shed immediately.
-    let mut client = Client::connect(addr).unwrap();
-    let start = std::time::Instant::now();
-    let shed = client.request(&message("maxflow", "g", 0, 3)).unwrap();
-    assert_eq!(shed.head, "busy", "{shed:?}");
-    assert!(
-        start.elapsed() < Duration::from_millis(500),
-        "busy must be immediate, not queued"
-    );
-
-    // Cheap verbs bypass the queue and still answer while saturated.
-    let pong = client.request(&Message::new("ping")).unwrap();
-    assert_eq!(pong.head, "ok");
-
-    assert_eq!(occupier.join().unwrap().head, "ok");
-    assert_eq!(queued.join().unwrap().head, "ok");
-
-    // After the workers drain, the shed query succeeds on retry.
-    let retry = client.request(&message("maxflow", "g", 0, 3)).unwrap();
-    assert_eq!(retry.head, "ok");
-    assert_eq!(retry.get("flow"), Some("1"));
-
-    // Clean shutdown: joins every accept/connection/worker thread. A
-    // hang here fails the test via the harness timeout.
     handle.shutdown();
 }

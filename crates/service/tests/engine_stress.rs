@@ -59,18 +59,21 @@ fn concurrent_queries_survive_snapshot_swaps() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     i += 1;
-                    let mut q = Message::new(if (worker + i) % 4 == 3 {
-                        "mincut"
+                    let mix = (worker + i) % 4;
+                    let head = if mix == 3 { "mincut" } else { "maxflow" };
+                    // The reversed pair has the same flow on these
+                    // undirected graphs, under its own cache key.
+                    let (s, t) = if mix == 1 {
+                        (SINK, SOURCE)
                     } else {
-                        "maxflow"
-                    })
-                    .field("dataset", "g")
-                    .field("source", SOURCE)
-                    .field("sink", SINK);
-                    match (worker + i) % 4 {
-                        1 => q.push("no-cache", 1),
-                        2 => q.push("algorithm", "push-relabel"),
-                        _ => {}
+                        (SOURCE, SINK)
+                    };
+                    let mut q = Message::new(head)
+                        .field("dataset", "g")
+                        .field("source", s)
+                        .field("sink", t);
+                    if mix == 2 {
+                        q.push("algorithm", "auto");
                     }
                     let r = engine.execute(&q);
                     assert_eq!(r.head, status::OK, "{q:?} → {r:?}");
@@ -114,13 +117,11 @@ fn concurrent_queries_survive_snapshot_swaps() {
     assert!(stats.hits + stats.misses > 0, "{stats:?}");
 
     // The final epoch answers deterministically and caches normally (a
-    // pinned solver keeps the query off the cut tree, which never
-    // caches).
-    let q = Message::new("maxflow")
+    // `mincut` is never read off the cut tree, which never caches).
+    let q = Message::new("mincut")
         .field("dataset", "g")
         .field("source", SOURCE)
-        .field("sink", SINK)
-        .field("algorithm", "push-relabel");
+        .field("sink", SINK);
     let warm = engine.execute(&q);
     assert_eq!(warm.get("epoch"), Some("6"));
     assert_eq!(warm.get("flow"), Some("6"));
@@ -323,7 +324,7 @@ fn timeouts_on_the_search_path_release_followers_and_spare_the_cache() {
     edges.push((n, n + 1));
     let net = one_way(&FlowNetwork::from_undirected_unit(n + 2, &edges));
     let store = Arc::new(GraphStore::new());
-    store.insert_network("g", net);
+    store.insert_network("g", net.clone());
     let engine = Arc::new(QueryEngine::new(
         Arc::clone(&store),
         EngineConfig::default(),
@@ -366,13 +367,7 @@ fn timeouts_on_the_search_path_release_followers_and_spare_the_cache() {
     );
     assert_eq!(good.get("cached"), Some("0"));
     assert_eq!(good.get("flow"), Some("1"), "the chain's bottleneck is 1");
-    // ...and a pinned solve agrees, so no partial state leaked out of
-    // the cancelled run.
-    let full = engine.execute(
-        &ask(30_000)
-            .field("no-cache", 1)
-            .field("algorithm", "push-relabel"),
-    );
-    assert_eq!(full.head, status::OK, "{full:?}");
-    assert_eq!(full.get("flow"), good.get("flow"));
+    // ...Dinic's, so no partial state leaked out of the cancelled runs.
+    let dinic = Algorithm::Dinic.run(&net, VertexId::new(n + 1), VertexId::new(150));
+    assert_eq!(good.get("flow"), Some(dinic.value.to_string().as_str()));
 }

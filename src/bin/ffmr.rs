@@ -11,7 +11,7 @@
 //!       [--workers 4] [--queue 16] [--cache 256]
 //! ffmr worker --connect HOST:PORT
 //! ffmr query --addr 127.0.0.1:7227 --op maxflow --dataset fb \
-//!       (--source S --sink T | --w N) [--algorithm auto|...] [--timeout-ms N]
+//!       (--source S --sink T | --w N) [--timeout-ms N] [--explain]
 //! ffmr stats --addr 127.0.0.1:7227 [--dataset fb] [--prometheus] [--watch]
 //! ffmr report (--state FILE | --history FILE) [--base PATH] [--json]
 //! ```
@@ -30,8 +30,8 @@
 //! plain `maxflow` from a Gomory–Hu cut tree built in the background
 //! (it prints a line when one is ready), everything else — `w` and
 //! `mincut` queries too — by the certified local search between the
-//! terminal sets on the snapshot; its `--algorithm` pins an in-memory
-//! solver, run on one solver thread.
+//! terminal sets on the snapshot. Pinning a solver is `maxflow
+//! --algorithm`'s: `query` takes no `--algorithm`.
 //!
 //! `maxflow --workers N` runs the MapReduce rounds in *distributed
 //! mode*: `N` separate `ffmr worker` OS processes are spawned against an
@@ -125,9 +125,7 @@ const QUERY_OPTIONS: &[&str] = &[
     "w",
     "seed",
     "min-degree",
-    "algorithm",
     "timeout-ms",
-    "no-cache",
     "path",
     "ms",
     "format",
@@ -179,14 +177,13 @@ fn print_help() {
          \x20          [--timeout-ms N] [--slow-query-ms N] [--slowlog-file FILE]\n\
          \x20          (every query is answered in memory: plain maxflow from a\n\
          \x20          cut tree once built, everything else by the local search\n\
-         \x20          between the terminal sets; a pinned --algorithm runs on\n\
-         \x20          one solver thread; ff1..ff5 are maxflow's)\n\
+         \x20          between the terminal sets; pinning a solver, ff1..ff5\n\
+         \x20          included, is maxflow --algorithm's)\n\
          \x20 worker   --connect HOST:PORT\n\
          \x20 query    --addr HOST:PORT --op maxflow|mincut|stats|slowlog|list|\n\
          \x20          load|reload|ping|shutdown [--dataset D] [--limit N]\n\
          \x20          (--source S --sink T | --w N)\n\
-         \x20          [--algorithm auto|parallel-pr|dinic|...] [--seed S]\n\
-         \x20          [--timeout-ms N] [--no-cache] [--explain]\n\
+         \x20          [--seed S] [--min-degree D] [--timeout-ms N] [--explain]\n\
          \x20 slowlog  [--addr HOST:PORT] [--limit N] [--json]\n\
          \x20 stats    [--addr HOST:PORT] [--dataset D] [--prometheus] [--watch]\n\
          \x20          [--interval-ms N]\n\
@@ -257,14 +254,7 @@ fn install_trace_file(opts: &Options) -> Result<(), String> {
 }
 
 /// Options that stand alone (no value argument follows them).
-const FLAGS: &[&str] = &[
-    "prometheus",
-    "watch",
-    "no-cache",
-    "resume",
-    "json",
-    "explain",
-];
+const FLAGS: &[&str] = &["prometheus", "watch", "resume", "json", "explain"];
 
 /// Pulls `--name value` pairs (and bare `--flag`s) out of an argument
 /// list.
@@ -1423,7 +1413,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, "unknown option --slow-task for maxflow");
-        // The daemon has one solver thread, not a sized pool.
+        // The daemon sizes no solver pool.
         let err = parse("serve", &["--graph", "g=g.txt", "--threads", "2"]).unwrap_err();
         assert_eq!(err, "unknown option --threads for serve");
         // Nor a core planner to switch off: `--no-core` is gone from
@@ -1432,6 +1422,10 @@ mod tests {
         assert_eq!(err, "unknown option --no-core for serve");
         let err = parse("query", &["--op", "maxflow", "--no-core"]).unwrap_err();
         assert_eq!(err, "unknown option --no-core for query");
+        // The daemon has one route: pinning a solver is `maxflow`'s, and
+        // `query` refuses it before sending.
+        let err = parse("query", &["--op", "maxflow", "--algorithm", "dinic"]).unwrap_err();
+        assert_eq!(err, "unknown option --algorithm for query");
         // Another subcommand's option is unknown here too.
         let err = parse("info", &["--input", "g.txt", "--json"]).unwrap_err();
         assert_eq!(err, "unknown option --json for info");
